@@ -12,12 +12,7 @@ from .grid import (
     write_snapshot,
 )
 from .observables import ObservableSeries, SeriesSummary, record, summarize
-from .operators import (
-    OperatorWorkspace,
-    chemo_divergence,
-    laplacian,
-    nonlocal_source,
-)
+from .operators import chemo_divergence, laplacian, nonlocal_source
 from .params import (
     ModelParams,
     OdeComparisonResult,
@@ -61,7 +56,6 @@ __all__ = [
     "write_snapshot",
     "read_snapshot",
     "field_to_csv",
-    "OperatorWorkspace",
     "laplacian",
     "chemo_divergence",
     "nonlocal_source",

@@ -110,6 +110,24 @@ def _point_id(alpha: float, beta: float) -> str:
     return f"{alpha:.12g},{beta:.12g}"
 
 
+def _point_config(alpha, beta, base_overrides, config_path, t_end):
+    overrides = dict(base_overrides)
+    overrides["model.alpha"] = repr(alpha)
+    overrides["model.beta"] = repr(beta)
+    overrides["run.t_end"] = repr(t_end)
+    if config_path is not None:
+        return parse_config(path=config_path, overrides=overrides)
+    return parse_config(text="", overrides=overrides)
+
+
+def _require_envelope(cfg) -> None:
+    """Raise ConfigError when the run has no mass envelope (b = 0)."""
+    try:
+        mass_envelope(cfg.model, 0.0, cfg.grid.measure)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="model.b") from None
+
+
 def _sweep_point(task) -> str:
     """One sweep row; module-level so process pools can pickle it."""
     alpha, beta, n, simulate, base_overrides, config_path, t_end = task
@@ -121,14 +139,7 @@ def _sweep_point(task) -> str:
         y1, m0 = mass_envelope(params, 0.0, 1.0)
         return f"{alpha:.12g},{beta:.12g},{n},{regime},{y1:.17g},{m0:.17g}"
 
-    overrides = dict(base_overrides)
-    overrides["model.alpha"] = repr(alpha)
-    overrides["model.beta"] = repr(beta)
-    overrides["run.t_end"] = repr(t_end)
-    if config_path is not None:
-        cfg = parse_config(path=config_path, overrides=overrides)
-    else:
-        cfg = parse_config(text="", overrides=overrides)
+    cfg = _point_config(alpha, beta, base_overrides, config_path, t_end)
     regime = classify_regime(cfg.model, n)
     result = run_from_config(cfg, output_dir=None)
     from .observables import summarize
@@ -157,7 +168,11 @@ def _cmd_sweep(args, extras: list[str]) -> int:
         for b in betas:
             if b < 1:
                 raise ConfigError("beta >= 1 required")
-    except ConfigError as exc:
+        if args.simulate:
+            # every point shares the base config; reject it before any point runs
+            base = _point_config(alphas[0], betas[0], overrides, args.config, args.t_end)
+            _require_envelope(base)
+    except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
     os.makedirs(args.output, exist_ok=True)
@@ -253,6 +268,7 @@ def _cmd_bound_check(args) -> int:
     series_path = os.path.join(args.run_dir, "series.csv")
     try:
         cfg = parse_config(path=resolved)
+        _require_envelope(cfg)
         series = ObservableSeries.from_csv(series_path)
     except (ConfigError, OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))

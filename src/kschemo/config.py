@@ -19,9 +19,10 @@ identical RunConfig, which keeps experiment definitions diffable.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,11 +73,14 @@ class RunConfig:
 
 
 def _parse_float(s: str) -> float:
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"finite number required, got {s!r}")
+    return v
 
 
 def _parse_int(s: str) -> int:
-    v = float(s)
+    v = _parse_float(s)
     if v != int(v):
         raise ValueError("integer required")
     return int(v)
@@ -86,7 +90,7 @@ def _parse_klist(s: str) -> tuple[float, ...]:
     parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
         raise ValueError("at least one k value required")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _choice(*options: str) -> Callable[[str], str]:
@@ -98,87 +102,96 @@ def _choice(*options: str) -> Callable[[str], str]:
     return parse
 
 
-def _check(cond_fn: Callable, message: str) -> Callable:
-    def validate(v):
-        if not cond_fn(v):
-            raise ValueError(message)
-        return v
-
-    return validate
+class _Rule(NamedTuple):
+    holds: Callable[[object], bool]
+    text: str  # the error message is "<name> <text>"
 
 
-_ID = lambda v: v  # noqa: E731
+def _at_least(lo) -> _Rule:
+    return _Rule(lambda v: v >= lo, f">= {lo} required")
 
-# key -> (parser, default, validator); None default means "resolved later"
-_KEYS: dict[str, tuple[Callable, object, Callable]] = {
-    "model.chi": (_parse_float, 1.0, _check(lambda v: v >= 0, "chi >= 0 required")),
-    "model.a": (_parse_float, 1.0, _check(lambda v: v >= 0, "a >= 0 required")),
-    "model.b": (_parse_float, 1.0, _check(lambda v: v >= 0, "b >= 0 required")),
-    "model.alpha": (_parse_float, 1.0, _check(lambda v: v >= 1, "alpha >= 1 required")),
-    "model.beta": (_parse_float, 1.0, _check(lambda v: v >= 1, "beta >= 1 required")),
-    "model.tau": (_parse_int, 1, _check(lambda v: v in (0, 1), "tau must be 0 or 1")),
-    "grid.dim": (_parse_int, 1, _check(lambda v: v in (1, 2), "dim must be 1 or 2")),
-    "grid.extent_x": (_parse_float, 1.0, _check(lambda v: v > 0, "extent_x > 0 required")),
-    "grid.extent_y": (_parse_float, None, _check(lambda v: v > 0, "extent_y > 0 required")),
-    "grid.cells_x": (_parse_int, 256, _check(lambda v: v >= 4, "cells_x >= 4 required")),
-    "grid.cells_y": (_parse_int, None, _check(lambda v: v >= 4, "cells_y >= 4 required")),
-    "ic.u": (_choice("constant", "bump", "random"), "constant", _ID),
-    "ic.u_value": (_parse_float, 1.0, _check(lambda v: v >= 0, "u_value >= 0 required")),
-    "ic.u_mass": (_parse_float, 1.0, _check(lambda v: v >= 0, "u_mass >= 0 required")),
-    "ic.u_width": (_parse_float, 0.05, _check(lambda v: v > 0, "u_width > 0 required")),
-    "ic.u_center_x": (_parse_float, None, _ID),
-    "ic.u_center_y": (_parse_float, None, _ID),
-    "ic.u_base": (_parse_float, 1.0, _check(lambda v: v >= 0, "u_base >= 0 required")),
-    "ic.u_amplitude": (
-        _parse_float,
-        0.5,
-        _check(lambda v: 0 <= v <= 1, "u_amplitude in [0, 1] required"),
-    ),
-    "ic.seed": (_parse_int, 1234, _check(lambda v: v >= 0, "seed >= 0 required")),
-    "ic.v": (_choice("constant", "equal_u"), "constant", _ID),
-    "ic.v_value": (_parse_float, 0.0, _check(lambda v: v >= 0, "v_value >= 0 required")),
-    "stepper.dt_init": (_parse_float, 1e-4, _check(lambda v: v > 0, "dt_init > 0 required")),
-    "stepper.dt_min": (_parse_float, 1e-12, _check(lambda v: v > 0, "dt_min > 0 required")),
-    "stepper.dt_max": (_parse_float, 1e-2, _check(lambda v: v > 0, "dt_max > 0 required")),
-    "stepper.cfl_safety": (
-        _parse_float,
-        0.4,
-        _check(lambda v: 0 < v <= 1, "cfl_safety in (0, 1] required"),
-    ),
-    "stepper.linear_tol": (
-        _parse_float,
-        1e-10,
-        _check(lambda v: v > 0, "linear_tol > 0 required"),
-    ),
-    "stepper.blowup_linf_threshold": (
-        _parse_float,
-        1e8,
-        _check(lambda v: v > 0, "blowup_linf_threshold > 0 required"),
-    ),
-    "stepper.positivity_tol": (
-        _parse_float,
-        1e-12,
-        _check(lambda v: v > 0, "positivity_tol > 0 required"),
-    ),
-    "stepper.face_scheme": (_choice("upwind", "central"), "upwind", _ID),
-    "stepper.max_retries": (
-        _parse_int,
-        20,
-        _check(lambda v: v >= 1, "max_retries >= 1 required"),
-    ),
-    "run.t_end": (_parse_float, 10.0, _check(lambda v: v > 0, "t_end > 0 required")),
-    "run.sample_interval": (
-        _parse_float,
-        0.1,
-        _check(lambda v: v > 0, "sample_interval > 0 required"),
-    ),
-    "run.k_list": (
-        _parse_klist,
-        (2.0, 4.0, 8.0),
-        _check(lambda ks: all(k > 1 for k in ks), "k_list entries must exceed 1"),
-    ),
-    "run.output_dir": (_ID, "out", _check(lambda v: bool(v), "output_dir must be nonempty")),
+
+def _above(lo) -> _Rule:
+    return _Rule(lambda v: v > lo, f"> {lo} required")
+
+
+def _either(a, b) -> _Rule:
+    return _Rule(lambda v: v in (a, b), f"must be {a} or {b}")
+
+
+class _Key(NamedTuple):
+    """Where one config key lives in RunConfig and how its value is read."""
+
+    section: str  # RunConfig attribute holding the value; "run" is RunConfig itself
+    field: str  # constructor argument; a *_x / *_y key is one entry of its tuple
+    parse: Callable[[str], object]
+    rule: _Rule | None = None
+    default: object = None  # None: the dataclass default, or see _fold_axes
+
+
+_SECTIONS = {
+    "model": ModelParams,
+    "grid": Grid,
+    "stepper": StepperConfig,
+    "ic": InitialCondition,
 }
+
+_KEYS: dict[str, _Key] = {
+    "model.chi": _Key("model", "chi", _parse_float, _at_least(0), 1.0),
+    "model.a": _Key("model", "a", _parse_float, _at_least(0), 1.0),
+    "model.b": _Key("model", "b", _parse_float, _at_least(0), 1.0),
+    "model.alpha": _Key("model", "alpha", _parse_float, _at_least(1), 1.0),
+    "model.beta": _Key("model", "beta", _parse_float, _at_least(1), 1.0),
+    "model.tau": _Key("model", "tau", _parse_int, _either(0, 1)),
+    "grid.dim": _Key("grid", "dim", _parse_int, _either(1, 2), 1),
+    "grid.extent_x": _Key("grid", "extent", _parse_float, _above(0), 1.0),
+    "grid.extent_y": _Key("grid", "extent", _parse_float, _above(0)),
+    "grid.cells_x": _Key("grid", "cells", _parse_int, _at_least(4), 256),
+    "grid.cells_y": _Key("grid", "cells", _parse_int, _at_least(4)),
+    "ic.u": _Key("ic", "u_kind", _choice("constant", "bump", "random")),
+    "ic.u_value": _Key("ic", "u_value", _parse_float, _at_least(0)),
+    "ic.u_mass": _Key("ic", "u_mass", _parse_float, _at_least(0)),
+    "ic.u_width": _Key("ic", "u_width", _parse_float, _above(0)),
+    "ic.u_center_x": _Key("ic", "u_center", _parse_float),
+    "ic.u_center_y": _Key("ic", "u_center", _parse_float),
+    "ic.u_base": _Key("ic", "u_base", _parse_float, _at_least(0)),
+    "ic.u_amplitude": _Key(
+        "ic", "u_amplitude", _parse_float, _Rule(lambda v: 0 <= v <= 1, "in [0, 1] required")
+    ),
+    "ic.seed": _Key("ic", "seed", _parse_int, _at_least(0)),
+    "ic.v": _Key("ic", "v_kind", _choice("constant", "equal_u")),
+    "ic.v_value": _Key("ic", "v_value", _parse_float, _at_least(0)),
+    "stepper.dt_init": _Key("stepper", "dt_init", _parse_float, _above(0)),
+    "stepper.dt_min": _Key("stepper", "dt_min", _parse_float, _above(0)),
+    "stepper.dt_max": _Key("stepper", "dt_max", _parse_float, _above(0)),
+    "stepper.cfl_safety": _Key(
+        "stepper",
+        "cfl_safety",
+        _parse_float,
+        _Rule(lambda v: 0 < v <= 1, "in (0, 1] required"),
+    ),
+    "stepper.linear_tol": _Key("stepper", "linear_tol", _parse_float, _above(0)),
+    "stepper.blowup_linf_threshold": _Key(
+        "stepper", "blowup_linf_threshold", _parse_float, _above(0)
+    ),
+    "stepper.positivity_tol": _Key("stepper", "positivity_tol", _parse_float, _above(0)),
+    "stepper.face_scheme": _Key("stepper", "face_scheme", _choice("upwind", "central")),
+    "stepper.max_retries": _Key("stepper", "max_retries", _parse_int, _at_least(1)),
+    "run.t_end": _Key("run", "t_end", _parse_float, _above(0)),
+    "run.sample_interval": _Key("run", "sample_interval", _parse_float, _above(0)),
+    "run.k_list": _Key(
+        "run",
+        "k_list",
+        _parse_klist,
+        _Rule(lambda ks: all(k > 1 for k in ks), "entries must exceed 1"),
+    ),
+    "run.output_dir": _Key("run", "output_dir", str, _Rule(bool, "must be nonempty")),
+}
+
+
+def _axis(key: str) -> int | None:
+    """Tuple index of a per-axis key (*_x -> 0, *_y -> 1), None otherwise."""
+    return {"_x": 0, "_y": 1}.get(key[-2:])
 
 
 def _read_raw(text: str) -> dict[str, tuple[str, int]]:
@@ -196,6 +209,21 @@ def _read_raw(text: str) -> dict[str, tuple[str, int]]:
             raise ConfigError(f"duplicate key {key!r}", key=key, line=lineno)
         raw[key] = (value, lineno)
     return raw
+
+
+def _fold_axes(kwargs: dict[str, dict]) -> None:
+    """Turn the [x, y] entries of per-axis keys into tuples of length grid.dim.
+
+    An unset y entry inherits x, and an unset bump center is the midpoint of
+    the domain on that axis.
+    """
+    grid, ic = kwargs["grid"], kwargs["ic"]
+    dim = grid.pop("dim")
+    for name in ("extent", "cells"):
+        x, y = grid[name]
+        grid[name] = (x, x if y is None else y)[:dim]
+    center = ic["u_center"]
+    ic["u_center"] = tuple(L / 2.0 if c is None else c for c, L in zip(center, grid["extent"]))
 
 
 def parse_config(
@@ -218,143 +246,51 @@ def parse_config(
                 raise ConfigError(f"unknown key {key!r}", key=key)
             raw[key] = (str(value), None)
 
-    values: dict[str, object] = {}
-    lines: dict[str, Optional[int]] = {}
-    for key, (parser, default, validator) in _KEYS.items():
+    kwargs: dict[str, dict] = {section: {} for section in (*_SECTIONS, "run")}
+    for key, row in _KEYS.items():
+        value = row.default
         if key in raw:
             text_value, lineno = raw[key]
-            lines[key] = lineno
             try:
-                values[key] = validator(parser(text_value))
+                value = row.parse(text_value)
+                if row.rule is not None and not row.rule.holds(value):
+                    raise ValueError(f"{key.split('.', 1)[1]} {row.rule.text}")
             except ValueError as exc:
                 raise ConfigError(str(exc), key=key, line=lineno) from None
-        else:
-            values[key] = default
-            lines[key] = None
+        axis = _axis(key)
+        if axis is not None:
+            kwargs[row.section].setdefault(row.field, [None, None])[axis] = value
+        elif value is not None:
+            kwargs[row.section][row.field] = value
+    _fold_axes(kwargs)
 
-    # inherited defaults: y-axis mirrors x, bump centered in the domain
-    if values["grid.extent_y"] is None:
-        values["grid.extent_y"] = values["grid.extent_x"]
-    if values["grid.cells_y"] is None:
-        values["grid.cells_y"] = values["grid.cells_x"]
-    if values["ic.u_center_x"] is None:
-        values["ic.u_center_x"] = values["grid.extent_x"] / 2.0
-    if values["ic.u_center_y"] is None:
-        values["ic.u_center_y"] = values["grid.extent_y"] / 2.0
+    built = {}
+    for section, cls in _SECTIONS.items():
+        try:
+            built[section] = cls(**kwargs[section])
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=f"{section}.*") from None
 
-    dim = values["grid.dim"]
-    try:
-        model = ModelParams(
-            chi=values["model.chi"],
-            a=values["model.a"],
-            b=values["model.b"],
-            alpha=values["model.alpha"],
-            beta=values["model.beta"],
-            tau=values["model.tau"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="model.*") from None
-
-    try:
-        if dim == 1:
-            grid = Grid(extent=(values["grid.extent_x"],), cells=(values["grid.cells_x"],))
-        else:
-            grid = Grid(
-                extent=(values["grid.extent_x"], values["grid.extent_y"]),
-                cells=(values["grid.cells_x"], values["grid.cells_y"]),
-            )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="grid.*") from None
-
-    try:
-        stepper = StepperConfig(
-            dt_init=values["stepper.dt_init"],
-            dt_min=values["stepper.dt_min"],
-            dt_max=values["stepper.dt_max"],
-            cfl_safety=values["stepper.cfl_safety"],
-            linear_tol=values["stepper.linear_tol"],
-            blowup_linf_threshold=values["stepper.blowup_linf_threshold"],
-            positivity_tol=values["stepper.positivity_tol"],
-            face_scheme=values["stepper.face_scheme"],
-            max_retries=values["stepper.max_retries"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="stepper.*") from None
-
-    center = (values["ic.u_center_x"],) if dim == 1 else (
-        values["ic.u_center_x"],
-        values["ic.u_center_y"],
-    )
-    for c, L, key in zip(center, grid.extent, ("ic.u_center_x", "ic.u_center_y")):
+    center_keys = [key for key, row in _KEYS.items() if row.field == "u_center"]
+    for c, L, key in zip(built["ic"].u_center, built["grid"].extent, center_keys):
         if not (0 <= c <= L):
-            raise ConfigError(
-                f"bump center {c} outside domain [0, {L}]", key=key, line=lines[key]
-            )
-    ic = InitialCondition(
-        u_kind=values["ic.u"],
-        u_value=values["ic.u_value"],
-        u_mass=values["ic.u_mass"],
-        u_width=values["ic.u_width"],
-        u_center=center,
-        u_base=values["ic.u_base"],
-        u_amplitude=values["ic.u_amplitude"],
-        seed=values["ic.seed"],
-        v_kind=values["ic.v"],
-        v_value=values["ic.v_value"],
-    )
-
-    return RunConfig(
-        model=model,
-        grid=grid,
-        stepper=stepper,
-        ic=ic,
-        t_end=values["run.t_end"],
-        sample_interval=values["run.sample_interval"],
-        k_list=values["run.k_list"],
-        output_dir=values["run.output_dir"],
-    )
+            line = raw.get(key, (None, None))[1]
+            raise ConfigError(f"bump center {c} outside domain [0, {L}]", key=key, line=line)
+    return RunConfig(**built, **kwargs["run"])
 
 
 def config_items(cfg: RunConfig) -> dict[str, str]:
-    """Serialize a RunConfig to the flat key/value form (repr round-trips)."""
-    m, g, s, ic = cfg.model, cfg.grid, cfg.stepper, cfg.ic
-    items = {
-        "model.chi": repr(m.chi),
-        "model.a": repr(m.a),
-        "model.b": repr(m.b),
-        "model.alpha": repr(m.alpha),
-        "model.beta": repr(m.beta),
-        "model.tau": str(m.tau),
-        "grid.dim": str(g.dim),
-        "grid.extent_x": repr(g.extent[0]),
-        "grid.extent_y": repr(g.extent[1] if g.dim == 2 else g.extent[0]),
-        "grid.cells_x": str(g.cells[0]),
-        "grid.cells_y": str(g.cells[1] if g.dim == 2 else g.cells[0]),
-        "ic.u": ic.u_kind,
-        "ic.u_value": repr(ic.u_value),
-        "ic.u_mass": repr(ic.u_mass),
-        "ic.u_width": repr(ic.u_width),
-        "ic.u_center_x": repr(ic.u_center[0]),
-        "ic.u_center_y": repr(ic.u_center[1] if len(ic.u_center) == 2 else ic.u_center[0]),
-        "ic.u_base": repr(ic.u_base),
-        "ic.u_amplitude": repr(ic.u_amplitude),
-        "ic.seed": str(ic.seed),
-        "ic.v": ic.v_kind,
-        "ic.v_value": repr(ic.v_value),
-        "stepper.dt_init": repr(s.dt_init),
-        "stepper.dt_min": repr(s.dt_min),
-        "stepper.dt_max": repr(s.dt_max),
-        "stepper.cfl_safety": repr(s.cfl_safety),
-        "stepper.linear_tol": repr(s.linear_tol),
-        "stepper.blowup_linf_threshold": repr(s.blowup_linf_threshold),
-        "stepper.positivity_tol": repr(s.positivity_tol),
-        "stepper.face_scheme": s.face_scheme,
-        "stepper.max_retries": str(s.max_retries),
-        "run.t_end": repr(cfg.t_end),
-        "run.sample_interval": repr(cfg.sample_interval),
-        "run.k_list": ",".join(repr(k) for k in cfg.k_list),
-        "run.output_dir": cfg.output_dir,
-    }
+    """Serialize a RunConfig to the flat key/value form (str round-trips).
+
+    A y entry of a 1D config repeats its x entry.
+    """
+    items = {}
+    for key, row in _KEYS.items():
+        value = getattr(cfg if row.section == "run" else getattr(cfg, row.section), row.field)
+        axis = _axis(key)
+        if axis is not None:
+            value = value[min(axis, len(value) - 1)]
+        items[key] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
     return items
 
 

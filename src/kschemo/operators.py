@@ -1,15 +1,14 @@
 """Discrete spatial operators: diffusion, chemotactic transport, nonlocal source.
 
-Everything is assembled in flux form on cell faces with zero flux at the
-boundary faces, so the discrete integrals of laplacian() and
-chemo_divergence() telescope to zero regardless of the input fields.  That
-telescoping is what makes the per-step mass identity of the stepper exact
-up to solver/rounding noise.
+laplacian() and chemo_divergence() are flux differences on cell faces,
+assembled by one kernel, _flux_divergence(), from the fluxes on the n-1
+interior faces of each axis.  The boundary faces carry zero flux by
+construction, so the discrete integrals of both operators telescope to zero
+regardless of the input fields.  That telescoping is what makes the
+per-step mass identity of the stepper exact up to solver/rounding noise.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,47 +18,32 @@ from .params import ModelParams
 FACE_SCHEMES = ("upwind", "central")
 
 
-@dataclass
-class OperatorWorkspace:
-    """Preallocated face-flux and scratch buffers, one per worker."""
-
-    flux: tuple[np.ndarray, ...]
-    scratch: np.ndarray
-
-    @classmethod
-    def for_grid(cls, grid: Grid) -> "OperatorWorkspace":
-        if grid.dim == 1:
-            (nx,) = grid.cells
-            flux = (np.zeros(nx + 1),)
-        else:
-            nx, ny = grid.cells
-            flux = (np.zeros((nx + 1, ny)), np.zeros((nx, ny + 1)))
-        return cls(flux=flux, scratch=grid.zeros())
-
-
 def _face_slabs(arr: np.ndarray, axis: int):
     left = tuple(slice(None, -1) if ax == axis else slice(None) for ax in range(arr.ndim))
     right = tuple(slice(1, None) if ax == axis else slice(None) for ax in range(arr.ndim))
     return arr[left], arr[right]
 
 
-def laplacian(f: np.ndarray, grid: Grid, ws: OperatorWorkspace | None = None) -> np.ndarray:
+def _flux_divergence(face_flux: np.ndarray, axis: int, h: float, out: np.ndarray) -> None:
+    """Add (F_{i+1/2} - F_{i-1/2}) / h into ``out`` along ``axis``.
+
+    ``face_flux`` holds the n-1 interior faces: face j is the right face of
+    cell j and the left face of cell j+1.  The two boundary faces are
+    zero-flux and contribute nothing.
+    """
+    flux = face_flux / h
+    left_cells, right_cells = _face_slabs(out, axis)
+    left_cells += flux
+    right_cells -= flux
+
+
+def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Second-order Neumann Laplacian (3-point/5-point stencil) in flux form."""
     arr = _require_finite(f)
-    if ws is None:
-        ws = OperatorWorkspace.for_grid(grid)
     out = np.zeros_like(arr)
-    for axis in range(grid.dim):
-        h = grid.h[axis]
-        flux = ws.flux[axis]
-        flux.fill(0.0)
-        interior = tuple(
-            slice(1, -1) if ax == axis else slice(None) for ax in range(grid.dim)
-        )
+    for axis, h in enumerate(grid.h):
         f_l, f_r = _face_slabs(arr, axis)
-        flux[interior] = (f_r - f_l) / h
-        fl, fr = _face_slabs(flux, axis)
-        out += (fr - fl) / h
+        _flux_divergence((f_r - f_l) / h, axis, h, out)
     return out
 
 
@@ -70,7 +54,6 @@ def chemo_divergence(
     chi: float,
     scheme: str = "upwind",
     positivity_tol: float = 1e-12,
-    ws: OperatorWorkspace | None = None,
 ) -> np.ndarray:
     """Flux-form div(u * grad(v)); face value of u upwinded on sign(v_R - v_L).
 
@@ -89,17 +72,9 @@ def chemo_divergence(
     umin = float(ua.min())
     if umin < -positivity_tol:
         raise ValueError(f"u dips to {umin}, below -{positivity_tol}")
-    if ws is None:
-        ws = OperatorWorkspace.for_grid(grid)
 
     out = np.zeros_like(ua)
-    for axis in range(grid.dim):
-        h = grid.h[axis]
-        flux = ws.flux[axis]
-        flux.fill(0.0)
-        interior = tuple(
-            slice(1, -1) if ax == axis else slice(None) for ax in range(grid.dim)
-        )
+    for axis, h in enumerate(grid.h):
         v_l, v_r = _face_slabs(va, axis)
         dv = (v_r - v_l) / h
         u_l, u_r = _face_slabs(ua, axis)
@@ -107,9 +82,7 @@ def chemo_divergence(
             u_face = np.where(dv > 0, u_l, u_r)
         else:
             u_face = 0.5 * (u_l + u_r)
-        flux[interior] = u_face * dv
-        fl, fr = _face_slabs(flux, axis)
-        out += (fr - fl) / h
+        _flux_divergence(u_face * dv, axis, h, out)
     return out
 
 

@@ -29,17 +29,10 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import dctn, idctn
-from scipy.linalg import solveh_banded
 
 from .grid import Grid, State, integrate
 from .observables import ObservableError, ObservableSeries, record
-from .operators import (
-    FACE_SCHEMES,
-    OperatorWorkspace,
-    chemo_divergence,
-    laplacian,
-    nonlocal_source,
-)
+from .operators import FACE_SCHEMES, chemo_divergence, laplacian, nonlocal_source
 from .params import ModelParams
 
 _EPS_RATE = 1e-30
@@ -109,30 +102,38 @@ class StepOutcome:
     message: str = ""
 
 
-@functools.lru_cache(maxsize=32)
 def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
     """Eigenvalues of the flux-form Neumann Laplacian in the DCT-II basis."""
     k = np.arange(n)
     return -4.0 * np.sin(np.pi * k / (2 * n)) ** 2 / h**2
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_eigenvalues(grid: Grid) -> np.ndarray:
+    """Eigenvalues of L_h on ``grid`` in the DCT-II basis (read-only).
+
+    The modes are products of per-axis cosines, so each eigenvalue is the
+    sum of its per-axis ones.
+    """
+    lam = np.zeros(grid.shape)
+    for axis, (n, h) in enumerate(zip(grid.cells, grid.h)):
+        shape = [1] * grid.dim
+        shape[axis] = n
+        lam += _neumann_eigenvalues(n, h).reshape(shape)
+    lam.flags.writeable = False
+    return lam
+
+
 def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
-    if grid.dim == 1:
-        (nx,) = grid.cells
-        (hx,) = grid.h
-        r = sigma / hx**2
-        ab = np.zeros((2, nx))
-        ab[1].fill(1.0 + 2.0 * r)
-        ab[1, 0] = ab[1, -1] = 1.0 + r
-        ab[0, 1:] = -r
-        return solveh_banded(ab, rhs)
-    nx, ny = grid.cells
-    hx, hy = grid.h
-    lam_x = _neumann_eigenvalues(nx, hx)
-    lam_y = _neumann_eigenvalues(ny, hy)
     spectral = dctn(rhs, type=2, norm="ortho")
-    spectral /= 1.0 - sigma * (lam_x[:, None] + lam_y[None, :])
-    return idctn(spectral, type=2, norm="ortho")
+    spectral /= 1.0 - sigma * _grid_eigenvalues(grid)
+    w = idctn(spectral, type=2, norm="ortho")
+    if rhs.min() >= 0.0:
+        # (I - sigma*L_h)^-1 is entrywise nonnegative, so a negative entry
+        # here is transform rounding; clipping it moves w toward the exact
+        # solution
+        np.maximum(w, 0.0, out=w)
+    return w
 
 
 def _helmholtz_checked(
@@ -159,10 +160,10 @@ def helmholtz_solve(
 ) -> np.ndarray:
     """Solve (I - sigma * L_h) w = rhs with Neumann boundaries, sigma > 0.
 
-    1D uses a symmetric tridiagonal factorization; 2D diagonalizes L_h by
-    cosine transform (the DCT-II modes are exact eigenvectors of the
-    flux-form stencil).  The relative residual is always verified against
-    ``tol``; failure raises LinearSolverError.
+    The DCT-II modes are exact eigenvectors of the flux-form Neumann
+    stencil in every axis, so one cosine transform over all axes
+    diagonalizes the system in 1D and 2D alike.  The relative residual is
+    always verified against ``tol``; failure raises LinearSolverError.
     """
     w, _ = _helmholtz_checked(rhs, grid, sigma, tol)
     return w
@@ -204,7 +205,6 @@ def step(
     params: ModelParams,
     grid: Grid,
     cfg: StepperConfig,
-    ws: OperatorWorkspace | None = None,
     forcing=None,
     dt_cap: Optional[float] = None,
     dt_override: Optional[float] = None,
@@ -218,8 +218,6 @@ def step(
     bypasses the stability proposal entirely (experimentation hook); the
     positivity audit and halving retries still apply to it.
     """
-    if ws is None:
-        ws = OperatorWorkspace.for_grid(grid)
     u, v, t = state.u, state.v, state.t
 
     try:
@@ -227,7 +225,7 @@ def step(
         explicit = source
         if params.chi != 0.0:
             chemo = chemo_divergence(
-                u, v, grid, params.chi, cfg.face_scheme, cfg.positivity_tol, ws
+                u, v, grid, params.chi, cfg.face_scheme, cfg.positivity_tol
             )
             explicit = explicit - params.chi * chemo
         if forcing is not None:
@@ -358,7 +356,6 @@ def run(
         raise ValueError("t_end must exceed the initial time")
     initial.validate(grid, cfg.positivity_tol)
 
-    ws = OperatorWorkspace.for_grid(grid)
     series = ObservableSeries.for_run(recorder.k_list)
     diag = RunDiagnostics()
     state = initial
@@ -381,7 +378,7 @@ def run(
 
     while state.t < t_end - time_tol:
         new_state, outcome = step(
-            state, params, grid, cfg, ws, forcing, dt_cap=t_end - state.t
+            state, params, grid, cfg, forcing, dt_cap=t_end - state.t
         )
         if outcome.status is StepStatus.BLOWUP_DETECTED:
             termination = Termination.BLOWUP_DETECTED

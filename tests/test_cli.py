@@ -139,6 +139,18 @@ class TestSweep:
         lines = (out_dir / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 4  # no duplicates after resume
 
+    def test_simulate_without_envelope_exit_2_before_any_point(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        code, _, err = invoke(
+            capsys, "sweep", "--alpha-min", "1", "--alpha-max", "1.5", "--alpha-step", "0.5",
+            "--beta-min", "2", "--beta-max", "2", "--n", "1", "--output", str(out_dir),
+            "--simulate", "--t-end", "0.01", "--model.b", "0", "--grid.cells_x", "16",
+        )
+        assert code == 2
+        assert err.startswith("error: config: model.b:")
+        assert len(err.splitlines()) == 1
+        assert not (out_dir / "sweep.csv").exists()
+
     def test_simulate_mode(self, tmp_path, capsys):
         base = tmp_path / "base.cfg"
         base.write_text(
@@ -213,6 +225,16 @@ class TestBoundCheck:
         code, out, _ = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
         assert code == 1
         assert "mass_envelope_ok=false" in out
+
+    def test_no_envelope_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG + "model.b = 0\n")
+        out_dir = tmp_path / "out"
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(out_dir))[0] == 0
+        code, _, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        assert code == 2
+        assert err.startswith("error: config: model.b:")
+        assert len(err.splitlines()) == 1
 
     def test_missing_dir_exit_2(self, capsys):
         code, _, err = invoke(capsys, "bound-check", "--run-dir", "nowhere")

@@ -56,6 +56,16 @@ class TestParse:
             parse_config(text="grid.cells_x = many\n")
         with pytest.raises(ConfigError, match="integer"):
             parse_config(text="grid.cells_x = 12.5\n")
+        for key, value in (
+            ("grid.cells_x", "1e400"),
+            ("run.t_end", "inf"),
+            ("stepper.dt_max", "inf"),
+            ("model.chi", "inf"),
+            ("model.a", "nan"),
+            ("run.k_list", "2,inf"),
+        ):
+            with pytest.raises(ConfigError, match=rf"line 2: {key}: finite number required"):
+                parse_config(text=f"\n{key} = {value}\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):

@@ -4,7 +4,6 @@ import pytest
 from kschemo import (
     Grid,
     ModelParams,
-    OperatorWorkspace,
     chemo_divergence,
     integrate,
     laplacian,
@@ -124,15 +123,6 @@ class TestChemoDivergence:
     def test_rejects_unknown_scheme(self, grid1d):
         with pytest.raises(ValueError):
             chemo_divergence(grid1d.full(1.0), grid1d.zeros(), grid1d, 1.0, scheme="weno")
-
-    def test_workspace_reuse_matches(self, grid2d):
-        u = random_field(grid2d, 10, positive=True)
-        v = random_field(grid2d, 11)
-        ws = OperatorWorkspace.for_grid(grid2d)
-        first = chemo_divergence(u, v, grid2d, 1.0, ws=ws)
-        second = chemo_divergence(u, v, grid2d, 1.0, ws=ws)
-        np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(first, chemo_divergence(u, v, grid2d, 1.0))
 
 
 class TestNonlocalSource:

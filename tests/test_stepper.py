@@ -72,29 +72,34 @@ class TestHelmholtz:
         np.testing.assert_allclose(w, mode, atol=1e-12)
 
     def test_random_rhs_residual(self, grid1d, grid2d):
-        for grid, seed in ((grid1d, 0), (grid2d, 1)):
+        odd = Grid(extent=(2.5,), cells=(37,))
+        for grid, seed in ((grid1d, 0), (grid2d, 1), (odd, 4)):
             rhs = np.random.default_rng(seed).standard_normal(grid.shape)
             sigma = 2.3e-3
             w = helmholtz_solve(rhs, grid, sigma)
             res = np.linalg.norm(w - sigma * laplacian(w, grid) - rhs)
             assert res / np.linalg.norm(rhs) <= 1e-10
 
-    def test_nonnegative_map(self, grid2d):
-        # inverse of the M-matrix keeps nonnegative data nonnegative
+    def test_nonnegative_map(self, grid1d, grid2d):
+        # inverse of the M-matrix keeps nonnegative data nonnegative, also in
+        # the far tail of a tall peak where transform rounding dips below 0
         rng = np.random.default_rng(2)
-        for sigma in (1e-4, 1e-2, 1.0):
-            rhs = np.abs(rng.standard_normal(grid2d.shape))
-            w = helmholtz_solve(rhs, grid2d, sigma)
-            assert w.min() >= -1e-12
+        for grid in (grid1d, grid2d):
+            peak = grid.sample(lambda *xs: 1e6 * np.exp(-sum((x - 0.5) ** 2 for x in xs) / 2e-3))
+            for sigma in (1e-4, 1e-2, 1.0):
+                for rhs in (np.abs(rng.standard_normal(grid.shape)), peak):
+                    assert helmholtz_solve(rhs, grid, sigma).min() >= 0.0
 
     def test_rejects_bad_sigma(self, grid1d):
         with pytest.raises(ValueError):
             helmholtz_solve(grid1d.zeros(), grid1d, sigma=0.0)
 
     def test_mean_preserved(self, grid2d):
-        rhs = np.random.default_rng(3).standard_normal(grid2d.shape)
-        w = helmholtz_solve(rhs, grid2d, sigma=0.7)
-        assert integrate(w, grid2d) == pytest.approx(integrate(rhs, grid2d), abs=1e-11)
+        odd = Grid(extent=(2.5,), cells=(37,))
+        for grid, seed in ((grid2d, 3), (odd, 5)):
+            rhs = np.random.default_rng(seed).standard_normal(grid.shape)
+            w = helmholtz_solve(rhs, grid, sigma=0.7)
+            assert integrate(w, grid) == pytest.approx(integrate(rhs, grid), abs=1e-11)
 
 
 class TestAdaptDt:
@@ -184,6 +189,15 @@ class TestStep:
         assert outcome.retries >= 1
         assert new_state.u.min() >= -cfg.positivity_tol
         assert new_state.v.min() >= -cfg.positivity_tol
+
+    def test_nonfinite_v_rejected_without_taxis(self, grid1d, grid2d):
+        # with chi = 0 no operator reads v before the v-solve
+        p = ModelParams(chi=0.0, a=1.0, b=1.0, alpha=1.0, beta=1.0)
+        for grid in (grid1d, grid2d):
+            v = grid.full(1.0)
+            v.flat[3] = np.nan
+            with pytest.raises(ValueError, match="non-finite"):
+                step(State(u=grid.full(1.0), v=v), p, grid, StepperConfig())
 
     def test_dt_collapse_reports_blowup(self, grid1d):
         p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
