@@ -5,8 +5,14 @@ Fields are plain numpy arrays with one value per cell center, shape
 realized by the operators through zero boundary fluxes (equivalent to one
 layer of reflected ghost cells); the grid itself only carries geometry.
 
-Reductions use compensated summation (``math.fsum``) because the mass
-envelope checks run at tight tolerances.
+Reductions are one vectorised pass of numpy's pairwise summation: blocks of
+128 terms, each summed in eight interleaved running sums, joined pairwise.
+Every term then passes through at most m ~ log2(n/128) + 26 additions, so
+the error is at most gamma_m * sum|x_i| (Higham, SIAM J. Sci. Comput. 14,
+1993), about 4e-15 relative for a nonnegative 512^2 field: far inside the
+1e-9 mass-identity and consistency checks.  The summation order depends only
+on the array's shape and layout, so a reduction of the same field is bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -90,7 +96,7 @@ class Grid:
 
 def _require_finite(values: np.ndarray, name: str = "field") -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
@@ -100,7 +106,7 @@ def integrate(values: np.ndarray, grid: Grid) -> float:
     arr = _require_finite(values)
     if arr.shape != grid.shape:
         raise ValueError(f"field shape {arr.shape} does not match grid {grid.shape}")
-    return grid.cell_volume * math.fsum(arr.ravel())
+    return grid.cell_volume * float(arr.sum())
 
 
 def lp_norm_pow(values: np.ndarray, grid: Grid, k: float) -> float:
@@ -110,17 +116,16 @@ def lp_norm_pow(values: np.ndarray, grid: Grid, k: float) -> float:
     arr = _require_finite(values)
     if arr.shape != grid.shape:
         raise ValueError(f"field shape {arr.shape} does not match grid {grid.shape}")
-    if k == 1:
-        powed = np.abs(arr)
-    else:
-        powed = np.abs(arr) ** k
-    return grid.cell_volume * math.fsum(powed.ravel())
+    powed = np.abs(arr)
+    if k != 1:
+        powed **= k
+    return grid.cell_volume * float(powed.sum())
 
 
 def linf_norm(values: np.ndarray) -> float:
     """Maximum absolute value of a field."""
     arr = _require_finite(values)
-    return float(np.max(np.abs(arr)))
+    return float(np.abs(arr).max())
 
 
 @dataclass

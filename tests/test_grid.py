@@ -118,6 +118,37 @@ class TestReductions:
             integrate(np.zeros(10), grid1d)
 
 
+def _reduction_cases():
+    # a smooth 512^2 bump, and a tall single-cell peak on a tiny background
+    grid = Grid(extent=(1.0, 1.0), cells=(512, 512))
+    bump = grid.sample(lambda x, y: np.exp(-((x - 0.4) ** 2 + (y - 0.6) ** 2) / 0.02))
+    peak = grid.full(1e-12)
+    peak[200, 311] = 1e8
+    return grid, (bump, peak)
+
+
+class TestPairwiseReductions:
+    def test_match_fsum_reference(self):
+        grid, fields = _reduction_cases()
+        for f in fields:
+            ref = grid.cell_volume * math.fsum(f.ravel())
+            assert abs(integrate(f, grid) - ref) <= 1e-14 * ref
+            for k in (1.0, 2.0, 3.5):
+                ref = grid.cell_volume * math.fsum((np.abs(f) ** k).ravel())
+                assert abs(lp_norm_pow(f, grid, k) - ref) <= 1e-14 * ref
+
+    def test_bitwise_reproducible(self):
+        grid, fields = _reduction_cases()
+        for f in fields:
+            for reduce in (
+                lambda a: integrate(a, grid),
+                lambda a: lp_norm_pow(a, grid, 3.5),
+            ):
+                first = reduce(f)
+                assert reduce(f) == first
+                assert reduce(f.copy()) == first
+
+
 class TestState:
     def test_validate_positivity(self, grid1d):
         st = State(u=grid1d.full(1.0), v=grid1d.zeros())

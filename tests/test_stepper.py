@@ -17,6 +17,7 @@ from kschemo import (
     run,
     step,
 )
+from kschemo import stepper
 from kschemo.stepper import _neumann_eigenvalues
 
 
@@ -89,6 +90,30 @@ class TestHelmholtz:
             for sigma in (1e-4, 1e-2, 1.0):
                 for rhs in (np.abs(rng.standard_normal(grid.shape)), peak):
                     assert helmholtz_solve(rhs, grid, sigma).min() >= 0.0
+
+    def test_fine_grid_passes_gate(self):
+        # the rounding in sigma*L_h w grows like eps*4*sigma/h^2*||w||; a
+        # residual gated on ||rhs|| alone rejected this exact solve
+        grid = Grid(extent=(1.0,), cells=(16384,))
+        rhs = np.random.default_rng(6).random(grid.shape)
+        w = helmholtz_solve(rhs, grid, 1e-2)
+        assert integrate(w, grid) == pytest.approx(integrate(rhs, grid), rel=1e-12)
+
+    def test_perturbed_solution_fails_gate(self, grid1d, grid2d, monkeypatch):
+        exact_core = stepper._helmholtz_core
+
+        def perturbed_core(rhs, grid, sigma):
+            w = exact_core(rhs, grid, sigma)
+            w.flat[5] += 1e-6 * np.linalg.norm(w)
+            return w
+
+        monkeypatch.setattr(stepper, "_helmholtz_core", perturbed_core)
+        fine = Grid(extent=(1.0,), cells=(16384,))
+        for grid in (grid1d, grid2d, fine):
+            rhs = np.random.default_rng(8).random(grid.shape)
+            for sigma in (1e-4, 1e-2, 1.0):
+                with pytest.raises(LinearSolverError):
+                    helmholtz_solve(rhs, grid, sigma)
 
     def test_rejects_bad_sigma(self, grid1d):
         with pytest.raises(ValueError):
@@ -189,6 +214,9 @@ class TestStep:
         assert outcome.retries >= 1
         assert new_state.u.min() >= -cfg.positivity_tol
         assert new_state.v.min() >= -cfg.positivity_tol
+        assert outcome.min_u == new_state.u.min()
+        assert outcome.min_v == new_state.v.min()
+        assert outcome.linf_u == np.abs(new_state.u).max()
 
     def test_nonfinite_v_rejected_without_taxis(self, grid1d, grid2d):
         # with chi = 0 no operator reads v before the v-solve
@@ -206,6 +234,18 @@ class TestStep:
         # force endless violation by injecting an absurd dt with no room to halve
         _, outcome = step(state, p, grid1d, cfg, dt_override=2e-6, dt_cap=None, forcing=_NegativeForcing())
         assert outcome.status is StepStatus.BLOWUP_DETECTED
+        assert outcome.retries == 2
+        assert outcome.message == "dt collapsed below dt_min during retries"
+
+    def test_retry_cap_reports_blowup(self, grid1d):
+        p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
+        state = State(u=grid1d.full(1.0), v=grid1d.zeros())
+        cfg = StepperConfig(max_retries=1)
+        # dt has room to halve many times; the cap ends the retries first
+        _, outcome = step(state, p, grid1d, cfg, dt_override=1e-3, forcing=_NegativeForcing())
+        assert outcome.status is StepStatus.BLOWUP_DETECTED
+        assert outcome.retries == 2
+        assert outcome.message == "retry cap of 1 reached"
 
 
 class _NegativeForcing:
