@@ -34,6 +34,7 @@ from .stepper import (
     adapt_dt,
     helmholtz_solve,
     run,
+    run_batch,
     step,
 )
 
@@ -70,6 +71,7 @@ __all__ = [
     "adapt_dt",
     "step",
     "run",
+    "run_batch",
     "ObservableSeries",
     "SeriesSummary",
     "record",

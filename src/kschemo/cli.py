@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .config import ConfigError, parse_config, run_from_config
+from .config import ConfigError, parse_config, run_configs, run_from_config
 from .grid import Grid
 from .params import (
     ModelParams,
@@ -23,6 +23,7 @@ from .params import (
     mass_envelope,
     ode_comparison_oracle,
 )
+from .observables import summarize
 from .stepper import Termination
 from .verification import build_mms_case, convergence_study
 
@@ -31,6 +32,10 @@ EXIT_VERDICT_FALSE = 1
 EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_SOLVER = 4
+
+# cells per simulated sweep batch: one 512^2 field, so a 2D sweep at that
+# size runs its points one at a time instead of multiplying memory by them
+_BATCH_CELLS = 512 * 512
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -90,12 +95,11 @@ def _cmd_run(args, extras: list[str]) -> int:
     )
     print(f"termination={result.termination}")
     print(f"output_dir={output_dir}")
+    where = f"t={result.state.t:.17g} cause={result.cause}"
     if result.termination is Termination.BLOWUP_DETECTED:
-        return _fail(
-            EXIT_BLOWUP, "blowup-detected", f"t={result.state.t:.17g}"
-        )
+        return _fail(EXIT_BLOWUP, "blowup-detected", where)
     if result.termination is Termination.SOLVER_FAILURE:
-        return _fail(EXIT_SOLVER, "solver-failure", f"t={result.state.t:.17g}")
+        return _fail(EXIT_SOLVER, "solver-failure", where)
     return EXIT_OK
 
 
@@ -128,22 +132,17 @@ def _require_envelope(cfg) -> None:
         raise ConfigError(str(exc), key="model.b") from None
 
 
-def _sweep_point(task) -> str:
-    """One sweep row; module-level so process pools can pickle it."""
-    alpha, beta, n, simulate, base_overrides, config_path, t_end = task
-    if not simulate:
-        # classification only: envelope quoted for unit coefficients on the
-        # unit box with zero initial mass, i.e. the bare barrier value
-        params = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=alpha, beta=beta)
-        regime = classify_regime(params, n)
-        y1, m0 = mass_envelope(params, 0.0, 1.0)
-        return f"{alpha:.12g},{beta:.12g},{n},{regime},{y1:.17g},{m0:.17g}"
+def _classification_row(alpha: float, beta: float, n: int) -> str:
+    # envelope quoted for unit coefficients on the unit box with zero
+    # initial mass, i.e. the bare barrier value
+    params = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=alpha, beta=beta)
+    regime = classify_regime(params, n)
+    y1, m0 = mass_envelope(params, 0.0, 1.0)
+    return f"{alpha:.12g},{beta:.12g},{n},{regime},{y1:.17g},{m0:.17g}"
 
-    cfg = _point_config(alpha, beta, base_overrides, config_path, t_end)
+
+def _simulation_row(alpha: float, beta: float, n: int, cfg, result) -> str:
     regime = classify_regime(cfg.model, n)
-    result = run_from_config(cfg, output_dir=None)
-    from .observables import summarize
-
     summary = summarize(result.series)
     mass0 = result.series.column("mass")[0]
     y1, m0 = mass_envelope(cfg.model, mass0, cfg.grid.measure)
@@ -153,6 +152,32 @@ def _sweep_point(task) -> str:
         f"{summary.column_max['linf_u']:.17g},"
         f"{'true' if summary.plateaus_ok else 'false'}"
     )
+
+
+def _sweep_batch(batch) -> list[str]:
+    """The rows of one batch of sweep points, in order.
+
+    With --simulate the points run as one member batch.  Module-level so
+    process pools can pickle it.
+    """
+    points, n, simulate, base_overrides, config_path, t_end = batch
+    if not simulate:
+        return [_classification_row(alpha, beta, n) for alpha, beta in points]
+    cfgs = [
+        _point_config(alpha, beta, base_overrides, config_path, t_end)
+        for alpha, beta in points
+    ]
+    results = run_configs(cfgs)
+    return [
+        _simulation_row(alpha, beta, n, cfg, result)
+        for (alpha, beta), cfg, result in zip(points, cfgs, results)
+    ]
+
+
+def _batches(points: list, workers: int, max_size: int) -> list[list]:
+    """Contiguous runs of points: one per worker, at most ``max_size`` each."""
+    size = min(max(1, math.ceil(len(points) / workers)), max_size)
+    return [points[i : i + size] for i in range(0, len(points), size)]
 
 
 def _cmd_sweep(args, extras: list[str]) -> int:
@@ -168,10 +193,12 @@ def _cmd_sweep(args, extras: list[str]) -> int:
         for b in betas:
             if b < 1:
                 raise ConfigError("beta >= 1 required")
+        max_batch = len(alphas) * len(betas)
         if args.simulate:
             # every point shares the base config; reject it before any point runs
             base = _point_config(alphas[0], betas[0], overrides, args.config, args.t_end)
             _require_envelope(base)
+            max_batch = max(1, _BATCH_CELLS // math.prod(base.grid.shape))
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
@@ -190,33 +217,38 @@ def _cmd_sweep(args, extras: list[str]) -> int:
         with open(csv_path, "w") as fh:
             fh.write(header + "\n")
 
-    tasks = []
-    for alpha in alphas:
-        for beta in betas:
-            if _point_id(alpha, beta) in done:
-                continue
-            tasks.append(
-                (alpha, beta, args.n, args.simulate, overrides, args.config, args.t_end)
-            )
+    points = [
+        (alpha, beta)
+        for alpha in alphas
+        for beta in betas
+        if _point_id(alpha, beta) not in done
+    ]
+    workers = max(1, args.workers)
+    chunks = _batches(points, workers, max_batch)
+    batches = [
+        (chunk, args.n, args.simulate, overrides, args.config, args.t_end)
+        for chunk in chunks
+    ]
 
-    def emit(task, row: str) -> None:
-        # ledger writes are serialized here in the parent process
+    def emit(chunk, rows: list[str]) -> None:
+        # ledger writes are serialized here in the parent process, a batch's
+        # rows when the batch ends
         with open(csv_path, "a") as fh:
-            fh.write(row + "\n")
+            fh.writelines(row + "\n" for row in rows)
         with open(ledger_path, "a") as fh:
-            fh.write(_point_id(task[0], task[1]) + "\n")
+            fh.writelines(_point_id(alpha, beta) + "\n" for alpha, beta in chunk)
 
     try:
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                for task, row in zip(tasks, pool.map(_sweep_point, tasks)):
-                    emit(task, row)
+        if workers > 1 and len(batches) > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for chunk, rows in zip(chunks, pool.map(_sweep_batch, batches)):
+                    emit(chunk, rows)
         else:
-            for task in tasks:
-                emit(task, _sweep_point(task))
+            for chunk, batch in zip(chunks, batches):
+                emit(chunk, _sweep_batch(batch))
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
-    print(f"sweep_rows={len(tasks)}")
+    print(f"sweep_rows={len(points)}")
     print(f"sweep_csv={csv_path}")
     return EXIT_OK
 

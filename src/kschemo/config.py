@@ -22,14 +22,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .grid import Grid, State, field_to_csv, integrate, write_snapshot
 from .observables import summarize
 from .params import ModelParams, mass_envelope
-from .stepper import Recorder, RunResult, StepperConfig, Termination, run
+from .stepper import Recorder, RunResult, StepperConfig, Termination, run, run_batch
 
 
 class ConfigError(ValueError):
@@ -346,6 +346,7 @@ def summary_lines(cfg: RunConfig, result: RunResult) -> list[str]:
     series = result.series
     lines = [
         f"termination={result.termination}",
+        f"termination_cause={result.cause}",
         f"steps={result.diagnostics.steps}",
         f"total_retries={result.diagnostics.total_retries}",
         f"max_mass_identity_violation={result.diagnostics.max_mass_identity_violation:.17g}",
@@ -376,6 +377,30 @@ def summary_lines(cfg: RunConfig, result: RunResult) -> list[str]:
     return lines
 
 
+def _recorder(cfg: RunConfig) -> Recorder:
+    return Recorder(k_list=cfg.k_list, sample_interval=cfg.sample_interval)
+
+
+def _batch_shared(cfg: RunConfig) -> tuple:
+    return cfg.grid, cfg.stepper, cfg.t_end, _recorder(cfg)
+
+
+def run_configs(cfgs: Sequence[RunConfig]) -> list[RunResult]:
+    """Run configurations as one member batch, without artifacts.
+
+    The configurations may differ in their model coefficients and initial
+    conditions only; each result is bitwise the one ``run_from_config``
+    gives for its configuration alone.
+    """
+    shared = _batch_shared(cfgs[0])
+    if any(_batch_shared(cfg) != shared for cfg in cfgs[1:]):
+        raise ValueError(
+            "batched configs must share grid, stepper, t_end, k_list and sample_interval"
+        )
+    initials = [build_initial_state(cfg) for cfg in cfgs]
+    return run_batch(initials, [cfg.model for cfg in cfgs], *shared)
+
+
 def run_from_config(
     cfg: RunConfig, output_dir: str | None = "use-config", export_fields_csv: bool = False
 ) -> RunResult:
@@ -387,7 +412,7 @@ def run_from_config(
     if output_dir == "use-config":
         output_dir = cfg.output_dir
     initial = build_initial_state(cfg)
-    recorder = Recorder(k_list=cfg.k_list, sample_interval=cfg.sample_interval)
+    recorder = _recorder(cfg)
 
     out = None
     if output_dir is not None:

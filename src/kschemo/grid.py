@@ -1,9 +1,12 @@
 """Uniform cell-centered meshes on boxes, field reductions and snapshot IO.
 
 Fields are plain numpy arrays with one value per cell center, shape
-``(nx,)`` in 1D and ``(nx, ny)`` in 2D.  Homogeneous Neumann boundaries are
-realized by the operators through zero boundary fluxes (equivalent to one
-layer of reflected ghost cells); the grid itself only carries geometry.
+``(nx,)`` in 1D and ``(nx, ny)`` in 2D.  A batch of fields, one per
+parameter point, stacks them along a leading axis, ``(B, *grid.shape)``;
+the operators and solvers act on the trailing ``grid.dim`` axes.
+Homogeneous Neumann boundaries are realized by the operators through zero
+boundary fluxes (equivalent to one layer of reflected ghost cells); the grid
+itself only carries geometry.
 
 Reductions are one vectorised pass of numpy's pairwise summation: blocks of
 128 terms, each summed in eight interleaved running sums, joined pairwise.
@@ -17,6 +20,7 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -54,16 +58,21 @@ class Grid:
     def dim(self) -> int:
         return len(self.cells)
 
-    @property
+    @functools.cached_property
     def h(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.extent, self.cells))
+
+    @functools.cached_property
+    def field_axes(self) -> tuple[int, ...]:
+        """Axes of one field within a batch ``(B, *shape)``: the trailing dim."""
+        return tuple(range(-self.dim, 0))
 
     @property
     def measure(self) -> float:
         """Domain measure |Omega|."""
         return math.prod(self.extent)
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return math.prod(self.h)
 

@@ -6,22 +6,49 @@ interior faces of each axis.  The boundary faces carry zero flux by
 construction, so the discrete integrals of both operators telescope to zero
 regardless of the input fields.  That telescoping is what makes the
 per-step mass identity of the stepper exact up to solver/rounding noise.
+
+Every kernel acts on the trailing ``grid.dim`` axes, so a batch of fields
+``(B, *grid.shape)`` is one call.  The underscored kernels trust their
+input and serve the stepper, whose audit already vouches for each accepted
+state; the public functions validate first.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from .grid import Grid, _require_finite, lp_norm_pow
+from .grid import Grid, _require_finite
 from .params import ModelParams
 
 FACE_SCHEMES = ("upwind", "central")
 
 
+def _column(values: Sequence[float], dim: int) -> np.ndarray:
+    """Per-member scalars as a (B, 1, ...) column that broadcasts over fields."""
+    return np.array(values, dtype=float).reshape((-1,) + (1,) * dim)
+
+
+def _pow_rows(base: np.ndarray, exponents: Sequence[float]) -> np.ndarray:
+    """base[i] ** exponents[i] for each member row i (base itself for 1).
+
+    A shared exponent is one call.  Mixed exponents go row by row through
+    the same scalar power, so every member gets the bits it gets alone.
+    """
+    first = exponents[0]
+    if all(e == first for e in exponents):
+        return base if first == 1.0 else base**first
+    out = np.empty_like(base)
+    for i, e in enumerate(exponents):
+        out[i] = base[i] ** e
+    return out
+
+
 def _face_slabs(arr: np.ndarray, axis: int):
-    left = tuple(slice(None, -1) if ax == axis else slice(None) for ax in range(arr.ndim))
-    right = tuple(slice(1, None) if ax == axis else slice(None) for ax in range(arr.ndim))
-    return arr[left], arr[right]
+    """The cells left and right of each interior face along a negative ``axis``."""
+    tail = (slice(None),) * (-axis - 1)
+    return arr[(Ellipsis, slice(None, -1)) + tail], arr[(Ellipsis, slice(1, None)) + tail]
 
 
 def _flux_divergence(face_flux: np.ndarray, axis: int, h: float, out: np.ndarray) -> None:
@@ -37,14 +64,37 @@ def _flux_divergence(face_flux: np.ndarray, axis: int, h: float, out: np.ndarray
     right_cells -= flux
 
 
-def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order Neumann Laplacian (3-point/5-point stencil) in flux form."""
-    arr = _require_finite(f)
-    out = np.zeros_like(arr)
-    for axis, h in enumerate(grid.h):
-        f_l, f_r = _face_slabs(arr, axis)
+def _laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
+    out = np.zeros_like(f)
+    for axis, h in zip(grid.field_axes, grid.h):
+        f_l, f_r = _face_slabs(f, axis)
         _flux_divergence((f_r - f_l) / h, axis, h, out)
     return out
+
+
+def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Second-order Neumann Laplacian (3-point/5-point stencil) in flux form."""
+    return _laplacian(_require_finite(f), grid)
+
+
+def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> np.ndarray:
+    out = np.zeros_like(u)
+    for axis, h in zip(grid.field_axes, grid.h):
+        v_l, v_r = _face_slabs(v, axis)
+        dv = (v_r - v_l) / h
+        u_l, u_r = _face_slabs(u, axis)
+        if scheme == "upwind":
+            u_face = np.where(dv > 0, u_l, u_r)
+        else:
+            u_face = 0.5 * (u_l + u_r)
+        _flux_divergence(u_face * dv, axis, h, out)
+    return out
+
+
+def _require_nonnegative(arr: np.ndarray, positivity_tol: float) -> None:
+    umin = float(arr.min())
+    if umin < -positivity_tol:
+        raise ValueError(f"u dips to {umin}, below -{positivity_tol}")
 
 
 def chemo_divergence(
@@ -69,21 +119,20 @@ def chemo_divergence(
         raise ValueError(f"chi >= 0 required, got {chi}")
     ua = _require_finite(u, "u")
     va = _require_finite(v, "v")
-    umin = float(ua.min())
-    if umin < -positivity_tol:
-        raise ValueError(f"u dips to {umin}, below -{positivity_tol}")
+    _require_nonnegative(ua, positivity_tol)
+    return _chemo_divergence(ua, va, grid, scheme)
 
-    out = np.zeros_like(ua)
-    for axis, h in enumerate(grid.h):
-        v_l, v_r = _face_slabs(va, axis)
-        dv = (v_r - v_l) / h
-        u_l, u_r = _face_slabs(ua, axis)
-        if scheme == "upwind":
-            u_face = np.where(dv > 0, u_l, u_r)
-        else:
-            u_face = 0.5 * (u_l + u_r)
-        _flux_divergence(u_face * dv, axis, h, out)
-    return out
+
+def _nonlocal_source(
+    u: np.ndarray, grid: Grid, params: Sequence[ModelParams]
+) -> tuple[np.ndarray, list[float]]:
+    """Source fields of a batch ``u`` with one ModelParams per member row."""
+    u_pos = np.maximum(u, 0.0)
+    u_alpha = _pow_rows(u_pos, [p.alpha for p in params])
+    sums = _pow_rows(u_pos, [p.beta for p in params]).sum(axis=grid.field_axes)
+    integrals = [grid.cell_volume * s for s in sums.tolist()]
+    coefficient = _column([p.a - p.b * i for p, i in zip(params, integrals)], grid.dim)
+    return coefficient * u_alpha, integrals
 
 
 def nonlocal_source(
@@ -100,14 +149,6 @@ def nonlocal_source(
     fractional powers stay real; larger negatives are scheme errors.
     """
     ua = _require_finite(u, "u")
-    umin = float(ua.min())
-    if umin < -positivity_tol:
-        raise ValueError(f"u dips to {umin}, below -{positivity_tol}")
-    u_pos = np.maximum(ua, 0.0)
-    if params.alpha == 1.0:
-        u_alpha = u_pos
-    else:
-        u_alpha = u_pos**params.alpha
-    nl_integral = lp_norm_pow(u_pos, grid, params.beta)
-    source = (params.a - params.b * nl_integral) * u_alpha
-    return source, nl_integral
+    _require_nonnegative(ua, positivity_tol)
+    source, (integral,) = _nonlocal_source(ua[None], grid, [params])
+    return source[0], integral

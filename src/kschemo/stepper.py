@@ -6,7 +6,9 @@ One step of size dt from (u_n, v_n):
   (ii)  u_{n+1} solves (I - dt*L_h) u = u_n + dt*E_u          (implicit diffusion)
   (iii) tau=1: v_{n+1} solves ((1+dt) I - dt*L_h) v = v_n + dt*u_n
         tau=0: v_{n+1} solves (I - L_h) v = u_{n+1}           (stationary signal)
-  (iv)  positivity/finiteness audit; on violation halve dt and retry from (i)
+  (iv)  audit: a non-finite or negative result halves dt and retries from
+        the explicit stage of (i); a solve that fails its backward-error gate
+        is a solver failure; a sup norm above the threshold is a blow-up
 
 Diffusion and transport are exactly mass-neutral (flux form + mean-preserving
 Helmholtz solves), so per accepted step
@@ -14,9 +16,18 @@ Helmholtz solves), so per accepted step
     int(u_{n+1}) - int(u_n) = dt * int(source)
 
 up to solver residuals.  Blow-up is reported when the sup norm crosses the
-configured threshold or dt collapses below dt_min: that realizes the
-extensibility dichotomy (run forever or watch the sup norm escape), and is
-a report about the discrete trajectory, never a claim about the PDE.
+configured threshold, dt collapses below dt_min or the retries hit their
+cap: that realizes the extensibility dichotomy (run forever or watch the sup
+norm escape), and is a report about the discrete trajectory, never a claim
+about the PDE.
+
+There is one march, run_batch().  It advances B members, the parameter
+points of a sweep, as fields stacked ``(B, *grid.shape)``.  Each member has
+its own coefficients, t, dt, retries, sample times, diagnostics and
+termination; the grid, StepperConfig, tau, t_end, Recorder and forcing are
+shared.  A member's numbers come from the same elementwise operations and
+the same row reductions whatever the batch, so its series is bitwise the
+one it gets alone.  run() and step() are the B = 1 case.
 """
 
 from __future__ import annotations
@@ -25,14 +36,20 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.fft import dctn, idctn
+from scipy.fft import dct, dctn, idct, idctn
 
-from .grid import Grid, State, integrate
+from .grid import Grid, State, _require_finite, integrate
 from .observables import ObservableError, ObservableSeries, record
-from .operators import FACE_SCHEMES, chemo_divergence, laplacian, nonlocal_source
+from .operators import (
+    FACE_SCHEMES,
+    _chemo_divergence,
+    _column,
+    _laplacian,
+    _nonlocal_source,
+)
 from .params import ModelParams
 
 _EPS_RATE = 1e-30
@@ -76,6 +93,9 @@ class StepStatus(enum.Enum):
     DT_REDUCED = "DtReduced"
     BLOWUP_DETECTED = "BlowupDetected"
     SOLVER_FAILURE = "SolverFailure"
+
+
+_ACCEPTED = (StepStatus.ADVANCED, StepStatus.DT_REDUCED)
 
 
 class Termination(enum.Enum):
@@ -126,39 +146,60 @@ def _grid_eigenvalues(grid: Grid) -> np.ndarray:
     return lam
 
 
-def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
-    spectral = dctn(rhs, type=2, norm="ortho")
+def _cosine_transform(x: np.ndarray, grid: Grid, inverse: bool = False) -> np.ndarray:
+    """Orthonormal DCT-II (or its inverse) over the field axes of a batch.
+
+    In 1D the single-axis entry point gives the same bits as the n-axis one
+    and costs less to call, which matters for short fields.
+    """
+    if grid.dim == 1:
+        return (idct if inverse else dct)(x, type=2, norm="ortho", axis=-1)
+    return (idctn if inverse else dctn)(x, type=2, norm="ortho", axes=grid.field_axes)
+
+
+def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma) -> np.ndarray:
+    """Solve (I - sigma*L_h) w = rhs for each member row of ``rhs``.
+
+    ``sigma`` is a scalar or a (B, 1, ...) column.
+    """
+    spectral = _cosine_transform(rhs, grid)
     spectral /= 1.0 - sigma * _grid_eigenvalues(grid)
-    w = idctn(spectral, type=2, norm="ortho")
-    if rhs.min() >= 0.0:
-        # (I - sigma*L_h)^-1 is entrywise nonnegative, so a negative entry
-        # here is transform rounding; clipping it moves w toward the exact
-        # solution
+    w = _cosine_transform(spectral, grid, inverse=True)
+    # (I - sigma*L_h)^-1 is entrywise nonnegative, so a negative entry in a
+    # member whose rhs is nonnegative is transform rounding; clipping it
+    # moves w toward the exact solution
+    nonnegative = rhs.min(axis=grid.field_axes) >= 0.0
+    if nonnegative.all():
         np.maximum(w, 0.0, out=w)
+    else:
+        for i in np.flatnonzero(nonnegative):
+            np.maximum(w[i], 0.0, out=w[i])
     return w
 
 
-def _helmholtz_checked(
-    rhs: np.ndarray, grid: Grid, sigma: float, tol: float
-) -> tuple[np.ndarray, float]:
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma > 0 required, got {sigma}")
-    arr = np.asarray(rhs, dtype=float)
-    if arr.shape != grid.shape:
-        raise ValueError("rhs shape does not match grid")
-    w = _helmholtz_core(arr, grid, sigma)
-    residual = w - sigma * laplacian(w, grid) - arr
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each member row."""
+    flat = x.reshape(x.shape[0], -1)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
+def _helmholtz_checked(rhs: np.ndarray, grid: Grid, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each member row and return (w, backward error of each member).
+
+    A non-finite row gets a meaningless error; callers test finiteness first.
+    """
+    w = _helmholtz_core(rhs, grid, sigma)
+    residual = w - sigma * _laplacian(w, grid) - rhs
     # normwise backward error: the rounding in sigma*L_h w grows like
     # eps * ||A|| * ||w||, so dividing by ||rhs|| alone fails fine grids
     # whose solves are exact to working precision
-    a_norm = 1.0 + 4.0 * sigma * sum(1.0 / h**2 for h in grid.h)
-    scale = a_norm * float(np.linalg.norm(w)) + float(np.linalg.norm(arr))
-    rel = float(np.linalg.norm(residual)) / max(scale, 1e-300)
-    if not (rel <= tol):
-        raise LinearSolverError(
-            f"helmholtz backward error {rel:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return w, rel
+    a_norm = 1.0 + 4.0 * np.ravel(sigma) * sum(1.0 / h**2 for h in grid.h)
+    scale = a_norm * _row_norms(w) + _row_norms(rhs)
+    return w, _row_norms(residual) / np.maximum(scale, 1e-300)
+
+
+def _gate_message(rel: float, tol: float) -> str:
+    return f"helmholtz backward error {rel:.3e} exceeds tolerance {tol:.3e}"
 
 
 def helmholtz_solve(
@@ -173,8 +214,53 @@ def helmholtz_solve(
     1 + 4 sigma sum(1/h^2), is always verified against ``tol``; failure
     raises LinearSolverError.
     """
-    w, _ = _helmholtz_checked(rhs, grid, sigma, tol)
-    return w
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma > 0 required, got {sigma}")
+    arr = _require_finite(rhs, "rhs")
+    if arr.shape != grid.shape:
+        raise ValueError("rhs shape does not match grid")
+    w, rel = _helmholtz_checked(arr[None], grid, sigma)
+    if not (rel[0] <= tol):
+        raise LinearSolverError(_gate_message(rel[0], tol))
+    return w[0]
+
+
+def _propose_dt(
+    u: np.ndarray,
+    v: np.ndarray,
+    grid: Grid,
+    params: Sequence[ModelParams],
+    cfg: StepperConfig,
+    integrals: Sequence[float],
+) -> list[float]:
+    """adapt_dt for each member row of a batch."""
+    axes = grid.field_axes
+    # max(|dv| / h) is max|dv| / h exactly: rounding is monotone
+    grad_max = []
+    if any(p.chi > 0 for p in params):
+        grad_max = [
+            (h, np.abs(np.diff(v, axis=axis)).max(axis=axes).tolist())
+            for axis, h in zip(axes, grid.h)
+        ]
+    umax = u.max(axis=axes).tolist()
+    dts = []
+    for i, (p, integral) in enumerate(zip(params, integrals)):
+        bound = math.inf
+        if p.chi > 0:
+            for h, dv_max in grad_max:
+                bound = min(bound, h / (p.chi * (dv_max[i] / h) + _EPS_RATE))
+        if p.alpha == 1.0:
+            umax_pow = 1.0
+        else:
+            try:
+                umax_pow = max(umax[i], 0.0) ** (p.alpha - 1.0)
+            except OverflowError:
+                umax_pow = math.inf
+        rate = (p.a + p.b * integral) * umax_pow
+        bound = min(bound, 1.0 / (rate + _EPS_RATE))
+        dt = cfg.cfl_safety * bound
+        dts.append(min(max(dt, cfg.dt_min), cfg.dt_max))
+    return dts
 
 
 def adapt_dt(
@@ -190,22 +276,154 @@ def adapt_dt(
     transport bound (per axis): h / (chi * max|grad_h v| + eps)
     reaction  bound: 1 / ((a + b*I) * max(u)^(alpha-1) + eps)
     """
-    bound = math.inf
-    if params.chi > 0:
-        for axis in range(grid.dim):
-            h = grid.h[axis]
-            dv = np.abs(np.diff(v, axis=axis)) / h
-            grad_max = float(dv.max()) if dv.size else 0.0
-            bound = min(bound, h / (params.chi * grad_max + _EPS_RATE))
-    umax = max(float(u.max()), 0.0)
-    if params.alpha == 1.0:
-        umax_pow = 1.0
+    u_rows = np.asarray(u, dtype=float)[None]
+    v_rows = np.asarray(v, dtype=float)[None]
+    return _propose_dt(u_rows, v_rows, grid, [params], cfg, [nonlocal_integral])[0]
+
+
+def _stack(fields) -> np.ndarray:
+    """Member fields as one (B, *shape) array; a single member is a view."""
+    if len(fields) == 1:
+        return np.asarray(fields[0], dtype=float)[None]
+    return np.stack([np.asarray(f, dtype=float) for f in fields])
+
+
+def _audit(
+    rows: list[int],
+    u_new: np.ndarray,
+    v_new: np.ndarray,
+    rel_u: np.ndarray,
+    rel_v: np.ndarray,
+    dts: list[float],
+    outcomes: list[StepOutcome],
+    grid: Grid,
+    cfg: StepperConfig,
+) -> list[int]:
+    """Decide each member solved in ``rows``; return those to retry at half dt.
+
+    The checks run in order: finiteness, the backward-error gate, the sup
+    norm threshold, positivity.  The extrema propagate NaN and reach inf, so
+    they double as the finiteness check.
+    """
+    axes = grid.field_axes
+    u_hi, u_lo = u_new.max(axis=axes).tolist(), u_new.min(axis=axes).tolist()
+    v_hi, v_lo = v_new.max(axis=axes).tolist(), v_new.min(axis=axes).tolist()
+    rel_u, rel_v = rel_u.tolist(), rel_v.tolist()
+    tol = cfg.linear_tol
+    retry = []
+    for j, i in enumerate(rows):
+        out = outcomes[i]
+        out.dt = dts[i]
+        if all(math.isfinite(x) for x in (u_hi[j], u_lo[j], v_hi[j], v_lo[j])):
+            out.residual_u, out.residual_v = rel_u[j], rel_v[j]
+            linf = max(u_hi[j], -u_lo[j])
+            if not (rel_u[j] <= tol and rel_v[j] <= tol):
+                out.status = StepStatus.SOLVER_FAILURE
+                out.message = _gate_message(max(rel_u[j], rel_v[j]), tol)
+                continue
+            if linf > cfg.blowup_linf_threshold:
+                out.status = StepStatus.BLOWUP_DETECTED
+                out.linf_u = linf
+                out.message = f"sup norm {linf:.3e} above threshold"
+                continue
+            if u_lo[j] >= -cfg.positivity_tol and v_lo[j] >= -cfg.positivity_tol:
+                out.status = StepStatus.ADVANCED if out.retries == 0 else StepStatus.DT_REDUCED
+                out.linf_u, out.min_u, out.min_v = linf, u_lo[j], v_lo[j]
+                continue
+        # non-finite or negative: halve this member's dt and retry from the
+        # same explicit stage
+        out.retries += 1
+        if out.retries > cfg.max_retries:
+            out.message = f"retry cap of {cfg.max_retries} reached"
+        elif dts[i] / 2.0 < cfg.dt_min:
+            out.message = "dt collapsed below dt_min during retries"
+        else:
+            dts[i] /= 2.0
+            retry.append(i)
+            continue
+        out.status = StepStatus.BLOWUP_DETECTED
+    return retry
+
+
+def _advance(
+    u: np.ndarray,
+    v: np.ndarray,
+    ts: Sequence[float],
+    params: Sequence[ModelParams],
+    grid: Grid,
+    cfg: StepperConfig,
+    forcing=None,
+    dt_cap: Optional[Sequence[float]] = None,
+    dt_override: Optional[float] = None,
+) -> tuple[np.ndarray, np.ndarray, list[StepOutcome]]:
+    """Attempt one step for every member of a batch of trusted states.
+
+    Returns the new fields and one StepOutcome per member; a member's row
+    holds its new state only when its outcome is accepted.  Retries
+    re-solve only the members that failed their audit.
+    """
+    axes = grid.field_axes
+    count = len(params)
+    source, integrals = _nonlocal_source(u, grid, params)
+    explicit = source
+    if any(p.chi != 0.0 for p in params):
+        chi = _column([p.chi for p in params], grid.dim)
+        explicit = explicit - chi * _chemo_divergence(u, v, grid, cfg.face_scheme)
+    forcing_v = None
+    if forcing is not None:
+        # each member's forcing at its own time
+        explicit = explicit + _stack([forcing.u(t, grid) for t in ts])
+        forcing_v = _stack([forcing.v(t, grid) for t in ts])
+
+    if dt_override is not None:
+        dts = [dt_override] * count
     else:
-        umax_pow = umax ** (params.alpha - 1.0)
-    rate = (params.a + params.b * nonlocal_integral) * umax_pow
-    bound = min(bound, 1.0 / (rate + _EPS_RATE))
-    dt = cfg.cfl_safety * bound
-    return min(max(dt, cfg.dt_min), cfg.dt_max)
+        dts = _propose_dt(u, v, grid, params, cfg, integrals)
+    if dt_cap is not None:
+        dts = [min(dt, cap) for dt, cap in zip(dts, dt_cap)]
+
+    outcomes = [StepOutcome(StepStatus.ADVANCED, nonlocal_integral=i) for i in integrals]
+    u_new = v_new = None
+    rows = list(range(count))
+    while rows:
+        whole = len(rows) == count
+        if whole:
+            u_r, v_r, e_r, f_r = u, v, explicit, forcing_v
+        else:
+            u_r, v_r, e_r = u[rows], v[rows], explicit[rows]
+            f_r = None if forcing_v is None else forcing_v[rows]
+        dt = _column([dts[i] for i in rows], grid.dim)
+        cand_u, rel_u = _helmholtz_checked(u_r + dt * e_r, grid, dt)
+        if params[0].tau == 1:
+            rhs_v = v_r + dt * u_r
+            if f_r is not None:
+                rhs_v = rhs_v + dt * f_r
+            cand_v, rel_v = _helmholtz_checked(rhs_v / (1.0 + dt), grid, dt / (1.0 + dt))
+        else:
+            rhs_v = cand_u if f_r is None else cand_u + f_r
+            cand_v, rel_v = _helmholtz_checked(rhs_v, grid, 1.0)
+        if whole:
+            u_new, v_new = cand_u, cand_v
+        else:
+            u_new[rows] = cand_u
+            v_new[rows] = cand_v
+        rows = _audit(rows, cand_u, cand_v, rel_u, rel_v, dts, outcomes, grid, cfg)
+
+    accepted = [i for i, out in enumerate(outcomes) if out.status in _ACCEPTED]
+    if accepted:
+        cell_volume = grid.cell_volume
+        mass = u_new.sum(axis=axes).tolist()
+        source_sum = source.sum(axis=axes).tolist()
+        source_max = np.abs(source).max(axis=axes).tolist()
+        for i in accepted:
+            outcomes[i].mass_new = cell_volume * mass[i]
+            outcomes[i].source_integral = cell_volume * source_sum[i]
+            outcomes[i].max_source = source_max[i]
+    return u_new, v_new, outcomes
+
+
+# the audit decides what overflow and NaN mean, so numpy need not warn
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 def step(
@@ -224,98 +442,27 @@ def step(
     equations.  ``dt_cap`` limits dt (e.g. to land exactly on t_end) and may
     go below dt_min without triggering the blow-up flag.  ``dt_override``
     bypasses the stability proposal entirely (experimentation hook); the
-    positivity audit and halving retries still apply to it.
+    positivity audit and halving retries still apply to it.  A non-finite
+    or negative input state raises ValueError; a non-finite result is
+    audited like a negative one.
     """
-    u, v, t = state.u, state.v, state.t
-
-    try:
-        source, nl_integral = nonlocal_source(u, grid, params, cfg.positivity_tol)
-        explicit = source
-        if params.chi != 0.0:
-            chemo = chemo_divergence(
-                u, v, grid, params.chi, cfg.face_scheme, cfg.positivity_tol
-            )
-            explicit = explicit - params.chi * chemo
-        if forcing is not None:
-            explicit = explicit + forcing.u(t, grid)
-
-        if dt_override is not None:
-            if dt_override <= 0:
-                raise ValueError("dt_override must be positive")
-            dt = dt_override
-        else:
-            dt = adapt_dt(u, v, grid, params, cfg, nl_integral)
-        if dt_cap is not None:
-            dt = min(dt, dt_cap)
-
-        retries = 0
-        while True:
-            u_new, res_u = _helmholtz_checked(
-                u + dt * explicit, grid, dt, cfg.linear_tol
-            )
-            if params.tau == 1:
-                rhs_v = v + dt * u
-                if forcing is not None:
-                    rhs_v = rhs_v + dt * forcing.v(t, grid)
-                v_new, res_v = _helmholtz_checked(
-                    rhs_v / (1.0 + dt), grid, dt / (1.0 + dt), cfg.linear_tol
-                )
-            else:
-                rhs_v = u_new
-                if forcing is not None:
-                    rhs_v = rhs_v + forcing.v(t, grid)
-                v_new, res_v = _helmholtz_checked(rhs_v, grid, 1.0, cfg.linear_tol)
-
-            finite = bool(np.isfinite(u_new).all() and np.isfinite(v_new).all())
-            if finite:
-                linf_u = float(np.abs(u_new).max())
-                if linf_u > cfg.blowup_linf_threshold:
-                    return state, StepOutcome(
-                        status=StepStatus.BLOWUP_DETECTED,
-                        dt=dt,
-                        retries=retries,
-                        linf_u=linf_u,
-                        message=f"sup norm {linf_u:.3e} above threshold",
-                    )
-                umin = float(u_new.min())
-                vmin = float(v_new.min())
-                if umin >= -cfg.positivity_tol and vmin >= -cfg.positivity_tol:
-                    break
-            # violation: halve dt and retry from the same explicit stage
-            retries += 1
-            if retries > cfg.max_retries:
-                message = f"retry cap of {cfg.max_retries} reached"
-            elif dt / 2.0 < cfg.dt_min:
-                message = "dt collapsed below dt_min during retries"
-            else:
-                dt /= 2.0
-                continue
-            return state, StepOutcome(
-                status=StepStatus.BLOWUP_DETECTED,
-                dt=dt,
-                retries=retries,
-                message=message,
-            )
-    except LinearSolverError as exc:
-        return state, StepOutcome(status=StepStatus.SOLVER_FAILURE, message=str(exc))
-
+    state.validate(grid, cfg.positivity_tol)
+    if dt_override is not None and dt_override <= 0:
+        raise ValueError("dt_override must be positive")
+    caps = None if dt_cap is None else [dt_cap]
+    with np.errstate(**_QUIET):
+        u_new, v_new, (outcome,) = _advance(
+            _stack([state.u]), _stack([state.v]), [state.t], [params], grid, cfg,
+            forcing, caps, dt_override,
+        )
+    if outcome.status not in _ACCEPTED:
+        return state, outcome
     new_state = State(
-        u=u_new, v=v_new, t=t + dt, step_index=state.step_index + 1, dt_last=dt
-    )
-    status = StepStatus.ADVANCED if retries == 0 else StepStatus.DT_REDUCED
-    outcome = StepOutcome(
-        status=status,
-        dt=dt,
-        retries=retries,
-        residual_u=res_u,
-        residual_v=res_v,
-        max_source=float(np.abs(source).max()),
-        nonlocal_integral=nl_integral,
-        source_integral=integrate(source, grid),
-        mass_new=integrate(u_new, grid),
-        linf_u=linf_u,
-        min_u=umin,
-        min_v=vmin,
+        u=u_new[0],
+        v=v_new[0],
+        t=state.t + outcome.dt,
+        step_index=state.step_index + 1,
+        dt_last=outcome.dt,
     )
     return new_state, outcome
 
@@ -346,10 +493,161 @@ class RunDiagnostics:
 
 @dataclass
 class RunResult:
+    """Final state, series and termination of one run.
+
+    ``cause`` says what ended it: "t_end reached", the step's blow-up
+    message (sup norm, dt collapse or retry cap), the failed solver gate,
+    or the observable check that failed.
+    """
+
     state: State
     series: ObservableSeries
     termination: Termination
     diagnostics: RunDiagnostics = field(default_factory=RunDiagnostics)
+    cause: str = ""
+
+
+_REACHED_T_END = "t_end reached"
+
+
+class _Member:
+    """One batch member's state, sample clock, series and diagnostics."""
+
+    def __init__(self, initial: State, params: ModelParams, grid: Grid, recorder: Recorder):
+        self.state = initial
+        self.params = params
+        self.grid = grid
+        self.recorder = recorder
+        self.series = ObservableSeries.for_run(recorder.k_list)
+        self.diag = RunDiagnostics()
+        self.next_sample = initial.t + recorder.sample_interval
+        self.termination: Optional[Termination] = None
+        self.cause = ""
+        self.mass = 0.0
+
+    def start(self, t_end: float, time_tol: float) -> bool:
+        """Record the initial row; False when the member is already done."""
+        if not self.sample():
+            return False
+        u, v = self.state.u, self.state.v
+        self.mass = integrate(u, self.grid)
+        self.diag.min_u = float(np.min(u))
+        self.diag.min_v = float(np.min(v))
+        if self.state.t >= t_end - time_tol:
+            self.finish(Termination.REACHED_T_END, _REACHED_T_END)
+            return False
+        return True
+
+    def sample(self) -> bool:
+        """Append a series row; an inconsistent row ends the member."""
+        try:
+            row = record(
+                self.state, self.grid, self.params, self.recorder.k_list,
+                self.diag.total_retries,
+            )
+        except ObservableError as exc:
+            self.finish(Termination.SOLVER_FAILURE, str(exc))
+            return False
+        self.series.append(row)
+        return True
+
+    def accept(self, outcome: StepOutcome, u: np.ndarray, v: np.ndarray) -> None:
+        st = self.state
+        self.state = State(
+            u=u, v=v, t=st.t + outcome.dt, step_index=st.step_index + 1,
+            dt_last=outcome.dt,
+        )
+        diag = self.diag
+        diag.steps += 1
+        diag.total_retries += outcome.retries
+        violation = abs(
+            outcome.mass_new - self.mass - outcome.dt * outcome.source_integral
+        ) / max(outcome.mass_new, 1e-300)
+        diag.max_mass_identity_violation = max(diag.max_mass_identity_violation, violation)
+        diag.min_u = min(diag.min_u, outcome.min_u)
+        diag.min_v = min(diag.min_v, outcome.min_v)
+        self.mass = outcome.mass_new
+
+    def finish(self, termination: Termination, cause: str) -> None:
+        self.termination = termination
+        self.cause = cause
+
+    def detach(self) -> None:
+        """Copy the final fields out of the batch arrays they view."""
+        st = self.state
+        self.state = State(st.u.copy(), st.v.copy(), st.t, st.step_index, st.dt_last)
+
+    def result(self) -> RunResult:
+        return RunResult(self.state, self.series, self.termination, self.diag, self.cause)
+
+
+def run_batch(
+    initials: Sequence[State],
+    params: Sequence[ModelParams],
+    grid: Grid,
+    cfg: StepperConfig,
+    t_end: float,
+    recorder: Recorder,
+    forcing=None,
+) -> list[RunResult]:
+    """March each member from its initial state until t_end, blow-up or solver failure.
+
+    ``initials[i]`` and ``params[i]`` make member i; the members must share
+    tau.  Everything else is shared by construction.  A member that
+    finishes leaves the batch and the others go on.  For a fixed input each
+    member's series is bitwise reproducible and independent of the batch it
+    runs in, and a batch touches no global state, so batches can run in
+    parallel workers.
+    """
+    if not params or len(initials) != len(params):
+        raise ValueError("need one ModelParams per initial state")
+    if len({p.tau for p in params}) != 1:
+        raise ValueError("batch members must share tau")
+    for initial in initials:
+        if t_end <= initial.t:
+            raise ValueError("t_end must exceed the initial time")
+        initial.validate(grid, cfg.positivity_tol)
+
+    time_tol = 1e-12 * max(1.0, abs(t_end))
+    members = [_Member(st, p, grid, recorder) for st, p in zip(initials, params)]
+    with np.errstate(**_QUIET):
+        active = [m for m in members if m.start(t_end, time_tol)]
+        u = _stack([m.state.u for m in active]) if active else None
+        v = _stack([m.state.v for m in active]) if active else None
+        while active:
+            u_new, v_new, outcomes = _advance(
+                u, v, [m.state.t for m in active], [m.params for m in active],
+                grid, cfg, forcing, dt_cap=[t_end - m.state.t for m in active],
+            )
+            keep = []
+            for i, (m, outcome) in enumerate(zip(active, outcomes)):
+                if outcome.status is StepStatus.BLOWUP_DETECTED:
+                    m.finish(Termination.BLOWUP_DETECTED, outcome.message)
+                    continue
+                if outcome.status is StepStatus.SOLVER_FAILURE:
+                    m.finish(Termination.SOLVER_FAILURE, outcome.message)
+                    continue
+                m.accept(outcome, u_new[i], v_new[i])
+                t = m.state.t
+                if t >= m.next_sample - time_tol or t >= t_end - time_tol:
+                    if not m.sample():
+                        continue
+                    while m.next_sample <= t + time_tol:
+                        m.next_sample += recorder.sample_interval
+                if t < t_end - time_tol:
+                    keep.append(i)
+                else:
+                    m.finish(Termination.REACHED_T_END, _REACHED_T_END)
+            if len(keep) < len(active):
+                if len(active) > 1:
+                    for m in active:
+                        if m.termination is not None:
+                            m.detach()
+                active = [active[i] for i in keep]
+                u, v = u_new[keep], v_new[keep]
+            else:
+                u, v = u_new, v_new
+    return [m.result() for m in members]
 
 
 def run(
@@ -363,66 +661,10 @@ def run(
 ) -> RunResult:
     """March from ``initial`` until t >= t_end, blow-up, or solver failure.
 
-    One run is strictly sequential in time and touches no global state, so
-    any number of runs can execute in parallel workers.  For a fixed config
-    the observable series is bitwise reproducible.
+    The single-member case of run_batch().  One run is strictly sequential
+    in time and touches no global state, so any number of runs can execute
+    in parallel workers.  For a fixed config the observable series is
+    bitwise reproducible.
     """
-    if t_end <= initial.t:
-        raise ValueError("t_end must exceed the initial time")
-    initial.validate(grid, cfg.positivity_tol)
-
-    series = ObservableSeries.for_run(recorder.k_list)
-    diag = RunDiagnostics()
-    state = initial
-    cumulative_retries = 0
-
-    def sample(st: State) -> None:
-        series.append(record(st, grid, params, recorder.k_list, cumulative_retries))
-
-    try:
-        sample(state)
-    except ObservableError:
-        return RunResult(state, series, Termination.SOLVER_FAILURE, diag)
-
-    mass_prev = integrate(state.u, grid)
-    diag.min_u = float(state.u.min())
-    diag.min_v = float(state.v.min())
-    next_sample = state.t + recorder.sample_interval
-    termination = Termination.REACHED_T_END
-    time_tol = 1e-12 * max(1.0, abs(t_end))
-
-    while state.t < t_end - time_tol:
-        new_state, outcome = step(
-            state, params, grid, cfg, forcing, dt_cap=t_end - state.t
-        )
-        if outcome.status is StepStatus.BLOWUP_DETECTED:
-            termination = Termination.BLOWUP_DETECTED
-            break
-        if outcome.status is StepStatus.SOLVER_FAILURE:
-            termination = Termination.SOLVER_FAILURE
-            break
-
-        diag.steps += 1
-        diag.total_retries += outcome.retries
-        cumulative_retries += outcome.retries
-        violation = abs(
-            outcome.mass_new - mass_prev - outcome.dt * outcome.source_integral
-        ) / max(outcome.mass_new, 1e-300)
-        diag.max_mass_identity_violation = max(
-            diag.max_mass_identity_violation, violation
-        )
-        diag.min_u = min(diag.min_u, outcome.min_u)
-        diag.min_v = min(diag.min_v, outcome.min_v)
-
-        mass_prev = outcome.mass_new
-        state = new_state
-        if state.t >= next_sample - time_tol or state.t >= t_end - time_tol:
-            try:
-                sample(state)
-            except ObservableError:
-                termination = Termination.SOLVER_FAILURE
-                break
-            while next_sample <= state.t + time_tol:
-                next_sample += recorder.sample_interval
-
-    return RunResult(state, series, termination, diag)
+    (result,) = run_batch([initial], [params], grid, cfg, t_end, recorder, forcing)
+    return result

@@ -1,8 +1,13 @@
+import csv
 import os
 
+import numpy as np
 import pytest
 
 from kschemo.cli import main
+from kschemo.config import parse_config, run_configs, run_from_config
+from kschemo.observables import summarize
+from kschemo.params import classify_regime
 
 RUN_CONFIG = """
 model.chi = 2.0
@@ -90,7 +95,26 @@ class TestRun:
         )
         code, out, err = invoke(capsys, "run", "--config", str(cfg), "--output", str(tmp_path / "o"))
         assert code == 3
-        assert "blowup-detected" in err
+        assert err == "error: blowup-detected: t=0 cause=sup norm 2.000e+00 above threshold\n"
+        summary = (tmp_path / "o" / "summary.txt").read_text()
+        assert "termination_cause=sup norm 2.000e+00 above threshold\n" in summary
+
+    def test_solver_failure_exit_4_names_cause(self, tmp_path, capsys, monkeypatch):
+        from kschemo import stepper
+
+        exact_core = stepper._helmholtz_core
+
+        def perturbed_core(rhs, grid, sigma):
+            w = exact_core(rhs, grid, sigma)
+            w.flat[5] += 1e-6 * np.linalg.norm(w)
+            return w
+
+        monkeypatch.setattr(stepper, "_helmholtz_core", perturbed_core)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG)
+        code, _, err = invoke(capsys, "run", "--config", str(cfg), "--output", str(tmp_path / "o"))
+        assert code == 4
+        assert err.startswith("error: solver-failure: t=0 cause=helmholtz backward error ")
 
     def test_bad_override_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -187,6 +211,73 @@ class TestSweep:
         serial = (tmp_path / "serial" / "sweep.csv").read_text()
         pooled = (tmp_path / "pooled" / "sweep.csv").read_text()
         assert serial == pooled
+
+
+SWEEP_BASE = (
+    "grid.cells_x = 32\nic.u = bump\nic.u_mass = 2.0\nic.u_width = 0.1\n"
+    "run.sample_interval = 0.05\nmodel.chi = 2.0\n"
+)
+
+
+def _simulated_sweep(capsys, base, out, alpha_max="2", *extra):
+    return invoke(
+        capsys, "sweep", "--alpha-min", "1", "--alpha-max", alpha_max, "--alpha-step", "0.5",
+        "--beta-min", "1", "--beta-max", "3", "--beta-step", "1",
+        "--n", "1", "--output", str(out), "--simulate",
+        "--config", str(base), "--t-end", "0.3", *extra,
+    )
+
+
+class TestSimulatedSweep:
+    def test_rows_match_single_runs(self, tmp_path, capsys):
+        base = tmp_path / "base.cfg"
+        base.write_text(SWEEP_BASE)
+        code, _, _ = _simulated_sweep(capsys, base, tmp_path / "sweep")
+        assert code == 0
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9
+        cfgs = [
+            parse_config(
+                path=base,
+                overrides={"model.alpha": r["alpha"], "model.beta": r["beta"], "run.t_end": "0.3"},
+            )
+            for r in rows
+        ]
+        for row, cfg, batched in zip(rows, cfgs, run_configs(cfgs)):
+            alone = run_from_config(cfg, output_dir=None)
+            summary = summarize(alone.series)
+            assert batched.diagnostics.steps == alone.diagnostics.steps
+            assert row["regime"] == str(classify_regime(cfg.model, 1))
+            assert row["termination"] == str(alone.termination)
+            assert row["plateaus_ok"] == ("true" if summary.plateaus_ok else "false")
+            for column, key in (("mass_max", "mass"), ("linf_u_max", "linf_u")):
+                assert float(row[column]) == pytest.approx(
+                    summary.column_max[key], rel=1e-12, abs=0.0
+                )
+
+    def test_workers_give_identical_csv(self, tmp_path, capsys):
+        base = tmp_path / "base.cfg"
+        base.write_text(SWEEP_BASE)
+        assert _simulated_sweep(capsys, base, tmp_path / "one", "2", "--workers", "1")[0] == 0
+        assert _simulated_sweep(capsys, base, tmp_path / "two", "2", "--workers", "2")[0] == 0
+        one = (tmp_path / "one" / "sweep.csv").read_bytes()
+        two = (tmp_path / "two" / "sweep.csv").read_bytes()
+        assert one == two
+        assert len(one.splitlines()) == 1 + 9
+
+    def test_ledger_resume(self, tmp_path, capsys):
+        base = tmp_path / "base.cfg"
+        base.write_text(SWEEP_BASE)
+        code, out, _ = _simulated_sweep(capsys, base, tmp_path / "resumed", "1.5")
+        assert code == 0 and "sweep_rows=6" in out
+        code, out, _ = _simulated_sweep(capsys, base, tmp_path / "resumed", "2", "--workers", "2")
+        assert code == 0 and "sweep_rows=3" in out
+        code, _, _ = _simulated_sweep(capsys, base, tmp_path / "fresh", "2")
+        resumed = (tmp_path / "resumed" / "sweep.csv").read_bytes()
+        assert resumed == (tmp_path / "fresh" / "sweep.csv").read_bytes()
+        ledger = (tmp_path / "resumed" / "sweep_done.txt").read_text().splitlines()
+        assert len(ledger) == len(set(ledger)) == 9
 
 
 class TestMms:

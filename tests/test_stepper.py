@@ -15,6 +15,7 @@ from kschemo import (
     integrate,
     laplacian,
     run,
+    run_batch,
     step,
 )
 from kschemo import stepper
@@ -248,6 +249,22 @@ class TestStep:
         assert outcome.message == "retry cap of 1 reached"
 
 
+    def test_nonfinite_solve_retries_instead_of_raising(self):
+        # u^alpha overflows, so every solve is non-finite: the audit halves
+        # dt until it collapses, and the step reports that as its outcome
+        grid = Grid((1.0,), (64,))
+        state = State(u=grid.full(1e200), v=grid.full(1.0))
+        p = ModelParams(chi=0, a=1, b=1, alpha=2, beta=1)
+        same_state, outcome = step(state, p, grid, StepperConfig())
+        assert same_state is state
+        assert outcome.status is StepStatus.BLOWUP_DETECTED
+        assert outcome.message == "dt collapsed below dt_min during retries"
+        # the proposal sits at dt_min; from a larger dt the cap ends it first
+        _, outcome = step(state, p, grid, StepperConfig(max_retries=3), dt_override=1e-3)
+        assert outcome.message == "retry cap of 3 reached"
+        assert outcome.retries == 4
+
+
 class _NegativeForcing:
     """Forcing that drags u negative no matter the dt (test helper)."""
 
@@ -289,7 +306,51 @@ class TestRun:
         cfg = StepperConfig(blowup_linf_threshold=1.0)
         result = run(state, p, grid1d, cfg, 1.0, Recorder(k_list=(2.0,), sample_interval=0.1))
         assert result.termination is Termination.BLOWUP_DETECTED
+        assert result.cause == "sup norm 2.000e+00 above threshold"
         assert result.state.t == 0.0  # rejected at step 0
+
+    def test_dt_collapse_cause(self, grid1d):
+        p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
+        state = State(u=grid1d.full(1.0), v=grid1d.zeros())
+        cfg = StepperConfig(dt_init=1e-6, dt_min=1e-6, dt_max=1e-5)
+        rec = Recorder(k_list=(2.0,), sample_interval=0.1)
+        result = run(state, p, grid1d, cfg, 1.0, rec, forcing=_NegativeForcing())
+        assert result.termination is Termination.BLOWUP_DETECTED
+        assert result.cause == "dt collapsed below dt_min during retries"
+
+    def test_retry_cap_cause(self, grid1d):
+        p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
+        state = State(u=grid1d.full(1.0), v=grid1d.zeros())
+        rec = Recorder(k_list=(2.0,), sample_interval=0.1)
+        cfg = StepperConfig(max_retries=2)
+        result = run(state, p, grid1d, cfg, 1.0, rec, forcing=_NegativeForcing())
+        assert result.termination is Termination.BLOWUP_DETECTED
+        assert result.cause == "retry cap of 2 reached"
+
+    def test_solver_failure_cause(self, grid1d, monkeypatch):
+        exact_core = stepper._helmholtz_core
+
+        def perturbed_core(rhs, grid, sigma):
+            w = exact_core(rhs, grid, sigma)
+            w.flat[5] += 1e-6 * np.linalg.norm(w)
+            return w
+
+        monkeypatch.setattr(stepper, "_helmholtz_core", perturbed_core)
+        p = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
+        state, _ = equilibrium_state(p, grid1d)
+        rec = Recorder(k_list=(2.0,), sample_interval=0.1)
+        result = run(state, p, grid1d, StepperConfig(), 1.0, rec)
+        assert result.termination is Termination.SOLVER_FAILURE
+        assert result.cause.startswith("helmholtz backward error")
+        assert result.cause.endswith("exceeds tolerance 1.000e-10")
+
+    def test_reached_t_end_cause(self, grid1d):
+        p = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
+        state, _ = equilibrium_state(p, grid1d)
+        rec = Recorder(k_list=(2.0,), sample_interval=0.05)
+        result = run(state, p, grid1d, StepperConfig(dt_max=1e-2), 0.05, rec)
+        assert result.termination is Termination.REACHED_T_END
+        assert result.cause == "t_end reached"
 
     def test_determinism_bitwise(self, grid1d):
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
@@ -312,3 +373,83 @@ class TestRun:
         result = run(State(u=u0, v=grid1d.zeros()), p, grid1d, cfg, 0.2, rec)
         mass = result.series.column("mass")
         assert np.max(np.abs(mass - mass[0])) <= 1e-10 * mass[0]
+
+
+def _bump(grid, mass, width=0.05):
+    u0 = grid.sample(lambda *xs: np.exp(-sum((x - 0.5) ** 2 for x in xs) / (2 * width**2)))
+    return u0 * (mass / integrate(u0, grid))
+
+
+class TestRunBatch:
+    REC = Recorder(k_list=(2.0, 4.0), sample_interval=0.01)
+
+    def members(self, grid):
+        points = [
+            ModelParams(chi=5.0, a=1.0, b=1.0, alpha=1.5, beta=3.0),
+            ModelParams(chi=0.0, a=1.0, b=1.0, alpha=1.0, beta=1.0),
+            ModelParams(chi=2.0, a=2.0, b=0.5, alpha=2.0, beta=2.0),
+            ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.5, beta=4.0),
+        ]
+        initials = [State(u=_bump(grid, 2.0 + i), v=grid.zeros()) for i in range(len(points))]
+        return initials, points
+
+    def test_members_match_single_runs_bitwise(self, grid1d, grid2d):
+        cfg = StepperConfig()
+        for grid in (grid1d, grid2d):
+            initials, points = self.members(grid)
+            batched = run_batch(initials, points, grid, cfg, 0.05, self.REC)
+            for initial, p, got in zip(initials, points, batched):
+                alone = run(initial, p, grid, cfg, 0.05, self.REC)
+                assert got.series.rows == alone.series.rows
+                assert got.diagnostics == alone.diagnostics
+                assert got.termination is alone.termination
+                assert got.cause == alone.cause
+                np.testing.assert_array_equal(got.state.u, alone.state.u)
+                np.testing.assert_array_equal(got.state.v, alone.state.v)
+
+    def test_blowup_members_freeze_and_others_go_on(self, grid1d):
+        cfg = StepperConfig(blowup_linf_threshold=1.5)
+        rec = Recorder(k_list=(2.0,), sample_interval=0.01)
+        bounded = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=1.0)
+        u_bounded = grid1d.sample(lambda x: 1.0 + 0.3 * np.cos(np.pi * x))
+        initials = [
+            State(u=u_bounded, v=grid1d.zeros()),
+            # equilibrium at 2, above the threshold: rejected on its first step
+            State(u=grid1d.full(2.0), v=grid1d.full(2.0)),
+            # u^alpha overflows: every solve is non-finite until dt collapses
+            State(u=grid1d.full(1e100), v=grid1d.full(1.0)),
+        ]
+        points = [
+            bounded,
+            ModelParams(chi=1.0, a=4.0, b=1.0, alpha=2.0, beta=2.0),
+            ModelParams(chi=0.0, a=1.0, b=1.0, alpha=4.0, beta=1.0),
+        ]
+        results = run_batch(initials, points, grid1d, cfg, 0.1, rec)
+        assert [r.termination for r in results] == [
+            Termination.REACHED_T_END,
+            Termination.BLOWUP_DETECTED,
+            Termination.BLOWUP_DETECTED,
+        ]
+        assert results[1].cause == "sup norm 2.000e+00 above threshold"
+        assert results[2].cause == "dt collapsed below dt_min during retries"
+        for frozen, initial in zip(results[1:], initials[1:]):
+            assert frozen.state.t == 0.0
+            assert len(frozen.series) == 1
+            np.testing.assert_array_equal(frozen.state.u, initial.u)
+        alone = run(initials[0], bounded, grid1d, cfg, 0.1, rec)
+        assert results[0].series.rows == alone.series.rows
+        assert results[0].diagnostics == alone.diagnostics
+
+    def test_single_member_fields_are_views(self, grid1d):
+        p = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
+        state, _ = equilibrium_state(p, grid1d)
+        assert np.shares_memory(stepper._stack([state.u]), state.u)
+
+    def test_rejects_mixed_tau_and_count_mismatch(self, grid1d):
+        p = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
+        q = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=3.0, tau=0)
+        state, _ = equilibrium_state(p, grid1d)
+        with pytest.raises(ValueError, match="tau"):
+            run_batch([state, state], [p, q], grid1d, StepperConfig(), 0.1, self.REC)
+        with pytest.raises(ValueError):
+            run_batch([state], [p, p], grid1d, StepperConfig(), 0.1, self.REC)
