@@ -12,12 +12,12 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
+from dataclasses import replace
 
 from .config import ConfigError, parse_config, run_configs, run_from_config
-from .grid import Grid
+from .grid import Grid, integrate
 from .params import (
+    FieldError,
     ModelParams,
     classify_regime,
     mass_envelope,
@@ -114,16 +114,6 @@ def _point_id(alpha: float, beta: float) -> str:
     return f"{alpha:.12g},{beta:.12g}"
 
 
-def _point_config(alpha, beta, base_overrides, config_path, t_end):
-    overrides = dict(base_overrides)
-    overrides["model.alpha"] = repr(alpha)
-    overrides["model.beta"] = repr(beta)
-    overrides["run.t_end"] = repr(t_end)
-    if config_path is not None:
-        return parse_config(path=config_path, overrides=overrides)
-    return parse_config(text="", overrides=overrides)
-
-
 def _require_envelope(cfg) -> None:
     """Raise ConfigError when the run has no mass envelope (b = 0)."""
     try:
@@ -143,30 +133,35 @@ def _classification_row(alpha: float, beta: float, n: int) -> str:
 
 def _simulation_row(alpha: float, beta: float, n: int, cfg, result) -> str:
     regime = classify_regime(cfg.model, n)
-    summary = summarize(result.series)
-    mass0 = result.series.column("mass")[0]
+    series = result.series
+    maxima, plateaus_ok = ",", False
+    if len(series) == 0:
+        # the first sample failed, so the run never left its initial state
+        mass0 = integrate(result.state.u, cfg.grid)
+    else:
+        mass0 = series.column("mass")[0]
+        summary = summarize(series)
+        maxima = f"{summary.column_max['mass']:.17g},{summary.column_max['linf_u']:.17g}"
+        plateaus_ok = summary.plateaus_ok
     y1, m0 = mass_envelope(cfg.model, mass0, cfg.grid.measure)
     return (
         f"{alpha:.12g},{beta:.12g},{n},{regime},{y1:.17g},{m0:.17g},"
-        f"{result.termination},{summary.column_max['mass']:.17g},"
-        f"{summary.column_max['linf_u']:.17g},"
-        f"{'true' if summary.plateaus_ok else 'false'}"
+        f"{result.termination},{maxima},{'true' if plateaus_ok else 'false'}"
     )
 
 
 def _sweep_batch(batch) -> list[str]:
     """The rows of one batch of sweep points, in order.
 
-    With --simulate the points run as one member batch.  Module-level so
-    process pools can pickle it.
+    ``base`` is the parsed base config under --simulate and None otherwise;
+    each simulated point is the base with its own alpha and beta, and the
+    points run as one member batch.  Module-level so process pools can
+    pickle it.
     """
-    points, n, simulate, base_overrides, config_path, t_end = batch
-    if not simulate:
+    points, n, base = batch
+    if base is None:
         return [_classification_row(alpha, beta, n) for alpha, beta in points]
-    cfgs = [
-        _point_config(alpha, beta, base_overrides, config_path, t_end)
-        for alpha, beta in points
-    ]
+    cfgs = [replace(base, model=replace(base.model, alpha=a, beta=b)) for a, b in points]
     results = run_configs(cfgs)
     return [
         _simulation_row(alpha, beta, n, cfg, result)
@@ -187,16 +182,22 @@ def _cmd_sweep(args, extras: list[str]) -> int:
         betas = _frange(args.beta_min, args.beta_max, args.beta_step)
         if not alphas or not betas:
             raise ConfigError("empty sweep range")
-        for a in alphas:
-            if a < 1:
-                raise ConfigError("alpha >= 1 required")
-        for b in betas:
-            if b < 1:
-                raise ConfigError("beta >= 1 required")
+        try:
+            # the ranges ascend, so the first point holds the smallest alpha and beta
+            ModelParams(chi=1.0, a=1.0, b=1.0, alpha=alphas[0], beta=betas[0])
+        except FieldError as exc:
+            raise ConfigError(str(exc)) from None
+        base = None
         max_batch = len(alphas) * len(betas)
         if args.simulate:
             # every point shares the base config; reject it before any point runs
-            base = _point_config(alphas[0], betas[0], overrides, args.config, args.t_end)
+            overrides.update({
+                "model.alpha": repr(alphas[0]),
+                "model.beta": repr(betas[0]),
+                "run.t_end": repr(args.t_end),
+            })
+            source = {"path": args.config} if args.config is not None else {"text": ""}
+            base = parse_config(**source, overrides=overrides)
             _require_envelope(base)
             max_batch = max(1, _BATCH_CELLS // math.prod(base.grid.shape))
     except (ConfigError, OSError) as exc:
@@ -225,10 +226,7 @@ def _cmd_sweep(args, extras: list[str]) -> int:
     ]
     workers = max(1, args.workers)
     chunks = _batches(points, workers, max_batch)
-    batches = [
-        (chunk, args.n, args.simulate, overrides, args.config, args.t_end)
-        for chunk in chunks
-    ]
+    batches = [(chunk, args.n, base) for chunk in chunks]
 
     def emit(chunk, rows: list[str]) -> None:
         # ledger writes are serialized here in the parent process, a batch's
@@ -307,12 +305,12 @@ def _cmd_bound_check(args) -> int:
     if len(series) == 0:
         return _fail(EXIT_CONFIG, "config", "empty series")
 
-    mass = series.column("mass")
-    y1, m0 = mass_envelope(cfg.model, mass[0], cfg.grid.measure)
-    mass_ok = bool(np.all(mass <= m0 * (1.0 + 1e-6)))
+    y1, m0 = mass_envelope(cfg.model, series.column("mass")[0], cfg.grid.measure)
+    summary = summarize(series, mass_cap=m0)
+    mass_ok = summary.mass_envelope_ok
     print(f"y1={y1:.17g}")
     print(f"m0={m0:.17g}")
-    print(f"mass_max={mass.max():.17g}")
+    print(f"mass_max={summary.column_max['mass']:.17g}")
     print(f"mass_envelope_ok={'true' if mass_ok else 'false'}")
 
     oracle_ok = True

@@ -28,7 +28,7 @@ import numpy as np
 
 from .grid import Grid, State, field_to_csv, integrate, write_snapshot
 from .observables import summarize
-from .params import ModelParams, mass_envelope
+from .params import FieldError, ModelParams, mass_envelope, require
 from .stepper import Recorder, RunResult, StepperConfig, Termination, run, run_batch
 
 
@@ -42,6 +42,10 @@ class ConfigError(ValueError):
         super().__init__(ctx + message)
         self.key = key
         self.line = line
+
+
+_U_KINDS = ("constant", "bump", "random")
+_V_KINDS = ("constant", "equal_u")
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,17 @@ class InitialCondition:
     v_kind: str = "constant"  # constant | equal_u
     v_value: float = 0.0
 
+    def __post_init__(self) -> None:
+        require(self.u_kind in _U_KINDS, "u_kind", f"in {_U_KINDS}", self.u_kind)
+        require(self.u_value >= 0, "u_value", ">= 0", self.u_value)
+        require(self.u_mass >= 0, "u_mass", ">= 0", self.u_mass)
+        require(self.u_width > 0, "u_width", "> 0", self.u_width)
+        require(self.u_base >= 0, "u_base", ">= 0", self.u_base)
+        require(0 <= self.u_amplitude <= 1, "u_amplitude", "in [0, 1]", self.u_amplitude)
+        require(self.seed >= 0, "seed", ">= 0", self.seed)
+        require(self.v_kind in _V_KINDS, "v_kind", f"in {_V_KINDS}", self.v_kind)
+        require(self.v_value >= 0, "v_value", ">= 0", self.v_value)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -70,6 +85,18 @@ class RunConfig:
     sample_interval: float = 0.1
     k_list: tuple[float, ...] = (2.0, 4.0, 8.0)
     output_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        require(self.t_end > 0, "t_end", "> 0", self.t_end)
+        self.recorder  # checks sample_interval and k_list
+        require(bool(self.output_dir), "output_dir", "nonempty", self.output_dir)
+        for axis, (c, L) in enumerate(zip(self.ic.u_center, self.grid.extent)):
+            if not (0 <= c <= L):
+                raise FieldError("u_center", f"bump center {c} outside domain [0, {L}]", axis)
+
+    @property
+    def recorder(self) -> Recorder:
+        return Recorder(k_list=self.k_list, sample_interval=self.sample_interval)
 
 
 def _parse_float(s: str) -> float:
@@ -93,99 +120,61 @@ def _parse_klist(s: str) -> tuple[float, ...]:
     return tuple(_parse_float(p) for p in parts)
 
 
-def _choice(*options: str) -> Callable[[str], str]:
-    def parse(s: str) -> str:
-        if s not in options:
-            raise ValueError(f"expected one of {options}, got {s!r}")
-        return s
-
-    return parse
-
-
-class _Rule(NamedTuple):
-    holds: Callable[[object], bool]
-    text: str  # the error message is "<name> <text>"
-
-
-def _at_least(lo) -> _Rule:
-    return _Rule(lambda v: v >= lo, f">= {lo} required")
-
-
-def _above(lo) -> _Rule:
-    return _Rule(lambda v: v > lo, f"> {lo} required")
-
-
-def _either(a, b) -> _Rule:
-    return _Rule(lambda v: v in (a, b), f"must be {a} or {b}")
-
-
 class _Key(NamedTuple):
-    """Where one config key lives in RunConfig and how its value is read."""
+    """Where one config key lives in RunConfig and how its value is read.
+
+    The admissible values are the business of the dataclass that holds the
+    field; parse_config maps its FieldError back to the key.
+    """
 
     section: str  # RunConfig attribute holding the value; "run" is RunConfig itself
     field: str  # constructor argument; a *_x / *_y key is one entry of its tuple
     parse: Callable[[str], object]
-    rule: _Rule | None = None
     default: object = None  # None: the dataclass default, or see _fold_axes
 
 
 _SECTIONS = {
     "model": ModelParams,
     "grid": Grid,
-    "stepper": StepperConfig,
     "ic": InitialCondition,
+    "stepper": StepperConfig,
 }
 
 _KEYS: dict[str, _Key] = {
-    "model.chi": _Key("model", "chi", _parse_float, _at_least(0), 1.0),
-    "model.a": _Key("model", "a", _parse_float, _at_least(0), 1.0),
-    "model.b": _Key("model", "b", _parse_float, _at_least(0), 1.0),
-    "model.alpha": _Key("model", "alpha", _parse_float, _at_least(1), 1.0),
-    "model.beta": _Key("model", "beta", _parse_float, _at_least(1), 1.0),
-    "model.tau": _Key("model", "tau", _parse_int, _either(0, 1)),
-    "grid.dim": _Key("grid", "dim", _parse_int, _either(1, 2), 1),
-    "grid.extent_x": _Key("grid", "extent", _parse_float, _above(0), 1.0),
-    "grid.extent_y": _Key("grid", "extent", _parse_float, _above(0)),
-    "grid.cells_x": _Key("grid", "cells", _parse_int, _at_least(4), 256),
-    "grid.cells_y": _Key("grid", "cells", _parse_int, _at_least(4)),
-    "ic.u": _Key("ic", "u_kind", _choice("constant", "bump", "random")),
-    "ic.u_value": _Key("ic", "u_value", _parse_float, _at_least(0)),
-    "ic.u_mass": _Key("ic", "u_mass", _parse_float, _at_least(0)),
-    "ic.u_width": _Key("ic", "u_width", _parse_float, _above(0)),
+    "model.chi": _Key("model", "chi", _parse_float, 1.0),
+    "model.a": _Key("model", "a", _parse_float, 1.0),
+    "model.b": _Key("model", "b", _parse_float, 1.0),
+    "model.alpha": _Key("model", "alpha", _parse_float, 1.0),
+    "model.beta": _Key("model", "beta", _parse_float, 1.0),
+    "model.tau": _Key("model", "tau", _parse_int),
+    "grid.dim": _Key("grid", "dim", _parse_int, 1),
+    "grid.extent_x": _Key("grid", "extent", _parse_float, 1.0),
+    "grid.extent_y": _Key("grid", "extent", _parse_float),
+    "grid.cells_x": _Key("grid", "cells", _parse_int, 256),
+    "grid.cells_y": _Key("grid", "cells", _parse_int),
+    "ic.u": _Key("ic", "u_kind", str),
+    "ic.u_value": _Key("ic", "u_value", _parse_float),
+    "ic.u_mass": _Key("ic", "u_mass", _parse_float),
+    "ic.u_width": _Key("ic", "u_width", _parse_float),
     "ic.u_center_x": _Key("ic", "u_center", _parse_float),
     "ic.u_center_y": _Key("ic", "u_center", _parse_float),
-    "ic.u_base": _Key("ic", "u_base", _parse_float, _at_least(0)),
-    "ic.u_amplitude": _Key(
-        "ic", "u_amplitude", _parse_float, _Rule(lambda v: 0 <= v <= 1, "in [0, 1] required")
-    ),
-    "ic.seed": _Key("ic", "seed", _parse_int, _at_least(0)),
-    "ic.v": _Key("ic", "v_kind", _choice("constant", "equal_u")),
-    "ic.v_value": _Key("ic", "v_value", _parse_float, _at_least(0)),
-    "stepper.dt_init": _Key("stepper", "dt_init", _parse_float, _above(0)),
-    "stepper.dt_min": _Key("stepper", "dt_min", _parse_float, _above(0)),
-    "stepper.dt_max": _Key("stepper", "dt_max", _parse_float, _above(0)),
-    "stepper.cfl_safety": _Key(
-        "stepper",
-        "cfl_safety",
-        _parse_float,
-        _Rule(lambda v: 0 < v <= 1, "in (0, 1] required"),
-    ),
-    "stepper.linear_tol": _Key("stepper", "linear_tol", _parse_float, _above(0)),
-    "stepper.blowup_linf_threshold": _Key(
-        "stepper", "blowup_linf_threshold", _parse_float, _above(0)
-    ),
-    "stepper.positivity_tol": _Key("stepper", "positivity_tol", _parse_float, _above(0)),
-    "stepper.face_scheme": _Key("stepper", "face_scheme", _choice("upwind", "central")),
-    "stepper.max_retries": _Key("stepper", "max_retries", _parse_int, _at_least(1)),
-    "run.t_end": _Key("run", "t_end", _parse_float, _above(0)),
-    "run.sample_interval": _Key("run", "sample_interval", _parse_float, _above(0)),
-    "run.k_list": _Key(
-        "run",
-        "k_list",
-        _parse_klist,
-        _Rule(lambda ks: all(k > 1 for k in ks), "entries must exceed 1"),
-    ),
-    "run.output_dir": _Key("run", "output_dir", str, _Rule(bool, "must be nonempty")),
+    "ic.u_base": _Key("ic", "u_base", _parse_float),
+    "ic.u_amplitude": _Key("ic", "u_amplitude", _parse_float),
+    "ic.seed": _Key("ic", "seed", _parse_int),
+    "ic.v": _Key("ic", "v_kind", str),
+    "ic.v_value": _Key("ic", "v_value", _parse_float),
+    "stepper.dt_min": _Key("stepper", "dt_min", _parse_float),
+    "stepper.dt_max": _Key("stepper", "dt_max", _parse_float),
+    "stepper.cfl_safety": _Key("stepper", "cfl_safety", _parse_float),
+    "stepper.linear_tol": _Key("stepper", "linear_tol", _parse_float),
+    "stepper.blowup_linf_threshold": _Key("stepper", "blowup_linf_threshold", _parse_float),
+    "stepper.positivity_tol": _Key("stepper", "positivity_tol", _parse_float),
+    "stepper.face_scheme": _Key("stepper", "face_scheme", str),
+    "stepper.max_retries": _Key("stepper", "max_retries", _parse_int),
+    "run.t_end": _Key("run", "t_end", _parse_float),
+    "run.sample_interval": _Key("run", "sample_interval", _parse_float),
+    "run.k_list": _Key("run", "k_list", _parse_klist),
+    "run.output_dir": _Key("run", "output_dir", str),
 }
 
 
@@ -211,17 +200,20 @@ def _read_raw(text: str) -> dict[str, tuple[str, int]]:
     return raw
 
 
-def _fold_axes(kwargs: dict[str, dict]) -> None:
-    """Turn the [x, y] entries of per-axis keys into tuples of length grid.dim.
+def _fold_axes(kwargs: dict[str, dict], dim: int) -> None:
+    """Turn the [x, y] entries of per-axis keys into tuples of length ``dim``.
 
     An unset y entry inherits x, and an unset bump center is the midpoint of
-    the domain on that axis.
+    the domain on that axis.  The grid is checked on both axes first, so a
+    bad y entry is rejected in 1D too.
     """
     grid, ic = kwargs["grid"], kwargs["ic"]
-    dim = grid.pop("dim")
     for name in ("extent", "cells"):
         x, y = grid[name]
-        grid[name] = (x, x if y is None else y)[:dim]
+        grid[name] = (x, x if y is None else y)
+    Grid(**grid)
+    for name in ("extent", "cells"):
+        grid[name] = grid[name][:dim]
     center = ic["u_center"]
     ic["u_center"] = tuple(L / 2.0 if c is None else c for c, L in zip(center, grid["extent"]))
 
@@ -253,8 +245,6 @@ def parse_config(
             text_value, lineno = raw[key]
             try:
                 value = row.parse(text_value)
-                if row.rule is not None and not row.rule.holds(value):
-                    raise ValueError(f"{key.split('.', 1)[1]} {row.rule.text}")
             except ValueError as exc:
                 raise ConfigError(str(exc), key=key, line=lineno) from None
         axis = _axis(key)
@@ -262,21 +252,24 @@ def parse_config(
             kwargs[row.section].setdefault(row.field, [None, None])[axis] = value
         elif value is not None:
             kwargs[row.section][row.field] = value
-    _fold_axes(kwargs)
 
-    built = {}
-    for section, cls in _SECTIONS.items():
-        try:
-            built[section] = cls(**kwargs[section])
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=f"{section}.*") from None
+    def line(key: str | None) -> int | None:
+        return raw.get(key, (None, None))[1]
 
-    center_keys = [key for key, row in _KEYS.items() if row.field == "u_center"]
-    for c, L, key in zip(built["ic"].u_center, built["grid"].extent, center_keys):
-        if not (0 <= c <= L):
-            line = raw.get(key, (None, None))[1]
-            raise ConfigError(f"bump center {c} outside domain [0, {L}]", key=key, line=line)
-    return RunConfig(**built, **kwargs["run"])
+    # Grid derives dim from its tuples, so dim is the one key checked here
+    dim = kwargs["grid"].pop("dim")
+    if dim not in (1, 2):
+        raise ConfigError("dim must be 1 or 2", key="grid.dim", line=line("grid.dim"))
+    try:
+        _fold_axes(kwargs, dim)
+        built = {section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()}
+        return RunConfig(**built, **kwargs["run"])
+    except FieldError as exc:
+        key = next(
+            (k for k, row in _KEYS.items() if (row.field, _axis(k)) == (exc.field, exc.axis)),
+            None,
+        )
+        raise ConfigError(str(exc), key=key, line=line(key)) from None
 
 
 def config_items(cfg: RunConfig) -> dict[str, str]:
@@ -330,7 +323,6 @@ def refine_config(cfg: RunConfig, factor: int) -> RunConfig:
     )
     stepper = replace(
         cfg.stepper,
-        dt_init=cfg.stepper.dt_init / factor,
         dt_min=cfg.stepper.dt_min / factor,
         dt_max=cfg.stepper.dt_max / factor,
     )
@@ -377,12 +369,8 @@ def summary_lines(cfg: RunConfig, result: RunResult) -> list[str]:
     return lines
 
 
-def _recorder(cfg: RunConfig) -> Recorder:
-    return Recorder(k_list=cfg.k_list, sample_interval=cfg.sample_interval)
-
-
 def _batch_shared(cfg: RunConfig) -> tuple:
-    return cfg.grid, cfg.stepper, cfg.t_end, _recorder(cfg)
+    return cfg.grid, cfg.stepper, cfg.t_end, cfg.recorder
 
 
 def run_configs(cfgs: Sequence[RunConfig]) -> list[RunResult]:
@@ -412,7 +400,7 @@ def run_from_config(
     if output_dir == "use-config":
         output_dir = cfg.output_dir
     initial = build_initial_state(cfg)
-    recorder = _recorder(cfg)
+    recorder = cfg.recorder
 
     out = None
     if output_dir is not None:

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import require
+
 SNAPSHOT_MAGIC = b"KSCHSNP1"
 _HEADER_FMT = "<8sIII4xd"  # magic, dim, nx, ny (0 in 1D), pad, time
 assert struct.calcsize(_HEADER_FMT) == 32
@@ -47,12 +49,10 @@ class Grid:
             raise ValueError("extent and cells must have the same length")
         if len(self.cells) not in (1, 2):
             raise ValueError(f"only 1D/2D grids supported, got dim {len(self.cells)}")
-        for L in self.extent:
-            if not (math.isfinite(L) and L > 0):
-                raise ValueError(f"extent entries must be positive, got {L}")
-        for n in self.cells:
-            if int(n) != n or n < 4:
-                raise ValueError(f"at least 4 cells per axis required, got {n}")
+        for axis, L in enumerate(self.extent):
+            require(math.isfinite(L) and L > 0, "extent", "> 0", L, axis)
+        for axis, n in enumerate(self.cells):
+            require(int(n) == n and n >= 4, "cells", "integer >= 4", n, axis)
 
     @property
     def dim(self) -> int:
@@ -110,6 +110,12 @@ def _require_finite(values: np.ndarray, name: str = "field") -> np.ndarray:
     return arr
 
 
+def _require_nonnegative(arr: np.ndarray, name: str, positivity_tol: float) -> None:
+    lo = float(arr.min())
+    if lo < -positivity_tol:
+        raise ValueError(f"{name} dips to {lo}, below -{positivity_tol}")
+
+
 def integrate(values: np.ndarray, grid: Grid) -> float:
     """Midpoint quadrature of a cell field: cell_volume * sum(values)."""
     arr = _require_finite(values)
@@ -152,9 +158,7 @@ class State:
             arr = _require_finite(f, name)
             if arr.shape != grid.shape:
                 raise ValueError(f"{name} shape {arr.shape} does not match grid")
-            lo = float(arr.min())
-            if lo < -positivity_tol:
-                raise ValueError(f"{name} dips to {lo}, below -{positivity_tol}")
+            _require_nonnegative(arr, name, positivity_tol)
 
     def copy(self) -> "State":
         return State(self.u.copy(), self.v.copy(), self.t, self.step_index, self.dt_last)

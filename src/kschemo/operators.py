@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, _require_finite
+from .grid import Grid, _require_finite, _require_nonnegative
 from .params import ModelParams
 
 FACE_SCHEMES = ("upwind", "central")
@@ -91,17 +91,10 @@ def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> 
     return out
 
 
-def _require_nonnegative(arr: np.ndarray, positivity_tol: float) -> None:
-    umin = float(arr.min())
-    if umin < -positivity_tol:
-        raise ValueError(f"u dips to {umin}, below -{positivity_tol}")
-
-
 def chemo_divergence(
     u: np.ndarray,
     v: np.ndarray,
     grid: Grid,
-    chi: float,
     scheme: str = "upwind",
     positivity_tol: float = 1e-12,
 ) -> np.ndarray:
@@ -109,17 +102,15 @@ def chemo_divergence(
 
     Upwinding preserves nonnegativity of the explicit transport update under
     the stepper's dt bound at first-order accuracy; scheme="central" uses the
-    arithmetic face mean instead (second order, not positivity-safe).  The
-    sensitivity chi fixes the transport direction; it is nonnegative here so
-    the upwind side is decided by the sign of (v_R - v_L) alone.
+    arithmetic face mean instead (second order, not positivity-safe).  Callers
+    multiply the result by chi, which ModelParams keeps nonnegative, so the
+    upwind side is decided by the sign of (v_R - v_L) alone.
     """
     if scheme not in FACE_SCHEMES:
         raise ValueError(f"unknown face scheme {scheme!r}")
-    if chi < 0:
-        raise ValueError(f"chi >= 0 required, got {chi}")
     ua = _require_finite(u, "u")
     va = _require_finite(v, "v")
-    _require_nonnegative(ua, positivity_tol)
+    _require_nonnegative(ua, "u", positivity_tol)
     return _chemo_divergence(ua, va, grid, scheme)
 
 
@@ -149,6 +140,6 @@ def nonlocal_source(
     fractional powers stay real; larger negatives are scheme errors.
     """
     ua = _require_finite(u, "u")
-    _require_nonnegative(ua, positivity_tol)
+    _require_nonnegative(ua, "u", positivity_tol)
     source, (integral,) = _nonlocal_source(ua[None], grid, [params])
     return source[0], integral

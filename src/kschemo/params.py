@@ -27,6 +27,26 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 
+class FieldError(ValueError):
+    """A dataclass field holds a value outside its admissible range.
+
+    ``field`` names the field; ``axis`` is the tuple index of a per-axis
+    field such as Grid.cells, None otherwise.
+    """
+
+    def __init__(self, field: str, message: str, axis: int | None = None):
+        super().__init__(message)
+        self.field = field
+        self.axis = axis
+
+
+def require(holds: bool, field: str, rule: str, value, axis: int | None = None) -> None:
+    """Raise FieldError "<field> <rule> required, got <value>" unless ``holds``."""
+    if not holds:
+        name = field if axis is None else f"{field}[{axis}]"
+        raise FieldError(field, f"{name} {rule} required, got {value!r}", axis)
+
+
 class Regime(enum.Enum):
     """Growth/dampening parameter region of the boundedness result."""
 
@@ -62,22 +82,10 @@ class ModelParams:
     tau: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("chi", "a", "b", "alpha", "beta"):
+        for name, lo in (("chi", 0), ("a", 0), ("b", 0), ("alpha", 1), ("beta", 1)):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.chi < 0:
-            raise ValueError(f"chi >= 0 required, got {self.chi}")
-        if self.a < 0:
-            raise ValueError(f"a >= 0 required, got {self.a}")
-        if self.b < 0:
-            raise ValueError(f"b >= 0 required, got {self.b}")
-        if self.alpha < 1:
-            raise ValueError(f"alpha >= 1 required, got {self.alpha}")
-        if self.beta < 1:
-            raise ValueError(f"beta >= 1 required, got {self.beta}")
-        if self.tau not in (0, 1):
-            raise ValueError(f"tau must be 0 or 1, got {self.tau!r}")
+            require(math.isfinite(value) and value >= lo, name, f">= {lo}", value)
+        require(self.tau in (0, 1), "tau", "in (0, 1)", self.tau)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from .operators import (
     _laplacian,
     _nonlocal_source,
 )
-from .params import ModelParams
+from .params import ModelParams, require
 
 _EPS_RATE = 1e-30
 
@@ -61,7 +61,6 @@ class LinearSolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepperConfig:
-    dt_init: float = 1e-4
     dt_min: float = 1e-12
     dt_max: float = 1e-2
     cfl_safety: float = 0.4
@@ -72,20 +71,16 @@ class StepperConfig:
     max_retries: int = 20
 
     def __post_init__(self) -> None:
-        if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError(
-                f"need 0 < dt_min <= dt_init <= dt_max, got "
-                f"({self.dt_min}, {self.dt_init}, {self.dt_max})"
-            )
-        if not (0 < self.cfl_safety <= 1):
-            raise ValueError(f"cfl_safety in (0, 1] required, got {self.cfl_safety}")
+        require(self.dt_max > 0, "dt_max", "> 0", self.dt_max)
+        require(
+            0 < self.dt_min <= self.dt_max, "dt_min", f"in (0, dt_max={self.dt_max}]", self.dt_min
+        )
+        require(0 < self.cfl_safety <= 1, "cfl_safety", "in (0, 1]", self.cfl_safety)
         for name in ("linear_tol", "blowup_linf_threshold", "positivity_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.face_scheme not in FACE_SCHEMES:
-            raise ValueError(f"unknown face scheme {self.face_scheme!r}")
-        if self.max_retries < 1:
-            raise ValueError("max_retries >= 1 required")
+            require(getattr(self, name) > 0, name, "> 0", getattr(self, name))
+        scheme = self.face_scheme
+        require(scheme in FACE_SCHEMES, "face_scheme", f"in {FACE_SCHEMES}", scheme)
+        require(self.max_retries >= 1, "max_retries", ">= 1", self.max_retries)
 
 
 class StepStatus(enum.Enum):
@@ -475,11 +470,8 @@ class Recorder:
     sample_interval: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-        for k in self.k_list:
-            if k <= 1:
-                raise ValueError(f"k_list entries must exceed 1, got {k}")
+        require(all(k > 1 for k in self.k_list), "k_list", "entries > 1", self.k_list)
+        require(self.sample_interval > 0, "sample_interval", "> 0", self.sample_interval)
 
 
 @dataclass

@@ -248,7 +248,6 @@ def convergence_study(
         # snap dt to an exact divisor of the horizon so no step gets capped
         dt = t_end / max(1, round(t_end / dt_req))
         cfg = StepperConfig(
-            dt_init=dt,
             dt_min=dt * 1e-8,
             dt_max=dt,
             cfl_safety=1.0,
@@ -299,7 +298,7 @@ def semidiscrete_residual(case: ManufacturedCase, grid: Grid, t: float = 0.0) ->
     source, _ = nonlocal_source(u, grid, p)
     rhs = laplacian(u, grid) + source + case.forcing.u(t, grid)
     if p.chi != 0.0:
-        rhs = rhs - p.chi * chemo_divergence(u, v, grid, p.chi, scheme="central")
+        rhs = rhs - p.chi * chemo_divergence(u, v, grid, scheme="central")
     return float(np.max(np.abs(dudt - rhs)))
 
 

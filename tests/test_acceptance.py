@@ -170,7 +170,7 @@ class TestCriterion4SteadyState:
         grid = Grid(extent=(1.0,), cells=(64,))
         ustar = (params.a / (params.b * grid.measure)) ** (1.0 / params.beta)
         state = State(u=grid.full(ustar), v=grid.full(ustar))
-        cfg = StepperConfig(dt_init=1e-3, dt_max=1e-3)
+        cfg = StepperConfig(dt_max=1e-3)
         from kschemo import Recorder, run
 
         result = run(state, params, grid, cfg, 1.0, Recorder(k_list=(2.0, 4.0, 8.0), sample_interval=0.01))
@@ -191,7 +191,7 @@ class TestCriterion4SteadyState:
         params = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         grid = Grid(extent=(1.0,), cells=(64,))
         state = State(u=grid.full(1.0), v=grid.full(1.0))
-        cfg = StepperConfig(dt_init=1e-3, dt_max=1e-3)
+        cfg = StepperConfig(dt_max=1e-3)
         for _ in range(10):
             state, outcome = step(state, params, grid, cfg)
             assert outcome.status is StepStatus.ADVANCED
@@ -205,7 +205,7 @@ class TestCriterion5ConservationDegeneration:
         x = grid.cell_centers()[0]
         u0 = np.exp(-((x - 0.5) ** 2) / (2 * 0.1**2))
         u0 *= 2.0 / integrate(u0, grid)
-        cfg = StepperConfig(dt_init=1e-5, dt_max=1e-5)
+        cfg = StepperConfig(dt_max=1e-5)
         from kschemo import Recorder, run
 
         result = run(
@@ -262,7 +262,7 @@ class TestCriterion7MmsConvergence:
         params = ModelParams(chi=0.25, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         grid = Grid(extent=(1.0,), cells=(64,))
         case = equilibrium_case(params, grid)
-        cfg = StepperConfig(dt_init=1e-3, dt_max=1e-3, cfl_safety=1.0)
+        cfg = StepperConfig(dt_max=1e-3, cfl_safety=1.0)
         from kschemo import Recorder, run
 
         result = run(

@@ -163,6 +163,15 @@ class TestSweep:
         lines = (out_dir / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 4  # no duplicates after resume
 
+    def test_alpha_below_one_exit_2(self, tmp_path, capsys):
+        code, _, err = invoke(
+            capsys, "sweep", "--alpha-min", "0.5", "--alpha-max", "1.5",
+            "--beta-min", "2", "--beta-max", "2", "--n", "1", "--output", str(tmp_path / "s"),
+        )
+        assert code == 2
+        assert err.startswith("error: config: alpha >= 1")
+        assert not (tmp_path / "s").exists()
+
     def test_simulate_without_envelope_exit_2_before_any_point(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
         code, _, err = invoke(
@@ -278,6 +287,27 @@ class TestSimulatedSweep:
         assert resumed == (tmp_path / "fresh" / "sweep.csv").read_bytes()
         ledger = (tmp_path / "resumed" / "sweep_done.txt").read_text().splitlines()
         assert len(ledger) == len(set(ledger)) == 9
+
+
+    def test_failed_first_sample_gives_solver_failure_rows(self, tmp_path, capsys):
+        # u^8 overflows on the initial field, so no point records a sample
+        base = tmp_path / "base.cfg"
+        base.write_text("ic.u = constant\nic.u_value = 1e50\nrun.k_list = 8\ngrid.cells_x = 16\n")
+        code, out, _ = invoke(
+            capsys, "sweep", "--simulate", "--alpha-min", "1", "--alpha-max", "1",
+            "--beta-min", "2", "--beta-max", "3", "--beta-step", "1", "--n", "1",
+            "--t-end", "0.1", "--config", str(base), "--output", str(tmp_path / "sweep"),
+        )
+        assert code == 0 and "sweep_rows=2" in out
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["beta"] for r in rows] == ["2", "3"]
+        for row in rows:
+            assert row["termination"] == "SolverFailure"
+            assert float(row["m0"]) == pytest.approx(1e50, rel=1e-12)
+            assert float(row["y1"]) == pytest.approx(1.0)
+            assert (row["mass_max"], row["linf_u_max"]) == ("", "")
+            assert row["plateaus_ok"] == "false"
 
 
 class TestMms:

@@ -4,6 +4,7 @@ import pytest
 from kschemo import integrate
 from kschemo.config import (
     ConfigError,
+    InitialCondition,
     build_initial_state,
     config_items,
     parse_config,
@@ -93,9 +94,63 @@ class TestParse:
         with pytest.raises(ConfigError, match="outside domain"):
             parse_config(text="ic.u = bump\nic.u_center_x = 2.0\n")
 
+    # one out-of-range value for every key that has a range or a choice
+    REJECTED = (
+        ("model.chi", "-1"),
+        ("model.a", "-0.5"),
+        ("model.b", "-1"),
+        ("model.alpha", "0.5"),
+        ("model.beta", "0.99"),
+        ("model.tau", "2"),
+        ("grid.dim", "3"),
+        ("grid.extent_x", "0"),
+        ("grid.extent_y", "-1"),
+        ("grid.cells_x", "3"),
+        ("grid.cells_y", "2"),
+        ("ic.u", "gaussian"),
+        ("ic.u_value", "-1"),
+        ("ic.u_mass", "-1"),
+        ("ic.u_width", "0"),
+        ("ic.u_center_x", "2.0"),
+        ("ic.u_center_y", "-0.5"),
+        ("ic.u_base", "-1"),
+        ("ic.u_amplitude", "1.5"),
+        ("ic.seed", "-1"),
+        ("ic.v", "gradient"),
+        ("ic.v_value", "-1"),
+        ("stepper.dt_min", "0"),
+        ("stepper.dt_max", "-1"),
+        ("stepper.cfl_safety", "1.5"),
+        ("stepper.linear_tol", "0"),
+        ("stepper.blowup_linf_threshold", "0"),
+        ("stepper.positivity_tol", "-1"),
+        ("stepper.face_scheme", "upstream"),
+        ("stepper.max_retries", "0"),
+        ("run.t_end", "0"),
+        ("run.sample_interval", "0"),
+        ("run.k_list", "2,1"),
+        ("run.output_dir", ""),
+    )
+
+    @pytest.mark.parametrize("key,value", REJECTED)
+    def test_out_of_range_value_names_key_and_line(self, key, value):
+        # a y entry is checked in 1D too, except the bump center, which only
+        # exists on the axes the grid has
+        dims = (1, 2) if key not in ("grid.dim", "ic.u_center_y") else (2,)
+        for dim in dims:
+            first = "# range check" if key == "grid.dim" else f"grid.dim = {dim}"
+            with pytest.raises(ConfigError) as info:
+                parse_config(text=f"{first}\n{key} = {value}\n")
+            assert (info.value.key, info.value.line) == (key, 2)
+            assert str(info.value).startswith(f"line 2: {key}: ")
+
+    def test_dt_init_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match=r"^line 2: unknown key 'stepper.dt_init'"):
+            parse_config(text="stepper.dt_max = 1e-3\nstepper.dt_init = 1e-4\n")
+
     def test_cross_field_dt_ordering(self):
         with pytest.raises(ConfigError, match="dt_min"):
-            parse_config(text="stepper.dt_min = 1.0\nstepper.dt_init = 1e-4\n")
+            parse_config(text="stepper.dt_min = 1.0\nstepper.dt_max = 1e-2\n")
 
 
 class TestRoundTrip:
@@ -115,6 +170,12 @@ class TestRoundTrip:
 
 
 class TestInitialConditions:
+    def test_direct_construction_checks_ranges(self):
+        with pytest.raises(ValueError, match="u_width"):
+            InitialCondition(u_width=0.0)
+        with pytest.raises(ValueError, match="u_kind"):
+            InitialCondition(u_kind="gaussian")
+
     def test_constant(self):
         cfg = parse_config(text="ic.u = constant\nic.u_value = 2.5\nic.v_value = 0.5\n")
         state = build_initial_state(cfg)
@@ -157,7 +218,7 @@ class TestRefine:
         fine = refine_config(cfg, 4)
         assert fine.grid.cells == (1024,)
         assert fine.stepper.dt_max == pytest.approx(cfg.stepper.dt_max / 4)
-        assert fine.stepper.dt_init == pytest.approx(cfg.stepper.dt_init / 4)
+        assert fine.stepper.dt_min == pytest.approx(cfg.stepper.dt_min / 4)
         assert fine.t_end == cfg.t_end
 
 

@@ -14,6 +14,7 @@ from kschemo import (
     read_snapshot,
     write_snapshot,
 )
+from kschemo.params import FieldError
 
 
 @pytest.fixture
@@ -42,6 +43,11 @@ class TestGrid:
             Grid(extent=(1.0, 1.0, 1.0), cells=(8, 8, 8))
         with pytest.raises(ValueError):
             Grid(extent=(1.0, 1.0), cells=(8,))
+
+    def test_field_error_names_axis(self):
+        with pytest.raises(FieldError, match=r"cells\[1\]") as info:
+            Grid(extent=(1.0, 1.0), cells=(8, 2))
+        assert (info.value.field, info.value.axis) == ("cells", 1)
 
     def test_cell_centers(self, grid1d):
         x = grid1d.cell_centers()[0]

@@ -82,7 +82,7 @@ class TestLaplacian:
 class TestChemoDivergence:
     def test_constant_v_no_transport(self, grid1d):
         u = random_field(grid1d, 2, positive=True)
-        out = chemo_divergence(u, grid1d.full(7.0), grid1d, chi=1.0)
+        out = chemo_divergence(u, grid1d.full(7.0), grid1d)
         np.testing.assert_array_equal(out, grid1d.zeros())
 
     def test_constant_u_reduces_to_laplacian(self, grid1d, grid2d):
@@ -92,14 +92,14 @@ class TestChemoDivergence:
             v = random_field(grid, seed)
             c = 2.5
             for scheme in ("upwind", "central"):
-                out = chemo_divergence(grid.full(c), v, grid, 1.0, scheme=scheme)
+                out = chemo_divergence(grid.full(c), v, grid, scheme=scheme)
                 np.testing.assert_allclose(out, c * laplacian(v, grid), rtol=1e-12, atol=1e-12)
 
     def test_conservative(self, grid2d):
         u = random_field(grid2d, 6, positive=True)
         v = random_field(grid2d, 7)
         for scheme in ("upwind", "central"):
-            total = integrate(chemo_divergence(u, v, grid2d, 2.0, scheme=scheme), grid2d)
+            total = integrate(chemo_divergence(u, v, grid2d, scheme=scheme), grid2d)
             scale = np.abs(u).max() * np.abs(v).max() / min(grid2d.h) ** 2
             assert abs(total) <= 1e-13 * scale
 
@@ -107,10 +107,10 @@ class TestChemoDivergence:
         u = random_field(grid2d, 8, positive=True)
         v = random_field(grid2d, 9)
         for scheme in ("upwind", "central"):
-            base = chemo_divergence(u, v, grid2d, 1.0, scheme=scheme)
+            base = chemo_divergence(u, v, grid2d, scheme=scheme)
             for axis in (0, 1):
                 mirrored = chemo_divergence(
-                    np.flip(u, axis=axis), np.flip(v, axis=axis), grid2d, 1.0, scheme=scheme
+                    np.flip(u, axis=axis), np.flip(v, axis=axis), grid2d, scheme=scheme
                 )
                 np.testing.assert_allclose(mirrored, np.flip(base, axis=axis), atol=1e-12)
 
@@ -118,11 +118,11 @@ class TestChemoDivergence:
         u = grid1d.full(1.0)
         u[0] = -1e-6
         with pytest.raises(ValueError, match="dips"):
-            chemo_divergence(u, grid1d.zeros(), grid1d, 1.0)
+            chemo_divergence(u, grid1d.zeros(), grid1d)
 
     def test_rejects_unknown_scheme(self, grid1d):
         with pytest.raises(ValueError):
-            chemo_divergence(grid1d.full(1.0), grid1d.zeros(), grid1d, 1.0, scheme="weno")
+            chemo_divergence(grid1d.full(1.0), grid1d.zeros(), grid1d, scheme="weno")
 
 
 class TestNonlocalSource:

@@ -40,7 +40,7 @@ def equilibrium_state(params, grid):
 class TestStepperConfig:
     def test_dt_ordering_enforced(self):
         with pytest.raises(ValueError):
-            StepperConfig(dt_init=1e-3, dt_min=1e-2, dt_max=1.0)
+            StepperConfig(dt_min=1e-2, dt_max=1e-3)
         with pytest.raises(ValueError):
             StepperConfig(cfl_safety=1.5)
         with pytest.raises(ValueError):
@@ -149,7 +149,7 @@ class TestAdaptDt:
         assert dt2 == pytest.approx(dt1 / 2.0, rel=1e-12)
 
     def test_clamped_to_bounds(self, grid1d):
-        cfg = StepperConfig(dt_init=1e-6, dt_min=1e-6, dt_max=1e-2)
+        cfg = StepperConfig(dt_min=1e-6, dt_max=1e-2)
         p = self.params(a=1e12, b=1e12)  # ferocious reaction bound
         u, v = grid1d.full(1.0), grid1d.full(1.0)
         assert adapt_dt(u, v, grid1d, p, cfg, 1.0) == cfg.dt_min
@@ -171,7 +171,7 @@ class TestStep:
         # chi = a = b = 0: an eigenmode contracts by 1/(1 + dt*|lambda|)
         p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
         dt = 1e-3
-        cfg = StepperConfig(dt_init=dt, dt_max=dt)
+        cfg = StepperConfig(dt_max=dt)
         mode = grid1d.sample(lambda x: np.cos(np.pi * x))
         state = State(u=2.0 + mode, v=grid1d.full(2.0))
         lam = _neumann_eigenvalues(grid1d.cells[0], grid1d.h[0])[1]
@@ -231,7 +231,7 @@ class TestStep:
     def test_dt_collapse_reports_blowup(self, grid1d):
         p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
         state = State(u=grid1d.full(1.0), v=grid1d.zeros())
-        cfg = StepperConfig(dt_init=1e-6, dt_min=1e-6, dt_max=1e-2)
+        cfg = StepperConfig(dt_min=1e-6, dt_max=1e-2)
         # force endless violation by injecting an absurd dt with no room to halve
         _, outcome = step(state, p, grid1d, cfg, dt_override=2e-6, dt_cap=None, forcing=_NegativeForcing())
         assert outcome.status is StepStatus.BLOWUP_DETECTED
@@ -279,7 +279,7 @@ class TestRun:
     def test_equilibrium_flat_series(self, grid1d):
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
         state, ustar = equilibrium_state(p, grid1d)
-        cfg = StepperConfig(dt_init=1e-3, dt_max=1e-3)
+        cfg = StepperConfig(dt_max=1e-3)
         rec = Recorder(k_list=(2.0, 4.0), sample_interval=0.02)
         result = run(state, p, grid1d, cfg, 0.2, rec)
         assert result.termination is Termination.REACHED_T_END
@@ -292,7 +292,7 @@ class TestRun:
     def test_final_state_recorded_and_times_increase(self, grid1d):
         p = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
         state, _ = equilibrium_state(p, grid1d)
-        cfg = StepperConfig(dt_init=1e-3, dt_max=1e-3)
+        cfg = StepperConfig(dt_max=1e-3)
         rec = Recorder(k_list=(2.0,), sample_interval=0.05)
         result = run(state, p, grid1d, cfg, 0.1, rec)
         ts = result.series.t
@@ -312,7 +312,7 @@ class TestRun:
     def test_dt_collapse_cause(self, grid1d):
         p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
         state = State(u=grid1d.full(1.0), v=grid1d.zeros())
-        cfg = StepperConfig(dt_init=1e-6, dt_min=1e-6, dt_max=1e-5)
+        cfg = StepperConfig(dt_min=1e-6, dt_max=1e-5)
         rec = Recorder(k_list=(2.0,), sample_interval=0.1)
         result = run(state, p, grid1d, cfg, 1.0, rec, forcing=_NegativeForcing())
         assert result.termination is Termination.BLOWUP_DETECTED
@@ -368,7 +368,7 @@ class TestRun:
         x = grid1d.cell_centers()[0]
         u0 = np.exp(-((x - 0.5) ** 2) / (2 * 0.1**2))
         u0 *= 1.0 / integrate(u0, grid1d)
-        cfg = StepperConfig(dt_init=1e-4, dt_max=1e-4)
+        cfg = StepperConfig(dt_max=1e-4)
         rec = Recorder(k_list=(2.0,), sample_interval=0.02)
         result = run(State(u=u0, v=grid1d.zeros()), p, grid1d, cfg, 0.2, rec)
         mass = result.series.column("mass")

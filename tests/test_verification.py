@@ -69,7 +69,7 @@ class TestConvergenceStudy:
     def test_zero_forcing_equilibrium_machine_precision(self, params):
         grid = Grid(extent=(1.0,), cells=(32,))
         case = equilibrium_case(params, grid)
-        cfg = StepperConfig(dt_init=1e-3, dt_max=1e-3, cfl_safety=1.0)
+        cfg = StepperConfig(dt_max=1e-3, cfl_safety=1.0)
         result = run(
             case.initial_state(grid), params, grid, cfg, 0.5,
             Recorder(k_list=(2.0,), sample_interval=0.5), forcing=case.forcing,
@@ -113,7 +113,6 @@ ic.u_value = 1.0
 ic.v = equal_u
 run.t_end = 0.5
 run.sample_interval = 0.1
-stepper.dt_init = 1e-3
 stepper.dt_max = 1e-3
 """
         cfg = parse_config(text=text)
