@@ -103,9 +103,14 @@ def _cmd_run(args, extras: list[str]) -> int:
     return EXIT_OK
 
 
-def _frange(lo: float, hi: float, step: float) -> list[float]:
+def _frange(flag: str, lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... up to hi, from the --{flag}-min/-max/-step values."""
+    # argparse's float() accepts nan and inf, which no range can hold
+    for suffix, value in (("min", lo), ("max", hi), ("step", step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"finite value required, got {value}", key=f"--{flag}-{suffix}")
     if step <= 0:
-        raise ConfigError("step must be positive")
+        raise ConfigError("step must be positive", key=f"--{flag}-step")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [lo + i * step for i in range(max(count, 0))]
 
@@ -178,8 +183,8 @@ def _batches(points: list, workers: int, max_size: int) -> list[list]:
 def _cmd_sweep(args, extras: list[str]) -> int:
     try:
         overrides = _collect_overrides(extras)
-        alphas = _frange(args.alpha_min, args.alpha_max, args.alpha_step)
-        betas = _frange(args.beta_min, args.beta_max, args.beta_step)
+        alphas = _frange("alpha", args.alpha_min, args.alpha_max, args.alpha_step)
+        betas = _frange("beta", args.beta_min, args.beta_max, args.beta_step)
         if not alphas or not betas:
             raise ConfigError("empty sweep range")
         try:

@@ -56,19 +56,24 @@ def _flux_divergence(face_flux: np.ndarray, axis: int, h: float, out: np.ndarray
 
     ``face_flux`` holds the n-1 interior faces: face j is the right face of
     cell j and the left face of cell j+1.  The two boundary faces are
-    zero-flux and contribute nothing.
+    zero-flux and contribute nothing.  ``face_flux`` is divided in place,
+    so callers pass an array they own.
     """
-    flux = face_flux / h
+    face_flux /= h
     left_cells, right_cells = _face_slabs(out, axis)
-    left_cells += flux
-    right_cells -= flux
+    left_cells += face_flux
+    right_cells -= face_flux
 
 
 def _laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     out = np.zeros_like(f)
     for axis, h in zip(grid.field_axes, grid.h):
         f_l, f_r = _face_slabs(f, axis)
-        _flux_divergence((f_r - f_l) / h, axis, h, out)
+        gradient = f_r - f_l
+        gradient /= h
+        _flux_divergence(gradient, axis, h, out)
+        # freed before the next axis allocates its own
+        del gradient
     return out
 
 
@@ -81,13 +86,18 @@ def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> 
     out = np.zeros_like(u)
     for axis, h in zip(grid.field_axes, grid.h):
         v_l, v_r = _face_slabs(v, axis)
-        dv = (v_r - v_l) / h
+        dv = v_r - v_l
+        dv /= h
         u_l, u_r = _face_slabs(u, axis)
         if scheme == "upwind":
             u_face = np.where(dv > 0, u_l, u_r)
         else:
-            u_face = 0.5 * (u_l + u_r)
-        _flux_divergence(u_face * dv, axis, h, out)
+            u_face = u_l + u_r
+            u_face *= 0.5
+        u_face *= dv
+        _flux_divergence(u_face, axis, h, out)
+        # freed before the next axis allocates its own
+        del dv, u_face
     return out
 
 

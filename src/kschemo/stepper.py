@@ -5,7 +5,12 @@ One step of size dt from (u_n, v_n):
   (i)   explicit terms at t_n: E_u = -chi * div(u grad v) + nonlocal source
   (ii)  u_{n+1} solves (I - dt*L_h) u = u_n + dt*E_u          (implicit diffusion)
   (iii) tau=1: v_{n+1} solves ((1+dt) I - dt*L_h) v = v_n + dt*u_n
+              this rhs does not need u_{n+1}, so (ii) and (iii) are one
+              stacked solve over the u rows and the v rows of all members
+              (one transform pair, one gate), sigma = dt for u and
+              dt/(1+dt) for v
         tau=0: v_{n+1} solves (I - L_h) v = u_{n+1}           (stationary signal)
+              a second solve, since its rhs is the result of (ii)
   (iv)  audit: a non-finite or negative result halves dt and retries from
         the explicit stage of (i); a solve that fails its backward-error gate
         is a solver failure; a sup norm above the threshold is a blow-up
@@ -144,21 +149,32 @@ def _grid_eigenvalues(grid: Grid) -> np.ndarray:
 def _cosine_transform(x: np.ndarray, grid: Grid, inverse: bool = False) -> np.ndarray:
     """Orthonormal DCT-II (or its inverse) over the field axes of a batch.
 
-    In 1D the single-axis entry point gives the same bits as the n-axis one
-    and costs less to call, which matters for short fields.
+    The inverse transforms in place and consumes ``x``.  In 1D the
+    single-axis entry point gives the same bits as the n-axis one and costs
+    less to call, which matters for short fields.
     """
     if grid.dim == 1:
-        return (idct if inverse else dct)(x, type=2, norm="ortho", axis=-1)
-    return (idctn if inverse else dctn)(x, type=2, norm="ortho", axes=grid.field_axes)
+        return (idct if inverse else dct)(
+            x, type=2, norm="ortho", axis=-1, overwrite_x=inverse
+        )
+    return (idctn if inverse else dctn)(
+        x, type=2, norm="ortho", axes=grid.field_axes, overwrite_x=inverse
+    )
 
 
 def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma) -> np.ndarray:
-    """Solve (I - sigma*L_h) w = rhs for each member row of ``rhs``.
+    """Solve (I - sigma*L_h) w = rhs for each row of ``rhs``.
 
-    ``sigma`` is a scalar or a (B, 1, ...) column.
+    ``sigma`` is a scalar or a (R, 1, ...) column with one entry per row.
+    Rows are transformed, divided and clipped independently, so a row gets
+    the same bits whatever rows it is stacked with: under tau=1 the stepper
+    passes the u rows of all members followed by their v rows, under tau=0
+    the u rows and then, in a second call, the v rows.
     """
     spectral = _cosine_transform(rhs, grid)
-    spectral /= 1.0 - sigma * _grid_eigenvalues(grid)
+    denominator = sigma * _grid_eigenvalues(grid)
+    np.subtract(1.0, denominator, out=denominator)
+    spectral /= denominator
     w = _cosine_transform(spectral, grid, inverse=True)
     # (I - sigma*L_h)^-1 is entrywise nonnegative, so a negative entry in a
     # member whose rhs is nonnegative is transform rounding; clipping it
@@ -173,18 +189,25 @@ def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma) -> np.ndarray:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each member row."""
+    """Euclidean norm of each row."""
     flat = x.reshape(x.shape[0], -1)
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def _helmholtz_checked(rhs: np.ndarray, grid: Grid, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Solve each member row and return (w, backward error of each member).
+    """Solve each row as _helmholtz_core does; return (w, backward error of each row).
 
-    A non-finite row gets a meaningless error; callers test finiteness first.
+    Under tau=1 one call carries the u and the v rows of a step, and the
+    caller splits w and the errors at the member count.  A non-finite row
+    gets a meaningless error; callers test finiteness first.
     """
     w = _helmholtz_core(rhs, grid, sigma)
-    residual = w - sigma * _laplacian(w, grid) - rhs
+    # w - sigma*L_h w - rhs, built in the Laplacian's array: negating the
+    # product and adding w gives the same bits as subtracting the product
+    residual = _laplacian(w, grid)
+    residual *= -sigma
+    residual += w
+    residual -= rhs
     # normwise backward error: the rounding in sigma*L_h w grows like
     # eps * ||A|| * ||w||, so dividing by ||rhs|| alone fails fine grids
     # whose solves are exact to working precision
@@ -360,14 +383,20 @@ def _advance(
     axes = grid.field_axes
     count = len(params)
     source, integrals = _nonlocal_source(u, grid, params)
+    # the source's reductions are taken now so that its array can become
+    # the explicit stage or be freed before the solves
+    source_sum = source.sum(axis=axes).tolist()
+    source_max = np.abs(source).max(axis=axes).tolist()
     explicit = source
     if any(p.chi != 0.0 for p in params):
-        chi = _column([p.chi for p in params], grid.dim)
-        explicit = explicit - chi * _chemo_divergence(u, v, grid, cfg.face_scheme)
+        explicit = _chemo_divergence(u, v, grid, cfg.face_scheme)
+        explicit *= _column([p.chi for p in params], grid.dim)
+        np.subtract(source, explicit, out=explicit)
+    del source
     forcing_v = None
     if forcing is not None:
         # each member's forcing at its own time
-        explicit = explicit + _stack([forcing.u(t, grid) for t in ts])
+        explicit += _stack([forcing.u(t, grid) for t in ts])
         forcing_v = _stack([forcing.v(t, grid) for t in ts])
 
     if dt_override is not None:
@@ -378,23 +407,34 @@ def _advance(
         dts = [min(dt, cap) for dt, cap in zip(dts, dt_cap)]
 
     outcomes = [StepOutcome(StepStatus.ADVANCED, nonlocal_integral=i) for i in integrals]
+    stacked = params[0].tau == 1
     u_new = v_new = None
     rows = list(range(count))
     while rows:
-        whole = len(rows) == count
+        n = len(rows)
+        whole = n == count
         if whole:
             u_r, v_r, e_r, f_r = u, v, explicit, forcing_v
         else:
             u_r, v_r, e_r = u[rows], v[rows], explicit[rows]
             f_r = None if forcing_v is None else forcing_v[rows]
         dt = _column([dts[i] for i in rows], grid.dim)
-        cand_u, rel_u = _helmholtz_checked(u_r + dt * e_r, grid, dt)
-        if params[0].tau == 1:
-            rhs_v = v_r + dt * u_r
+        if stacked:
+            # rows [:n] are u + dt*E_u, rows [n:] are (v + dt*u [+ dt*f_v]) / (1+dt)
+            rhs = np.empty((2 * n,) + grid.shape)
+            rhs_u, rhs_v = rhs[:n], rhs[n:]
+            np.multiply(dt, e_r, out=rhs_u)
+            rhs_u += u_r
+            np.multiply(dt, u_r, out=rhs_v)
+            rhs_v += v_r
             if f_r is not None:
-                rhs_v = rhs_v + dt * f_r
-            cand_v, rel_v = _helmholtz_checked(rhs_v / (1.0 + dt), grid, dt / (1.0 + dt))
+                rhs_v += dt * f_r
+            shift = 1.0 + dt
+            rhs_v /= shift
+            w, rel = _helmholtz_checked(rhs, grid, np.concatenate([dt, dt / shift]))
+            cand_u, cand_v, rel_u, rel_v = w[:n], w[n:], rel[:n], rel[n:]
         else:
+            cand_u, rel_u = _helmholtz_checked(u_r + dt * e_r, grid, dt)
             rhs_v = cand_u if f_r is None else cand_u + f_r
             cand_v, rel_v = _helmholtz_checked(rhs_v, grid, 1.0)
         if whole:
@@ -408,8 +448,6 @@ def _advance(
     if accepted:
         cell_volume = grid.cell_volume
         mass = u_new.sum(axis=axes).tolist()
-        source_sum = source.sum(axis=axes).tolist()
-        source_max = np.abs(source).max(axis=axes).tolist()
         for i in accepted:
             outcomes[i].mass_new = cell_volume * mass[i]
             outcomes[i].source_integral = cell_volume * source_sum[i]

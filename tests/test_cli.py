@@ -172,6 +172,25 @@ class TestSweep:
         assert err.startswith("error: config: alpha >= 1")
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "flag", [f"--{p}-{s}" for p in ("alpha", "beta") for s in ("min", "max", "step")]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_range_flag_exit_2(self, tmp_path, capsys, flag, value):
+        values = {
+            "--alpha-min": "1", "--alpha-max": "2", "--alpha-step": "0.5",
+            "--beta-min": "1", "--beta-max": "2", "--beta-step": "0.5",
+        }
+        values[flag] = value
+        # "--flag=-inf": a bare "-inf" would parse as an option
+        argv = [f"{key}={text}" for key, text in values.items()]
+        out_dir = tmp_path / "s"
+        code, _, err = invoke(capsys, "sweep", *argv, "--n", "1", "--output", str(out_dir))
+        assert code == 2
+        assert err.startswith(f"error: config: {flag}: finite value required")
+        assert len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_simulate_without_envelope_exit_2_before_any_point(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
         code, _, err = invoke(

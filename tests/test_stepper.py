@@ -18,8 +18,9 @@ from kschemo import (
     run_batch,
     step,
 )
-from kschemo import stepper
+from kschemo import operators, stepper
 from kschemo.stepper import _neumann_eigenvalues
+from kschemo.verification import build_mms_case
 
 
 @pytest.fixture
@@ -115,6 +116,24 @@ class TestHelmholtz:
             for sigma in (1e-4, 1e-2, 1.0):
                 with pytest.raises(LinearSolverError):
                     helmholtz_solve(rhs, grid, sigma)
+
+    def test_gate_residual_matches_expression(self, grid1d, grid2d):
+        # the gate builds w - sigma*L_h w - rhs in the Laplacian's array; its
+        # backward error must carry the bits of the plain expression
+        odd = Grid(extent=(2.5,), cells=(37,))
+        for grid, seed in ((grid1d, 10), (grid2d, 11), (odd, 12)):
+            rng = np.random.default_rng(seed)
+            rhs = rng.standard_normal((3,) + grid.shape)
+            column = operators._column([1e-4, 2.3e-3, 1.0], grid.dim)
+            for sigma in (2.3e-3, 1.0, column):
+                kept = rhs.copy()
+                w, rel = stepper._helmholtz_checked(rhs, grid, sigma)
+                np.testing.assert_array_equal(rhs, kept)
+                residual = w - sigma * operators._laplacian(w, grid) - rhs
+                a_norm = 1.0 + 4.0 * np.ravel(sigma) * sum(1.0 / h**2 for h in grid.h)
+                scale = a_norm * stepper._row_norms(w) + stepper._row_norms(rhs)
+                expected = stepper._row_norms(residual) / np.maximum(scale, 1e-300)
+                assert rel.tolist() == expected.tolist()
 
     def test_rejects_bad_sigma(self, grid1d):
         with pytest.raises(ValueError):
@@ -263,6 +282,137 @@ class TestStep:
         _, outcome = step(state, p, grid, StepperConfig(max_retries=3), dt_override=1e-3)
         assert outcome.message == "retry cap of 3 reached"
         assert outcome.retries == 4
+
+
+def _two_solve_reference(u, v, ts, params, grid, cfg, dts, forcing=None):
+    """A tau=1 step as two _helmholtz_checked calls, u rows then v rows."""
+    source, _ = operators._nonlocal_source(u, grid, params)
+    explicit = source
+    if any(p.chi != 0.0 for p in params):
+        chi = operators._column([p.chi for p in params], grid.dim)
+        explicit = explicit - chi * operators._chemo_divergence(u, v, grid, cfg.face_scheme)
+    dt = operators._column(dts, grid.dim)
+    rhs_v = v + dt * u
+    if forcing is not None:
+        explicit = explicit + np.stack([forcing.u(t, grid) for t in ts])
+        rhs_v = rhs_v + dt * np.stack([forcing.v(t, grid) for t in ts])
+    w_u, rel_u = stepper._helmholtz_checked(u + dt * explicit, grid, dt)
+    w_v, rel_v = stepper._helmholtz_checked(rhs_v / (1.0 + dt), grid, dt / (1.0 + dt))
+    return w_u, w_v, rel_u, rel_v
+
+
+class _LateNegativeForcing:
+    """Drags u negative at dt = 1e-2 for members at t >= 1 only (test helper)."""
+
+    def u(self, t, grid):
+        return grid.full(-150.0 if t >= 1.0 else 0.0)
+
+    def v(self, t, grid):
+        return grid.zeros()
+
+
+class TestStackedSolve:
+    """tau=1 solves the u and v rows of every member in one call."""
+
+    POINTS = [
+        ModelParams(chi=5.0, a=1.0, b=1.0, alpha=1.5, beta=3.0),
+        ModelParams(chi=0.0, a=1.0, b=1.0, alpha=1.0, beta=1.0),
+        ModelParams(chi=2.0, a=2.0, b=0.5, alpha=2.0, beta=2.0),
+    ]
+
+    def batch(self, grid, count):
+        u = np.stack([_bump(grid, 2.0 + i, width=0.1) for i in range(count)])
+        v = np.stack([grid.sample(lambda *xs: 1.0 + 0.5 * np.cos(np.pi * xs[0]))] * count)
+        return u, v, self.POINTS[:count]
+
+    def test_matches_two_separate_solves(self, grid1d, grid2d):
+        cfg = StepperConfig()
+        caps = [1e-3, 4e-4, 2.5e-4]
+        for grid in (grid1d, grid2d):
+            cases = [
+                (*self.batch(grid, count), [0.0] * count, dt_cap, None)
+                for count, dt_cap in ((1, None), (3, None), (3, caps))
+            ]
+            # the manufactured case's forcing is exact for its own params,
+            # so its members start on the exact fields at their own times
+            mms_params = ModelParams(chi=0.25, a=1.0, b=1.0, alpha=1.5, beta=2.0)
+            mms = build_mms_case(mms_params, grid)
+            for count in (1, 3):
+                ts = [0.01 * i for i in range(count)]
+                u = np.stack([mms.u_exact(t, grid) for t in ts])
+                v = np.stack([mms.v_exact(t, grid) for t in ts])
+                cases.append((u, v, [mms_params] * count, ts, caps[:count], mms.forcing))
+            for u, v, params, ts, dt_cap, forcing in cases:
+                u_new, v_new, outcomes = stepper._advance(
+                    u, v, ts, params, grid, cfg, forcing, dt_cap
+                )
+                assert all(o.status is StepStatus.ADVANCED for o in outcomes)
+                dts = [o.dt for o in outcomes]
+                assert len(set(dts)) == len(dts)
+                w_u, w_v, rel_u, rel_v = _two_solve_reference(
+                    u, v, ts, params, grid, cfg, dts, forcing
+                )
+                np.testing.assert_array_equal(u_new, w_u)
+                np.testing.assert_array_equal(v_new, w_v)
+                assert [o.residual_u for o in outcomes] == rel_u.tolist()
+                assert [o.residual_v for o in outcomes] == rel_v.tolist()
+
+    def test_perturbed_v_row_fails_only_its_member(self, grid1d, grid2d, monkeypatch):
+        cfg = StepperConfig()
+        exact_core = stepper._helmholtz_core
+
+        def perturbed_core(rhs, grid, sigma):
+            # rows are the three u rows, then the three v rows: member 1's v is row 4
+            w = exact_core(rhs, grid, sigma)
+            w[4].flat[5] += 1e-6 * np.linalg.norm(w[4])
+            return w
+
+        for grid in (grid1d, grid2d):
+            u, v, params = self.batch(grid, 3)
+            clean_u, clean_v, clean = stepper._advance(u, v, [0.0] * 3, params, grid, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(stepper, "_helmholtz_core", perturbed_core)
+                u_new, v_new, outcomes = stepper._advance(u, v, [0.0] * 3, params, grid, cfg)
+            assert outcomes[1].status is StepStatus.SOLVER_FAILURE
+            assert outcomes[1].residual_v > cfg.linear_tol
+            assert outcomes[1].residual_u == clean[1].residual_u
+            for i in (0, 2):
+                assert outcomes[i].status is StepStatus.ADVANCED
+                assert outcomes[i] == clean[i]
+                np.testing.assert_array_equal(u_new[i], clean_u[i])
+                np.testing.assert_array_equal(v_new[i], clean_v[i])
+
+    def test_retry_resolves_only_the_failing_row_pair(self, grid1d, grid2d, monkeypatch):
+        p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
+        cfg = StepperConfig(dt_max=1e-2)
+        checked = stepper._helmholtz_checked
+        calls = []
+
+        def spy(rhs, grid, sigma):
+            calls.append((rhs.shape[0], np.ravel(sigma).tolist()))
+            return checked(rhs, grid, sigma)
+
+        monkeypatch.setattr(stepper, "_helmholtz_checked", spy)
+        for grid in (grid1d, grid2d):
+            u0 = grid.sample(lambda *xs: 1.0 + 0.1 * np.cos(np.pi * xs[0]))
+            u, v = np.stack([u0] * 3), np.stack([grid.zeros()] * 3)
+            # only member 1 sits at t >= 1, where the forcing drives u + dt*E_u
+            # below zero at dt = 1e-2 but not at 5e-3
+            ts, forcing = [0.0, 1.0, 0.0], _LateNegativeForcing()
+            calls.clear()
+            u_new, v_new, outcomes = stepper._advance(u, v, ts, [p] * 3, grid, cfg, forcing)
+            assert calls == [
+                (6, [1e-2] * 3 + [1e-2 / 1.01] * 3),
+                (2, [5e-3, 5e-3 / 1.005]),
+            ]
+            assert [o.status for o in outcomes] == [
+                StepStatus.ADVANCED, StepStatus.DT_REDUCED, StepStatus.ADVANCED,
+            ]
+            assert [o.retries for o in outcomes] == [0, 1, 0]
+            assert [o.dt for o in outcomes] == [1e-2, 5e-3, 1e-2]
+            solo_u, solo_v, _ = stepper._advance(u[1:2], v[1:2], [1.0], [p], grid, cfg, forcing)
+            np.testing.assert_array_equal(u_new[1], solo_u[0])
+            np.testing.assert_array_equal(v_new[1], solo_v[0])
 
 
 class _NegativeForcing:
