@@ -1,7 +1,7 @@
 """Does the discretization converge at its design order?
 
 A closed-form pair (u*, v*) is made an exact solution by appending
-symbolically derived forcings (the nonlocal integral is evaluated by
+forcings worked out by hand from it (the nonlocal integral is evaluated by
 Gauss-Legendre quadrature, far below scheme error).  Since the forcing
 never sees the mesh, halving h must cut the L2 error by the scheme's
 order: ~2 in space with central faces, ~1 in time for the IMEX Euler

@@ -37,6 +37,9 @@ EXIT_SOLVER = 4
 # size runs its points one at a time instead of multiplying memory by them
 _BATCH_CELLS = 512 * 512
 
+# points per sweep axis: a tiny --*-step must not build an enormous grid
+_MAX_RANGE_POINTS = 1000
+
 
 def _fail(code: int, kind: str, message: str) -> int:
     print(f"error: {kind}: {message}", file=sys.stderr)
@@ -111,7 +114,14 @@ def _frange(flag: str, lo: float, hi: float, step: float) -> list[float]:
             raise ConfigError(f"finite value required, got {value}", key=f"--{flag}-{suffix}")
     if step <= 0:
         raise ConfigError("step must be positive", key=f"--{flag}-step")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ConfigError(f"(max - min) / step overflows, got {span}", key=f"--{flag}-step")
+    count = int(math.floor(span + 1e-9)) + 1
+    if count > _MAX_RANGE_POINTS:
+        raise ConfigError(
+            f"{count} points exceed the limit of {_MAX_RANGE_POINTS}", key=f"--{flag}-step"
+        )
     return [lo + i * step for i in range(max(count, 0))]
 
 
@@ -256,25 +266,42 @@ def _cmd_sweep(args, extras: list[str]) -> int:
     return EXIT_OK
 
 
+def _mms_study(args) -> tuple[ModelParams, list[Grid], list[float]]:
+    """The study's params, grids and dts; ConfigError names a bad flag."""
+    for flag, value, holds, rule in (
+        ("levels", args.levels, args.levels >= 2, ">= 2"),
+        ("t-end", args.t_end, math.isfinite(args.t_end) and args.t_end > 0, "finite > 0"),
+        ("dt0", args.dt0, args.dt0 is None or (math.isfinite(args.dt0) and args.dt0 > 0),
+         "finite > 0"),
+    ):
+        if not holds:
+            raise ConfigError(f"{flag} {rule} required, got {value!r}", key=f"--{flag}")
+    try:
+        params = ModelParams(chi=args.chi, a=1.0, b=1.0, alpha=2.0, beta=2.0, tau=1)
+        if args.mode == "spatial":
+            cells = [args.cells0 * 2**i for i in range(args.levels)]
+            grids = [Grid(extent=(1.0,) * args.dim, cells=(n,) * args.dim) for n in cells]
+            h0 = 1.0 / args.cells0
+            dt0 = args.dt0 if args.dt0 is not None else h0**2 / 4.0
+            dts = [dt0 * (1.0 / n / h0) ** 2 for n in cells]
+        else:
+            grid = Grid(extent=(1.0,) * args.dim, cells=(args.cells,) * args.dim)
+            grids = [grid] * args.levels
+            dt0 = args.dt0 if args.dt0 is not None else 2e-3
+            dts = [dt0 / 2**i for i in range(args.levels)]
+    except FieldError as exc:
+        cells_flag = "--cells0" if args.mode == "spatial" else "--cells"
+        raise ConfigError(str(exc), key="--chi" if exc.field == "chi" else cells_flag) from None
+    return params, grids, dts
+
+
 def _cmd_mms(args) -> int:
-    params = ModelParams(
-        chi=args.chi, a=1.0, b=1.0, alpha=2.0, beta=2.0, tau=1
-    )
-    if args.mode == "spatial":
-        cells = [args.cells0 * 2**i for i in range(args.levels)]
-        grids = [
-            Grid(extent=(1.0,) * args.dim, cells=(n,) * args.dim) for n in cells
-        ]
-        h0 = 1.0 / args.cells0
-        dt0 = args.dt0 if args.dt0 is not None else h0**2 / 4.0
-        dts = [dt0 * (1.0 / n / h0) ** 2 for n in cells]
-    else:
-        grid = Grid(extent=(1.0,) * args.dim, cells=(args.cells,) * args.dim)
-        grids = [grid] * args.levels
-        dt0 = args.dt0 if args.dt0 is not None else 2e-3
-        dts = [dt0 / 2**i for i in range(args.levels)]
+    params, grids, dts = _mms_study(args)
     case = build_mms_case(params, grids[0])
-    table = convergence_study(case, grids, dts, args.t_end, face_scheme="central")
+    try:
+        table = convergence_study(case, grids, dts, args.t_end, face_scheme="central")
+    except RuntimeError as exc:  # a level left the fixed-dt study
+        return _fail(EXIT_SOLVER, "solver-failure", str(exc))
     table.to_csv(args.output)
     for r in table.rows:
         ou = "-" if r.order_u is None else f"{r.order_u:.3f}"

@@ -2,20 +2,21 @@
 
 A manufactured case starts from closed-form targets (u*, v*) and appends
 forcing fields to both equations so the pair solves the forced system
-exactly.  The forcings are derived symbolically from the closed forms and
-the nonlocal integral of u*^beta is evaluated by composite Gauss-Legendre
-quadrature (8 panels x 8 nodes per axis), so nothing in the forcing depends
-on the discretization under test: halving h must shrink the error at the
-scheme's order, which is the whole point of the harness.
+exactly.  The forcings are written out by hand from the closed forms (a
+test rederives them symbolically), and the nonlocal integral of u*^beta is
+evaluated by composite Gauss-Legendre quadrature (8 panels x 8 nodes per
+axis), so nothing in the forcing depends on the discretization under test:
+halving h must shrink the error at the scheme's order, which is the whole
+point of the harness.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import sympy as sp
 
 from .grid import Grid, State, lp_norm_pow
 from .observables import ObservableSeries
@@ -24,6 +25,9 @@ from .stepper import Recorder, RunResult, StepperConfig, Termination, run
 
 GL_PANELS = 8
 GL_ORDER = 8
+
+# a field of a manufactured case: (t, grid) -> values on the cell centers
+Field = Callable[[float, Grid], np.ndarray]
 
 
 def _axis_quadrature(extent: float) -> tuple[np.ndarray, np.ndarray]:
@@ -36,26 +40,25 @@ def _axis_quadrature(extent: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(xs), np.concatenate(ws)
 
 
-class _ExactField:
-    """Lambdified closed form evaluated on cell centers of any grid."""
-
-    def __init__(self, fn: Callable):
-        self._fn = fn
-
-    def __call__(self, t: float, grid: Grid) -> np.ndarray:
-        coords = grid.cell_centers()
-        out = np.asarray(self._fn(*coords, t), dtype=float)
-        if out.shape != grid.shape:  # constant expressions collapse to scalars
-            out = np.full(grid.shape, float(out))
-        return out
+def _cosine_shape(
+    extent: Sequence[float], coords: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """C = prod_i cos(pi x_i / L_i) and |grad C|^2 at the coordinate arrays."""
+    cos = [np.cos(math.pi * x / L) for x, L in zip(coords, extent)]
+    shape = math.prod(cos)
+    grad2 = 0.0
+    for i, (x, L) in enumerate(zip(coords, extent)):
+        others = math.prod(c for j, c in enumerate(cos) if j != i)
+        grad2 = grad2 + (math.pi / L * np.sin(math.pi * x / L) * others) ** 2
+    return shape, grad2
 
 
 @dataclass
 class Forcing:
     """Forcing fields appended to the two equations, evaluated per step."""
 
-    u_fn: Callable[[float, Grid], np.ndarray]
-    v_fn: Callable[[float, Grid], np.ndarray]
+    u_fn: Field
+    v_fn: Field
 
     def u(self, t: float, grid: Grid) -> np.ndarray:
         return self.u_fn(t, grid)
@@ -68,8 +71,8 @@ class Forcing:
 class ManufacturedCase:
     params: ModelParams
     extent: tuple[float, ...]
-    u_exact: _ExactField
-    v_exact: _ExactField
+    u_exact: Field
+    v_exact: Field
     forcing: Forcing
     description: str = ""
 
@@ -77,118 +80,84 @@ class ManufacturedCase:
         return State(u=self.u_exact(0.0, grid), v=self.v_exact(0.0, grid))
 
 
-def case_from_closed_forms(
-    params: ModelParams,
-    extent: Sequence[float],
-    u_expr: sp.Expr,
-    v_expr: sp.Expr,
-    symbols: Sequence[sp.Symbol],
-    description: str = "",
-) -> ManufacturedCase:
-    """Derive forcings so (u_expr, v_expr) solves the forced system exactly.
+def build_mms_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
+    """Default smooth case: decaying cosine bumps over a constant floor.
 
-    ``symbols`` lists the space symbols then the time symbol, matching the
-    grid dimension.  u_expr must stay positive so fractional powers remain
-    smooth; the caller owns Neumann compatibility of the closed forms.
+    u* = 2 + C e^{-t},  v* = 2 + C e^{-t} / 2,  C = prod_i cos(pi x_i / L_i)
+    over the extent of ``grid``.  Both satisfy zero normal derivative at the
+    box faces and keep u* >= 1.  With k2 = pi^2 sum_i 1/L_i^2, Delta C = -k2 C
+    and div(u* grad v*) = e^{-2t} |grad C|^2 / 2 - k2 e^{-t} u* C / 2, so
+
+        f_u = (k2 - 1 - chi k2) e^{-t} C + chi e^{-2t} (|grad C|^2 - k2 C^2) / 2
+              + (b I(t) - a) u*^alpha
+        f_v = (k2 - tau - 1) e^{-t} C / 2
+
+    with I(t) the quadrature of u*^beta.  C and |grad C|^2 - k2 C^2 are
+    computed once per grid the case is evaluated on, C at the quadrature
+    nodes once.
     """
-    extent = tuple(float(L) for L in extent)
-    *space, t_sym = symbols
-    if len(space) != len(extent):
-        raise ValueError("symbol count does not match extent dimension")
-    dim = len(space)
-
-    lap_u = sum(sp.diff(u_expr, s, 2) for s in space)
-    lap_v = sum(sp.diff(v_expr, s, 2) for s in space)
-    chemo = sum(sp.diff(u_expr * sp.diff(v_expr, s), s) for s in space)
-
-    # everything except the nonlocal piece, which needs the quadrature below
-    f_u_local = (
-        sp.diff(u_expr, t_sym)
-        - lap_u
-        + params.chi * chemo
-        - params.a * u_expr**params.alpha
-    )
-    f_v_expr = params.tau * sp.diff(v_expr, t_sym) - lap_v + v_expr - u_expr
-
-    args = (*space, t_sym)
-    f_u_fn = sp.lambdify(args, f_u_local, modules="numpy")
-    f_v_fn = sp.lambdify(args, f_v_expr, modules="numpy")
-    u_alpha_fn = sp.lambdify(args, u_expr**params.alpha, modules="numpy")
-    u_beta_fn = sp.lambdify(args, u_expr**params.beta, modules="numpy")
-    u_fn = sp.lambdify(args, u_expr, modules="numpy")
-    v_fn = sp.lambdify(args, v_expr, modules="numpy")
-
+    p, extent = params, grid.extent
+    k2 = sum((math.pi / L) ** 2 for L in extent)
     axes = [_axis_quadrature(L) for L in extent]
-    if dim == 1:
-        q_nodes = (axes[0][0],)
-        q_weights = axes[0][1]
-    else:
-        X, Y = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
-        q_nodes = (X, Y)
-        q_weights = np.outer(axes[0][1], axes[1][1])
+    q_nodes = [x.ravel() for x in np.meshgrid(*(x for x, _ in axes), indexing="ij")]
+    q_weights = math.prod(np.ix_(*(w for _, w in axes))).ravel()
+    q_shape = _cosine_shape(extent, q_nodes)[0]
+    shapes: dict[Grid, tuple[np.ndarray, np.ndarray]] = {}
 
-    def nonlocal_integral(t: float) -> float:
-        return float(np.sum(q_weights * u_beta_fn(*q_nodes, t)))
+    def shape(g: Grid) -> tuple[np.ndarray, np.ndarray]:
+        if g not in shapes:
+            if g.dim != len(extent):
+                raise ValueError(f"{g.dim}D grid for a {len(extent)}D case")
+            c, grad2 = _cosine_shape(extent, g.cell_centers())
+            shapes[g] = c, grad2 - k2 * c * c
+        return shapes[g]
 
-    def forcing_u(t: float, grid: Grid) -> np.ndarray:
-        coords = grid.cell_centers()
-        local = np.asarray(f_u_fn(*coords, t), dtype=float)
-        u_alpha = np.asarray(u_alpha_fn(*coords, t), dtype=float)
-        out = local + params.b * u_alpha * nonlocal_integral(t)
-        if out.shape != grid.shape:
-            out = np.full(grid.shape, float(out))
-        return out
+    def u_exact(t: float, g: Grid) -> np.ndarray:
+        return 2.0 + shape(g)[0] * math.exp(-t)
 
-    def forcing_v(t: float, grid: Grid) -> np.ndarray:
-        out = np.asarray(f_v_fn(*grid.cell_centers(), t), dtype=float)
-        if out.shape != grid.shape:
-            out = np.full(grid.shape, float(out))
-        return out
+    def v_exact(t: float, g: Grid) -> np.ndarray:
+        return 2.0 + shape(g)[0] * (0.5 * math.exp(-t))
+
+    def forcing_u(t: float, g: Grid) -> np.ndarray:
+        c, chemo_shape = shape(g)
+        e = math.exp(-t)
+        integral = float(q_weights @ (2.0 + q_shape * e) ** p.beta)
+        return (
+            ((k2 - 1.0 - p.chi * k2) * e) * c
+            + (0.5 * p.chi * e * e) * chemo_shape
+            + (p.b * integral - p.a) * (2.0 + c * e) ** p.alpha
+        )
+
+    def forcing_v(t: float, g: Grid) -> np.ndarray:
+        return (0.5 * (k2 - p.tau - 1.0) * math.exp(-t)) * shape(g)[0]
 
     return ManufacturedCase(
         params=params,
         extent=extent,
-        u_exact=_ExactField(u_fn),
-        v_exact=_ExactField(v_fn),
+        u_exact=u_exact,
+        v_exact=v_exact,
         forcing=Forcing(u_fn=forcing_u, v_fn=forcing_v),
-        description=description,
-    )
-
-
-def build_mms_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
-    """Default smooth case: decaying cosine bumps over a constant floor.
-
-    u* = 2 + cos(pi x / Lx) e^{-t},  v* = 2 + 0.5 cos(pi x / Lx) e^{-t},
-    tensorized with cos(pi y / Ly) in 2D.  Both satisfy zero normal
-    derivative at the box faces and keep u* >= 1.
-    """
-    t = sp.Symbol("t")
-    if grid.dim == 1:
-        x = sp.Symbol("x")
-        shape = sp.cos(sp.pi * x / grid.extent[0])
-        symbols = (x, t)
-    else:
-        x, y = sp.symbols("x y")
-        shape = sp.cos(sp.pi * x / grid.extent[0]) * sp.cos(sp.pi * y / grid.extent[1])
-        symbols = (x, y, t)
-    u_expr = 2 + shape * sp.exp(-t)
-    v_expr = 2 + shape * sp.exp(-t) / 2
-    return case_from_closed_forms(
-        params, grid.extent, u_expr, v_expr, symbols, description="trig-decay"
+        description="trig-decay",
     )
 
 
 def equilibrium_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
-    """Spatially homogeneous steady state; forcings vanish analytically."""
+    """Spatially homogeneous steady state c with b c^beta |Omega| = a; zero forcing."""
     c = (params.a / (params.b * grid.measure)) ** (1.0 / params.beta)
-    t = sp.Symbol("t")
-    if grid.dim == 1:
-        symbols = (sp.Symbol("x"), t)
-    else:
-        symbols = (*sp.symbols("x y"), t)
-    c_expr = sp.Float(c, 30)
-    return case_from_closed_forms(
-        params, grid.extent, c_expr, c_expr, symbols, description="equilibrium"
+
+    def constant(t: float, g: Grid) -> np.ndarray:
+        return g.full(c)
+
+    def zero(t: float, g: Grid) -> np.ndarray:
+        return g.zeros()
+
+    return ManufacturedCase(
+        params=params,
+        extent=grid.extent,
+        u_exact=constant,
+        v_exact=constant,
+        forcing=Forcing(u_fn=zero, v_fn=zero),
+        description="equilibrium",
     )
 
 
@@ -286,7 +255,8 @@ def semidiscrete_residual(case: ManufacturedCase, grid: Grid, t: float = 0.0) ->
     """Sup norm of d/dt u* - RHS_h(u*, v*) - f_u on exact samples.
 
     Refining the grid must shrink this at the stencil's order; it is the
-    spot check that the symbolic forcings match the discrete operators.
+    spot check that the hand-written forcings are consistent with the
+    discrete operators they drive.
     """
     from .operators import chemo_divergence, laplacian, nonlocal_source
 

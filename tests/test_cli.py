@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +193,28 @@ class TestSweep:
         assert len(err.splitlines()) == 1
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("axis", ["alpha", "beta"])
+    @pytest.mark.parametrize(
+        "lo, hi, step, message",
+        [
+            ("-1e308", "1e308", "1", "(max - min) / step overflows"),
+            ("1", "2", "1e-9", "1000000000 points exceed the limit of 1000"),
+        ],
+    )
+    def test_unbounded_range_exit_2(self, tmp_path, capsys, axis, lo, hi, step, message):
+        values = {
+            "--alpha-min": "1", "--alpha-max": "2", "--alpha-step": "0.5",
+            "--beta-min": "1", "--beta-max": "2", "--beta-step": "0.5",
+        }
+        values.update({f"--{axis}-min": lo, f"--{axis}-max": hi, f"--{axis}-step": step})
+        argv = [f"{key}={text}" for key, text in values.items()]
+        out_dir = tmp_path / "s"
+        code, _, err = invoke(capsys, "sweep", *argv, "--n", "1", "--output", str(out_dir))
+        assert code == 2
+        assert err.startswith(f"error: config: --{axis}-step: {message}")
+        assert len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_simulate_without_envelope_exit_2_before_any_point(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
         code, _, err = invoke(
@@ -339,6 +363,52 @@ class TestMms:
         assert code == 0
         assert out.exists()
         assert "order_u" in stdout
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--levels", "1"], "--levels"),
+            (["--cells0", "0"], "--cells0"),
+            (["--mode", "temporal", "--cells", "3"], "--cells"),
+            (["--chi", "nan"], "--chi"),
+            (["--t-end", "0"], "--t-end"),
+            (["--dt0=-1"], "--dt0"),
+        ],
+    )
+    def test_bad_input_exit_2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "mms.csv"
+        code, _, err = invoke(
+            capsys, "mms", "--levels", "2", "--cells0", "16", *argv, "--output", str(out),
+        )
+        assert code == 2
+        assert err.startswith(f"error: config: {flag}: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_adaptive_dt_engaged_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "mms.csv"
+        code, _, err = invoke(
+            capsys, "mms", "--levels", "2", "--cells0", "16", "--chi", "50",
+            "--dt0", "0.01", "--output", str(out),
+        )
+        assert code == 4
+        assert err.startswith("error: solver-failure: level 0: adaptive dt engaged")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+def test_cli_import_leaves_sympy_out():
+    import kschemo
+
+    src = os.path.dirname(os.path.dirname(kschemo.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, kschemo.cli; print(sorted({'sympy', 'mpmath'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestBoundCheck:

@@ -13,6 +13,80 @@ from kschemo.verification import (
 )
 
 
+class RandomPoints(Grid):
+    """A grid whose "cell centers" are seeded uniform random points of the box."""
+
+    def cell_centers(self):
+        rng = np.random.default_rng(7)
+        return tuple(rng.uniform(0.0, L, self.shape) for L in self.extent)
+
+
+def symbolic_case(params, extent, closed_form):
+    """Exact fields and forcings of ``closed_form`` derived with sympy.
+
+    ``closed_form(sp, space, t)`` returns the (u*, v*) expressions.  Each
+    returned function maps (coords, t) to (values, scale): scale is the
+    largest magnitude among the terms summed, so a forcing that cancels to
+    zero is compared against the size of what cancels.  The nonlocal
+    integral of u*^beta is taken by adaptive quadrature, independently of
+    the harness's Gauss-Legendre rule.
+    """
+    import sympy as sp
+    from scipy.integrate import nquad
+
+    p = params
+    space = sp.symbols(f"x0:{len(extent)}")
+    t = sp.Symbol("t")
+    u, v = closed_form(sp, space, t)
+    args = (*space, t)
+
+    def lap(f):
+        return sum(sp.diff(f, s, 2) for s in space)
+
+    chemo = sum(sp.diff(u * sp.diff(v, s), s) for s in space)
+    f_u_local = sp.diff(u, t) - lap(u) + p.chi * chemo - p.a * u**p.alpha
+    f_v = p.tau * sp.diff(v, t) - lap(v) + v - u
+    fns = [sp.lambdify(args, e, "numpy") for e in (u, v, f_u_local, f_v, u**p.alpha)]
+    u_fn, v_fn, local_fn, f_v_fn, u_alpha_fn = fns
+    u_beta_fn = sp.lambdify(args, u**p.beta, "math")
+
+    def on(fn, coords, t_val):
+        return np.broadcast_to(np.asarray(fn(*coords, t_val), dtype=float), coords[0].shape)
+
+    def plain(fn):
+        def evaluate(coords, t_val):
+            values = on(fn, coords, t_val)
+            return values, float(np.max(np.abs(values)))
+        return evaluate
+
+    def forcing_u(coords, t_val):
+        integral, _ = nquad(
+            u_beta_fn, [(0.0, L) for L in extent], args=(t_val,),
+            opts={"epsabs": 0.0, "epsrel": 1e-13},
+        )
+        local = on(local_fn, coords, t_val)
+        nonlocal_ = p.b * on(u_alpha_fn, coords, t_val) * integral
+        scale = max(np.max(np.abs(local)), np.max(np.abs(nonlocal_)))
+        return local + nonlocal_, float(scale)
+
+    return plain(u_fn), plain(v_fn), forcing_u, plain(f_v_fn)
+
+
+def trig_decay(extent):
+    def closed_form(sp, space, t):
+        shape = sp.Mul(*(sp.cos(sp.pi * x / L) for x, L in zip(space, extent)))
+        return 2 + shape * sp.exp(-t), 2 + shape * sp.exp(-t) / 2
+
+    return closed_form
+
+
+def constant(c):
+    def closed_form(sp, space, t):
+        return sp.Float(c, 30), sp.Float(c, 30)
+
+    return closed_form
+
+
 @pytest.fixture(scope="module")
 def params():
     return ModelParams(chi=0.25, a=1.0, b=1.0, alpha=2.0, beta=2.0, tau=1)
@@ -44,12 +118,43 @@ class TestManufacturedCase:
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.15)
         assert res[1] / res[2] == pytest.approx(4.0, rel=0.15)
 
+    def test_grid_of_other_dimension_rejected(self, params):
+        case = build_mms_case(params, Grid(extent=(1.0,), cells=(16,)))
+        with pytest.raises(ValueError, match="2D grid for a 1D case"):
+            case.forcing.u(0.0, Grid(extent=(1.0, 1.0), cells=(8, 8)))
+
     def test_2d_case_builds(self, params):
         grid = Grid(extent=(1.0, 1.0), cells=(16, 16))
         case = build_mms_case(params, grid)
         assert case.u_exact(0.0, grid).shape == grid.shape
         r = semidiscrete_residual(case, grid, t=0.1)
         assert np.isfinite(r)
+
+
+class TestHandForcingsMatchSymbolic:
+    @pytest.mark.parametrize("tau", [0, 1])
+    @pytest.mark.parametrize("extent", [(1.7,), (1.3, 0.8)])
+    @pytest.mark.parametrize("which", ["trig-decay", "equilibrium"])
+    def test_fields_and_forcings_at_random_points(self, which, extent, tau):
+        params = ModelParams(chi=0.7, a=1.3, b=0.6, alpha=1.5, beta=2.5, tau=tau)
+        points = RandomPoints(extent=extent, cells=(40,) if len(extent) == 1 else (9, 7))
+        if which == "trig-decay":
+            case = build_mms_case(params, Grid(extent=extent, cells=(4,) * len(extent)))
+            closed_form = trig_decay(extent)
+        else:
+            case = equilibrium_case(params, Grid(extent=extent, cells=(4,) * len(extent)))
+            c = (params.a / (params.b * np.prod(extent))) ** (1.0 / params.beta)
+            closed_form = constant(c)
+        assert case.description == which
+        references = symbolic_case(params, extent, closed_form)
+        hands = (case.u_exact, case.v_exact, case.forcing.u, case.forcing.v)
+        coords = points.cell_centers()
+        for t in np.random.default_rng(11).uniform(0.0, 3.0, 3):
+            for hand, reference in zip(hands, references):
+                expected, scale = reference(coords, t)
+                got = hand(t, points)
+                assert got.shape == points.shape
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * scale)
 
 
 class TestConvergenceStudy:
