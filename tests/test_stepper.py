@@ -1,3 +1,8 @@
+import math
+import multiprocessing
+import threading
+from concurrent.futures import ProcessPoolExecutor, TimeoutError
+
 import numpy as np
 import pytest
 
@@ -31,6 +36,25 @@ def grid1d():
 @pytest.fixture
 def grid2d():
     return Grid(extent=(1.0, 1.0), cells=(24, 24))
+
+
+def _threaded_grid():
+    """The smallest square 2D grid whose single-row half reaches _THREAD_CELLS."""
+    side = math.isqrt(stepper._THREAD_CELLS - 1) + 1
+    return Grid(extent=(1.0, 1.0), cells=(side, side))
+
+
+def _record_solve_threads(monkeypatch):
+    """Allow the threaded halves on any machine; collect the thread of each checked solve."""
+    monkeypatch.setattr(stepper, "_usable_cpus", lambda: 2)
+    checked, threads = stepper._helmholtz_checked, set()
+
+    def spy(rhs, grid, sigma):
+        threads.add(threading.get_ident())
+        return checked(rhs, grid, sigma)
+
+    monkeypatch.setattr(stepper, "_helmholtz_checked", spy)
+    return threads
 
 
 def equilibrium_state(params, grid):
@@ -134,6 +158,17 @@ class TestHelmholtz:
                 scale = a_norm * stepper._row_norms(w) + stepper._row_norms(rhs)
                 expected = stepper._row_norms(residual) / np.maximum(scale, 1e-300)
                 assert rel.tolist() == expected.tolist()
+
+    def test_row_error_independent_of_batch(self):
+        # a row's backward error is the one it gets alone, at row lengths
+        # where a shape-dependent reduction would chunk differently
+        grid = Grid(extent=(1.0, 1.0), cells=(128, 128))
+        rhs = np.random.default_rng(14).random((3,) + grid.shape)
+        sigma = operators._column([1e-4, 2.3e-3, 1.0], grid.dim)
+        _, rel = stepper._helmholtz_checked(rhs, grid, sigma)
+        for i in range(3):
+            _, alone = stepper._helmholtz_checked(rhs[i : i + 1], grid, sigma[i : i + 1])
+            assert alone.tolist() == [rel[i]]
 
     def test_rejects_bad_sigma(self, grid1d):
         with pytest.raises(ValueError):
@@ -325,10 +360,12 @@ class TestStackedSolve:
         v = np.stack([grid.sample(lambda *xs: 1.0 + 0.5 * np.cos(np.pi * xs[0]))] * count)
         return u, v, self.POINTS[:count]
 
-    def test_matches_two_separate_solves(self, grid1d, grid2d):
+    def test_matches_two_separate_solves(self, grid1d, grid2d, monkeypatch):
         cfg = StepperConfig()
         caps = [1e-3, 4e-4, 2.5e-4]
-        for grid in (grid1d, grid2d):
+        threads = _record_solve_threads(monkeypatch)
+        large = _threaded_grid()
+        for grid in (grid1d, grid2d, large):
             cases = [
                 (*self.batch(grid, count), [0.0] * count, dt_cap, None)
                 for count, dt_cap in ((1, None), (3, None), (3, caps))
@@ -343,9 +380,12 @@ class TestStackedSolve:
                 v = np.stack([mms.v_exact(t, grid) for t in ts])
                 cases.append((u, v, [mms_params] * count, ts, caps[:count], mms.forcing))
             for u, v, params, ts, dt_cap, forcing in cases:
+                threads.clear()
                 u_new, v_new, outcomes = stepper._advance(
                     u, v, ts, params, grid, cfg, forcing, dt_cap
                 )
+                # above _THREAD_CELLS the u half is solved on the helper thread
+                assert len(threads) == (2 if grid is large else 1)
                 assert all(o.status is StepStatus.ADVANCED for o in outcomes)
                 dts = [o.dt for o in outcomes]
                 assert len(set(dts)) == len(dts)
@@ -356,6 +396,15 @@ class TestStackedSolve:
                 np.testing.assert_array_equal(v_new, w_v)
                 assert [o.residual_u for o in outcomes] == rel_u.tolist()
                 assert [o.residual_v for o in outcomes] == rel_v.tolist()
+                if grid is large:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(stepper, "_THREAD_CELLS", math.inf)
+                        serial_u, serial_v, serial = stepper._advance(
+                            u, v, ts, params, grid, cfg, forcing, dt_cap
+                        )
+                    np.testing.assert_array_equal(u_new, serial_u)
+                    np.testing.assert_array_equal(v_new, serial_v)
+                    assert outcomes == serial
 
     def test_perturbed_v_row_fails_only_its_member(self, grid1d, grid2d, monkeypatch):
         cfg = StepperConfig()
@@ -524,6 +573,34 @@ class TestRun:
         mass = result.series.column("mass")
         assert np.max(np.abs(mass - mass[0])) <= 1e-10 * mass[0]
 
+    def test_threaded_halves_match_serial_run(self, monkeypatch):
+        grid = _threaded_grid()
+        p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+        initial = State(u=_bump(grid, 8.0, width=0.1), v=grid.zeros())
+        cfg = StepperConfig(dt_max=5e-4)
+        rec = Recorder(k_list=(2.0, 4.0), sample_interval=1e-3)
+        threads = _record_solve_threads(monkeypatch)
+        threaded = run(initial, p, grid, cfg, 2e-3, rec)
+        assert len(threads) == 2
+        monkeypatch.setattr(stepper, "_THREAD_CELLS", math.inf)
+        serial = run(initial, p, grid, cfg, 2e-3, rec)
+        assert threaded.diagnostics.steps > 1
+        assert threaded.series.rows == serial.series.rows
+        assert threaded.diagnostics == serial.diagnostics
+        np.testing.assert_array_equal(threaded.state.u, serial.state.u)
+        np.testing.assert_array_equal(threaded.state.v, serial.state.v)
+
+    def test_1d_run_starts_no_thread(self, monkeypatch):
+        grid = Grid(extent=(1.0,), cells=(256,))
+        monkeypatch.setattr(stepper, "_helper", None)
+        before = threading.active_count()
+        p = ModelParams(chi=10.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
+        initial = State(u=_bump(grid, 8.0), v=grid.zeros())
+        result = run(initial, p, grid, StepperConfig(), 0.05, Recorder(k_list=(2.0,)))
+        assert result.termination is Termination.REACHED_T_END
+        assert stepper._helper is None
+        assert threading.active_count() <= before
+
 
 def _bump(grid, mass, width=0.05):
     u0 = grid.sample(lambda *xs: np.exp(-sum((x - 0.5) ** 2 for x in xs) / (2 * width**2)))
@@ -603,3 +680,39 @@ class TestRunBatch:
             run_batch([state, state], [p, q], grid1d, StepperConfig(), 0.1, self.REC)
         with pytest.raises(ValueError):
             run_batch([state], [p, p], grid1d, StepperConfig(), 0.1, self.REC)
+
+
+def _advance_in_child(u, v, params, grid):
+    with np.errstate(**stepper._QUIET):
+        u_new, v_new, _ = stepper._advance(u, v, [0.0], [params], grid, StepperConfig())
+    return u_new, v_new, stepper._helper is not None
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_forked_child_steps_after_threaded_parent(monkeypatch):
+    # the child inherits the parent's helper executor but not its thread;
+    # a solve queued there would never run
+    threads = _record_solve_threads(monkeypatch)
+    grid = _threaded_grid()
+    p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+    u, v = _bump(grid, 8.0, width=0.1)[None], grid.zeros()[None]
+    with np.errstate(**stepper._QUIET):
+        u_new, v_new, (outcome,) = stepper._advance(u, v, [0.0], [p], grid, StepperConfig())
+    assert outcome.status is StepStatus.ADVANCED
+    assert len(threads) == 2
+    pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        future = pool.submit(_advance_in_child, u, v, p, grid)
+        try:
+            child_u, child_v, child_started_helper = future.result(timeout=60)
+        except TimeoutError:
+            for proc in list(pool._processes.values()):
+                proc.kill()
+            raise
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+    assert child_started_helper
+    np.testing.assert_array_equal(child_u, u_new)
+    np.testing.assert_array_equal(child_v, v_new)
