@@ -110,6 +110,10 @@ def _require_finite(values: np.ndarray, name: str = "field") -> np.ndarray:
     return arr
 
 
+# default depth below zero that a field may dip to and still count as nonnegative
+_POSITIVITY_TOL = 1e-12
+
+
 def _require_nonnegative(arr: np.ndarray, name: str, positivity_tol: float) -> None:
     lo = float(arr.min())
     if lo < -positivity_tol:
@@ -153,7 +157,7 @@ class State:
     step_index: int = 0
     dt_last: float = 0.0
 
-    def validate(self, grid: Grid, positivity_tol: float = 1e-12) -> None:
+    def validate(self, grid: Grid, positivity_tol: float = _POSITIVITY_TOL) -> None:
         for name, f in (("u", self.u), ("v", self.v)):
             arr = _require_finite(f, name)
             if arr.shape != grid.shape:

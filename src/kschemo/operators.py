@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, _require_finite, _require_nonnegative
+from .grid import _POSITIVITY_TOL, Grid, _require_finite, _require_nonnegative
 from .params import ModelParams
 
 FACE_SCHEMES = ("upwind", "central")
@@ -106,7 +106,7 @@ def chemo_divergence(
     v: np.ndarray,
     grid: Grid,
     scheme: str = "upwind",
-    positivity_tol: float = 1e-12,
+    positivity_tol: float = _POSITIVITY_TOL,
 ) -> np.ndarray:
     """Flux-form div(u * grad(v)); face value of u upwinded on sign(v_R - v_L).
 
@@ -140,7 +140,7 @@ def nonlocal_source(
     u: np.ndarray,
     grid: Grid,
     params: ModelParams,
-    positivity_tol: float = 1e-12,
+    positivity_tol: float = _POSITIVITY_TOL,
 ) -> tuple[np.ndarray, float]:
     """Reaction field a*u^alpha - b*u^alpha * I with I = int(u^beta).
 

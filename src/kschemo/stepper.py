@@ -11,7 +11,8 @@ One step of size dt from (u_n, v_n):
               one stacked call (one transform pair, one gate); when a half
               holds at least _THREAD_CELLS cells and more than one CPU is
               usable, the u half is solved and gated on a helper thread
-              while the calling thread does the v half
+              that lives for that one solve while the calling thread does
+              the v half; the stepper keeps no process-wide state
         tau=0: v_{n+1} solves (I - L_h) v = u_{n+1}           (stationary signal)
               a second solve, since its rhs is the result of (ii)
   (iv)  audit: a non-finite or negative result halves dt and retries from
@@ -44,7 +45,6 @@ import enum
 import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.fft import dct, dctn, idct, idctn
 
-from .grid import Grid, State, _require_finite, integrate
+from .grid import _POSITIVITY_TOL, Grid, State, _require_finite, integrate
 from .observables import ObservableError, ObservableSeries, record
 from .operators import (
     FACE_SCHEMES,
@@ -66,11 +66,13 @@ from .params import ModelParams, require
 _EPS_RATE = 1e-30
 
 # Cells per half (rows * cells per row) from which a tau=1 step solves its u
-# half on the helper thread while the caller solves the v half.  Medians of
+# half on a helper thread while the caller solves the v half.  Medians of
 # the checked solve of one u row and one v row on 2 vCPUs, serial -> two
-# threads: 1D 256 cells 0.10 -> 0.55 ms, 64^2 0.5 -> 1.2 ms, 128^2 2.3 ->
-# 1.8 ms, 256^2 8 -> 4 ms, 512^2 40 -> 19 ms.  Break-even lies between 64^2
-# and 128^2 (2^12 and 2^14 cells), so 2^16 threads only clear wins.
+# threads with the helper started and joined per call, three runs: 1D 256
+# cells 0.07 -> 0.3-0.5 ms, 64^2 0.3-0.5 -> 0.7-1.1 ms, 128^2 1.4-2.1 ->
+# 1.5-2.3 ms, 256^2 5.8-7.7 -> 5.6-7.2 ms, 512^2 30-35 -> 29-33 ms.  One
+# whole step of a 2D bump: 256^2 8.2-9.1 -> 6.4-7.7 ms, 512^2 39-47 -> 29-32
+# ms.  Break-even lies near 128^2 (2^14 cells), so 2^16 threads only wins.
 _THREAD_CELLS = 1 << 16
 
 # the audit decides what overflow and NaN mean, so numpy need not warn
@@ -88,7 +90,7 @@ class StepperConfig:
     cfl_safety: float = 0.4
     linear_tol: float = 1e-10
     blowup_linf_threshold: float = 1e8
-    positivity_tol: float = 1e-12
+    positivity_tol: float = _POSITIVITY_TOL
     face_scheme: str = "upwind"
     max_retries: int = 20
 
@@ -131,7 +133,6 @@ class StepOutcome:
     retries: int = 0
     residual_u: float = 0.0
     residual_v: float = 0.0
-    max_source: float = 0.0
     nonlocal_integral: float = 0.0
     source_integral: float = 0.0
     mass_new: float = 0.0
@@ -239,30 +240,6 @@ def _helmholtz_checked(rhs: np.ndarray, grid: Grid, sigma) -> tuple[np.ndarray, 
     return w, _row_norms(residual) / np.maximum(scale, 1e-300)
 
 
-_helper_lock = threading.Lock()
-_helper: Optional[ThreadPoolExecutor] = None
-
-
-def _helper_thread() -> ThreadPoolExecutor:
-    """The process's one helper thread, started on first use."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(1, thread_name_prefix="kschemo-helmholtz")
-        return _helper
-
-
-def _drop_helper_in_child() -> None:
-    # a forked child gets the executor but not its thread: a solve queued
-    # on it would wait forever, so the child starts its own on first use
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_helper_in_child)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -284,15 +261,16 @@ def _solve_halves(
     Returns (w_u, w_v, rel_u, rel_v).  Rows are solved and gated
     independently, so the halves get the same bits on one thread or two.
     When a half holds at least _THREAD_CELLS cells and the process may use
-    more than one CPU, the u half runs on the helper thread while this
-    thread solves the v half: numpy's large ufuncs and scipy.fft release
-    the GIL, so the two overlap.  Otherwise it is one stacked call.
+    more than one CPU, the u half runs on a helper thread started for this
+    call and joined before it returns, while this thread solves the v half:
+    numpy's large ufuncs and scipy.fft release the GIL, so the two overlap.
+    Otherwise it is one stacked call.
     """
     if n * math.prod(grid.cells) >= _THREAD_CELLS and _usable_cpus() > 1:
-        u_half = _helper_thread().submit(_checked_quietly, rhs[:n], grid, sigma_u)
-        try:
+        # leaving the block joins the helper, also when the v half raises
+        with ThreadPoolExecutor(1, thread_name_prefix="kschemo-helmholtz") as helper:
+            u_half = helper.submit(_checked_quietly, rhs[:n], grid, sigma_u)
             w_v, rel_v = _helmholtz_checked(rhs[n:], grid, sigma_v)
-        finally:
             w_u, rel_u = u_half.result()
         return w_u, w_v, rel_u, rel_v
     w, rel = _helmholtz_checked(rhs, grid, np.concatenate([sigma_u, sigma_v]))
@@ -304,7 +282,7 @@ def _gate_message(rel: float, tol: float) -> str:
 
 
 def helmholtz_solve(
-    rhs: np.ndarray, grid: Grid, sigma: float, tol: float = 1e-10
+    rhs: np.ndarray, grid: Grid, sigma: float, tol: float = StepperConfig.linear_tol
 ) -> np.ndarray:
     """Solve (I - sigma * L_h) w = rhs with Neumann boundaries, sigma > 0.
 
@@ -466,10 +444,9 @@ def _advance(
     axes = grid.field_axes
     count = len(params)
     source, integrals = _nonlocal_source(u, grid, params)
-    # the source's reductions are taken now so that its array can become
-    # the explicit stage or be freed before the solves
+    # the source's integral is taken now so that its array can become the
+    # explicit stage or be freed before the solves
     source_sum = source.sum(axis=axes).tolist()
-    source_max = np.abs(source).max(axis=axes).tolist()
     explicit = source
     if any(p.chi != 0.0 for p in params):
         explicit = _chemo_divergence(u, v, grid, cfg.face_scheme)
@@ -533,7 +510,6 @@ def _advance(
         for i in accepted:
             outcomes[i].mass_new = cell_volume * mass[i]
             outcomes[i].source_integral = cell_volume * source_sum[i]
-            outcomes[i].max_source = source_max[i]
     return u_new, v_new, outcomes
 
 
@@ -704,9 +680,9 @@ def run_batch(
     tau.  Everything else is shared by construction.  A member that
     finishes leaves the batch and the others go on.  For a fixed input each
     member's series is bitwise reproducible and independent of the batch it
-    runs in.  The only global state a batch touches is the process's solve
-    helper thread, which a forked worker replaces with its own, so batches
-    can run in parallel workers.
+    runs in.  A batch touches no process-wide state (a threaded solve's
+    helper thread ends with that solve), so batches can run in parallel
+    workers, forked or spawned.
     """
     if not params or len(initials) != len(params):
         raise ValueError("need one ModelParams per initial state")
@@ -771,7 +747,8 @@ def run(
     """March from ``initial`` until t >= t_end, blow-up, or solver failure.
 
     The single-member case of run_batch().  One run is strictly sequential
-    in time, so any number of runs can execute in parallel workers.  For a
+    in time and keeps no state outside its call, so any number of runs can
+    execute in parallel workers.  For a
     fixed config the observable series is bitwise reproducible.
     """
     (result,) = run_batch([initial], [params], grid, cfg, t_end, recorder, forcing)

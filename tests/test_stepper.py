@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError
 
 import numpy as np
@@ -44,13 +45,18 @@ def _threaded_grid():
     return Grid(extent=(1.0, 1.0), cells=(side, side))
 
 
+def _helper_threads():
+    """Live threads that the threaded tau=1 solve starts."""
+    return [t for t in threading.enumerate() if t.name.startswith("kschemo-helmholtz")]
+
+
 def _record_solve_threads(monkeypatch):
-    """Allow the threaded halves on any machine; collect the thread of each checked solve."""
+    """Allow the threaded halves on any machine; collect the thread name of each checked solve."""
     monkeypatch.setattr(stepper, "_usable_cpus", lambda: 2)
     checked, threads = stepper._helmholtz_checked, set()
 
     def spy(rhs, grid, sigma):
-        threads.add(threading.get_ident())
+        threads.add(threading.current_thread().name)
         return checked(rhs, grid, sigma)
 
     monkeypatch.setattr(stepper, "_helmholtz_checked", spy)
@@ -169,6 +175,28 @@ class TestHelmholtz:
         for i in range(3):
             _, alone = stepper._helmholtz_checked(rhs[i : i + 1], grid, sigma[i : i + 1])
             assert alone.tolist() == [rel[i]]
+
+    def test_mixed_batch_clips_only_nonnegative_rows(self, grid1d, grid2d):
+        # rows 0 and 2 have nonnegative rhs and rounding negatives to clip;
+        # row 1 has a signed rhs whose negative solution entries must stay
+        for grid in (grid1d, grid2d):
+            peak = grid.sample(
+                lambda *xs: 1e6 * np.exp(-sum((x - 0.5) ** 2 for x in xs) / 2e-3)
+            )
+            signed = np.random.default_rng(15).standard_normal(grid.shape)
+            rhs = np.stack([peak, signed, 3.0 * peak])
+            sigma = operators._column([1e-6, 1e-2, 1e-5], grid.dim)
+            w = stepper._helmholtz_core(rhs, grid, sigma)
+            assert w[0].min() >= 0.0 and w[2].min() >= 0.0
+            assert w[1].min() < 0.0
+            for i in range(3):
+                alone = stepper._helmholtz_core(rhs[i : i + 1], grid, sigma[i : i + 1])
+                np.testing.assert_array_equal(w[i], alone[0])
+                if i != 1:
+                    # the clip matters: without it the row dips below zero
+                    spectral = stepper._cosine_transform(rhs[i], grid)
+                    spectral /= 1.0 - sigma[i] * stepper._grid_eigenvalues(grid)
+                    assert stepper._cosine_transform(spectral, grid, inverse=True).min() < 0.0
 
     def test_rejects_bad_sigma(self, grid1d):
         with pytest.raises(ValueError):
@@ -592,14 +620,52 @@ class TestRun:
 
     def test_1d_run_starts_no_thread(self, monkeypatch):
         grid = Grid(extent=(1.0,), cells=(256,))
-        monkeypatch.setattr(stepper, "_helper", None)
+        threads = _record_solve_threads(monkeypatch)
         before = threading.active_count()
         p = ModelParams(chi=10.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
         initial = State(u=_bump(grid, 8.0), v=grid.zeros())
         result = run(initial, p, grid, StepperConfig(), 0.05, Recorder(k_list=(2.0,)))
         assert result.termination is Termination.REACHED_T_END
-        assert stepper._helper is None
+        assert threads == {threading.current_thread().name}
+        assert _helper_threads() == []
         assert threading.active_count() <= before
+
+    def test_threaded_step_leaves_no_helper_alive(self, monkeypatch):
+        grid = _threaded_grid()
+        threads = _record_solve_threads(monkeypatch)
+        p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+        u, v = _bump(grid, 8.0, width=0.1)[None], grid.zeros()[None]
+        for _ in range(2):
+            with np.errstate(**stepper._QUIET):
+                _, _, (outcome,) = stepper._advance(u, v, [0.0], [p], grid, StepperConfig())
+            assert outcome.status is StepStatus.ADVANCED
+            assert len(threads) == 2
+            assert _helper_threads() == []
+
+    def test_v_half_error_propagates_after_joining_helper(self, monkeypatch):
+        grid = _threaded_grid()
+        monkeypatch.setattr(stepper, "_usable_cpus", lambda: 2)
+        checked, caller = stepper._helmholtz_checked, threading.get_ident()
+        v_started, u_done = threading.Event(), []
+
+        def v_half_fails(rhs, grid, sigma):
+            if threading.get_ident() == caller:
+                v_started.set()
+                raise RuntimeError("v half failed")
+            # the u half finishes only after the v half has raised
+            assert v_started.wait(timeout=60)
+            time.sleep(0.05)
+            result = checked(rhs, grid, sigma)
+            u_done.append(threading.current_thread().name)
+            return result
+
+        monkeypatch.setattr(stepper, "_helmholtz_checked", v_half_fails)
+        rhs = np.stack([_bump(grid, 8.0, width=0.1), grid.full(1.0)])
+        dt = operators._column([1e-3], grid.dim)
+        with pytest.raises(RuntimeError, match="v half failed"):
+            stepper._solve_halves(rhs, 1, grid, dt, dt / (1.0 + dt))
+        assert len(u_done) == 1 and u_done[0].startswith("kschemo-helmholtz")
+        assert _helper_threads() == []
 
 
 def _bump(grid, mass, width=0.05):
@@ -683,17 +749,28 @@ class TestRunBatch:
 
 
 def _advance_in_child(u, v, params, grid):
-    with np.errstate(**stepper._QUIET):
-        u_new, v_new, _ = stepper._advance(u, v, [0.0], [params], grid, StepperConfig())
-    return u_new, v_new, stepper._helper is not None
+    """One step in a worker; also the names of the threads that solved and are left."""
+    checked, solvers = stepper._helmholtz_checked, set()
+
+    def spy(rhs, grid, sigma):
+        solvers.add(threading.current_thread().name)
+        return checked(rhs, grid, sigma)
+
+    stepper._helmholtz_checked = spy
+    try:
+        with np.errstate(**stepper._QUIET):
+            u_new, v_new, _ = stepper._advance(u, v, [0.0], [params], grid, StepperConfig())
+    finally:
+        stepper._helmholtz_checked = checked
+    return u_new, v_new, solvers, [t.name for t in _helper_threads()]
 
 
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
 )
 def test_forked_child_steps_after_threaded_parent(monkeypatch):
-    # the child inherits the parent's helper executor but not its thread;
-    # a solve queued there would never run
+    # a forked child copies the parent's memory but none of its threads; the
+    # helper of the parent's step ended with that step, so the child starts its own
     threads = _record_solve_threads(monkeypatch)
     grid = _threaded_grid()
     p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
@@ -706,13 +783,15 @@ def test_forked_child_steps_after_threaded_parent(monkeypatch):
     try:
         future = pool.submit(_advance_in_child, u, v, p, grid)
         try:
-            child_u, child_v, child_started_helper = future.result(timeout=60)
+            child_u, child_v, child_solvers, child_left = future.result(timeout=60)
         except TimeoutError:
             for proc in list(pool._processes.values()):
                 proc.kill()
             raise
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-    assert child_started_helper
+    assert len(child_solvers) == 2
+    assert any(name.startswith("kschemo-helmholtz") for name in child_solvers)
+    assert child_left == []
     np.testing.assert_array_equal(child_u, u_new)
     np.testing.assert_array_equal(child_v, v_new)
