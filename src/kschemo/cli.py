@@ -332,12 +332,12 @@ def _cmd_bound_check(args) -> int:
         cfg = parse_config(path=resolved)
         _require_envelope(cfg)
         series = ObservableSeries.from_csv(series_path)
+        if len(series) == 0:
+            raise ValueError("empty series")
+        y1, m0 = mass_envelope(cfg.model, series.column("mass")[0], cfg.grid.measure)
     except (ConfigError, OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
-    if len(series) == 0:
-        return _fail(EXIT_CONFIG, "config", "empty series")
 
-    y1, m0 = mass_envelope(cfg.model, series.column("mass")[0], cfg.grid.measure)
     summary = summarize(series, mass_cap=m0)
     mass_ok = summary.mass_envelope_ok
     print(f"y1={y1:.17g}")

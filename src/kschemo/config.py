@@ -81,22 +81,16 @@ class RunConfig:
     grid: Grid
     stepper: StepperConfig
     ic: InitialCondition
+    recorder: Recorder = Recorder()
     t_end: float = 10.0
-    sample_interval: float = 0.1
-    k_list: tuple[float, ...] = (2.0, 4.0, 8.0)
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
         require(self.t_end > 0, "t_end", "> 0", self.t_end)
-        self.recorder  # checks sample_interval and k_list
         require(bool(self.output_dir), "output_dir", "nonempty", self.output_dir)
         for axis, (c, L) in enumerate(zip(self.ic.u_center, self.grid.extent)):
             if not (0 <= c <= L):
                 raise FieldError("u_center", f"bump center {c} outside domain [0, {L}]", axis)
-
-    @property
-    def recorder(self) -> Recorder:
-        return Recorder(k_list=self.k_list, sample_interval=self.sample_interval)
 
 
 def _parse_float(s: str) -> float:
@@ -138,6 +132,7 @@ _SECTIONS = {
     "grid": Grid,
     "ic": InitialCondition,
     "stepper": StepperConfig,
+    "recorder": Recorder,
 }
 
 _KEYS: dict[str, _Key] = {
@@ -166,14 +161,11 @@ _KEYS: dict[str, _Key] = {
     "stepper.dt_min": _Key("stepper", "dt_min", _parse_float),
     "stepper.dt_max": _Key("stepper", "dt_max", _parse_float),
     "stepper.cfl_safety": _Key("stepper", "cfl_safety", _parse_float),
-    "stepper.linear_tol": _Key("stepper", "linear_tol", _parse_float),
     "stepper.blowup_linf_threshold": _Key("stepper", "blowup_linf_threshold", _parse_float),
-    "stepper.positivity_tol": _Key("stepper", "positivity_tol", _parse_float),
     "stepper.face_scheme": _Key("stepper", "face_scheme", str),
-    "stepper.max_retries": _Key("stepper", "max_retries", _parse_int),
     "run.t_end": _Key("run", "t_end", _parse_float),
-    "run.sample_interval": _Key("run", "sample_interval", _parse_float),
-    "run.k_list": _Key("run", "k_list", _parse_klist),
+    "run.sample_interval": _Key("recorder", "sample_interval", _parse_float),
+    "run.k_list": _Key("recorder", "k_list", _parse_klist),
     "run.output_dir": _Key("run", "output_dir", str),
 }
 
@@ -390,17 +382,14 @@ def run_configs(cfgs: Sequence[RunConfig]) -> list[RunResult]:
 
 
 def run_from_config(
-    cfg: RunConfig, output_dir: str | None = "use-config", export_fields_csv: bool = False
+    cfg: RunConfig, *, output_dir: str | None, export_fields_csv: bool = False
 ) -> RunResult:
-    """Run a configuration; write artifacts unless output_dir is None.
+    """Run a configuration; write artifacts into ``output_dir`` unless it is None.
 
     Artifacts: resolved_config.txt, series.csv, summary.txt, initial and
     final snapshots of both fields (plus CSV field exports on request).
     """
-    if output_dir == "use-config":
-        output_dir = cfg.output_dir
     initial = build_initial_state(cfg)
-    recorder = cfg.recorder
 
     out = None
     if output_dir is not None:
@@ -410,7 +399,7 @@ def run_from_config(
         write_snapshot(os.path.join(out, "u_initial.snap"), initial.u, cfg.grid, initial.t)
         write_snapshot(os.path.join(out, "v_initial.snap"), initial.v, cfg.grid, initial.t)
 
-    result = run(initial, cfg.model, cfg.grid, cfg.stepper, cfg.t_end, recorder)
+    result = run(initial, cfg.model, cfg.grid, cfg.stepper, cfg.t_end, cfg.recorder)
 
     if out is not None:
         result.series.to_csv(os.path.join(out, "series.csv"))

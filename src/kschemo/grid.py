@@ -110,14 +110,14 @@ def _require_finite(values: np.ndarray, name: str = "field") -> np.ndarray:
     return arr
 
 
-# default depth below zero that a field may dip to and still count as nonnegative
+# depth below zero that a field may dip to and still count as nonnegative
 _POSITIVITY_TOL = 1e-12
 
 
-def _require_nonnegative(arr: np.ndarray, name: str, positivity_tol: float) -> None:
+def _require_nonnegative(arr: np.ndarray, name: str) -> None:
     lo = float(arr.min())
-    if lo < -positivity_tol:
-        raise ValueError(f"{name} dips to {lo}, below -{positivity_tol}")
+    if lo < -_POSITIVITY_TOL:
+        raise ValueError(f"{name} dips to {lo}, below -{_POSITIVITY_TOL}")
 
 
 def integrate(values: np.ndarray, grid: Grid) -> float:
@@ -157,12 +157,12 @@ class State:
     step_index: int = 0
     dt_last: float = 0.0
 
-    def validate(self, grid: Grid, positivity_tol: float = _POSITIVITY_TOL) -> None:
+    def validate(self, grid: Grid) -> None:
         for name, f in (("u", self.u), ("v", self.v)):
             arr = _require_finite(f, name)
             if arr.shape != grid.shape:
                 raise ValueError(f"{name} shape {arr.shape} does not match grid")
-            _require_nonnegative(arr, name, positivity_tol)
+            _require_nonnegative(arr, name)
 
     def copy(self) -> "State":
         return State(self.u.copy(), self.v.copy(), self.t, self.step_index, self.dt_last)
@@ -202,6 +202,8 @@ def read_snapshot(path) -> tuple[np.ndarray, float]:
 def field_to_csv(path, values: np.ndarray, grid: Grid) -> None:
     """Plain-text export of a field, one cell per row: x[,y],value."""
     arr = _require_finite(values)
+    if arr.shape != grid.shape:
+        raise ValueError("field shape does not match grid")
     coords = grid.cell_centers()
     with open(path, "w") as fh:
         if grid.dim == 1:

@@ -81,15 +81,20 @@ class ObservableSeries:
 
     @classmethod
     def from_csv(cls, path) -> "ObservableSeries":
+        """Read a series that to_csv wrote; its header must be a run header."""
         with open(path) as fh:
             header = fh.readline().strip()
             if not header:
                 raise ValueError(f"{path}: empty series file")
             columns = tuple(header.split(","))
-            k_list = tuple(
-                float(c[len("int_u_k"):]) for c in columns if c.startswith("int_u_k")
-            )
-            series = cls(k_list=k_list, columns=columns)
+            try:
+                series = cls.for_run(
+                    [float(c[len("int_u_k"):]) for c in columns if c.startswith("int_u_k")]
+                )
+            except ValueError:
+                series = None
+            if series is None or series.columns != columns:
+                raise ValueError(f"{path}: header {header!r} is not a series header")
             for line in fh:
                 line = line.strip()
                 if line:

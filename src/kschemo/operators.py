@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import _POSITIVITY_TOL, Grid, _require_finite, _require_nonnegative
+from .grid import Grid, _require_finite, _require_nonnegative
 from .params import ModelParams
 
 FACE_SCHEMES = ("upwind", "central")
@@ -102,11 +102,7 @@ def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> 
 
 
 def chemo_divergence(
-    u: np.ndarray,
-    v: np.ndarray,
-    grid: Grid,
-    scheme: str = "upwind",
-    positivity_tol: float = _POSITIVITY_TOL,
+    u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str = "upwind"
 ) -> np.ndarray:
     """Flux-form div(u * grad(v)); face value of u upwinded on sign(v_R - v_L).
 
@@ -120,7 +116,7 @@ def chemo_divergence(
         raise ValueError(f"unknown face scheme {scheme!r}")
     ua = _require_finite(u, "u")
     va = _require_finite(v, "v")
-    _require_nonnegative(ua, "u", positivity_tol)
+    _require_nonnegative(ua, "u")
     return _chemo_divergence(ua, va, grid, scheme)
 
 
@@ -137,19 +133,16 @@ def _nonlocal_source(
 
 
 def nonlocal_source(
-    u: np.ndarray,
-    grid: Grid,
-    params: ModelParams,
-    positivity_tol: float = _POSITIVITY_TOL,
+    u: np.ndarray, grid: Grid, params: ModelParams
 ) -> tuple[np.ndarray, float]:
     """Reaction field a*u^alpha - b*u^alpha * I with I = int(u^beta).
 
     Returns (source field, I).  The integral is taken from the current u
     (explicit treatment), which keeps the reaction pointwise once I is
-    known.  Values of u in [-positivity_tol, 0) are treated as 0 so
-    fractional powers stay real; larger negatives are scheme errors.
+    known.  Values of u in [-1e-12, 0) (the positivity floor) are treated
+    as 0 so fractional powers stay real; larger negatives are scheme errors.
     """
     ua = _require_finite(u, "u")
-    _require_nonnegative(ua, "u", positivity_tol)
+    _require_nonnegative(ua, "u")
     source, (integral,) = _nonlocal_source(ua[None], grid, [params])
     return source[0], integral

@@ -125,17 +125,24 @@ def mass_envelope(
     """Return (y1, m0): the ODE equilibrium cap and the total-mass envelope.
 
     y1 = (a / (b * |Omega|^(1-beta)))^(1/beta),  m0 = max(initial_mass, y1).
-    Requires b > 0; a = 0 gives y1 = 0 (pure dampening).
+    Requires b > 0 and finite inputs; a = 0 gives y1 = 0 (pure dampening).
+    A y1 that does not fit a finite float raises ValueError.
     """
-    if initial_mass < 0:
-        raise ValueError(f"initial_mass >= 0 required, got {initial_mass}")
-    if domain_measure <= 0:
-        raise ValueError(f"domain_measure > 0 required, got {domain_measure}")
+    if not (math.isfinite(initial_mass) and initial_mass >= 0):
+        raise ValueError(f"finite initial_mass >= 0 required, got {initial_mass}")
+    if not (math.isfinite(domain_measure) and domain_measure > 0):
+        raise ValueError(f"finite domain_measure > 0 required, got {domain_measure}")
     if params.b <= 0:
         raise ValueError("mass envelope requires b > 0")
-    y1 = (params.a / (params.b * domain_measure ** (1.0 - params.beta))) ** (
-        1.0 / params.beta
-    )
+    try:
+        y1 = (params.a / (params.b * domain_measure ** (1.0 - params.beta))) ** (
+            1.0 / params.beta
+        )
+    except ArithmeticError:  # the power overflows, or underflows to a zero divisor
+        y1 = math.inf
+    if not math.isfinite(y1):
+        args = f"a={params.a}, b={params.b}, beta={params.beta}, domain_measure={domain_measure}"
+        raise ValueError(f"mass envelope y1 is not finite for {args}")
     return y1, max(initial_mass, y1)
 
 
@@ -167,15 +174,13 @@ def ode_comparison_oracle(
     y1: float,
     t_end: float,
     dt: float,
-    hypothesis_box: Optional[tuple[float, float, float, float]] = None,
     hypothesis_samples: tuple[int, int] = (64, 64),
 ) -> OdeComparisonResult:
     """Integrate y' = phi(t, y) with classical RK4 and report the trajectory max.
 
     The comparison argument guarantees y <= max(y1, y(0)) whenever
     phi(t, y) <= 0 for all y > y1.  That sign hypothesis is checked by
-    dense sampling over ``hypothesis_box`` = (t_lo, t_hi, y_lo, y_hi),
-    defaulting to t in [0, t_end] and y in (y1, 2*max(y0, y1) + 1].
+    dense sampling of t in [0, t_end] and y in (y1, 2*max(y0, y1) + 1].
     A violation is reported (warning + result flag), never guessed around.
 
     This integrator is deliberately independent of the PDE stepper: fixed
@@ -188,9 +193,7 @@ def ode_comparison_oracle(
     if y1 <= 0:
         raise ValueError(f"y1 > 0 required, got {y1}")
 
-    if hypothesis_box is None:
-        hypothesis_box = (0.0, t_end, y1 * (1.0 + 1e-9), 2.0 * max(y0, y1) + 1.0)
-    t_lo, t_hi, y_lo, y_hi = hypothesis_box
+    t_lo, t_hi, y_lo, y_hi = 0.0, t_end, y1 * (1.0 + 1e-9), 2.0 * max(y0, y1) + 1.0
     hypothesis_ok = True
     violation = None
     nt, ny = hypothesis_samples

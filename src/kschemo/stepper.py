@@ -65,6 +65,12 @@ from .params import ModelParams, require
 
 _EPS_RATE = 1e-30
 
+# bound on the normwise backward error of every Helmholtz solve
+_LINEAR_TOL = 1e-10
+
+# halvings of dt one step may make before it reports a blow-up
+_MAX_RETRIES = 20
+
 # Cells per half (rows * cells per row) from which a tau=1 step solves its u
 # half on a helper thread while the caller solves the v half.  Medians of
 # the checked solve of one u row and one v row on 2 vCPUs, serial -> two
@@ -85,14 +91,14 @@ class LinearSolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepperConfig:
+    """dt clamp, CFL factor, sup norm threshold and face scheme.  The gate,
+    positivity floor and retry cap are fixed numerics, not settings."""
+
     dt_min: float = 1e-12
     dt_max: float = 1e-2
     cfl_safety: float = 0.4
-    linear_tol: float = 1e-10
     blowup_linf_threshold: float = 1e8
-    positivity_tol: float = _POSITIVITY_TOL
     face_scheme: str = "upwind"
-    max_retries: int = 20
 
     def __post_init__(self) -> None:
         require(self.dt_max > 0, "dt_max", "> 0", self.dt_max)
@@ -100,11 +106,10 @@ class StepperConfig:
             0 < self.dt_min <= self.dt_max, "dt_min", f"in (0, dt_max={self.dt_max}]", self.dt_min
         )
         require(0 < self.cfl_safety <= 1, "cfl_safety", "in (0, 1]", self.cfl_safety)
-        for name in ("linear_tol", "blowup_linf_threshold", "positivity_tol"):
-            require(getattr(self, name) > 0, name, "> 0", getattr(self, name))
+        threshold = self.blowup_linf_threshold
+        require(threshold > 0, "blowup_linf_threshold", "> 0", threshold)
         scheme = self.face_scheme
         require(scheme in FACE_SCHEMES, "face_scheme", f"in {FACE_SCHEMES}", scheme)
-        require(self.max_retries >= 1, "max_retries", ">= 1", self.max_retries)
 
 
 class StepStatus(enum.Enum):
@@ -277,21 +282,19 @@ def _solve_halves(
     return w[:n], w[n:], rel[:n], rel[n:]
 
 
-def _gate_message(rel: float, tol: float) -> str:
-    return f"helmholtz backward error {rel:.3e} exceeds tolerance {tol:.3e}"
+def _gate_message(rel: float) -> str:
+    return f"helmholtz backward error {rel:.3e} exceeds tolerance {_LINEAR_TOL:.3e}"
 
 
-def helmholtz_solve(
-    rhs: np.ndarray, grid: Grid, sigma: float, tol: float = StepperConfig.linear_tol
-) -> np.ndarray:
+def helmholtz_solve(rhs: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
     """Solve (I - sigma * L_h) w = rhs with Neumann boundaries, sigma > 0.
 
     The DCT-II modes are exact eigenvectors of the flux-form Neumann
     stencil in every axis, so one cosine transform over all axes
     diagonalizes the system in 1D and 2D alike.  The normwise backward
     error ||r|| / (||A|| ||w|| + ||rhs||), with ||A|| bounded by
-    1 + 4 sigma sum(1/h^2), is always verified against ``tol``; failure
-    raises LinearSolverError.
+    1 + 4 sigma sum(1/h^2), is always verified against the stepper's gate
+    of 1e-10; failure raises LinearSolverError.
     """
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError(f"sigma > 0 required, got {sigma}")
@@ -299,8 +302,8 @@ def helmholtz_solve(
     if arr.shape != grid.shape:
         raise ValueError("rhs shape does not match grid")
     w, rel = _helmholtz_checked(arr[None], grid, sigma)
-    if not (rel[0] <= tol):
-        raise LinearSolverError(_gate_message(rel[0], tol))
+    if not (rel[0] <= _LINEAR_TOL):
+        raise LinearSolverError(_gate_message(rel[0]))
     return w[0]
 
 
@@ -388,7 +391,6 @@ def _audit(
     u_hi, u_lo = u_new.max(axis=axes).tolist(), u_new.min(axis=axes).tolist()
     v_hi, v_lo = v_new.max(axis=axes).tolist(), v_new.min(axis=axes).tolist()
     rel_u, rel_v = rel_u.tolist(), rel_v.tolist()
-    tol = cfg.linear_tol
     retry = []
     for j, i in enumerate(rows):
         out = outcomes[i]
@@ -396,24 +398,24 @@ def _audit(
         if all(math.isfinite(x) for x in (u_hi[j], u_lo[j], v_hi[j], v_lo[j])):
             out.residual_u, out.residual_v = rel_u[j], rel_v[j]
             linf = max(u_hi[j], -u_lo[j])
-            if not (rel_u[j] <= tol and rel_v[j] <= tol):
+            if not (rel_u[j] <= _LINEAR_TOL and rel_v[j] <= _LINEAR_TOL):
                 out.status = StepStatus.SOLVER_FAILURE
-                out.message = _gate_message(max(rel_u[j], rel_v[j]), tol)
+                out.message = _gate_message(max(rel_u[j], rel_v[j]))
                 continue
             if linf > cfg.blowup_linf_threshold:
                 out.status = StepStatus.BLOWUP_DETECTED
                 out.linf_u = linf
                 out.message = f"sup norm {linf:.3e} above threshold"
                 continue
-            if u_lo[j] >= -cfg.positivity_tol and v_lo[j] >= -cfg.positivity_tol:
+            if u_lo[j] >= -_POSITIVITY_TOL and v_lo[j] >= -_POSITIVITY_TOL:
                 out.status = StepStatus.ADVANCED if out.retries == 0 else StepStatus.DT_REDUCED
                 out.linf_u, out.min_u, out.min_v = linf, u_lo[j], v_lo[j]
                 continue
         # non-finite or negative: halve this member's dt and retry from the
         # same explicit stage
         out.retries += 1
-        if out.retries > cfg.max_retries:
-            out.message = f"retry cap of {cfg.max_retries} reached"
+        if out.retries > _MAX_RETRIES:
+            out.message = f"retry cap of {_MAX_RETRIES} reached"
         elif dts[i] / 2.0 < cfg.dt_min:
             out.message = "dt collapsed below dt_min during retries"
         else:
@@ -533,7 +535,7 @@ def step(
     or negative input state raises ValueError; a non-finite result is
     audited like a negative one.
     """
-    state.validate(grid, cfg.positivity_tol)
+    state.validate(grid)
     if dt_override is not None and dt_override <= 0:
         raise ValueError("dt_override must be positive")
     caps = None if dt_cap is None else [dt_cap]
@@ -691,7 +693,7 @@ def run_batch(
     for initial in initials:
         if t_end <= initial.t:
             raise ValueError("t_end must exceed the initial time")
-        initial.validate(grid, cfg.positivity_tol)
+        initial.validate(grid)
 
     time_tol = 1e-12 * max(1.0, abs(t_end))
     members = [_Member(st, p, grid, recorder) for st, p in zip(initials, params)]

@@ -290,11 +290,11 @@ def compare_series(
     production: ObservableSeries,
     reference: ObservableSeries,
     columns: Sequence[str],
-    floor: float = 1e-12,
     t_min: float | None = None,
 ) -> dict[str, float]:
     """Max relative deviation per column, reference-interpolated in time.
 
+    Deviations are relative to max(|reference|, 1e-12).
     ``t_min`` restricts the comparison window; stiff initial transients are
     shape-sensitive across resolutions and are usually excluded when judging
     refinement agreement of the settled dynamics.
@@ -311,6 +311,6 @@ def compare_series(
     for name in columns:
         prod = production.column(name)[mask]
         ref = np.interp(t_p[mask], t_r, reference.column(name))
-        scale = np.maximum(np.abs(ref), floor)
+        scale = np.maximum(np.abs(ref), 1e-12)
         out[name] = float(np.max(np.abs(prod - ref) / scale))
     return out

@@ -223,7 +223,7 @@ class TestCriterion5ConservationDegeneration:
 
 class TestCriterion6DiscreteMassIdentity:
     def test_identity_on_boundedness_runs(self, run1, run2, run3):
-        tol = 10.0 * 1e-10  # 10 x linear_tol, relative to the current mass
+        tol = 10.0 * 1e-10  # 10 x the Helmholtz gate, relative to the current mass
         worst = 0.0
         for _, result, _ in (run1, run2, run3):
             worst = max(worst, result.diagnostics.max_mass_identity_violation)

@@ -53,6 +53,25 @@ class TestClassify:
         assert code == 2
         assert err.startswith("error: config:")
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--domain-measure", "inf"),
+            ("--domain-measure", "1e300"),
+            ("--domain-measure", "1e-300"),
+            ("--domain-measure", "nan"),
+            ("--initial-mass", "nan"),
+            ("--initial-mass", "inf"),
+        ],
+    )
+    def test_nonfinite_envelope_input_exits_2(self, capsys, flag, value):
+        code, out, err = invoke(
+            capsys, "classify", "--alpha", "1", "--beta", "3", "--n", "3", flag, value
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config:")
+        assert len(err.splitlines()) == 1
+
 
 class TestRun:
     def test_run_roundtrip(self, tmp_path, capsys):
@@ -445,6 +464,32 @@ class TestBoundCheck:
         assert code == 2
         assert err.startswith("error: config: model.b:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", ["t,foo\n0,1\n", "t,mass\n0,nan\n"])
+    def test_foreign_series_header_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG)
+        out_dir = tmp_path / "out"
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(out_dir))[0] == 0
+        (out_dir / "series.csv").write_text(text)
+        code, _, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        assert code == 2
+        assert err.startswith(f"error: config: {out_dir / 'series.csv'}: header ")
+        assert len(err.splitlines()) == 1
+
+    def test_nonfinite_initial_mass_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG)
+        out_dir = tmp_path / "out"
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(out_dir))[0] == 0
+        series = (out_dir / "series.csv").read_text().splitlines()
+        parts = series[1].split(",")
+        parts[1] = "nan"
+        series[1] = ",".join(parts)
+        (out_dir / "series.csv").write_text("\n".join(series) + "\n")
+        code, _, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        assert code == 2
+        assert err == "error: config: finite initial_mass >= 0 required, got nan\n"
 
     def test_missing_dir_exit_2(self, capsys):
         code, _, err = invoke(capsys, "bound-check", "--run-dir", "nowhere")

@@ -216,3 +216,13 @@ class TestSnapshots:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,value"
         assert len(lines) == 1 + 32 * 16
+
+    @pytest.mark.parametrize(
+        "grid,values",
+        [(Grid((1.0,), (8,)), np.ones(12)), (Grid((1.0, 1.0), (4, 4)), np.ones(20))],
+    )
+    def test_field_csv_rejects_wrong_shape(self, tmp_path, grid, values):
+        path = tmp_path / "u.csv"
+        with pytest.raises(ValueError, match="does not match grid"):
+            field_to_csv(path, values, grid)
+        assert not path.exists()

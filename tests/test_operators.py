@@ -165,7 +165,7 @@ class TestNonlocalSource:
     def test_tiny_negatives_clamped_for_powers(self):
         grid = Grid(extent=(1.0,), cells=(16,))
         u = grid.full(1.0)
-        u[3] = -5e-13  # inside positivity_tol
+        u[3] = -5e-13  # inside the positivity floor of 1e-12
         s, _ = nonlocal_source(u, grid, self.params())
         assert np.all(np.isfinite(s))
         assert s[3] == 0.0

@@ -25,6 +25,7 @@ from kschemo import (
     step,
 )
 from kschemo import operators, stepper
+from kschemo.grid import _POSITIVITY_TOL
 from kschemo.stepper import _neumann_eigenvalues
 from kschemo.verification import build_mms_case
 
@@ -271,7 +272,8 @@ class TestStep:
         mass_before = integrate(state.u, grid1d)
         new_state, outcome = step(state, p, grid1d, cfg)
         delta = outcome.mass_new - mass_before
-        assert abs(delta - outcome.dt * outcome.source_integral) <= 10 * cfg.linear_tol * mass_before
+        tol = stepper._LINEAR_TOL
+        assert abs(delta - outcome.dt * outcome.source_integral) <= 10 * tol * mass_before
 
     def test_blowup_threshold_semantics(self, grid1d):
         # equilibrium level 2 with threshold 1: flagged on the first step
@@ -295,8 +297,8 @@ class TestStep:
         new_state, outcome = step(state, p, grid1d, cfg, dt_override=200.0 * safe_dt)
         assert outcome.status is StepStatus.DT_REDUCED
         assert outcome.retries >= 1
-        assert new_state.u.min() >= -cfg.positivity_tol
-        assert new_state.v.min() >= -cfg.positivity_tol
+        assert new_state.u.min() >= -_POSITIVITY_TOL
+        assert new_state.v.min() >= -_POSITIVITY_TOL
         assert outcome.min_u == new_state.u.min()
         assert outcome.min_v == new_state.v.min()
         assert outcome.linf_u == np.abs(new_state.u).max()
@@ -323,12 +325,12 @@ class TestStep:
     def test_retry_cap_reports_blowup(self, grid1d):
         p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
         state = State(u=grid1d.full(1.0), v=grid1d.zeros())
-        cfg = StepperConfig(max_retries=1)
-        # dt has room to halve many times; the cap ends the retries first
+        cfg = StepperConfig()
+        # 20 halvings of 1e-3 stay above dt_min; the cap ends the retries first
         _, outcome = step(state, p, grid1d, cfg, dt_override=1e-3, forcing=_NegativeForcing())
         assert outcome.status is StepStatus.BLOWUP_DETECTED
-        assert outcome.retries == 2
-        assert outcome.message == "retry cap of 1 reached"
+        assert outcome.retries == 21
+        assert outcome.message == "retry cap of 20 reached"
 
 
     def test_nonfinite_solve_retries_instead_of_raising(self):
@@ -342,9 +344,9 @@ class TestStep:
         assert outcome.status is StepStatus.BLOWUP_DETECTED
         assert outcome.message == "dt collapsed below dt_min during retries"
         # the proposal sits at dt_min; from a larger dt the cap ends it first
-        _, outcome = step(state, p, grid, StepperConfig(max_retries=3), dt_override=1e-3)
-        assert outcome.message == "retry cap of 3 reached"
-        assert outcome.retries == 4
+        _, outcome = step(state, p, grid, StepperConfig(), dt_override=1e-3)
+        assert outcome.message == "retry cap of 20 reached"
+        assert outcome.retries == 21
 
 
 def _two_solve_reference(u, v, ts, params, grid, cfg, dts, forcing=None):
@@ -451,7 +453,7 @@ class TestStackedSolve:
                 patch.setattr(stepper, "_helmholtz_core", perturbed_core)
                 u_new, v_new, outcomes = stepper._advance(u, v, [0.0] * 3, params, grid, cfg)
             assert outcomes[1].status is StepStatus.SOLVER_FAILURE
-            assert outcomes[1].residual_v > cfg.linear_tol
+            assert outcomes[1].residual_v > stepper._LINEAR_TOL
             assert outcomes[1].residual_u == clean[1].residual_u
             for i in (0, 2):
                 assert outcomes[i].status is StepStatus.ADVANCED
@@ -493,10 +495,12 @@ class TestStackedSolve:
 
 
 class _NegativeForcing:
-    """Forcing that drags u negative no matter the dt (test helper)."""
+    """Forcing that drags u negative for every dt in [1e-9, 1e-2], so 20
+    halvings from 1e-3 or 1e-2 all fail, and keeps |u| under the default
+    sup norm threshold (test helper)."""
 
     def u(self, t, grid):
-        return grid.full(-1e9)
+        return grid.full(-5e9)
 
     def v(self, t, grid):
         return grid.zeros()
@@ -549,10 +553,10 @@ class TestRun:
         p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
         state = State(u=grid1d.full(1.0), v=grid1d.zeros())
         rec = Recorder(k_list=(2.0,), sample_interval=0.1)
-        cfg = StepperConfig(max_retries=2)
-        result = run(state, p, grid1d, cfg, 1.0, rec, forcing=_NegativeForcing())
+        # from dt_max = 1e-2, 20 halvings stay above dt_min
+        result = run(state, p, grid1d, StepperConfig(), 1.0, rec, forcing=_NegativeForcing())
         assert result.termination is Termination.BLOWUP_DETECTED
-        assert result.cause == "retry cap of 2 reached"
+        assert result.cause == "retry cap of 20 reached"
 
     def test_solver_failure_cause(self, grid1d, monkeypatch):
         exact_core = stepper._helmholtz_core
