@@ -95,10 +95,12 @@ class ObservableSeries:
                 series = None
             if series is None or series.columns != columns:
                 raise ValueError(f"{path}: header {header!r} is not a series header")
-            for line in fh:
-                line = line.strip()
-                if line:
-                    series.append(tuple(float(x) for x in line.split(",")))
+            for number, line in enumerate(fh, start=2):
+                try:
+                    if line.strip():
+                        series.append(tuple(float(x) for x in line.split(",")))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {number}: {exc}") from None
         return series
 
 

@@ -82,12 +82,18 @@ def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     return _laplacian(_require_finite(f), grid)
 
 
-def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> np.ndarray:
+def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> tuple:
+    """The transport field of a batch and, per axis, max|grad_h v| of each row.
+
+    The stepper's transport bound reads these maxima of the face gradients
+    (max|dv / h| is max|dv| / h exactly: rounding is monotone)."""
     out = np.zeros_like(u)
+    grad_max = []
     for axis, h in zip(grid.field_axes, grid.h):
         v_l, v_r = _face_slabs(v, axis)
         dv = v_r - v_l
         dv /= h
+        grad_max.append(np.abs(dv).max(axis=grid.field_axes))
         u_l, u_r = _face_slabs(u, axis)
         if scheme == "upwind":
             u_face = np.where(dv > 0, u_l, u_r)
@@ -98,7 +104,7 @@ def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> 
         _flux_divergence(u_face, axis, h, out)
         # freed before the next axis allocates its own
         del dv, u_face
-    return out
+    return out, grad_max
 
 
 def chemo_divergence(
@@ -117,7 +123,7 @@ def chemo_divergence(
     ua = _require_finite(u, "u")
     va = _require_finite(v, "v")
     _require_nonnegative(ua, "u")
-    return _chemo_divergence(ua, va, grid, scheme)
+    return _chemo_divergence(ua, va, grid, scheme)[0]
 
 
 def _nonlocal_source(
@@ -125,8 +131,10 @@ def _nonlocal_source(
 ) -> tuple[np.ndarray, list[float]]:
     """Source fields of a batch ``u`` with one ModelParams per member row."""
     u_pos = np.maximum(u, 0.0)
-    u_alpha = _pow_rows(u_pos, [p.alpha for p in params])
-    sums = _pow_rows(u_pos, [p.beta for p in params]).sum(axis=grid.field_axes)
+    alphas, betas = [p.alpha for p in params], [p.beta for p in params]
+    u_alpha = _pow_rows(u_pos, alphas)
+    # equal exponents give equal bits, so u^beta need not be taken again
+    sums = (u_alpha if betas == alphas else _pow_rows(u_pos, betas)).sum(axis=grid.field_axes)
     integrals = [grid.cell_volume * s for s in sums.tolist()]
     coefficient = _column([p.a - p.b * i for p, i in zip(params, integrals)], grid.dim)
     return coefficient * u_alpha, integrals

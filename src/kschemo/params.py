@@ -135,9 +135,9 @@ def mass_envelope(
     if params.b <= 0:
         raise ValueError("mass envelope requires b > 0")
     try:
-        y1 = (params.a / (params.b * domain_measure ** (1.0 - params.beta))) ** (
-            1.0 / params.beta
-        )
+        y1 = 0.0 if params.a == 0 else (
+            params.a / (params.b * domain_measure ** (1.0 - params.beta))
+        ) ** (1.0 / params.beta)
     except ArithmeticError:  # the power overflows, or underflows to a zero divisor
         y1 = math.inf
     if not math.isfinite(y1):

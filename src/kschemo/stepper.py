@@ -50,7 +50,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.fft import dct, dctn, idct, idctn
+from scipy import fftpack
+from scipy.fft import dctn, idctn
 
 from .grid import _POSITIVITY_TOL, Grid, State, _require_finite, integrate
 from .observables import ObservableError, ObservableSeries, record
@@ -172,17 +173,15 @@ def _grid_eigenvalues(grid: Grid) -> np.ndarray:
 def _cosine_transform(x: np.ndarray, grid: Grid, inverse: bool = False) -> np.ndarray:
     """Orthonormal DCT-II (or its inverse) over the field axes of a batch.
 
-    The inverse transforms in place and consumes ``x``.  In 1D the
-    single-axis entry point gives the same bits as the n-axis one and costs
-    less to call, which matters for short fields.
+    The inverse transforms in place and consumes ``x``.  1D calls
+    scipy.fftpack: same pocketfft kernel and bits as scipy.fft, without its
+    backend dispatch, which costs more than the transform of a short field.
     """
     if grid.dim == 1:
-        return (idct if inverse else dct)(
-            x, type=2, norm="ortho", axis=-1, overwrite_x=inverse
-        )
-    return (idctn if inverse else dctn)(
-        x, type=2, norm="ortho", axes=grid.field_axes, overwrite_x=inverse
-    )
+        transform = fftpack.idct if inverse else fftpack.dct
+        return transform(x, type=2, norm="ortho", axis=-1, overwrite_x=inverse)
+    transform = idctn if inverse else dctn
+    return transform(x, type=2, norm="ortho", axes=grid.field_axes, overwrite_x=inverse)
 
 
 def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma) -> np.ndarray:
@@ -308,29 +307,19 @@ def helmholtz_solve(rhs: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
 
 
 def _propose_dt(
-    u: np.ndarray,
-    v: np.ndarray,
-    grid: Grid,
-    params: Sequence[ModelParams],
-    cfg: StepperConfig,
-    integrals: Sequence[float],
+    u: np.ndarray, grid: Grid, params: Sequence[ModelParams], cfg: StepperConfig,
+    integrals: Sequence[float], grad_max: Sequence[np.ndarray],
 ) -> list[float]:
-    """adapt_dt for each member row of a batch."""
-    axes = grid.field_axes
-    # max(|dv| / h) is max|dv| / h exactly: rounding is monotone
-    grad_max = []
-    if any(p.chi > 0 for p in params):
-        grad_max = [
-            (h, np.abs(np.diff(v, axis=axis)).max(axis=axes).tolist())
-            for axis, h in zip(axes, grid.h)
-        ]
-    umax = u.max(axis=axes).tolist()
+    """adapt_dt for each member row of a batch.  ``grad_max`` is the per-axis
+    max|grad_h v| that _chemo_divergence returns, empty when no chi > 0."""
+    grad_max = [(h, g.tolist()) for h, g in zip(grid.h, grad_max)]
+    umax = u.max(axis=grid.field_axes).tolist()
     dts = []
     for i, (p, integral) in enumerate(zip(params, integrals)):
         bound = math.inf
         if p.chi > 0:
-            for h, dv_max in grad_max:
-                bound = min(bound, h / (p.chi * (dv_max[i] / h) + _EPS_RATE))
+            for h, g in grad_max:
+                bound = min(bound, h / (p.chi * g[i] + _EPS_RATE))
         if p.alpha == 1.0:
             umax_pow = 1.0
         else:
@@ -357,10 +346,11 @@ def adapt_dt(
 
     transport bound (per axis): h / (chi * max|grad_h v| + eps)
     reaction  bound: 1 / ((a + b*I) * max(u)^(alpha-1) + eps)
+    grad_h v is read off the face gradients of the transport kernel, as in a step.
     """
-    u_rows = np.asarray(u, dtype=float)[None]
-    v_rows = np.asarray(v, dtype=float)[None]
-    return _propose_dt(u_rows, v_rows, grid, [params], cfg, [nonlocal_integral])[0]
+    u_rows, v_rows = _stack([u]), _stack([v])
+    grad_max = _chemo_divergence(u_rows, v_rows, grid, cfg.face_scheme)[1]
+    return _propose_dt(u_rows, grid, [params], cfg, [nonlocal_integral], grad_max)[0]
 
 
 def _stack(fields) -> np.ndarray:
@@ -449,9 +439,9 @@ def _advance(
     # the source's integral is taken now so that its array can become the
     # explicit stage or be freed before the solves
     source_sum = source.sum(axis=axes).tolist()
-    explicit = source
+    explicit, grad_max = source, ()
     if any(p.chi != 0.0 for p in params):
-        explicit = _chemo_divergence(u, v, grid, cfg.face_scheme)
+        explicit, grad_max = _chemo_divergence(u, v, grid, cfg.face_scheme)
         explicit *= _column([p.chi for p in params], grid.dim)
         np.subtract(source, explicit, out=explicit)
     del source
@@ -464,7 +454,7 @@ def _advance(
     if dt_override is not None:
         dts = [dt_override] * count
     else:
-        dts = _propose_dt(u, v, grid, params, cfg, integrals)
+        dts = _propose_dt(u, grid, params, cfg, integrals, grad_max)
     if dt_cap is not None:
         dts = [min(dt, cap) for dt, cap in zip(dts, dt_cap)]
 

@@ -72,6 +72,15 @@ class TestClassify:
         assert err.startswith("error: config:")
         assert len(err.splitlines()) == 1
 
+    def test_zero_growth_envelope_with_underflowing_measure_power(self, capsys):
+        # |Omega|^(1-beta) underflows to 0; a = 0 must still give y1 = 0
+        code, out, err = invoke(
+            capsys, "classify", "--alpha", "1", "--beta", "3", "--n", "3",
+            "--a", "0", "--domain-measure", "1e300",
+        )
+        assert (code, err) == (0, "")
+        assert out == "1,3,3,SubquadraticBounded,0,0\n"
+
 
 class TestRun:
     def test_run_roundtrip(self, tmp_path, capsys):
@@ -476,6 +485,29 @@ class TestBoundCheck:
         assert code == 2
         assert err.startswith(f"error: config: {out_dir / 'series.csv'}: header ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "edit,reason",
+        [
+            (lambda cells: cells[:-1], "row width does not match columns"),
+            (
+                lambda cells: cells[:1] + ["abc"] + cells[2:],
+                "could not convert string to float: 'abc'",
+            ),
+        ],
+        ids=["width", "cell"],
+    )
+    def test_bad_series_row_names_file_and_line(self, tmp_path, capsys, edit, reason):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG)
+        out_dir = tmp_path / "out"
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(out_dir))[0] == 0
+        series = (out_dir / "series.csv").read_text().splitlines()
+        series[2] = ",".join(edit(series[2].split(",")))
+        (out_dir / "series.csv").write_text("\n".join(series) + "\n")
+        code, _, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        assert code == 2
+        assert err == f"error: config: {out_dir / 'series.csv'}: line 3: {reason}\n"
 
     def test_nonfinite_initial_mass_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

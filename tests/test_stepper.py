@@ -6,6 +6,10 @@ from concurrent.futures import ProcessPoolExecutor, TimeoutError
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kschemo import (
     Grid,
@@ -199,6 +203,17 @@ class TestHelmholtz:
                     spectral /= 1.0 - sigma[i] * stepper._grid_eigenvalues(grid)
                     assert stepper._cosine_transform(spectral, grid, inverse=True).min() < 0.0
 
+    @pytest.mark.parametrize("rows,n", [(1, 16), (2, 256), (5, 37), (32, 1000)])
+    def test_1d_transform_has_scipy_fft_bits(self, rows, n):
+        grid = Grid(extent=(1.0,), cells=(n,))
+        x = np.random.default_rng(n).standard_normal((rows, n))
+        spectral = stepper._cosine_transform(x, grid)
+        np.testing.assert_array_equal(spectral, scipy.fft.dct(x, type=2, norm="ortho", axis=-1))
+        expected = scipy.fft.idct(spectral, type=2, norm="ortho", axis=-1)
+        np.testing.assert_array_equal(
+            stepper._cosine_transform(spectral.copy(), grid, inverse=True), expected
+        )
+
     def test_rejects_bad_sigma(self, grid1d):
         with pytest.raises(ValueError):
             helmholtz_solve(grid1d.zeros(), grid1d, sigma=0.0)
@@ -238,6 +253,68 @@ class TestAdaptDt:
         assert adapt_dt(u, v, grid1d, p, cfg, 1.0) == cfg.dt_min
         p = self.params()
         assert adapt_dt(u, v, grid1d, p, cfg, 0.0) == cfg.dt_max
+
+
+def _np_diff_dts(u, v, grid, params, cfg, integrals):
+    """The dt proposal with its transport bound from a separate np.diff pass (reference)."""
+    axes = grid.field_axes
+    grad_max = [
+        (h, np.abs(np.diff(v, axis=axis)).max(axis=axes).tolist())
+        for axis, h in zip(axes, grid.h)
+    ]
+    umax = u.max(axis=axes).tolist()
+    dts = []
+    for i, (p, integral) in enumerate(zip(params, integrals)):
+        bound = math.inf
+        if p.chi > 0:
+            for h, dv_max in grad_max:
+                bound = min(bound, h / (p.chi * (dv_max[i] / h) + stepper._EPS_RATE))
+        umax_pow = 1.0 if p.alpha == 1.0 else umax[i] ** (p.alpha - 1.0)
+        rate = (p.a + p.b * integral) * umax_pow
+        bound = min(bound, 1.0 / (rate + stepper._EPS_RATE))
+        dts.append(min(max(cfg.cfl_safety * bound, cfg.dt_min), cfg.dt_max))
+    return dts
+
+
+@st.composite
+def _transport_batches(draw):
+    """(grid, u, v, params): a 1D or 2D batch with mixed chi, chi = 0 included."""
+    dim = draw(st.sampled_from([1, 2]))
+    cells = tuple(draw(st.integers(4, 40 if dim == 1 else 9)) for _ in range(dim))
+    grid = Grid(extent=(1.0,) * dim, cells=cells)
+    count = draw(st.integers(1, 4))
+    shape = (count,) + cells
+    u = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1e3)))
+    # an infinite v must give the bound the same non-finite gradient
+    v_cells = st.floats(-1e6, 1e6) | st.sampled_from([math.inf, -math.inf])
+    v = draw(hnp.arrays(float, shape, elements=v_cells))
+    chi = st.sampled_from([0.0, 1e-3, 1.0, 7.5]) | st.floats(0.0, 1e3)
+    alpha = st.sampled_from([1.0, 1.5, 2.0])
+    params = [
+        ModelParams(chi=draw(chi), a=1.0, b=1.0, alpha=draw(alpha), beta=2.0)
+        for _ in range(count)
+    ]
+    return grid, u, v, params
+
+
+class TestTransportBound:
+    @given(batch=_transport_batches(), integral=st.floats(0.0, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_gradients_match_np_diff(self, batch, integral):
+        grid, u, v, params = batch
+        # a wide clamp, so the clamp hides no difference in the bound
+        cfg = StepperConfig(dt_min=1e-300, dt_max=1e300)
+        integrals = [integral] * len(params)
+        with np.errstate(**stepper._QUIET):
+            _, grad_max = operators._chemo_divergence(u, v, grid, cfg.face_scheme)
+            dts = stepper._propose_dt(u, grid, params, cfg, integrals, grad_max)
+            assert dts == _np_diff_dts(u, v, grid, params, cfg, integrals)
+            for axis, h, g in zip(grid.field_axes, grid.h, grad_max):
+                expected = np.abs(np.diff(v, axis=axis)).max(axis=grid.field_axes) / h
+                np.testing.assert_array_equal(g, expected)
+            for i, p in enumerate(params):
+                alone = adapt_dt(u[i], v[i], grid, p, cfg, integral)
+                assert alone == dts[i]
 
 
 class TestStep:
@@ -355,7 +432,7 @@ def _two_solve_reference(u, v, ts, params, grid, cfg, dts, forcing=None):
     explicit = source
     if any(p.chi != 0.0 for p in params):
         chi = operators._column([p.chi for p in params], grid.dim)
-        explicit = explicit - chi * operators._chemo_divergence(u, v, grid, cfg.face_scheme)
+        explicit = explicit - chi * operators._chemo_divergence(u, v, grid, cfg.face_scheme)[0]
     dt = operators._column(dts, grid.dim)
     rhs_v = v + dt * u
     if forcing is not None:
@@ -435,6 +512,22 @@ class TestStackedSolve:
                     np.testing.assert_array_equal(u_new, serial_u)
                     np.testing.assert_array_equal(v_new, serial_v)
                     assert outcomes == serial
+
+    def test_mixed_exponent_members_get_their_alone_bits(self, grid1d, grid2d):
+        # members 1 and 2 have alpha = beta: alone they take u^beta from u^alpha,
+        # in this mixed batch u^beta is its own row-by-row power
+        cfg = StepperConfig()
+        assert [p.alpha == p.beta for p in self.POINTS] == [False, True, True]
+        for grid in (grid1d, grid2d):
+            u, v, params = self.batch(grid, 3)
+            u_new, v_new, outcomes = stepper._advance(u, v, [0.0] * 3, params, grid, cfg)
+            for i in range(3):
+                solo_u, solo_v, (solo,) = stepper._advance(
+                    u[i : i + 1], v[i : i + 1], [0.0], [params[i]], grid, cfg
+                )
+                assert outcomes[i] == solo
+                np.testing.assert_array_equal(u_new[i], solo_u[0])
+                np.testing.assert_array_equal(v_new[i], solo_v[0])
 
     def test_perturbed_v_row_fails_only_its_member(self, grid1d, grid2d, monkeypatch):
         cfg = StepperConfig()
