@@ -131,10 +131,8 @@ def _nonlocal_source(
 ) -> tuple[np.ndarray, list[float]]:
     """Source fields of a batch ``u`` with one ModelParams per member row."""
     u_pos = np.maximum(u, 0.0)
-    alphas, betas = [p.alpha for p in params], [p.beta for p in params]
-    u_alpha = _pow_rows(u_pos, alphas)
-    # equal exponents give equal bits, so u^beta need not be taken again
-    sums = (u_alpha if betas == alphas else _pow_rows(u_pos, betas)).sum(axis=grid.field_axes)
+    u_alpha = _pow_rows(u_pos, [p.alpha for p in params])
+    sums = _pow_rows(u_pos, [p.beta for p in params]).sum(axis=grid.field_axes)
     integrals = [grid.cell_volume * s for s in sums.tolist()]
     coefficient = _column([p.a - p.b * i for p, i in zip(params, integrals)], grid.dim)
     return coefficient * u_alpha, integrals

@@ -349,7 +349,9 @@ def adapt_dt(
     grad_h v is read off the face gradients of the transport kernel, as in a step.
     """
     u_rows, v_rows = _stack([u]), _stack([v])
-    grad_max = _chemo_divergence(u_rows, v_rows, grid, cfg.face_scheme)[1]
+    grad_max = ()
+    if params.chi > 0:
+        grad_max = _chemo_divergence(u_rows, v_rows, grid, cfg.face_scheme)[1]
     return _propose_dt(u_rows, grid, [params], cfg, [nonlocal_integral], grad_max)[0]
 
 

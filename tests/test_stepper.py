@@ -513,22 +513,6 @@ class TestStackedSolve:
                     np.testing.assert_array_equal(v_new, serial_v)
                     assert outcomes == serial
 
-    def test_mixed_exponent_members_get_their_alone_bits(self, grid1d, grid2d):
-        # members 1 and 2 have alpha = beta: alone they take u^beta from u^alpha,
-        # in this mixed batch u^beta is its own row-by-row power
-        cfg = StepperConfig()
-        assert [p.alpha == p.beta for p in self.POINTS] == [False, True, True]
-        for grid in (grid1d, grid2d):
-            u, v, params = self.batch(grid, 3)
-            u_new, v_new, outcomes = stepper._advance(u, v, [0.0] * 3, params, grid, cfg)
-            for i in range(3):
-                solo_u, solo_v, (solo,) = stepper._advance(
-                    u[i : i + 1], v[i : i + 1], [0.0], [params[i]], grid, cfg
-                )
-                assert outcomes[i] == solo
-                np.testing.assert_array_equal(u_new[i], solo_u[0])
-                np.testing.assert_array_equal(v_new[i], solo_v[0])
-
     def test_perturbed_v_row_fails_only_its_member(self, grid1d, grid2d, monkeypatch):
         cfg = StepperConfig()
         exact_core = stepper._helmholtz_core
