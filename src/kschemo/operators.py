@@ -86,7 +86,11 @@ def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> 
     """The transport field of a batch and, per axis, max|grad_h v| of each row.
 
     The stepper's transport bound reads these maxima of the face gradients
-    (max|dv / h| is max|dv| / h exactly: rounding is monotone)."""
+    (max|dv / h| is max|dv| / h exactly: rounding is monotone).  Only
+    grid.h and grid.field_axes are read, so a slab of rows along the first
+    field axis with a one-cell halo on each inner side gives its inner
+    cells the exact bits of the whole-field call, and its maxima cover its
+    own faces."""
     out = np.zeros_like(u)
     grad_max = []
     for axis, h in zip(grid.field_axes, grid.h):

@@ -3,6 +3,8 @@
 One step of size dt from (u_n, v_n):
 
   (i)   explicit terms at t_n: E_u = -chi * div(u grad v) + nonlocal source
+        on a large grid (see (iii)) one of two row slabs of the transport
+        runs on the step's helper thread; the source stays whole
   (ii)  u_{n+1} solves (I - dt*L_h) u = u_n + dt*E_u          (implicit diffusion)
   (iii) tau=1: v_{n+1} solves ((1+dt) I - dt*L_h) v = v_n + dt*u_n
               this rhs does not need u_{n+1}, so (ii) and (iii) are one
@@ -10,9 +12,10 @@ One step of size dt from (u_n, v_n):
               sigma = dt for u and dt/(1+dt) for v.  Small grids solve it as
               one stacked call (one transform pair, one gate); when a half
               holds at least _THREAD_CELLS cells and more than one CPU is
-              usable, the u half is solved and gated on a helper thread
-              that lives for that one solve while the calling thread does
-              the v half; the stepper keeps no process-wide state
+              usable, the step's helper thread builds, solves and gates
+              the u half and takes its extrema while the calling thread
+              does the same for the v half.  The helper lives for one step,
+              so the stepper keeps no process-wide state
         tau=0: v_{n+1} solves (I - L_h) v = u_{n+1}           (stationary signal)
               a second solve, since its rhs is the result of (ii)
   (iv)  audit: a non-finite or negative result halves dt and retries from
@@ -72,14 +75,17 @@ _LINEAR_TOL = 1e-10
 # halvings of dt one step may make before it reports a blow-up
 _MAX_RETRIES = 20
 
-# Cells per half (rows * cells per row) from which a tau=1 step solves its u
-# half on a helper thread while the caller solves the v half.  Medians of
-# the checked solve of one u row and one v row on 2 vCPUs, serial -> two
-# threads with the helper started and joined per call, three runs: 1D 256
-# cells 0.07 -> 0.3-0.5 ms, 64^2 0.3-0.5 -> 0.7-1.1 ms, 128^2 1.4-2.1 ->
-# 1.5-2.3 ms, 256^2 5.8-7.7 -> 5.6-7.2 ms, 512^2 30-35 -> 29-33 ms.  One
-# whole step of a 2D bump: 256^2 8.2-9.1 -> 6.4-7.7 ms, 512^2 39-47 -> 29-32
-# ms.  Break-even lies near 128^2 (2^14 cells), so 2^16 threads only wins.
+# Cells (member rows * cells per row) from which a step runs its per-cell
+# work on two threads: the transport in two row slabs, and the u and v
+# halves of a tau=1 solve, with one helper thread started and joined per
+# step.  Medians of the checked solve of one u row and one v row on 2 vCPUs,
+# serial -> two threads, three runs: 1D 256 cells 0.07 -> 0.3-0.5 ms, 64^2
+# 0.3-0.5 -> 0.7-1.1 ms, 128^2 1.4-2.1 -> 1.5-2.3 ms, 256^2 5.8-7.7 ->
+# 5.6-7.2 ms, 512^2 30-35 -> 29-33 ms.  The transport stage of one bump
+# member, serial -> two row slabs with the helper started in the timing,
+# same three-run medians: 128^2 0.23-0.29 -> 0.61-0.77 ms, 256^2 1.6-2.2 ->
+# 1.3-1.8 ms, 512^2 7.9-9.1 -> 4.9-5.8 ms.  Both break even between 128^2
+# and 256^2, so from 2^16 threads only win.
 _THREAD_CELLS = 1 << 16
 
 # the audit decides what overflow and NaN mean, so numpy need not warn
@@ -251,34 +257,99 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _checked_quietly(rhs: np.ndarray, grid: Grid, sigma) -> tuple[np.ndarray, np.ndarray]:
+def _threaded(rows: int, grid: Grid) -> bool:
+    """Whether a step over ``rows`` member rows splits its per-cell work over two threads."""
+    return rows * math.prod(grid.cells) >= _THREAD_CELLS and _usable_cpus() > 1
+
+
+def _quietly(call):
     # numpy's error state belongs to the thread, so the helper sets its own
     with np.errstate(**_QUIET):
-        return _helmholtz_checked(rhs, grid, sigma)
+        return call()
 
 
-def _solve_halves(
-    rhs: np.ndarray, n: int, grid: Grid, sigma_u, sigma_v
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Checked tau=1 solve of the u rows ``rhs[:n]`` and the v rows ``rhs[n:]``.
+def _beside(helper: ThreadPoolExecutor, helper_call, own_call) -> tuple:
+    """(helper_call(), own_call()), the first on the step's helper thread: numpy's
+    large ufuncs and scipy.fft release the GIL, so the two overlap."""
+    theirs = helper.submit(_quietly, helper_call)
+    mine = own_call()
+    return theirs.result(), mine
 
-    Returns (w_u, w_v, rel_u, rel_v).  Rows are solved and gated
-    independently, so the halves get the same bits on one thread or two.
-    When a half holds at least _THREAD_CELLS cells and the process may use
-    more than one CPU, the u half runs on a helper thread started for this
-    call and joined before it returns, while this thread solves the v half:
-    numpy's large ufuncs and scipy.fft release the GIL, so the two overlap.
-    Otherwise it is one stacked call.
+
+def _transport_into(out, u, v, chi, grid: Grid, scheme: str, own=slice(None)) -> list:
+    """out -= chi * (rows ``own`` of the transport field); return its maxima."""
+    div, grad_max = _chemo_divergence(u, v, grid, scheme)
+    kept = div[:, own]
+    kept *= chi
+    np.subtract(out, kept, out=out)
+    return grad_max
+
+
+def _subtract_transport(explicit, u, v, chi, grid: Grid, scheme: str, helper) -> list:
+    """explicit -= chi * div(u grad v) in place; return _chemo_divergence's maxima.
+
+    With a helper, it takes the first cells[0] // 2 rows of the first field
+    axis and this thread the rest, each slab with a one-row halo on its
+    inner side, so its rows get the whole-field bits.  Max is exact and
+    propagates NaN, so the slabs' maxima combine exactly."""
+    if helper is None:
+        return _transport_into(explicit, u, v, chi, grid, scheme)
+    m = grid.cells[0] // 2
+    slab = functools.partial(_transport_into, chi=chi, grid=grid, scheme=scheme)
+    top, bottom = _beside(
+        helper,
+        lambda: slab(explicit[:, :m], u[:, : m + 1], v[:, : m + 1], own=slice(None, m)),
+        lambda: slab(explicit[:, m:], u[:, m - 1 :], v[:, m - 1 :], own=slice(1, None)),
+    )
+    return [np.maximum(a, b) for a, b in zip(top, bottom)]
+
+
+def _solved(rhs: np.ndarray, grid: Grid, sigma) -> tuple:
+    """(w, backward error, max, min) of each row of a checked solve."""
+    w, rel = _helmholtz_checked(rhs, grid, sigma)
+    axes = grid.field_axes
+    return w, rel, w.max(axis=axes), w.min(axis=axes)
+
+
+def _u_rhs(rhs: np.ndarray, u, explicit, dt) -> np.ndarray:
+    """u + dt*E_u into ``rhs``: the u half's rhs."""
+    np.multiply(dt, explicit, out=rhs)
+    rhs += u
+    return rhs
+
+
+def _v_rhs(rhs: np.ndarray, u, v, forcing_v, dt, shift) -> np.ndarray:
+    """(v + dt*u [+ dt*f_v]) / shift into ``rhs``, shift = 1+dt: the v half's rhs."""
+    np.multiply(dt, u, out=rhs)
+    rhs += v
+    if forcing_v is not None:
+        rhs += dt * forcing_v
+    rhs /= shift
+    return rhs
+
+
+def _solve_halves(u, v, explicit, forcing_v, dt, grid: Grid, helper) -> tuple[tuple, tuple]:
+    """Checked tau=1 solve of the u rows and the v rows of a step.
+
+    Returns _solved's (w, rel, max, min) for each half.  Rows are solved,
+    gated and reduced independently, so a half gets the same bits alone or
+    stacked.  With a helper thread and _threaded rows, the helper builds,
+    solves, gates and reduces the u half while this thread does the v half;
+    otherwise one stacked call solves both.
     """
-    if n * math.prod(grid.cells) >= _THREAD_CELLS and _usable_cpus() > 1:
-        # leaving the block joins the helper, also when the v half raises
-        with ThreadPoolExecutor(1, thread_name_prefix="kschemo-helmholtz") as helper:
-            u_half = helper.submit(_checked_quietly, rhs[:n], grid, sigma_u)
-            w_v, rel_v = _helmholtz_checked(rhs[n:], grid, sigma_v)
-            w_u, rel_u = u_half.result()
-        return w_u, w_v, rel_u, rel_v
-    w, rel = _helmholtz_checked(rhs, grid, np.concatenate([sigma_u, sigma_v]))
-    return w[:n], w[n:], rel[:n], rel[n:]
+    n = len(u)
+    rhs = np.empty((2 * n,) + grid.shape)
+    shift = 1.0 + dt
+    if helper is not None and _threaded(n, grid):
+        return _beside(
+            helper,
+            lambda: _solved(_u_rhs(rhs[:n], u, explicit, dt), grid, dt),
+            lambda: _solved(_v_rhs(rhs[n:], u, v, forcing_v, dt, shift), grid, dt / shift),
+        )
+    _u_rhs(rhs[:n], u, explicit, dt)
+    _v_rhs(rhs[n:], u, v, forcing_v, dt, shift)
+    w, rel, hi, lo = _solved(rhs, grid, np.concatenate([dt, dt / shift]))
+    return (w[:n], rel[:n], hi[:n], lo[:n]), (w[n:], rel[n:], hi[n:], lo[n:])
 
 
 def _gate_message(rel: float) -> str:
@@ -364,25 +435,24 @@ def _stack(fields) -> np.ndarray:
 
 def _audit(
     rows: list[int],
-    u_new: np.ndarray,
-    v_new: np.ndarray,
-    rel_u: np.ndarray,
-    rel_v: np.ndarray,
+    solved_u: tuple,
+    solved_v: tuple,
     dts: list[float],
     outcomes: list[StepOutcome],
-    grid: Grid,
     cfg: StepperConfig,
 ) -> list[int]:
     """Decide each member solved in ``rows``; return those to retry at half dt.
 
+    ``solved_u`` and ``solved_v`` are _solved's (w, rel, max, min) of the
+    halves; the audit reads the errors and extrema and makes no array pass.
     The checks run in order: finiteness, the backward-error gate, the sup
     norm threshold, positivity.  The extrema propagate NaN and reach inf, so
     they double as the finiteness check.
     """
-    axes = grid.field_axes
-    u_hi, u_lo = u_new.max(axis=axes).tolist(), u_new.min(axis=axes).tolist()
-    v_hi, v_lo = v_new.max(axis=axes).tolist(), v_new.min(axis=axes).tolist()
-    rel_u, rel_v = rel_u.tolist(), rel_v.tolist()
+    _, rel_u, u_hi, u_lo = solved_u
+    _, rel_v, v_hi, v_lo = solved_v
+    rel_u, u_hi, u_lo = rel_u.tolist(), u_hi.tolist(), u_lo.tolist()
+    rel_v, v_hi, v_lo = rel_v.tolist(), v_hi.tolist(), v_lo.tolist()
     retry = []
     for j, i in enumerate(rows):
         out = outcomes[i]
@@ -433,20 +503,27 @@ def _advance(
 
     Returns the new fields and one StepOutcome per member; a member's row
     holds its new state only when its outcome is accepted.  Retries
-    re-solve only the members that failed their audit.
+    re-solve only the members that failed their audit.  When _threaded, one
+    helper thread started for this call takes half of the per-cell work.
     """
+    if not _threaded(len(params), grid):
+        return _attempt(None, u, v, ts, params, grid, cfg, forcing, dt_cap, dt_override)
+    # leaving the block joins the helper, also when this thread raises
+    with ThreadPoolExecutor(1, thread_name_prefix="kschemo-step") as helper:
+        return _attempt(helper, u, v, ts, params, grid, cfg, forcing, dt_cap, dt_override)
+
+
+def _attempt(helper, u, v, ts, params, grid, cfg, forcing, dt_cap, dt_override):
+    """_advance with ``helper``, the step's helper thread, or None for one thread."""
     axes = grid.field_axes
     count = len(params)
     source, integrals = _nonlocal_source(u, grid, params)
-    # the source's integral is taken now so that its array can become the
-    # explicit stage or be freed before the solves
+    # the source's integral is taken now, as the explicit stage overwrites it
     source_sum = source.sum(axis=axes).tolist()
     explicit, grad_max = source, ()
     if any(p.chi != 0.0 for p in params):
-        explicit, grad_max = _chemo_divergence(u, v, grid, cfg.face_scheme)
-        explicit *= _column([p.chi for p in params], grid.dim)
-        np.subtract(source, explicit, out=explicit)
-    del source
+        chi = _column([p.chi for p in params], grid.dim)
+        grad_max = _subtract_transport(explicit, u, v, chi, grid, cfg.face_scheme, helper)
     forcing_v = None
     if forcing is not None:
         # each member's forcing at its own time
@@ -474,28 +551,18 @@ def _advance(
             f_r = None if forcing_v is None else forcing_v[rows]
         dt = _column([dts[i] for i in rows], grid.dim)
         if stacked:
-            # rows [:n] are u + dt*E_u, rows [n:] are (v + dt*u [+ dt*f_v]) / (1+dt)
-            rhs = np.empty((2 * n,) + grid.shape)
-            rhs_u, rhs_v = rhs[:n], rhs[n:]
-            np.multiply(dt, e_r, out=rhs_u)
-            rhs_u += u_r
-            np.multiply(dt, u_r, out=rhs_v)
-            rhs_v += v_r
-            if f_r is not None:
-                rhs_v += dt * f_r
-            shift = 1.0 + dt
-            rhs_v /= shift
-            cand_u, cand_v, rel_u, rel_v = _solve_halves(rhs, n, grid, dt, dt / shift)
+            solved_u, solved_v = _solve_halves(u_r, v_r, e_r, f_r, dt, grid, helper)
         else:
-            cand_u, rel_u = _helmholtz_checked(u_r + dt * e_r, grid, dt)
-            rhs_v = cand_u if f_r is None else cand_u + f_r
-            cand_v, rel_v = _helmholtz_checked(rhs_v, grid, 1.0)
+            solved_u = _solved(u_r + dt * e_r, grid, dt)
+            w_u = solved_u[0]
+            solved_v = _solved(w_u if f_r is None else w_u + f_r, grid, 1.0)
+        cand_u, cand_v = solved_u[0], solved_v[0]
         if whole:
             u_new, v_new = cand_u, cand_v
         else:
             u_new[rows] = cand_u
             v_new[rows] = cand_v
-        rows = _audit(rows, cand_u, cand_v, rel_u, rel_v, dts, outcomes, grid, cfg)
+        rows = _audit(rows, solved_u, solved_v, dts, outcomes, cfg)
 
     accepted = [i for i, out in enumerate(outcomes) if out.status in _ACCEPTED]
     if accepted:
@@ -674,8 +741,8 @@ def run_batch(
     tau.  Everything else is shared by construction.  A member that
     finishes leaves the batch and the others go on.  For a fixed input each
     member's series is bitwise reproducible and independent of the batch it
-    runs in.  A batch touches no process-wide state (a threaded solve's
-    helper thread ends with that solve), so batches can run in parallel
+    runs in.  A batch touches no process-wide state (a threaded step's
+    helper thread ends with that step), so batches can run in parallel
     workers, forked or spawned.
     """
     if not params or len(initials) != len(params):

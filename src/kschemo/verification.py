@@ -201,11 +201,12 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Forced runs over refinement levels; L2 errors at t_end and observed orders.
 
-    Each level runs at the fixed dt supplied for it (the study insists the
-    adaptive bound never engages, so the step sequence is exactly the one
-    requested).  Orders are computed against the previous level from the
-    spacing ratio for the spatial direction, or the dt ratio when the grids
-    repeat (temporal study).
+    Each level runs at the fixed dt supplied for it (the study insists, by
+    the step count, the retries and the sampled dt, that the adaptive bound
+    never engages, so the step sequence is exactly the one requested).
+    Orders are computed against the previous level from the spacing ratio
+    for the spatial direction, or the dt ratio when the grids repeat
+    (temporal study).
     """
     if len(grids) != len(dts):
         raise ValueError("need one dt per grid")
@@ -229,11 +230,15 @@ def convergence_study(
         )
         if result.termination is not Termination.REACHED_T_END:
             raise RuntimeError(f"level {level} run ended with {result.termination}")
+        # the series samples only some steps; the counts vouch for the rest
+        steps, expected = result.diagnostics.steps, round(t_end / dt)
+        retries = result.diagnostics.total_retries
         dts_used = result.series.column("dt")[1:]
-        if dts_used.size and not np.allclose(dts_used, dt, rtol=1e-9):
+        if steps != expected or retries or not np.allclose(dts_used, dt, rtol=1e-9):
             raise RuntimeError(
-                f"level {level}: adaptive dt engaged ({dts_used.min():g} < {dt:g}); "
-                "weaken chi or reduce dt for a clean study"
+                f"level {level}: adaptive dt engaged ({steps} steps for {expected} "
+                f"of dt = {dt:g}, {retries} retries, sampled dt down to "
+                f"{dts_used.min():g}); weaken chi or reduce dt for a clean study"
             )
         err_u = _l2_error(result.state.u, case.u_exact(result.state.t, grid), grid)
         err_v = _l2_error(result.state.v, case.v_exact(result.state.t, grid), grid)

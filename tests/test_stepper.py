@@ -2,7 +2,7 @@ import math
 import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, TimeoutError
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from kschemo import (
 )
 from kschemo import operators, stepper
 from kschemo.grid import _POSITIVITY_TOL
+from kschemo.operators import FACE_SCHEMES
 from kschemo.stepper import _neumann_eigenvalues
 from kschemo.verification import build_mms_case
 
@@ -51,20 +52,20 @@ def _threaded_grid():
 
 
 def _helper_threads():
-    """Live threads that the threaded tau=1 solve starts."""
-    return [t for t in threading.enumerate() if t.name.startswith("kschemo-helmholtz")]
+    """Live threads that the stepper starts: every helper's name starts with kschemo-."""
+    return [t for t in threading.enumerate() if t.name.startswith("kschemo-")]
 
 
-def _record_solve_threads(monkeypatch):
-    """Allow the threaded halves on any machine; collect the thread name of each checked solve."""
+def _record_threads(monkeypatch, name="_helmholtz_checked"):
+    """Allow two threads on any machine; collect who calls stepper.<name>, by thread name."""
     monkeypatch.setattr(stepper, "_usable_cpus", lambda: 2)
-    checked, threads = stepper._helmholtz_checked, set()
+    original, threads = getattr(stepper, name), set()
 
-    def spy(rhs, grid, sigma):
+    def spy(*args):
         threads.add(threading.current_thread().name)
-        return checked(rhs, grid, sigma)
+        return original(*args)
 
-    monkeypatch.setattr(stepper, "_helmholtz_checked", spy)
+    monkeypatch.setattr(stepper, name, spy)
     return threads
 
 
@@ -317,6 +318,90 @@ class TestTransportBound:
                 assert alone == dts[i]
 
 
+class TestTransportSlabs:
+    """The explicit stage in two row slabs on two threads has the serial bits."""
+
+    @staticmethod
+    def stage(explicit, u, v, chi, grid, scheme):
+        """The explicit stage as _advance runs it: on a helper thread when _threaded."""
+        explicit = explicit.copy()
+        with np.errstate(**stepper._QUIET), ThreadPoolExecutor(1, "kschemo-step") as helper:
+            if not stepper._threaded(len(u), grid):
+                helper = None
+            grad_max = stepper._subtract_transport(explicit, u, v, chi, grid, scheme, helper)
+        return explicit, grad_max
+
+    @pytest.mark.parametrize("scheme", FACE_SCHEMES)
+    @pytest.mark.parametrize(
+        "cells, chis",
+        [
+            ((256, 256), [5.0]),
+            ((256, 256), [5.0, 0.0, 2.0]),
+            ((257, 256), [5.0]),
+            ((257, 256), [5.0, 0.0, 2.0]),
+            # 256 members of 256 cells reach _THREAD_CELLS in 1D
+            ((256,), [5.0, 0.0, 2.0, 0.5] * 64),
+        ],
+    )
+    def test_matches_serial(self, cells, chis, scheme, monkeypatch):
+        grid = Grid(extent=(1.0,) * len(cells), cells=cells)
+        count, m = len(chis), cells[0] // 2
+        rng = np.random.default_rng(len(cells) * 1000 + cells[0] + count)
+        u = rng.uniform(0.0, 2.0, (count,) + grid.shape)
+        base = rng.uniform(0.0, 1.0, (count,) + grid.shape)
+        explicit = rng.uniform(-1.0, 1.0, (count,) + grid.shape)
+        chi = operators._column(chis, grid.dim)
+        # non-finite entries at the last row of the helper's slab, at the
+        # first of the calling thread's and at the halo edges
+        cases = [base]
+        for row, value in ((m - 1, np.inf), (m, np.nan), (m + 1, -np.inf), (m - 2, np.nan)):
+            v = base.copy()
+            v[(count - 1, row) + (3,) * (grid.dim - 1)] = value
+            cases.append(v)
+        threads = _record_threads(monkeypatch, "_chemo_divergence")
+        for v in cases:
+            threads.clear()
+            split, split_max = self.stage(explicit, u, v, chi, grid, scheme)
+            assert len(threads) == 2 and any(t.startswith("kschemo-step") for t in threads)
+            with monkeypatch.context() as patch:
+                patch.setattr(stepper, "_THREAD_CELLS", math.inf)
+                serial, serial_max = self.stage(explicit, u, v, chi, grid, scheme)
+                whole = operators._chemo_divergence(u, v, grid, scheme)[1]
+            np.testing.assert_array_equal(split, serial)
+            assert len(split_max) == len(serial_max) == grid.dim
+            for a, b, c in zip(split_max, serial_max, whole):
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(a, c)
+            if v is not base:
+                assert not np.isfinite(split[-1]).all()
+            assert _helper_threads() == []
+
+    def test_calling_slab_error_propagates_after_joining_helper(self, monkeypatch):
+        grid = _threaded_grid()
+        monkeypatch.setattr(stepper, "_usable_cpus", lambda: 2)
+        kernel, caller = stepper._chemo_divergence, threading.get_ident()
+        raised, helper_done = threading.Event(), []
+
+        def calling_slab_fails(u, v, grid, scheme):
+            if threading.get_ident() == caller:
+                raised.set()
+                raise RuntimeError("calling slab failed")
+            # the helper's slab finishes only after the calling slab has raised
+            assert raised.wait(timeout=60)
+            time.sleep(0.05)
+            result = kernel(u, v, grid, scheme)
+            helper_done.append(threading.current_thread().name)
+            return result
+
+        monkeypatch.setattr(stepper, "_chemo_divergence", calling_slab_fails)
+        p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+        u, v = _bump(grid, 8.0, width=0.1)[None], grid.full(1.0)[None]
+        with pytest.raises(RuntimeError, match="calling slab failed"):
+            stepper._advance(u, v, [0.0], [p], grid, StepperConfig())
+        assert len(helper_done) == 1 and helper_done[0].startswith("kschemo-step")
+        assert _helper_threads() == []
+
+
 class TestStep:
     def test_equilibrium_fixed_point(self, grid1d):
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
@@ -470,7 +555,7 @@ class TestStackedSolve:
     def test_matches_two_separate_solves(self, grid1d, grid2d, monkeypatch):
         cfg = StepperConfig()
         caps = [1e-3, 4e-4, 2.5e-4]
-        threads = _record_solve_threads(monkeypatch)
+        threads = _record_threads(monkeypatch)
         large = _threaded_grid()
         for grid in (grid1d, grid2d, large):
             cases = [
@@ -688,9 +773,11 @@ class TestRun:
         initial = State(u=_bump(grid, 8.0, width=0.1), v=grid.zeros())
         cfg = StepperConfig(dt_max=5e-4)
         rec = Recorder(k_list=(2.0, 4.0), sample_interval=1e-3)
-        threads = _record_solve_threads(monkeypatch)
+        threads = _record_threads(monkeypatch)
+        transport = _record_threads(monkeypatch, "_chemo_divergence")
         threaded = run(initial, p, grid, cfg, 2e-3, rec)
         assert len(threads) == 2
+        assert len(transport) == 2
         monkeypatch.setattr(stepper, "_THREAD_CELLS", math.inf)
         serial = run(initial, p, grid, cfg, 2e-3, rec)
         assert threaded.diagnostics.steps > 1
@@ -701,7 +788,7 @@ class TestRun:
 
     def test_1d_run_starts_no_thread(self, monkeypatch):
         grid = Grid(extent=(1.0,), cells=(256,))
-        threads = _record_solve_threads(monkeypatch)
+        threads = _record_threads(monkeypatch)
         before = threading.active_count()
         p = ModelParams(chi=10.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
         initial = State(u=_bump(grid, 8.0), v=grid.zeros())
@@ -713,7 +800,7 @@ class TestRun:
 
     def test_threaded_step_leaves_no_helper_alive(self, monkeypatch):
         grid = _threaded_grid()
-        threads = _record_solve_threads(monkeypatch)
+        threads = _record_threads(monkeypatch)
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         u, v = _bump(grid, 8.0, width=0.1)[None], grid.zeros()[None]
         for _ in range(2):
@@ -741,11 +828,11 @@ class TestRun:
             return result
 
         monkeypatch.setattr(stepper, "_helmholtz_checked", v_half_fails)
-        rhs = np.stack([_bump(grid, 8.0, width=0.1), grid.full(1.0)])
-        dt = operators._column([1e-3], grid.dim)
+        p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+        u, v = _bump(grid, 8.0, width=0.1)[None], grid.full(1.0)[None]
         with pytest.raises(RuntimeError, match="v half failed"):
-            stepper._solve_halves(rhs, 1, grid, dt, dt / (1.0 + dt))
-        assert len(u_done) == 1 and u_done[0].startswith("kschemo-helmholtz")
+            stepper._advance(u, v, [0.0], [p], grid, StepperConfig())
+        assert len(u_done) == 1 and u_done[0].startswith("kschemo-step")
         assert _helper_threads() == []
 
 
@@ -852,7 +939,7 @@ def _advance_in_child(u, v, params, grid):
 def test_forked_child_steps_after_threaded_parent(monkeypatch):
     # a forked child copies the parent's memory but none of its threads; the
     # helper of the parent's step ended with that step, so the child starts its own
-    threads = _record_solve_threads(monkeypatch)
+    threads = _record_threads(monkeypatch)
     grid = _threaded_grid()
     p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
     u, v = _bump(grid, 8.0, width=0.1)[None], grid.zeros()[None]
@@ -872,7 +959,7 @@ def test_forked_child_steps_after_threaded_parent(monkeypatch):
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
     assert len(child_solvers) == 2
-    assert any(name.startswith("kschemo-helmholtz") for name in child_solvers)
+    assert any(name.startswith("kschemo-step") for name in child_solvers)
     assert child_left == []
     np.testing.assert_array_equal(child_u, u_new)
     np.testing.assert_array_equal(child_v, v_new)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kschemo import Grid, ModelParams, Recorder, StepperConfig, Termination, run
+from kschemo import Grid, ModelParams, Recorder, StepperConfig, Termination, run, stepper
 from kschemo.config import parse_config, run_from_config
 from kschemo.verification import (
     build_mms_case,
@@ -170,6 +170,23 @@ class TestConvergenceStudy:
         lines = path.read_text().splitlines()
         assert lines[0] == "level,h,dt,error_u,error_v,order_u,order_v"
         assert len(lines) == 4
+
+    def test_unsampled_dt_change_raises(self, params, monkeypatch):
+        # two consecutive halved steps realign with the sample times, so
+        # the last step's dt, the only one sampled, is the requested one
+        grids = [Grid(extent=(1.0,), cells=(n,)) for n in (16, 32)]
+        dts = [2e-4 * (16 / n) ** 2 for n in (16, 32)]
+        propose, calls = stepper._propose_dt, []
+
+        def halve_two_steps(*args):
+            calls.append(None)
+            proposed = propose(*args)
+            return [d / 2 for d in proposed] if len(calls) in (40, 41) else proposed
+
+        monkeypatch.setattr(stepper, "_propose_dt", halve_two_steps)
+        case = build_mms_case(params, grids[0])
+        with pytest.raises(RuntimeError, match=r"level 0: .* \(101 steps for 100 .* 0 retries"):
+            convergence_study(case, grids, dts, t_end=0.02, face_scheme="central")
 
     def test_zero_forcing_equilibrium_machine_precision(self, params):
         grid = Grid(extent=(1.0,), cells=(32,))
