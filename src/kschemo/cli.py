@@ -25,7 +25,7 @@ from .params import (
 )
 from .observables import summarize
 from .stepper import Termination
-from .verification import build_mms_case, convergence_study
+from .verification import build_mms_case, convergence_study, level_dts
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
@@ -292,7 +292,26 @@ def _mms_study(args) -> tuple[ModelParams, list[Grid], list[float]]:
     except FieldError as exc:
         cells_flag = "--cells0" if args.mode == "spatial" else "--cells"
         raise ConfigError(str(exc), key="--chi" if exc.field == "chi" else cells_flag) from None
+    try:
+        level_dts(grids, dts, args.t_end)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="--dt0/--t-end") from None
+    _require_writable(args.output)
     return params, grids, dts
+
+
+def _require_writable(path: str) -> None:
+    """ConfigError naming --output unless a file can be written at ``path``; creates nothing."""
+    directory = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        problem = "is a directory"
+    elif not os.path.isdir(directory):
+        problem = f"is in no existing directory ({directory})"
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        problem = "is not writable"
+    else:
+        return
+    raise ConfigError(f"{path} {problem}", key="--output")
 
 
 def _cmd_mms(args) -> int:

@@ -12,12 +12,16 @@ point of the harness.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import stepper
 from .grid import Grid, State, lp_norm_pow
 from .observables import ObservableSeries
 from .params import ModelParams
@@ -80,6 +84,51 @@ class ManufacturedCase:
         return State(u=self.u_exact(0.0, grid), v=self.v_exact(0.0, grid))
 
 
+class _TrigDecay:
+    """Exact fields and forcings of the trig-decay case, as bound methods.
+
+    A module-level class rather than closures, so a case pickles and can
+    be shipped to a worker process under any start method.
+    """
+
+    def __init__(self, params: ModelParams, extent: tuple[float, ...]):
+        self.params, self.extent = params, extent
+        self.k2 = sum((math.pi / L) ** 2 for L in extent)
+        axes = [_axis_quadrature(L) for L in extent]
+        q_nodes = [x.ravel() for x in np.meshgrid(*(x for x, _ in axes), indexing="ij")]
+        self.q_weights = math.prod(np.ix_(*(w for _, w in axes))).ravel()
+        self.q_shape = _cosine_shape(extent, q_nodes)[0]
+        self.shapes: dict[Grid, tuple[np.ndarray, np.ndarray]] = {}
+
+    def shape(self, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+        if g not in self.shapes:
+            if g.dim != len(self.extent):
+                raise ValueError(f"{g.dim}D grid for a {len(self.extent)}D case")
+            c, grad2 = _cosine_shape(self.extent, g.cell_centers())
+            self.shapes[g] = c, grad2 - self.k2 * c * c
+        return self.shapes[g]
+
+    def u_exact(self, t: float, g: Grid) -> np.ndarray:
+        return 2.0 + self.shape(g)[0] * math.exp(-t)
+
+    def v_exact(self, t: float, g: Grid) -> np.ndarray:
+        return 2.0 + self.shape(g)[0] * (0.5 * math.exp(-t))
+
+    def forcing_u(self, t: float, g: Grid) -> np.ndarray:
+        p, k2 = self.params, self.k2
+        c, chemo_shape = self.shape(g)
+        e = math.exp(-t)
+        integral = float(self.q_weights @ (2.0 + self.q_shape * e) ** p.beta)
+        return (
+            ((k2 - 1.0 - p.chi * k2) * e) * c
+            + (0.5 * p.chi * e * e) * chemo_shape
+            + (p.b * integral - p.a) * (2.0 + c * e) ** p.alpha
+        )
+
+    def forcing_v(self, t: float, g: Grid) -> np.ndarray:
+        return (0.5 * (self.k2 - self.params.tau - 1.0) * math.exp(-t)) * self.shape(g)[0]
+
+
 def build_mms_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
     """Default smooth case: decaying cosine bumps over a constant floor.
 
@@ -94,69 +143,41 @@ def build_mms_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
 
     with I(t) the quadrature of u*^beta.  C and |grad C|^2 - k2 C^2 are
     computed once per grid the case is evaluated on, C at the quadrature
-    nodes once.
+    nodes once.  The case pickles.
     """
-    p, extent = params, grid.extent
-    k2 = sum((math.pi / L) ** 2 for L in extent)
-    axes = [_axis_quadrature(L) for L in extent]
-    q_nodes = [x.ravel() for x in np.meshgrid(*(x for x, _ in axes), indexing="ij")]
-    q_weights = math.prod(np.ix_(*(w for _, w in axes))).ravel()
-    q_shape = _cosine_shape(extent, q_nodes)[0]
-    shapes: dict[Grid, tuple[np.ndarray, np.ndarray]] = {}
-
-    def shape(g: Grid) -> tuple[np.ndarray, np.ndarray]:
-        if g not in shapes:
-            if g.dim != len(extent):
-                raise ValueError(f"{g.dim}D grid for a {len(extent)}D case")
-            c, grad2 = _cosine_shape(extent, g.cell_centers())
-            shapes[g] = c, grad2 - k2 * c * c
-        return shapes[g]
-
-    def u_exact(t: float, g: Grid) -> np.ndarray:
-        return 2.0 + shape(g)[0] * math.exp(-t)
-
-    def v_exact(t: float, g: Grid) -> np.ndarray:
-        return 2.0 + shape(g)[0] * (0.5 * math.exp(-t))
-
-    def forcing_u(t: float, g: Grid) -> np.ndarray:
-        c, chemo_shape = shape(g)
-        e = math.exp(-t)
-        integral = float(q_weights @ (2.0 + q_shape * e) ** p.beta)
-        return (
-            ((k2 - 1.0 - p.chi * k2) * e) * c
-            + (0.5 * p.chi * e * e) * chemo_shape
-            + (p.b * integral - p.a) * (2.0 + c * e) ** p.alpha
-        )
-
-    def forcing_v(t: float, g: Grid) -> np.ndarray:
-        return (0.5 * (k2 - p.tau - 1.0) * math.exp(-t)) * shape(g)[0]
-
+    fields = _TrigDecay(params, grid.extent)
     return ManufacturedCase(
         params=params,
-        extent=extent,
-        u_exact=u_exact,
-        v_exact=v_exact,
-        forcing=Forcing(u_fn=forcing_u, v_fn=forcing_v),
+        extent=grid.extent,
+        u_exact=fields.u_exact,
+        v_exact=fields.v_exact,
+        forcing=Forcing(u_fn=fields.forcing_u, v_fn=fields.forcing_v),
         description="trig-decay",
     )
 
 
-def equilibrium_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
-    """Spatially homogeneous steady state c with b c^beta |Omega| = a; zero forcing."""
-    c = (params.a / (params.b * grid.measure)) ** (1.0 / params.beta)
+class _Equilibrium:
+    """The constant fields and zero forcing of ``equilibrium_case``; picklable."""
 
-    def constant(t: float, g: Grid) -> np.ndarray:
-        return g.full(c)
+    def __init__(self, c: float):
+        self.c = c
 
-    def zero(t: float, g: Grid) -> np.ndarray:
+    def constant(self, t: float, g: Grid) -> np.ndarray:
+        return g.full(self.c)
+
+    def zero(self, t: float, g: Grid) -> np.ndarray:
         return g.zeros()
 
+
+def equilibrium_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
+    """Spatially homogeneous steady state c with b c^beta |Omega| = a; zero forcing."""
+    fields = _Equilibrium((params.a / (params.b * grid.measure)) ** (1.0 / params.beta))
     return ManufacturedCase(
         params=params,
         extent=grid.extent,
-        u_exact=constant,
-        v_exact=constant,
-        forcing=Forcing(u_fn=zero, v_fn=zero),
+        u_exact=fields.constant,
+        v_exact=fields.constant,
+        forcing=Forcing(u_fn=fields.zero, v_fn=fields.zero),
         description="equilibrium",
     )
 
@@ -192,6 +213,40 @@ def _l2_error(numeric: np.ndarray, exact: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(lp_norm_pow(numeric - exact, grid, 2)))
 
 
+def level_dts(grids: Sequence[Grid], dts: Sequence[float], t_end: float) -> list[float]:
+    """The dt each level of a study runs at: the requested one snapped to an
+    exact divisor of ``t_end``, so no step gets capped.
+
+    ValueError names the first level that repeats the previous level's h and
+    snapped dt, whose observed order would be 0/0.
+    """
+    snapped = [t_end / max(1, round(t_end / dt)) for dt in dts]
+    for level in range(1, len(grids)):
+        h, prev_h = max(grids[level].h), max(grids[level - 1].h)
+        if h == prev_h and snapped[level] == snapped[level - 1]:
+            raise ValueError(
+                f"level {level} repeats level {level - 1}'s h = {h:g}, dt = {snapped[level]:g} "
+                f"(each dt snaps to a divisor of t_end = {t_end:g}); no order to observe"
+            )
+    return snapped
+
+
+def _run_level(case: ManufacturedCase, grid: Grid, dt: float, t_end: float,
+               face_scheme: str) -> RunResult:
+    """One level of a study: the forced run at fixed ``dt``; module-level, so a pool can run it."""
+    cfg = StepperConfig(
+        dt_min=dt * 1e-8,
+        dt_max=dt,
+        cfl_safety=1.0,
+        face_scheme=face_scheme,
+    )
+    recorder = Recorder(k_list=(2.0,), sample_interval=t_end)
+    return run(
+        case.initial_state(grid), case.params, grid, cfg, t_end, recorder,
+        forcing=case.forcing,
+    )
+
+
 def convergence_study(
     case: ManufacturedCase,
     grids: Sequence[Grid],
@@ -201,58 +256,68 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Forced runs over refinement levels; L2 errors at t_end and observed orders.
 
-    Each level runs at the fixed dt supplied for it (the study insists, by
-    the step count, the retries and the sampled dt, that the adaptive bound
-    never engages, so the step sequence is exactly the one requested).
-    Orders are computed against the previous level from the spacing ratio
-    for the spatial direction, or the dt ratio when the grids repeat
-    (temporal study).
+    Each level runs at the fixed dt supplied for it, snapped by
+    ``level_dts`` (the study insists, by the step count, the retries and
+    the sampled dt, that the adaptive bound never engages, so the step
+    sequence is exactly the one requested).  Orders are computed against
+    the previous level from the spacing ratio for the spatial direction, or
+    the dt ratio when the grids repeat (temporal study).
+
+    The levels are independent, so they run side by side in a process pool
+    with one worker per usable CPU (at most one per level), the costliest
+    level (steps x cells) first; with one usable CPU they run in this
+    process.  Results are read back and checked in level order, so the
+    table, and the error raised for the lowest failing level, are the same
+    bits either way.
     """
     if len(grids) != len(dts):
         raise ValueError("need one dt per grid")
     if len(grids) < 2:
         raise ValueError("need at least two refinement levels")
+    snapped = level_dts(grids, dts, t_end)
+    levels = [(case, grid, dt, t_end, face_scheme) for grid, dt in zip(grids, snapped)]
+    workers = min(len(levels), stepper._usable_cpus())
 
-    rows: list[ConvergenceRow] = []
-    for level, (grid, dt_req) in enumerate(zip(grids, dts)):
-        # snap dt to an exact divisor of the horizon so no step gets capped
-        dt = t_end / max(1, round(t_end / dt_req))
-        cfg = StepperConfig(
-            dt_min=dt * 1e-8,
-            dt_max=dt,
-            cfl_safety=1.0,
-            face_scheme=face_scheme,
-        )
-        recorder = Recorder(k_list=(2.0,), sample_interval=t_end)
-        result = run(
-            case.initial_state(grid), case.params, grid, cfg, t_end, recorder,
-            forcing=case.forcing,
-        )
-        if result.termination is not Termination.REACHED_T_END:
-            raise RuntimeError(f"level {level} run ended with {result.termination}")
-        # the series samples only some steps; the counts vouch for the rest
-        steps, expected = result.diagnostics.steps, round(t_end / dt)
-        retries = result.diagnostics.total_retries
-        dts_used = result.series.column("dt")[1:]
-        if steps != expected or retries or not np.allclose(dts_used, dt, rtol=1e-9):
-            raise RuntimeError(
-                f"level {level}: adaptive dt engaged ({steps} steps for {expected} "
-                f"of dt = {dt:g}, {retries} retries, sampled dt down to "
-                f"{dts_used.min():g}); weaken chi or reduce dt for a clean study"
-            )
-        err_u = _l2_error(result.state.u, case.u_exact(result.state.t, grid), grid)
-        err_v = _l2_error(result.state.v, case.v_exact(result.state.t, grid), grid)
-        row = ConvergenceRow(level=level, h=max(grid.h), dt=dt,
-                             error_u=err_u, error_v=err_v)
-        if rows:
-            prev = rows[-1]
-            if prev.h != row.h:
-                ratio = np.log(prev.h / row.h)
-            else:
-                ratio = np.log(prev.dt / row.dt)
-            row.order_u = float(np.log(prev.error_u / row.error_u) / ratio)
-            row.order_v = float(np.log(prev.error_v / row.error_v) / ratio)
-        rows.append(row)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            # a failed level ends the study: the levels not yet started are dropped
+            stack.callback(pool.shutdown, cancel_futures=True)
+            costs = [round(t_end / dt) * math.prod(grid.cells) for grid, dt in zip(grids, snapped)]
+            futures = {
+                level: pool.submit(_run_level, *levels[level])
+                for level in sorted(range(len(levels)), key=lambda k: -costs[k])
+            }
+            results = (futures[level].result() for level in range(len(levels)))
+        else:
+            results = itertools.starmap(_run_level, levels)
+        rows: list[ConvergenceRow] = []
+        for level, (grid, dt, result) in enumerate(zip(grids, snapped, results)):
+            if result.termination is not Termination.REACHED_T_END:
+                raise RuntimeError(f"level {level} run ended with {result.termination}")
+            # the series samples only some steps; the counts vouch for the rest
+            steps, expected = result.diagnostics.steps, round(t_end / dt)
+            retries = result.diagnostics.total_retries
+            dts_used = result.series.column("dt")[1:]
+            if steps != expected or retries or not np.allclose(dts_used, dt, rtol=1e-9):
+                raise RuntimeError(
+                    f"level {level}: adaptive dt engaged ({steps} steps for {expected} "
+                    f"of dt = {dt:g}, {retries} retries, sampled dt down to "
+                    f"{dts_used.min():g}); weaken chi or reduce dt for a clean study"
+                )
+            err_u = _l2_error(result.state.u, case.u_exact(result.state.t, grid), grid)
+            err_v = _l2_error(result.state.v, case.v_exact(result.state.t, grid), grid)
+            row = ConvergenceRow(level=level, h=max(grid.h), dt=dt,
+                                 error_u=err_u, error_v=err_v)
+            if rows:
+                prev = rows[-1]
+                if prev.h != row.h:
+                    ratio = np.log(prev.h / row.h)
+                else:
+                    ratio = np.log(prev.dt / row.dt)
+                row.order_u = float(np.log(prev.error_u / row.error_u) / ratio)
+                row.order_v = float(np.log(prev.error_v / row.error_v) / ratio)
+            rows.append(row)
     return ConvergenceTable(rows)
 
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from kschemo import cli
 from kschemo.cli import main
 from kschemo.config import parse_config, run_configs, run_from_config
 from kschemo.observables import summarize
@@ -401,6 +402,9 @@ class TestMms:
             (["--chi", "nan"], "--chi"),
             (["--t-end", "0"], "--t-end"),
             (["--dt0=-1"], "--dt0"),
+            # every dt snaps to t_end, so each level would repeat the one before
+            (["--mode", "temporal", "--levels", "3", "--cells", "8", "--dt0", "0.004",
+              "--t-end", "0.001"], "--dt0/--t-end"),
         ],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, flag):
@@ -412,6 +416,18 @@ class TestMms:
         assert err.startswith(f"error: config: {flag}: ")
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing/mms.csv", "."])
+    def test_unwritable_output_exit_2_before_study(self, tmp_path, capsys, monkeypatch, where):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "convergence_study", no_study)
+        code, stdout, err = invoke(capsys, "mms", "--output", str(tmp_path / where))
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: config: --output: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "missing").exists()
 
     def test_adaptive_dt_engaged_exit_4(self, tmp_path, capsys):
         out = tmp_path / "mms.csv"

@@ -1,14 +1,21 @@
+import dataclasses
+import os
+import pickle
+
 import numpy as np
 import pytest
 
 from kschemo import Grid, ModelParams, Recorder, StepperConfig, Termination, run, stepper
+from kschemo import verification
 from kschemo.config import parse_config, run_from_config
 from kschemo.verification import (
+    Forcing,
     build_mms_case,
     compare_series,
     convergence_study,
     equilibrium_case,
     fine_grid_oracle,
+    level_dts,
     semidiscrete_residual,
 )
 
@@ -131,6 +138,23 @@ class TestManufacturedCase:
         assert np.isfinite(r)
 
 
+class TestCasesPickle:
+    @pytest.mark.parametrize("extent, cells", [((1.7,), (16,)), ((1.3, 0.8), (12, 8))])
+    @pytest.mark.parametrize("build", [build_mms_case, equilibrium_case])
+    def test_round_trip_fields_bitwise_equal(self, params, build, extent, cells):
+        grid = Grid(extent=extent, cells=cells)
+        case = build(params, grid)
+        copy = pickle.loads(pickle.dumps(case))
+        assert (copy.params, copy.extent, copy.description) == (
+            case.params, case.extent, case.description
+        )
+        originals = (case.u_exact, case.v_exact, case.forcing.u, case.forcing.v)
+        copies = (copy.u_exact, copy.v_exact, copy.forcing.u, copy.forcing.v)
+        for t in (0.0, 0.37, 2.5):
+            for original, copied in zip(originals, copies):
+                assert copied(t, grid).tobytes() == original(t, grid).tobytes()
+
+
 class TestHandForcingsMatchSymbolic:
     @pytest.mark.parametrize("tau", [0, 1])
     @pytest.mark.parametrize("extent", [(1.7,), (1.3, 0.8)])
@@ -188,6 +212,36 @@ class TestConvergenceStudy:
         with pytest.raises(RuntimeError, match=r"level 0: .* \(101 steps for 100 .* 0 retries"):
             convergence_study(case, grids, dts, t_end=0.02, face_scheme="central")
 
+    def test_two_failing_levels_report_the_lower(self, params, monkeypatch):
+        # levels 1 and 2 take dt far above the transport bound; level 2, the
+        # costliest, runs first in the pool, yet level 1 is the one reported
+        grids = [Grid(extent=(1.0,), cells=(n,)) for n in (16, 32, 64)]
+        dts = [2e-4, 0.01, 0.01]
+        case = build_mms_case(ModelParams(chi=50.0, a=1.0, b=1.0, alpha=2.0, beta=2.0), grids[0])
+        messages = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(stepper, "_usable_cpus", lambda: cpus)
+            with pytest.raises(RuntimeError, match=r"^level 1: adaptive dt engaged") as info:
+                convergence_study(case, grids, dts, t_end=0.02, face_scheme="central")
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        # the 64-cell level fails on its own too, so two levels failed above
+        with pytest.raises(RuntimeError, match=r"^level 0: .* of dt = 0.01,"):
+            convergence_study(case, grids[:0:-1], dts[:0:-1], t_end=0.02, face_scheme="central")
+
+    def test_repeated_level_rejected_before_running(self, params, monkeypatch):
+        # every dt snaps to t_end: levels 1 and 2 would repeat level 0 and read 0/0
+        grid = Grid(extent=(1.0,), cells=(8,))
+        dts = [0.004 / 2**i for i in range(3)]
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(verification, "run", no_run)
+        with pytest.raises(ValueError, match=r"^level 1 repeats level 0's h = 0.125, dt = 0.001"):
+            convergence_study(build_mms_case(params, grid), [grid] * 3, dts, t_end=0.001)
+        assert level_dts([grid] * 3, [0.004, 0.0005, 0.00025], 0.001) == [0.001, 0.0005, 0.00025]
+
     def test_zero_forcing_equilibrium_machine_precision(self, params):
         grid = Grid(extent=(1.0,), cells=(32,))
         case = equilibrium_case(params, grid)
@@ -204,6 +258,57 @@ class TestConvergenceStudy:
         grids = [Grid(extent=(1.0,), cells=(16,))]
         with pytest.raises(ValueError):
             convergence_study(build_mms_case(params, grids[0]), grids, [1e-3, 1e-3], 0.1)
+
+
+class PidStamped:
+    """A forcing field that appends the id of each process evaluating it to ``path``."""
+
+    def __init__(self, field, path):
+        self.field, self.path = field, path
+
+    def __call__(self, t, grid):
+        with open(self.path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return self.field(t, grid)
+
+
+class TestLevelsSideBySide:
+    """The pooled study (two usable CPUs) against the in-process one (one)."""
+
+    def study(self, monkeypatch, cpus, case, grids, dts, t_end):
+        monkeypatch.setattr(stepper, "_usable_cpus", lambda: cpus)
+        return convergence_study(case, grids, dts, t_end, face_scheme="central").rows
+
+    @pytest.mark.parametrize(
+        "cells, dts, t_end",
+        [
+            ([(16,), (32,), (64,)], [2e-4 * (16 / n) ** 2 for n in (16, 32, 64)], 0.02),
+            ([(32,)] * 3, [2e-3, 1e-3, 5e-4], 0.1),
+            ([(8, 8), (16, 16)], [1e-3, 2.5e-4], 0.01),
+        ],
+        ids=["1d-spatial", "1d-temporal", "2d-spatial"],
+    )
+    def test_pooled_rows_equal_in_process(self, params, monkeypatch, cells, dts, t_end):
+        grids = [Grid(extent=(1.0,) * len(c), cells=c) for c in cells]
+        case = build_mms_case(params, grids[0])
+        pooled = self.study(monkeypatch, 2, case, grids, dts, t_end)
+        serial = self.study(monkeypatch, 1, case, grids, dts, t_end)
+        assert pooled == serial
+        assert all(row.order_u is not None for row in pooled[1:])
+
+    def test_levels_run_in_worker_processes(self, params, monkeypatch, tmp_path):
+        grids = [Grid(extent=(1.0,), cells=(n,)) for n in (16, 32)]
+        dts = [2e-4 * (16 / n) ** 2 for n in (16, 32)]
+        case = build_mms_case(params, grids[0])
+        path = tmp_path / "pids.txt"
+        stamped = dataclasses.replace(
+            case, forcing=Forcing(u_fn=PidStamped(case.forcing.u_fn, path), v_fn=case.forcing.v_fn)
+        )
+        pooled = self.study(monkeypatch, 2, stamped, grids, dts, 0.02)
+        pids = set(path.read_text().split())
+        assert pids and str(os.getpid()) not in pids
+        # the stamp changes no bits
+        assert pooled == self.study(monkeypatch, 1, case, grids, dts, 0.02)
 
 
 # the mass-envelope acceptance configuration at half resolution (128 of 256)
