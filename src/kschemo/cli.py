@@ -277,7 +277,7 @@ def _mms_study(args) -> tuple[ModelParams, list[Grid], list[float]]:
         if not holds:
             raise ConfigError(f"{flag} {rule} required, got {value!r}", key=f"--{flag}")
     try:
-        params = ModelParams(chi=args.chi, a=1.0, b=1.0, alpha=2.0, beta=2.0, tau=1)
+        params = ModelParams(chi=args.chi, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         if args.mode == "spatial":
             cells = [args.cells0 * 2**i for i in range(args.levels)]
             grids = [Grid(extent=(1.0,) * args.dim, cells=(n,) * args.dim) for n in cells]
@@ -428,28 +428,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args, extras = parser.parse_known_args(argv)
+    args, extras = _build_parser().parse_known_args(argv)
+    # run and sweep read --section.key overrides from the leftover arguments
+    with_overrides = {"run": _cmd_run, "sweep": _cmd_sweep}
+    plain = {"classify": _cmd_classify, "mms": _cmd_mms, "bound-check": _cmd_bound_check}
     try:
-        if args.command == "classify":
-            if extras:
-                return _fail(EXIT_CONFIG, "config", f"unrecognized arguments {extras}")
-            return _cmd_classify(args)
-        if args.command == "run":
-            return _cmd_run(args, extras)
-        if args.command == "sweep":
-            return _cmd_sweep(args, extras)
-        if args.command == "mms":
-            if extras:
-                return _fail(EXIT_CONFIG, "config", f"unrecognized arguments {extras}")
-            return _cmd_mms(args)
-        if args.command == "bound-check":
-            if extras:
-                return _fail(EXIT_CONFIG, "config", f"unrecognized arguments {extras}")
-            return _cmd_bound_check(args)
+        if args.command in with_overrides:
+            return with_overrides[args.command](args, extras)
+        if extras:
+            return _fail(EXIT_CONFIG, "config", f"unrecognized arguments {extras}")
+        return plain[args.command](args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

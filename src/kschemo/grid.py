@@ -103,48 +103,49 @@ class Grid:
         return np.asarray(fn(*self.cell_centers()), dtype=float)
 
 
-def _require_finite(values: np.ndarray, name: str = "field") -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return arr
-
-
 # depth below zero that a field may dip to and still count as nonnegative
 _POSITIVITY_TOL = 1e-12
 
 
-def _require_nonnegative(arr: np.ndarray, name: str) -> None:
-    lo = float(arr.min())
-    if lo < -_POSITIVITY_TOL:
-        raise ValueError(f"{name} dips to {lo}, below -{_POSITIVITY_TOL}")
+def _require_field(values, grid: Grid, name: str = "field", nonnegative: bool = False):
+    """``values`` as a float array: finite, shaped like ``grid`` and, when
+    ``nonnegative``, no lower than -_POSITIVITY_TOL.  ValueError names ``name``."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite values")
+    if arr.shape != grid.shape:
+        raise ValueError(f"{name} shape {arr.shape} does not match grid {grid.shape}")
+    if nonnegative:
+        lo = float(arr.min())
+        if lo < -_POSITIVITY_TOL:
+            raise ValueError(f"{name} dips to {lo}, below -{_POSITIVITY_TOL}")
+    return arr
 
 
 def integrate(values: np.ndarray, grid: Grid) -> float:
     """Midpoint quadrature of a cell field: cell_volume * sum(values)."""
-    arr = _require_finite(values)
-    if arr.shape != grid.shape:
-        raise ValueError(f"field shape {arr.shape} does not match grid {grid.shape}")
-    return grid.cell_volume * float(arr.sum())
+    return grid.cell_volume * float(_require_field(values, grid).sum())
 
 
 def lp_norm_pow(values: np.ndarray, grid: Grid, k: float) -> float:
     """Integral of |field|^k over the domain (the L^k norm raised to k)."""
     if k < 1:
         raise ValueError(f"k >= 1 required, got {k}")
-    arr = _require_finite(values)
-    if arr.shape != grid.shape:
-        raise ValueError(f"field shape {arr.shape} does not match grid {grid.shape}")
-    powed = np.abs(arr)
+    powed = np.abs(_require_field(values, grid))
     if k != 1:
         powed **= k
     return grid.cell_volume * float(powed.sum())
 
 
 def linf_norm(values: np.ndarray) -> float:
-    """Maximum absolute value of a field."""
-    arr = _require_finite(values)
-    return float(np.abs(arr).max())
+    """Maximum absolute value of a field; ValueError when it is not finite.
+
+    The max propagates NaN and reaches inf, so it is the finiteness check.
+    """
+    top = float(np.abs(np.asarray(values, dtype=float)).max())
+    if not math.isfinite(top):
+        raise ValueError("field contains non-finite values")
+    return top
 
 
 @dataclass
@@ -159,10 +160,7 @@ class State:
 
     def validate(self, grid: Grid) -> None:
         for name, f in (("u", self.u), ("v", self.v)):
-            arr = _require_finite(f, name)
-            if arr.shape != grid.shape:
-                raise ValueError(f"{name} shape {arr.shape} does not match grid")
-            _require_nonnegative(arr, name)
+            _require_field(f, grid, name, nonnegative=True)
 
     def copy(self) -> "State":
         return State(self.u.copy(), self.v.copy(), self.t, self.step_index, self.dt_last)
@@ -170,9 +168,7 @@ class State:
 
 def write_snapshot(path, values: np.ndarray, grid: Grid, t: float) -> None:
     """Write one field: 32-byte header then the flat little-endian f64 array."""
-    arr = _require_finite(values)
-    if arr.shape != grid.shape:
-        raise ValueError("field shape does not match grid")
+    arr = _require_field(values, grid)
     nx = grid.cells[0]
     ny = grid.cells[1] if grid.dim == 2 else 0
     header = struct.pack(_HEADER_FMT, SNAPSHOT_MAGIC, grid.dim, nx, ny, float(t))
@@ -201,9 +197,7 @@ def read_snapshot(path) -> tuple[np.ndarray, float]:
 
 def field_to_csv(path, values: np.ndarray, grid: Grid) -> None:
     """Plain-text export of a field, one cell per row: x[,y],value."""
-    arr = _require_finite(values)
-    if arr.shape != grid.shape:
-        raise ValueError("field shape does not match grid")
+    arr = _require_field(values, grid)
     coords = grid.cell_centers()
     with open(path, "w") as fh:
         if grid.dim == 1:

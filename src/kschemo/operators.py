@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, _require_finite, _require_nonnegative
+from .grid import Grid, _require_field
 from .params import ModelParams
 
 FACE_SCHEMES = ("upwind", "central")
@@ -79,7 +79,7 @@ def _laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Second-order Neumann Laplacian (3-point/5-point stencil) in flux form."""
-    return _laplacian(_require_finite(f), grid)
+    return _laplacian(_require_field(f, grid, "f"), grid)
 
 
 def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> tuple:
@@ -124,10 +124,8 @@ def chemo_divergence(
     """
     if scheme not in FACE_SCHEMES:
         raise ValueError(f"unknown face scheme {scheme!r}")
-    ua = _require_finite(u, "u")
-    va = _require_finite(v, "v")
-    _require_nonnegative(ua, "u")
-    return _chemo_divergence(ua, va, grid, scheme)[0]
+    ua = _require_field(u, grid, "u", nonnegative=True)
+    return _chemo_divergence(ua, _require_field(v, grid, "v"), grid, scheme)[0]
 
 
 def _nonlocal_source(
@@ -152,7 +150,6 @@ def nonlocal_source(
     known.  Values of u in [-1e-12, 0) (the positivity floor) are treated
     as 0 so fractional powers stay real; larger negatives are scheme errors.
     """
-    ua = _require_finite(u, "u")
-    _require_nonnegative(ua, "u")
+    ua = _require_field(u, grid, "u", nonnegative=True)
     source, (integral,) = _nonlocal_source(ua[None], grid, [params])
     return source[0], integral

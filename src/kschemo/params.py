@@ -3,7 +3,7 @@
 The simulated system is
 
     u_t = lap(u) - chi * div(u * grad(v)) + a*u^alpha - b*u^alpha * int(u^beta)
-    tau * v_t = lap(v) - v + u
+    v_t = lap(v) - v + u
 
 on a box with zero-flux boundaries.  Two parameter regions are known to
 produce globally bounded solutions:
@@ -67,7 +67,7 @@ class ModelParams:
     b     : nonlocal dampening coefficient, >= 0
     alpha : growth exponent, >= 1
     beta  : dampening exponent, >= 1
-    tau   : signal time-scale flag, 0 (stationary signal) or 1 (evolving)
+    tau   : signal time-scale flag; only 1, the fully parabolic system
 
     The boundedness theory assumes chi, a, b strictly positive; zero values
     are accepted so degenerate modes (pure Keller-Segel a = b = 0, taxis-free
@@ -85,7 +85,7 @@ class ModelParams:
         for name, lo in (("chi", 0), ("a", 0), ("b", 0), ("alpha", 1), ("beta", 1)):
             value = getattr(self, name)
             require(math.isfinite(value) and value >= lo, name, f">= {lo}", value)
-        require(self.tau in (0, 1), "tau", "in (0, 1)", self.tau)
+        require(self.tau == 1, "tau", "== 1", self.tau)
 
 
 @dataclass(frozen=True)

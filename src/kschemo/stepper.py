@@ -6,18 +6,15 @@ One step of size dt from (u_n, v_n):
         on a large grid (see (iii)) one of two row slabs of the transport
         runs on the step's helper thread; the source stays whole
   (ii)  u_{n+1} solves (I - dt*L_h) u = u_n + dt*E_u          (implicit diffusion)
-  (iii) tau=1: v_{n+1} solves ((1+dt) I - dt*L_h) v = v_n + dt*u_n
-              this rhs does not need u_{n+1}, so (ii) and (iii) are one
-              rhs array over the u rows and then the v rows of all members,
-              sigma = dt for u and dt/(1+dt) for v.  Small grids solve it as
-              one stacked call (one transform pair, one gate); when a half
-              holds at least _THREAD_CELLS cells and more than one CPU is
-              usable, the step's helper thread builds, solves and gates
-              the u half and takes its extrema while the calling thread
-              does the same for the v half.  The helper lives for one step,
-              so the stepper keeps no process-wide state
-        tau=0: v_{n+1} solves (I - L_h) v = u_{n+1}           (stationary signal)
-              a second solve, since its rhs is the result of (ii)
+  (iii) v_{n+1} solves ((1+dt) I - dt*L_h) v = v_n + dt*u_n
+        this rhs does not need u_{n+1}, so (ii) and (iii) are one rhs array
+        over the u rows and then the v rows of all members, sigma = dt for u
+        and dt/(1+dt) for v.  Small grids solve it as one stacked call (one
+        transform pair, one gate); when a half holds at least _THREAD_CELLS
+        cells and more than one CPU is usable, the step's helper thread
+        builds, solves and gates the u half and takes its extrema while the
+        calling thread does the same for the v half.  The helper lives for
+        one step, so the stepper keeps no process-wide state
   (iv)  audit: a non-finite or negative result halves dt and retries from
         the explicit stage of (i); a solve that fails its backward-error gate
         is a solver failure; a sup norm above the threshold is a blow-up
@@ -36,7 +33,7 @@ about the PDE.
 There is one march, run_batch().  It advances B members, the parameter
 points of a sweep, as fields stacked ``(B, *grid.shape)``.  Each member has
 its own coefficients, t, dt, retries, sample times, diagnostics and
-termination; the grid, StepperConfig, tau, t_end, Recorder and forcing are
+termination; the grid, StepperConfig, t_end, Recorder and forcing are
 shared.  A member's numbers come from the same elementwise operations and
 the same row reductions whatever the batch, so its series is bitwise the
 one it gets alone.  run() and step() are the B = 1 case.
@@ -56,7 +53,7 @@ import numpy as np
 from scipy import fftpack
 from scipy.fft import dctn, idctn
 
-from .grid import _POSITIVITY_TOL, Grid, State, _require_finite, integrate
+from .grid import _POSITIVITY_TOL, Grid, State, _require_field, integrate
 from .observables import ObservableError, ObservableSeries, record
 from .operators import (
     FACE_SCHEMES,
@@ -77,7 +74,7 @@ _MAX_RETRIES = 20
 
 # Cells (member rows * cells per row) from which a step runs its per-cell
 # work on two threads: the transport in two row slabs, and the u and v
-# halves of a tau=1 solve, with one helper thread started and joined per
+# halves of the solve, with one helper thread started and joined per
 # step.  Medians of the checked solve of one u row and one v row on 2 vCPUs,
 # serial -> two threads, three runs: 1D 256 cells 0.07 -> 0.3-0.5 ms, 64^2
 # 0.3-0.5 -> 0.7-1.1 ms, 128^2 1.4-2.1 -> 1.5-2.3 ms, 256^2 5.8-7.7 ->
@@ -195,9 +192,8 @@ def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma) -> np.ndarray:
 
     ``sigma`` is a scalar or a (R, 1, ...) column with one entry per row.
     Rows are transformed, divided and clipped independently, so a row gets
-    the same bits whatever rows it is stacked with: under tau=1 the stepper
-    passes the u rows of all members followed by their v rows, under tau=0
-    the u rows and then, in a second call, the v rows.
+    the same bits whatever rows it is stacked with: the stepper passes the
+    u rows of all members followed by their v rows.
     """
     spectral = _cosine_transform(rhs, grid)
     denominator = sigma * _grid_eigenvalues(grid)
@@ -229,11 +225,11 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 def _helmholtz_checked(rhs: np.ndarray, grid: Grid, sigma) -> tuple[np.ndarray, np.ndarray]:
     """Solve each row as _helmholtz_core does; return (w, backward error of each row).
 
-    Under tau=1 one call carries the u and the v rows of a step and the
-    caller splits w and the errors at the member count, or, on large grids,
-    _solve_halves makes one call per half on two threads.  Each row's error
-    has the bits it gets alone, so both ways agree.  A non-finite row gets a
-    meaningless error; callers test finiteness first.
+    One call carries the u and the v rows of a step and the caller splits w
+    and the errors at the member count, or, on large grids, _solve_halves
+    makes one call per half on two threads.  Each row's error has the bits
+    it gets alone, so both ways agree.  A non-finite row gets a meaningless
+    error; callers test finiteness first.
     """
     w = _helmholtz_core(rhs, grid, sigma)
     # w - sigma*L_h w - rhs, built in the Laplacian's array: negating the
@@ -329,7 +325,7 @@ def _v_rhs(rhs: np.ndarray, u, v, forcing_v, dt, shift) -> np.ndarray:
 
 
 def _solve_halves(u, v, explicit, forcing_v, dt, grid: Grid, helper) -> tuple[tuple, tuple]:
-    """Checked tau=1 solve of the u rows and the v rows of a step.
+    """Checked solve of the u rows and the v rows of a step.
 
     Returns _solved's (w, rel, max, min) for each half.  Rows are solved,
     gated and reduced independently, so a half gets the same bits alone or
@@ -368,10 +364,7 @@ def helmholtz_solve(rhs: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
     """
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError(f"sigma > 0 required, got {sigma}")
-    arr = _require_finite(rhs, "rhs")
-    if arr.shape != grid.shape:
-        raise ValueError("rhs shape does not match grid")
-    w, rel = _helmholtz_checked(arr[None], grid, sigma)
+    w, rel = _helmholtz_checked(_require_field(rhs, grid, "rhs")[None], grid, sigma)
     if not (rel[0] <= _LINEAR_TOL):
         raise LinearSolverError(_gate_message(rel[0]))
     return w[0]
@@ -418,8 +411,11 @@ def adapt_dt(
     transport bound (per axis): h / (chi * max|grad_h v| + eps)
     reaction  bound: 1 / ((a + b*I) * max(u)^(alpha-1) + eps)
     grad_h v is read off the face gradients of the transport kernel, as in a step.
+    A u that is not a nonnegative field on ``grid``, or a v that is not a
+    finite one, raises ValueError.
     """
-    u_rows, v_rows = _stack([u]), _stack([v])
+    u_rows = _require_field(u, grid, "u", nonnegative=True)[None]
+    v_rows = _require_field(v, grid, "v")[None]
     grad_max = ()
     if params.chi > 0:
         grad_max = _chemo_divergence(u_rows, v_rows, grid, cfg.face_scheme)[1]
@@ -538,7 +534,6 @@ def _attempt(helper, u, v, ts, params, grid, cfg, forcing, dt_cap, dt_override):
         dts = [min(dt, cap) for dt, cap in zip(dts, dt_cap)]
 
     outcomes = [StepOutcome(StepStatus.ADVANCED, nonlocal_integral=i) for i in integrals]
-    stacked = params[0].tau == 1
     u_new = v_new = None
     rows = list(range(count))
     while rows:
@@ -550,12 +545,7 @@ def _attempt(helper, u, v, ts, params, grid, cfg, forcing, dt_cap, dt_override):
             u_r, v_r, e_r = u[rows], v[rows], explicit[rows]
             f_r = None if forcing_v is None else forcing_v[rows]
         dt = _column([dts[i] for i in rows], grid.dim)
-        if stacked:
-            solved_u, solved_v = _solve_halves(u_r, v_r, e_r, f_r, dt, grid, helper)
-        else:
-            solved_u = _solved(u_r + dt * e_r, grid, dt)
-            w_u = solved_u[0]
-            solved_v = _solved(w_u if f_r is None else w_u + f_r, grid, 1.0)
+        solved_u, solved_v = _solve_halves(u_r, v_r, e_r, f_r, dt, grid, helper)
         cand_u, cand_v = solved_u[0], solved_v[0]
         if whole:
             u_new, v_new = cand_u, cand_v
@@ -737,18 +727,15 @@ def run_batch(
 ) -> list[RunResult]:
     """March each member from its initial state until t_end, blow-up or solver failure.
 
-    ``initials[i]`` and ``params[i]`` make member i; the members must share
-    tau.  Everything else is shared by construction.  A member that
-    finishes leaves the batch and the others go on.  For a fixed input each
-    member's series is bitwise reproducible and independent of the batch it
-    runs in.  A batch touches no process-wide state (a threaded step's
-    helper thread ends with that step), so batches can run in parallel
-    workers, forked or spawned.
+    ``initials[i]`` and ``params[i]`` make member i; everything else is
+    shared by construction.  A member that finishes leaves the batch and the
+    others go on.  For a fixed input each member's series is bitwise
+    reproducible and independent of the batch it runs in.  A batch touches
+    no process-wide state (a threaded step's helper thread ends with that
+    step), so batches can run in parallel workers, forked or spawned.
     """
     if not params or len(initials) != len(params):
         raise ValueError("need one ModelParams per initial state")
-    if len({p.tau for p in params}) != 1:
-        raise ValueError("batch members must share tau")
     for initial in initials:
         if t_end <= initial.t:
             raise ValueError("t_end must exceed the initial time")

@@ -126,7 +126,7 @@ class _TrigDecay:
         )
 
     def forcing_v(self, t: float, g: Grid) -> np.ndarray:
-        return (0.5 * (self.k2 - self.params.tau - 1.0) * math.exp(-t)) * self.shape(g)[0]
+        return (0.5 * (self.k2 - 2.0) * math.exp(-t)) * self.shape(g)[0]
 
 
 def build_mms_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
@@ -139,7 +139,7 @@ def build_mms_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
 
         f_u = (k2 - 1 - chi k2) e^{-t} C + chi e^{-2t} (|grad C|^2 - k2 C^2) / 2
               + (b I(t) - a) u*^alpha
-        f_v = (k2 - tau - 1) e^{-t} C / 2
+        f_v = (k2 - 2) e^{-t} C / 2
 
     with I(t) the quadrature of u*^beta.  C and |grad C|^2 - k2 C^2 are
     computed once per grid the case is evaluated on, C at the quadrature

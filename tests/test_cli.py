@@ -113,6 +113,16 @@ class TestRun:
         assert code == 2
         assert "alpha" in err
 
+    def test_stationary_signal_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG + "model.tau = 0\n")
+        code, out, err = invoke(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: config: line 11: model.tau: tau == 1 required, got 0"
+        ]
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = invoke(capsys, "run", "--config", "no-such-file.cfg")
         assert code == 2
@@ -439,6 +449,21 @@ class TestMms:
         assert err.startswith("error: solver-failure: level 0: adaptive dt engaged")
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--alpha", "1", "--beta", "3", "--n", "1"],
+        ["mms", "--levels", "2"],
+        ["bound-check", "--run-dir", "no-such-dir"],
+    ],
+)
+def test_commands_without_overrides_reject_extras(capsys, argv):
+    code, out, err = invoke(capsys, *argv, "--model.chi", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: config: unrecognized arguments ['--model.chi', '2']\n"
 
 
 def test_cli_import_leaves_sympy_out():

@@ -42,8 +42,9 @@ class TestParse:
             parse_config(text="\nmodel.alpha = 0.5\n")
 
     def test_tau_enum_rejected(self):
-        with pytest.raises(ConfigError, match="tau"):
-            parse_config(text="model.tau = 2\n")
+        # tau accepts only 1; REJECTED covers tau = 2 too
+        with pytest.raises(ConfigError, match=r"line 2: model.tau: tau == 1 required, got 0"):
+            parse_config(text="model.chi = 1.0\nmodel.tau = 0\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match=r"line 1: unknown key 'model.gamma'"):

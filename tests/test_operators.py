@@ -176,3 +176,28 @@ class TestNonlocalSource:
         u[3] = -1e-6
         with pytest.raises(ValueError, match="dips"):
             nonlocal_source(u, grid, self.params())
+
+
+class TestFieldChecks:
+    """The public operators reject a field that does not fit the grid, by name."""
+
+    LINE = Grid(extent=(1.0,), cells=(4,))
+
+    def test_laplacian_of_wrong_length(self):
+        with pytest.raises(ValueError, match=r"f shape \(5,\) does not match grid \(4,\)"):
+            laplacian(np.arange(5.0) ** 2, self.LINE)
+
+    def test_laplacian_of_1d_field_on_2d_grid(self):
+        with pytest.raises(ValueError, match=r"f shape \(4,\) does not match grid \(4, 4\)"):
+            laplacian(np.ones(4), Grid(extent=(1.0, 1.0), cells=(4, 4)))
+
+    def test_nonlocal_source_of_wrong_length(self):
+        p = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
+        with pytest.raises(ValueError, match=r"u shape \(6,\)"):
+            nonlocal_source(np.ones(6), self.LINE, p)
+
+    def test_chemo_divergence_of_wrong_v(self):
+        with pytest.raises(ValueError, match=r"v shape \(5,\)"):
+            chemo_divergence(np.ones(4), np.ones(5), self.LINE)
+        with pytest.raises(ValueError, match="v contains non-finite"):
+            chemo_divergence(np.ones(4), np.full(4, np.inf), self.LINE)

@@ -14,6 +14,7 @@ from kschemo import (
     ode_comparison_oracle,
     regime_report,
 )
+from kschemo.params import FieldError
 
 
 def make_params(alpha=1.0, beta=1.0, chi=1.0, a=1.0, b=1.0, tau=1):
@@ -33,8 +34,11 @@ class TestModelParams:
             make_params(beta=0.99)
 
     def test_rejects_bad_tau(self):
-        with pytest.raises(ValueError, match="tau"):
-            make_params(tau=2)
+        # tau accepts only 1, the fully parabolic system
+        for tau in (0, 2):
+            with pytest.raises(FieldError, match=f"tau == 1 required, got {tau}") as info:
+                make_params(tau=tau)
+            assert info.value.field == "tau"
 
     def test_accepts_degenerate_zero_coefficients(self):
         # pure Keller-Segel (a = b = 0) and taxis-free (chi = 0) modes

@@ -52,7 +52,7 @@ def symbolic_case(params, extent, closed_form):
 
     chemo = sum(sp.diff(u * sp.diff(v, s), s) for s in space)
     f_u_local = sp.diff(u, t) - lap(u) + p.chi * chemo - p.a * u**p.alpha
-    f_v = p.tau * sp.diff(v, t) - lap(v) + v - u
+    f_v = sp.diff(v, t) - lap(v) + v - u
     fns = [sp.lambdify(args, e, "numpy") for e in (u, v, f_u_local, f_v, u**p.alpha)]
     u_fn, v_fn, local_fn, f_v_fn, u_alpha_fn = fns
     u_beta_fn = sp.lambdify(args, u**p.beta, "math")
@@ -96,7 +96,7 @@ def constant(c):
 
 @pytest.fixture(scope="module")
 def params():
-    return ModelParams(chi=0.25, a=1.0, b=1.0, alpha=2.0, beta=2.0, tau=1)
+    return ModelParams(chi=0.25, a=1.0, b=1.0, alpha=2.0, beta=2.0)
 
 
 class TestManufacturedCase:
@@ -156,11 +156,10 @@ class TestCasesPickle:
 
 
 class TestHandForcingsMatchSymbolic:
-    @pytest.mark.parametrize("tau", [0, 1])
     @pytest.mark.parametrize("extent", [(1.7,), (1.3, 0.8)])
     @pytest.mark.parametrize("which", ["trig-decay", "equilibrium"])
-    def test_fields_and_forcings_at_random_points(self, which, extent, tau):
-        params = ModelParams(chi=0.7, a=1.3, b=0.6, alpha=1.5, beta=2.5, tau=tau)
+    def test_fields_and_forcings_at_random_points(self, which, extent):
+        params = ModelParams(chi=0.7, a=1.3, b=0.6, alpha=1.5, beta=2.5)
         points = RandomPoints(extent=extent, cells=(40,) if len(extent) == 1 else (9, 7))
         if which == "trig-decay":
             case = build_mms_case(params, Grid(extent=extent, cells=(4,) * len(extent)))
@@ -365,29 +364,6 @@ stepper.dt_max = 1e-3
         cfg = parse_config(text=HALF_RES_ACCEPTANCE)
         with pytest.raises(ValueError):
             fine_grid_oracle(cfg, factor=1)
-
-
-class TestCrossModeOracle:
-    def test_stationary_vs_evolving_signal_plateau(self):
-        # diffusion-dominated setting: long-run mass plateau agrees across tau
-        base = """
-model.chi = 0.5
-model.alpha = 2.0
-model.beta = 2.0
-grid.cells_x = 64
-ic.u = bump
-ic.u_mass = 2.0
-ic.u_width = 0.1
-run.t_end = 10.0
-run.sample_interval = 0.25
-"""
-        cfg1 = parse_config(text=base + "model.tau = 1\n")
-        cfg0 = parse_config(text=base + "model.tau = 0\n")
-        r1 = run_from_config(cfg1, output_dir=None)
-        r0 = run_from_config(cfg0, output_dir=None)
-        m1 = r1.series.column("mass")[-1]
-        m0 = r0.series.column("mass")[-1]
-        assert abs(m1 - m0) / m1 <= 0.05
 
 
 class TestCompareSeries:
