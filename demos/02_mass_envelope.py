@@ -51,4 +51,5 @@ assert np.all(mass <= m0 * (1 + 1e-6)), "envelope violated"
 print(f"final mass {mass[-1]:.6g} settled below the barrier {y1:g}")
 print()
 print("the same audit runs on any finished run directory via:")
-print("  kschemo bound-check --run-dir <dir-with-series.csv>")
+print("  kschemo bound-check --run-dir <run-dir>")
+print("which reads series.csv, resolved_config.txt and summary.txt there")

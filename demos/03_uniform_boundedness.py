@@ -43,14 +43,16 @@ for label, text, n in (("subquadratic", SUBQUADRATIC, 1), ("superquadratic", SUP
     print(f"--- {label} run (alpha={cfg.model.alpha}, beta={cfg.model.beta}, n={n})")
     print(f"classified: {regime}")
     result = run_from_config(cfg, output_dir=None)
-    summary = summarize(result.series)
+    summary = summarize(result.series, result.termination)
     print(f"termination: {result.termination} in {result.diagnostics.steps} steps")
-    print(f"peak |u|_inf over the run: {summary.column_max['linf_u']:.4g}")
+    print(f"peak |u|_inf over the run: {summary.linf_u_max:.4g}")
     print(f"final |u|_inf: {result.series.column('linf_u')[-1]:.4g}")
-    for col, verdict in sorted(summary.plateau.items()):
-        print(f"plateau[{col}] = {verdict}")
+    for key, verdict in summary.printed().items():
+        if key.startswith("plateau_"):
+            print(f"{key} = {verdict}")
     print()
 
 print("a plateau verdict compares the last quartile of a column against its")
 print("mid-quartiles (factor 1.05); it is the 'settled' heuristic used by the")
-print("run summary, not a proved bound.")
+print("run summary, not a proved bound.  It reads true only over a run that")
+print("reached t_end with at least 4 samples, and inconclusive otherwise.")

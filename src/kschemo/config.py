@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .grid import Grid, State, field_to_csv, integrate, write_snapshot
-from .observables import summarize
+from .observables import SeriesSummary, summarize
 from .params import FieldError, ModelParams, mass_envelope, require
 from .stepper import Recorder, RunResult, StepperConfig, Termination, run, run_batch
 
@@ -321,13 +321,22 @@ def refine_config(cfg: RunConfig, factor: int) -> RunConfig:
     return replace(cfg, grid=grid, stepper=stepper)
 
 
-def _bool_str(flag) -> str:
-    return "true" if flag else "false"
+def run_record(cfg: RunConfig, result: RunResult) -> tuple[tuple | None, SeriesSummary]:
+    """The envelope (y1, m0) of a run and its verdict record.  Without a
+    sample, m0 reads the mass of the initial state the run never left; the
+    envelope is None when b = 0 or that mass is not finite."""
+    series = result.series
+    with np.errstate(over="ignore"):  # an initial sum that overflows has no envelope
+        mass0 = series.column("mass")[0] if len(series) else integrate(result.state.u, cfg.grid)
+    envelope = None
+    if cfg.model.b > 0 and math.isfinite(mass0):
+        envelope = mass_envelope(cfg.model, mass0, cfg.grid.measure)
+    cap = envelope[1] if envelope else None
+    return envelope, summarize(series, result.termination, cap, cfg.stepper.blowup_linf_threshold)
 
 
 def summary_lines(cfg: RunConfig, result: RunResult) -> list[str]:
     """Machine-parsable summary of a finished run (one key=value per line)."""
-    series = result.series
     lines = [
         f"termination={result.termination}",
         f"termination_cause={result.cause}",
@@ -337,27 +346,12 @@ def summary_lines(cfg: RunConfig, result: RunResult) -> list[str]:
         f"min_u={result.diagnostics.min_u:.17g}",
         f"min_v={result.diagnostics.min_v:.17g}",
     ]
-    if len(series) == 0:
-        return lines
-    mass0 = series.column("mass")[0]
-    cap = None
-    if cfg.model.b > 0:
-        y1, m0 = mass_envelope(cfg.model, mass0, cfg.grid.measure)
-        cap = m0
-        lines += [f"y1={y1:.17g}", f"m0={m0:.17g}"]
-    summary = summarize(
-        series, mass_cap=cap, linf_threshold=cfg.stepper.blowup_linf_threshold
-    )
-    lines += [
-        f"mass_max={summary.column_max['mass']:.17g}",
-        f"linf_u_max={summary.column_max['linf_u']:.17g}",
-    ]
-    if summary.mass_envelope_ok is not None:
-        lines.append(f"mass_envelope_ok={_bool_str(summary.mass_envelope_ok)}")
-    lines.append(f"linf_bounded={_bool_str(summary.linf_bounded)}")
-    for col in sorted(summary.plateau):
-        lines.append(f"plateau_{col}={_bool_str(summary.plateau[col])}")
-    lines.append(f"plateaus_ok={_bool_str(summary.plateaus_ok)}")
+    envelope, summary = run_record(cfg, result)
+    if envelope is not None:
+        lines += [f"y1={envelope[0]:.17g}", f"m0={envelope[1]:.17g}"]
+    # without b there is no envelope to check, so no mass_envelope_ok line
+    skip = () if cfg.model.b > 0 else ("mass_envelope_ok",)
+    lines += [f"{k}={v}" for k, v in summary.printed().items() if k not in skip]
     return lines
 
 

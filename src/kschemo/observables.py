@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, State, integrate, linf_norm, lp_norm_pow
+from .grid import Grid, State, _require_field
 from .params import ModelParams
 
 _CONSISTENCY_RTOL = 1e-9
@@ -119,13 +119,18 @@ def record(
     bad data, so it aborts the run.
     """
     try:
-        mass = integrate(state.u, grid)
-        int_beta = lp_norm_pow(state.u, grid, params.beta)
-        int_k = [lp_norm_pow(state.u, grid, k) for k in k_list]
-        sup_u = linf_norm(state.u)
-        sup_v = linf_norm(state.v)
+        u = _require_field(state.u, grid, "u")
+        v = _require_field(state.v, grid, "v")
     except ValueError as exc:
         raise ObservableError(str(exc)) from exc
+    # the same reductions as integrate and lp_norm_pow, over one |u|
+    volume = grid.cell_volume
+    abs_u = np.abs(u)
+    mass = volume * float(u.sum())
+    int_beta, *int_k = [
+        volume * float((abs_u if k == 1 else abs_u**k).sum()) for k in (params.beta, *k_list)
+    ]
+    sup_u, sup_v = float(abs_u.max()), float(np.abs(v).max())
 
     row = (state.t, mass, int_beta, *int_k, sup_u, sup_v, state.dt_last,
            float(cumulative_retries))
@@ -151,55 +156,80 @@ def record(
     return row
 
 
+_VERDICT_TEXT = {True: "true", False: "false", None: "inconclusive"}
+
+
 @dataclass(frozen=True)
 class SeriesSummary:
-    """Verdict over a whole series: per-column maxima and plateau flags."""
+    """The one verdict record of a run, by the rule in summarize: maxima,
+    None without a row, and verdicts, None when inconclusive."""
 
-    column_max: dict
+    mass_max: float | None
+    linf_u_max: float | None
     mass_envelope_ok: bool | None
     linf_bounded: bool | None
     plateau: dict
-    plateaus_ok: bool
+    plateaus_ok: bool | None
+
+    def printed(self) -> dict[str, str]:
+        """Each field as summary.txt prints it, in its order: a maximum with 17
+        digits (empty without a row), a verdict as true, false or inconclusive."""
+        maxima = {"mass_max": self.mass_max, "linf_u_max": self.linf_u_max}
+        verdicts = {"mass_envelope_ok": self.mass_envelope_ok, "linf_bounded": self.linf_bounded}
+        verdicts.update((f"plateau_{c}", self.plateau[c]) for c in sorted(self.plateau))
+        verdicts["plateaus_ok"] = self.plateaus_ok
+        return {
+            **{k: "" if v is None else f"{v:.17g}" for k, v in maxima.items()},
+            **{k: _VERDICT_TEXT[v] for k, v in verdicts.items()},
+        }
 
 
-def _plateau(values: np.ndarray) -> bool:
-    """Last-quartile max no more than 5% above the mid-quartile max.
-
-    The quartile split and the 1.05 factor are fixture constants of the
-    verdict, a heuristic reading of 'settled', not a proved bound.
-    """
+def _plateau(values: np.ndarray) -> bool | None:
+    """Last-quartile max no more than 5% above the mid-quartile max; None
+    below 4 rows.  The split and the factor are fixture constants, a
+    heuristic reading of 'settled', not a proved bound."""
     n = len(values)
     if n < 4:
-        return True
-    mid = values[n // 4 : (3 * n) // 4]
-    last = values[(3 * n) // 4 :]
-    return float(last.max()) <= 1.05 * float(mid.max()) + 1e-300
+        return None
+    mid, last = values[n // 4 : (3 * n) // 4], values[(3 * n) // 4 :]
+    return bool(float(last.max()) <= 1.05 * float(mid.max()) + 1e-300)
+
+
+def _verdict(holds: bool | None, reached: bool) -> bool | None:
+    """False on a violation, True when it holds over a finished run, else None."""
+    return False if holds is False else (True if holds and reached else None)
 
 
 def summarize(
     series: ObservableSeries,
+    termination,
     mass_cap: float | None = None,
     linf_threshold: float | None = None,
 ) -> SeriesSummary:
-    """Reduce a series to maxima plus boundedness/plateau verdicts."""
-    if len(series) == 0:
-        raise ValueError("cannot summarize an empty series")
-    column_max = {name: float(series.column(name).max()) for name in series.columns}
+    """The verdict record of a run that ended with ``termination`` (a
+    Termination or its printed name).  The one rule for every verdict:
 
-    mass_ok = None
-    if mass_cap is not None:
-        mass_ok = column_max["mass"] <= mass_cap * (1.0 + 1e-6)
-    linf_ok = None
-    if linf_threshold is not None:
-        linf_ok = column_max["linf_u"] < linf_threshold
-
-    plateau_cols = [c for c in series.columns if c.startswith("int_u_k")]
-    plateau_cols.append("linf_u")
-    plateau = {c: _plateau(series.column(c)) for c in plateau_cols}
+    - False when the samples show a violation: a mass above
+      mass_cap * (1 + 1e-6), a sup norm at or above linf_threshold, a
+      non-finite sample, or a plateau that fails over at least 4 rows.
+    - True only when nothing is violated, the run reached t_end and, for a
+      plateau, the series has at least 4 rows.
+    - None (inconclusive) otherwise, an empty series or an absent bound
+      included.  plateaus_ok is False if any plateau is, True if all are.
+    """
+    reached = str(termination) == "ReachedTEnd"  # Termination.REACHED_T_END
+    mass_max = linf_u_max = mass_holds = linf_holds = None
+    if len(series):
+        mass_max = float(series.column("mass").max())
+        linf_u_max = float(series.column("linf_u").max())
+        if mass_cap is not None:
+            mass_holds = bool(mass_max <= mass_cap * (1.0 + 1e-6))
+        if linf_threshold is not None:
+            linf_holds = bool(linf_u_max < linf_threshold)
+    columns = [c for c in series.columns if c.startswith("int_u_k")] + ["linf_u"]
+    plateau = {c: _verdict(_plateau(series.column(c)), reached) for c in columns}
+    flags = list(plateau.values())
     return SeriesSummary(
-        column_max=column_max,
-        mass_envelope_ok=mass_ok,
-        linf_bounded=linf_ok,
-        plateau=plateau,
-        plateaus_ok=all(plateau.values()),
+        mass_max, linf_u_max, _verdict(mass_holds, reached), _verdict(linf_holds, reached),
+        plateau, False if False in flags else (True if all(flags) else None),
     )

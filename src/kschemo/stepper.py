@@ -28,7 +28,10 @@ up to solver residuals.  Blow-up is reported when the sup norm crosses the
 configured threshold, dt collapses below dt_min or the retries hit their
 cap: that realizes the extensibility dichotomy (run forever or watch the sup
 norm escape), and is a report about the discrete trajectory, never a claim
-about the PDE.
+about the PDE.  A dt collapse or the retry cap stays BlowupDetected although
+it is a fact about the scheme at that state, not a sup norm that escaped;
+such a run ends before t_end, so no verdict of observables.summarize can
+read true on it.
 
 There is one march, run_batch().  It advances B members, the parameter
 points of a sweep, as fields stacked ``(B, *grid.shape)``.  Each member has

@@ -129,7 +129,7 @@ class TestCriterion2SubquadraticBoundedness:
     def test_subquadratic_bounded(self, run2):
         cfg, result, wall = run2
         assert classify_regime(cfg.model, 1) is Regime.SUBQUADRATIC_BOUNDED
-        summary = summarize(result.series)
+        summary = summarize(result.series, result.termination)
         finished = result.termination is Termination.REACHED_T_END
         plateaus = summary.plateau
         all_k_ok = all(v for c, v in plateaus.items() if c.startswith("int_u_k"))
@@ -138,7 +138,7 @@ class TestCriterion2SubquadraticBoundedness:
         ok = finished and all_k_ok and linf_ok and in_time
         report(
             2, "subquadratic-boundedness", ok,
-            f"linf_max={summary.column_max['linf_u']:.6g} wall={wall:.1f}s",
+            f"linf_max={summary.linf_u_max:.6g} wall={wall:.1f}s",
         )
         assert finished
         assert linf_ok
@@ -150,14 +150,14 @@ class TestCriterion3SuperquadraticBoundedness:
     def test_superquadratic_bounded(self, run3):
         cfg, result, wall = run3
         assert classify_regime(cfg.model, 2) is Regime.SUPERQUADRATIC_BOUNDED
-        summary = summarize(result.series)
+        summary = summarize(result.series, result.termination)
         finished = result.termination is Termination.REACHED_T_END
         plateau_ok = summary.plateaus_ok
         in_time = wall <= 600.0
         ok = finished and plateau_ok and in_time
         report(
             3, "superquadratic-boundedness", ok,
-            f"linf_max={summary.column_max['linf_u']:.6g} wall={wall:.1f}s",
+            f"linf_max={summary.linf_u_max:.6g} wall={wall:.1f}s",
         )
         assert finished
         assert plateau_ok

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kschemo import Grid, ModelParams, ObservableSeries, State, record, summarize
-from kschemo.observables import ObservableError
+from kschemo import Grid, ModelParams, ObservableSeries, State, Termination, record, summarize
+from kschemo.grid import integrate, linf_norm, lp_norm_pow
+from kschemo.observables import ObservableError, _plateau
 
 
 @pytest.fixture
@@ -56,6 +57,32 @@ class TestRecord:
         with pytest.raises(ObservableError):
             record(State(u=u, v=grid.zeros()), grid, params, k_list=(2.0,))
 
+    def test_row_matches_the_grid_reductions_bitwise(self, grid, params):
+        rng = np.random.default_rng(3)
+        u = np.abs(rng.standard_normal(grid.shape))
+        u[0] = -1e-13  # inside the positivity floor: the mass sums u, the powers |u|
+        v = rng.random(grid.shape)
+        row = record(State(u=u, v=v), grid, params, k_list=(2.0, 4.0, 8.0))
+        expected = (
+            integrate(u, grid),
+            *(lp_norm_pow(u, grid, k) for k in (params.beta, 2.0, 4.0, 8.0)),
+            linf_norm(u),
+            linf_norm(v),
+        )
+        assert row[1:8] == expected
+
+    @pytest.mark.parametrize(
+        "u,v,message",
+        [
+            (np.ones(32), np.full(32, np.nan), "v contains non-finite"),
+            (np.ones(32), np.ones(31), r"v shape \(31,\)"),
+            (np.ones((32, 1)), np.ones(32), r"u shape \(32, 1\)"),
+        ],
+    )
+    def test_bad_field_rejected(self, grid, params, u, v, message):
+        with pytest.raises(ObservableError, match=message):
+            record(State(u=u, v=v), grid, params, k_list=(2.0,))
+
 
 class TestSeries:
     def test_times_strictly_increasing(self):
@@ -85,44 +112,94 @@ class TestSeries:
             series.column("entropy")
 
 
+REACHED = Termination.REACHED_T_END
+
+
 class TestSummarize:
     def test_flat_series_all_verdicts_true(self):
         t = np.linspace(0, 10, 40)
         series = series_from_columns((2.0, 4.0), t)
-        summary = summarize(series, mass_cap=1.0, linf_threshold=100.0)
-        assert summary.mass_envelope_ok
-        assert summary.linf_bounded
-        assert summary.plateaus_ok
-        assert all(summary.plateau.values())
+        summary = summarize(series, REACHED, mass_cap=1.0, linf_threshold=100.0)
+        assert summary.mass_envelope_ok is True
+        assert summary.linf_bounded is True
+        assert summary.plateaus_ok is True
+        assert all(flag is True for flag in summary.plateau.values())
 
     def test_doubling_linf_fails_plateau(self):
         t = np.linspace(0, 10, 40)
         growing = 2.0 ** np.arange(40).astype(float)
         series = series_from_columns((2.0,), t, linf_u=growing)
-        summary = summarize(series)
-        assert not summary.plateau["linf_u"]
-        assert not summary.plateaus_ok
+        summary = summarize(series, REACHED)
+        assert summary.plateau["linf_u"] is False
+        assert summary.plateaus_ok is False
 
     def test_mass_cap_verdict(self):
         t = np.linspace(0, 1, 8)
         mass = np.full(8, 2.0)
         series = series_from_columns((2.0,), t, mass=mass)
-        assert summarize(series, mass_cap=2.0).mass_envelope_ok
-        assert not summarize(series, mass_cap=1.9).mass_envelope_ok
+        assert summarize(series, REACHED, mass_cap=2.0).mass_envelope_ok is True
+        assert summarize(series, REACHED, mass_cap=1.9).mass_envelope_ok is False
 
     def test_transient_then_settled_is_plateau(self):
         # decaying transient: late values below the mid window
         t = np.linspace(0, 10, 100)
         decay = 1.0 + 4.0 * np.exp(-t)
         series = series_from_columns((2.0,), t, int_u_k2=decay, linf_u=decay)
-        assert summarize(series).plateaus_ok
+        assert summarize(series, REACHED).plateaus_ok is True
 
-    def test_empty_series_rejected(self):
-        with pytest.raises(ValueError):
-            summarize(ObservableSeries.for_run((2.0,)))
+    def test_empty_series_inconclusive(self):
+        summary = summarize(
+            ObservableSeries.for_run((2.0,)), REACHED, mass_cap=1.0, linf_threshold=100.0
+        )
+        assert summary.mass_max is None and summary.linf_u_max is None
+        printed = summary.printed()
+        assert printed["mass_max"] == printed["linf_u_max"] == ""
+        verdicts = [v for k, v in printed.items() if not k.endswith("_max")]
+        assert verdicts == ["inconclusive"] * 5
 
     def test_column_max_reported(self):
         t = np.linspace(0, 1, 10)
         mass = np.linspace(1.0, 0.5, 10)
         series = series_from_columns((2.0,), t, mass=mass)
-        assert summarize(series).column_max["mass"] == pytest.approx(1.0)
+        assert summarize(series, REACHED).mass_max == pytest.approx(1.0)
+
+    def test_plateau_needs_four_rows(self):
+        assert _plateau(np.ones(3)) is None
+        assert _plateau(np.ones(4)) is True
+        series = series_from_columns((2.0,), np.linspace(0, 1, 3))
+        summary = summarize(series, REACHED, mass_cap=1.0, linf_threshold=100.0)
+        assert summary.mass_envelope_ok is True
+        assert summary.linf_bounded is True
+        assert summary.plateaus_ok is None
+        assert summary.printed()["plateau_linf_u"] == "inconclusive"
+
+    @pytest.mark.parametrize("termination", [Termination.BLOWUP_DETECTED, "SolverFailure"])
+    def test_early_end_is_never_true(self, termination):
+        t = np.linspace(0, 10, 40)
+        series = series_from_columns((2.0, 4.0), t)
+        summary = summarize(series, termination, mass_cap=1.0, linf_threshold=100.0)
+        printed = summary.printed()
+        verdicts = [v for k, v in printed.items() if not k.endswith("_max")]
+        assert verdicts == ["inconclusive"] * len(verdicts)
+
+    def test_violation_before_an_early_end_is_false(self):
+        t = np.linspace(0, 10, 40)
+        mass = np.ones(40)
+        mass[5] = 1.5
+        growing = 2.0 ** np.arange(40).astype(float)
+        series = series_from_columns((2.0,), t, mass=mass, linf_u=growing)
+        summary = summarize(series, Termination.BLOWUP_DETECTED, mass_cap=1.0, linf_threshold=1e6)
+        assert summary.mass_envelope_ok is False
+        assert summary.linf_bounded is False
+        assert summary.plateau == {"int_u_k2": None, "linf_u": False}
+        assert summary.plateaus_ok is False
+
+    def test_non_finite_sample_is_a_violation(self):
+        t = np.linspace(0, 1, 8)
+        mass = np.ones(8)
+        mass[3] = np.nan
+        series = series_from_columns((2.0,), t, mass=mass, linf_u=mass)
+        summary = summarize(series, REACHED, mass_cap=1.0, linf_threshold=100.0)
+        assert summary.mass_envelope_ok is False
+        assert summary.linf_bounded is False
+        assert summary.plateau["linf_u"] is False
