@@ -11,7 +11,7 @@ from .grid import (
     read_snapshot,
     write_snapshot,
 )
-from .observables import ObservableSeries, SeriesSummary, record, summarize
+from .observables import ObservableSeries, SeriesSummary, Termination, record, summarize
 from .operators import chemo_divergence, laplacian, nonlocal_source
 from .params import (
     ModelParams,
@@ -29,8 +29,6 @@ from .stepper import (
     RunResult,
     StepOutcome,
     StepperConfig,
-    StepStatus,
-    Termination,
     adapt_dt,
     helmholtz_solve,
     run,
@@ -61,7 +59,6 @@ __all__ = [
     "chemo_divergence",
     "nonlocal_source",
     "StepperConfig",
-    "StepStatus",
     "StepOutcome",
     "Termination",
     "Recorder",

@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 2 config error, 3 blow-up detected, 4 solver failure
 (bound-check additionally exits 1 when its verdict is not true: false, or
-inconclusive on a run that did not reach t_end).  Any failure
-prints a single machine-parsable ``error: ...`` line on stderr.
+inconclusive on a run that did not reach t_end).  Any failure prints a
+single machine-parsable ``error: ...`` line on stderr; a bad flag, config
+or output path exits 2 before any step runs or any sweep output is made.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
-from .config import ConfigError, parse_config, run_configs, run_from_config, run_record
-from .grid import Grid
-from .observables import ObservableSeries, summarize
+from .config import (
+    ConfigError, initial_mass, parse_config, run_configs, run_from_config, run_record,
+)
+from .grid import Grid, read_snapshot
+from .observables import ObservableSeries, Termination, summarize
 from .params import FieldError, ModelParams, classify_regime, mass_envelope
-from .stepper import Termination
 from .verification import build_mms_case, convergence_study, level_dts
 
 EXIT_OK = 0
@@ -62,20 +64,20 @@ def _collect_overrides(extras: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _classify_line(args) -> str:
-    params = ModelParams(
-        chi=args.chi, a=args.a, b=args.b, alpha=args.alpha, beta=args.beta
-    )
-    regime = classify_regime(params, args.n)
-    y1, m0 = mass_envelope(params, args.initial_mass, args.domain_measure)
-    return (
-        f"{args.alpha:g},{args.beta:g},{args.n},{regime},{y1:.17g},{m0:.17g}"
-    )
+def _row_prefix(params: ModelParams, n: int, envelope: tuple | None) -> str:
+    """The alpha,beta,n,regime,y1,m0 cells of a classify line or sweep row:
+    alpha and beta with 12 significant digits, y1 and m0 with 17, and empty
+    y1 and m0 cells without an envelope."""
+    regime = classify_regime(params, n)
+    y1, m0 = (f"{x:.17g}" for x in envelope) if envelope else ("", "")
+    return f"{params.alpha:.12g},{params.beta:.12g},{n},{regime},{y1},{m0}"
 
 
 def _cmd_classify(args) -> int:
     try:
-        print(_classify_line(args))
+        params = ModelParams(chi=args.chi, a=args.a, b=args.b, alpha=args.alpha, beta=args.beta)
+        envelope = mass_envelope(params, args.initial_mass, args.domain_measure)
+        print(_row_prefix(params, args.n, envelope))
     except ValueError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     return EXIT_OK
@@ -88,6 +90,7 @@ def _cmd_run(args, extras: list[str]) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     output_dir = args.output if args.output else cfg.output_dir
+    _make_output_dir(output_dir, "--output" if args.output else "run.output_dir")
     result = run_from_config(
         cfg, output_dir=output_dir, export_fields_csv=args.export_fields_csv
     )
@@ -120,6 +123,14 @@ def _frange(flag: str, lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(max(count, 0))]
 
 
+def _make_output_dir(path: str, key: str) -> None:
+    """os.makedirs(path), or a ConfigError naming ``key``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}", key=key) from None
+
+
 def _point_id(alpha: float, beta: float) -> str:
     return f"{alpha:.12g},{beta:.12g}"
 
@@ -136,19 +147,15 @@ def _classification_row(alpha: float, beta: float, n: int) -> str:
     # envelope quoted for unit coefficients on the unit box with zero
     # initial mass, i.e. the bare barrier value
     params = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=alpha, beta=beta)
-    regime = classify_regime(params, n)
-    y1, m0 = mass_envelope(params, 0.0, 1.0)
-    return f"{alpha:.12g},{beta:.12g},{n},{regime},{y1:.17g},{m0:.17g}"
+    return _row_prefix(params, n, mass_envelope(params, 0.0, 1.0))
 
 
-def _simulation_row(alpha: float, beta: float, n: int, cfg, result) -> str:
-    regime = classify_regime(cfg.model, n)
+def _simulation_row(n: int, cfg, result) -> str:
     envelope, summary = run_record(cfg, result)
-    y1, m0 = (f"{x:.17g}" for x in envelope) if envelope else ("", "")
     printed = summary.printed()
-    return (
-        f"{alpha:.12g},{beta:.12g},{n},{regime},{y1},{m0},{result.termination},"
-        + ",".join(printed[key] for key in ("mass_max", "linf_u_max", "plateaus_ok"))
+    return ",".join(
+        [_row_prefix(cfg.model, n, envelope), str(result.termination)]
+        + [printed[key] for key in ("mass_max", "linf_u_max", "plateaus_ok")]
     )
 
 
@@ -165,10 +172,7 @@ def _sweep_batch(batch) -> list[str]:
         return [_classification_row(alpha, beta, n) for alpha, beta in points]
     cfgs = [replace(base, model=replace(base.model, alpha=a, beta=b)) for a, b in points]
     results = run_configs(cfgs)
-    return [
-        _simulation_row(alpha, beta, n, cfg, result)
-        for (alpha, beta), cfg, result in zip(points, cfgs, results)
-    ]
+    return [_simulation_row(n, cfg, result) for cfg, result in zip(cfgs, results)]
 
 
 def _batches(points: list, workers: int, max_size: int) -> list[list]:
@@ -186,9 +190,12 @@ def _cmd_sweep(args, extras: list[str]) -> int:
             raise ConfigError("empty sweep range")
         try:
             # the ranges ascend, so the first point holds the smallest alpha and beta
-            ModelParams(chi=1.0, a=1.0, b=1.0, alpha=alphas[0], beta=betas[0])
+            first = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=alphas[0], beta=betas[0])
+            classify_regime(first, args.n)
         except FieldError as exc:
             raise ConfigError(str(exc)) from None
+        except ValueError as exc:  # classify_regime's rule for n
+            raise ConfigError(str(exc), key="--n") from None
         base = None
         max_batch = len(alphas) * len(betas)
         if args.simulate:
@@ -205,7 +212,7 @@ def _cmd_sweep(args, extras: list[str]) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
-    os.makedirs(args.output, exist_ok=True)
+    _make_output_dir(args.output, "--output")
     csv_path = os.path.join(args.output, "sweep.csv")
     ledger_path = os.path.join(args.output, "sweep_done.txt")
     done: set[str] = set()
@@ -322,22 +329,27 @@ def _cmd_mms(args) -> int:
 
 
 def _cmd_bound_check(args) -> int:
-    resolved = os.path.join(args.run_dir, "resolved_config.txt")
-    series_path = os.path.join(args.run_dir, "series.csv")
+    def path(name: str) -> str:
+        return os.path.join(args.run_dir, name)
+
     try:
-        cfg = parse_config(path=resolved)
+        cfg = parse_config(path=path("resolved_config.txt"))
         _require_envelope(cfg)
-        series = ObservableSeries.from_csv(series_path)
-        if len(series) == 0:
-            raise ValueError("empty series")
-        with open(os.path.join(args.run_dir, "summary.txt")) as fh:
-            recorded = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
-        y1, m0 = mass_envelope(cfg.model, series.column("mass")[0], cfg.grid.measure)
+        series = ObservableSeries.from_csv(path("series.csv"))
+        with open(path("summary.txt")) as fh:
+            text = dict(line.rstrip("\n").partition("=")[::2] for line in fh).get("termination")
+        try:
+            # a summary without a termination line reads as a run that stopped early
+            termination = None if text is None else Termination(text)
+        except ValueError:
+            raise ValueError(f"{path('summary.txt')}: unknown termination {text!r}") from None
+        # a run that ended at t = 0 without a sample left its initial u on disk
+        u0 = None if len(series) else read_snapshot(path("u_initial.snap"))[0]
+        y1, m0 = mass_envelope(cfg.model, initial_mass(series, u0, cfg.grid), cfg.grid.measure)
     except (ConfigError, OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
-    # a summary without a termination line reads as a run that stopped early
-    summary = summarize(series, recorded.get("termination"), mass_cap=m0)
+    summary = summarize(series, termination, mass_cap=m0)
     printed = summary.printed()
     print(f"y1={y1:.17g}")
     print(f"m0={m0:.17g}")

@@ -27,9 +27,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .grid import Grid, State, field_to_csv, integrate, write_snapshot
-from .observables import SeriesSummary, summarize
+from .observables import ObservableSeries, SeriesSummary, summarize
 from .params import FieldError, ModelParams, mass_envelope, require
-from .stepper import Recorder, RunResult, StepperConfig, Termination, run, run_batch
+from .stepper import Recorder, RunResult, StepperConfig, run, run_batch
 
 
 class ConfigError(ValueError):
@@ -321,13 +321,21 @@ def refine_config(cfg: RunConfig, factor: int) -> RunConfig:
     return replace(cfg, grid=grid, stepper=stepper)
 
 
+def initial_mass(series: ObservableSeries, u0, grid: Grid) -> float:
+    """The mass m0 starts from: the first sample, or without one the mass of
+    ``u0``, the initial u the run never left; inf when that sum overflows."""
+    if len(series):
+        return series.column("mass")[0]
+    with np.errstate(over="ignore"):
+        return integrate(u0, grid)
+
+
 def run_record(cfg: RunConfig, result: RunResult) -> tuple[tuple | None, SeriesSummary]:
-    """The envelope (y1, m0) of a run and its verdict record.  Without a
-    sample, m0 reads the mass of the initial state the run never left; the
-    envelope is None when b = 0 or that mass is not finite."""
+    """The envelope (y1, m0) of a run and its verdict record, m0 by the
+    initial_mass rule; the envelope is None when b = 0 or that mass is not
+    finite."""
     series = result.series
-    with np.errstate(over="ignore"):  # an initial sum that overflows has no envelope
-        mass0 = series.column("mass")[0] if len(series) else integrate(result.state.u, cfg.grid)
+    mass0 = initial_mass(series, result.state.u, cfg.grid)
     envelope = None
     if cfg.model.b > 0 and math.isfinite(mass0):
         envelope = mass_envelope(cfg.model, mass0, cfg.grid.measure)

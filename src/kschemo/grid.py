@@ -155,7 +155,6 @@ class State:
     u: np.ndarray
     v: np.ndarray
     t: float = 0.0
-    step_index: int = 0
     dt_last: float = 0.0
 
     def validate(self, grid: Grid) -> None:
@@ -163,7 +162,7 @@ class State:
             _require_field(f, grid, name, nonnegative=True)
 
     def copy(self) -> "State":
-        return State(self.u.copy(), self.v.copy(), self.t, self.step_index, self.dt_last)
+        return State(self.u.copy(), self.v.copy(), self.t, self.dt_last)
 
 
 def write_snapshot(path, values: np.ndarray, grid: Grid, t: float) -> None:

@@ -11,6 +11,7 @@ bitwise identical.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +25,17 @@ _CONSISTENCY_RTOL = 1e-9
 
 class ObservableError(RuntimeError):
     """A recorded row is non-finite or internally inconsistent."""
+
+
+class Termination(enum.Enum):
+    """How a run ended, or how a step ended its run; summary.txt prints the value."""
+
+    REACHED_T_END = "ReachedTEnd"
+    BLOWUP_DETECTED = "BlowupDetected"
+    SOLVER_FAILURE = "SolverFailure"
+
+    def __str__(self) -> str:
+        return self.value
 
 
 def _k_column(k: float) -> str:
@@ -202,12 +214,12 @@ def _verdict(holds: bool | None, reached: bool) -> bool | None:
 
 def summarize(
     series: ObservableSeries,
-    termination,
+    termination: Termination | None,
     mass_cap: float | None = None,
     linf_threshold: float | None = None,
 ) -> SeriesSummary:
-    """The verdict record of a run that ended with ``termination`` (a
-    Termination or its printed name).  The one rule for every verdict:
+    """The verdict record of a run that ended with ``termination``; None
+    reads as a run that stopped early.  The one rule for every verdict:
 
     - False when the samples show a violation: a mass above
       mass_cap * (1 + 1e-6), a sup norm at or above linf_threshold, a
@@ -217,7 +229,7 @@ def summarize(
     - None (inconclusive) otherwise, an empty series or an absent bound
       included.  plateaus_ok is False if any plateau is, True if all are.
     """
-    reached = str(termination) == "ReachedTEnd"  # Termination.REACHED_T_END
+    reached = termination is Termination.REACHED_T_END
     mass_max = linf_u_max = mass_holds = linf_holds = None
     if len(series):
         mass_max = float(series.column("mass").max())

@@ -31,7 +31,9 @@ norm escape), and is a report about the discrete trajectory, never a claim
 about the PDE.  A dt collapse or the retry cap stays BlowupDetected although
 it is a fact about the scheme at that state, not a sup norm that escaped;
 such a run ends before t_end, so no verdict of observables.summarize can
-read true on it.
+read true on it.  Steps and runs share one vocabulary: a step is accepted
+(its StepOutcome's termination is None) or names the Termination that ends
+its member's run, with the cause the run reports.
 
 There is one march, run_batch().  It advances B members, the parameter
 points of a sweep, as fields stacked ``(B, *grid.shape)``.  Each member has
@@ -44,7 +46,6 @@ one it gets alone.  run() and step() are the B = 1 case.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import os
@@ -57,7 +58,7 @@ from scipy import fftpack
 from scipy.fft import dctn, idctn
 
 from .grid import _POSITIVITY_TOL, Grid, State, _require_field, integrate
-from .observables import ObservableError, ObservableSeries, record
+from .observables import ObservableError, ObservableSeries, Termination, record
 from .operators import (
     FACE_SCHEMES,
     _chemo_divergence,
@@ -119,28 +120,13 @@ class StepperConfig:
         require(scheme in FACE_SCHEMES, "face_scheme", f"in {FACE_SCHEMES}", scheme)
 
 
-class StepStatus(enum.Enum):
-    ADVANCED = "Advanced"
-    DT_REDUCED = "DtReduced"
-    BLOWUP_DETECTED = "BlowupDetected"
-    SOLVER_FAILURE = "SolverFailure"
-
-
-_ACCEPTED = (StepStatus.ADVANCED, StepStatus.DT_REDUCED)
-
-
-class Termination(enum.Enum):
-    REACHED_T_END = "ReachedTEnd"
-    BLOWUP_DETECTED = "BlowupDetected"
-    SOLVER_FAILURE = "SolverFailure"
-
-    def __str__(self) -> str:
-        return self.value
-
-
 @dataclass
 class StepOutcome:
-    status: StepStatus
+    """What one step attempt did.  ``termination`` is None when the step was
+    accepted (at a reduced dt when ``retries`` > 0); otherwise it names how
+    the step ended the run and ``cause`` says why, as RunResult does."""
+
+    termination: Optional[Termination] = None
     dt: float = 0.0
     retries: int = 0
     residual_u: float = 0.0
@@ -151,7 +137,7 @@ class StepOutcome:
     linf_u: float = 0.0
     min_u: float = 0.0
     min_v: float = 0.0
-    message: str = ""
+    cause: str = ""
 
 
 def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
@@ -442,11 +428,12 @@ def _audit(
 ) -> list[int]:
     """Decide each member solved in ``rows``; return those to retry at half dt.
 
-    ``solved_u`` and ``solved_v`` are _solved's (w, rel, max, min) of the
-    halves; the audit reads the errors and extrema and makes no array pass.
-    The checks run in order: finiteness, the backward-error gate, the sup
-    norm threshold, positivity.  The extrema propagate NaN and reach inf, so
-    they double as the finiteness check.
+    An accepted member's termination stays None; an ending one gets its
+    Termination and cause.  ``solved_u`` and ``solved_v`` are _solved's
+    (w, rel, max, min) of the halves; the audit reads the errors and extrema
+    and makes no array pass.  The checks run in order: finiteness, the
+    backward-error gate, the sup norm threshold, positivity.  The extrema
+    propagate NaN and reach inf, so they double as the finiteness check.
     """
     _, rel_u, u_hi, u_lo = solved_u
     _, rel_v, v_hi, v_lo = solved_v
@@ -460,30 +447,29 @@ def _audit(
             out.residual_u, out.residual_v = rel_u[j], rel_v[j]
             linf = max(u_hi[j], -u_lo[j])
             if not (rel_u[j] <= _LINEAR_TOL and rel_v[j] <= _LINEAR_TOL):
-                out.status = StepStatus.SOLVER_FAILURE
-                out.message = _gate_message(max(rel_u[j], rel_v[j]))
+                out.termination = Termination.SOLVER_FAILURE
+                out.cause = _gate_message(max(rel_u[j], rel_v[j]))
                 continue
             if linf > cfg.blowup_linf_threshold:
-                out.status = StepStatus.BLOWUP_DETECTED
+                out.termination = Termination.BLOWUP_DETECTED
                 out.linf_u = linf
-                out.message = f"sup norm {linf:.3e} above threshold"
+                out.cause = f"sup norm {linf:.3e} above threshold"
                 continue
             if u_lo[j] >= -_POSITIVITY_TOL and v_lo[j] >= -_POSITIVITY_TOL:
-                out.status = StepStatus.ADVANCED if out.retries == 0 else StepStatus.DT_REDUCED
                 out.linf_u, out.min_u, out.min_v = linf, u_lo[j], v_lo[j]
                 continue
         # non-finite or negative: halve this member's dt and retry from the
         # same explicit stage
         out.retries += 1
         if out.retries > _MAX_RETRIES:
-            out.message = f"retry cap of {_MAX_RETRIES} reached"
+            out.cause = f"retry cap of {_MAX_RETRIES} reached"
         elif dts[i] / 2.0 < cfg.dt_min:
-            out.message = "dt collapsed below dt_min during retries"
+            out.cause = "dt collapsed below dt_min during retries"
         else:
             dts[i] /= 2.0
             retry.append(i)
             continue
-        out.status = StepStatus.BLOWUP_DETECTED
+        out.termination = Termination.BLOWUP_DETECTED
     return retry
 
 
@@ -536,7 +522,7 @@ def _attempt(helper, u, v, ts, params, grid, cfg, forcing, dt_cap, dt_override):
     if dt_cap is not None:
         dts = [min(dt, cap) for dt, cap in zip(dts, dt_cap)]
 
-    outcomes = [StepOutcome(StepStatus.ADVANCED, nonlocal_integral=i) for i in integrals]
+    outcomes = [StepOutcome(nonlocal_integral=i) for i in integrals]
     u_new = v_new = None
     rows = list(range(count))
     while rows:
@@ -557,7 +543,7 @@ def _attempt(helper, u, v, ts, params, grid, cfg, forcing, dt_cap, dt_override):
             v_new[rows] = cand_v
         rows = _audit(rows, solved_u, solved_v, dts, outcomes, cfg)
 
-    accepted = [i for i, out in enumerate(outcomes) if out.status in _ACCEPTED]
+    accepted = [i for i, out in enumerate(outcomes) if out.termination is None]
     if accepted:
         cell_volume = grid.cell_volume
         mass = u_new.sum(axis=axes).tolist()
@@ -596,16 +582,9 @@ def step(
             _stack([state.u]), _stack([state.v]), [state.t], [params], grid, cfg,
             forcing, caps, dt_override,
         )
-    if outcome.status not in _ACCEPTED:
+    if outcome.termination is not None:
         return state, outcome
-    new_state = State(
-        u=u_new[0],
-        v=v_new[0],
-        t=state.t + outcome.dt,
-        step_index=state.step_index + 1,
-        dt_last=outcome.dt,
-    )
-    return new_state, outcome
+    return State(u=u_new[0], v=v_new[0], t=state.t + outcome.dt, dt_last=outcome.dt), outcome
 
 
 @dataclass(frozen=True)
@@ -633,9 +612,9 @@ class RunDiagnostics:
 class RunResult:
     """Final state, series and termination of one run.
 
-    ``cause`` says what ended it: "t_end reached", the step's blow-up
-    message (sup norm, dt collapse or retry cap), the failed solver gate,
-    or the observable check that failed.
+    ``cause`` says what ended it: "t_end reached", the ending step's cause
+    (sup norm, dt collapse or retry cap, or the failed solver gate), or the
+    observable check that failed.
     """
 
     state: State
@@ -690,11 +669,7 @@ class _Member:
         return True
 
     def accept(self, outcome: StepOutcome, u: np.ndarray, v: np.ndarray) -> None:
-        st = self.state
-        self.state = State(
-            u=u, v=v, t=st.t + outcome.dt, step_index=st.step_index + 1,
-            dt_last=outcome.dt,
-        )
+        self.state = State(u=u, v=v, t=self.state.t + outcome.dt, dt_last=outcome.dt)
         diag = self.diag
         diag.steps += 1
         diag.total_retries += outcome.retries
@@ -712,8 +687,7 @@ class _Member:
 
     def detach(self) -> None:
         """Copy the final fields out of the batch arrays they view."""
-        st = self.state
-        self.state = State(st.u.copy(), st.v.copy(), st.t, st.step_index, st.dt_last)
+        self.state = self.state.copy()
 
     def result(self) -> RunResult:
         return RunResult(self.state, self.series, self.termination, self.diag, self.cause)
@@ -757,11 +731,8 @@ def run_batch(
             )
             keep = []
             for i, (m, outcome) in enumerate(zip(active, outcomes)):
-                if outcome.status is StepStatus.BLOWUP_DETECTED:
-                    m.finish(Termination.BLOWUP_DETECTED, outcome.message)
-                    continue
-                if outcome.status is StepStatus.SOLVER_FAILURE:
-                    m.finish(Termination.SOLVER_FAILURE, outcome.message)
+                if outcome.termination is not None:
+                    m.finish(outcome.termination, outcome.cause)
                     continue
                 m.accept(outcome, u_new[i], v_new[i])
                 t = m.state.t

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import stepper
 from .grid import Grid, State, lp_norm_pow
-from .observables import ObservableSeries
+from .observables import ObservableSeries, Termination
 from .params import ModelParams
-from .stepper import Recorder, RunResult, StepperConfig, Termination, run
+from .stepper import Recorder, RunResult, StepperConfig, run
 
 GL_PANELS = 8
 GL_ORDER = 8

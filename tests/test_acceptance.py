@@ -16,7 +16,6 @@ from kschemo import (
     Regime,
     State,
     StepperConfig,
-    StepStatus,
     Termination,
     adapt_dt,
     classify_regime,
@@ -194,7 +193,7 @@ class TestCriterion4SteadyState:
         cfg = StepperConfig(dt_max=1e-3)
         for _ in range(10):
             state, outcome = step(state, params, grid, cfg)
-            assert outcome.status is StepStatus.ADVANCED
+            assert outcome.termination is None and outcome.retries == 0
         assert np.max(np.abs(state.u - 1.0)) < 1e-12
 
 
@@ -380,7 +379,7 @@ class TestCriterion10Positivity:
             State(u=u0, v=v0), params, grid, cfg, dt_override=200.0 * safe
         )
         ok = (
-            outcome.status is StepStatus.DT_REDUCED
+            outcome.termination is None
             and outcome.retries >= 1
             and state.u.min() >= -1e-12
             and state.v.min() >= -1e-12

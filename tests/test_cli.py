@@ -82,6 +82,20 @@ class TestClassify:
         assert (code, err) == (0, "")
         assert out == "1,3,3,SubquadraticBounded,0,0\n"
 
+    def test_line_matches_the_sweep_row(self, tmp_path, capsys):
+        # alpha and beta keep 12 significant digits, as in a sweep row
+        code, out, _ = invoke(
+            capsys, "classify", "--alpha", "1.23456789", "--beta", "3", "--n", "1"
+        )
+        assert code == 0
+        assert out.startswith("1.23456789,3,1,SubquadraticBounded,")
+        code, _, _ = invoke(
+            capsys, "sweep", "--alpha-min", "1.23456789", "--alpha-max", "1.23456789",
+            "--beta-min", "3", "--beta-max", "3", "--n", "1", "--output", str(tmp_path / "s"),
+        )
+        assert code == 0
+        assert (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1] + "\n" == out
+
 
 class TestRun:
     def test_run_roundtrip(self, tmp_path, capsys):
@@ -162,6 +176,23 @@ class TestRun:
         cfg.write_text(RUN_CONFIG)
         code, _, err = invoke(capsys, "run", "--config", str(cfg), "--model.gamma", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["--output", "run.output_dir"])
+    def test_output_under_a_file_exit_2_before_any_step(self, tmp_path, capsys, monkeypatch, key):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_from_config", no_run)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG)
+        (tmp_path / "file").write_text("")
+        flag = "--output" if key == "--output" else "--run.output_dir"
+        code, out, err = invoke(
+            capsys, "run", "--config", str(cfg), flag, str(tmp_path / "file" / "sub")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config: {key}: {tmp_path / 'file' / 'sub'}: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestSweep:
@@ -253,6 +284,31 @@ class TestSweep:
         assert err.startswith(f"error: config: --{axis}-step: {message}")
         assert len(err.splitlines()) == 1
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "simulate", [[], ["--simulate", "--grid.cells_x", "16"]], ids=["classify", "simulate"]
+    )
+    def test_nonpositive_n_exit_2_creates_nothing(self, tmp_path, capsys, n, simulate):
+        out_dir = tmp_path / "sweep"
+        code, out, err = invoke(
+            capsys, "sweep", "--alpha-min", "1", "--alpha-max", "1", "--beta-min", "3",
+            "--beta-max", "3", f"--n={n}", "--output", str(out_dir), *simulate,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: config: --n: n must be a positive integer, got {n}\n"
+        assert not out_dir.exists()
+
+    def test_output_under_a_file_exit_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out_dir = tmp_path / "file" / "sub"
+        code, out, err = invoke(
+            capsys, "sweep", "--alpha-min", "1", "--alpha-max", "1", "--beta-min", "3",
+            "--beta-max", "3", "--n", "1", "--output", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config: --output: {out_dir}: ")
+        assert len(err.splitlines()) == 1
 
     def test_simulate_without_envelope_exit_2_before_any_point(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
@@ -594,6 +650,44 @@ class TestBoundCheck:
         assert code == 1
         assert "mass_envelope_ok=inconclusive" in out
 
+    @pytest.mark.parametrize("line", ["", "termination=\n", "termination=Reached\n"])
+    def test_termination_line(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG)
+        out_dir = tmp_path / "out"
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(out_dir))[0] == 0
+        summary = (out_dir / "summary.txt").read_text()
+        (out_dir / "summary.txt").write_text(summary.replace("termination=ReachedTEnd\n", line))
+        code, out, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        if not line:
+            # a summary without a termination line reads as a run that stopped early
+            assert (code, err) == (1, "")
+            assert "mass_envelope_ok=inconclusive" in out
+        else:
+            assert (code, out) == (2, "")
+            value = line.strip().partition("=")[2]
+            path = out_dir / "summary.txt"
+            assert err == f"error: config: {path}: unknown termination {value!r}\n"
+
+    def test_empty_series_reads_m0_from_the_initial_snapshot(self, tmp_path, capsys):
+        # u^8 overflows the first sample, so the run ends at t = 0 without a row
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid.cells_x = 32\nic.u = constant\nic.u_value = 1e40\nrun.t_end = 0.1\n")
+        out_dir = tmp_path / "out"
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(out_dir))[0] == 4
+        assert len((out_dir / "series.csv").read_text().splitlines()) == 1
+        summary = (out_dir / "summary.txt").read_text().splitlines()
+        code, out, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "y1=1", "m0=1e+40", "mass_max=", "mass_envelope_ok=inconclusive",
+        ]
+        assert set(out.splitlines()) <= set(summary)
+        (out_dir / "u_initial.snap").unlink()
+        code, out, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config: ") and "u_initial.snap" in err
+
 
 # alpha = beta = 2, a = b = 1 is a covered point, yet at these masses the
 # explicit damping collapses dt below dt_min at the first step
@@ -690,3 +784,7 @@ class TestNoVerdictWithoutATrajectory:
         assert code == 0
         lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
         assert lines[1] == "1,2,1,SubquadraticBounded,,,SolverFailure,,,inconclusive"
+        # bound-check agrees: the initial snapshot's mass is not finite either
+        code, out, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err == "error: config: finite initial_mass >= 0 required, got inf\n"

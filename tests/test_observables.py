@@ -173,7 +173,9 @@ class TestSummarize:
         assert summary.plateaus_ok is None
         assert summary.printed()["plateau_linf_u"] == "inconclusive"
 
-    @pytest.mark.parametrize("termination", [Termination.BLOWUP_DETECTED, "SolverFailure"])
+    @pytest.mark.parametrize(
+        "termination", [Termination.BLOWUP_DETECTED, Termination.SOLVER_FAILURE, None]
+    )
     def test_early_end_is_never_true(self, termination):
         t = np.linspace(0, 10, 40)
         series = series_from_columns((2.0, 4.0), t)
@@ -203,3 +205,16 @@ class TestSummarize:
         assert summary.mass_envelope_ok is False
         assert summary.linf_bounded is False
         assert summary.plateau["linf_u"] is False
+
+
+def test_one_termination_for_steps_runs_and_summaries():
+    import pickle
+
+    import kschemo
+    from kschemo import observables, stepper
+
+    assert kschemo.Termination is stepper.Termination is observables.Termination
+    assert not hasattr(kschemo, "StepStatus") and "StepStatus" not in kschemo.__all__
+    for member in Termination:
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert Termination(str(member)) is member

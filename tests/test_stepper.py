@@ -18,7 +18,6 @@ from kschemo import (
     Recorder,
     State,
     StepperConfig,
-    StepStatus,
     Termination,
     adapt_dt,
     helmholtz_solve,
@@ -421,7 +420,7 @@ class TestStep:
         state, ustar = equilibrium_state(p, grid1d)
         cfg = StepperConfig()
         new_state, outcome = step(state, p, grid1d, cfg)
-        assert outcome.status is StepStatus.ADVANCED
+        assert outcome.termination is None and outcome.retries == 0
         assert np.max(np.abs(new_state.u - ustar)) <= 1e-10 * ustar
         assert np.max(np.abs(new_state.v - ustar)) <= 1e-10 * ustar
 
@@ -457,7 +456,7 @@ class TestStep:
         assert ustar == pytest.approx(2.0)
         cfg = StepperConfig(blowup_linf_threshold=1.0)
         same_state, outcome = step(state, p, grid1d, cfg)
-        assert outcome.status is StepStatus.BLOWUP_DETECTED
+        assert outcome.termination is Termination.BLOWUP_DETECTED
         assert same_state is state
 
     def test_oversized_dt_triggers_retry_not_negatives(self, grid1d):
@@ -470,7 +469,7 @@ class TestStep:
         cfg = StepperConfig()
         safe_dt = adapt_dt(u0, v0, grid1d, p, cfg, 0.0)
         new_state, outcome = step(state, p, grid1d, cfg, dt_override=200.0 * safe_dt)
-        assert outcome.status is StepStatus.DT_REDUCED
+        assert outcome.termination is None and outcome.retries > 0
         assert outcome.retries >= 1
         assert new_state.u.min() >= -_POSITIVITY_TOL
         assert new_state.v.min() >= -_POSITIVITY_TOL
@@ -493,9 +492,9 @@ class TestStep:
         cfg = StepperConfig(dt_min=1e-6, dt_max=1e-2)
         # force endless violation by injecting an absurd dt with no room to halve
         _, outcome = step(state, p, grid1d, cfg, dt_override=2e-6, dt_cap=None, forcing=_NegativeForcing())
-        assert outcome.status is StepStatus.BLOWUP_DETECTED
+        assert outcome.termination is Termination.BLOWUP_DETECTED
         assert outcome.retries == 2
-        assert outcome.message == "dt collapsed below dt_min during retries"
+        assert outcome.cause == "dt collapsed below dt_min during retries"
 
     def test_retry_cap_reports_blowup(self, grid1d):
         p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
@@ -503,9 +502,9 @@ class TestStep:
         cfg = StepperConfig()
         # 20 halvings of 1e-3 stay above dt_min; the cap ends the retries first
         _, outcome = step(state, p, grid1d, cfg, dt_override=1e-3, forcing=_NegativeForcing())
-        assert outcome.status is StepStatus.BLOWUP_DETECTED
+        assert outcome.termination is Termination.BLOWUP_DETECTED
         assert outcome.retries == 21
-        assert outcome.message == "retry cap of 20 reached"
+        assert outcome.cause == "retry cap of 20 reached"
 
 
     def test_nonfinite_solve_retries_instead_of_raising(self):
@@ -516,11 +515,11 @@ class TestStep:
         p = ModelParams(chi=0, a=1, b=1, alpha=2, beta=1)
         same_state, outcome = step(state, p, grid, StepperConfig())
         assert same_state is state
-        assert outcome.status is StepStatus.BLOWUP_DETECTED
-        assert outcome.message == "dt collapsed below dt_min during retries"
+        assert outcome.termination is Termination.BLOWUP_DETECTED
+        assert outcome.cause == "dt collapsed below dt_min during retries"
         # the proposal sits at dt_min; from a larger dt the cap ends it first
         _, outcome = step(state, p, grid, StepperConfig(), dt_override=1e-3)
-        assert outcome.message == "retry cap of 20 reached"
+        assert outcome.cause == "retry cap of 20 reached"
         assert outcome.retries == 21
 
 
@@ -591,7 +590,7 @@ class TestStackedSolve:
                 )
                 # above _THREAD_CELLS the u half is solved on the helper thread
                 assert len(threads) == (2 if grid is large else 1)
-                assert all(o.status is StepStatus.ADVANCED for o in outcomes)
+                assert all(o.termination is None and o.retries == 0 for o in outcomes)
                 dts = [o.dt for o in outcomes]
                 assert len(set(dts)) == len(dts)
                 w_u, w_v, rel_u, rel_v = _two_solve_reference(
@@ -627,11 +626,11 @@ class TestStackedSolve:
             with monkeypatch.context() as patch:
                 patch.setattr(stepper, "_helmholtz_core", perturbed_core)
                 u_new, v_new, outcomes = stepper._advance(u, v, [0.0] * 3, params, grid, cfg)
-            assert outcomes[1].status is StepStatus.SOLVER_FAILURE
+            assert outcomes[1].termination is Termination.SOLVER_FAILURE
             assert outcomes[1].residual_v > stepper._LINEAR_TOL
             assert outcomes[1].residual_u == clean[1].residual_u
             for i in (0, 2):
-                assert outcomes[i].status is StepStatus.ADVANCED
+                assert outcomes[i].termination is None and outcomes[i].retries == 0
                 assert outcomes[i] == clean[i]
                 np.testing.assert_array_equal(u_new[i], clean_u[i])
                 np.testing.assert_array_equal(v_new[i], clean_v[i])
@@ -659,9 +658,7 @@ class TestStackedSolve:
                 (6, [1e-2] * 3 + [1e-2 / 1.01] * 3),
                 (2, [5e-3, 5e-3 / 1.005]),
             ]
-            assert [o.status for o in outcomes] == [
-                StepStatus.ADVANCED, StepStatus.DT_REDUCED, StepStatus.ADVANCED,
-            ]
+            assert [o.termination for o in outcomes] == [None] * 3
             assert [o.retries for o in outcomes] == [0, 1, 0]
             assert [o.dt for o in outcomes] == [1e-2, 5e-3, 1e-2]
             solo_u, solo_v, _ = stepper._advance(u[1:2], v[1:2], [1.0], [p], grid, cfg, forcing)
@@ -819,7 +816,7 @@ class TestRun:
         for _ in range(2):
             with np.errstate(**stepper._QUIET):
                 _, _, (outcome,) = stepper._advance(u, v, [0.0], [p], grid, StepperConfig())
-            assert outcome.status is StepStatus.ADVANCED
+            assert outcome.termination is None and outcome.retries == 0
             assert len(threads) == 2
             assert _helper_threads() == []
 
@@ -955,7 +952,7 @@ def test_forked_child_steps_after_threaded_parent(monkeypatch):
     u, v = _bump(grid, 8.0, width=0.1)[None], grid.zeros()[None]
     with np.errstate(**stepper._QUIET):
         u_new, v_new, (outcome,) = stepper._advance(u, v, [0.0], [p], grid, StepperConfig())
-    assert outcome.status is StepStatus.ADVANCED
+    assert outcome.termination is None and outcome.retries == 0
     assert len(threads) == 2
     pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
     try:
