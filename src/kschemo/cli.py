@@ -13,15 +13,16 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from .config import (
-    ConfigError, initial_mass, parse_config, run_configs, run_from_config, run_record,
+    ConfigError, build_initial_state, initial_mass, parse_config, run_configs, run_from_config,
+    run_record,
 )
 from .grid import Grid, read_snapshot
 from .observables import ObservableSeries, Termination, summarize
 from .params import FieldError, ModelParams, classify_regime, mass_envelope
+from .stepper import _job_results
 from .verification import build_mms_case, convergence_study, level_dts
 
 EXIT_OK = 0
@@ -159,15 +160,14 @@ def _simulation_row(n: int, cfg, result) -> str:
     )
 
 
-def _sweep_batch(batch) -> list[str]:
+def _sweep_batch(points: list, n: int, base) -> list[str]:
     """The rows of one batch of sweep points, in order.
 
     ``base`` is the parsed base config under --simulate and None otherwise;
     each simulated point is the base with its own alpha and beta, and the
-    points run as one member batch.  Module-level so process pools can
-    pickle it.
+    points run as one member batch.  Batches run by ``stepper._job_results``
+    on min(--workers, batches, usable CPUs) processes, or in this one at 1.
     """
-    points, n, base = batch
     if base is None:
         return [_classification_row(alpha, beta, n) for alpha, beta in points]
     cfgs = [replace(base, model=replace(base.model, alpha=a, beta=b)) for a, b in points]
@@ -176,13 +176,15 @@ def _sweep_batch(batch) -> list[str]:
 
 
 def _batches(points: list, workers: int, max_size: int) -> list[list]:
-    """Contiguous runs of points: one per worker, at most ``max_size`` each."""
+    """Contiguous runs of points: one per requested worker, at most ``max_size`` each."""
     size = min(max(1, math.ceil(len(points) / workers)), max_size)
     return [points[i : i + size] for i in range(0, len(points), size)]
 
 
 def _cmd_sweep(args, extras: list[str]) -> int:
     try:
+        if args.workers < 1:
+            raise ConfigError(f"workers >= 1 required, got {args.workers}", key="--workers")
         overrides = _collect_overrides(extras)
         alphas = _frange("alpha", args.alpha_min, args.alpha_max, args.alpha_step)
         betas = _frange("beta", args.beta_min, args.beta_max, args.beta_step)
@@ -208,6 +210,8 @@ def _cmd_sweep(args, extras: list[str]) -> int:
             source = {"path": args.config} if args.config is not None else {"text": ""}
             base = parse_config(**source, overrides=overrides)
             _require_envelope(base)
+            # every point starts from the base state; an IC that overflows fails here
+            build_initial_state(base)
             max_batch = max(1, _BATCH_CELLS // math.prod(base.grid.shape))
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
@@ -233,28 +237,16 @@ def _cmd_sweep(args, extras: list[str]) -> int:
         for beta in betas
         if _point_id(alpha, beta) not in done
     ]
-    workers = max(1, args.workers)
-    chunks = _batches(points, workers, max_batch)
-    batches = [(chunk, args.n, base) for chunk in chunks]
-
-    def emit(chunk, rows: list[str]) -> None:
-        # ledger writes are serialized here in the parent process, a batch's
-        # rows when the batch ends
-        with open(csv_path, "a") as fh:
-            fh.writelines(row + "\n" for row in rows)
-        with open(ledger_path, "a") as fh:
-            fh.writelines(_point_id(alpha, beta) + "\n" for alpha, beta in chunk)
-
-    try:
-        if workers > 1 and len(batches) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for chunk, rows in zip(chunks, pool.map(_sweep_batch, batches)):
-                    emit(chunk, rows)
-        else:
-            for chunk, batch in zip(chunks, batches):
-                emit(chunk, _sweep_batch(batch))
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
+    chunks = _batches(points, args.workers, max_batch)
+    jobs = [(chunk, args.n, base) for chunk in chunks]
+    with _job_results(_sweep_batch, jobs, args.workers) as results:
+        for chunk, rows in zip(chunks, results):
+            # ledger writes are serialized here in the parent process, a
+            # batch's rows when the batch ends
+            with open(csv_path, "a") as fh:
+                fh.writelines(row + "\n" for row in rows)
+            with open(ledger_path, "a") as fh:
+                fh.writelines(_point_id(alpha, beta) + "\n" for alpha, beta in chunk)
     print(f"sweep_rows={len(points)}")
     print(f"sweep_csv={csv_path}")
     return EXIT_OK
@@ -358,8 +350,17 @@ def _cmd_bound_check(args) -> int:
     return EXIT_OK if summary.mass_envelope_ok else EXIT_VERDICT_FALSE
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are ConfigErrors, so they print
+    the one ``error: config: ...`` line; add_subparsers makes its
+    subparsers of this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(message.removeprefix("argument "))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kschemo",
         description="Chemotaxis simulator with nonlocal logistic sources",
     )
@@ -392,7 +393,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--config", default=None, help="base config for --simulate")
     p.add_argument("--t-end", type=float, default=2.0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="upper bound on worker processes (>= 1); at most one per batch and per usable CPU",
+    )
 
     p = sub.add_parser("mms", help="manufactured-solution convergence study")
     p.add_argument("--dim", type=int, choices=(1, 2), default=1)
@@ -412,11 +416,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, extras = _build_parser().parse_known_args(argv)
     # run and sweep read --section.key overrides from the leftover arguments
     with_overrides = {"run": _cmd_run, "sweep": _cmd_sweep}
     plain = {"classify": _cmd_classify, "mms": _cmd_mms, "bound-check": _cmd_bound_check}
     try:
+        args, extras = _build_parser().parse_known_args(argv)
         if args.command in with_overrides:
             return with_overrides[args.command](args, extras)
         if extras:

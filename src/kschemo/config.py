@@ -287,20 +287,32 @@ def write_resolved(cfg: RunConfig, path) -> None:
 
 
 def build_initial_state(cfg: RunConfig) -> State:
-    """Construct (u0, v0) from the IC settings; reproducible for a fixed seed."""
+    """Construct (u0, v0) from the IC settings; reproducible for a fixed seed.
+
+    ConfigError names the ``ic.*`` key that scaled u when u is not finite
+    (say, a large ``ic.u_mass`` in a narrow bump), so no run starts from it.
+    """
     grid, ic = cfg.grid, cfg.ic
     if ic.u_kind == "constant":
-        u0 = grid.full(ic.u_value)
+        u0, key = grid.full(ic.u_value), "ic.u_value"
     elif ic.u_kind == "bump":
         coords = grid.cell_centers()
         r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, ic.u_center))
         profile = np.exp(-r2 / (2.0 * ic.u_width**2))
         total = integrate(profile, grid)
-        u0 = (ic.u_mass / total) * profile if ic.u_mass > 0 else grid.zeros()
+        if ic.u_mass > 0 and total == 0:
+            raise ConfigError("the bump misses every cell centre", key="ic.u_width")
+        with np.errstate(over="ignore", invalid="ignore"):
+            u0 = (ic.u_mass / total) * profile if ic.u_mass > 0 else grid.zeros()
+        key = "ic.u_mass"
     else:  # random
         rng = np.random.default_rng(ic.seed)
         noise = 2.0 * rng.random(grid.shape) - 1.0
-        u0 = ic.u_base * (1.0 + ic.u_amplitude * noise)
+        with np.errstate(over="ignore"):
+            u0 = ic.u_base * (1.0 + ic.u_amplitude * noise)
+        key = "ic.u_base"
+    if not np.isfinite(u0).all():
+        raise ConfigError(f"initial u is not finite on the {grid.shape} grid", key=key)
     if ic.v_kind == "constant":
         v0 = grid.full(ic.v_value)
     else:

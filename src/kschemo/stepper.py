@@ -46,10 +46,11 @@ one it gets alone.  run() and step() are the B = 1 case.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -240,6 +241,28 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _job_results(fn, jobs: Sequence[tuple], workers: int | None = None, costs=None):
+    """Iterate fn(*job) over ``jobs`` in job order: on min(workers, jobs,
+    usable CPUs) processes (``workers`` None: one per usable CPU), or in this
+    process when that is 1, each job as the iterator reaches it.  A pool gets
+    the costliest job first; leaving the block shuts it down and cancels the
+    jobs not yet started."""
+    cpus = _usable_cpus()
+    count = min(cpus if workers is None else workers, len(jobs), cpus)
+    if count <= 1:
+        yield (fn(*job) for job in jobs)
+        return
+    pool = ProcessPoolExecutor(max_workers=count)
+    try:
+        # sorted is stable, so without costs the jobs go in job order
+        order = sorted(range(len(jobs)), key=lambda k: 0 if costs is None else -costs[k])
+        futures = {k: pool.submit(fn, *jobs[k]) for k in order}
+        yield (futures[k].result() for k in range(len(jobs)))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _threaded(rows: int, grid: Grid) -> bool:

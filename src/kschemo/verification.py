@@ -12,20 +12,16 @@ point of the harness.
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import stepper
 from .grid import Grid, State, lp_norm_pow
 from .observables import ObservableSeries, Termination
 from .params import ModelParams
-from .stepper import Recorder, RunResult, StepperConfig, run
+from .stepper import Recorder, RunResult, StepperConfig, _job_results, run
 
 GL_PANELS = 8
 GL_ORDER = 8
@@ -263,12 +259,13 @@ def convergence_study(
     the previous level from the spacing ratio for the spatial direction, or
     the dt ratio when the grids repeat (temporal study).
 
-    The levels are independent, so they run side by side in a process pool
-    with one worker per usable CPU (at most one per level), the costliest
-    level (steps x cells) first; with one usable CPU they run in this
-    process.  Results are read back and checked in level order, so the
-    table, and the error raised for the lowest failing level, are the same
-    bits either way.
+    The levels are independent, so they go to ``stepper._job_results``
+    with one worker asked per usable CPU: min(usable CPUs, levels)
+    processes, the costliest level (steps x cells) first, or this process
+    alone with one usable CPU.  Results are read back and checked in level
+    order, and the first failed check cancels the levels not yet started,
+    so the table, and the error raised for the lowest failing level, are
+    the same bits either way.
     """
     if len(grids) != len(dts):
         raise ValueError("need one dt per grid")
@@ -276,22 +273,9 @@ def convergence_study(
         raise ValueError("need at least two refinement levels")
     snapped = level_dts(grids, dts, t_end)
     levels = [(case, grid, dt, t_end, face_scheme) for grid, dt in zip(grids, snapped)]
-    workers = min(len(levels), stepper._usable_cpus())
-
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            # a failed level ends the study: the levels not yet started are dropped
-            stack.callback(pool.shutdown, cancel_futures=True)
-            costs = [round(t_end / dt) * math.prod(grid.cells) for grid, dt in zip(grids, snapped)]
-            futures = {
-                level: pool.submit(_run_level, *levels[level])
-                for level in sorted(range(len(levels)), key=lambda k: -costs[k])
-            }
-            results = (futures[level].result() for level in range(len(levels)))
-        else:
-            results = itertools.starmap(_run_level, levels)
-        rows: list[ConvergenceRow] = []
+    costs = [round(t_end / dt) * math.prod(grid.cells) for grid, dt in zip(grids, snapped)]
+    rows: list[ConvergenceRow] = []
+    with _job_results(_run_level, levels, costs=costs) as results:
         for level, (grid, dt, result) in enumerate(zip(grids, snapped, results)):
             if result.termination is not Termination.REACHED_T_END:
                 raise RuntimeError(f"level {level} run ended with {result.termination}")

@@ -1,0 +1,62 @@
+import pytest
+
+
+class InlineFuture:
+    """A job of InlinePool: it runs when its result is first read."""
+
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
+        self.state, self.value, self.error = "pending", None, None
+
+    def result(self):
+        if self.state == "cancelled":
+            raise AssertionError("result read after cancel")
+        if self.state == "pending":
+            self.state = "finished"
+            try:
+                self.value = self.fn(*self.args)
+            except Exception as exc:
+                self.error = exc
+        if self.error is not None:
+            raise self.error
+        return self.value
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor in this process: it records its
+    size and the futures in submit order, and starts no process."""
+
+    def __init__(self, max_workers=None):
+        self.max_workers = max_workers
+        self.futures: list[InlineFuture] = []
+        self.shut_down = False
+
+    def submit(self, fn, *args):
+        self.futures.append(InlineFuture(fn, args))
+        return self.futures[-1]
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = True
+        for future in self.futures:
+            if cancel_futures and future.state == "pending":
+                future.state = "cancelled"
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """Call it to put InlinePool in place of ProcessPoolExecutor for the rest
+    of the test; it returns the list of the pools stepper._job_results makes."""
+
+    def install() -> list[InlinePool]:
+        from kschemo import stepper
+
+        pools = []
+
+        def make(**kwargs):
+            pools.append(InlinePool(**kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(stepper, "ProcessPoolExecutor", make)
+        return pools
+
+    return install

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from kschemo import cli
+from kschemo import cli, stepper
 from kschemo.cli import main
 from kschemo.config import parse_config, run_configs, run_from_config
 from kschemo.observables import summarize
@@ -29,6 +29,10 @@ def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# a bump of mass 1e308 a hundredth wide: u is inf at its centre
+OVERFLOWING_IC = "grid.cells_x = 32\nic.u = bump\nic.u_mass = 1e308\nic.u_width = 0.01\n"
 
 
 class TestClassify:
@@ -72,6 +76,29 @@ class TestClassify:
         assert (code, out) == (2, "")
         assert err.startswith("error: config:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify", "--alpha", "1", "--beta", "3", "--n", "1.5"],
+             "--n: invalid int value: '1.5'"),
+            (["sweep", "--alpha-min", "1"], "the following arguments are required: --alpha-max"),
+            (["mms", "--dim", "3"], "--dim: invalid choice: 3"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["classify-bad-type", "sweep-missing", "mms-bad-choice", "no-command"],
+    )
+    def test_usage_error_is_one_config_line(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config: {message}")
+        assert len(err.splitlines()) == 1
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["classify", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: kschemo classify")
 
     def test_zero_growth_envelope_with_underflowing_measure_power(self, capsys):
         # |Omega|^(1-beta) underflows to 0; a = 0 must still give y1 = 0
@@ -170,6 +197,14 @@ class TestRun:
         code, _, err = invoke(capsys, "run", "--config", str(cfg), "--output", str(tmp_path / "o"))
         assert code == 4
         assert err.startswith("error: solver-failure: t=0 cause=helmholtz backward error ")
+
+    def test_overflowing_initial_u_exit_2_before_any_artifact(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(OVERFLOWING_IC)
+        code, out, err = invoke(capsys, "run", "--config", str(cfg), "--output", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == "error: config: ic.u_mass: initial u is not finite on the (32,) grid\n"
+        assert not (tmp_path / "o" / "resolved_config.txt").exists()
 
     def test_bad_override_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -299,6 +334,30 @@ class TestSweep:
         assert err == f"error: config: --n: n must be a positive integer, got {n}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_exit_2_creates_nothing(self, tmp_path, capsys, workers):
+        out_dir = tmp_path / "sweep"
+        code, out, err = invoke(
+            capsys, "sweep", "--alpha-min", "1", "--alpha-max", "1", "--beta-min", "3",
+            "--beta-max", "3", "--n", "1", "--output", str(out_dir), f"--workers={workers}",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: config: --workers: workers >= 1 required, got {workers}\n"
+        assert not out_dir.exists()
+
+    def test_overflowing_initial_u_exit_2_creates_nothing(self, tmp_path, capsys):
+        base = tmp_path / "base.cfg"
+        base.write_text(OVERFLOWING_IC)
+        out_dir = tmp_path / "sweep"
+        code, out, err = invoke(
+            capsys, "sweep", "--simulate", "--config", str(base), "--alpha-min", "1",
+            "--alpha-max", "1", "--beta-min", "3", "--beta-max", "3", "--n", "1",
+            "--output", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: config: ic.u_mass: initial u is not finite on the (32,) grid\n"
+        assert not out_dir.exists()
+
     def test_output_under_a_file_exit_2(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         out_dir = tmp_path / "file" / "sub"
@@ -402,15 +461,30 @@ class TestSimulatedSweep:
                 expected = getattr(summary, column)
                 assert float(row[column]) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
-    def test_workers_give_identical_csv(self, tmp_path, capsys):
+    def test_workers_give_identical_csv(self, tmp_path, capsys, monkeypatch, inline_pools):
         base = tmp_path / "base.cfg"
         base.write_text(SWEEP_BASE)
-        assert _simulated_sweep(capsys, base, tmp_path / "one", "2", "--workers", "1")[0] == 0
-        assert _simulated_sweep(capsys, base, tmp_path / "two", "2", "--workers", "2")[0] == 0
-        one = (tmp_path / "one" / "sweep.csv").read_bytes()
-        two = (tmp_path / "two" / "sweep.csv").read_bytes()
-        assert one == two
-        assert len(one.splitlines()) == 1 + 9
+        written = {}
+        for workers in ("1", "2", "8"):
+            out = tmp_path / f"workers-{workers}"
+            assert _simulated_sweep(capsys, base, out, "2", "--workers", workers)[0] == 0
+            written[workers] = (out / "sweep.csv").read_bytes()
+        assert written["1"] == written["2"] == written["8"]
+        lines = written["1"].splitlines()
+        assert len(lines) == 1 + 9
+        # alpha in {1, 1.5} and beta in {1, 2} (the later --beta-max wins): 4
+        # one-point batches, so a pool sized by --workers alone would be 64
+        points = {(a, b) for a in (b"1", b"1.5") for b in (b"1", b"2")}
+        four = [lines[0]] + [l for l in lines[1:] if tuple(l.split(b",")[:2]) in points]
+        pools = inline_pools()
+        for cpus in (3, 8):
+            monkeypatch.setattr(stepper, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"workers-64-cpus-{cpus}"
+            extra = ("--beta-max", "2", "--workers", "64")
+            assert _simulated_sweep(capsys, base, out, "1.5", *extra)[0] == 0
+            assert pools[-1].max_workers == min(64, 4, cpus)
+            assert pools[-1].shut_down
+            assert (out / "sweep.csv").read_bytes().splitlines() == four
 
     def test_ledger_resume(self, tmp_path, capsys):
         base = tmp_path / "base.cfg"

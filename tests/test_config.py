@@ -214,6 +214,22 @@ class TestInitialConditions:
         s3 = build_initial_state(parse_config(text=text.replace("42", "43")))
         assert not np.array_equal(s1.u, s3.u)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("ic.u = bump\nic.u_mass = 1e308\nic.u_width = 0.01\n", "ic.u_mass"),
+            ("ic.u = random\nic.u_base = 1.7e308\n", "ic.u_base"),
+            # narrower than a cell and centred on a cell face
+            ("ic.u = bump\nic.u_width = 1e-5\n", "ic.u_width"),
+        ],
+        ids=["bump-overflows", "random-overflows", "bump-between-centres"],
+    )
+    def test_unbuildable_u_names_its_key(self, text, key):
+        cfg = parse_config(text="grid.cells_x = 32\n" + text)
+        with pytest.raises(ConfigError, match=f"^{key}: ") as info:
+            build_initial_state(cfg)
+        assert info.value.key == key
+
     def test_v_equal_u(self):
         cfg = parse_config(text="ic.u = constant\nic.u_value = 1.5\nic.v = equal_u\n")
         state = build_initial_state(cfg)

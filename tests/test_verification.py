@@ -212,8 +212,8 @@ class TestConvergenceStudy:
             convergence_study(case, grids, dts, t_end=0.02, face_scheme="central")
 
     def test_two_failing_levels_report_the_lower(self, params, monkeypatch):
-        # levels 1 and 2 take dt far above the transport bound; level 2, the
-        # costliest, runs first in the pool, yet level 1 is the one reported
+        # levels 1 and 2 take dt far above the transport bound; the pool gets
+        # level 0, the costliest, then level 2, yet level 1 is the one reported
         grids = [Grid(extent=(1.0,), cells=(n,)) for n in (16, 32, 64)]
         dts = [2e-4, 0.01, 0.01]
         case = build_mms_case(ModelParams(chi=50.0, a=1.0, b=1.0, alpha=2.0, beta=2.0), grids[0])
@@ -308,6 +308,29 @@ class TestLevelsSideBySide:
         assert pids and str(os.getpid()) not in pids
         # the stamp changes no bits
         assert pooled == self.study(monkeypatch, 1, case, grids, dts, 0.02)
+
+    def test_failed_level_leaves_later_levels_unrun(self, monkeypatch, inline_pools):
+        # chi = 50 at dt = 0.01 engages the adaptive dt on both levels; the
+        # 64-cell level 0 costs most, so the pool gets it first
+        grids = [Grid(extent=(1.0,), cells=(n,)) for n in (64, 32)]
+        case = build_mms_case(ModelParams(chi=50.0, a=1.0, b=1.0, alpha=2.0, beta=2.0), grids[0])
+        run_level, ran = verification._run_level, []
+
+        def recorded(case, grid, *rest):
+            ran.append(grid.cells)
+            return run_level(case, grid, *rest)
+
+        monkeypatch.setattr(verification, "_run_level", recorded)
+        pools = inline_pools()
+        for cpus in (8, 1):
+            ran.clear()
+            with pytest.raises(RuntimeError, match=r"^level 0: adaptive dt engaged"):
+                self.study(monkeypatch, cpus, case, grids, [0.01, 0.01], 0.02)
+            assert ran == [(64,)]
+        (pool,) = pools  # one usable CPU runs the levels in this process
+        assert pool.max_workers == 2 and pool.shut_down
+        assert [f.args[1].cells for f in pool.futures] == [(64,), (32,)]
+        assert [f.state for f in pool.futures] == ["finished", "cancelled"]
 
 
 # the mass-envelope acceptance configuration at half resolution (128 of 256)
