@@ -47,22 +47,21 @@ def _fail(code: int, kind: str, message: str) -> int:
 def _collect_overrides(extras: list[str]) -> dict[str, str]:
     """Turn leftover ``--section.key value`` pairs into config overrides."""
     overrides: dict[str, str] = {}
-    i = 0
-    while i < len(extras):
-        token = extras[i]
+    tokens = iter(extras)
+    for token in tokens:
         if not (token.startswith("--") and "." in token):
             raise ConfigError(f"unrecognized argument {token!r}")
-        key = token[2:]
-        if "=" in key:
-            key, value = key.split("=", 1)
-        else:
-            if i + 1 >= len(extras):
+        key, eq, value = token[2:].partition("=")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
                 raise ConfigError(f"missing value for override {token!r}")
-            value = extras[i + 1]
-            i += 1
         overrides[key] = value
-        i += 1
     return overrides
+
+
+def _point_id(alpha: float, beta: float) -> str:
+    return f"{alpha:.12g},{beta:.12g}"
 
 
 def _row_prefix(params: ModelParams, n: int, envelope: tuple | None) -> str:
@@ -71,12 +70,13 @@ def _row_prefix(params: ModelParams, n: int, envelope: tuple | None) -> str:
     y1 and m0 cells without an envelope."""
     regime = classify_regime(params, n)
     y1, m0 = (f"{x:.17g}" for x in envelope) if envelope else ("", "")
-    return f"{params.alpha:.12g},{params.beta:.12g},{n},{regime},{y1},{m0}"
+    return f"{_point_id(params.alpha, params.beta)},{n},{regime},{y1},{m0}"
 
 
 def _cmd_classify(args) -> int:
     try:
-        params = ModelParams(chi=args.chi, a=args.a, b=args.b, alpha=args.alpha, beta=args.beta)
+        # neither the regime nor the envelope depends on chi
+        params = ModelParams(chi=1.0, a=args.a, b=args.b, alpha=args.alpha, beta=args.beta)
         envelope = mass_envelope(params, args.initial_mass, args.domain_measure)
         print(_row_prefix(params, args.n, envelope))
     except ValueError as exc:
@@ -132,10 +132,6 @@ def _make_output_dir(path: str, key: str) -> None:
         raise ConfigError(f"{path}: {exc.strerror}", key=key) from None
 
 
-def _point_id(alpha: float, beta: float) -> str:
-    return f"{alpha:.12g},{beta:.12g}"
-
-
 def _require_envelope(cfg) -> None:
     """Raise ConfigError when the run has no mass envelope (b = 0)."""
     try:
@@ -181,6 +177,29 @@ def _batches(points: list, workers: int, max_size: int) -> list[list]:
     return [points[i : i + size] for i in range(0, len(points), size)]
 
 
+def _resume_sweep(csv_path: str, ledger_path: str, header: str, n: int) -> set[str]:
+    """The points the ledger lists as finished.  ``csv_path`` is made with
+    ``header``, or cut back to its last complete line so that a row torn by a
+    kill is redone (its ledger line comes after it); a file of another kind
+    of sweep (plain against --simulate) or of another --n raises ConfigError."""
+    cells = header.split(",")
+    try:
+        with open(csv_path, "a+b") as fh:
+            fh.seek(0)
+            data = fh.read()
+            complete = data[: data.rfind(b"\n") + 1]
+            head, *rows = (r.split(",") for r in complete.decode().splitlines() or [header])
+            if head != cells or any(len(r) != len(cells) or r[2] != str(n) for r in rows):
+                raise ConfigError(f"{csv_path} holds another kind of sweep or --n", key="--output")
+            fh.truncate(len(complete))
+            fh.write(b"" if complete else header.encode() + b"\n")
+        with open(ledger_path, "a+") as fh:
+            fh.seek(0)
+            return {line.strip() for line in fh if line.strip()}
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(exc), key="--output") from None
+
+
 def _cmd_sweep(args, extras: list[str]) -> int:
     try:
         if args.workers < 1:
@@ -219,30 +238,17 @@ def _cmd_sweep(args, extras: list[str]) -> int:
     _make_output_dir(args.output, "--output")
     csv_path = os.path.join(args.output, "sweep.csv")
     ledger_path = os.path.join(args.output, "sweep_done.txt")
-    done: set[str] = set()
-    if os.path.exists(ledger_path):
-        with open(ledger_path) as fh:
-            done = {line.strip() for line in fh if line.strip()}
-
     header = "alpha,beta,n,regime,y1,m0"
     if args.simulate:
         header += ",termination,mass_max,linf_u_max,plateaus_ok"
-    if not os.path.exists(csv_path):
-        with open(csv_path, "w") as fh:
-            fh.write(header + "\n")
+    done = _resume_sweep(csv_path, ledger_path, header, args.n)
 
-    points = [
-        (alpha, beta)
-        for alpha in alphas
-        for beta in betas
-        if _point_id(alpha, beta) not in done
-    ]
+    points = [(a, b) for a in alphas for b in betas if _point_id(a, b) not in done]
     chunks = _batches(points, args.workers, max_batch)
     jobs = [(chunk, args.n, base) for chunk in chunks]
     with _job_results(_sweep_batch, jobs, args.workers) as results:
         for chunk, rows in zip(chunks, results):
-            # ledger writes are serialized here in the parent process, a
-            # batch's rows when the batch ends
+            # this process alone writes: a batch's rows, then the ledger lines marking them done
             with open(csv_path, "a") as fh:
                 fh.writelines(row + "\n" for row in rows)
             with open(ledger_path, "a") as fh:
@@ -370,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--chi", type=float, default=1.0)
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--domain-measure", type=float, default=1.0)

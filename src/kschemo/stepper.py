@@ -4,17 +4,18 @@ One step of size dt from (u_n, v_n):
 
   (i)   explicit terms at t_n: E_u = -chi * div(u grad v) + nonlocal source
         on a large grid (see (iii)) one of two row slabs of the transport
-        runs on the step's helper thread; the source stays whole
+        runs on the march's helper thread; the source stays whole
   (ii)  u_{n+1} solves (I - dt*L_h) u = u_n + dt*E_u          (implicit diffusion)
   (iii) v_{n+1} solves ((1+dt) I - dt*L_h) v = v_n + dt*u_n
         this rhs does not need u_{n+1}, so (ii) and (iii) are one rhs array
         over the u rows and then the v rows of all members, sigma = dt for u
         and dt/(1+dt) for v.  Small grids solve it as one stacked call (one
         transform pair, one gate); when a half holds at least _THREAD_CELLS
-        cells and more than one CPU is usable, the step's helper thread
+        cells and more than one CPU is usable, the march's helper thread
         builds, solves and gates the u half and takes its extrema while the
-        calling thread does the same for the v half.  The helper lives for
-        one step, so the stepper keeps no process-wide state
+        calling thread does the same for the v half.  A march (run_batch, or
+        one step()) starts at most one helper and joins it before it
+        returns, so the stepper keeps no process-wide state
   (iv)  audit: a non-finite or negative result halves dt and retries from
         the explicit stage of (i); a solve that fails its backward-error gate
         is a solver failure; a sup norm above the threshold is a blow-up
@@ -79,15 +80,13 @@ _MAX_RETRIES = 20
 
 # Cells (member rows * cells per row) from which a step runs its per-cell
 # work on two threads: the transport in two row slabs, and the u and v
-# halves of the solve, with one helper thread started and joined per
-# step.  Medians of the checked solve of one u row and one v row on 2 vCPUs,
-# serial -> two threads, three runs: 1D 256 cells 0.07 -> 0.3-0.5 ms, 64^2
-# 0.3-0.5 -> 0.7-1.1 ms, 128^2 1.4-2.1 -> 1.5-2.3 ms, 256^2 5.8-7.7 ->
-# 5.6-7.2 ms, 512^2 30-35 -> 29-33 ms.  The transport stage of one bump
-# member, serial -> two row slabs with the helper started in the timing,
-# same three-run medians: 128^2 0.23-0.29 -> 0.61-0.77 ms, 256^2 1.6-2.2 ->
-# 1.3-1.8 ms, 512^2 7.9-9.1 -> 4.9-5.8 ms.  Both break even between 128^2
-# and 256^2, so from 2^16 threads only win.
+# halves of the solve, handed to the march's live helper thread.  Medians of
+# five alternating runs on 2 vCPUs, serial -> helper, one bump member: the
+# transport stage 128^2 0.36 -> 0.88 ms, 182^2 0.70 -> 1.03 ms, 256^2 1.77
+# -> 1.37 ms; the checked solve of one u row and one v row 128^2 1.97 ->
+# 1.96 ms, 182^2 5.5 -> 3.7 ms, 256^2 10.6 -> 5.6 ms.  A single member
+# breaks even between 128^2 and 182^2; batches of many small rows were not
+# timed, so the threshold stays at 2^16, from where both stages win.
 _THREAD_CELLS = 1 << 16
 
 # the audit decides what overflow and NaN mean, so numpy need not warn
@@ -270,16 +269,25 @@ def _threaded(rows: int, grid: Grid) -> bool:
     return rows * math.prod(grid.cells) >= _THREAD_CELLS and _usable_cpus() > 1
 
 
-def _quietly(call):
-    # numpy's error state belongs to the thread, so the helper sets its own
+@contextlib.contextmanager
+def _march(rows: int, grid: Grid):
+    """numpy's quiet error state for a march of ``rows`` member rows, and the
+    march's one helper thread when _threaded, else None.  numpy's error state
+    belongs to the thread, so the helper sets its own once, for every task it
+    runs; leaving the block joins it, also when the march raises."""
     with np.errstate(**_QUIET):
-        return call()
+        if not _threaded(rows, grid):
+            yield None
+            return
+        quiet = functools.partial(np.seterr, **_QUIET)
+        with ThreadPoolExecutor(1, "kschemo-step", initializer=quiet) as helper:
+            yield helper
 
 
 def _beside(helper: ThreadPoolExecutor, helper_call, own_call) -> tuple:
-    """(helper_call(), own_call()), the first on the step's helper thread: numpy's
+    """(helper_call(), own_call()), the first on the march's helper thread: numpy's
     large ufuncs and scipy.fft release the GIL, so the two overlap."""
-    theirs = helper.submit(_quietly, helper_call)
+    theirs = helper.submit(helper_call)
     mine = own_call()
     return theirs.result(), mine
 
@@ -296,11 +304,11 @@ def _transport_into(out, u, v, chi, grid: Grid, scheme: str, own=slice(None)) ->
 def _subtract_transport(explicit, u, v, chi, grid: Grid, scheme: str, helper) -> list:
     """explicit -= chi * div(u grad v) in place; return _chemo_divergence's maxima.
 
-    With a helper, it takes the first cells[0] // 2 rows of the first field
-    axis and this thread the rest, each slab with a one-row halo on its
-    inner side, so its rows get the whole-field bits.  Max is exact and
-    propagates NaN, so the slabs' maxima combine exactly."""
-    if helper is None:
+    With a helper and _threaded rows, it takes the first cells[0] // 2 rows
+    of the first field axis and this thread the rest, each slab with a
+    one-row halo on its inner side, so its rows get the whole-field bits.
+    Max is exact and propagates NaN, so the slabs' maxima combine exactly."""
+    if helper is None or not _threaded(len(u), grid):
         return _transport_into(explicit, u, v, chi, grid, scheme)
     m = grid.cells[0] // 2
     slab = functools.partial(_transport_into, chi=chi, grid=grid, scheme=scheme)
@@ -497,32 +505,18 @@ def _audit(
 
 
 def _advance(
-    u: np.ndarray,
-    v: np.ndarray,
-    ts: Sequence[float],
-    params: Sequence[ModelParams],
-    grid: Grid,
-    cfg: StepperConfig,
-    forcing=None,
-    dt_cap: Optional[Sequence[float]] = None,
-    dt_override: Optional[float] = None,
+    helper: Optional[ThreadPoolExecutor], u: np.ndarray, v: np.ndarray, ts: Sequence[float],
+    params: Sequence[ModelParams], grid: Grid, cfg: StepperConfig, forcing=None,
+    dt_cap: Optional[Sequence[float]] = None, dt_override: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray, list[StepOutcome]]:
     """Attempt one step for every member of a batch of trusted states.
 
     Returns the new fields and one StepOutcome per member; a member's row
     holds its new state only when its outcome is accepted.  Retries
-    re-solve only the members that failed their audit.  When _threaded, one
-    helper thread started for this call takes half of the per-cell work.
+    re-solve only the members that failed their audit.  ``helper`` is the
+    march's helper thread, or None; it takes half of the per-cell work only
+    while the rows are _threaded, which they stop being as members leave.
     """
-    if not _threaded(len(params), grid):
-        return _attempt(None, u, v, ts, params, grid, cfg, forcing, dt_cap, dt_override)
-    # leaving the block joins the helper, also when this thread raises
-    with ThreadPoolExecutor(1, thread_name_prefix="kschemo-step") as helper:
-        return _attempt(helper, u, v, ts, params, grid, cfg, forcing, dt_cap, dt_override)
-
-
-def _attempt(helper, u, v, ts, params, grid, cfg, forcing, dt_cap, dt_override):
-    """_advance with ``helper``, the step's helper thread, or None for one thread."""
     axes = grid.field_axes
     count = len(params)
     source, integrals = _nonlocal_source(u, grid, params)
@@ -600,9 +594,9 @@ def step(
     if dt_override is not None and dt_override <= 0:
         raise ValueError("dt_override must be positive")
     caps = None if dt_cap is None else [dt_cap]
-    with np.errstate(**_QUIET):
+    with _march(1, grid) as helper:
         u_new, v_new, (outcome,) = _advance(
-            _stack([state.u]), _stack([state.v]), [state.t], [params], grid, cfg,
+            helper, _stack([state.u]), _stack([state.v]), [state.t], [params], grid, cfg,
             forcing, caps, dt_override,
         )
     if outcome.termination is not None:
@@ -731,8 +725,8 @@ def run_batch(
     shared by construction.  A member that finishes leaves the batch and the
     others go on.  For a fixed input each member's series is bitwise
     reproducible and independent of the batch it runs in.  A batch touches
-    no process-wide state (a threaded step's helper thread ends with that
-    step), so batches can run in parallel workers, forked or spawned.
+    no process-wide state (a threaded march's one helper thread ends with
+    the march), so batches can run in parallel workers, forked or spawned.
     """
     if not params or len(initials) != len(params):
         raise ValueError("need one ModelParams per initial state")
@@ -743,13 +737,13 @@ def run_batch(
 
     time_tol = 1e-12 * max(1.0, abs(t_end))
     members = [_Member(st, p, grid, recorder) for st, p in zip(initials, params)]
-    with np.errstate(**_QUIET):
+    with _march(len(members), grid) as helper:
         active = [m for m in members if m.start(t_end, time_tol)]
         u = _stack([m.state.u for m in active]) if active else None
         v = _stack([m.state.v for m in active]) if active else None
         while active:
             u_new, v_new, outcomes = _advance(
-                u, v, [m.state.t for m in active], [m.params for m in active],
+                helper, u, v, [m.state.t for m in active], [m.params for m in active],
                 grid, cfg, forcing, dt_cap=[t_end - m.state.t for m in active],
             )
             keep = []

@@ -85,8 +85,11 @@ class TestClassify:
             (["sweep", "--alpha-min", "1"], "the following arguments are required: --alpha-max"),
             (["mms", "--dim", "3"], "--dim: invalid choice: 3"),
             ([], "the following arguments are required: command"),
+            # neither the regime nor the envelope reads chi, so classify takes no --chi
+            (["classify", "--alpha", "1", "--beta", "3", "--n", "1", "--chi", "5"],
+             "unrecognized arguments ['--chi', '5']"),
         ],
-        ids=["classify-bad-type", "sweep-missing", "mms-bad-choice", "no-command"],
+        ids=["classify-bad-type", "sweep-missing", "mms-bad-choice", "no-command", "classify-chi"],
     )
     def test_usage_error_is_one_config_line(self, capsys, argv, message):
         code, out, err = invoke(capsys, *argv)
@@ -269,6 +272,52 @@ class TestSweep:
         assert "sweep_rows=0" in out
         lines = (out_dir / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 4  # no duplicates after resume
+
+    def test_torn_last_row_is_redone(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        args = (
+            "sweep", "--alpha-min", "1", "--alpha-max", "1.5", "--alpha-step", "0.5",
+            "--beta-min", "1", "--beta-max", "1.5", "--beta-step", "0.5",
+            "--n", "1", "--output", str(out_dir),
+        )
+        assert invoke(capsys, *args)[0] == 0
+        csv_path, ledger_path = out_dir / "sweep.csv", out_dir / "sweep_done.txt"
+        written = csv_path.read_bytes()
+        ledger = ledger_path.read_text().splitlines()
+        # a kill inside the last row's write: the row is cut short, and its
+        # ledger line, written after it, is missing
+        csv_path.write_bytes(written[:-4])
+        ledger_path.write_text("".join(line + "\n" for line in ledger[:-1]))
+        code, out, _ = invoke(capsys, *args)
+        assert code == 0
+        assert "sweep_rows=1" in out
+        assert csv_path.read_bytes() == written
+        assert ledger_path.read_text().splitlines() == ledger
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            ("--n", "2"),
+            ("--n", "1", "--simulate", "--t-end", "0.05"),
+        ],
+    )
+    def test_other_sweep_into_same_output_exit_2(self, tmp_path, capsys, second):
+        out_dir = tmp_path / "sweep"
+        ranges = (
+            "--alpha-min", "1", "--alpha-max", "1.5", "--alpha-step", "0.5",
+            "--beta-min", "3", "--beta-max", "3", "--output", str(out_dir),
+        )
+        assert invoke(capsys, "sweep", *ranges, "--n", "1")[0] == 0
+        written = (out_dir / "sweep.csv").read_bytes()
+        ledger = (out_dir / "sweep_done.txt").read_bytes()
+        code, out, err = invoke(capsys, "sweep", *ranges, *second)
+        assert code == 2
+        assert err.startswith("error: config: --output: ")
+        assert len(err.splitlines()) == 1
+        assert out == ""
+        assert (out_dir / "sweep.csv").read_bytes() == written
+        assert (out_dir / "sweep_done.txt").read_bytes() == ledger
+        assert sorted(p.name for p in out_dir.iterdir()) == ["sweep.csv", "sweep_done.txt"]
 
     def test_alpha_below_one_exit_2(self, tmp_path, capsys):
         code, _, err = invoke(

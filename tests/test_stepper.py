@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import threading
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, TimeoutError
 
 import numpy as np
@@ -53,6 +54,12 @@ def _threaded_grid():
 def _helper_threads():
     """Live threads that the stepper starts: every helper's name starts with kschemo-."""
     return [t for t in threading.enumerate() if t.name.startswith("kschemo-")]
+
+
+def _advance(u, v, ts, params, grid, cfg, *args):
+    """One step of a batch as a march runs it: inside _march, with its helper."""
+    with stepper._march(len(params), grid) as helper:
+        return stepper._advance(helper, u, v, ts, params, grid, cfg, *args)
 
 
 def _record_threads(monkeypatch, name="_helmholtz_checked"):
@@ -335,11 +342,9 @@ class TestTransportSlabs:
 
     @staticmethod
     def stage(explicit, u, v, chi, grid, scheme):
-        """The explicit stage as _advance runs it: on a helper thread when _threaded."""
+        """The explicit stage as _advance runs it: on the march's helper when _threaded."""
         explicit = explicit.copy()
-        with np.errstate(**stepper._QUIET), ThreadPoolExecutor(1, "kschemo-step") as helper:
-            if not stepper._threaded(len(u), grid):
-                helper = None
+        with stepper._march(len(u), grid) as helper:
             grad_max = stepper._subtract_transport(explicit, u, v, chi, grid, scheme, helper)
         return explicit, grad_max
 
@@ -388,6 +393,17 @@ class TestTransportSlabs:
                 assert not np.isfinite(split[-1]).all()
             assert _helper_threads() == []
 
+    def test_rows_below_threshold_leave_helper_idle(self, monkeypatch):
+        # a march opened for two members keeps its helper when one leaves
+        grid = Grid(extent=(1.0, 1.0), cells=(182, 182))
+        threads = _record_threads(monkeypatch, "_chemo_divergence")
+        u, v = _bump(grid, 8.0, width=0.1)[None], grid.sample(lambda x, y: x)[None]
+        chi = operators._column([5.0], grid.dim)
+        with stepper._march(2, grid) as helper:
+            assert helper is not None and not stepper._threaded(1, grid)
+            stepper._subtract_transport(grid.zeros()[None], u, v, chi, grid, "upwind", helper)
+        assert threads == {threading.current_thread().name}
+
     def test_calling_slab_error_propagates_after_joining_helper(self, monkeypatch):
         grid = _threaded_grid()
         monkeypatch.setattr(stepper, "_usable_cpus", lambda: 2)
@@ -409,7 +425,7 @@ class TestTransportSlabs:
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         u, v = _bump(grid, 8.0, width=0.1)[None], grid.full(1.0)[None]
         with pytest.raises(RuntimeError, match="calling slab failed"):
-            stepper._advance(u, v, [0.0], [p], grid, StepperConfig())
+            _advance(u, v, [0.0], [p], grid, StepperConfig())
         assert len(helper_done) == 1 and helper_done[0].startswith("kschemo-step")
         assert _helper_threads() == []
 
@@ -585,9 +601,7 @@ class TestStackedSolve:
                 cases.append((u, v, [mms_params] * count, ts, caps[:count], mms.forcing))
             for u, v, params, ts, dt_cap, forcing in cases:
                 threads.clear()
-                u_new, v_new, outcomes = stepper._advance(
-                    u, v, ts, params, grid, cfg, forcing, dt_cap
-                )
+                u_new, v_new, outcomes = _advance(u, v, ts, params, grid, cfg, forcing, dt_cap)
                 # above _THREAD_CELLS the u half is solved on the helper thread
                 assert len(threads) == (2 if grid is large else 1)
                 assert all(o.termination is None and o.retries == 0 for o in outcomes)
@@ -603,7 +617,7 @@ class TestStackedSolve:
                 if grid is large:
                     with monkeypatch.context() as patch:
                         patch.setattr(stepper, "_THREAD_CELLS", math.inf)
-                        serial_u, serial_v, serial = stepper._advance(
+                        serial_u, serial_v, serial = _advance(
                             u, v, ts, params, grid, cfg, forcing, dt_cap
                         )
                     np.testing.assert_array_equal(u_new, serial_u)
@@ -622,10 +636,10 @@ class TestStackedSolve:
 
         for grid in (grid1d, grid2d):
             u, v, params = self.batch(grid, 3)
-            clean_u, clean_v, clean = stepper._advance(u, v, [0.0] * 3, params, grid, cfg)
+            clean_u, clean_v, clean = _advance(u, v, [0.0] * 3, params, grid, cfg)
             with monkeypatch.context() as patch:
                 patch.setattr(stepper, "_helmholtz_core", perturbed_core)
-                u_new, v_new, outcomes = stepper._advance(u, v, [0.0] * 3, params, grid, cfg)
+                u_new, v_new, outcomes = _advance(u, v, [0.0] * 3, params, grid, cfg)
             assert outcomes[1].termination is Termination.SOLVER_FAILURE
             assert outcomes[1].residual_v > stepper._LINEAR_TOL
             assert outcomes[1].residual_u == clean[1].residual_u
@@ -653,7 +667,7 @@ class TestStackedSolve:
             # below zero at dt = 1e-2 but not at 5e-3
             ts, forcing = [0.0, 1.0, 0.0], _LateNegativeForcing()
             calls.clear()
-            u_new, v_new, outcomes = stepper._advance(u, v, ts, [p] * 3, grid, cfg, forcing)
+            u_new, v_new, outcomes = _advance(u, v, ts, [p] * 3, grid, cfg, forcing)
             assert calls == [
                 (6, [1e-2] * 3 + [1e-2 / 1.01] * 3),
                 (2, [5e-3, 5e-3 / 1.005]),
@@ -661,7 +675,7 @@ class TestStackedSolve:
             assert [o.termination for o in outcomes] == [None] * 3
             assert [o.retries for o in outcomes] == [0, 1, 0]
             assert [o.dt for o in outcomes] == [1e-2, 5e-3, 1e-2]
-            solo_u, solo_v, _ = stepper._advance(u[1:2], v[1:2], [1.0], [p], grid, cfg, forcing)
+            solo_u, solo_v, _ = _advance(u[1:2], v[1:2], [1.0], [p], grid, cfg, forcing)
             np.testing.assert_array_equal(u_new[1], solo_u[0])
             np.testing.assert_array_equal(v_new[1], solo_v[0])
 
@@ -814,11 +828,46 @@ class TestRun:
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         u, v = _bump(grid, 8.0, width=0.1)[None], grid.zeros()[None]
         for _ in range(2):
-            with np.errstate(**stepper._QUIET):
-                _, _, (outcome,) = stepper._advance(u, v, [0.0], [p], grid, StepperConfig())
+            _, _, (outcome,) = _advance(u, v, [0.0], [p], grid, StepperConfig())
             assert outcome.termination is None and outcome.retries == 0
             assert len(threads) == 2
             assert _helper_threads() == []
+
+    def test_threaded_run_starts_one_helper(self, monkeypatch):
+        grid = _threaded_grid()
+        threads = _record_threads(monkeypatch)
+        built = []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(threading.current_thread().name)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "ThreadPoolExecutor", CountingExecutor)
+        p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+        initial = State(u=_bump(grid, 8.0, width=0.1), v=grid.zeros())
+        rec = Recorder(k_list=(2.0,), sample_interval=1e-3)
+        result = run(initial, p, grid, StepperConfig(dt_max=5e-4), 2e-3, rec)
+        assert result.termination is Termination.REACHED_T_END
+        assert result.diagnostics.steps >= 3
+        assert len(threads) == 2
+        assert len(built) == 1
+        assert _helper_threads() == []
+
+    def test_helper_overflow_warns_nothing(self, monkeypatch):
+        grid = _threaded_grid()
+        transport = _record_threads(monkeypatch, "_chemo_divergence")
+        p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+        u = _bump(grid, 8.0, width=0.1)
+        # u * grad v overflows in the first rows, which the helper's slab holds
+        u[: grid.cells[0] // 4] = 1e307
+        v = grid.sample(lambda x, y: 1e3 * x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, outcome = step(State(u=u, v=v), p, grid, StepperConfig())
+        assert outcome.termination is Termination.BLOWUP_DETECTED
+        assert len(transport) == 2
+        assert _helper_threads() == []
 
     def test_v_half_error_propagates_after_joining_helper(self, monkeypatch):
         grid = _threaded_grid()
@@ -841,7 +890,7 @@ class TestRun:
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         u, v = _bump(grid, 8.0, width=0.1)[None], grid.full(1.0)[None]
         with pytest.raises(RuntimeError, match="v half failed"):
-            stepper._advance(u, v, [0.0], [p], grid, StepperConfig())
+            _advance(u, v, [0.0], [p], grid, StepperConfig())
         assert len(u_done) == 1 and u_done[0].startswith("kschemo-step")
         assert _helper_threads() == []
 
@@ -933,8 +982,7 @@ def _advance_in_child(u, v, params, grid):
 
     stepper._helmholtz_checked = spy
     try:
-        with np.errstate(**stepper._QUIET):
-            u_new, v_new, _ = stepper._advance(u, v, [0.0], [params], grid, StepperConfig())
+        u_new, v_new, _ = _advance(u, v, [0.0], [params], grid, StepperConfig())
     finally:
         stepper._helmholtz_checked = checked
     return u_new, v_new, solvers, [t.name for t in _helper_threads()]
@@ -945,13 +993,12 @@ def _advance_in_child(u, v, params, grid):
 )
 def test_forked_child_steps_after_threaded_parent(monkeypatch):
     # a forked child copies the parent's memory but none of its threads; the
-    # helper of the parent's step ended with that step, so the child starts its own
+    # helper of the parent's march ended with that march, so the child starts its own
     threads = _record_threads(monkeypatch)
     grid = _threaded_grid()
     p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
     u, v = _bump(grid, 8.0, width=0.1)[None], grid.zeros()[None]
-    with np.errstate(**stepper._QUIET):
-        u_new, v_new, (outcome,) = stepper._advance(u, v, [0.0], [p], grid, StepperConfig())
+    u_new, v_new, (outcome,) = _advance(u, v, [0.0], [p], grid, StepperConfig())
     assert outcome.termination is None and outcome.retries == 0
     assert len(threads) == 2
     pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
