@@ -16,13 +16,13 @@ import sys
 from dataclasses import replace
 
 from .config import (
-    ConfigError, build_initial_state, initial_mass, parse_config, run_configs, run_from_config,
-    run_record,
+    ConfigError, build_initial_state, initial_mass, parse_config, resolved_text, run_from_config,
+    run_record, write_resolved,
 )
 from .grid import Grid, read_snapshot
 from .observables import ObservableSeries, Termination, summarize
 from .params import FieldError, ModelParams, classify_regime, mass_envelope
-from .stepper import _job_results
+from .stepper import _job_results, run_batch
 from .verification import build_mms_case, convergence_study, level_dts
 
 EXIT_OK = 0
@@ -133,11 +133,9 @@ def _make_output_dir(path: str, key: str) -> None:
 
 
 def _require_envelope(cfg) -> None:
-    """Raise ConfigError when the run has no mass envelope (b = 0)."""
-    try:
-        mass_envelope(cfg.model, 0.0, cfg.grid.measure)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="model.b") from None
+    """Raise ConfigError when b = 0, the one rule by which no run of ``cfg`` has an envelope."""
+    if cfg.model.b <= 0:
+        raise ConfigError("mass envelope requires b > 0", key="model.b")
 
 
 def _classification_row(alpha: float, beta: float, n: int) -> str:
@@ -147,11 +145,11 @@ def _classification_row(alpha: float, beta: float, n: int) -> str:
     return _row_prefix(params, n, mass_envelope(params, 0.0, 1.0))
 
 
-def _simulation_row(n: int, cfg, result) -> str:
-    envelope, summary = run_record(cfg, result)
+def _simulation_row(n: int, cfg, params: ModelParams, result) -> str:
+    envelope, summary = run_record(cfg, params, result)
     printed = summary.printed()
     return ",".join(
-        [_row_prefix(cfg.model, n, envelope), str(result.termination)]
+        [_row_prefix(params, n, envelope), str(result.termination)]
         + [printed[key] for key in ("mass_max", "linf_u_max", "plateaus_ok")]
     )
 
@@ -160,15 +158,18 @@ def _sweep_batch(points: list, n: int, base) -> list[str]:
     """The rows of one batch of sweep points, in order.
 
     ``base`` is the parsed base config under --simulate and None otherwise;
-    each simulated point is the base with its own alpha and beta, and the
-    points run as one member batch.  Batches run by ``stepper._job_results``
-    on min(--workers, batches, usable CPUs) processes, or in this one at 1.
+    each simulated point is the base's model with its own alpha and beta,
+    and the points march from the base's initial state as one member batch.
+    Batches run by ``stepper._job_results`` on min(--workers, batches, usable
+    CPUs) processes, or in this one at 1.
     """
     if base is None:
         return [_classification_row(alpha, beta, n) for alpha, beta in points]
-    cfgs = [replace(base, model=replace(base.model, alpha=a, beta=b)) for a, b in points]
-    results = run_configs(cfgs)
-    return [_simulation_row(n, cfg, result) for cfg, result in zip(cfgs, results)]
+    initial = build_initial_state(base)
+    params = [replace(base.model, alpha=a, beta=b) for a, b in points]
+    results = run_batch([initial] * len(points), params, base.grid, base.stepper, base.t_end,
+                        base.recorder)
+    return [_simulation_row(n, base, p, result) for p, result in zip(params, results)]
 
 
 def _batches(points: list, workers: int, max_size: int) -> list[list]:
@@ -177,13 +178,20 @@ def _batches(points: list, workers: int, max_size: int) -> list[list]:
     return [points[i : i + size] for i in range(0, len(points), size)]
 
 
-def _resume_sweep(csv_path: str, ledger_path: str, header: str, n: int) -> set[str]:
+def _resume_sweep(csv_path: str, ledger_path: str, header: str, n: int, base) -> set[str]:
     """The points the ledger lists as finished.  ``csv_path`` is made with
     ``header``, or cut back to its last complete line so that a row torn by a
     kill is redone (its ledger line comes after it); a file of another kind
-    of sweep (plain against --simulate) or of another --n raises ConfigError."""
+    of sweep (plain against --simulate) or of another --n raises ConfigError,
+    and so does a resolved_config.txt beside it that is not ``base``'s (under
+    --simulate); a missing one is written once nothing was refused."""
     cells = header.split(",")
+    record = os.path.join(os.path.dirname(csv_path), "resolved_config.txt")
     try:
+        if base is not None and os.path.exists(record):
+            with open(record) as fh:
+                if fh.read() != resolved_text(base):
+                    raise ConfigError(f"{record} holds another base or --t-end", key="--output")
         with open(csv_path, "a+b") as fh:
             fh.seek(0)
             data = fh.read()
@@ -193,6 +201,8 @@ def _resume_sweep(csv_path: str, ledger_path: str, header: str, n: int) -> set[s
                 raise ConfigError(f"{csv_path} holds another kind of sweep or --n", key="--output")
             fh.truncate(len(complete))
             fh.write(b"" if complete else header.encode() + b"\n")
+        if base is not None:
+            write_resolved(base, record)
         with open(ledger_path, "a+") as fh:
             fh.seek(0)
             return {line.strip() for line in fh if line.strip()}
@@ -205,6 +215,11 @@ def _cmd_sweep(args, extras: list[str]) -> int:
         if args.workers < 1:
             raise ConfigError(f"workers >= 1 required, got {args.workers}", key="--workers")
         overrides = _collect_overrides(extras)
+        unread = [f"--{key}" for key in overrides]
+        unread += [flag for flag, value in (("--config", args.config), ("--t-end", args.t_end))
+                   if value is not None]
+        if unread and not args.simulate:
+            raise ConfigError("only --simulate reads this flag", key=unread[0])
         alphas = _frange("alpha", args.alpha_min, args.alpha_max, args.alpha_step)
         betas = _frange("beta", args.beta_min, args.beta_max, args.beta_step)
         if not alphas or not betas:
@@ -221,11 +236,7 @@ def _cmd_sweep(args, extras: list[str]) -> int:
         max_batch = len(alphas) * len(betas)
         if args.simulate:
             # every point shares the base config; reject it before any point runs
-            overrides.update({
-                "model.alpha": repr(alphas[0]),
-                "model.beta": repr(betas[0]),
-                "run.t_end": repr(args.t_end),
-            })
+            overrides["run.t_end"] = repr(2.0 if args.t_end is None else args.t_end)
             source = {"path": args.config} if args.config is not None else {"text": ""}
             base = parse_config(**source, overrides=overrides)
             _require_envelope(base)
@@ -241,7 +252,7 @@ def _cmd_sweep(args, extras: list[str]) -> int:
     header = "alpha,beta,n,regime,y1,m0"
     if args.simulate:
         header += ",termination,mass_max,linf_u_max,plateaus_ok"
-    done = _resume_sweep(csv_path, ledger_path, header, args.n)
+    done = _resume_sweep(csv_path, ledger_path, header, args.n, base)
 
     points = [(a, b) for a in alphas for b in betas if _point_id(a, b) not in done]
     chunks = _batches(points, args.workers, max_batch)
@@ -397,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--config", default=None, help="base config for --simulate")
-    p.add_argument("--t-end", type=float, default=2.0)
+    p.add_argument("--t-end", type=float, default=None, help="--simulate run length (2)")
     p.add_argument(
         "--workers", type=int, default=1,
         help="upper bound on worker processes (>= 1); at most one per batch and per usable CPU",

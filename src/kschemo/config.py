@@ -22,14 +22,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .grid import Grid, State, field_to_csv, integrate, write_snapshot
 from .observables import ObservableSeries, SeriesSummary, summarize
 from .params import FieldError, ModelParams, mass_envelope, require
-from .stepper import Recorder, RunResult, StepperConfig, run, run_batch
+from .stepper import Recorder, RunResult, StepperConfig, run
 
 
 class ConfigError(ValueError):
@@ -279,11 +279,15 @@ def config_items(cfg: RunConfig) -> dict[str, str]:
     return items
 
 
-def write_resolved(cfg: RunConfig, path) -> None:
+def resolved_text(cfg: RunConfig) -> str:
+    """The text of resolved_config.txt: one ``key = value`` line per key, sorted."""
     items = config_items(cfg)
+    return "".join(f"{key} = {items[key]}\n" for key in sorted(items))
+
+
+def write_resolved(cfg: RunConfig, path) -> None:
     with open(path, "w") as fh:
-        for key in sorted(items):
-            fh.write(f"{key} = {items[key]}\n")
+        fh.write(resolved_text(cfg))
 
 
 def build_initial_state(cfg: RunConfig) -> State:
@@ -342,15 +346,18 @@ def initial_mass(series: ObservableSeries, u0, grid: Grid) -> float:
         return integrate(u0, grid)
 
 
-def run_record(cfg: RunConfig, result: RunResult) -> tuple[tuple | None, SeriesSummary]:
-    """The envelope (y1, m0) of a run and its verdict record, m0 by the
-    initial_mass rule; the envelope is None when b = 0 or that mass is not
-    finite."""
+def run_record(
+    cfg: RunConfig, params: ModelParams, result: RunResult
+) -> tuple[tuple | None, SeriesSummary]:
+    """The envelope (y1, m0) of a run of ``params`` on ``cfg``'s grid and its
+    verdict record, m0 by the initial_mass rule; the envelope is None when
+    mass_envelope has none (b = 0, or a non-finite initial mass or y1)."""
     series = result.series
     mass0 = initial_mass(series, result.state.u, cfg.grid)
-    envelope = None
-    if cfg.model.b > 0 and math.isfinite(mass0):
-        envelope = mass_envelope(cfg.model, mass0, cfg.grid.measure)
+    try:
+        envelope = mass_envelope(params, mass0, cfg.grid.measure)
+    except ValueError:
+        envelope = None
     cap = envelope[1] if envelope else None
     return envelope, summarize(series, result.termination, cap, cfg.stepper.blowup_linf_threshold)
 
@@ -366,33 +373,13 @@ def summary_lines(cfg: RunConfig, result: RunResult) -> list[str]:
         f"min_u={result.diagnostics.min_u:.17g}",
         f"min_v={result.diagnostics.min_v:.17g}",
     ]
-    envelope, summary = run_record(cfg, result)
+    envelope, summary = run_record(cfg, cfg.model, result)
     if envelope is not None:
         lines += [f"y1={envelope[0]:.17g}", f"m0={envelope[1]:.17g}"]
     # without b there is no envelope to check, so no mass_envelope_ok line
     skip = () if cfg.model.b > 0 else ("mass_envelope_ok",)
     lines += [f"{k}={v}" for k, v in summary.printed().items() if k not in skip]
     return lines
-
-
-def _batch_shared(cfg: RunConfig) -> tuple:
-    return cfg.grid, cfg.stepper, cfg.t_end, cfg.recorder
-
-
-def run_configs(cfgs: Sequence[RunConfig]) -> list[RunResult]:
-    """Run configurations as one member batch, without artifacts.
-
-    The configurations may differ in their model coefficients and initial
-    conditions only; each result is bitwise the one ``run_from_config``
-    gives for its configuration alone.
-    """
-    shared = _batch_shared(cfgs[0])
-    if any(_batch_shared(cfg) != shared for cfg in cfgs[1:]):
-        raise ValueError(
-            "batched configs must share grid, stepper, t_end, k_list and sample_interval"
-        )
-    initials = [build_initial_state(cfg) for cfg in cfgs]
-    return run_batch(initials, [cfg.model for cfg in cfgs], *shared)
 
 
 def run_from_config(

@@ -21,6 +21,7 @@ from .grid import Grid, State, _require_field
 from .params import ModelParams
 
 _CONSISTENCY_RTOL = 1e-9
+_NORMAL_MIN = float(np.finfo(float).tiny)  # smallest normal float
 
 
 class ObservableError(RuntimeError):
@@ -123,13 +124,9 @@ def record(
     k_list: tuple[float, ...],
     cumulative_retries: int = 0,
 ) -> tuple[float, ...]:
-    """Compute one series row from a state; raises ObservableError when sick.
-
-    Besides finiteness, two structural facts of nonnegative fields are
-    asserted on every row: the normalized L^k means are nondecreasing in k,
-    and none exceeds the sup norm.  A violation means a reduction bug, not
-    bad data, so it aborts the run.
-    """
+    """Compute one series row from a state; raises ObservableError when sick:
+    an entry is not finite, or the means break a structural fact of
+    nonnegative fields (``_check_power_means``), which means a reduction bug."""
     try:
         u = _require_field(state.u, grid, "u")
         v = _require_field(state.v, grid, "v")
@@ -149,23 +146,26 @@ def record(
     if not all(math.isfinite(x) for x in row):
         raise ObservableError(f"non-finite observable at t = {state.t}")
 
-    measure = grid.measure
-    means = sorted(
-        [(1.0, abs(mass)), (params.beta, int_beta)] + list(zip(k_list, int_k))
-    )
+    integrals = [(1.0, abs(mass)), (params.beta, int_beta), *zip(k_list, int_k)]
+    _check_power_means(state.t, integrals, sup_u, grid.measure)
+    return row
+
+
+def _check_power_means(t: float, integrals: list, sup_u: float, measure: float) -> None:
+    """Raise ObservableError unless the L^k means (integral / measure)^(1/k)
+    of the (k, integral) pairs never fall as k grows and none exceeds ``sup_u``;
+    a k whose largest term sup_u^k or integral is subnormal is skipped, as
+    underflow took the digits of its mean."""
     prev_mean = 0.0
-    for k, value in means:
+    for k, value in sorted(integrals):
+        if sup_u < _NORMAL_MIN ** (1.0 / k) or value < _NORMAL_MIN:
+            continue
         mean_k = (value / measure) ** (1.0 / k)
         if mean_k < prev_mean * (1.0 - _CONSISTENCY_RTOL):
-            raise ObservableError(
-                f"power-mean monotonicity violated at t = {state.t} (k = {k:g})"
-            )
+            raise ObservableError(f"power-mean monotonicity violated at t = {t} (k = {k:g})")
         if mean_k > sup_u * (1.0 + _CONSISTENCY_RTOL) + 1e-300:
-            raise ObservableError(
-                f"L^{k:g} mean exceeds the sup norm at t = {state.t}"
-            )
+            raise ObservableError(f"L^{k:g} mean exceeds the sup norm at t = {t}")
         prev_mean = max(prev_mean, mean_k)
-    return row
 
 
 _VERDICT_TEXT = {True: "true", False: "false", None: "inconclusive"}

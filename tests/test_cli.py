@@ -8,7 +8,7 @@ import pytest
 
 from kschemo import cli, stepper
 from kschemo.cli import main
-from kschemo.config import parse_config, run_configs, run_from_config
+from kschemo.config import build_initial_state, parse_config, resolved_text, run_from_config
 from kschemo.observables import summarize
 from kschemo.params import classify_regime
 
@@ -33,6 +33,12 @@ def invoke(capsys, *argv):
 
 # a bump of mass 1e308 a hundredth wide: u is inf at its centre
 OVERFLOWING_IC = "grid.cells_x = 32\nic.u = bump\nic.u_mass = 1e308\nic.u_width = 0.01\n"
+
+# |Omega| = 0.001: at beta = 200 the envelope's y1 = |Omega|^((beta-1)/beta) overflows
+TINY_DOMAIN = (
+    "grid.cells_x = 16\ngrid.extent_x = 0.001\nic.u = constant\nic.u_value = 1\n"
+    "run.t_end = 0.0001\n"
+)
 
 
 class TestClassify:
@@ -208,6 +214,30 @@ class TestRun:
         assert (code, out) == (2, "")
         assert err == "error: config: ic.u_mass: initial u is not finite on the (32,) grid\n"
         assert not (tmp_path / "o" / "resolved_config.txt").exists()
+
+    def test_nonfinite_y1_run_has_no_envelope(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_DOMAIN)
+        out_dir = tmp_path / "out"
+        code, out, err = invoke(
+            capsys, "run", "--config", str(cfg), "--model.beta", "200", "--output", str(out_dir)
+        )
+        assert (code, err) == (0, "")
+        assert "termination=ReachedTEnd" in out
+        lines = (out_dir / "summary.txt").read_text().splitlines()
+        entries = dict(line.split("=", 1) for line in lines)
+        assert "y1" not in entries and "m0" not in entries
+        assert entries["mass_envelope_ok"] == "inconclusive"
+
+    def test_tiny_field_reaches_t_end(self, tmp_path, capsys):
+        # u^4 = 1e-320 is subnormal, so the k = 4 mean has lost its digits
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "grid.cells_x = 16\nic.u = constant\nic.u_value = 1e-80\nrun.t_end = 0.01\n"
+        )
+        code, out, err = invoke(capsys, "run", "--config", str(cfg), "--output", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+        assert "termination=ReachedTEnd" in out
 
     def test_bad_override_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -394,6 +424,33 @@ class TestSweep:
         assert err == f"error: config: --workers: workers >= 1 required, got {workers}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "extra", [("--config", "/nonexistent"), ("--model.chi", "5"), ("--t-end", "3")]
+    )
+    def test_flag_only_simulate_reads_exit_2_creates_nothing(self, tmp_path, capsys, extra):
+        out_dir = tmp_path / "sweep"
+        code, out, err = invoke(
+            capsys, "sweep", "--alpha-min", "1", "--alpha-max", "1", "--beta-min", "3",
+            "--beta-max", "3", "--n", "1", "--output", str(out_dir), *extra,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: config: {extra[0]}: only --simulate reads this flag\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("key", ["model.alpha", "model.beta"])
+    def test_invalid_base_point_exit_2_creates_nothing(self, tmp_path, capsys, key):
+        base = tmp_path / "base.cfg"
+        base.write_text(f"grid.cells_x = 16\n{key} = 0.5\n")
+        out_dir = tmp_path / "sweep"
+        code, out, err = invoke(
+            capsys, "sweep", "--simulate", "--config", str(base), "--alpha-min", "1",
+            "--alpha-max", "1", "--beta-min", "3", "--beta-max", "3", "--n", "1",
+            "--output", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config: line 2: {key}: ")
+        assert not out_dir.exists()
+
     def test_overflowing_initial_u_exit_2_creates_nothing(self, tmp_path, capsys):
         base = tmp_path / "base.cfg"
         base.write_text(OVERFLOWING_IC)
@@ -499,7 +556,10 @@ class TestSimulatedSweep:
             )
             for r in rows
         ]
-        for row, cfg, batched in zip(rows, cfgs, run_configs(cfgs)):
+        initials = [build_initial_state(cfg) for cfg in cfgs]
+        shared = cfgs[0].grid, cfgs[0].stepper, cfgs[0].t_end, cfgs[0].recorder
+        batch = stepper.run_batch(initials, [cfg.model for cfg in cfgs], *shared)
+        for row, cfg, batched in zip(rows, cfgs, batch):
             alone = run_from_config(cfg, output_dir=None)
             summary = summarize(alone.series, alone.termination)
             assert batched.diagnostics.steps == alone.diagnostics.steps
@@ -509,6 +569,21 @@ class TestSimulatedSweep:
             for column in ("mass_max", "linf_u_max"):
                 expected = getattr(summary, column)
                 assert float(row[column]) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_one_initial_state_per_batch(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def spy(cfg):
+            calls.append(cfg)
+            return build_initial_state(cfg)
+
+        monkeypatch.setattr(cli, "build_initial_state", spy)
+        base = tmp_path / "base.cfg"
+        base.write_text(SWEEP_BASE)
+        code, out, _ = _simulated_sweep(capsys, base, tmp_path / "sweep", "2", "--workers", "1")
+        assert code == 0 and "sweep_rows=9" in out
+        # the check before any point runs, then one batch of all nine points
+        assert len(calls) == 2
 
     def test_workers_give_identical_csv(self, tmp_path, capsys, monkeypatch, inline_pools):
         base = tmp_path / "base.cfg"
@@ -548,6 +623,63 @@ class TestSimulatedSweep:
         ledger = (tmp_path / "resumed" / "sweep_done.txt").read_text().splitlines()
         assert len(ledger) == len(set(ledger)) == 9
 
+
+    @pytest.mark.parametrize(
+        "second", [("--t-end", "5"), ("--t-end", "0.05", "--model.chi", "3")],
+        ids=["t-end", "base"],
+    )
+    def test_resume_refuses_another_base_or_t_end(self, tmp_path, capsys, second):
+        base = tmp_path / "base.cfg"
+        base.write_text(SWEEP_BASE)
+        out_dir = tmp_path / "sweep"
+
+        def sweep(alpha_max, *extra):
+            return invoke(
+                capsys, "sweep", "--simulate", "--config", str(base), "--alpha-min", "1",
+                "--alpha-max", alpha_max, "--alpha-step", "0.5", "--beta-min", "3",
+                "--beta-max", "3", "--n", "1", "--output", str(out_dir), *extra,
+            )
+
+        assert sweep("1", "--t-end", "0.05")[0] == 0
+        written = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert sorted(written) == ["resolved_config.txt", "sweep.csv", "sweep_done.txt"]
+        resolved = parse_config(path=base, overrides={"run.t_end": "0.05"})
+        assert written["resolved_config.txt"] == resolved_text(resolved).encode()
+        code, out, err = sweep("1.5", *second)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: config: --output: {out_dir / 'resolved_config.txt'} "
+            "holds another base or --t-end\n"
+        )
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == written
+
+    def test_resume_without_a_base_record_writes_it(self, tmp_path, capsys):
+        # a directory from before the base was recorded resumes as before
+        base = tmp_path / "base.cfg"
+        base.write_text(SWEEP_BASE)
+        resumed = tmp_path / "resumed"
+        assert _simulated_sweep(capsys, base, resumed, "1.5")[0] == 0
+        (resumed / "resolved_config.txt").unlink()
+        code, out, _ = _simulated_sweep(capsys, base, resumed, "2")
+        assert code == 0 and "sweep_rows=3" in out
+        assert _simulated_sweep(capsys, base, tmp_path / "fresh", "2")[0] == 0
+        for name in ("sweep.csv", "sweep_done.txt", "resolved_config.txt"):
+            assert (resumed / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def test_nonfinite_y1_row_has_empty_envelope_cells(self, tmp_path, capsys):
+        base = tmp_path / "base.cfg"
+        base.write_text(TINY_DOMAIN)
+        code, out, err = invoke(
+            capsys, "sweep", "--simulate", "--config", str(base), "--alpha-min", "1",
+            "--alpha-max", "1", "--beta-min", "1", "--beta-max", "200", "--beta-step", "199",
+            "--n", "1", "--t-end", "0.0001", "--output", str(tmp_path / "sweep"),
+        )
+        assert (code, err) == (0, "")
+        assert "sweep_rows=2" in out
+        with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["beta"], r["y1"], r["m0"]) for r in rows] == [("1", "1", "1"), ("200", "", "")]
+        assert all(r["termination"] == "ReachedTEnd" for r in rows)
 
     def test_failed_first_sample_gives_solver_failure_rows(self, tmp_path, capsys):
         # u^8 overflows on the initial field, so no point records a sample
@@ -693,6 +825,18 @@ class TestBoundCheck:
         assert code == 2
         assert err.startswith("error: config: model.b:")
         assert len(err.splitlines()) == 1
+
+    def test_nonfinite_y1_exit_2_names_the_envelope(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_DOMAIN + "model.beta = 200\n")
+        out_dir = tmp_path / "out"
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(out_dir))[0] == 0
+        code, out, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: config: mass envelope y1 is not finite for "
+            "a=1.0, b=1.0, beta=200.0, domain_measure=0.001\n"
+        )
 
     @pytest.mark.parametrize("text", ["t,foo\n0,1\n", "t,mass\n0,nan\n"])
     def test_foreign_series_header_exit_2(self, tmp_path, capsys, text):

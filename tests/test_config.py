@@ -9,7 +9,6 @@ from kschemo.config import (
     config_items,
     parse_config,
     refine_config,
-    run_configs,
     run_from_config,
     write_resolved,
 )
@@ -303,27 +302,3 @@ class TestRunFromConfig:
         cfg = parse_config(text=RUN_CONFIG)
         run_from_config(cfg, output_dir=None)
         assert list(tmp_path.iterdir()) == []
-
-
-class TestRunConfigs:
-    def test_batch_matches_single_runs(self):
-        cfgs = [
-            parse_config(text=RUN_CONFIG, overrides={"model.alpha": a, "model.beta": b})
-            for a, b in (("1.5", "3"), ("2", "2"), ("1", "4"))
-        ]
-        for cfg, got in zip(cfgs, run_configs(cfgs)):
-            alone = run_from_config(cfg, output_dir=None)
-            assert got.series.rows == alone.series.rows
-            assert got.diagnostics == alone.diagnostics
-
-    def test_rejects_unshared_settings(self):
-        base = parse_config(text=RUN_CONFIG)
-        for key, value in (
-            ("grid.cells_x", "32"),
-            ("run.t_end", "0.4"),
-            ("run.sample_interval", "0.1"),
-            ("stepper.cfl_safety", "0.3"),
-        ):
-            other = parse_config(text=RUN_CONFIG, overrides={key: value})
-            with pytest.raises(ValueError, match="share"):
-                run_configs([base, other])

@@ -3,7 +3,7 @@ import pytest
 
 from kschemo import Grid, ModelParams, ObservableSeries, State, Termination, record, summarize
 from kschemo.grid import integrate, linf_norm, lp_norm_pow
-from kschemo.observables import ObservableError, _plateau
+from kschemo.observables import ObservableError, _check_power_means, _plateau
 
 
 @pytest.fixture
@@ -70,6 +70,26 @@ class TestRecord:
             linf_norm(v),
         )
         assert row[1:8] == expected
+
+    @pytest.mark.parametrize("u_value, beta", [(1e-80, 3.0), (1e-3, 200.0)])
+    def test_underflowed_means_are_not_compared(self, grid, u_value, beta):
+        # 1e-80^4 is subnormal and 1e-3^200 underflows to 0: neither mean has its digits
+        params = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.0, beta=beta)
+        state = State(u=grid.full(u_value), v=grid.zeros())
+        record(state, grid, params, k_list=(2.0, 4.0, 8.0))  # must not raise
+
+    @pytest.mark.parametrize(
+        "factor, message",
+        [(0.5, r"power-mean monotonicity violated at t = 0.0 \(k = 4\)"),
+         (2.0, r"L\^4 mean exceeds the sup norm at t = 0.0")],
+    )
+    def test_scaled_normal_range_integral_raises(self, grid, params, factor, message):
+        row = record(State(u=grid.full(2.0), v=grid.zeros()), grid, params, k_list=(2.0, 4.0))
+        _, mass, int_beta, int_k2, int_k4, sup_u = row[:6]
+        integrals = [(1.0, mass), (params.beta, int_beta), (2.0, int_k2), (4.0, int_k4 * factor)]
+        _check_power_means(0.0, integrals[:3] + [(4.0, int_k4)], sup_u, grid.measure)
+        with pytest.raises(ObservableError, match=message):
+            _check_power_means(0.0, integrals, sup_u, grid.measure)
 
     @pytest.mark.parametrize(
         "u,v,message",
