@@ -368,6 +368,7 @@ def summary_lines(cfg: RunConfig, result: RunResult) -> list[str]:
         f"termination={result.termination}",
         f"termination_cause={result.cause}",
         f"steps={result.diagnostics.steps}",
+        f"replayed_steps={result.diagnostics.replayed_steps}",
         f"total_retries={result.diagnostics.total_retries}",
         f"max_mass_identity_violation={result.diagnostics.max_mass_identity_violation:.17g}",
         f"min_u={result.diagnostics.min_u:.17g}",

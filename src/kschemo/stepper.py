@@ -43,6 +43,18 @@ termination; the grid, StepperConfig, t_end, Recorder and forcing are
 shared.  A member's numbers come from the same elementwise operations and
 the same row reductions whatever the batch, so its series is bitwise the
 one it gets alone.  run() and step() are the B = 1 case.
+
+A step is a pure function of its member's fields, coefficients and dt,
+whatever the batch or the thread split.  So when an accepted step of an
+unforced member took no retry, ran at its proposed dt (not the t_end cap)
+and returned u and v bit for bit, every later step that the cap would not
+shorten is that same step: same dt, fields, extrema and residuals.
+run_batch replays such steps through the member's own bookkeeping (t
+advances by the same addition, samples are recorded from the same fields,
+the diagnostics move as a solved step moves them) instead of solving them,
+and solves only the capped last step.  The series, final state and
+diagnostics are bitwise those of solving every step; RunDiagnostics counts
+the replayed steps apart.  step() and forced runs solve every step.
 """
 
 from __future__ import annotations
@@ -618,7 +630,12 @@ class Recorder:
 
 @dataclass
 class RunDiagnostics:
+    """Counts and extrema of a run's accepted steps.  ``steps`` counts every
+    accepted step; ``replayed_steps`` counts those of them taken as a replay
+    of a fixed point rather than solved (see _fixed_point)."""
+
     steps: int = 0
+    replayed_steps: int = 0
     total_retries: int = 0
     max_mass_identity_violation: float = 0.0
     min_u: float = math.inf
@@ -647,11 +664,15 @@ _REACHED_T_END = "t_end reached"
 class _Member:
     """One batch member's state, sample clock, series and diagnostics."""
 
-    def __init__(self, initial: State, params: ModelParams, grid: Grid, recorder: Recorder):
+    def __init__(
+        self, initial: State, params: ModelParams, grid: Grid, recorder: Recorder, t_end: float
+    ):
         self.state = initial
         self.params = params
         self.grid = grid
         self.recorder = recorder
+        self.t_end = t_end
+        self.time_tol = 1e-12 * max(1.0, abs(t_end))
         self.series = ObservableSeries.for_run(recorder.k_list)
         self.diag = RunDiagnostics()
         self.next_sample = initial.t + recorder.sample_interval
@@ -659,7 +680,7 @@ class _Member:
         self.cause = ""
         self.mass = 0.0
 
-    def start(self, t_end: float, time_tol: float) -> bool:
+    def start(self) -> bool:
         """Record the initial row; False when the member is already done."""
         if not self.sample():
             return False
@@ -667,7 +688,7 @@ class _Member:
         self.mass = integrate(u, self.grid)
         self.diag.min_u = float(np.min(u))
         self.diag.min_v = float(np.min(v))
-        if self.state.t >= t_end - time_tol:
+        if self.state.t >= self.t_end - self.time_tol:
             self.finish(Termination.REACHED_T_END, _REACHED_T_END)
             return False
         return True
@@ -685,8 +706,11 @@ class _Member:
         self.series.append(row)
         return True
 
-    def accept(self, outcome: StepOutcome, u: np.ndarray, v: np.ndarray) -> None:
-        self.state = State(u=u, v=v, t=self.state.t + outcome.dt, dt_last=outcome.dt)
+    def accept(self, outcome: StepOutcome, u: np.ndarray, v: np.ndarray) -> bool:
+        """Take an accepted step to fields (u, v), sample when due and
+        finish at t_end; False when the member is done."""
+        t = self.state.t + outcome.dt
+        self.state = State(u=u, v=v, t=t, dt_last=outcome.dt)
         diag = self.diag
         diag.steps += 1
         diag.total_retries += outcome.retries
@@ -697,6 +721,25 @@ class _Member:
         diag.min_u = min(diag.min_u, outcome.min_u)
         diag.min_v = min(diag.min_v, outcome.min_v)
         self.mass = outcome.mass_new
+        time_tol = self.time_tol
+        if t >= self.next_sample - time_tol or t >= self.t_end - time_tol:
+            if not self.sample():
+                return False
+            while self.next_sample <= t + time_tol:
+                self.next_sample += self.recorder.sample_interval
+        if t < self.t_end - time_tol:
+            return True
+        self.finish(Termination.REACHED_T_END, _REACHED_T_END)
+        return False
+
+    def replay(self, outcome: StepOutcome) -> None:
+        """Accept ``outcome`` again, from the fields it left unchanged, for
+        every later step the t_end cap would not shorten (see _fixed_point)."""
+        u, v = self.state.u, self.state.v
+        while self.t_end - self.state.t >= outcome.dt:
+            self.diag.replayed_steps += 1
+            if not self.accept(outcome, u, v):
+                return
 
     def finish(self, termination: Termination, cause: str) -> None:
         self.termination = termination
@@ -708,6 +751,28 @@ class _Member:
 
     def result(self) -> RunResult:
         return RunResult(self.state, self.series, self.termination, self.diag, self.cause)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float rows hold the same bits (0.0 and -0.0 differ)."""
+    return bool(np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+def _fixed_point(
+    outcome: StepOutcome, cap: float, mass: float, u, v, u_new, v_new
+) -> bool:
+    """Whether an accepted step of an unforced member is a fixed point of the
+    step map: it took no retry, its dt was the proposal and not the t_end
+    ``cap``, and its new rows are its old rows ``u``, ``v`` bit for bit.
+    ``mass`` is the member's mass before the step; comparing it first keeps
+    the array passes off every step whose mass moved."""
+    return (
+        outcome.retries == 0
+        and outcome.dt < cap
+        and outcome.mass_new == mass
+        and _same_bits(u_new, u)
+        and _same_bits(v_new, v)
+    )
 
 
 def run_batch(
@@ -735,33 +800,29 @@ def run_batch(
             raise ValueError("t_end must exceed the initial time")
         initial.validate(grid)
 
-    time_tol = 1e-12 * max(1.0, abs(t_end))
-    members = [_Member(st, p, grid, recorder) for st, p in zip(initials, params)]
+    members = [_Member(st, p, grid, recorder, t_end) for st, p in zip(initials, params)]
     with _march(len(members), grid) as helper:
-        active = [m for m in members if m.start(t_end, time_tol)]
+        active = [m for m in members if m.start()]
         u = _stack([m.state.u for m in active]) if active else None
         v = _stack([m.state.v for m in active]) if active else None
         while active:
+            caps = [t_end - m.state.t for m in active]
             u_new, v_new, outcomes = _advance(
                 helper, u, v, [m.state.t for m in active], [m.params for m in active],
-                grid, cfg, forcing, dt_cap=[t_end - m.state.t for m in active],
+                grid, cfg, forcing, dt_cap=caps,
             )
             keep = []
             for i, (m, outcome) in enumerate(zip(active, outcomes)):
                 if outcome.termination is not None:
                     m.finish(outcome.termination, outcome.cause)
                     continue
-                m.accept(outcome, u_new[i], v_new[i])
-                t = m.state.t
-                if t >= m.next_sample - time_tol or t >= t_end - time_tol:
-                    if not m.sample():
-                        continue
-                    while m.next_sample <= t + time_tol:
-                        m.next_sample += recorder.sample_interval
-                if t < t_end - time_tol:
+                fixed = forcing is None and _fixed_point(
+                    outcome, caps[i], m.mass, u[i], v[i], u_new[i], v_new[i]
+                )
+                if m.accept(outcome, u_new[i], v_new[i]) and fixed:
+                    m.replay(outcome)
+                if m.termination is None:
                     keep.append(i)
-                else:
-                    m.finish(Termination.REACHED_T_END, _REACHED_T_END)
             if len(keep) < len(active):
                 if len(active) > 1:
                     for m in active:

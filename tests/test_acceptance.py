@@ -231,6 +231,15 @@ class TestCriterion6DiscreteMassIdentity:
         assert ok
 
 
+class TestFixedPointReplayEngaged:
+    def test_boundedness_runs_replay_part_of_their_steps(self, run1, run2, run3):
+        # each run freezes bit for bit on its plateau, so the march replays
+        # its later steps; a change that stops the replay reads 0 here
+        for _, result, _ in (run1, run2, run3):
+            diag = result.diagnostics
+            assert 0 < diag.replayed_steps < diag.steps
+
+
 class TestCriterion7MmsConvergence:
     def test_spatial_orders(self):
         params = ModelParams(chi=0.25, a=1.0, b=1.0, alpha=2.0, beta=2.0)

@@ -25,6 +25,13 @@ run.sample_interval = 0.05
 """
 
 
+# the smallest run a user makes: 32 cells to t = 0.1, no step replayed
+TINY_RUN = (
+    "grid.cells_x = 32\nic.u = bump\nic.u_mass = 2.0\nic.u_width = 0.1\n"
+    "run.t_end = 0.1\nrun.sample_interval = 0.05\n"
+)
+
+
 def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -142,6 +149,38 @@ class TestRun:
         assert code == 0
         assert "termination=ReachedTEnd" in out
         assert (out_dir / "series.csv").exists()
+
+    def test_tiny_run_replays_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_RUN)
+        out_dir = tmp_path / "out"
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(out_dir))[0] == 0
+        lines = (out_dir / "summary.txt").read_text().splitlines()
+        steps = lines.index("steps=10")
+        assert lines[steps + 1] == "replayed_steps=0"
+
+    def test_resolved_config_reproduces_its_run(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_RUN)
+        first, again = tmp_path / "run", tmp_path / "rerun"
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(first))[0] == 0
+        resolved = first / "resolved_config.txt"
+        assert invoke(capsys, "run", "--config", str(resolved), "--output", str(again))[0] == 0
+        for name in ("series.csv", "summary.txt", "resolved_config.txt", "u_final.snap", "v_final.snap"):
+            assert (first / name).read_bytes() == (again / name).read_bytes()
+
+    def test_threaded_grid_run_passes_bound_check(self, tmp_path, capsys):
+        # 2^16 cells: with two usable CPUs the transport slabs and the solve
+        # halves run on the march's helper thread
+        cfg = tmp_path / "bump256.cfg"
+        cfg.write_text(
+            "grid.dim = 2\ngrid.cells_x = 256\nic.u = bump\nic.u_mass = 2.0\n"
+            "ic.u_width = 0.1\nrun.t_end = 0.05\nrun.sample_interval = 0.025\n"
+        )
+        out_dir = tmp_path / "out"
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(out_dir))[0] == 0
+        code, out, _ = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        assert code == 0 and "mass_envelope_ok=true" in out
 
     def test_dotted_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

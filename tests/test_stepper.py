@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import threading
@@ -18,6 +19,7 @@ from kschemo import (
     ModelParams,
     Recorder,
     State,
+    StepOutcome,
     StepperConfig,
     Termination,
     adapt_dt,
@@ -32,7 +34,7 @@ from kschemo import operators, stepper
 from kschemo.grid import _POSITIVITY_TOL
 from kschemo.operators import FACE_SCHEMES
 from kschemo.stepper import _neumann_eigenvalues
-from kschemo.verification import build_mms_case
+from kschemo.verification import build_mms_case, equilibrium_case
 
 
 @pytest.fixture
@@ -970,6 +972,173 @@ class TestRunBatch:
         state, _ = equilibrium_state(p, grid1d)
         with pytest.raises(ValueError):
             run_batch([state], [p, p], grid1d, StepperConfig(), 0.1, self.REC)
+
+
+# a = b = 1 on a unit domain: the equilibrium is u = v = 1
+_REPLAY_PARAMS = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
+
+
+def _moving(grid):
+    """A bump of mass 2 that relaxes to u = v = 1 and freezes bit for bit near t = 36."""
+    return State(u=_bump(grid, 2.0), v=grid.zeros()), _REPLAY_PARAMS
+
+
+def _equilibrium(grid):
+    """u = v = 1, which moves by an ulp on its first step and is frozen after it."""
+    return equilibrium_state(_REPLAY_PARAMS, grid)[0], _REPLAY_PARAMS
+
+
+def _fixed_point_state(grid, cfg, chi=1.0):
+    """The equilibrium after its first step, at t = 0: a fixed point of the step map."""
+    p = dataclasses.replace(_REPLAY_PARAMS, chi=chi)
+    moved, _ = step(equilibrium_state(p, grid)[0], p, grid, cfg)
+    return State(u=moved.u, v=moved.v), p
+
+
+def _solving_every_step(monkeypatch):
+    monkeypatch.setattr(stepper, "_fixed_point", lambda *args: False)
+
+
+def _assert_same_run(replayed, solved):
+    """Series rows, final fields and diagnostics bitwise equal, replay count aside."""
+    assert replayed.series.rows == solved.series.rows
+    assert replayed.termination is solved.termination
+    assert replayed.cause == solved.cause
+    assert replayed.state.t == solved.state.t
+    assert replayed.state.dt_last == solved.state.dt_last
+    for got, want in ((replayed.state.u, solved.state.u), (replayed.state.v, solved.state.v)):
+        assert got.tobytes() == want.tobytes()
+    assert dataclasses.replace(replayed.diagnostics, replayed_steps=0) == solved.diagnostics
+
+
+class TestFixedPointReplay:
+    CFG = StepperConfig(dt_max=0.1)
+    REC = Recorder(k_list=(2.0, 4.0), sample_interval=0.5)
+
+    def test_one_run_matches_solving_every_step(self, monkeypatch):
+        grid = Grid(extent=(1.0,), cells=(32,))
+        state, p = _moving(grid)
+        replayed = run(state, p, grid, self.CFG, 60.0, self.REC)
+        assert 0 < replayed.diagnostics.replayed_steps < replayed.diagnostics.steps
+        _solving_every_step(monkeypatch)
+        solved = run(state, p, grid, self.CFG, 60.0, self.REC)
+        assert solved.diagnostics.replayed_steps == 0
+        _assert_same_run(replayed, solved)
+
+    @pytest.mark.parametrize("cells", [(32,), (32, 32)], ids=["1d", "2d"])
+    def test_batch_with_a_frozen_and_a_moving_member(self, cells, monkeypatch):
+        grid = Grid(extent=(1.0,) * len(cells), cells=cells)
+        frozen, moving = _equilibrium(grid), _moving(grid)
+        initials, points = [frozen[0], moving[0]], [frozen[1], moving[1]]
+        t_end = 1.05
+        replayed = run_batch(initials, points, grid, self.CFG, t_end, self.REC)
+        # the equilibrium replays from its second step on while the bump still moves
+        assert replayed[0].diagnostics.replayed_steps > 0
+        assert replayed[1].diagnostics.replayed_steps == 0
+        _solving_every_step(monkeypatch)
+        solved = run_batch(initials, points, grid, self.CFG, t_end, self.REC)
+        for got, want in zip(replayed, solved):
+            _assert_same_run(got, want)
+
+    def test_serial_2d_run_matches_solving_every_step(self, monkeypatch):
+        grid = Grid(extent=(1.0, 1.0), cells=(16, 16))
+        assert not stepper._threaded(1, grid)
+        state, p = _moving(grid)
+        replayed = run(state, p, grid, self.CFG, 60.0, self.REC)
+        assert 0 < replayed.diagnostics.replayed_steps < replayed.diagnostics.steps
+        _solving_every_step(monkeypatch)
+        _assert_same_run(replayed, run(state, p, grid, self.CFG, 60.0, self.REC))
+
+    def test_one_ulp_in_v_is_not_a_fixed_point(self):
+        grid = Grid(extent=(1.0,), cells=(32,))
+        u, v = grid.full(1.0), grid.full(1.0)
+        outcome = StepOutcome(dt=0.1, mass_new=1.0)
+        assert stepper._fixed_point(outcome, 1.0, 1.0, u, v, u.copy(), v.copy())
+        nudged = v.copy()
+        nudged[7] = np.nextafter(nudged[7], np.inf)
+        assert not stepper._fixed_point(outcome, 1.0, 1.0, u, v, u.copy(), nudged)
+        # 0.0 and -0.0 compare equal but are not the same bits
+        zero = grid.zeros()
+        assert not stepper._fixed_point(outcome, 1.0, 1.0, u, zero, u.copy(), -zero)
+
+    def test_run_whose_v_moves_by_one_ulp_replays_nothing(self, monkeypatch):
+        # without chemotaxis u stays at its equilibrium whatever v does; each
+        # step hands back its input v one ulp higher in one cell
+        grid = Grid(extent=(1.0,), cells=(32,))
+        state, p = _fixed_point_state(grid, self.CFG, chi=0.0)
+        original = stepper._advance
+
+        def nudged(helper, u, v, *args, **kwargs):
+            u_new, v_new, outcomes = original(helper, u, v, *args, **kwargs)
+            v_new[:] = v
+            v_new[:, 7] = np.nextafter(v[:, 7], np.inf)
+            return u_new, v_new, outcomes
+
+        monkeypatch.setattr(stepper, "_advance", nudged)
+        result = run(state, p, grid, self.CFG, 2.05, self.REC)
+        assert result.diagnostics.steps == 21
+        assert result.diagnostics.replayed_steps == 0
+        assert result.state.u.tobytes() == state.u.tobytes()
+        assert result.state.v[7] > 1.0
+        _solving_every_step(monkeypatch)
+        _assert_same_run(result, run(state, p, grid, self.CFG, 2.05, self.REC))
+
+    def test_forced_run_replays_nothing(self):
+        grid = Grid(extent=(1.0,), cells=(32,))
+        state, p = _fixed_point_state(grid, self.CFG)
+        case = equilibrium_case(p, grid)
+        forced = run(state, p, grid, self.CFG, 2.05, self.REC, forcing=case.forcing)
+        unforced = run(state, p, grid, self.CFG, 2.05, self.REC)
+        # zero forcing leaves the fields frozen, yet a forced run solves every step
+        assert forced.state.u.tobytes() == state.u.tobytes()
+        assert forced.diagnostics.steps == unforced.diagnostics.steps == 21
+        assert forced.diagnostics.replayed_steps == 0
+        assert unforced.diagnostics.replayed_steps > 0
+
+    def test_step_accepted_after_a_retry_is_not_replayed(self, monkeypatch):
+        grid = Grid(extent=(1.0,), cells=(32,))
+        state, p = _equilibrium(grid)
+        original = stepper._advance
+
+        def retried(*args, **kwargs):
+            u_new, v_new, outcomes = original(*args, **kwargs)
+            for outcome in outcomes:
+                outcome.retries = 1
+            return u_new, v_new, outcomes
+
+        monkeypatch.setattr(stepper, "_advance", retried)
+        result = run(state, p, grid, self.CFG, 2.05, self.REC)
+        assert result.diagnostics.replayed_steps == 0
+        assert result.diagnostics.total_retries == result.diagnostics.steps == 21
+        assert not stepper._fixed_point(
+            StepOutcome(dt=0.1, mass_new=1.0, retries=1), 1.0, 1.0,
+            state.u, state.v, state.u, state.v,
+        )
+
+    def test_capped_last_step_is_solved(self, monkeypatch):
+        grid = Grid(extent=(1.0,), cells=(32,))
+        state, p = _equilibrium(grid)
+        original, solved_dts = stepper._advance, []
+
+        def spy(*args, **kwargs):
+            u_new, v_new, outcomes = original(*args, **kwargs)
+            solved_dts.extend(outcome.dt for outcome in outcomes)
+            return u_new, v_new, outcomes
+
+        monkeypatch.setattr(stepper, "_advance", spy)
+        replayed = run(state, p, grid, self.CFG, 2.05, self.REC)
+        diag = replayed.diagnostics
+        assert len(solved_dts) == diag.steps - diag.replayed_steps
+        assert diag.replayed_steps > 0
+        # the last solve is the step that lands on t_end, shorter than dt_max
+        assert solved_dts[-1] == replayed.state.dt_last < self.CFG.dt_max
+        assert not stepper._fixed_point(
+            StepOutcome(dt=0.05, mass_new=1.0), 0.05, 1.0, state.u, state.v, state.u, state.v,
+        )
+        _solving_every_step(monkeypatch)
+        solved = run(state, p, grid, self.CFG, 2.05, self.REC)
+        assert replayed.state.t == solved.state.t
+        _assert_same_run(replayed, solved)
 
 
 def _advance_in_child(u, v, params, grid):
