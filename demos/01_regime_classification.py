@@ -13,7 +13,7 @@ This script classifies a few hand-picked points, then prints a coarse
 
 import numpy as np
 
-from kschemo import ModelParams, classify_regime, regime_report
+from kschemo import ModelParams, classify_regime, mass_envelope
 
 POINTS = [
     (1.0, 3.0, 3),   # gentle growth, strong dampening
@@ -30,13 +30,13 @@ for alpha, beta, n in POINTS:
     print(f"{alpha:5.2f}  {beta:4.2f}  {n}   {classify_regime(params, n)}")
 
 # classification ignores chi, a, b; the envelope does not
-report = regime_report(
-    ModelParams(chi=7.0, a=4.0, b=1.0, alpha=1.0, beta=2.0), n=2,
+y1, m0 = mass_envelope(
+    ModelParams(chi=7.0, a=4.0, b=1.0, alpha=1.0, beta=2.0),
     initial_mass=0.5, domain_measure=1.0,
 )
 print()
-print(f"envelope example: y1 = {report.y1:g} so any run starting below mass "
-      f"{report.mass_envelope:g} stays below it")
+print(f"envelope example: y1 = {y1:g} so any run starting below mass "
+      f"{m0:g} stays below it")
 
 print()
 print("coarse map at n = 2  (S = subquadratic, Q = superquadratic, . = uncovered)")

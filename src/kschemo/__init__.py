@@ -17,11 +17,9 @@ from .params import (
     ModelParams,
     OdeComparisonResult,
     Regime,
-    RegimeReport,
     classify_regime,
     mass_envelope,
     ode_comparison_oracle,
-    regime_report,
 )
 from .stepper import (
     LinearSolverError,
@@ -43,11 +41,9 @@ __all__ = [
     "State",
     "ModelParams",
     "Regime",
-    "RegimeReport",
     "OdeComparisonResult",
     "classify_regime",
     "mass_envelope",
-    "regime_report",
     "ode_comparison_oracle",
     "integrate",
     "lp_norm_pow",

@@ -90,13 +90,12 @@ def _cmd_run(args, extras: list[str]) -> int:
         cfg = parse_config(path=args.config, overrides=overrides)
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
-    output_dir = args.output if args.output else cfg.output_dir
-    _make_output_dir(output_dir, "--output" if args.output else "run.output_dir")
+    _make_output_dir(args.output)
     result = run_from_config(
-        cfg, output_dir=output_dir, export_fields_csv=args.export_fields_csv
+        cfg, output_dir=args.output, export_fields_csv=args.export_fields_csv
     )
     print(f"termination={result.termination}")
-    print(f"output_dir={output_dir}")
+    print(f"output_dir={args.output}")
     where = f"t={result.state.t:.17g} cause={result.cause}"
     if result.termination is Termination.BLOWUP_DETECTED:
         return _fail(EXIT_BLOWUP, "blowup-detected", where)
@@ -124,12 +123,12 @@ def _frange(flag: str, lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(max(count, 0))]
 
 
-def _make_output_dir(path: str, key: str) -> None:
-    """os.makedirs(path), or a ConfigError naming ``key``."""
+def _make_output_dir(path: str) -> None:
+    """os.makedirs(path), or a ConfigError naming --output."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"{path}: {exc.strerror}", key=key) from None
+        raise ConfigError(f"{path}: {exc.strerror}", key="--output") from None
 
 
 def _require_envelope(cfg) -> None:
@@ -246,7 +245,7 @@ def _cmd_sweep(args, extras: list[str]) -> int:
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
-    _make_output_dir(args.output, "--output")
+    _make_output_dir(args.output)
     csv_path = os.path.join(args.output, "sweep.csv")
     ledger_path = os.path.join(args.output, "sweep_done.txt")
     header = "alpha,beta,n,regime,y1,m0"
@@ -321,7 +320,7 @@ def _cmd_mms(args) -> int:
     params, grids, dts = _mms_study(args)
     case = build_mms_case(params, grids[0])
     try:
-        table = convergence_study(case, grids, dts, args.t_end, face_scheme="central")
+        table = convergence_study(case, grids, dts, args.t_end)
     except RuntimeError as exc:  # a level left the fixed-dt study
         return _fail(EXIT_SOLVER, "solver-failure", str(exc))
     table.to_csv(args.output)
@@ -376,6 +375,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message.removeprefix("argument "))
 
 
+def _path(value: str) -> str:
+    """An --output value; the empty path names no file, so it is a usage error."""
+    if not value:
+        raise argparse.ArgumentTypeError("empty path")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="kschemo",
@@ -394,7 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a configured simulation")
     p.add_argument("--config", required=True)
-    p.add_argument("--output", default=None, help="override run.output_dir")
+    p.add_argument("--output", type=_path, default="out", help="artifact directory (out)")
     p.add_argument("--export-fields-csv", action="store_true")
 
     p = sub.add_parser("sweep", help="classify (optionally short-run) a parameter grid")
@@ -405,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-max", type=float, required=True)
     p.add_argument("--beta-step", type=float, default=0.25)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", type=_path, required=True)
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--config", default=None, help="base config for --simulate")
     p.add_argument("--t-end", type=float, default=None, help="--simulate run length (2)")
@@ -423,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt0", type=float, default=None)
     p.add_argument("--t-end", type=float, default=0.1)
     p.add_argument("--chi", type=float, default=0.25)
-    p.add_argument("--output", default="mms.csv")
+    p.add_argument("--output", type=_path, default="mms.csv")
 
     p = sub.add_parser("bound-check", help="audit a finished run against the envelope")
     p.add_argument("--run-dir", required=True)

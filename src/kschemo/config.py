@@ -83,11 +83,9 @@ class RunConfig:
     ic: InitialCondition
     recorder: Recorder = Recorder()
     t_end: float = 10.0
-    output_dir: str = "out"
 
     def __post_init__(self) -> None:
         require(self.t_end > 0, "t_end", "> 0", self.t_end)
-        require(bool(self.output_dir), "output_dir", "nonempty", self.output_dir)
         for axis, (c, L) in enumerate(zip(self.ic.u_center, self.grid.extent)):
             if not (0 <= c <= L):
                 raise FieldError("u_center", f"bump center {c} outside domain [0, {L}]", axis)
@@ -141,7 +139,6 @@ _KEYS: dict[str, _Key] = {
     "model.b": _Key("model", "b", _parse_float, 1.0),
     "model.alpha": _Key("model", "alpha", _parse_float, 1.0),
     "model.beta": _Key("model", "beta", _parse_float, 1.0),
-    "model.tau": _Key("model", "tau", _parse_int),
     "grid.dim": _Key("grid", "dim", _parse_int, 1),
     "grid.extent_x": _Key("grid", "extent", _parse_float, 1.0),
     "grid.extent_y": _Key("grid", "extent", _parse_float),
@@ -162,11 +159,9 @@ _KEYS: dict[str, _Key] = {
     "stepper.dt_max": _Key("stepper", "dt_max", _parse_float),
     "stepper.cfl_safety": _Key("stepper", "cfl_safety", _parse_float),
     "stepper.blowup_linf_threshold": _Key("stepper", "blowup_linf_threshold", _parse_float),
-    "stepper.face_scheme": _Key("stepper", "face_scheme", str),
     "run.t_end": _Key("run", "t_end", _parse_float),
     "run.sample_interval": _Key("recorder", "sample_interval", _parse_float),
     "run.k_list": _Key("recorder", "k_list", _parse_klist),
-    "run.output_dir": _Key("run", "output_dir", str),
 }
 
 

@@ -88,20 +88,6 @@ class ModelParams:
         require(self.tau == 1, "tau", "== 1", self.tau)
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    """Classification of a parameter point plus its mass envelope.
-
-    y1 is the equilibrium cap of the total-mass comparison ODE and
-    mass_envelope = max(initial mass, y1).
-    """
-
-    regime: Regime
-    n: int
-    y1: float
-    mass_envelope: float
-
-
 def classify_regime(params: ModelParams, n: int) -> Regime:
     """Classify (alpha, beta, n) against the two boundedness regions.
 
@@ -144,14 +130,6 @@ def mass_envelope(
         args = f"a={params.a}, b={params.b}, beta={params.beta}, domain_measure={domain_measure}"
         raise ValueError(f"mass envelope y1 is not finite for {args}")
     return y1, max(initial_mass, y1)
-
-
-def regime_report(
-    params: ModelParams, n: int, initial_mass: float, domain_measure: float
-) -> RegimeReport:
-    """Bundle classification and mass envelope for one parameter point."""
-    y1, m0 = mass_envelope(params, initial_mass, domain_measure)
-    return RegimeReport(classify_regime(params, n), n, y1, m0)
 
 
 @dataclass(frozen=True)

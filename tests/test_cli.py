@@ -204,13 +204,12 @@ class TestRun:
 
     def test_stationary_signal_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
+        # tau has one value, 1, so no config names it
         cfg.write_text(RUN_CONFIG + "model.tau = 0\n")
         code, out, err = invoke(capsys, "run", "--config", str(cfg))
         assert code == 2
         assert out == ""
-        assert err.splitlines() == [
-            "error: config: line 11: model.tau: tau == 1 required, got 0"
-        ]
+        assert err.splitlines() == ["error: config: line 11: unknown key 'model.tau'"]
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = invoke(capsys, "run", "--config", "no-such-file.cfg")
@@ -284,7 +283,7 @@ class TestRun:
         code, _, err = invoke(capsys, "run", "--config", str(cfg), "--model.gamma", "1")
         assert code == 2
 
-    @pytest.mark.parametrize("key", ["--output", "run.output_dir"])
+    @pytest.mark.parametrize("key", ["--output"])
     def test_output_under_a_file_exit_2_before_any_step(self, tmp_path, capsys, monkeypatch, key):
         def no_run(*args, **kwargs):
             raise AssertionError("the run started")
@@ -293,13 +292,28 @@ class TestRun:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(RUN_CONFIG)
         (tmp_path / "file").write_text("")
-        flag = "--output" if key == "--output" else "--run.output_dir"
         code, out, err = invoke(
-            capsys, "run", "--config", str(cfg), flag, str(tmp_path / "file" / "sub")
+            capsys, "run", "--config", str(cfg), key, str(tmp_path / "file" / "sub")
         )
         assert (code, out) == (2, "")
         assert err.startswith(f"error: config: {key}: {tmp_path / 'file' / 'sub'}: ")
         assert len(err.splitlines()) == 1
+
+    def test_empty_output_exit_2_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(RUN_CONFIG)
+        code, out, err = invoke(capsys, "run", "--config", "run.cfg", "--output", "")
+        assert (code, out) == (2, "")
+        assert err == "error: config: --output: empty path\n"
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+    def test_output_defaults_to_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tiny.cfg").write_text(TINY_RUN)
+        code, out, _ = invoke(capsys, "run", "--config", "tiny.cfg")
+        assert code == 0
+        assert "output_dir=out\n" in out
+        assert (tmp_path / "out" / "summary.txt").exists()
 
 
 class TestSweep:
@@ -776,13 +790,15 @@ class TestMms:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["missing/mms.csv", "."])
+    # "" is passed as it is: joined onto tmp_path it would name tmp_path
+    @pytest.mark.parametrize("where", ["missing/mms.csv", ".", ""])
     def test_unwritable_output_exit_2_before_study(self, tmp_path, capsys, monkeypatch, where):
         def no_study(*args, **kwargs):
             raise AssertionError("the study ran")
 
         monkeypatch.setattr(cli, "convergence_study", no_study)
-        code, stdout, err = invoke(capsys, "mms", "--output", str(tmp_path / where))
+        output = str(tmp_path / where) if where else where
+        code, stdout, err = invoke(capsys, "mms", "--output", output)
         assert code == 2 and stdout == ""
         assert err.startswith("error: config: --output: ")
         assert len(err.splitlines()) == 1

@@ -12,7 +12,6 @@ from kschemo import (
     classify_regime,
     mass_envelope,
     ode_comparison_oracle,
-    regime_report,
 )
 from kschemo.params import FieldError
 
@@ -169,12 +168,6 @@ class TestMassEnvelope:
         assert y1_up_a >= y1
         assert y1_up_b <= y1
         assert m0_up >= m0
-
-    def test_report_bundles_regime_and_envelope(self):
-        rep = regime_report(make_params(alpha=1.0, beta=3.0), 3, 0.5, 1.0)
-        assert rep.regime is Regime.SUBQUADRATIC_BOUNDED
-        assert rep.y1 == pytest.approx(1.0)
-        assert rep.mass_envelope == pytest.approx(1.0)
 
 
 class TestOdeComparisonOracle:
