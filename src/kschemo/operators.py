@@ -66,7 +66,7 @@ def _flux_divergence(face_flux: np.ndarray, axis: int, h: float, out: np.ndarray
 
 
 def _laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    out = np.zeros_like(f)
+    out = np.zeros(f.shape)
     for axis, h in zip(grid.field_axes, grid.h):
         f_l, f_r = _face_slabs(f, axis)
         gradient = f_r - f_l
@@ -91,7 +91,7 @@ def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> 
     field axis with a one-cell halo on each inner side gives its inner
     cells the exact bits of the whole-field call, and its maxima cover its
     own faces."""
-    out = np.zeros_like(u)
+    out = np.zeros(u.shape)
     grad_max = []
     for axis, h in zip(grid.field_axes, grid.h):
         v_l, v_r = _face_slabs(v, axis)
@@ -129,15 +129,26 @@ def chemo_divergence(
 
 
 def _nonlocal_source(
-    u: np.ndarray, grid: Grid, params: Sequence[ModelParams]
+    u: np.ndarray,
+    grid: Grid,
+    params: Sequence[ModelParams],
+    alphas: Sequence[float],
+    betas: Sequence[float],
 ) -> tuple[np.ndarray, list[float]]:
-    """Source fields of a batch ``u`` with one ModelParams per member row."""
+    """Source fields of a batch ``u`` with one ModelParams per member row.
+
+    ``alphas`` and ``betas`` are the rows' exponents.  When they agree row
+    for row, u^beta is u^alpha: the same power of the same values.  The
+    powers are this call's own arrays, so the source is built in place.
+    """
     u_pos = np.maximum(u, 0.0)
-    u_alpha = _pow_rows(u_pos, [p.alpha for p in params])
-    sums = _pow_rows(u_pos, [p.beta for p in params]).sum(axis=grid.field_axes)
+    u_alpha = _pow_rows(u_pos, alphas)
+    u_beta = u_alpha if alphas == betas else _pow_rows(u_pos, betas)
+    sums = np.add.reduce(u_beta, axis=grid.field_axes)
+    del u_beta  # freed before the source is built
     integrals = [grid.cell_volume * s for s in sums.tolist()]
-    coefficient = _column([p.a - p.b * i for p, i in zip(params, integrals)], grid.dim)
-    return coefficient * u_alpha, integrals
+    u_alpha *= _column([p.a - p.b * i for p, i in zip(params, integrals)], grid.dim)
+    return u_alpha, integrals
 
 
 def nonlocal_source(
@@ -151,5 +162,7 @@ def nonlocal_source(
     as 0 so fractional powers stay real; larger negatives are scheme errors.
     """
     ua = _require_field(u, grid, "u", nonnegative=True)
-    source, (integral,) = _nonlocal_source(ua[None], grid, [params])
+    source, (integral,) = _nonlocal_source(
+        ua[None], grid, [params], [params.alpha], [params.beta]
+    )
     return source[0], integral

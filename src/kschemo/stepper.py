@@ -15,7 +15,8 @@ One step of size dt from (u_n, v_n):
         builds, solves and gates the u half and takes its extrema while the
         calling thread does the same for the v half.  A march (run_batch, or
         one step()) starts at most one helper and joins it before it
-        returns, so the stepper keeps no process-wide state
+        returns, so the stepper keeps no process-wide state (see the step
+        plan below)
   (iv)  audit: a non-finite or negative result halves dt and retries from
         the explicit stage of (i); a solve that fails its backward-error gate
         is a solver failure; a sup norm above the threshold is a blow-up
@@ -43,6 +44,22 @@ termination; the grid, StepperConfig, t_end, Recorder and forcing are
 shared.  A member's numbers come from the same elementwise operations and
 the same row reductions whatever the batch, so its series is bitwise the
 one it gets alone.  run() and step() are the B = 1 case.
+
+A march keeps one step plan (_Plan): its helper thread, the per-axis
+eigenvalues of its grid and the constants its steps share.  Per active
+set, the rows' ModelParams, it holds the chi column and the exponent lists;
+per dt column, the rows' dts, the dt, 1+dt and sigma columns of both
+halves, each row's ||A|| bound for the gate and, from the second solve at
+the same column on, the denominators 1 - sigma*lambda.  It rebuilds each
+only when its key changes (a new proposal, a retry halving, the t_end cap,
+a member leaving), in place into the buffers it already holds, and keeps
+no other column.  A dt held at dt_max repeats the column: 7097 of the 7408
+solves of the 256-cell Criterion 2 run, 722 of the 1029 batch solves of a
+4x4 1D sweep, 8597 of the 8602 solves of a fixed-dt 1D MMS study.  A
+column that moves every step (none of the 16 of a 512^2 bump repeats)
+never builds the denominators, so each solve divides by a temporary of its
+own, as it would without a plan.  The plan holds the values each solve
+would compute, so no bit moves.
 
 A step is a pure function of its member's fields, coefficients and dt,
 whatever the batch or the thread split.  So when an accepted step of an
@@ -92,7 +109,9 @@ _MAX_RETRIES = 20
 
 # Cells (member rows * cells per row) from which a step runs its per-cell
 # work on two threads: the transport in two row slabs, and the u and v
-# halves of the solve, handed to the march's live helper thread.  Medians of
+# halves of the solve, handed to the march's live helper thread.  Below it
+# call dispatch outweighs the arithmetic, so the gate also stacks its three
+# squared arrays into one reduction there (_gate_norms).  Medians of
 # five alternating runs on 2 vCPUs, serial -> helper, one bump member: the
 # transport stage 128^2 0.36 -> 0.88 ms, 182^2 0.70 -> 1.03 ms, 256^2 1.77
 # -> 1.37 ms; the checked solve of one u row and one v row 128^2 1.97 ->
@@ -158,20 +177,22 @@ def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
     return -4.0 * np.sin(np.pi * k / (2 * n)) ** 2 / h**2
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_eigenvalues(grid: Grid) -> np.ndarray:
-    """Eigenvalues of L_h on ``grid`` in the DCT-II basis (read-only).
+def _axis_eigenvalues(grid: Grid) -> list[np.ndarray]:
+    """Eigenvalues of L_h along each axis in the DCT-II basis, each shaped to
+    broadcast over a field.
 
-    The modes are products of per-axis cosines, so each eigenvalue is the
-    sum of its per-axis ones.
+    The modes are products of per-axis cosines, so each eigenvalue of the
+    grid is the sum of its per-axis ones, taken from 0.0 in axis order
+    (_denominator): the first axis comes with 0.0 added, which turns its
+    -0.0 into 0.0.
     """
-    lam = np.zeros(grid.shape)
+    eigenvalues = []
     for axis, (n, h) in enumerate(zip(grid.cells, grid.h)):
         shape = [1] * grid.dim
         shape[axis] = n
-        lam += _neumann_eigenvalues(n, h).reshape(shape)
-    lam.flags.writeable = False
-    return lam
+        eigenvalues.append(_neumann_eigenvalues(n, h).reshape(shape))
+    eigenvalues[0] = 0.0 + eigenvalues[0]
+    return eigenvalues
 
 
 def _cosine_transform(x: np.ndarray, grid: Grid, inverse: bool = False) -> np.ndarray:
@@ -188,26 +209,73 @@ def _cosine_transform(x: np.ndarray, grid: Grid, inverse: bool = False) -> np.nd
     return transform(x, type=2, norm="ortho", axes=grid.field_axes, overwrite_x=inverse)
 
 
-def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma) -> np.ndarray:
+def _denominator(sigma, eigenvalues: list[np.ndarray], out=None) -> np.ndarray:
+    """1 - sigma*lambda for each row: the divisor of its cosine coefficients.
+
+    lambda, the grid's eigenvalues, is summed from the per-axis ones of
+    _axis_eigenvalues in the output array itself, so no grid-sized
+    eigenvalue array outlives the call.
+    """
+    if len(eigenvalues) == 1:
+        out = np.multiply(sigma, eigenvalues[0], out=out)
+    else:
+        first, second = eigenvalues
+        if out is None:
+            out = np.empty(np.broadcast_shapes(np.shape(sigma), first.shape, second.shape))
+        np.add(first, second, out=out)
+        out *= sigma
+    return np.subtract(1.0, out, out=out)
+
+
+def _a_norm(sigma, grid: Grid, out=None) -> np.ndarray:
+    """1 + 4 sigma sum(1/h^2) for each row: the bound on ||I - sigma*L_h|| of the gate."""
+    out = np.multiply(4.0, np.ravel(sigma), out=out)
+    out *= sum(1.0 / h**2 for h in grid.h)
+    out += 1.0
+    return out
+
+
+@dataclass
+class _Held:
+    """What a march's _Plan holds for the rows of one checked solve: the
+    per-axis eigenvalues, each row's ||A|| bound and, once the rows' dt
+    column repeats, their 1 - sigma*lambda (else None: the solve builds its
+    own, a temporary)."""
+
+    eigenvalues: list[np.ndarray]
+    a_norm: np.ndarray
+    denominator: Optional[np.ndarray] = None
+
+    def rows(self, part: slice) -> "_Held":
+        """What is held for the rows ``part`` of the solve."""
+        denominator = None if self.denominator is None else self.denominator[part]
+        return _Held(self.eigenvalues, self.a_norm[part], denominator)
+
+
+def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma, held: Optional[_Held] = None) -> np.ndarray:
     """Solve (I - sigma*L_h) w = rhs for each row of ``rhs``.
 
-    ``sigma`` is a scalar or a (R, 1, ...) column with one entry per row.
+    ``sigma`` is a scalar or a (R, 1, ...) column with one entry per row;
+    ``held`` is what the march's plan holds for these rows, or None.
     Rows are transformed, divided and clipped independently, so a row gets
     the same bits whatever rows it is stacked with: the stepper passes the
     u rows of all members followed by their v rows.
     """
     spectral = _cosine_transform(rhs, grid)
-    denominator = sigma * _grid_eigenvalues(grid)
-    np.subtract(1.0, denominator, out=denominator)
-    spectral /= denominator
+    if held is None:
+        spectral /= _denominator(sigma, _axis_eigenvalues(grid))
+    elif held.denominator is None:
+        spectral /= _denominator(sigma, held.eigenvalues)
+    else:
+        spectral /= held.denominator
     w = _cosine_transform(spectral, grid, inverse=True)
     # (I - sigma*L_h)^-1 is entrywise nonnegative, so a negative entry in a
     # member whose rhs is nonnegative is transform rounding; clipping it
     # moves w toward the exact solution
-    nonnegative = rhs.min(axis=grid.field_axes) >= 0.0
-    if nonnegative.all():
+    if rhs.min() >= 0.0:
         np.maximum(w, 0.0, out=w)
     else:
+        nonnegative = rhs.min(axis=grid.field_axes) >= 0.0
         for i in np.flatnonzero(nonnegative):
             np.maximum(w[i], 0.0, out=w[i])
     return w
@@ -223,7 +291,28 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.square(flat), axis=1))
 
 
-def _helmholtz_checked(rhs: np.ndarray, grid: Grid, sigma) -> tuple[np.ndarray, np.ndarray]:
+def _gate_norms(w: np.ndarray, rhs: np.ndarray, residual: np.ndarray) -> tuple:
+    """_row_norms of w, rhs and the residual, each row with the same bits.
+
+    Below _THREAD_CELLS cells per array, where call dispatch outweighs the
+    arithmetic, the three squares go into one stack and one reduction: a
+    row is summed alone whatever rows surround it.  Larger calls square one
+    array at a time, so the gate holds one squared copy, not three.
+    """
+    if w.size >= _THREAD_CELLS:
+        return _row_norms(w), _row_norms(rhs), _row_norms(residual)
+    rows = len(w)
+    squares = np.empty((3 * rows,) + w.shape[1:])
+    np.square(w, out=squares[:rows])
+    np.square(rhs, out=squares[rows : 2 * rows])
+    np.square(residual, out=squares[2 * rows :])
+    norms = np.sqrt(np.add.reduce(squares.reshape(3 * rows, -1), axis=1))
+    return norms[:rows], norms[rows : 2 * rows], norms[2 * rows :]
+
+
+def _helmholtz_checked(
+    rhs: np.ndarray, grid: Grid, sigma, held: Optional[_Held] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve each row as _helmholtz_core does; return (w, backward error of each row).
 
     One call carries the u and the v rows of a step and the caller splits w
@@ -232,19 +321,19 @@ def _helmholtz_checked(rhs: np.ndarray, grid: Grid, sigma) -> tuple[np.ndarray, 
     it gets alone, so both ways agree.  A non-finite row gets a meaningless
     error; callers test finiteness first.
     """
-    w = _helmholtz_core(rhs, grid, sigma)
-    # w - sigma*L_h w - rhs, built in the Laplacian's array: negating the
-    # product and adding w gives the same bits as subtracting the product
+    w = _helmholtz_core(rhs, grid, sigma, held)
+    # w - sigma*L_h w - rhs, built in the Laplacian's array
     residual = _laplacian(w, grid)
-    residual *= -sigma
-    residual += w
+    residual *= sigma
+    np.subtract(w, residual, out=residual)
     residual -= rhs
     # normwise backward error: the rounding in sigma*L_h w grows like
     # eps * ||A|| * ||w||, so dividing by ||rhs|| alone fails fine grids
     # whose solves are exact to working precision
-    a_norm = 1.0 + 4.0 * np.ravel(sigma) * sum(1.0 / h**2 for h in grid.h)
-    scale = a_norm * _row_norms(w) + _row_norms(rhs)
-    return w, _row_norms(residual) / np.maximum(scale, 1e-300)
+    a_norm = _a_norm(sigma, grid) if held is None else held.a_norm
+    w_norm, rhs_norm, residual_norm = _gate_norms(w, rhs, residual)
+    scale = a_norm * w_norm + rhs_norm
+    return w, residual_norm / np.maximum(scale, 1e-300)
 
 
 def _usable_cpus() -> int:
@@ -281,19 +370,89 @@ def _threaded(rows: int, grid: Grid) -> bool:
     return rows * math.prod(grid.cells) >= _THREAD_CELLS and _usable_cpus() > 1
 
 
+class _Plan:
+    """A march's helper thread (or None) and the constants of its steps.
+
+    Two keys decide what a step can take from the step before:
+      * the active set, the rows' ModelParams: the chi column (None when
+        every chi is 0) and the exponent lists;
+      * the dt column, the rows' dts: ``sigma``, dt for the u rows stacked
+        on dt/(1+dt) for the v rows, with ``dt`` its u half as a view,
+        ``shift`` = 1+dt and ``held`` (each row's ||A|| bound and, from the
+        second solve at the same column on, its 1 - sigma*lambda).
+    Each is rebuilt only when its key changes, in place into the buffers it
+    holds while the row count stays.
+    """
+
+    def __init__(self, grid: Grid, helper: Optional[ThreadPoolExecutor]):
+        self.grid = grid
+        self.helper = helper
+        # per axis, not grid-sized: a 512^2 eigenvalue array held from the
+        # start of a march made its steps fault about 1800 more pages each
+        # (33k against 4k minor faults over a 16-step run, 18% of its time)
+        self.eigenvalues = _axis_eigenvalues(grid)
+        self._members: Optional[tuple] = None
+        self.chi: Optional[np.ndarray] = None
+        self.alphas: list[float] = []
+        self.betas: list[float] = []
+        self._dts: Optional[tuple] = None
+        self.sigma: Optional[np.ndarray] = None
+        self.dt = self.shift = None
+        self.held: Optional[_Held] = None
+        self._denominator: Optional[np.ndarray] = None
+
+    def members(self, params: Sequence[ModelParams]) -> None:
+        """Set the active set to ``params``, one per row."""
+        key = tuple(params)
+        if key == self._members:
+            return
+        self._members = key
+        chis = [p.chi for p in params]
+        self.chi = _column(chis, self.grid.dim) if any(c != 0.0 for c in chis) else None
+        self.alphas = [p.alpha for p in params]
+        self.betas = [p.beta for p in params]
+
+    def column(self, dts: Sequence[float]) -> None:
+        """Set the dt column to ``dts``, one per row about to be solved."""
+        key = tuple(dts)
+        if key == self._dts:
+            if self.held.denominator is None:
+                self._hold()
+            return
+        self._dts = key
+        n = len(key)
+        if self.sigma is None or len(self.sigma) != 2 * n:
+            self.sigma = np.empty((2 * n,) + (1,) * self.grid.dim)
+            self.dt = self.sigma[:n]
+            self.shift = np.empty_like(self.dt)
+            self.held = _Held(self.eigenvalues, np.empty(2 * n))
+            self._denominator = None
+        self.sigma.reshape(-1)[:n] = key
+        np.add(1.0, self.dt, out=self.shift)
+        np.divide(self.dt, self.shift, out=self.sigma[n:])
+        _a_norm(self.sigma, self.grid, out=self.held.a_norm)
+        self.held.denominator = None
+
+    def _hold(self) -> None:
+        """Build 1 - sigma*lambda of the current column into the held buffer."""
+        if self._denominator is None:
+            self._denominator = np.empty((len(self.sigma),) + self.grid.shape)
+        self.held.denominator = _denominator(self.sigma, self.eigenvalues, out=self._denominator)
+
+
 @contextlib.contextmanager
 def _march(rows: int, grid: Grid):
-    """numpy's quiet error state for a march of ``rows`` member rows, and the
-    march's one helper thread when _threaded, else None.  numpy's error state
-    belongs to the thread, so the helper sets its own once, for every task it
-    runs; leaving the block joins it, also when the march raises."""
+    """numpy's quiet error state and the _Plan of a march of ``rows`` member
+    rows, whose helper thread is live when _threaded, else None.  numpy's
+    error state belongs to the thread, so the helper sets its own once, for
+    every task it runs; leaving the block joins it, also when the march raises."""
     with np.errstate(**_QUIET):
         if not _threaded(rows, grid):
-            yield None
+            yield _Plan(grid, None)
             return
         quiet = functools.partial(np.seterr, **_QUIET)
         with ThreadPoolExecutor(1, "kschemo-step", initializer=quiet) as helper:
-            yield helper
+            yield _Plan(grid, helper)
 
 
 def _beside(helper: ThreadPoolExecutor, helper_call, own_call) -> tuple:
@@ -332,11 +491,11 @@ def _subtract_transport(explicit, u, v, chi, grid: Grid, scheme: str, helper) ->
     return [np.maximum(a, b) for a, b in zip(top, bottom)]
 
 
-def _solved(rhs: np.ndarray, grid: Grid, sigma) -> tuple:
-    """(w, backward error, max, min) of each row of a checked solve."""
-    w, rel = _helmholtz_checked(rhs, grid, sigma)
+def _solved(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> tuple:
+    """(w, backward errors, maxima, minima) of a checked solve, all but w as lists by row."""
+    w, rel = _helmholtz_checked(rhs, grid, sigma, held)
     axes = grid.field_axes
-    return w, rel, w.max(axis=axes), w.min(axis=axes)
+    return w, rel.tolist(), w.max(axis=axes).tolist(), w.min(axis=axes).tolist()
 
 
 def _u_rhs(rhs: np.ndarray, u, explicit, dt) -> np.ndarray:
@@ -356,28 +515,33 @@ def _v_rhs(rhs: np.ndarray, u, v, forcing_v, dt, shift) -> np.ndarray:
     return rhs
 
 
-def _solve_halves(u, v, explicit, forcing_v, dt, grid: Grid, helper) -> tuple[tuple, tuple]:
-    """Checked solve of the u rows and the v rows of a step.
+def _solve_halves(u, v, explicit, forcing_v, plan: _Plan, grid: Grid) -> tuple:
+    """Checked solve of the u rows and the v rows of a step at the plan's dt column.
 
-    Returns _solved's (w, rel, max, min) for each half.  Rows are solved,
-    gated and reduced independently, so a half gets the same bits alone or
-    stacked.  With a helper thread and _threaded rows, the helper builds,
-    solves, gates and reduces the u half while this thread does the v half;
-    otherwise one stacked call solves both.
+    Returns (w_u, w_v, errors, maxima, minima), the last three lists over
+    the u rows and then the v rows.  Rows are solved, gated and reduced
+    independently, so a half gets the same bits alone or stacked.  With a
+    helper thread and _threaded rows, the helper builds, solves, gates and
+    reduces the u half while this thread does the v half; otherwise one
+    stacked call solves both.
     """
     n = len(u)
     rhs = np.empty((2 * n,) + grid.shape)
-    shift = 1.0 + dt
-    if helper is not None and _threaded(n, grid):
-        return _beside(
-            helper,
-            lambda: _solved(_u_rhs(rhs[:n], u, explicit, dt), grid, dt),
-            lambda: _solved(_v_rhs(rhs[n:], u, v, forcing_v, dt, shift), grid, dt / shift),
+    dt, shift, sigma, held = plan.dt, plan.shift, plan.sigma, plan.held
+    if plan.helper is not None and _threaded(n, grid):
+        (w_u, rel_u, hi_u, lo_u), (w_v, rel_v, hi_v, lo_v) = _beside(
+            plan.helper,
+            lambda: _solved(_u_rhs(rhs[:n], u, explicit, dt), grid, dt, held.rows(slice(None, n))),
+            lambda: _solved(
+                _v_rhs(rhs[n:], u, v, forcing_v, dt, shift), grid, sigma[n:],
+                held.rows(slice(n, None)),
+            ),
         )
+        return w_u, w_v, rel_u + rel_v, hi_u + hi_v, lo_u + lo_v
     _u_rhs(rhs[:n], u, explicit, dt)
     _v_rhs(rhs[n:], u, v, forcing_v, dt, shift)
-    w, rel, hi, lo = _solved(rhs, grid, np.concatenate([dt, dt / shift]))
-    return (w[:n], rel[:n], hi[:n], lo[:n]), (w[n:], rel[n:], hi[n:], lo[n:])
+    w, rel, hi, lo = _solved(rhs, grid, sigma, held)
+    return w[:n], w[n:], rel, hi, lo
 
 
 def _gate_message(rel: float) -> str:
@@ -463,8 +627,9 @@ def _stack(fields) -> np.ndarray:
 
 def _audit(
     rows: list[int],
-    solved_u: tuple,
-    solved_v: tuple,
+    rel: list[float],
+    hi: list[float],
+    lo: list[float],
     dts: list[float],
     outcomes: list[StepOutcome],
     cfg: StepperConfig,
@@ -472,34 +637,34 @@ def _audit(
     """Decide each member solved in ``rows``; return those to retry at half dt.
 
     An accepted member's termination stays None; an ending one gets its
-    Termination and cause.  ``solved_u`` and ``solved_v`` are _solved's
-    (w, rel, max, min) of the halves; the audit reads the errors and extrema
-    and makes no array pass.  The checks run in order: finiteness, the
-    backward-error gate, the sup norm threshold, positivity.  The extrema
-    propagate NaN and reach inf, so they double as the finiteness check.
+    Termination and cause.  ``rel``, ``hi`` and ``lo`` are _solve_halves'
+    backward errors, maxima and minima: u row j at j, v row j at
+    len(rows) + j; the audit reads them and makes no array pass.  The
+    checks run in order: finiteness, the backward-error gate, the sup norm
+    threshold, positivity.  The extrema propagate NaN and reach inf, so
+    they double as the finiteness check.
     """
-    _, rel_u, u_hi, u_lo = solved_u
-    _, rel_v, v_hi, v_lo = solved_v
-    rel_u, u_hi, u_lo = rel_u.tolist(), u_hi.tolist(), u_lo.tolist()
-    rel_v, v_hi, v_lo = rel_v.tolist(), v_hi.tolist(), v_lo.tolist()
+    n = len(rows)
     retry = []
     for j, i in enumerate(rows):
         out = outcomes[i]
         out.dt = dts[i]
-        if all(math.isfinite(x) for x in (u_hi[j], u_lo[j], v_hi[j], v_lo[j])):
-            out.residual_u, out.residual_v = rel_u[j], rel_v[j]
-            linf = max(u_hi[j], -u_lo[j])
-            if not (rel_u[j] <= _LINEAR_TOL and rel_v[j] <= _LINEAR_TOL):
+        u_hi, u_lo, v_hi, v_lo = hi[j], lo[j], hi[n + j], lo[n + j]
+        if all(map(math.isfinite, (u_hi, u_lo, v_hi, v_lo))):
+            rel_u, rel_v = rel[j], rel[n + j]
+            out.residual_u, out.residual_v = rel_u, rel_v
+            linf = max(u_hi, -u_lo)
+            if not (rel_u <= _LINEAR_TOL and rel_v <= _LINEAR_TOL):
                 out.termination = Termination.SOLVER_FAILURE
-                out.cause = _gate_message(max(rel_u[j], rel_v[j]))
+                out.cause = _gate_message(max(rel_u, rel_v))
                 continue
             if linf > cfg.blowup_linf_threshold:
                 out.termination = Termination.BLOWUP_DETECTED
                 out.linf_u = linf
                 out.cause = f"sup norm {linf:.3e} above threshold"
                 continue
-            if u_lo[j] >= -_POSITIVITY_TOL and v_lo[j] >= -_POSITIVITY_TOL:
-                out.linf_u, out.min_u, out.min_v = linf, u_lo[j], v_lo[j]
+            if u_lo >= -_POSITIVITY_TOL and v_lo >= -_POSITIVITY_TOL:
+                out.linf_u, out.min_u, out.min_v = linf, u_lo, v_lo
                 continue
         # non-finite or negative: halve this member's dt and retry from the
         # same explicit stage
@@ -517,7 +682,7 @@ def _audit(
 
 
 def _advance(
-    helper: Optional[ThreadPoolExecutor], u: np.ndarray, v: np.ndarray, ts: Sequence[float],
+    plan: _Plan, u: np.ndarray, v: np.ndarray, ts: Sequence[float],
     params: Sequence[ModelParams], grid: Grid, cfg: StepperConfig, forcing=None,
     dt_cap: Optional[Sequence[float]] = None, dt_override: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray, list[StepOutcome]]:
@@ -525,19 +690,21 @@ def _advance(
 
     Returns the new fields and one StepOutcome per member; a member's row
     holds its new state only when its outcome is accepted.  Retries
-    re-solve only the members that failed their audit.  ``helper`` is the
-    march's helper thread, or None; it takes half of the per-cell work only
+    re-solve only the members that failed their audit.  ``plan`` is the
+    march's _Plan; its helper thread takes half of the per-cell work only
     while the rows are _threaded, which they stop being as members leave.
     """
     axes = grid.field_axes
     count = len(params)
-    source, integrals = _nonlocal_source(u, grid, params)
+    plan.members(params)
+    source, integrals = _nonlocal_source(u, grid, params, plan.alphas, plan.betas)
     # the source's integral is taken now, as the explicit stage overwrites it
-    source_sum = source.sum(axis=axes).tolist()
+    source_sum = np.add.reduce(source, axis=axes).tolist()
     explicit, grad_max = source, ()
-    if any(p.chi != 0.0 for p in params):
-        chi = _column([p.chi for p in params], grid.dim)
-        grad_max = _subtract_transport(explicit, u, v, chi, grid, cfg.face_scheme, helper)
+    if plan.chi is not None:
+        grad_max = _subtract_transport(
+            explicit, u, v, plan.chi, grid, cfg.face_scheme, plan.helper
+        )
     forcing_v = None
     if forcing is not None:
         # each member's forcing at its own time
@@ -555,27 +722,26 @@ def _advance(
     u_new = v_new = None
     rows = list(range(count))
     while rows:
-        n = len(rows)
-        whole = n == count
+        whole = len(rows) == count
         if whole:
             u_r, v_r, e_r, f_r = u, v, explicit, forcing_v
+            plan.column(dts)
         else:
             u_r, v_r, e_r = u[rows], v[rows], explicit[rows]
             f_r = None if forcing_v is None else forcing_v[rows]
-        dt = _column([dts[i] for i in rows], grid.dim)
-        solved_u, solved_v = _solve_halves(u_r, v_r, e_r, f_r, dt, grid, helper)
-        cand_u, cand_v = solved_u[0], solved_v[0]
+            plan.column([dts[i] for i in rows])
+        cand_u, cand_v, rel, hi, lo = _solve_halves(u_r, v_r, e_r, f_r, plan, grid)
         if whole:
             u_new, v_new = cand_u, cand_v
         else:
             u_new[rows] = cand_u
             v_new[rows] = cand_v
-        rows = _audit(rows, solved_u, solved_v, dts, outcomes, cfg)
+        rows = _audit(rows, rel, hi, lo, dts, outcomes, cfg)
 
     accepted = [i for i, out in enumerate(outcomes) if out.termination is None]
     if accepted:
         cell_volume = grid.cell_volume
-        mass = u_new.sum(axis=axes).tolist()
+        mass = np.add.reduce(u_new, axis=axes).tolist()
         for i in accepted:
             outcomes[i].mass_new = cell_volume * mass[i]
             outcomes[i].source_integral = cell_volume * source_sum[i]
@@ -606,9 +772,9 @@ def step(
     if dt_override is not None and dt_override <= 0:
         raise ValueError("dt_override must be positive")
     caps = None if dt_cap is None else [dt_cap]
-    with _march(1, grid) as helper:
+    with _march(1, grid) as plan:
         u_new, v_new, (outcome,) = _advance(
-            helper, _stack([state.u]), _stack([state.v]), [state.t], [params], grid, cfg,
+            plan, _stack([state.u]), _stack([state.v]), [state.t], [params], grid, cfg,
             forcing, caps, dt_override,
         )
     if outcome.termination is not None:
@@ -801,15 +967,15 @@ def run_batch(
         initial.validate(grid)
 
     members = [_Member(st, p, grid, recorder, t_end) for st, p in zip(initials, params)]
-    with _march(len(members), grid) as helper:
+    with _march(len(members), grid) as plan:
         active = [m for m in members if m.start()]
         u = _stack([m.state.u for m in active]) if active else None
         v = _stack([m.state.v for m in active]) if active else None
+        points = [m.params for m in active]
         while active:
             caps = [t_end - m.state.t for m in active]
             u_new, v_new, outcomes = _advance(
-                helper, u, v, [m.state.t for m in active], [m.params for m in active],
-                grid, cfg, forcing, dt_cap=caps,
+                plan, u, v, [m.state.t for m in active], points, grid, cfg, forcing, caps
             )
             keep = []
             for i, (m, outcome) in enumerate(zip(active, outcomes)):
@@ -829,6 +995,7 @@ def run_batch(
                         if m.termination is not None:
                             m.detach()
                 active = [active[i] for i in keep]
+                points = [m.params for m in active]
                 u, v = u_new[keep], v_new[keep]
             else:
                 u, v = u_new, v_new

@@ -233,8 +233,8 @@ class TestRun:
 
         exact_core = stepper._helmholtz_core
 
-        def perturbed_core(rhs, grid, sigma):
-            w = exact_core(rhs, grid, sigma)
+        def perturbed_core(rhs, grid, sigma, *held):
+            w = exact_core(rhs, grid, sigma, *held)
             w.flat[5] += 1e-6 * np.linalg.norm(w)
             return w
 

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, TimeoutError
 
@@ -30,7 +31,7 @@ from kschemo import (
     run_batch,
     step,
 )
-from kschemo import operators, stepper
+from kschemo import operators, stepper, verification
 from kschemo.grid import _POSITIVITY_TOL
 from kschemo.operators import FACE_SCHEMES
 from kschemo.stepper import _neumann_eigenvalues
@@ -47,6 +48,16 @@ def grid2d():
     return Grid(extent=(1.0, 1.0), cells=(24, 24))
 
 
+def _grid_eigenvalues(grid):
+    """Eigenvalues of L_h on ``grid`` in the DCT-II basis: sums of the per-axis ones."""
+    lam = np.zeros(grid.shape)
+    for axis, (n, h) in enumerate(zip(grid.cells, grid.h)):
+        shape = [1] * grid.dim
+        shape[axis] = n
+        lam += _neumann_eigenvalues(n, h).reshape(shape)
+    return lam
+
+
 def _threaded_grid():
     """The smallest square 2D grid whose single-row half reaches _THREAD_CELLS."""
     side = math.isqrt(stepper._THREAD_CELLS - 1) + 1
@@ -59,9 +70,9 @@ def _helper_threads():
 
 
 def _advance(u, v, ts, params, grid, cfg, *args):
-    """One step of a batch as a march runs it: inside _march, with its helper."""
-    with stepper._march(len(params), grid) as helper:
-        return stepper._advance(helper, u, v, ts, params, grid, cfg, *args)
+    """One step of a batch as a march runs it: inside _march, with its plan."""
+    with stepper._march(len(params), grid) as plan:
+        return stepper._advance(plan, u, v, ts, params, grid, cfg, *args)
 
 
 def _record_threads(monkeypatch, name="_helmholtz_checked"):
@@ -148,8 +159,8 @@ class TestHelmholtz:
     def test_perturbed_solution_fails_gate(self, grid1d, grid2d, monkeypatch):
         exact_core = stepper._helmholtz_core
 
-        def perturbed_core(rhs, grid, sigma):
-            w = exact_core(rhs, grid, sigma)
+        def perturbed_core(rhs, grid, sigma, *held):
+            w = exact_core(rhs, grid, sigma, *held)
             w.flat[5] += 1e-6 * np.linalg.norm(w)
             return w
 
@@ -209,7 +220,7 @@ class TestHelmholtz:
                 if i != 1:
                     # the clip matters: without it the row dips below zero
                     spectral = stepper._cosine_transform(rhs[i], grid)
-                    spectral /= 1.0 - sigma[i] * stepper._grid_eigenvalues(grid)
+                    spectral /= 1.0 - sigma[i] * _grid_eigenvalues(grid)
                     assert stepper._cosine_transform(spectral, grid, inverse=True).min() < 0.0
 
     @pytest.mark.parametrize("rows,n", [(1, 16), (2, 256), (5, 37), (32, 1000)])
@@ -346,8 +357,8 @@ class TestTransportSlabs:
     def stage(explicit, u, v, chi, grid, scheme):
         """The explicit stage as _advance runs it: on the march's helper when _threaded."""
         explicit = explicit.copy()
-        with stepper._march(len(u), grid) as helper:
-            grad_max = stepper._subtract_transport(explicit, u, v, chi, grid, scheme, helper)
+        with stepper._march(len(u), grid) as plan:
+            grad_max = stepper._subtract_transport(explicit, u, v, chi, grid, scheme, plan.helper)
         return explicit, grad_max
 
     @pytest.mark.parametrize("scheme", FACE_SCHEMES)
@@ -401,9 +412,9 @@ class TestTransportSlabs:
         threads = _record_threads(monkeypatch, "_chemo_divergence")
         u, v = _bump(grid, 8.0, width=0.1)[None], grid.sample(lambda x, y: x)[None]
         chi = operators._column([5.0], grid.dim)
-        with stepper._march(2, grid) as helper:
-            assert helper is not None and not stepper._threaded(1, grid)
-            stepper._subtract_transport(grid.zeros()[None], u, v, chi, grid, "upwind", helper)
+        with stepper._march(2, grid) as plan:
+            assert plan.helper is not None and not stepper._threaded(1, grid)
+            stepper._subtract_transport(grid.zeros()[None], u, v, chi, grid, "upwind", plan.helper)
         assert threads == {threading.current_thread().name}
 
     def test_calling_slab_error_propagates_after_joining_helper(self, monkeypatch):
@@ -543,7 +554,8 @@ class TestStep:
 
 def _two_solve_reference(u, v, ts, params, grid, cfg, dts, forcing=None):
     """A tau=1 step as two _helmholtz_checked calls, u rows then v rows."""
-    source, _ = operators._nonlocal_source(u, grid, params)
+    alphas, betas = [p.alpha for p in params], [p.beta for p in params]
+    source, _ = operators._nonlocal_source(u, grid, params, alphas, betas)
     explicit = source
     if any(p.chi != 0.0 for p in params):
         chi = operators._column([p.chi for p in params], grid.dim)
@@ -630,9 +642,9 @@ class TestStackedSolve:
         cfg = StepperConfig()
         exact_core = stepper._helmholtz_core
 
-        def perturbed_core(rhs, grid, sigma):
+        def perturbed_core(rhs, grid, sigma, *held):
             # rows are the three u rows, then the three v rows: member 1's v is row 4
-            w = exact_core(rhs, grid, sigma)
+            w = exact_core(rhs, grid, sigma, *held)
             w[4].flat[5] += 1e-6 * np.linalg.norm(w[4])
             return w
 
@@ -657,9 +669,9 @@ class TestStackedSolve:
         checked = stepper._helmholtz_checked
         calls = []
 
-        def spy(rhs, grid, sigma):
+        def spy(rhs, grid, sigma, *held):
             calls.append((rhs.shape[0], np.ravel(sigma).tolist()))
-            return checked(rhs, grid, sigma)
+            return checked(rhs, grid, sigma, *held)
 
         monkeypatch.setattr(stepper, "_helmholtz_checked", spy)
         for grid in (grid1d, grid2d):
@@ -749,8 +761,8 @@ class TestRun:
     def test_solver_failure_cause(self, grid1d, monkeypatch):
         exact_core = stepper._helmholtz_core
 
-        def perturbed_core(rhs, grid, sigma):
-            w = exact_core(rhs, grid, sigma)
+        def perturbed_core(rhs, grid, sigma, *held):
+            w = exact_core(rhs, grid, sigma, *held)
             w.flat[5] += 1e-6 * np.linalg.norm(w)
             return w
 
@@ -877,14 +889,14 @@ class TestRun:
         checked, caller = stepper._helmholtz_checked, threading.get_ident()
         v_started, u_done = threading.Event(), []
 
-        def v_half_fails(rhs, grid, sigma):
+        def v_half_fails(rhs, grid, sigma, *held):
             if threading.get_ident() == caller:
                 v_started.set()
                 raise RuntimeError("v half failed")
             # the u half finishes only after the v half has raised
             assert v_started.wait(timeout=60)
             time.sleep(0.05)
-            result = checked(rhs, grid, sigma)
+            result = checked(rhs, grid, sigma, *held)
             u_done.append(threading.current_thread().name)
             return result
 
@@ -1141,13 +1153,181 @@ class TestFixedPointReplay:
         _assert_same_run(replayed, solved)
 
 
+def _rebuilding_every_step(monkeypatch):
+    """Defeat the step plan: it forgets both keys before each use, so every
+    step rebuilds its constants and never holds 1 - sigma*lambda."""
+    members, column = stepper._Plan.members, stepper._Plan.column
+
+    def fresh_members(plan, params):
+        plan._members = None
+        members(plan, params)
+
+    def fresh_column(plan, dts):
+        plan._dts = None
+        column(plan, dts)
+
+    monkeypatch.setattr(stepper._Plan, "members", fresh_members)
+    monkeypatch.setattr(stepper._Plan, "column", fresh_column)
+
+
+def _count_holds(monkeypatch):
+    """Count the solves at which a plan builds 1 - sigma*lambda for a repeated column."""
+    hold, holds = stepper._Plan._hold, []
+
+    def counted(plan):
+        holds.append(len(plan.sigma))
+        hold(plan)
+
+    monkeypatch.setattr(stepper._Plan, "_hold", counted)
+    return holds
+
+
+def _assert_same_result(got, want):
+    """Series rows, termination, final fields and diagnostics bitwise equal."""
+    assert got.series.rows == want.series.rows
+    assert got.termination is want.termination
+    assert got.cause == want.cause
+    assert got.state.t == want.state.t
+    assert got.state.dt_last == want.state.dt_last
+    assert got.state.u.tobytes() == want.state.u.tobytes()
+    assert got.state.v.tobytes() == want.state.v.tobytes()
+    assert got.diagnostics == want.diagnostics
+
+
+class TestStepPlan:
+    """A march's plan keeps constants from step to step and changes no bit."""
+
+    def test_run_with_retries_and_t_end_cap(self, grid1d, monkeypatch):
+        # the sharp bump of test_oversized_dt_triggers_retry_not_negatives;
+        # five proposals are 200x too large and halve back to a positive
+        # step: a new column of the same length
+        p = ModelParams(chi=8.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
+        x = grid1d.cell_centers()[0]
+        u0 = np.exp(-((x - 0.5) ** 2) / (2 * 0.03**2))
+        u0 *= 4.0 / integrate(u0, grid1d)
+        initial = State(u=u0, v=grid1d.sample(lambda x: 1.0 + np.cos(np.pi * x)))
+        cfg = StepperConfig(dt_max=1e-4)
+        rec = Recorder(k_list=(2.0, 4.0), sample_interval=1e-3)
+        propose, calls = stepper._propose_dt, []
+
+        def oversized(*args):
+            calls.append(None)
+            dts = propose(*args)
+            return [200.0 * d for d in dts] if len(calls) in (10, 20, 30, 40, 50) else dts
+
+        monkeypatch.setattr(stepper, "_propose_dt", oversized)
+        holds = _count_holds(monkeypatch)
+        planned = run(initial, p, grid1d, cfg, 0.0205, rec)
+        assert planned.termination is Termination.REACHED_T_END
+        assert planned.diagnostics.total_retries >= 5
+        # the last step lands on t_end, shorter than dt_max
+        assert planned.state.dt_last < cfg.dt_max
+        # each oversized step ends a run of repeated columns; the next holds again
+        assert len(holds) >= 5
+        calls.clear()
+        holds.clear()
+        _rebuilding_every_step(monkeypatch)
+        rebuilt = run(initial, p, grid1d, cfg, 0.0205, rec)
+        assert holds == []
+        _assert_same_result(planned, rebuilt)
+
+    def test_batch_member_leaves(self, grid1d, monkeypatch):
+        # the flat 1.2 grows toward its equilibrium at 2 and crosses the
+        # threshold after a few steps: the chi column and the dt column
+        # shrink from three rows to two
+        cfg = StepperConfig(blowup_linf_threshold=1.5)
+        rec = Recorder(k_list=(2.0,), sample_interval=0.01)
+        initials = [
+            State(u=grid1d.sample(lambda x: 1.0 + 0.3 * np.cos(np.pi * x)), v=grid1d.zeros()),
+            State(u=grid1d.full(1.2), v=grid1d.full(1.2)),
+            State(u=grid1d.sample(lambda x: 1.0 + 0.2 * np.cos(2 * np.pi * x)), v=grid1d.zeros()),
+        ]
+        points = [
+            ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=1.0),
+            ModelParams(chi=3.0, a=4.0, b=1.0, alpha=2.0, beta=2.0),
+            ModelParams(chi=2.0, a=1.0, b=1.0, alpha=2.0, beta=2.0),
+        ]
+        holds = _count_holds(monkeypatch)
+        planned = run_batch(initials, points, grid1d, cfg, 0.2, rec)
+        assert [r.termination for r in planned] == [
+            Termination.REACHED_T_END, Termination.BLOWUP_DETECTED, Termination.REACHED_T_END,
+        ]
+        assert planned[1].diagnostics.steps >= 2
+        # columns of three rows (u and v rows: 6) repeat before the member leaves, of two after
+        assert {6, 4} <= set(holds)
+        _rebuilding_every_step(monkeypatch)
+        rebuilt = run_batch(initials, points, grid1d, cfg, 0.2, rec)
+        for got, want in zip(planned, rebuilt):
+            _assert_same_result(got, want)
+
+    def test_threaded_run(self, monkeypatch):
+        grid = _threaded_grid()
+        p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+        initial = State(u=_bump(grid, 8.0, width=0.1), v=grid.zeros())
+        cfg = StepperConfig(dt_max=5e-4)
+        rec = Recorder(k_list=(2.0, 4.0), sample_interval=1e-3)
+        threads = _record_threads(monkeypatch)
+        holds = _count_holds(monkeypatch)
+        planned = run(initial, p, grid, cfg, 2e-3, rec)
+        assert len(threads) == 2
+        assert holds == [2]
+        _rebuilding_every_step(monkeypatch)
+        _assert_same_result(planned, run(initial, p, grid, cfg, 2e-3, rec))
+
+    def test_forced_level(self, monkeypatch):
+        grid = Grid(extent=(1.0,), cells=(32,))
+        case = build_mms_case(ModelParams(chi=0.25, a=1.0, b=1.0, alpha=2.0, beta=2.0), grid)
+        dt = (1.0 / 32) ** 2 / 4.0
+        holds = _count_holds(monkeypatch)
+        planned = verification._run_level(case, grid, dt, 0.02, "central")
+        # the fixed dt repeats from the second step on
+        assert holds == [2]
+        assert planned.diagnostics.steps >= 80
+        _rebuilding_every_step(monkeypatch)
+        _assert_same_result(planned, verification._run_level(case, grid, dt, 0.02, "central"))
+
+    def test_moving_dt_holds_one_column_in_the_same_buffers(self, monkeypatch):
+        grid = Grid(extent=(1.0, 1.0), cells=(128, 128))
+        assert not stepper._threaded(1, grid)
+        p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+        cfg = StepperConfig()
+
+        def march():
+            u, v, t = _bump(grid, 8.0, width=0.1)[None], grid.zeros()[None], 0.0
+            dts, buffers = [], []
+            tracemalloc.start()
+            try:
+                with stepper._march(1, grid) as plan:
+                    for _ in range(3):
+                        u, v, (outcome,) = stepper._advance(plan, u, v, [t], [p], grid, cfg)
+                        assert outcome.termination is None
+                        t += outcome.dt
+                        dts.append(outcome.dt)
+                        buffers.append((plan.sigma, plan.shift, plan.held))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, dts, buffers
+
+        peak, dts, buffers = march()
+        assert len(set(dts)) == 3
+        for sigma, shift, held in buffers[1:]:
+            assert sigma is buffers[0][0] and shift is buffers[0][1] and held is buffers[0][2]
+            assert held.denominator is None
+        assert buffers[0][0].shape == (2, 1, 1)
+        _rebuilding_every_step(monkeypatch)
+        defeated, defeated_dts, _ = march()
+        assert defeated_dts == dts
+        assert peak <= defeated + grid.zeros().nbytes
+
+
 def _advance_in_child(u, v, params, grid):
     """One step in a worker; also the names of the threads that solved and are left."""
     checked, solvers = stepper._helmholtz_checked, set()
 
-    def spy(rhs, grid, sigma):
+    def spy(rhs, grid, sigma, *held):
         solvers.add(threading.current_thread().name)
-        return checked(rhs, grid, sigma)
+        return checked(rhs, grid, sigma, *held)
 
     stepper._helmholtz_checked = spy
     try:
