@@ -30,14 +30,14 @@ def _column(values: Sequence[float], dim: int) -> np.ndarray:
     return np.array(values, dtype=float).reshape((-1,) + (1,) * dim)
 
 
-def _pow_rows(base: np.ndarray, exponents: Sequence[float]) -> np.ndarray:
+def _pow_rows(base: np.ndarray, exponents: list[float]) -> np.ndarray:
     """base[i] ** exponents[i] for each member row i (base itself for 1).
 
     A shared exponent is one call.  Mixed exponents go row by row through
     the same scalar power, so every member gets the bits it gets alone.
     """
     first = exponents[0]
-    if all(e == first for e in exponents):
+    if exponents.count(first) == len(exponents):
         return base if first == 1.0 else base**first
     out = np.empty_like(base)
     for i, e in enumerate(exponents):
@@ -45,10 +45,11 @@ def _pow_rows(base: np.ndarray, exponents: Sequence[float]) -> np.ndarray:
     return out
 
 
-def _face_slabs(arr: np.ndarray, axis: int):
-    """The cells left and right of each interior face along a negative ``axis``."""
-    tail = (slice(None),) * (-axis - 1)
-    return arr[(Ellipsis, slice(None, -1)) + tail], arr[(Ellipsis, slice(1, None)) + tail]
+# per negative field axis, the cells left and right of each interior face
+_FACES = {
+    -1: ((Ellipsis, slice(None, -1)), (Ellipsis, slice(1, None))),
+    -2: ((Ellipsis, slice(None, -1), slice(None)), (Ellipsis, slice(1, None), slice(None))),
+}
 
 
 def _flux_divergence(face_flux: np.ndarray, axis: int, h: float, out: np.ndarray) -> None:
@@ -60,7 +61,8 @@ def _flux_divergence(face_flux: np.ndarray, axis: int, h: float, out: np.ndarray
     so callers pass an array they own.
     """
     face_flux /= h
-    left_cells, right_cells = _face_slabs(out, axis)
+    left, right = _FACES[axis]
+    left_cells, right_cells = out[left], out[right]
     left_cells += face_flux
     right_cells -= face_flux
 
@@ -68,8 +70,8 @@ def _flux_divergence(face_flux: np.ndarray, axis: int, h: float, out: np.ndarray
 def _laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     out = np.zeros(f.shape)
     for axis, h in zip(grid.field_axes, grid.h):
-        f_l, f_r = _face_slabs(f, axis)
-        gradient = f_r - f_l
+        left, right = _FACES[axis]
+        gradient = f[right] - f[left]
         gradient /= h
         _flux_divergence(gradient, axis, h, out)
         # freed before the next axis allocates its own
@@ -94,11 +96,11 @@ def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> 
     out = np.zeros(u.shape)
     grad_max = []
     for axis, h in zip(grid.field_axes, grid.h):
-        v_l, v_r = _face_slabs(v, axis)
-        dv = v_r - v_l
+        left, right = _FACES[axis]
+        dv = v[right] - v[left]
         dv /= h
-        grad_max.append(np.abs(dv).max(axis=grid.field_axes))
-        u_l, u_r = _face_slabs(u, axis)
+        grad_max.append(np.maximum.reduce(np.abs(dv), axis=grid.field_axes))
+        u_l, u_r = u[left], u[right]
         if scheme == "upwind":
             u_face = np.where(dv > 0, u_l, u_r)
         else:
@@ -132,8 +134,8 @@ def _nonlocal_source(
     u: np.ndarray,
     grid: Grid,
     params: Sequence[ModelParams],
-    alphas: Sequence[float],
-    betas: Sequence[float],
+    alphas: list[float],
+    betas: list[float],
 ) -> tuple[np.ndarray, list[float]]:
     """Source fields of a batch ``u`` with one ModelParams per member row.
 
@@ -147,7 +149,7 @@ def _nonlocal_source(
     sums = np.add.reduce(u_beta, axis=grid.field_axes)
     del u_beta  # freed before the source is built
     integrals = [grid.cell_volume * s for s in sums.tolist()]
-    u_alpha *= _column([p.a - p.b * i for p, i in zip(params, integrals)], grid.dim)
+    u_alpha *= _column([p.a - p.b * i for p, i in zip(params, integrals)], u.ndim - 1)
     return u_alpha, integrals
 
 

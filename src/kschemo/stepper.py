@@ -4,7 +4,10 @@ One step of size dt from (u_n, v_n):
 
   (i)   explicit terms at t_n: E_u = -chi * div(u grad v) + nonlocal source
         on a large grid (see (iii)) one of two row slabs of the transport
-        runs on the march's helper thread; the source stays whole
+        runs on the march's helper thread; the source stays whole.  dt is
+        adapt_dt's proposal; the max u of each row that its reaction bound
+        reads is carried from the extrema (iv) took off the solve that made
+        u, or from a member's initial u (step() takes it from u)
   (ii)  u_{n+1} solves (I - dt*L_h) u = u_n + dt*E_u          (implicit diffusion)
   (iii) v_{n+1} solves ((1+dt) I - dt*L_h) v = v_n + dt*u_n
         this rhs does not need u_{n+1}, so (ii) and (iii) are one rhs array
@@ -53,13 +56,11 @@ halves, each row's ||A|| bound for the gate and, from the second solve at
 the same column on, the denominators 1 - sigma*lambda.  It rebuilds each
 only when its key changes (a new proposal, a retry halving, the t_end cap,
 a member leaving), in place into the buffers it already holds, and keeps
-no other column.  A dt held at dt_max repeats the column: 7097 of the 7408
-solves of the 256-cell Criterion 2 run, 722 of the 1029 batch solves of a
-4x4 1D sweep, 8597 of the 8602 solves of a fixed-dt 1D MMS study.  A
-column that moves every step (none of the 16 of a 512^2 bump repeats)
-never builds the denominators, so each solve divides by a temporary of its
-own, as it would without a plan.  The plan holds the values each solve
-would compute, so no bit moves.
+no other column.  A dt held at dt_max repeats the column (7097 of the
+7408 solves of the 256-cell Criterion 2 run).  A column that moves every
+step (none of the 16 of a 512^2 bump repeats) never builds the
+denominators, so each solve divides by a temporary of its own.  The plan
+holds the values each solve would compute, so no bit moves.
 
 A step is a pure function of its member's fields, coefficients and dt,
 whatever the batch or the thread split.  So when an accepted step of an
@@ -111,7 +112,7 @@ _MAX_RETRIES = 20
 # work on two threads: the transport in two row slabs, and the u and v
 # halves of the solve, handed to the march's live helper thread.  Below it
 # call dispatch outweighs the arithmetic, so the gate also stacks its three
-# squared arrays into one reduction there (_gate_norms).  Medians of
+# squared arrays into one reduction there (_helmholtz_checked).  Medians of
 # five alternating runs on 2 vCPUs, serial -> helper, one bump member: the
 # transport stage 128^2 0.36 -> 0.88 ms, 182^2 0.70 -> 1.03 ms, 256^2 1.77
 # -> 1.37 ms; the checked solve of one u row and one v row 128^2 1.97 ->
@@ -166,6 +167,7 @@ class StepOutcome:
     source_integral: float = 0.0
     mass_new: float = 0.0
     linf_u: float = 0.0
+    max_u: float = 0.0
     min_u: float = 0.0
     min_v: float = 0.0
     cause: str = ""
@@ -202,7 +204,7 @@ def _cosine_transform(x: np.ndarray, grid: Grid, inverse: bool = False) -> np.nd
     scipy.fftpack: same pocketfft kernel and bits as scipy.fft, without its
     backend dispatch, which costs more than the transform of a short field.
     """
-    if grid.dim == 1:
+    if len(grid.cells) == 1:
         transform = fftpack.idct if inverse else fftpack.dct
         return transform(x, type=2, norm="ortho", axis=-1, overwrite_x=inverse)
     transform = idctn if inverse else dctn
@@ -227,12 +229,12 @@ def _denominator(sigma, eigenvalues: list[np.ndarray], out=None) -> np.ndarray:
     return np.subtract(1.0, out, out=out)
 
 
-def _a_norm(sigma, grid: Grid, out=None) -> np.ndarray:
-    """1 + 4 sigma sum(1/h^2) for each row: the bound on ||I - sigma*L_h|| of the gate."""
-    out = np.multiply(4.0, np.ravel(sigma), out=out)
+def _a_norm(sigma, grid: Grid, rows: int) -> list[float]:
+    """1 + 4 sigma sum(1/h^2) for each of ``rows`` rows: the gate's bound on ||I - sigma*L_h||."""
+    out = np.multiply(4.0, np.broadcast_to(np.ravel(sigma), rows))
     out *= sum(1.0 / h**2 for h in grid.h)
     out += 1.0
-    return out
+    return out.tolist()
 
 
 @dataclass
@@ -243,7 +245,7 @@ class _Held:
     own, a temporary)."""
 
     eigenvalues: list[np.ndarray]
-    a_norm: np.ndarray
+    a_norm: list[float]
     denominator: Optional[np.ndarray] = None
 
     def rows(self, part: slice) -> "_Held":
@@ -272,7 +274,7 @@ def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma, held: Optional[_Held] = 
     # (I - sigma*L_h)^-1 is entrywise nonnegative, so a negative entry in a
     # member whose rhs is nonnegative is transform rounding; clipping it
     # moves w toward the exact solution
-    if rhs.min() >= 0.0:
+    if np.minimum.reduce(rhs, axis=None) >= 0.0:
         np.maximum(w, 0.0, out=w)
     else:
         nonnegative = rhs.min(axis=grid.field_axes) >= 0.0
@@ -291,28 +293,9 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.square(flat), axis=1))
 
 
-def _gate_norms(w: np.ndarray, rhs: np.ndarray, residual: np.ndarray) -> tuple:
-    """_row_norms of w, rhs and the residual, each row with the same bits.
-
-    Below _THREAD_CELLS cells per array, where call dispatch outweighs the
-    arithmetic, the three squares go into one stack and one reduction: a
-    row is summed alone whatever rows surround it.  Larger calls square one
-    array at a time, so the gate holds one squared copy, not three.
-    """
-    if w.size >= _THREAD_CELLS:
-        return _row_norms(w), _row_norms(rhs), _row_norms(residual)
-    rows = len(w)
-    squares = np.empty((3 * rows,) + w.shape[1:])
-    np.square(w, out=squares[:rows])
-    np.square(rhs, out=squares[rows : 2 * rows])
-    np.square(residual, out=squares[2 * rows :])
-    norms = np.sqrt(np.add.reduce(squares.reshape(3 * rows, -1), axis=1))
-    return norms[:rows], norms[rows : 2 * rows], norms[2 * rows :]
-
-
 def _helmholtz_checked(
     rhs: np.ndarray, grid: Grid, sigma, held: Optional[_Held] = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[float]]:
     """Solve each row as _helmholtz_core does; return (w, backward error of each row).
 
     One call carries the u and the v rows of a step and the caller splits w
@@ -330,10 +313,25 @@ def _helmholtz_checked(
     # normwise backward error: the rounding in sigma*L_h w grows like
     # eps * ||A|| * ||w||, so dividing by ||rhs|| alone fails fine grids
     # whose solves are exact to working precision
-    a_norm = _a_norm(sigma, grid) if held is None else held.a_norm
-    w_norm, rhs_norm, residual_norm = _gate_norms(w, rhs, residual)
-    scale = a_norm * w_norm + rhs_norm
-    return w, residual_norm / np.maximum(scale, 1e-300)
+    rows = len(w)
+    a_norm = _a_norm(sigma, grid, rows) if held is None else held.a_norm
+    # _row_norms of the rows of w, then rhs, then the residual: below _THREAD_CELLS
+    # cells, where dispatch outweighs the arithmetic, one reduction of the three
+    # squares stacked (a row is summed alone); larger calls hold one square at a time
+    if w.size >= _THREAD_CELLS:
+        norms = [norm for x in (w, rhs, residual) for norm in _row_norms(x).tolist()]
+    else:
+        squares = np.concatenate((w, rhs, residual))
+        np.square(squares, out=squares)
+        norms = np.sqrt(np.add.reduce(squares.reshape(3 * rows, -1), axis=1)).tolist()
+    # the same roundings as numpy's on the rows, in Python floats; max keeps
+    # a NaN scale as its first argument, as np.maximum propagates it
+    return w, [
+        residual_norm / max(a * w_norm + rhs_norm, 1e-300)
+        for a, w_norm, rhs_norm, residual_norm in zip(
+            a_norm, norms, norms[rows : 2 * rows], norms[2 * rows :]
+        )
+    ]
 
 
 def _usable_cpus() -> int:
@@ -343,16 +341,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Job cost (steps x cells) below which a pool's start and shutdown outweigh
+# its gain.  A 16/32/64-cell MMS study on 2 vCPUs, pooled against in-process
+# (medians of 5 alternating rounds): 109 vs 93 ms to t_end 0.02 (cost 24k),
+# 212 vs 232 ms to 0.05 (60k), 277 vs 353 ms to 0.075 (90k)
+_POOL_COST = 50_000
+
+
 @contextlib.contextmanager
 def _job_results(fn, jobs: Sequence[tuple], workers: int | None = None, costs=None):
     """Iterate fn(*job) over ``jobs`` in job order: on min(workers, jobs,
     usable CPUs) processes (``workers`` None: one per usable CPU), or in this
-    process when that is 1, each job as the iterator reaches it.  A pool gets
-    the costliest job first; leaving the block shuts it down and cancels the
-    jobs not yet started."""
+    process when that is 1 or the jobs' ``costs`` sum below _POOL_COST, each
+    job as the iterator reaches it.  A pool gets the costliest job first;
+    leaving the block shuts it down and cancels the jobs not yet started."""
     cpus = _usable_cpus()
     count = min(cpus if workers is None else workers, len(jobs), cpus)
-    if count <= 1:
+    if count <= 1 or (costs is not None and sum(costs) < _POOL_COST):
         yield (fn(*job) for job in jobs)
         return
     pool = ProcessPoolExecutor(max_workers=count)
@@ -425,12 +430,12 @@ class _Plan:
             self.sigma = np.empty((2 * n,) + (1,) * self.grid.dim)
             self.dt = self.sigma[:n]
             self.shift = np.empty_like(self.dt)
-            self.held = _Held(self.eigenvalues, np.empty(2 * n))
+            self.held = _Held(self.eigenvalues, [])
             self._denominator = None
         self.sigma.reshape(-1)[:n] = key
         np.add(1.0, self.dt, out=self.shift)
         np.divide(self.dt, self.shift, out=self.sigma[n:])
-        _a_norm(self.sigma, self.grid, out=self.held.a_norm)
+        self.held.a_norm = _a_norm(self.sigma, self.grid, 2 * n)
         self.held.denominator = None
 
     def _hold(self) -> None:
@@ -495,7 +500,7 @@ def _solved(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> tuple:
     """(w, backward errors, maxima, minima) of a checked solve, all but w as lists by row."""
     w, rel = _helmholtz_checked(rhs, grid, sigma, held)
     axes = grid.field_axes
-    return w, rel.tolist(), w.max(axis=axes).tolist(), w.min(axis=axes).tolist()
+    return w, rel, np.maximum.reduce(w, axes).tolist(), np.minimum.reduce(w, axes).tolist()
 
 
 def _u_rhs(rhs: np.ndarray, u, explicit, dt) -> np.ndarray:
@@ -526,7 +531,7 @@ def _solve_halves(u, v, explicit, forcing_v, plan: _Plan, grid: Grid) -> tuple:
     stacked call solves both.
     """
     n = len(u)
-    rhs = np.empty((2 * n,) + grid.shape)
+    rhs = np.empty((2 * n,) + u.shape[1:])
     dt, shift, sigma, held = plan.dt, plan.shift, plan.sigma, plan.held
     if plan.helper is not None and _threaded(n, grid):
         (w_u, rel_u, hi_u, lo_u), (w_v, rel_v, hi_v, lo_v) = _beside(
@@ -567,18 +572,18 @@ def helmholtz_solve(rhs: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
 
 
 def _propose_dt(
-    u: np.ndarray, grid: Grid, params: Sequence[ModelParams], cfg: StepperConfig,
+    umax: Sequence[float], grid: Grid, params: Sequence[ModelParams], cfg: StepperConfig,
     integrals: Sequence[float], grad_max: Sequence[np.ndarray],
 ) -> list[float]:
-    """adapt_dt for each member row of a batch.  ``grad_max`` is the per-axis
-    max|grad_h v| that _chemo_divergence returns, empty when no chi > 0."""
-    grad_max = [(h, g.tolist()) for h, g in zip(grid.h, grad_max)]
-    umax = u.max(axis=grid.field_axes).tolist()
+    """adapt_dt for each member row of a batch, whose u rows have maxima ``umax``.
+    ``grad_max`` is the per-axis max|grad_h v| that _chemo_divergence returns,
+    empty when no chi > 0."""
+    grads = list(map(np.ndarray.tolist, grad_max))
     dts = []
-    for i, (p, integral) in enumerate(zip(params, integrals)):
+    for i, p in enumerate(params):
         bound = math.inf
         if p.chi > 0:
-            for h, g in grad_max:
+            for h, g in zip(grid.h, grads):
                 bound = min(bound, h / (p.chi * g[i] + _EPS_RATE))
         if p.alpha == 1.0:
             umax_pow = 1.0
@@ -587,10 +592,9 @@ def _propose_dt(
                 umax_pow = max(umax[i], 0.0) ** (p.alpha - 1.0)
             except OverflowError:
                 umax_pow = math.inf
-        rate = (p.a + p.b * integral) * umax_pow
+        rate = (p.a + p.b * integrals[i]) * umax_pow
         bound = min(bound, 1.0 / (rate + _EPS_RATE))
-        dt = cfg.cfl_safety * bound
-        dts.append(min(max(dt, cfg.dt_min), cfg.dt_max))
+        dts.append(min(max(cfg.cfl_safety * bound, cfg.dt_min), cfg.dt_max))
     return dts
 
 
@@ -615,7 +619,7 @@ def adapt_dt(
     grad_max = ()
     if params.chi > 0:
         grad_max = _chemo_divergence(u_rows, v_rows, grid, cfg.face_scheme)[1]
-    return _propose_dt(u_rows, grid, [params], cfg, [nonlocal_integral], grad_max)[0]
+    return _propose_dt([float(u_rows.max())], grid, [params], cfg, [nonlocal_integral], grad_max)[0]
 
 
 def _stack(fields) -> np.ndarray:
@@ -626,7 +630,7 @@ def _stack(fields) -> np.ndarray:
 
 
 def _audit(
-    rows: list[int],
+    rows: Sequence[int],
     rel: list[float],
     hi: list[float],
     lo: list[float],
@@ -664,7 +668,7 @@ def _audit(
                 out.cause = f"sup norm {linf:.3e} above threshold"
                 continue
             if u_lo >= -_POSITIVITY_TOL and v_lo >= -_POSITIVITY_TOL:
-                out.linf_u, out.min_u, out.min_v = linf, u_lo, v_lo
+                out.linf_u, out.max_u, out.min_u, out.min_v = linf, u_hi, u_lo, v_lo
                 continue
         # non-finite or negative: halve this member's dt and retry from the
         # same explicit stage
@@ -685,6 +689,7 @@ def _advance(
     plan: _Plan, u: np.ndarray, v: np.ndarray, ts: Sequence[float],
     params: Sequence[ModelParams], grid: Grid, cfg: StepperConfig, forcing=None,
     dt_cap: Optional[Sequence[float]] = None, dt_override: Optional[float] = None,
+    umax: Optional[Sequence[float]] = None,
 ) -> tuple[np.ndarray, np.ndarray, list[StepOutcome]]:
     """Attempt one step for every member of a batch of trusted states.
 
@@ -693,6 +698,8 @@ def _advance(
     re-solve only the members that failed their audit.  ``plan`` is the
     march's _Plan; its helper thread takes half of the per-cell work only
     while the rows are _threaded, which they stop being as members leave.
+    ``umax`` is the max of each row of ``u`` when the caller has it (a march
+    carries each member's from the outcome that made its row), else None.
     """
     axes = grid.field_axes
     count = len(params)
@@ -702,9 +709,7 @@ def _advance(
     source_sum = np.add.reduce(source, axis=axes).tolist()
     explicit, grad_max = source, ()
     if plan.chi is not None:
-        grad_max = _subtract_transport(
-            explicit, u, v, plan.chi, grid, cfg.face_scheme, plan.helper
-        )
+        grad_max = _subtract_transport(explicit, u, v, plan.chi, grid, cfg.face_scheme, plan.helper)
     forcing_v = None
     if forcing is not None:
         # each member's forcing at its own time
@@ -714,37 +719,28 @@ def _advance(
     if dt_override is not None:
         dts = [dt_override] * count
     else:
-        dts = _propose_dt(u, grid, params, cfg, integrals, grad_max)
+        umax = np.maximum.reduce(u, axes).tolist() if umax is None else umax
+        dts = _propose_dt(umax, grid, params, cfg, integrals, grad_max)
     if dt_cap is not None:
-        dts = [min(dt, cap) for dt, cap in zip(dts, dt_cap)]
+        dts = list(map(min, dts, dt_cap))
 
     outcomes = [StepOutcome(nonlocal_integral=i) for i in integrals]
-    u_new = v_new = None
-    rows = list(range(count))
+    plan.column(dts)
+    u_new, v_new, rel, hi, lo = _solve_halves(u, v, explicit, forcing_v, plan, grid)
+    rows = _audit(range(count), rel, hi, lo, dts, outcomes, cfg)
     while rows:
-        whole = len(rows) == count
-        if whole:
-            u_r, v_r, e_r, f_r = u, v, explicit, forcing_v
-            plan.column(dts)
-        else:
-            u_r, v_r, e_r = u[rows], v[rows], explicit[rows]
-            f_r = None if forcing_v is None else forcing_v[rows]
-            plan.column([dts[i] for i in rows])
-        cand_u, cand_v, rel, hi, lo = _solve_halves(u_r, v_r, e_r, f_r, plan, grid)
-        if whole:
-            u_new, v_new = cand_u, cand_v
-        else:
-            u_new[rows] = cand_u
-            v_new[rows] = cand_v
+        plan.column([dts[i] for i in rows])
+        f_r = None if forcing_v is None else forcing_v[rows]
+        w_u, w_v, rel, hi, lo = _solve_halves(u[rows], v[rows], explicit[rows], f_r, plan, grid)
+        u_new[rows], v_new[rows] = w_u, w_v
         rows = _audit(rows, rel, hi, lo, dts, outcomes, cfg)
 
-    accepted = [i for i, out in enumerate(outcomes) if out.termination is None]
-    if accepted:
-        cell_volume = grid.cell_volume
-        mass = np.add.reduce(u_new, axis=axes).tolist()
-        for i in accepted:
-            outcomes[i].mass_new = cell_volume * mass[i]
-            outcomes[i].source_integral = cell_volume * source_sum[i]
+    cell_volume = grid.cell_volume
+    mass = np.add.reduce(u_new, axis=axes).tolist()
+    for out, row_mass, row_source in zip(outcomes, mass, source_sum):
+        if out.termination is None:
+            out.mass_new = cell_volume * row_mass
+            out.source_integral = cell_volume * row_source
     return u_new, v_new, outcomes
 
 
@@ -773,10 +769,8 @@ def step(
         raise ValueError("dt_override must be positive")
     caps = None if dt_cap is None else [dt_cap]
     with _march(1, grid) as plan:
-        u_new, v_new, (outcome,) = _advance(
-            plan, _stack([state.u]), _stack([state.v]), [state.t], [params], grid, cfg,
-            forcing, caps, dt_override,
-        )
+        u_new, v_new, (outcome,) = _advance(plan, _stack([state.u]), _stack([state.v]), [state.t],
+                                            [params], grid, cfg, forcing, caps, dt_override)
     if outcome.termination is not None:
         return state, outcome
     return State(u=u_new[0], v=v_new[0], t=state.t + outcome.dt, dt_last=outcome.dt), outcome
@@ -839,12 +833,13 @@ class _Member:
         self.recorder = recorder
         self.t_end = t_end
         self.time_tol = 1e-12 * max(1.0, abs(t_end))
+        self.end = t_end - self.time_tol  # a step ending at or past it reaches t_end
         self.series = ObservableSeries.for_run(recorder.k_list)
         self.diag = RunDiagnostics()
         self.next_sample = initial.t + recorder.sample_interval
         self.termination: Optional[Termination] = None
         self.cause = ""
-        self.mass = 0.0
+        self.mass = self.top = 0.0  # the mass and max u of self.state
 
     def start(self) -> bool:
         """Record the initial row; False when the member is already done."""
@@ -852,9 +847,10 @@ class _Member:
             return False
         u, v = self.state.u, self.state.v
         self.mass = integrate(u, self.grid)
+        self.top = float(np.max(u))
         self.diag.min_u = float(np.min(u))
         self.diag.min_v = float(np.min(v))
-        if self.state.t >= self.t_end - self.time_tol:
+        if self.state.t >= self.end:
             self.finish(Termination.REACHED_T_END, _REACHED_T_END)
             return False
         return True
@@ -875,25 +871,24 @@ class _Member:
     def accept(self, outcome: StepOutcome, u: np.ndarray, v: np.ndarray) -> bool:
         """Take an accepted step to fields (u, v), sample when due and
         finish at t_end; False when the member is done."""
-        t = self.state.t + outcome.dt
-        self.state = State(u=u, v=v, t=t, dt_last=outcome.dt)
+        dt, mass = outcome.dt, outcome.mass_new
+        t = self.state.t + dt
+        self.state = State(u, v, t, dt)
         diag = self.diag
         diag.steps += 1
         diag.total_retries += outcome.retries
-        violation = abs(
-            outcome.mass_new - self.mass - outcome.dt * outcome.source_integral
-        ) / max(outcome.mass_new, 1e-300)
+        violation = abs(mass - self.mass - dt * outcome.source_integral) / max(mass, 1e-300)
         diag.max_mass_identity_violation = max(diag.max_mass_identity_violation, violation)
         diag.min_u = min(diag.min_u, outcome.min_u)
         diag.min_v = min(diag.min_v, outcome.min_v)
-        self.mass = outcome.mass_new
+        self.mass, self.top = mass, outcome.max_u
         time_tol = self.time_tol
-        if t >= self.next_sample - time_tol or t >= self.t_end - time_tol:
+        if t >= self.next_sample - time_tol or t >= self.end:
             if not self.sample():
                 return False
             while self.next_sample <= t + time_tol:
                 self.next_sample += self.recorder.sample_interval
-        if t < self.t_end - time_tol:
+        if t < self.end:
             return True
         self.finish(Termination.REACHED_T_END, _REACHED_T_END)
         return False
@@ -925,17 +920,20 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _fixed_point(
-    outcome: StepOutcome, cap: float, mass: float, u, v, u_new, v_new
+    outcome: StepOutcome, cap: float, mass: float, top: float, u, v, u_new, v_new
 ) -> bool:
     """Whether an accepted step of an unforced member is a fixed point of the
     step map: it took no retry, its dt was the proposal and not the t_end
     ``cap``, and its new rows are its old rows ``u``, ``v`` bit for bit.
-    ``mass`` is the member's mass before the step; comparing it first keeps
-    the array passes off every step whose mass moved."""
+    ``mass`` and ``top`` are the member's mass and max u before the step;
+    comparing them first keeps the array passes off every step whose mass
+    or max moved (the max moves on 3108 of the 3235 steps of the 256-cell
+    Criterion 2 run whose mass holds)."""
     return (
         outcome.retries == 0
         and outcome.dt < cap
         and outcome.mass_new == mass
+        and outcome.max_u == top
         and _same_bits(u_new, u)
         and _same_bits(v_new, v)
     )
@@ -973,17 +971,17 @@ def run_batch(
         v = _stack([m.state.v for m in active]) if active else None
         points = [m.params for m in active]
         while active:
-            caps = [t_end - m.state.t for m in active]
-            u_new, v_new, outcomes = _advance(
-                plan, u, v, [m.state.t for m in active], points, grid, cfg, forcing, caps
-            )
+            ts = [m.state.t for m in active]
+            caps = [t_end - t for t in ts]
+            u_new, v_new, outcomes = _advance(plan, u, v, ts, points, grid, cfg, forcing, caps,
+                                              umax=[m.top for m in active])
             keep = []
             for i, (m, outcome) in enumerate(zip(active, outcomes)):
                 if outcome.termination is not None:
                     m.finish(outcome.termination, outcome.cause)
                     continue
                 fixed = forcing is None and _fixed_point(
-                    outcome, caps[i], m.mass, u[i], v[i], u_new[i], v_new[i]
+                    outcome, caps[i], m.mass, m.top, u[i], v[i], u_new[i], v_new[i]
                 )
                 if m.accept(outcome, u_new[i], v_new[i]) and fixed:
                     m.replay(outcome)

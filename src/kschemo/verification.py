@@ -262,10 +262,10 @@ def convergence_study(
     The levels are independent, so they go to ``stepper._job_results``
     with one worker asked per usable CPU: min(usable CPUs, levels)
     processes, the costliest level (steps x cells) first, or this process
-    alone with one usable CPU.  Results are read back and checked in level
-    order, and the first failed check cancels the levels not yet started,
-    so the table, and the error raised for the lowest failing level, are
-    the same bits either way.
+    alone with one usable CPU or a total cost below stepper._POOL_COST.
+    Results are read back and checked in level order, and the first failed
+    check cancels the levels not yet started, so the table, and the error
+    raised for the lowest failing level, are the same bits either way.
     """
     if len(grids) != len(dts):
         raise ValueError("need one dt per grid")

@@ -173,22 +173,32 @@ class TestHelmholtz:
                     helmholtz_solve(rhs, grid, sigma)
 
     def test_gate_residual_matches_expression(self, grid1d, grid2d):
-        # the gate builds w - sigma*L_h w - rhs in the Laplacian's array; its
-        # backward error must carry the bits of the plain expression
+        # the gate builds w - sigma*L_h w - rhs in the Laplacian's array and
+        # takes the backward error in Python floats; it must carry the bits
+        # of the plain numpy expression, NaN and the 1e-300 floor included.
+        # Rows 3 to 5 hold a NaN, an inf (which the transform turns into
+        # inf - inf, so NaN) and zeros only
         odd = Grid(extent=(2.5,), cells=(37,))
         for grid, seed in ((grid1d, 10), (grid2d, 11), (odd, 12)):
             rng = np.random.default_rng(seed)
-            rhs = rng.standard_normal((3,) + grid.shape)
-            column = operators._column([1e-4, 2.3e-3, 1.0], grid.dim)
+            rhs = rng.standard_normal((6,) + grid.shape)
+            rhs[3].flat[4] = np.nan
+            rhs[4].flat[2] = np.inf
+            rhs[5] = 0.0
+            column = operators._column([1e-4, 2.3e-3, 1.0, 1e-2, 0.5, 3.0], grid.dim)
             for sigma in (2.3e-3, 1.0, column):
                 kept = rhs.copy()
-                w, rel = stepper._helmholtz_checked(rhs, grid, sigma)
+                with np.errstate(all="ignore"):
+                    w, rel = stepper._helmholtz_checked(rhs, grid, sigma)
+                    residual = w - sigma * operators._laplacian(w, grid) - rhs
+                    a_norm = 1.0 + 4.0 * np.ravel(sigma) * sum(1.0 / h**2 for h in grid.h)
+                    scale = a_norm * stepper._row_norms(w) + stepper._row_norms(rhs)
+                    expected = stepper._row_norms(residual) / np.maximum(scale, 1e-300)
                 np.testing.assert_array_equal(rhs, kept)
-                residual = w - sigma * operators._laplacian(w, grid) - rhs
-                a_norm = 1.0 + 4.0 * np.ravel(sigma) * sum(1.0 / h**2 for h in grid.h)
-                scale = a_norm * stepper._row_norms(w) + stepper._row_norms(rhs)
-                expected = stepper._row_norms(residual) / np.maximum(scale, 1e-300)
-                assert rel.tolist() == expected.tolist()
+                assert np.array(rel).tobytes() == expected.tobytes()
+                assert math.isnan(rel[3]) and math.isnan(rel[4])
+                # 0 / 0 without the floor
+                assert rel[5] == 0.0
 
     def test_row_error_independent_of_batch(self):
         # a row's backward error is the one it gets alone, at row lengths
@@ -199,7 +209,7 @@ class TestHelmholtz:
         _, rel = stepper._helmholtz_checked(rhs, grid, sigma)
         for i in range(3):
             _, alone = stepper._helmholtz_checked(rhs[i : i + 1], grid, sigma[i : i + 1])
-            assert alone.tolist() == [rel[i]]
+            assert alone == [rel[i]]
 
     def test_mixed_batch_clips_only_nonnegative_rows(self, grid1d, grid2d):
         # rows 0 and 2 have nonnegative rhs and rounding negatives to clip;
@@ -336,7 +346,8 @@ class TestTransportBound:
         integrals = [integral] * len(params)
         with np.errstate(**stepper._QUIET):
             _, grad_max = operators._chemo_divergence(u, v, grid, cfg.face_scheme)
-            dts = stepper._propose_dt(u, grid, params, cfg, integrals, grad_max)
+            umax = u.max(axis=grid.field_axes).tolist()
+            dts = stepper._propose_dt(umax, grid, params, cfg, integrals, grad_max)
             assert dts == _np_diff_dts(u, v, grid, params, cfg, integrals)
             for axis, h, g in zip(grid.field_axes, grid.h, grad_max):
                 expected = np.abs(np.diff(v, axis=axis)).max(axis=grid.field_axes) / h
@@ -626,8 +637,8 @@ class TestStackedSolve:
                 )
                 np.testing.assert_array_equal(u_new, w_u)
                 np.testing.assert_array_equal(v_new, w_v)
-                assert [o.residual_u for o in outcomes] == rel_u.tolist()
-                assert [o.residual_v for o in outcomes] == rel_v.tolist()
+                assert [o.residual_u for o in outcomes] == rel_u
+                assert [o.residual_v for o in outcomes] == rel_v
                 if grid is large:
                     with monkeypatch.context() as patch:
                         patch.setattr(stepper, "_THREAD_CELLS", math.inf)
@@ -1064,14 +1075,16 @@ class TestFixedPointReplay:
     def test_one_ulp_in_v_is_not_a_fixed_point(self):
         grid = Grid(extent=(1.0,), cells=(32,))
         u, v = grid.full(1.0), grid.full(1.0)
-        outcome = StepOutcome(dt=0.1, mass_new=1.0)
-        assert stepper._fixed_point(outcome, 1.0, 1.0, u, v, u.copy(), v.copy())
+        outcome = StepOutcome(dt=0.1, mass_new=1.0, max_u=1.0)
+        assert stepper._fixed_point(outcome, 1.0, 1.0, 1.0, u, v, u.copy(), v.copy())
+        # a max u that moved rules the step out before any array pass
+        assert not stepper._fixed_point(outcome, 1.0, 1.0, 2.0, u, v, u.copy(), v.copy())
         nudged = v.copy()
         nudged[7] = np.nextafter(nudged[7], np.inf)
-        assert not stepper._fixed_point(outcome, 1.0, 1.0, u, v, u.copy(), nudged)
+        assert not stepper._fixed_point(outcome, 1.0, 1.0, 1.0, u, v, u.copy(), nudged)
         # 0.0 and -0.0 compare equal but are not the same bits
         zero = grid.zeros()
-        assert not stepper._fixed_point(outcome, 1.0, 1.0, u, zero, u.copy(), -zero)
+        assert not stepper._fixed_point(outcome, 1.0, 1.0, 1.0, u, zero, u.copy(), -zero)
 
     def test_run_whose_v_moves_by_one_ulp_replays_nothing(self, monkeypatch):
         # without chemotaxis u stays at its equilibrium whatever v does; each
@@ -1123,7 +1136,7 @@ class TestFixedPointReplay:
         assert result.diagnostics.replayed_steps == 0
         assert result.diagnostics.total_retries == result.diagnostics.steps == 21
         assert not stepper._fixed_point(
-            StepOutcome(dt=0.1, mass_new=1.0, retries=1), 1.0, 1.0,
+            StepOutcome(dt=0.1, mass_new=1.0, max_u=1.0, retries=1), 1.0, 1.0, 1.0,
             state.u, state.v, state.u, state.v,
         )
 
@@ -1145,7 +1158,8 @@ class TestFixedPointReplay:
         # the last solve is the step that lands on t_end, shorter than dt_max
         assert solved_dts[-1] == replayed.state.dt_last < self.CFG.dt_max
         assert not stepper._fixed_point(
-            StepOutcome(dt=0.05, mass_new=1.0), 0.05, 1.0, state.u, state.v, state.u, state.v,
+            StepOutcome(dt=0.05, mass_new=1.0, max_u=1.0), 0.05, 1.0, 1.0,
+            state.u, state.v, state.u, state.v,
         )
         _solving_every_step(monkeypatch)
         solved = run(state, p, grid, self.CFG, 2.05, self.REC)
@@ -1319,6 +1333,102 @@ class TestStepPlan:
         defeated, defeated_dts, _ = march()
         assert defeated_dts == dts
         assert peak <= defeated + grid.zeros().nbytes
+
+
+def _carried_maxima(monkeypatch):
+    """Spy on a march's steps: each carried u maximum is checked against its
+    field; returns how many solves got their maxima carried."""
+    advance, carried = stepper._advance, []
+
+    def spy(plan, u, v, *args, umax=None):
+        if umax is not None:
+            assert umax == np.maximum.reduce(u, tuple(range(1 - u.ndim, 0))).tolist()
+            carried.append(len(umax))
+        return advance(plan, u, v, *args, umax=umax)
+
+    monkeypatch.setattr(stepper, "_advance", spy)
+    return carried
+
+
+def _recomputing_maxima(monkeypatch):
+    """Drop the carried maxima, so every dt proposal takes max u from the fields."""
+    advance = stepper._advance
+    monkeypatch.setattr(stepper, "_advance", lambda *args, umax=None: advance(*args))
+
+
+class TestCarriedMaxima:
+    """The dt proposal reads the u maxima the audit took off the solve that made u."""
+
+    def test_1d_run_with_replayed_tail(self, monkeypatch):
+        grid = Grid(extent=(1.0,), cells=(32,))
+        state, p = _moving(grid)
+        cfg, rec = TestFixedPointReplay.CFG, TestFixedPointReplay.REC
+        with monkeypatch.context() as patch:
+            carried = _carried_maxima(patch)
+            got = run(state, p, grid, cfg, 60.0, rec)
+        assert 0 < got.diagnostics.replayed_steps < got.diagnostics.steps
+        # every solve, the capped one after the replay included
+        assert len(carried) == got.diagnostics.steps - got.diagnostics.replayed_steps
+        _recomputing_maxima(monkeypatch)
+        _assert_same_result(got, run(state, p, grid, cfg, 60.0, rec))
+
+    def test_2d_run(self, monkeypatch):
+        grid = Grid(extent=(1.0, 1.0), cells=(32, 32))
+        p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+        initial = State(u=_bump(grid, 8.0, width=0.1), v=grid.zeros())
+        rec = Recorder(k_list=(2.0, 4.0), sample_interval=0.01)
+        with monkeypatch.context() as patch:
+            carried = _carried_maxima(patch)
+            got = run(initial, p, grid, StepperConfig(), 0.03, rec)
+        assert got.termination is Termination.REACHED_T_END
+        assert len(carried) == got.diagnostics.steps > 3
+        _recomputing_maxima(monkeypatch)
+        _assert_same_result(got, run(initial, p, grid, StepperConfig(), 0.03, rec))
+
+    def test_batch_with_a_retry_and_a_member_leaving(self, grid1d, monkeypatch):
+        # member 0, a sharp bump, gets a 200x dt on two steps and retries;
+        # member 1 grows from 60 past the sup norm threshold and leaves
+        cfg = StepperConfig(dt_max=1e-4, blowup_linf_threshold=80.0)
+        rec = Recorder(k_list=(2.0,), sample_interval=1e-3)
+        x = grid1d.cell_centers()[0]
+        sharp = np.exp(-((x - 0.5) ** 2) / (2 * 0.03**2))
+        sharp *= 4.0 / integrate(sharp, grid1d)
+        initials = [
+            State(u=sharp, v=grid1d.sample(lambda x: 1.0 + np.cos(np.pi * x))),
+            State(u=grid1d.full(60.0), v=grid1d.full(60.0)),
+            State(u=grid1d.sample(lambda x: 1.0 + 0.2 * np.cos(2 * np.pi * x)), v=grid1d.zeros()),
+        ]
+        points = [
+            ModelParams(chi=8.0, a=1.0, b=1.0, alpha=1.5, beta=3.0),
+            ModelParams(chi=0.0, a=1.0, b=1e-6, alpha=2.0, beta=2.0),
+            ModelParams(chi=2.0, a=1.0, b=1.0, alpha=2.0, beta=2.0),
+        ]
+        propose, calls = stepper._propose_dt, []
+
+        def oversized(*args):
+            calls.append(None)
+            dts = propose(*args)
+            return [200.0 * dts[0]] + dts[1:] if len(calls) in (5, 60) else dts
+
+        monkeypatch.setattr(stepper, "_propose_dt", oversized)
+
+        def march():
+            calls.clear()
+            return run_batch(initials, points, grid1d, cfg, 8e-3, rec)
+
+        with monkeypatch.context() as patch:
+            carried = _carried_maxima(patch)
+            got = march()
+        assert [r.termination for r in got] == [
+            Termination.REACHED_T_END, Termination.BLOWUP_DETECTED, Termination.REACHED_T_END,
+        ]
+        assert got[0].diagnostics.total_retries >= 2
+        assert got[2].diagnostics.total_retries == 0
+        # three rows before member 1 leaves, two after
+        assert {3, 2} <= set(carried)
+        _recomputing_maxima(monkeypatch)
+        for got_one, want in zip(got, march()):
+            _assert_same_result(got_one, want)
 
 
 def _advance_in_child(u, v, params, grid):

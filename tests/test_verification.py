@@ -213,10 +213,12 @@ class TestConvergenceStudy:
 
     def test_two_failing_levels_report_the_lower(self, params, monkeypatch):
         # levels 1 and 2 take dt far above the transport bound; the pool gets
-        # level 0, the costliest, then level 2, yet level 1 is the one reported
+        # level 0, the costliest, then level 2, yet level 1 is the one reported.
+        # The study is below the pool's cost threshold, so the threshold goes
         grids = [Grid(extent=(1.0,), cells=(n,)) for n in (16, 32, 64)]
         dts = [2e-4, 0.01, 0.01]
         case = build_mms_case(ModelParams(chi=50.0, a=1.0, b=1.0, alpha=2.0, beta=2.0), grids[0])
+        monkeypatch.setattr(stepper, "_POOL_COST", 0)
         messages = []
         for cpus in (2, 1):
             monkeypatch.setattr(stepper, "_usable_cpus", lambda: cpus)
@@ -272,11 +274,29 @@ class PidStamped:
 
 
 class TestLevelsSideBySide:
-    """The pooled study (two usable CPUs) against the in-process one (one)."""
+    """The pooled study (two usable CPUs) against the in-process one (one).
+    These studies are small, so the pool's cost threshold is lifted."""
 
     def study(self, monkeypatch, cpus, case, grids, dts, t_end):
         monkeypatch.setattr(stepper, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(stepper, "_POOL_COST", 0)
         return convergence_study(case, grids, dts, t_end, face_scheme="central").rows
+
+    def test_study_below_the_cost_threshold_stays_in_process(self, params, monkeypatch,
+                                                             inline_pools):
+        # 100 steps of 16 cells and 400 of 32: a cost of 14400 (steps x cells)
+        grids = [Grid(extent=(1.0,), cells=(n,)) for n in (16, 32)]
+        dts = [2e-4 * (16 / n) ** 2 for n in (16, 32)]
+        case = build_mms_case(params, grids[0])
+        pools = inline_pools()
+        monkeypatch.setattr(stepper, "_usable_cpus", lambda: 2)
+        assert stepper._POOL_COST > 14400
+        rows = convergence_study(case, grids, dts, 0.02, face_scheme="central").rows
+        assert pools == []
+        monkeypatch.setattr(stepper, "_POOL_COST", 14400)
+        assert convergence_study(case, grids, dts, 0.02, face_scheme="central").rows == rows
+        (pool,) = pools
+        assert pool.max_workers == 2 and pool.shut_down
 
     @pytest.mark.parametrize(
         "cells, dts, t_end",
