@@ -178,12 +178,14 @@ def _batches(points: list, workers: int, max_size: int) -> list[list]:
 
 
 def _resume_sweep(csv_path: str, ledger_path: str, header: str, n: int, base) -> set[str]:
-    """The points the ledger lists as finished.  ``csv_path`` is made with
-    ``header``, or cut back to its last complete line so that a row torn by a
-    kill is redone (its ledger line comes after it); a file of another kind
-    of sweep (plain against --simulate) or of another --n raises ConfigError,
-    and so does a resolved_config.txt beside it that is not ``base``'s (under
-    --simulate); a missing one is written once nothing was refused."""
+    """The finished points: those the ledger lists and those of every
+    complete row of ``csv_path``, so that a row whose ledger line a kill cut
+    off is not written twice.  ``csv_path`` is made with ``header``, or cut
+    back to its last complete line so that a row torn by a kill is redone; a
+    file of another kind of sweep (plain against --simulate) or of another
+    --n raises ConfigError, and so does a resolved_config.txt beside it that
+    is not ``base``'s (under --simulate); a missing one is written once
+    nothing was refused."""
     cells = header.split(",")
     record = os.path.join(os.path.dirname(csv_path), "resolved_config.txt")
     try:
@@ -204,7 +206,9 @@ def _resume_sweep(csv_path: str, ledger_path: str, header: str, n: int, base) ->
             write_resolved(base, record)
         with open(ledger_path, "a+") as fh:
             fh.seek(0)
-            return {line.strip() for line in fh if line.strip()}
+            ledger = {line.strip() for line in fh if line.strip()}
+        # a row's alpha,beta cells are its _point_id
+        return ledger | {",".join(r[:2]) for r in rows}
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(exc), key="--output") from None
 

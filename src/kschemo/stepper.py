@@ -49,18 +49,17 @@ the same row reductions whatever the batch, so its series is bitwise the
 one it gets alone.  run() and step() are the B = 1 case.
 
 A march keeps one step plan (_Plan): its helper thread, the per-axis
-eigenvalues of its grid and the constants its steps share.  Per active
-set, the rows' ModelParams, it holds the chi column and the exponent lists;
-per dt column, the rows' dts, the dt, 1+dt and sigma columns of both
-halves, each row's ||A|| bound for the gate and, from the second solve at
-the same column on, the denominators 1 - sigma*lambda.  It rebuilds each
-only when its key changes (a new proposal, a retry halving, the t_end cap,
-a member leaving), in place into the buffers it already holds, and keeps
-no other column.  A dt held at dt_max repeats the column (7097 of the
-7408 solves of the 256-cell Criterion 2 run).  A column that moves every
-step (none of the 16 of a 512^2 bump repeats) never builds the
-denominators, so each solve divides by a temporary of its own.  The plan
-holds the values each solve would compute, so no bit moves.
+eigenvalues of its grid and the values its steps share.  Per active set,
+the rows' ModelParams, it holds the chi column and the exponent lists; per
+dt column, the rows' dts, the dt, 1+dt and sigma columns of both halves,
+each row's ||A|| bound for the gate and, from the second solve at the same
+column on, the denominators 1 - sigma*lambda.  It builds each afresh only
+when its key changes (a new proposal, a retry halving, the t_end cap, a
+member leaving).  A dt held at dt_max repeats the column (7097 of the 7408
+solves of the 256-cell Criterion 2 run); a column that moves every step
+(none of the 16 of a 512^2 bump repeats) never builds the denominators,
+and each solve divides by a temporary of its own.  The plan holds the
+values each solve would compute, so no bit moves.
 
 A step is a pure function of its member's fields, coefficients and dt,
 whatever the batch or the thread split.  So when an accepted step of an
@@ -166,7 +165,6 @@ class StepOutcome:
     nonlocal_integral: float = 0.0
     source_integral: float = 0.0
     mass_new: float = 0.0
-    linf_u: float = 0.0
     max_u: float = 0.0
     min_u: float = 0.0
     min_v: float = 0.0
@@ -211,7 +209,7 @@ def _cosine_transform(x: np.ndarray, grid: Grid, inverse: bool = False) -> np.nd
     return transform(x, type=2, norm="ortho", axes=grid.field_axes, overwrite_x=inverse)
 
 
-def _denominator(sigma, eigenvalues: list[np.ndarray], out=None) -> np.ndarray:
+def _denominator(sigma, eigenvalues: list[np.ndarray]) -> np.ndarray:
     """1 - sigma*lambda for each row: the divisor of its cosine coefficients.
 
     lambda, the grid's eigenvalues, is summed from the per-axis ones of
@@ -219,22 +217,19 @@ def _denominator(sigma, eigenvalues: list[np.ndarray], out=None) -> np.ndarray:
     eigenvalue array outlives the call.
     """
     if len(eigenvalues) == 1:
-        out = np.multiply(sigma, eigenvalues[0], out=out)
+        out = np.multiply(sigma, eigenvalues[0])
     else:
         first, second = eigenvalues
-        if out is None:
-            out = np.empty(np.broadcast_shapes(np.shape(sigma), first.shape, second.shape))
+        out = np.empty(np.broadcast_shapes(np.shape(sigma), first.shape, second.shape))
         np.add(first, second, out=out)
         out *= sigma
     return np.subtract(1.0, out, out=out)
 
 
-def _a_norm(sigma, grid: Grid, rows: int) -> list[float]:
-    """1 + 4 sigma sum(1/h^2) for each of ``rows`` rows: the gate's bound on ||I - sigma*L_h||."""
-    out = np.multiply(4.0, np.broadcast_to(np.ravel(sigma), rows))
-    out *= sum(1.0 / h**2 for h in grid.h)
-    out += 1.0
-    return out.tolist()
+def _a_norm(sigmas: Sequence[float], grid: Grid) -> list[float]:
+    """1 + 4 sigma sum(1/h^2) for each of ``sigmas``: the gate's bound on ||I - sigma*L_h||."""
+    inverse_h2 = sum(1.0 / h**2 for h in grid.h)
+    return [4.0 * sigma * inverse_h2 + 1.0 for sigma in sigmas]
 
 
 @dataclass
@@ -314,7 +309,7 @@ def _helmholtz_checked(
     # eps * ||A|| * ||w||, so dividing by ||rhs|| alone fails fine grids
     # whose solves are exact to working precision
     rows = len(w)
-    a_norm = _a_norm(sigma, grid, rows) if held is None else held.a_norm
+    a_norm = held.a_norm if held else _a_norm(np.broadcast_to(np.ravel(sigma), rows).tolist(), grid)
     # _row_norms of the rows of w, then rhs, then the residual: below _THREAD_CELLS
     # cells, where dispatch outweighs the arithmetic, one reduction of the three
     # squares stacked (a row is summed alone); larger calls hold one square at a time
@@ -382,11 +377,11 @@ class _Plan:
       * the active set, the rows' ModelParams: the chi column (None when
         every chi is 0) and the exponent lists;
       * the dt column, the rows' dts: ``sigma``, dt for the u rows stacked
-        on dt/(1+dt) for the v rows, with ``dt`` its u half as a view,
-        ``shift`` = 1+dt and ``held`` (each row's ||A|| bound and, from the
-        second solve at the same column on, its 1 - sigma*lambda).
-    Each is rebuilt only when its key changes, in place into the buffers it
-    holds while the row count stays.
+        on dt/(1+dt) for the v rows, with ``dt`` its u half, ``shift`` =
+        1+dt and ``held`` (each row's ||A|| bound and, from the second
+        solve at the same column on, its 1 - sigma*lambda).
+    Each holds values, built from its key when the key changes; no array
+    of them is written into after.
     """
 
     def __init__(self, grid: Grid, helper: Optional[ThreadPoolExecutor]):
@@ -401,10 +396,8 @@ class _Plan:
         self.alphas: list[float] = []
         self.betas: list[float] = []
         self._dts: Optional[tuple] = None
-        self.sigma: Optional[np.ndarray] = None
-        self.dt = self.shift = None
+        self.sigma = self.dt = self.shift = None
         self.held: Optional[_Held] = None
-        self._denominator: Optional[np.ndarray] = None
 
     def members(self, params: Sequence[ModelParams]) -> None:
         """Set the active set to ``params``, one per row."""
@@ -422,27 +415,16 @@ class _Plan:
         key = tuple(dts)
         if key == self._dts:
             if self.held.denominator is None:
-                self._hold()
+                self.held.denominator = _denominator(self.sigma, self.eigenvalues)
             return
         self._dts = key
-        n = len(key)
-        if self.sigma is None or len(self.sigma) != 2 * n:
-            self.sigma = np.empty((2 * n,) + (1,) * self.grid.dim)
-            self.dt = self.sigma[:n]
-            self.shift = np.empty_like(self.dt)
-            self.held = _Held(self.eigenvalues, [])
-            self._denominator = None
-        self.sigma.reshape(-1)[:n] = key
-        np.add(1.0, self.dt, out=self.shift)
-        np.divide(self.dt, self.shift, out=self.sigma[n:])
-        self.held.a_norm = _a_norm(self.sigma, self.grid, 2 * n)
-        self.held.denominator = None
-
-    def _hold(self) -> None:
-        """Build 1 - sigma*lambda of the current column into the held buffer."""
-        if self._denominator is None:
-            self._denominator = np.empty((len(self.sigma),) + self.grid.shape)
-        self.held.denominator = _denominator(self.sigma, self.eigenvalues, out=self._denominator)
+        # Python floats round as numpy does on a column, so no bit moves
+        shifts = [1.0 + dt for dt in key]
+        sigmas = [*key, *(dt / shift for dt, shift in zip(key, shifts))]
+        self.sigma = _column(sigmas, self.grid.dim)
+        self.dt = self.sigma[: len(key)]
+        self.shift = _column(shifts, self.grid.dim)
+        self.held = _Held(self.eigenvalues, _a_norm(sigmas, self.grid))
 
 
 @contextlib.contextmanager
@@ -664,11 +646,10 @@ def _audit(
                 continue
             if linf > cfg.blowup_linf_threshold:
                 out.termination = Termination.BLOWUP_DETECTED
-                out.linf_u = linf
                 out.cause = f"sup norm {linf:.3e} above threshold"
                 continue
             if u_lo >= -_POSITIVITY_TOL and v_lo >= -_POSITIVITY_TOL:
-                out.linf_u, out.max_u, out.min_u, out.min_v = linf, u_hi, u_lo, v_lo
+                out.max_u, out.min_u, out.min_v = u_hi, u_lo, v_lo
                 continue
         # non-finite or negative: halve this member's dt and retry from the
         # same explicit stage
@@ -687,9 +668,8 @@ def _audit(
 
 def _advance(
     plan: _Plan, u: np.ndarray, v: np.ndarray, ts: Sequence[float],
-    params: Sequence[ModelParams], grid: Grid, cfg: StepperConfig, forcing=None,
-    dt_cap: Optional[Sequence[float]] = None, dt_override: Optional[float] = None,
-    umax: Optional[Sequence[float]] = None,
+    params: Sequence[ModelParams], grid: Grid, cfg: StepperConfig, forcing,
+    dt_cap: Sequence[float], umax: Sequence[float], dt_override: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray, list[StepOutcome]]:
     """Attempt one step for every member of a batch of trusted states.
 
@@ -698,8 +678,9 @@ def _advance(
     re-solve only the members that failed their audit.  ``plan`` is the
     march's _Plan; its helper thread takes half of the per-cell work only
     while the rows are _threaded, which they stop being as members leave.
-    ``umax`` is the max of each row of ``u`` when the caller has it (a march
-    carries each member's from the outcome that made its row), else None.
+    ``dt_cap`` bounds each member's dt (math.inf: no bound); ``umax`` is
+    the max of each row of ``u`` (a march carries each member's from the
+    outcome that made its row).
     """
     axes = grid.field_axes
     count = len(params)
@@ -719,10 +700,8 @@ def _advance(
     if dt_override is not None:
         dts = [dt_override] * count
     else:
-        umax = np.maximum.reduce(u, axes).tolist() if umax is None else umax
         dts = _propose_dt(umax, grid, params, cfg, integrals, grad_max)
-    if dt_cap is not None:
-        dts = list(map(min, dts, dt_cap))
+    dts = list(map(min, dts, dt_cap))
 
     outcomes = [StepOutcome(nonlocal_integral=i) for i in integrals]
     plan.column(dts)
@@ -767,10 +746,11 @@ def step(
     state.validate(grid)
     if dt_override is not None and dt_override <= 0:
         raise ValueError("dt_override must be positive")
-    caps = None if dt_cap is None else [dt_cap]
+    caps = [math.inf if dt_cap is None else dt_cap]
     with _march(1, grid) as plan:
         u_new, v_new, (outcome,) = _advance(plan, _stack([state.u]), _stack([state.v]), [state.t],
-                                            [params], grid, cfg, forcing, caps, dt_override)
+                                            [params], grid, cfg, forcing, caps,
+                                            [float(np.max(state.u))], dt_override)
     if outcome.termination is not None:
         return state, outcome
     return State(u=u_new[0], v=v_new[0], t=state.t + outcome.dt, dt_last=outcome.dt), outcome
@@ -974,7 +954,7 @@ def run_batch(
             ts = [m.state.t for m in active]
             caps = [t_end - t for t in ts]
             u_new, v_new, outcomes = _advance(plan, u, v, ts, points, grid, cfg, forcing, caps,
-                                              umax=[m.top for m in active])
+                                              [m.top for m in active])
             keep = []
             for i, (m, outcome) in enumerate(zip(active, outcomes)):
                 if outcome.termination is not None:

@@ -24,7 +24,7 @@ from kschemo import (
     ode_comparison_oracle,
     step,
 )
-from kschemo.config import parse_config, run_from_config
+from kschemo.config import parse_config, run_from_config, run_record
 from kschemo.observables import summarize
 from kschemo.verification import build_mms_case, convergence_study, equilibrium_case
 
@@ -72,6 +72,30 @@ ic.u_width = 0.1
 run.t_end = 50.0
 run.sample_interval = 0.1
 """
+
+# Criterion 14: chemotaxis gathers a small bump and the nonlocal damping
+# bounds what it gathers.  The logistic growth lifts the mass from 0.05
+# toward y1 = 1; near u = v = 1 the first cosine mode grows once
+# chi > pi^2 + 1, so at chi = 40 the sup norm rises far above its start
+# before it settles.  With b = 0 (the broken twin) nothing damps the growth.
+CRITERION_14 = """
+model.chi = 40.0
+model.a = 1.0
+model.b = {b}
+model.alpha = 1.5
+model.beta = 3.0
+grid.dim = 1
+grid.cells_x = 64
+ic.u = bump
+ic.u_mass = 0.05
+ic.u_width = 0.1
+ic.u_center_x = 0.3
+run.t_end = {t_end}
+"""
+
+# a property of the case, not a tolerance: its sup norm peaks at 18x its
+# start (0.1995 -> 3.6597 at t = 8.7, then 2.1915 at t_end = 20)
+GATHER_FACTOR = 10.0
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -426,3 +450,40 @@ class TestCriterion11Determinism:
         ok = p1.read_bytes() == p2.read_bytes()
         report(11, "determinism", ok, f"{len(first.series)} rows")
         assert ok
+
+
+def _verdicts(summary) -> dict[str, str]:
+    """The verdicts of a run's record, as summary.txt prints them."""
+    return {k: v for k, v in summary.printed().items() if not k.endswith("_max")}
+
+
+class TestCriterion14Aggregation:
+    def test_gathering_stays_bounded(self):
+        cfg, result, wall = timed_run(CRITERION_14.format(b=1.0, t_end=20.0))
+        _, summary = run_record(cfg, cfg.model, result)
+        linf, t = result.series.column("linf_u"), result.series.column("t")
+        peak = int(np.argmax(linf))
+        finished = result.termination is Termination.REACHED_T_END
+        all_true = set(_verdicts(summary).values()) == {"true"}
+        gathers = linf[peak] >= GATHER_FACTOR * linf[0] and t[peak] > 0
+        ok = finished and all_true and gathers
+        report(
+            14, "aggregation-bounded", ok,
+            f"linf {linf[0]:.4g} -> {linf[peak]:.6g} at t={t[peak]:.4g}, "
+            f"mass_max={summary.mass_max:.7g} wall={wall:.1f}s",
+        )
+        assert finished
+        assert all_true, _verdicts(summary)
+        assert gathers
+
+    def test_undamped_twin_is_not_bounded(self):
+        # b = 0: u' = u^1.5 grows undamped; t_end = 20 would take ~870k steps
+        cfg, result, wall = timed_run(CRITERION_14.format(b=0.0, t_end=5.0))
+        _, summary = run_record(cfg, cfg.model, result)
+        ok = summary.plateaus_ok is not True
+        report(
+            14, "aggregation-undamped-twin", ok,
+            f"{result.termination} plateaus_ok={summary.printed()['plateaus_ok']} "
+            f"wall={wall:.1f}s",
+        )
+        assert ok, _verdicts(summary)

@@ -377,6 +377,24 @@ class TestSweep:
         assert csv_path.read_bytes() == written
         assert ledger_path.read_text().splitlines() == ledger
 
+    def test_complete_rows_without_ledger_lines_are_not_redone(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        args = (
+            "sweep", "--alpha-min", "1", "--alpha-max", "1.5", "--alpha-step", "0.5",
+            "--beta-min", "1", "--beta-max", "1.5", "--beta-step", "0.5",
+            "--n", "1", "--output", str(out_dir),
+        )
+        assert invoke(capsys, *args)[0] == 0
+        csv_path = out_dir / "sweep.csv"
+        written = csv_path.read_bytes()
+        # a kill between a batch's row write and its ledger write leaves
+        # complete rows that the ledger does not list
+        (out_dir / "sweep_done.txt").write_text("")
+        code, out, _ = invoke(capsys, *args)
+        assert code == 0
+        assert "sweep_rows=0" in out
+        assert csv_path.read_bytes() == written
+
     @pytest.mark.parametrize(
         "second",
         [

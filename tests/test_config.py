@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from kschemo import integrate
+from kschemo import StepperConfig, integrate
 from kschemo.config import (
     ConfigError,
     InitialCondition,
@@ -9,11 +11,13 @@ from kschemo.config import (
     config_items,
     parse_config,
     refine_config,
+    resolved_text,
     run_from_config,
     write_resolved,
 )
 from kschemo.grid import read_snapshot
 from kschemo.observables import ObservableSeries
+from kschemo.params import FieldError
 
 MINIMAL = """
 # growth side only; everything else defaults
@@ -175,6 +179,37 @@ class TestRoundTrip:
         write_resolved(cfg, path)
         again = parse_config(path=path)
         assert again == cfg
+
+    # a value off its default for every key
+    EVERY_KEY = {
+        "model.chi": "2.5", "model.a": "1.5", "model.b": "0.75", "model.alpha": "1.25",
+        "model.beta": "2.5", "grid.dim": "2", "grid.extent_x": "2.0", "grid.extent_y": "1.5",
+        "grid.cells_x": "24", "grid.cells_y": "16", "ic.u": "bump", "ic.u_value": "0.5",
+        "ic.u_mass": "3.0", "ic.u_width": "0.2", "ic.u_center_x": "0.7", "ic.u_center_y": "0.4",
+        "ic.u_base": "2.0", "ic.u_amplitude": "0.25", "ic.seed": "7", "ic.v": "equal_u",
+        "ic.v_value": "0.5", "stepper.dt_min": "1e-10", "stepper.dt_max": "5e-3",
+        "stepper.cfl_safety": "0.3", "stepper.blowup_linf_threshold": "1e6",
+        "run.t_end": "3.5", "run.sample_interval": "0.25", "run.k_list": "2,3.5",
+    }
+
+    @pytest.mark.parametrize("dim", ["1", "2"])
+    def test_config_setting_every_key_roundtrips(self, dim):
+        from kschemo.config import _KEYS
+
+        assert set(self.EVERY_KEY) == set(_KEYS)
+        keys = {**self.EVERY_KEY, "grid.dim": dim}
+        cfg = parse_config(text="".join(f"{key} = {value}\n" for key, value in keys.items()))
+        assert parse_config(text=resolved_text(cfg)) == cfg
+        defaults = config_items(parse_config(text=f"grid.dim = {dim}\n"))
+        kept = [key for key, value in config_items(cfg).items() if value == defaults[key]]
+        assert kept == ["grid.dim"]
+
+    def test_non_default_face_scheme_rejected(self):
+        # no key writes the scheme, so such a config would read back as upwind
+        cfg = parse_config(text=MINIMAL)
+        with pytest.raises(FieldError, match="face_scheme") as info:
+            dataclasses.replace(cfg, stepper=StepperConfig(face_scheme="central"))
+        assert info.value.field == "face_scheme"
 
     def test_items_cover_every_key(self):
         from kschemo.config import _KEYS

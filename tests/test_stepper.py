@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import sys
 import threading
 import time
 import tracemalloc
@@ -69,10 +70,13 @@ def _helper_threads():
     return [t for t in threading.enumerate() if t.name.startswith("kschemo-")]
 
 
-def _advance(u, v, ts, params, grid, cfg, *args):
-    """One step of a batch as a march runs it: inside _march, with its plan."""
+def _advance(u, v, ts, params, grid, cfg, forcing=None, dt_cap=None):
+    """One step of a batch as a march runs it: inside _march, with its plan,
+    each u row's max and no dt cap unless ``dt_cap`` gives one per member."""
+    caps = [math.inf] * len(params) if dt_cap is None else dt_cap
+    umax = np.maximum.reduce(u, grid.field_axes).tolist()
     with stepper._march(len(params), grid) as plan:
-        return stepper._advance(plan, u, v, ts, params, grid, cfg, *args)
+        return stepper._advance(plan, u, v, ts, params, grid, cfg, forcing, caps, umax)
 
 
 def _record_threads(monkeypatch, name="_helmholtz_checked"):
@@ -515,7 +519,6 @@ class TestStep:
         assert new_state.v.min() >= -_POSITIVITY_TOL
         assert outcome.min_u == new_state.u.min()
         assert outcome.min_v == new_state.v.min()
-        assert outcome.linf_u == np.abs(new_state.u).max()
 
     def test_nonfinite_v_rejected_without_taxis(self, grid1d, grid2d):
         # with chi = 0 no operator reads v before the v-solve
@@ -1185,14 +1188,16 @@ def _rebuilding_every_step(monkeypatch):
 
 
 def _count_holds(monkeypatch):
-    """Count the solves at which a plan builds 1 - sigma*lambda for a repeated column."""
-    hold, holds = stepper._Plan._hold, []
+    """Count the solves at which a plan builds 1 - sigma*lambda for a repeated
+    column, by the rows of each build; a solve's own temporary is not counted."""
+    build, column, holds = stepper._denominator, stepper._Plan.column.__code__, []
 
-    def counted(plan):
-        holds.append(len(plan.sigma))
-        hold(plan)
+    def counted(sigma, eigenvalues):
+        if sys._getframe(1).f_code is column:
+            holds.append(len(sigma))
+        return build(sigma, eigenvalues)
 
-    monkeypatch.setattr(stepper._Plan, "_hold", counted)
+    monkeypatch.setattr(stepper, "_denominator", counted)
     return holds
 
 
@@ -1300,7 +1305,7 @@ class TestStepPlan:
         _rebuilding_every_step(monkeypatch)
         _assert_same_result(planned, verification._run_level(case, grid, dt, 0.02, "central"))
 
-    def test_moving_dt_holds_one_column_in_the_same_buffers(self, monkeypatch):
+    def test_moving_dt_holds_no_denominator(self, monkeypatch):
         grid = Grid(extent=(1.0, 1.0), cells=(128, 128))
         assert not stepper._threaded(1, grid)
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
@@ -1308,29 +1313,30 @@ class TestStepPlan:
 
         def march():
             u, v, t = _bump(grid, 8.0, width=0.1)[None], grid.zeros()[None], 0.0
-            dts, buffers = [], []
+            dts = []
             tracemalloc.start()
             try:
                 with stepper._march(1, grid) as plan:
                     for _ in range(3):
-                        u, v, (outcome,) = stepper._advance(plan, u, v, [t], [p], grid, cfg)
+                        umax = np.maximum.reduce(u, grid.field_axes).tolist()
+                        u, v, (outcome,) = stepper._advance(
+                            plan, u, v, [t], [p], grid, cfg, None, [math.inf], umax
+                        )
                         assert outcome.termination is None
                         t += outcome.dt
                         dts.append(outcome.dt)
-                        buffers.append((plan.sigma, plan.shift, plan.held))
+                        assert plan.held.denominator is None and plan.sigma.shape == (2, 1, 1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            return peak, dts, buffers
+            return peak, dts
 
-        peak, dts, buffers = march()
+        holds = _count_holds(monkeypatch)
+        peak, dts = march()
         assert len(set(dts)) == 3
-        for sigma, shift, held in buffers[1:]:
-            assert sigma is buffers[0][0] and shift is buffers[0][1] and held is buffers[0][2]
-            assert held.denominator is None
-        assert buffers[0][0].shape == (2, 1, 1)
+        assert holds == []
         _rebuilding_every_step(monkeypatch)
-        defeated, defeated_dts, _ = march()
+        defeated, defeated_dts = march()
         assert defeated_dts == dts
         assert peak <= defeated + grid.zeros().nbytes
 
@@ -1340,20 +1346,25 @@ def _carried_maxima(monkeypatch):
     field; returns how many solves got their maxima carried."""
     advance, carried = stepper._advance, []
 
-    def spy(plan, u, v, *args, umax=None):
-        if umax is not None:
-            assert umax == np.maximum.reduce(u, tuple(range(1 - u.ndim, 0))).tolist()
-            carried.append(len(umax))
-        return advance(plan, u, v, *args, umax=umax)
+    def spy(plan, u, v, ts, params, grid, cfg, forcing, dt_cap, umax, *rest):
+        assert umax == np.maximum.reduce(u, grid.field_axes).tolist()
+        carried.append(len(umax))
+        return advance(plan, u, v, ts, params, grid, cfg, forcing, dt_cap, umax, *rest)
 
     monkeypatch.setattr(stepper, "_advance", spy)
     return carried
 
 
 def _recomputing_maxima(monkeypatch):
-    """Drop the carried maxima, so every dt proposal takes max u from the fields."""
+    """Replace the carried maxima with ones taken from the fields, so every
+    dt proposal reads max u off the rows it steps."""
     advance = stepper._advance
-    monkeypatch.setattr(stepper, "_advance", lambda *args, umax=None: advance(*args))
+
+    def recomputed(plan, u, v, ts, params, grid, cfg, forcing, dt_cap, umax, *rest):
+        umax = np.maximum.reduce(u, grid.field_axes).tolist()
+        return advance(plan, u, v, ts, params, grid, cfg, forcing, dt_cap, umax, *rest)
+
+    monkeypatch.setattr(stepper, "_advance", recomputed)
 
 
 class TestCarriedMaxima:
