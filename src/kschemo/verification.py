@@ -8,6 +8,14 @@ evaluated by composite Gauss-Legendre quadrature (8 panels x 8 nodes per
 axis), so nothing in the forcing depends on the discretization under test:
 halving h must shrink the error at the scheme's order, which is the whole
 point of the harness.
+
+A forcing answers for a column of times at once: ``forcing.u(ts, grid)``
+returns one row per time, stacked ``(len(ts), *grid.shape)``, and a march
+makes one such call per field and step for all its members.  The cases
+evaluate a column in one vectorised pass whose row k has the bits of a call
+at ts[k] alone.  A study level marches at a fixed dt, so it asks for the
+times t, t + dt, t + dt + dt, ... and gets them from a block of rows
+evaluated ahead (_StepTimes); the bits are those of one call per step.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import numpy as np
 
 from .grid import Grid, State, lp_norm_pow
 from .observables import ObservableSeries, Termination
+from .operators import _column
 from .params import ModelParams
 from .stepper import Recorder, RunResult, StepperConfig, _job_results, run
 
@@ -28,6 +37,16 @@ GL_ORDER = 8
 
 # a field of a manufactured case: (t, grid) -> values on the cell centers
 Field = Callable[[float, Grid], np.ndarray]
+# a forcing field: (times, grid) -> its values at each time, (len(times), *grid.shape)
+Rows = Callable[[Sequence[float], Grid], np.ndarray]
+
+# Bytes of one block of a level's forcing rows (_StepTimes): 128 rows of a
+# 128-cell field, 1 from 128^2 up.  A block and the temporaries that build
+# it stay below glibc's default mmap threshold, so they reuse heap pages:
+# at 128 cells f_u's field arithmetic cost 1.3 us a row in blocks of 64 or
+# 128 rows, and 2.0 us in blocks of 256, whose temporaries took 160 fresh
+# pages per block.
+_BLOCK_BYTES = 1 << 17
 
 
 def _axis_quadrature(extent: float) -> tuple[np.ndarray, np.ndarray]:
@@ -55,16 +74,59 @@ def _cosine_shape(
 
 @dataclass
 class Forcing:
-    """Forcing fields appended to the two equations, evaluated per step."""
+    """Forcing fields appended to the two equations.
 
-    u_fn: Field
-    v_fn: Field
+    ``u(ts, grid)`` and ``v(ts, grid)`` return the field at each of the
+    times ``ts``, one row per time, stacked ``(len(ts), *grid.shape)``; a
+    march calls each once per step with the times of all its members.
+    """
 
-    def u(self, t: float, grid: Grid) -> np.ndarray:
-        return self.u_fn(t, grid)
+    u_fn: Rows
+    v_fn: Rows
 
-    def v(self, t: float, grid: Grid) -> np.ndarray:
-        return self.v_fn(t, grid)
+    def u(self, ts: Sequence[float], grid: Grid) -> np.ndarray:
+        return self.u_fn(ts, grid)
+
+    def v(self, ts: Sequence[float], grid: Grid) -> np.ndarray:
+        return self.v_fn(ts, grid)
+
+
+class _StepTimes:
+    """A forcing field for a march at fixed ``dt`` to ``t_end``, answered
+    from a block of rows at its upcoming step times.
+
+    A call for the one time the block holds next gets that row.  Any other
+    call starts a block at its time t (the first step, the step after a
+    halved retry, a new grid): the times t, t + dt, t + dt + dt, ..., each
+    the sum the march forms for the next step's time, those below t_end and
+    at most as many as fit in _BLOCK_BYTES, evaluated in one call of
+    ``rows``.  Each row has the bits of a call at its time alone, so no bit
+    of the march depends on the block.  A call for several times goes to
+    ``rows`` directly.  A row handed out is a read-only view of the block.
+    """
+
+    def __init__(self, rows: Rows, dt: float, t_end: float):
+        self.rows, self.dt, self.t_end = rows, dt, t_end
+        self.grid: Optional[Grid] = None
+        self.times: list[float] = []
+        self.block: Optional[np.ndarray] = None
+        self.next = 0
+
+    def __call__(self, ts: Sequence[float], grid: Grid) -> np.ndarray:
+        if len(ts) != 1:
+            return self.rows(ts, grid)
+        k = self.next
+        if grid is self.grid and k < len(self.times) and ts[0] == self.times[k]:
+            self.next = k + 1
+            return self.block[k : k + 1]
+        times = [ts[0]]
+        count = _BLOCK_BYTES // (8 * math.prod(grid.cells))
+        while len(times) < count and times[-1] + self.dt < self.t_end:
+            times.append(times[-1] + self.dt)
+        self.block = self.rows(times, grid)
+        self.block.flags.writeable = False
+        self.grid, self.times, self.next = grid, times, 1
+        return self.block[:1]
 
 
 @dataclass
@@ -110,19 +172,24 @@ class _TrigDecay:
     def v_exact(self, t: float, g: Grid) -> np.ndarray:
         return 2.0 + self.shape(g)[0] * (0.5 * math.exp(-t))
 
-    def forcing_u(self, t: float, g: Grid) -> np.ndarray:
+    def forcing_u(self, ts: Sequence[float], g: Grid) -> np.ndarray:
         p, k2 = self.params, self.k2
         c, chemo_shape = self.shape(g)
-        e = math.exp(-t)
-        integral = float(self.q_weights @ (2.0 + self.q_shape * e) ** p.beta)
+        decays = [math.exp(-t) for t in ts]
+        # one row of quadrature nodes per time, each summed by the dot
+        # product it gets alone (a matrix-vector product rounds otherwise)
+        powers = (2.0 + self.q_shape * _column(decays, 1)) ** p.beta
+        integral = _column(list(map(self.q_weights.dot, powers)), g.dim)
+        e = _column(decays, g.dim)
         return (
             ((k2 - 1.0 - p.chi * k2) * e) * c
             + (0.5 * p.chi * e * e) * chemo_shape
             + (p.b * integral - p.a) * (2.0 + c * e) ** p.alpha
         )
 
-    def forcing_v(self, t: float, g: Grid) -> np.ndarray:
-        return (0.5 * (self.k2 - 2.0) * math.exp(-t)) * self.shape(g)[0]
+    def forcing_v(self, ts: Sequence[float], g: Grid) -> np.ndarray:
+        decays = [math.exp(-t) for t in ts]
+        return (0.5 * (self.k2 - 2.0) * _column(decays, g.dim)) * self.shape(g)[0]
 
 
 def build_mms_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
@@ -139,7 +206,9 @@ def build_mms_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
 
     with I(t) the quadrature of u*^beta.  C and |grad C|^2 - k2 C^2 are
     computed once per grid the case is evaluated on, C at the quadrature
-    nodes once.  The case pickles.
+    nodes once.  The forcing evaluates a column of times in one pass, one
+    row per time with the bits of that time alone (e^{-t} by math.exp, I(t)
+    by one dot product per time).  The case pickles.
     """
     fields = _TrigDecay(params, grid.extent)
     return ManufacturedCase(
@@ -161,8 +230,8 @@ class _Equilibrium:
     def constant(self, t: float, g: Grid) -> np.ndarray:
         return g.full(self.c)
 
-    def zero(self, t: float, g: Grid) -> np.ndarray:
-        return g.zeros()
+    def zero(self, ts: Sequence[float], g: Grid) -> np.ndarray:
+        return np.zeros((len(ts), *g.shape))
 
 
 def equilibrium_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
@@ -229,7 +298,8 @@ def level_dts(grids: Sequence[Grid], dts: Sequence[float], t_end: float) -> list
 
 def _run_level(case: ManufacturedCase, grid: Grid, dt: float, t_end: float,
                face_scheme: str) -> RunResult:
-    """One level of a study: the forced run at fixed ``dt``; module-level, so a pool can run it."""
+    """One level of a study: the forced run at fixed ``dt``, its forcing
+    answered from blocks of step times; module-level, so a pool can run it."""
     cfg = StepperConfig(
         dt_min=dt * 1e-8,
         dt_max=dt,
@@ -237,10 +307,9 @@ def _run_level(case: ManufacturedCase, grid: Grid, dt: float, t_end: float,
         face_scheme=face_scheme,
     )
     recorder = Recorder(k_list=(2.0,), sample_interval=t_end)
-    return run(
-        case.initial_state(grid), case.params, grid, cfg, t_end, recorder,
-        forcing=case.forcing,
-    )
+    u_rows, v_rows = case.forcing.u_fn, case.forcing.v_fn
+    forcing = Forcing(_StepTimes(u_rows, dt, t_end), _StepTimes(v_rows, dt, t_end))
+    return run(case.initial_state(grid), case.params, grid, cfg, t_end, recorder, forcing)
 
 
 def convergence_study(
@@ -320,7 +389,7 @@ def semidiscrete_residual(case: ManufacturedCase, grid: Grid, t: float = 0.0) ->
     eps = 1e-6
     dudt = (case.u_exact(t + eps, grid) - case.u_exact(t - eps, grid)) / (2 * eps)
     source, _ = nonlocal_source(u, grid, p)
-    rhs = laplacian(u, grid) + source + case.forcing.u(t, grid)
+    rhs = laplacian(u, grid) + source + case.forcing.u([t], grid)[0]
     if p.chi != 0.0:
         rhs = rhs - p.chi * chemo_divergence(u, v, grid, scheme="central")
     return float(np.max(np.abs(dudt - rhs)))

@@ -577,8 +577,8 @@ def _two_solve_reference(u, v, ts, params, grid, cfg, dts, forcing=None):
     dt = operators._column(dts, grid.dim)
     rhs_v = v + dt * u
     if forcing is not None:
-        explicit = explicit + np.stack([forcing.u(t, grid) for t in ts])
-        rhs_v = rhs_v + dt * np.stack([forcing.v(t, grid) for t in ts])
+        explicit = explicit + forcing.u(ts, grid)
+        rhs_v = rhs_v + dt * forcing.v(ts, grid)
     w_u, rel_u = stepper._helmholtz_checked(u + dt * explicit, grid, dt)
     w_v, rel_v = stepper._helmholtz_checked(rhs_v / (1.0 + dt), grid, dt / (1.0 + dt))
     return w_u, w_v, rel_u, rel_v
@@ -587,11 +587,11 @@ def _two_solve_reference(u, v, ts, params, grid, cfg, dts, forcing=None):
 class _LateNegativeForcing:
     """Drags u negative at dt = 1e-2 for members at t >= 1 only (test helper)."""
 
-    def u(self, t, grid):
-        return grid.full(-150.0 if t >= 1.0 else 0.0)
+    def u(self, ts, grid):
+        return np.stack([grid.full(-150.0 if t >= 1.0 else 0.0) for t in ts])
 
-    def v(self, t, grid):
-        return grid.zeros()
+    def v(self, ts, grid):
+        return np.zeros((len(ts), *grid.shape))
 
 
 class TestStackedSolve:
@@ -713,11 +713,11 @@ class _NegativeForcing:
     halvings from 1e-3 or 1e-2 all fail, and keeps |u| under the default
     sup norm threshold (test helper)."""
 
-    def u(self, t, grid):
-        return grid.full(-5e9)
+    def u(self, ts, grid):
+        return np.full((len(ts), *grid.shape), -5e9)
 
-    def v(self, t, grid):
-        return grid.zeros()
+    def v(self, ts, grid):
+        return np.zeros((len(ts), *grid.shape))
 
 
 class TestRun:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import pickle
 
@@ -26,6 +27,11 @@ class RandomPoints(Grid):
     def cell_centers(self):
         rng = np.random.default_rng(7)
         return tuple(rng.uniform(0.0, L, self.shape) for L in self.extent)
+
+
+def one_time(forcing):
+    """The two fields of ``forcing`` as (t, grid) fields: the one-row call at t."""
+    return (lambda t, grid: forcing.u([t], grid)[0]), (lambda t, grid: forcing.v([t], grid)[0])
 
 
 def symbolic_case(params, extent, closed_form):
@@ -128,7 +134,7 @@ class TestManufacturedCase:
     def test_grid_of_other_dimension_rejected(self, params):
         case = build_mms_case(params, Grid(extent=(1.0,), cells=(16,)))
         with pytest.raises(ValueError, match="2D grid for a 1D case"):
-            case.forcing.u(0.0, Grid(extent=(1.0, 1.0), cells=(8, 8)))
+            case.forcing.u([0.0], Grid(extent=(1.0, 1.0), cells=(8, 8)))
 
     def test_2d_case_builds(self, params):
         grid = Grid(extent=(1.0, 1.0), cells=(16, 16))
@@ -148,8 +154,8 @@ class TestCasesPickle:
         assert (copy.params, copy.extent, copy.description) == (
             case.params, case.extent, case.description
         )
-        originals = (case.u_exact, case.v_exact, case.forcing.u, case.forcing.v)
-        copies = (copy.u_exact, copy.v_exact, copy.forcing.u, copy.forcing.v)
+        originals = (case.u_exact, case.v_exact, *one_time(case.forcing))
+        copies = (copy.u_exact, copy.v_exact, *one_time(copy.forcing))
         for t in (0.0, 0.37, 2.5):
             for original, copied in zip(originals, copies):
                 assert copied(t, grid).tobytes() == original(t, grid).tobytes()
@@ -170,7 +176,7 @@ class TestHandForcingsMatchSymbolic:
             closed_form = constant(c)
         assert case.description == which
         references = symbolic_case(params, extent, closed_form)
-        hands = (case.u_exact, case.v_exact, case.forcing.u, case.forcing.v)
+        hands = (case.u_exact, case.v_exact, *one_time(case.forcing))
         coords = points.cell_centers()
         for t in np.random.default_rng(11).uniform(0.0, 3.0, 3):
             for hand, reference in zip(hands, references):
@@ -351,6 +357,135 @@ class TestLevelsSideBySide:
         assert pool.max_workers == 2 and pool.shut_down
         assert [f.args[1].cells for f in pool.futures] == [(64,), (32,)]
         assert [f.state for f in pool.futures] == ["finished", "cancelled"]
+
+
+class Counted:
+    """A forcing field that counts its evaluations and the rows they make."""
+
+    def __init__(self, rows):
+        self.rows, self.calls, self.made = rows, 0, 0
+
+    def __call__(self, ts, grid):
+        self.calls += 1
+        self.made += len(ts)
+        return self.rows(ts, grid)
+
+
+def counted(case):
+    """``case`` with both forcing fields Counted."""
+    forcing = Forcing(u_fn=Counted(case.forcing.u_fn), v_fn=Counted(case.forcing.v_fn))
+    return dataclasses.replace(case, forcing=forcing)
+
+
+def same_run(a, b):
+    """Whether two RunResults hold the same bits."""
+    return (
+        a.state.u.tobytes() == b.state.u.tobytes()
+        and a.state.v.tobytes() == b.state.v.tobytes()
+        and (a.state.t, a.state.dt_last) == (b.state.t, b.state.dt_last)
+        and np.array(a.series.rows).tobytes() == np.array(b.series.rows).tobytes()
+        and (a.termination, a.diagnostics, a.cause) == (b.termination, b.diagnostics, b.cause)
+    )
+
+
+class TestForcingBlocks:
+    """A forcing answers a column of times in one call, and a study level
+    answers its step times from blocks evaluated ahead, with the bits of one
+    call per time."""
+
+    GRIDS = [Grid(extent=(1.7,), cells=(40,)), Grid(extent=(1.3, 0.8), cells=(12, 8))]
+
+    @staticmethod
+    def step_times():
+        ts = [0.0]
+        for _ in range(299):
+            ts.append(ts[-1] + 1.5e-5)
+        return ts
+
+    @pytest.mark.parametrize("build", [build_mms_case, equilibrium_case])
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d"])
+    def test_column_rows_equal_one_time_rows(self, build, grid):
+        params = ModelParams(chi=0.7, a=1.3, b=0.6, alpha=1.5, beta=2.5)
+        case = build(params, grid)
+        ts = self.step_times() + [0.7, 3.0, 50.0]
+        for rows in (case.forcing.u, case.forcing.v):
+            column = rows(ts, grid)
+            assert column.shape == (len(ts), *grid.shape)
+            for t, row in zip(ts, column):
+                assert row.tobytes() == rows([t], grid)[0].tobytes()
+            # the march's view of a level: one time per call, served from blocks
+            block = verification._StepTimes(rows, 1.5e-5, math.inf)
+            for t in ts:
+                assert block([t], grid).tobytes() == rows([t], grid).tobytes()
+
+    @pytest.mark.parametrize(
+        "cells, dts, t_end",
+        [([(16,), (32,)], [2e-4, 5e-5], 0.02), ([(8, 8), (16, 16)], [1e-3, 2.5e-4], 0.01)],
+        ids=["1d", "2d"],
+    )
+    def test_level_from_blocks_equals_time_by_time(self, params, monkeypatch, cells, dts, t_end):
+        grids = [Grid(extent=(1.0,) * len(c), cells=c) for c in cells]
+        case = counted(build_mms_case(params, grids[0]))
+        blocks = convergence_study(case, grids, dts, t_end, face_scheme="central").rows
+        results = [verification._run_level(case, g, dt, t_end, "central")
+                   for g, dt in zip(grids, level_dts(grids, dts, t_end))]
+        assert case.forcing.u_fn.calls < sum(r.diagnostics.steps for r in results)
+        # a "block" that is the one field evaluated at each time the march asks for
+        monkeypatch.setattr(verification, "_StepTimes", lambda rows, dt, t_end: rows)
+        direct = convergence_study(case, grids, dts, t_end, face_scheme="central").rows
+        assert blocks == direct
+        for g, dt, result in zip(grids, level_dts(grids, dts, t_end), results):
+            case.forcing.u_fn.calls = 0
+            assert same_run(result, verification._run_level(case, g, dt, t_end, "central"))
+            assert case.forcing.u_fn.calls == result.diagnostics.steps
+
+    def test_untabulated_times_get_direct_bits(self, params):
+        grid = Grid(extent=(1.0,), cells=(32,))
+        case = build_mms_case(params, grid)
+        dt, cfg = 1e-4, StepperConfig(dt_max=1e-4, cfl_safety=1.0)
+        fields = Counted(case.forcing.u_fn), Counted(case.forcing.v_fn)
+        blocks = Forcing(*(verification._StepTimes(f, dt, 1.0) for f in fields))
+        # steps of dt, dt (at the time the first tabulated), dt / 2, dt capped to
+        # dt / 3 and dt: the steps after the halved and the capped one ask for
+        # times no block holds, and start one
+        state = direct = case.initial_state(grid)
+        for override, cap in ((dt, None), (dt, None), (dt / 2, None), (None, dt / 3), (dt, None)):
+            state, outcome = stepper.step(state, params, grid, cfg, blocks, cap, override)
+            direct, expected = stepper.step(direct, params, grid, cfg, case.forcing, cap, override)
+            assert outcome == expected
+            assert (state.u.tobytes(), state.v.tobytes(), state.t) == (
+                direct.u.tobytes(), direct.v.tobytes(), direct.t
+            )
+        assert [f.calls for f in fields] == [3, 3]
+        # a run whose t_end caps its last step: each step time is tabulated once
+        rec = Recorder(k_list=(2.0,), sample_interval=1e-3)
+        for f in fields:
+            f.calls = f.made = 0
+        t_end = 10.5 * dt
+        blocks = Forcing(*(verification._StepTimes(f, dt, t_end) for f in fields))
+        result = run(case.initial_state(grid), params, grid, cfg, t_end, rec, forcing=blocks)
+        assert result.diagnostics.steps == 11 and result.state.dt_last < dt
+        assert [(f.calls, f.made) for f in fields] == [(1, 11), (1, 11)]
+        assert same_run(result, run(case.initial_state(grid), params, grid, cfg, t_end, rec,
+                                    forcing=case.forcing))
+
+    def test_level_makes_one_evaluation_per_block(self, params):
+        # 1311 steps at 128 cells, in blocks of K rows
+        grid = Grid(extent=(1.0,), cells=(128,))
+        (dt,) = level_dts([grid], [(1.0 / 128) ** 2 / 4.0], 0.02)
+        case = counted(build_mms_case(params, grid))
+        result = verification._run_level(case, grid, dt, 0.02, "central")
+        steps, block = result.diagnostics.steps, verification._BLOCK_BYTES // (8 * 128)
+        assert (steps, result.diagnostics.total_retries, block) == (1311, 0, 128)
+        # the blocks hold the accumulated times below t_end: the step times, and
+        # the time the last step ends at, which rounding leaves short of t_end
+        t, below = 0.0, 0
+        while t < 0.02:
+            t, below = t + dt, below + 1
+        assert below == steps + 1
+        for field in (case.forcing.u_fn, case.forcing.v_fn):
+            assert field.calls == math.ceil(steps / block)
+            assert field.made == below
 
 
 # the mass-envelope acceptance configuration at half resolution (128 of 256)
