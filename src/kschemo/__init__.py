@@ -6,13 +6,11 @@ from .grid import (
     State,
     field_to_csv,
     integrate,
-    linf_norm,
     lp_norm_pow,
     read_snapshot,
     write_snapshot,
 )
 from .observables import ObservableSeries, SeriesSummary, Termination, record, summarize
-from .operators import chemo_divergence, laplacian, nonlocal_source
 from .params import (
     ModelParams,
     OdeComparisonResult,
@@ -22,16 +20,12 @@ from .params import (
     ode_comparison_oracle,
 )
 from .stepper import (
-    LinearSolverError,
     Recorder,
     RunResult,
-    StepOutcome,
     StepperConfig,
     adapt_dt,
-    helmholtz_solve,
     run,
     run_batch,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -47,22 +41,14 @@ __all__ = [
     "ode_comparison_oracle",
     "integrate",
     "lp_norm_pow",
-    "linf_norm",
     "write_snapshot",
     "read_snapshot",
     "field_to_csv",
-    "laplacian",
-    "chemo_divergence",
-    "nonlocal_source",
     "StepperConfig",
-    "StepOutcome",
     "Termination",
     "Recorder",
     "RunResult",
-    "LinearSolverError",
-    "helmholtz_solve",
     "adapt_dt",
-    "step",
     "run",
     "run_batch",
     "ObservableSeries",

@@ -33,6 +33,9 @@ SNAPSHOT_MAGIC = b"KSCHSNP1"
 _HEADER_FMT = "<8sIII4xd"  # magic, dim, nx, ny (0 in 1D), pad, time
 assert struct.calcsize(_HEADER_FMT) == 32
 
+# fewest cells per axis of a Grid, and so of a snapshot
+_MIN_CELLS = 4
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -52,7 +55,7 @@ class Grid:
         for axis, L in enumerate(self.extent):
             require(math.isfinite(L) and L > 0, "extent", "> 0", L, axis)
         for axis, n in enumerate(self.cells):
-            require(int(n) == n and n >= 4, "cells", "integer >= 4", n, axis)
+            require(int(n) == n and n >= _MIN_CELLS, "cells", f"integer >= {_MIN_CELLS}", n, axis)
 
     @property
     def dim(self) -> int:
@@ -137,17 +140,6 @@ def lp_norm_pow(values: np.ndarray, grid: Grid, k: float) -> float:
     return grid.cell_volume * float(powed.sum())
 
 
-def linf_norm(values: np.ndarray) -> float:
-    """Maximum absolute value of a field; ValueError when it is not finite.
-
-    The max propagates NaN and reaches inf, so it is the finiteness check.
-    """
-    top = float(np.abs(np.asarray(values, dtype=float)).max())
-    if not math.isfinite(top):
-        raise ValueError("field contains non-finite values")
-    return top
-
-
 @dataclass
 class State:
     """Solution pair (cell density u, chemical signal v) at one time level."""
@@ -177,7 +169,12 @@ def write_snapshot(path, values: np.ndarray, grid: Grid, t: float) -> None:
 
 
 def read_snapshot(path) -> tuple[np.ndarray, float]:
-    """Read a field snapshot; returns (values, time)."""
+    """Read a field snapshot; returns (values, time).
+
+    A header that no Grid could have written (dim not 1 or 2, ny set in 1D,
+    an axis below _MIN_CELLS cells), a short payload or bytes after it
+    raise ValueError naming ``path``.
+    """
     with open(path, "rb") as fh:
         header = fh.read(32)
         if len(header) != 32:
@@ -185,11 +182,19 @@ def read_snapshot(path) -> tuple[np.ndarray, float]:
         magic, dim, nx, ny, t = struct.unpack(_HEADER_FMT, header)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: bad snapshot magic {magic!r}")
+        if dim not in (1, 2):
+            raise ValueError(f"{path}: snapshot dim {dim} is not 1 or 2")
+        if dim == 1 and ny != 0:
+            raise ValueError(f"{path}: 1D snapshot with ny = {ny}, not 0")
         shape = (nx,) if dim == 1 else (nx, ny)
-        count = int(np.prod(shape))
+        if min(shape) < _MIN_CELLS:
+            raise ValueError(f"{path}: snapshot shape {shape} has an axis below {_MIN_CELLS} cells")
+        count = math.prod(shape)
         raw = fh.read(8 * count)
         if len(raw) != 8 * count:
             raise ValueError(f"{path}: truncated snapshot payload")
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the snapshot payload")
         values = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
     return values, t
 

@@ -1,6 +1,6 @@
 """Discrete spatial operators: diffusion, chemotactic transport, nonlocal source.
 
-laplacian() and chemo_divergence() are flux differences on cell faces,
+_laplacian() and _chemo_divergence() are flux differences on cell faces,
 assembled by one kernel, _flux_divergence(), from the fluxes on the n-1
 interior faces of each axis.  The boundary faces carry zero flux by
 construction, so the discrete integrals of both operators telescope to zero
@@ -8,9 +8,8 @@ regardless of the input fields.  That telescoping is what makes the
 per-step mass identity of the stepper exact up to solver/rounding noise.
 
 Every kernel acts on the trailing ``grid.dim`` axes, so a batch of fields
-``(B, *grid.shape)`` is one call.  The underscored kernels trust their
-input and serve the stepper, whose audit already vouches for each accepted
-state; the public functions validate first.
+``(B, *grid.shape)`` is one call.  The kernels trust their input: they
+serve the stepper, whose audit already vouches for each accepted state.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import Grid, _require_field
+from .grid import Grid
 from .params import ModelParams
 
 FACE_SCHEMES = ("upwind", "central")
@@ -68,6 +67,7 @@ def _flux_divergence(face_flux: np.ndarray, axis: int, h: float, out: np.ndarray
 
 
 def _laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Second-order Neumann Laplacian (3-point/5-point stencil) in flux form."""
     out = np.zeros(f.shape)
     for axis, h in zip(grid.field_axes, grid.h):
         left, right = _FACES[axis]
@@ -79,16 +79,17 @@ def _laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order Neumann Laplacian (3-point/5-point stencil) in flux form."""
-    return _laplacian(_require_field(f, grid, "f"), grid)
-
-
 def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> tuple:
-    """The transport field of a batch and, per axis, max|grad_h v| of each row.
+    """The transport field div(u grad v) of a batch and, per axis,
+    max|grad_h v| of each row.
 
-    The stepper's transport bound reads these maxima of the face gradients
-    (max|dv / h| is max|dv| / h exactly: rounding is monotone).  Only
+    With ``scheme`` "upwind" the face value of u comes from the side that
+    sign(v_R - v_L) picks, which keeps the explicit transport update
+    nonnegative under the stepper's dt bound at first order; "central"
+    takes the face mean (second order, not positivity-safe).  Callers
+    multiply by chi, which ModelParams keeps nonnegative.  The stepper's
+    transport bound reads the maxima of the face gradients (max|dv / h| is
+    max|dv| / h exactly: rounding is monotone).  Only
     grid.h and grid.field_axes are read, so a slab of rows along the first
     field axis with a one-cell halo on each inner side gives its inner
     cells the exact bits of the whole-field call, and its maxima cover its
@@ -113,23 +114,6 @@ def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> 
     return out, grad_max
 
 
-def chemo_divergence(
-    u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str = "upwind"
-) -> np.ndarray:
-    """Flux-form div(u * grad(v)); face value of u upwinded on sign(v_R - v_L).
-
-    Upwinding preserves nonnegativity of the explicit transport update under
-    the stepper's dt bound at first-order accuracy; scheme="central" uses the
-    arithmetic face mean instead (second order, not positivity-safe).  Callers
-    multiply the result by chi, which ModelParams keeps nonnegative, so the
-    upwind side is decided by the sign of (v_R - v_L) alone.
-    """
-    if scheme not in FACE_SCHEMES:
-        raise ValueError(f"unknown face scheme {scheme!r}")
-    ua = _require_field(u, grid, "u", nonnegative=True)
-    return _chemo_divergence(ua, _require_field(v, grid, "v"), grid, scheme)[0]
-
-
 def _nonlocal_source(
     u: np.ndarray,
     grid: Grid,
@@ -137,11 +121,16 @@ def _nonlocal_source(
     alphas: list[float],
     betas: list[float],
 ) -> tuple[np.ndarray, list[float]]:
-    """Source fields of a batch ``u`` with one ModelParams per member row.
+    """Source fields a*u^alpha - b*u^alpha * I, with I = int(u^beta), of a
+    batch ``u`` with one ModelParams per member row; returns (fields, I of
+    each row).
 
-    ``alphas`` and ``betas`` are the rows' exponents.  When they agree row
-    for row, u^beta is u^alpha: the same power of the same values.  The
-    powers are this call's own arrays, so the source is built in place.
+    I is taken from the current u (explicit treatment).  Values in
+    [-1e-12, 0) (the positivity floor) count as 0, so fractional powers
+    stay real.  ``alphas`` and ``betas`` are the rows' exponents.  When they
+    agree row for row, u^beta is u^alpha: the same power of the same
+    values.  The powers are this call's own arrays, so the source is built
+    in place.
     """
     u_pos = np.maximum(u, 0.0)
     u_alpha = _pow_rows(u_pos, alphas)
@@ -152,19 +141,3 @@ def _nonlocal_source(
     u_alpha *= _column([p.a - p.b * i for p, i in zip(params, integrals)], u.ndim - 1)
     return u_alpha, integrals
 
-
-def nonlocal_source(
-    u: np.ndarray, grid: Grid, params: ModelParams
-) -> tuple[np.ndarray, float]:
-    """Reaction field a*u^alpha - b*u^alpha * I with I = int(u^beta).
-
-    Returns (source field, I).  The integral is taken from the current u
-    (explicit treatment), which keeps the reaction pointwise once I is
-    known.  Values of u in [-1e-12, 0) (the positivity floor) are treated
-    as 0 so fractional powers stay real; larger negatives are scheme errors.
-    """
-    ua = _require_field(u, grid, "u", nonnegative=True)
-    source, (integral,) = _nonlocal_source(
-        ua[None], grid, [params], [params.alpha], [params.beta]
-    )
-    return source[0], integral

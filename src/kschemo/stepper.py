@@ -5,9 +5,9 @@ One step of size dt from (u_n, v_n):
   (i)   explicit terms at t_n: E_u = -chi * div(u grad v) + nonlocal source
         on a large grid (see (iii)) one of two row slabs of the transport
         runs on the march's helper thread; the source stays whole.  dt is
-        adapt_dt's proposal; the max u of each row that its reaction bound
-        reads is carried from the extrema (iv) took off the solve that made
-        u, or from a member's initial u (step() takes it from u)
+        the stability proposal of _propose_dt; the max u of each row that
+        its reaction bound reads is carried from the extrema (iv) took off
+        the solve that made u, or from a member's initial u
   (ii)  u_{n+1} solves (I - dt*L_h) u = u_n + dt*E_u          (implicit diffusion)
   (iii) v_{n+1} solves ((1+dt) I - dt*L_h) v = v_n + dt*u_n
         this rhs does not need u_{n+1}, so (ii) and (iii) are one rhs array
@@ -16,10 +16,9 @@ One step of size dt from (u_n, v_n):
         transform pair, one gate); when a half holds at least _THREAD_CELLS
         cells and more than one CPU is usable, the march's helper thread
         builds, solves and gates the u half and takes its extrema while the
-        calling thread does the same for the v half.  A march (run_batch, or
-        one step()) starts at most one helper and joins it before it
-        returns, so the stepper keeps no process-wide state (see the step
-        plan below)
+        calling thread does the same for the v half.  A march (run_batch)
+        starts at most one helper and joins it before it returns, so the
+        stepper keeps no process-wide state (see the step plan below)
   (iv)  audit: a non-finite or negative result halves dt and retries from
         the explicit stage of (i); a solve that fails its backward-error gate
         is a solver failure; a sup norm above the threshold is a blow-up
@@ -46,7 +45,7 @@ its own coefficients, t, dt, retries, sample times, diagnostics and
 termination; the grid, StepperConfig, t_end, Recorder and forcing are
 shared.  A member's numbers come from the same elementwise operations and
 the same row reductions whatever the batch, so its series is bitwise the
-one it gets alone.  run() and step() are the B = 1 case.  A forcing is
+one it gets alone.  run() is the B = 1 case.  A forcing is
 asked once per field and step for all members: ``forcing.u(ts, grid)``
 and ``forcing.v(ts, grid)`` take the members' times and return their rows
 stacked ``(B, *grid.shape)``, which the march reads and never writes.
@@ -74,7 +73,7 @@ advances by the same addition, samples are recorded from the same fields,
 the diagnostics move as a solved step moves them) instead of solving them,
 and solves only the capped last step.  The series, final state and
 diagnostics are bitwise those of solving every step; RunDiagnostics counts
-the replayed steps apart.  step() and forced runs solve every step.
+the replayed steps apart.  Forced runs solve every step.
 """
 
 from __future__ import annotations
@@ -124,10 +123,6 @@ _THREAD_CELLS = 1 << 16
 
 # the audit decides what overflow and NaN mean, so numpy need not warn
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
-
-
-class LinearSolverError(RuntimeError):
-    """Helmholtz solve failed its residual tolerance."""
 
 
 @dataclass(frozen=True)
@@ -252,19 +247,20 @@ class _Held:
         return _Held(self.eigenvalues, self.a_norm[part], denominator)
 
 
-def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma, held: Optional[_Held] = None) -> np.ndarray:
+def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> np.ndarray:
     """Solve (I - sigma*L_h) w = rhs for each row of ``rhs``.
 
-    ``sigma`` is a scalar or a (R, 1, ...) column with one entry per row;
-    ``held`` is what the march's plan holds for these rows, or None.
-    Rows are transformed, divided and clipped independently, so a row gets
-    the same bits whatever rows it is stacked with: the stepper passes the
-    u rows of all members followed by their v rows.
+    The DCT-II modes are exact eigenvectors of the flux-form Neumann
+    stencil in every axis, so one cosine transform over all axes
+    diagonalizes the system in 1D and 2D alike.  ``sigma`` is a scalar or
+    a (R, 1, ...) column with one entry per row; ``held`` is what the
+    march's plan holds for these rows.  Rows are transformed, divided and
+    clipped independently, so a row gets the same bits whatever rows it is
+    stacked with: the stepper passes the u rows of all members followed by
+    their v rows.
     """
     spectral = _cosine_transform(rhs, grid)
-    if held is None:
-        spectral /= _denominator(sigma, _axis_eigenvalues(grid))
-    elif held.denominator is None:
+    if held.denominator is None:
         spectral /= _denominator(sigma, held.eigenvalues)
     else:
         spectral /= held.denominator
@@ -292,7 +288,7 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _helmholtz_checked(
-    rhs: np.ndarray, grid: Grid, sigma, held: Optional[_Held] = None
+    rhs: np.ndarray, grid: Grid, sigma, held: _Held
 ) -> tuple[np.ndarray, list[float]]:
     """Solve each row as _helmholtz_core does; return (w, backward error of each row).
 
@@ -308,11 +304,11 @@ def _helmholtz_checked(
     residual *= sigma
     np.subtract(w, residual, out=residual)
     residual -= rhs
-    # normwise backward error: the rounding in sigma*L_h w grows like
-    # eps * ||A|| * ||w||, so dividing by ||rhs|| alone fails fine grids
-    # whose solves are exact to working precision
+    # normwise backward error ||r|| / (||A|| ||w|| + ||rhs||), with the held
+    # ||A|| bound: the rounding in sigma*L_h w grows like eps * ||A|| * ||w||,
+    # so dividing by ||rhs|| alone fails fine grids whose solves are exact to
+    # working precision
     rows = len(w)
-    a_norm = held.a_norm if held else _a_norm(np.broadcast_to(np.ravel(sigma), rows).tolist(), grid)
     # _row_norms of the rows of w, then rhs, then the residual: below _THREAD_CELLS
     # cells, where dispatch outweighs the arithmetic, one reduction of the three
     # squares stacked (a row is summed alone); larger calls hold one square at a time
@@ -327,7 +323,7 @@ def _helmholtz_checked(
     return w, [
         residual_norm / max(a * w_norm + rhs_norm, 1e-300)
         for a, w_norm, rhs_norm, residual_norm in zip(
-            a_norm, norms, norms[rows : 2 * rows], norms[2 * rows :]
+            held.a_norm, norms, norms[rows : 2 * rows], norms[2 * rows :]
         )
     ]
 
@@ -538,24 +534,6 @@ def _gate_message(rel: float) -> str:
     return f"helmholtz backward error {rel:.3e} exceeds tolerance {_LINEAR_TOL:.3e}"
 
 
-def helmholtz_solve(rhs: np.ndarray, grid: Grid, sigma: float) -> np.ndarray:
-    """Solve (I - sigma * L_h) w = rhs with Neumann boundaries, sigma > 0.
-
-    The DCT-II modes are exact eigenvectors of the flux-form Neumann
-    stencil in every axis, so one cosine transform over all axes
-    diagonalizes the system in 1D and 2D alike.  The normwise backward
-    error ||r|| / (||A|| ||w|| + ||rhs||), with ||A|| bounded by
-    1 + 4 sigma sum(1/h^2), is always verified against the stepper's gate
-    of 1e-10; failure raises LinearSolverError.
-    """
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma > 0 required, got {sigma}")
-    w, rel = _helmholtz_checked(_require_field(rhs, grid, "rhs")[None], grid, sigma)
-    if not (rel[0] <= _LINEAR_TOL):
-        raise LinearSolverError(_gate_message(rel[0]))
-    return w[0]
-
-
 def _propose_dt(
     umax: Sequence[float], grid: Grid, params: Sequence[ModelParams], cfg: StepperConfig,
     integrals: Sequence[float], grad_max: Sequence[np.ndarray],
@@ -672,7 +650,7 @@ def _audit(
 def _advance(
     plan: _Plan, u: np.ndarray, v: np.ndarray, ts: Sequence[float],
     params: Sequence[ModelParams], grid: Grid, cfg: StepperConfig, forcing,
-    dt_cap: Sequence[float], umax: Sequence[float], dt_override: Optional[float] = None,
+    dt_cap: Sequence[float], umax: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray, list[StepOutcome]]:
     """Attempt one step for every member of a batch of trusted states.
 
@@ -700,11 +678,7 @@ def _advance(
         explicit += forcing.u(ts, grid)
         forcing_v = forcing.v(ts, grid)
 
-    if dt_override is not None:
-        dts = [dt_override] * count
-    else:
-        dts = _propose_dt(umax, grid, params, cfg, integrals, grad_max)
-    dts = list(map(min, dts, dt_cap))
+    dts = list(map(min, _propose_dt(umax, grid, params, cfg, integrals, grad_max), dt_cap))
 
     outcomes = [StepOutcome(nonlocal_integral=i) for i in integrals]
     plan.column(dts)
@@ -724,41 +698,6 @@ def _advance(
             out.mass_new = cell_volume * row_mass
             out.source_integral = cell_volume * row_source
     return u_new, v_new, outcomes
-
-
-def step(
-    state: State,
-    params: ModelParams,
-    grid: Grid,
-    cfg: StepperConfig,
-    forcing=None,
-    dt_cap: Optional[float] = None,
-    dt_override: Optional[float] = None,
-) -> tuple[State, StepOutcome]:
-    """Advance one accepted IMEX step, or report blow-up/solver failure.
-
-    ``forcing`` (used by the verification harness) provides the fields
-    appended to the two equations: ``forcing.u(ts, grid)`` and
-    ``forcing.v(ts, grid)`` return one row per time of ``ts``, here the
-    one row at ``[state.t]``, shaped ``(1, *grid.shape)``.  ``dt_cap``
-    limits dt (e.g. to land exactly on t_end) and may go below dt_min
-    without triggering the blow-up flag.  ``dt_override``
-    bypasses the stability proposal entirely (experimentation hook); the
-    positivity audit and halving retries still apply to it.  A non-finite
-    or negative input state raises ValueError; a non-finite result is
-    audited like a negative one.
-    """
-    state.validate(grid)
-    if dt_override is not None and dt_override <= 0:
-        raise ValueError("dt_override must be positive")
-    caps = [math.inf if dt_cap is None else dt_cap]
-    with _march(1, grid) as plan:
-        u_new, v_new, (outcome,) = _advance(plan, _stack([state.u]), _stack([state.v]), [state.t],
-                                            [params], grid, cfg, forcing, caps,
-                                            [float(np.max(state.u))], dt_override)
-    if outcome.termination is not None:
-        return state, outcome
-    return State(u=u_new[0], v=v_new[0], t=state.t + outcome.dt, dt_last=outcome.dt), outcome
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .grid import Grid, State, lp_norm_pow
 from .observables import ObservableSeries, Termination
-from .operators import _column
+from .operators import _chemo_divergence, _column, _laplacian, _nonlocal_source
 from .params import ModelParams
 from .stepper import Recorder, RunResult, StepperConfig, _job_results, run
 
@@ -381,17 +381,15 @@ def semidiscrete_residual(case: ManufacturedCase, grid: Grid, t: float = 0.0) ->
     spot check that the hand-written forcings are consistent with the
     discrete operators they drive.
     """
-    from .operators import chemo_divergence, laplacian, nonlocal_source
-
     p = case.params
     u = case.u_exact(t, grid)
     v = case.v_exact(t, grid)
     eps = 1e-6
     dudt = (case.u_exact(t + eps, grid) - case.u_exact(t - eps, grid)) / (2 * eps)
-    source, _ = nonlocal_source(u, grid, p)
-    rhs = laplacian(u, grid) + source + case.forcing.u([t], grid)[0]
+    source, _ = _nonlocal_source(u[None], grid, [p], [p.alpha], [p.beta])
+    rhs = _laplacian(u, grid) + source[0] + case.forcing.u([t], grid)[0]
     if p.chi != 0.0:
-        rhs = rhs - p.chi * chemo_divergence(u, v, grid, scheme="central")
+        rhs = rhs - p.chi * _chemo_divergence(u, v, grid, "central")[0]
     return float(np.max(np.abs(dudt - rhs)))
 
 

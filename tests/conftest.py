@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 
@@ -60,3 +62,28 @@ def inline_pools(monkeypatch):
         return pools
 
     return install
+
+
+@pytest.fixture
+def one_step(monkeypatch):
+    """Call it as one_step(state, params, grid, cfg, forcing=None, dt_cap=None,
+    dt=None) for one step of one member as a march takes it: (the new State,
+    or None when the step ends the run, and the StepOutcome).  ``dt``, when
+    given, stands in for the stability proposal, an oversized one included."""
+    from kschemo import State, stepper
+
+    def step(state, params, grid, cfg, forcing=None, dt_cap=None, dt=None):
+        cap = math.inf if dt_cap is None else dt_cap
+        with monkeypatch.context() as patch:
+            if dt is not None:
+                patch.setattr(stepper, "_propose_dt", lambda umax, *args: [dt])
+            with stepper._march(1, grid) as plan:
+                u, v, (outcome,) = stepper._advance(
+                    plan, state.u[None], state.v[None], [state.t], [params], grid, cfg,
+                    forcing, [cap], [float(state.u.max())],
+                )
+        if outcome.termination is not None:
+            return None, outcome
+        return State(u[0], v[0], state.t + outcome.dt, outcome.dt), outcome
+
+    return step

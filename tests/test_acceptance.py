@@ -22,7 +22,6 @@ from kschemo import (
     integrate,
     mass_envelope,
     ode_comparison_oracle,
-    step,
 )
 from kschemo.config import parse_config, run_from_config, run_record
 from kschemo.observables import summarize
@@ -209,14 +208,14 @@ class TestCriterion4SteadyState:
         report(4, "steady-state-preservation", ok, f"max_drift={worst:.3e}")
         assert ok
 
-    def test_drift_example_values(self):
+    def test_drift_example_values(self, one_step):
         # sanity: the state itself stays put, not just its reductions
         params = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         grid = Grid(extent=(1.0,), cells=(64,))
         state = State(u=grid.full(1.0), v=grid.full(1.0))
         cfg = StepperConfig(dt_max=1e-3)
         for _ in range(10):
-            state, outcome = step(state, params, grid, cfg)
+            state, outcome = one_step(state, params, grid, cfg)
             assert outcome.termination is None and outcome.retries == 0
         assert np.max(np.abs(state.u - 1.0)) < 1e-12
 
@@ -417,7 +416,7 @@ class TestCriterion10Positivity:
         report(10, "positivity", ok, f"min_u={worst_u:.3e} min_v={worst_v:.3e}")
         assert ok
 
-    def test_oversized_dt_retries_without_negatives(self):
+    def test_oversized_dt_retries_without_negatives(self, one_step):
         params = ModelParams(chi=8.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
         grid = Grid(extent=(1.0,), cells=(256,))
         x = grid.cell_centers()[0]
@@ -426,9 +425,7 @@ class TestCriterion10Positivity:
         v0 = grid.sample(lambda x: 1.0 + np.cos(np.pi * x))
         cfg = StepperConfig()
         safe = adapt_dt(u0, v0, grid, params, cfg, 0.0)
-        state, outcome = step(
-            State(u=u0, v=v0), params, grid, cfg, dt_override=200.0 * safe
-        )
+        state, outcome = one_step(State(u=u0, v=v0), params, grid, cfg, dt=200.0 * safe)
         ok = (
             outcome.termination is None
             and outcome.retries >= 1

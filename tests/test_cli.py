@@ -1028,6 +1028,29 @@ class TestBoundCheck:
         assert (code, out) == (2, "")
         assert err.startswith("error: config: ") and "u_initial.snap" in err
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda data: data[:16] + (7).to_bytes(4, "little") + data[20:],
+             "1D snapshot with ny = 7, not 0"),
+            (lambda data: data + b"\0", "bytes after the snapshot payload"),
+        ],
+        ids=["ny-in-1d", "trailing-bytes"],
+    )
+    def test_empty_series_beside_a_malformed_snapshot_exit_2(
+        self, tmp_path, capsys, corrupt, message
+    ):
+        # the snapshot keeps the right 32 values, so only the reader can refuse it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid.cells_x = 32\nic.u = constant\nic.u_value = 1e40\nrun.t_end = 0.1\n")
+        out_dir = tmp_path / "out"
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(out_dir))[0] == 4
+        snap = out_dir / "u_initial.snap"
+        snap.write_bytes(corrupt(snap.read_bytes()))
+        code, out, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err == f"error: config: {snap}: {message}\n"
+
 
 # alpha = beta = 2, a = b = 1 is a covered point, yet at these masses the
 # explicit damping collapses dt below dt_min at the first step

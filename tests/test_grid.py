@@ -9,7 +9,6 @@ from kschemo import (
     State,
     field_to_csv,
     integrate,
-    linf_norm,
     lp_norm_pow,
     read_snapshot,
     write_snapshot,
@@ -106,18 +105,11 @@ class TestReductions:
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
         assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.05)
 
-    def test_linf(self):
-        assert linf_norm(np.array([1.0, -3.0, 2.0])) == 3.0
-        assert linf_norm(np.full(5, -2.5)) == 2.5
-        assert linf_norm(np.zeros(4)) == 0.0
-
     def test_non_finite_rejected(self, grid1d):
         bad = grid1d.zeros()
         bad[3] = np.nan
         with pytest.raises(ValueError):
             integrate(bad, grid1d)
-        with pytest.raises(ValueError):
-            linf_norm(bad)
 
     def test_shape_mismatch_rejected(self, grid1d):
         with pytest.raises(ValueError):
@@ -209,6 +201,29 @@ class TestSnapshots:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "dim, nx, ny, extra, message",
+        [
+            (3, 8, 4, b"", "dim 3 is not 1 or 2"),
+            (0, 8, 4, b"", "dim 0 is not 1 or 2"),
+            (1, 8, 7, b"", "1D snapshot with ny = 7"),
+            (1, 0, 0, b"", r"shape \(0,\) has an axis below 4 cells"),
+            (2, 0, 5, b"", r"shape \(0, 5\) has an axis below 4 cells"),
+            (2, 5, 3, b"", r"shape \(5, 3\) has an axis below 4 cells"),
+            (1, 8, 0, b"\0", "bytes after the snapshot payload"),
+        ],
+        ids=["dim-3", "dim-0", "ny-in-1d", "no-cells-1d", "no-cells-2d", "3-cells", "trailing-bytes"],
+    )
+    def test_malformed_header_or_tail_rejected(self, tmp_path, dim, nx, ny, extra, message):
+        # a header that no grid writes, with the payload its shape asks for
+        path = tmp_path / "u.snap"
+        count = nx * (1 if dim == 1 else ny)
+        header = struct.pack("<8sIII4xd", b"KSCHSNP1", dim, nx, ny, 0.0)
+        path.write_bytes(header + bytes(8 * count) + extra)
+        with pytest.raises(ValueError, match=message) as raised:
+            read_snapshot(path)
+        assert str(raised.value).startswith(f"{path}: ")
 
     def test_field_csv(self, tmp_path, grid2d):
         path = tmp_path / "u.csv"

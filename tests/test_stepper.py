@@ -17,25 +17,20 @@ from hypothesis.extra import numpy as hnp
 
 from kschemo import (
     Grid,
-    LinearSolverError,
     ModelParams,
     Recorder,
     State,
-    StepOutcome,
     StepperConfig,
     Termination,
     adapt_dt,
-    helmholtz_solve,
     integrate,
-    laplacian,
     run,
     run_batch,
-    step,
 )
 from kschemo import operators, stepper, verification
 from kschemo.grid import _POSITIVITY_TOL
 from kschemo.operators import FACE_SCHEMES
-from kschemo.stepper import _neumann_eigenvalues
+from kschemo.stepper import StepOutcome, _neumann_eigenvalues
 from kschemo.verification import build_mms_case, equilibrium_case
 
 
@@ -79,6 +74,25 @@ def _advance(u, v, ts, params, grid, cfg, forcing=None, dt_cap=None):
         return stepper._advance(plan, u, v, ts, params, grid, cfg, forcing, caps, umax)
 
 
+def _held(rhs, grid, sigma):
+    """What a march's plan holds for solving the rows of ``rhs`` at ``sigma``
+    (a scalar or a column with one entry per row) before its dt column repeats."""
+    sigmas = np.broadcast_to(np.ravel(sigma), len(rhs)).tolist()
+    return stepper._Held(stepper._axis_eigenvalues(grid), stepper._a_norm(sigmas, grid))
+
+
+def _checked(rhs, grid, sigma):
+    """_helmholtz_checked of the rows of ``rhs``: (w, backward error of each row)."""
+    return stepper._helmholtz_checked(rhs, grid, sigma, _held(rhs, grid, sigma))
+
+
+def _solve(rhs, grid, sigma):
+    """The checked solve of one field, which must pass the stepper's gate."""
+    w, (rel,) = _checked(rhs[None], grid, sigma)
+    assert rel <= stepper._LINEAR_TOL
+    return w[0]
+
+
 def _record_threads(monkeypatch, name="_helmholtz_checked"):
     """Allow two threads on any machine; collect who calls stepper.<name>, by thread name."""
     monkeypatch.setattr(stepper, "_usable_cpus", lambda: 2)
@@ -110,7 +124,7 @@ class TestStepperConfig:
 class TestHelmholtz:
     def test_constant_in_kernel(self, grid1d, grid2d):
         for grid in (grid1d, grid2d):
-            w = helmholtz_solve(grid.full(3.0), grid, sigma=0.1)
+            w = _solve(grid.full(3.0), grid, sigma=0.1)
             np.testing.assert_allclose(w, 3.0, rtol=1e-13)
 
     def test_discrete_eigenmode_exact(self, grid1d):
@@ -119,7 +133,7 @@ class TestHelmholtz:
         lam = _neumann_eigenvalues(n, grid1d.h[0])[1]
         sigma = 0.37
         rhs = (1.0 - sigma * lam) * mode
-        w = helmholtz_solve(rhs, grid1d, sigma)
+        w = _solve(rhs, grid1d, sigma)
         np.testing.assert_allclose(w, mode, atol=1e-12)
 
     def test_discrete_eigenmode_exact_2d(self, grid2d):
@@ -130,7 +144,7 @@ class TestHelmholtz:
             + _neumann_eigenvalues(ny, grid2d.h[1])[2]
         )
         sigma = 0.05
-        w = helmholtz_solve((1.0 - sigma * lam) * mode, grid2d, sigma)
+        w = _solve((1.0 - sigma * lam) * mode, grid2d, sigma)
         np.testing.assert_allclose(w, mode, atol=1e-12)
 
     def test_random_rhs_residual(self, grid1d, grid2d):
@@ -138,8 +152,8 @@ class TestHelmholtz:
         for grid, seed in ((grid1d, 0), (grid2d, 1), (odd, 4)):
             rhs = np.random.default_rng(seed).standard_normal(grid.shape)
             sigma = 2.3e-3
-            w = helmholtz_solve(rhs, grid, sigma)
-            res = np.linalg.norm(w - sigma * laplacian(w, grid) - rhs)
+            w = _solve(rhs, grid, sigma)
+            res = np.linalg.norm(w - sigma * operators._laplacian(w, grid) - rhs)
             assert res / np.linalg.norm(rhs) <= 1e-10
 
     def test_nonnegative_map(self, grid1d, grid2d):
@@ -150,21 +164,21 @@ class TestHelmholtz:
             peak = grid.sample(lambda *xs: 1e6 * np.exp(-sum((x - 0.5) ** 2 for x in xs) / 2e-3))
             for sigma in (1e-4, 1e-2, 1.0):
                 for rhs in (np.abs(rng.standard_normal(grid.shape)), peak):
-                    assert helmholtz_solve(rhs, grid, sigma).min() >= 0.0
+                    assert _solve(rhs, grid, sigma).min() >= 0.0
 
     def test_fine_grid_passes_gate(self):
         # the rounding in sigma*L_h w grows like eps*4*sigma/h^2*||w||; a
         # residual gated on ||rhs|| alone rejected this exact solve
         grid = Grid(extent=(1.0,), cells=(16384,))
         rhs = np.random.default_rng(6).random(grid.shape)
-        w = helmholtz_solve(rhs, grid, 1e-2)
+        w = _solve(rhs, grid, 1e-2)
         assert integrate(w, grid) == pytest.approx(integrate(rhs, grid), rel=1e-12)
 
     def test_perturbed_solution_fails_gate(self, grid1d, grid2d, monkeypatch):
         exact_core = stepper._helmholtz_core
 
-        def perturbed_core(rhs, grid, sigma, *held):
-            w = exact_core(rhs, grid, sigma, *held)
+        def perturbed_core(rhs, grid, sigma, held):
+            w = exact_core(rhs, grid, sigma, held)
             w.flat[5] += 1e-6 * np.linalg.norm(w)
             return w
 
@@ -173,8 +187,8 @@ class TestHelmholtz:
         for grid in (grid1d, grid2d, fine):
             rhs = np.random.default_rng(8).random(grid.shape)
             for sigma in (1e-4, 1e-2, 1.0):
-                with pytest.raises(LinearSolverError):
-                    helmholtz_solve(rhs, grid, sigma)
+                _, (rel,) = _checked(rhs[None], grid, sigma)
+                assert rel > stepper._LINEAR_TOL
 
     def test_gate_residual_matches_expression(self, grid1d, grid2d):
         # the gate builds w - sigma*L_h w - rhs in the Laplacian's array and
@@ -193,7 +207,7 @@ class TestHelmholtz:
             for sigma in (2.3e-3, 1.0, column):
                 kept = rhs.copy()
                 with np.errstate(all="ignore"):
-                    w, rel = stepper._helmholtz_checked(rhs, grid, sigma)
+                    w, rel = _checked(rhs, grid, sigma)
                     residual = w - sigma * operators._laplacian(w, grid) - rhs
                     a_norm = 1.0 + 4.0 * np.ravel(sigma) * sum(1.0 / h**2 for h in grid.h)
                     scale = a_norm * stepper._row_norms(w) + stepper._row_norms(rhs)
@@ -210,9 +224,9 @@ class TestHelmholtz:
         grid = Grid(extent=(1.0, 1.0), cells=(128, 128))
         rhs = np.random.default_rng(14).random((3,) + grid.shape)
         sigma = operators._column([1e-4, 2.3e-3, 1.0], grid.dim)
-        _, rel = stepper._helmholtz_checked(rhs, grid, sigma)
+        _, rel = _checked(rhs, grid, sigma)
         for i in range(3):
-            _, alone = stepper._helmholtz_checked(rhs[i : i + 1], grid, sigma[i : i + 1])
+            _, alone = _checked(rhs[i : i + 1], grid, sigma[i : i + 1])
             assert alone == [rel[i]]
 
     def test_mixed_batch_clips_only_nonnegative_rows(self, grid1d, grid2d):
@@ -225,11 +239,12 @@ class TestHelmholtz:
             signed = np.random.default_rng(15).standard_normal(grid.shape)
             rhs = np.stack([peak, signed, 3.0 * peak])
             sigma = operators._column([1e-6, 1e-2, 1e-5], grid.dim)
-            w = stepper._helmholtz_core(rhs, grid, sigma)
+            w = stepper._helmholtz_core(rhs, grid, sigma, _held(rhs, grid, sigma))
             assert w[0].min() >= 0.0 and w[2].min() >= 0.0
             assert w[1].min() < 0.0
             for i in range(3):
-                alone = stepper._helmholtz_core(rhs[i : i + 1], grid, sigma[i : i + 1])
+                row, row_sigma = rhs[i : i + 1], sigma[i : i + 1]
+                alone = stepper._helmholtz_core(row, grid, row_sigma, _held(row, grid, row_sigma))
                 np.testing.assert_array_equal(w[i], alone[0])
                 if i != 1:
                     # the clip matters: without it the row dips below zero
@@ -248,15 +263,11 @@ class TestHelmholtz:
             stepper._cosine_transform(spectral.copy(), grid, inverse=True), expected
         )
 
-    def test_rejects_bad_sigma(self, grid1d):
-        with pytest.raises(ValueError):
-            helmholtz_solve(grid1d.zeros(), grid1d, sigma=0.0)
-
     def test_mean_preserved(self, grid2d):
         odd = Grid(extent=(2.5,), cells=(37,))
         for grid, seed in ((grid2d, 3), (odd, 5)):
             rhs = np.random.default_rng(seed).standard_normal(grid.shape)
-            w = helmholtz_solve(rhs, grid, sigma=0.7)
+            w = _solve(rhs, grid, sigma=0.7)
             assert integrate(w, grid) == pytest.approx(integrate(rhs, grid), abs=1e-11)
 
 
@@ -459,16 +470,16 @@ class TestTransportSlabs:
 
 
 class TestStep:
-    def test_equilibrium_fixed_point(self, grid1d):
+    def test_equilibrium_fixed_point(self, grid1d, one_step):
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
         state, ustar = equilibrium_state(p, grid1d)
         cfg = StepperConfig()
-        new_state, outcome = step(state, p, grid1d, cfg)
+        new_state, outcome = one_step(state, p, grid1d, cfg)
         assert outcome.termination is None and outcome.retries == 0
         assert np.max(np.abs(new_state.u - ustar)) <= 1e-10 * ustar
         assert np.max(np.abs(new_state.v - ustar)) <= 1e-10 * ustar
 
-    def test_pure_decay_amplification_factor(self, grid1d):
+    def test_pure_decay_amplification_factor(self, grid1d, one_step):
         # chi = a = b = 0: an eigenmode contracts by 1/(1 + dt*|lambda|)
         p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
         dt = 1e-3
@@ -476,34 +487,33 @@ class TestStep:
         mode = grid1d.sample(lambda x: np.cos(np.pi * x))
         state = State(u=2.0 + mode, v=grid1d.full(2.0))
         lam = _neumann_eigenvalues(grid1d.cells[0], grid1d.h[0])[1]
-        new_state, outcome = step(state, p, grid1d, cfg)
+        new_state, outcome = one_step(state, p, grid1d, cfg)
         assert outcome.dt == dt
         expected = 2.0 + mode / (1.0 - dt * lam)
         np.testing.assert_allclose(new_state.u, expected, atol=1e-12)
 
-    def test_mass_identity_single_step(self, grid1d):
+    def test_mass_identity_single_step(self, grid1d, one_step):
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
         x = grid1d.cell_centers()[0]
         u0 = 1.0 + np.exp(-((x - 0.5) ** 2) / 0.01)
         state = State(u=u0, v=0.5 * u0)
         cfg = StepperConfig()
         mass_before = integrate(state.u, grid1d)
-        new_state, outcome = step(state, p, grid1d, cfg)
+        _, outcome = one_step(state, p, grid1d, cfg)
         delta = outcome.mass_new - mass_before
         tol = stepper._LINEAR_TOL
         assert abs(delta - outcome.dt * outcome.source_integral) <= 10 * tol * mass_before
 
-    def test_blowup_threshold_semantics(self, grid1d):
+    def test_blowup_threshold_semantics(self, grid1d, one_step):
         # equilibrium level 2 with threshold 1: flagged on the first step
         p = ModelParams(chi=1.0, a=4.0, b=1.0, alpha=2.0, beta=2.0)
         state, ustar = equilibrium_state(p, grid1d)
         assert ustar == pytest.approx(2.0)
         cfg = StepperConfig(blowup_linf_threshold=1.0)
-        same_state, outcome = step(state, p, grid1d, cfg)
+        _, outcome = one_step(state, p, grid1d, cfg)
         assert outcome.termination is Termination.BLOWUP_DETECTED
-        assert same_state is state
 
-    def test_oversized_dt_triggers_retry_not_negatives(self, grid1d):
+    def test_oversized_dt_triggers_retry_not_negatives(self, grid1d, one_step):
         p = ModelParams(chi=8.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
         x = grid1d.cell_centers()[0]
         u0 = np.exp(-((x - 0.5) ** 2) / (2 * 0.03**2))
@@ -512,7 +522,7 @@ class TestStep:
         state = State(u=u0, v=v0)
         cfg = StepperConfig()
         safe_dt = adapt_dt(u0, v0, grid1d, p, cfg, 0.0)
-        new_state, outcome = step(state, p, grid1d, cfg, dt_override=200.0 * safe_dt)
+        new_state, outcome = one_step(state, p, grid1d, cfg, dt=200.0 * safe_dt)
         assert outcome.termination is None and outcome.retries > 0
         assert outcome.retries >= 1
         assert new_state.u.min() >= -_POSITIVITY_TOL
@@ -527,41 +537,40 @@ class TestStep:
             v = grid.full(1.0)
             v.flat[3] = np.nan
             with pytest.raises(ValueError, match="non-finite"):
-                step(State(u=grid.full(1.0), v=v), p, grid, StepperConfig())
+                run(State(u=grid.full(1.0), v=v), p, grid, StepperConfig(), 1.0, Recorder())
 
-    def test_dt_collapse_reports_blowup(self, grid1d):
+    def test_dt_collapse_reports_blowup(self, grid1d, one_step):
         p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
         state = State(u=grid1d.full(1.0), v=grid1d.zeros())
         cfg = StepperConfig(dt_min=1e-6, dt_max=1e-2)
         # force endless violation by injecting an absurd dt with no room to halve
-        _, outcome = step(state, p, grid1d, cfg, dt_override=2e-6, dt_cap=None, forcing=_NegativeForcing())
+        _, outcome = one_step(state, p, grid1d, cfg, _NegativeForcing(), dt=2e-6)
         assert outcome.termination is Termination.BLOWUP_DETECTED
         assert outcome.retries == 2
         assert outcome.cause == "dt collapsed below dt_min during retries"
 
-    def test_retry_cap_reports_blowup(self, grid1d):
+    def test_retry_cap_reports_blowup(self, grid1d, one_step):
         p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
         state = State(u=grid1d.full(1.0), v=grid1d.zeros())
         cfg = StepperConfig()
         # 20 halvings of 1e-3 stay above dt_min; the cap ends the retries first
-        _, outcome = step(state, p, grid1d, cfg, dt_override=1e-3, forcing=_NegativeForcing())
+        _, outcome = one_step(state, p, grid1d, cfg, _NegativeForcing(), dt=1e-3)
         assert outcome.termination is Termination.BLOWUP_DETECTED
         assert outcome.retries == 21
         assert outcome.cause == "retry cap of 20 reached"
 
 
-    def test_nonfinite_solve_retries_instead_of_raising(self):
+    def test_nonfinite_solve_retries_instead_of_raising(self, one_step):
         # u^alpha overflows, so every solve is non-finite: the audit halves
         # dt until it collapses, and the step reports that as its outcome
         grid = Grid((1.0,), (64,))
         state = State(u=grid.full(1e200), v=grid.full(1.0))
         p = ModelParams(chi=0, a=1, b=1, alpha=2, beta=1)
-        same_state, outcome = step(state, p, grid, StepperConfig())
-        assert same_state is state
+        _, outcome = one_step(state, p, grid, StepperConfig())
         assert outcome.termination is Termination.BLOWUP_DETECTED
         assert outcome.cause == "dt collapsed below dt_min during retries"
         # the proposal sits at dt_min; from a larger dt the cap ends it first
-        _, outcome = step(state, p, grid, StepperConfig(), dt_override=1e-3)
+        _, outcome = one_step(state, p, grid, StepperConfig(), dt=1e-3)
         assert outcome.cause == "retry cap of 20 reached"
         assert outcome.retries == 21
 
@@ -579,8 +588,8 @@ def _two_solve_reference(u, v, ts, params, grid, cfg, dts, forcing=None):
     if forcing is not None:
         explicit = explicit + forcing.u(ts, grid)
         rhs_v = rhs_v + dt * forcing.v(ts, grid)
-    w_u, rel_u = stepper._helmholtz_checked(u + dt * explicit, grid, dt)
-    w_v, rel_v = stepper._helmholtz_checked(rhs_v / (1.0 + dt), grid, dt / (1.0 + dt))
+    w_u, rel_u = _checked(u + dt * explicit, grid, dt)
+    w_v, rel_v = _checked(rhs_v / (1.0 + dt), grid, dt / (1.0 + dt))
     return w_u, w_v, rel_u, rel_v
 
 
@@ -656,9 +665,9 @@ class TestStackedSolve:
         cfg = StepperConfig()
         exact_core = stepper._helmholtz_core
 
-        def perturbed_core(rhs, grid, sigma, *held):
+        def perturbed_core(rhs, grid, sigma, held):
             # rows are the three u rows, then the three v rows: member 1's v is row 4
-            w = exact_core(rhs, grid, sigma, *held)
+            w = exact_core(rhs, grid, sigma, held)
             w[4].flat[5] += 1e-6 * np.linalg.norm(w[4])
             return w
 
@@ -683,9 +692,9 @@ class TestStackedSolve:
         checked = stepper._helmholtz_checked
         calls = []
 
-        def spy(rhs, grid, sigma, *held):
+        def spy(rhs, grid, sigma, held):
             calls.append((rhs.shape[0], np.ravel(sigma).tolist()))
-            return checked(rhs, grid, sigma, *held)
+            return checked(rhs, grid, sigma, held)
 
         monkeypatch.setattr(stepper, "_helmholtz_checked", spy)
         for grid in (grid1d, grid2d):
@@ -775,8 +784,8 @@ class TestRun:
     def test_solver_failure_cause(self, grid1d, monkeypatch):
         exact_core = stepper._helmholtz_core
 
-        def perturbed_core(rhs, grid, sigma, *held):
-            w = exact_core(rhs, grid, sigma, *held)
+        def perturbed_core(rhs, grid, sigma, held):
+            w = exact_core(rhs, grid, sigma, held)
             w.flat[5] += 1e-6 * np.linalg.norm(w)
             return w
 
@@ -882,7 +891,7 @@ class TestRun:
         assert len(built) == 1
         assert _helper_threads() == []
 
-    def test_helper_overflow_warns_nothing(self, monkeypatch):
+    def test_helper_overflow_warns_nothing(self, monkeypatch, one_step):
         grid = _threaded_grid()
         transport = _record_threads(monkeypatch, "_chemo_divergence")
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
@@ -892,7 +901,7 @@ class TestRun:
         v = grid.sample(lambda x, y: 1e3 * x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, outcome = step(State(u=u, v=v), p, grid, StepperConfig())
+            _, outcome = one_step(State(u=u, v=v), p, grid, StepperConfig())
         assert outcome.termination is Termination.BLOWUP_DETECTED
         assert len(transport) == 2
         assert _helper_threads() == []
@@ -903,14 +912,14 @@ class TestRun:
         checked, caller = stepper._helmholtz_checked, threading.get_ident()
         v_started, u_done = threading.Event(), []
 
-        def v_half_fails(rhs, grid, sigma, *held):
+        def v_half_fails(rhs, grid, sigma, held):
             if threading.get_ident() == caller:
                 v_started.set()
                 raise RuntimeError("v half failed")
             # the u half finishes only after the v half has raised
             assert v_started.wait(timeout=60)
             time.sleep(0.05)
-            result = checked(rhs, grid, sigma, *held)
+            result = checked(rhs, grid, sigma, held)
             u_done.append(threading.current_thread().name)
             return result
 
@@ -1014,10 +1023,10 @@ def _equilibrium(grid):
     return equilibrium_state(_REPLAY_PARAMS, grid)[0], _REPLAY_PARAMS
 
 
-def _fixed_point_state(grid, cfg, chi=1.0):
+def _fixed_point_state(one_step, grid, cfg, chi=1.0):
     """The equilibrium after its first step, at t = 0: a fixed point of the step map."""
     p = dataclasses.replace(_REPLAY_PARAMS, chi=chi)
-    moved, _ = step(equilibrium_state(p, grid)[0], p, grid, cfg)
+    moved, _ = one_step(equilibrium_state(p, grid)[0], p, grid, cfg)
     return State(u=moved.u, v=moved.v), p
 
 
@@ -1089,11 +1098,11 @@ class TestFixedPointReplay:
         zero = grid.zeros()
         assert not stepper._fixed_point(outcome, 1.0, 1.0, 1.0, u, zero, u.copy(), -zero)
 
-    def test_run_whose_v_moves_by_one_ulp_replays_nothing(self, monkeypatch):
+    def test_run_whose_v_moves_by_one_ulp_replays_nothing(self, monkeypatch, one_step):
         # without chemotaxis u stays at its equilibrium whatever v does; each
         # step hands back its input v one ulp higher in one cell
         grid = Grid(extent=(1.0,), cells=(32,))
-        state, p = _fixed_point_state(grid, self.CFG, chi=0.0)
+        state, p = _fixed_point_state(one_step, grid, self.CFG, chi=0.0)
         original = stepper._advance
 
         def nudged(helper, u, v, *args, **kwargs):
@@ -1111,9 +1120,9 @@ class TestFixedPointReplay:
         _solving_every_step(monkeypatch)
         _assert_same_run(result, run(state, p, grid, self.CFG, 2.05, self.REC))
 
-    def test_forced_run_replays_nothing(self):
+    def test_forced_run_replays_nothing(self, one_step):
         grid = Grid(extent=(1.0,), cells=(32,))
-        state, p = _fixed_point_state(grid, self.CFG)
+        state, p = _fixed_point_state(one_step, grid, self.CFG)
         case = equilibrium_case(p, grid)
         forced = run(state, p, grid, self.CFG, 2.05, self.REC, forcing=case.forcing)
         unforced = run(state, p, grid, self.CFG, 2.05, self.REC)
@@ -1446,9 +1455,9 @@ def _advance_in_child(u, v, params, grid):
     """One step in a worker; also the names of the threads that solved and are left."""
     checked, solvers = stepper._helmholtz_checked, set()
 
-    def spy(rhs, grid, sigma, *held):
+    def spy(rhs, grid, sigma, held):
         solvers.add(threading.current_thread().name)
-        return checked(rhs, grid, sigma, *held)
+        return checked(rhs, grid, sigma, held)
 
     stepper._helmholtz_checked = spy
     try:

@@ -439,7 +439,7 @@ class TestForcingBlocks:
             assert same_run(result, verification._run_level(case, g, dt, t_end, "central"))
             assert case.forcing.u_fn.calls == result.diagnostics.steps
 
-    def test_untabulated_times_get_direct_bits(self, params):
+    def test_untabulated_times_get_direct_bits(self, params, one_step):
         grid = Grid(extent=(1.0,), cells=(32,))
         case = build_mms_case(params, grid)
         dt, cfg = 1e-4, StepperConfig(dt_max=1e-4, cfl_safety=1.0)
@@ -449,9 +449,9 @@ class TestForcingBlocks:
         # dt / 3 and dt: the steps after the halved and the capped one ask for
         # times no block holds, and start one
         state = direct = case.initial_state(grid)
-        for override, cap in ((dt, None), (dt, None), (dt / 2, None), (None, dt / 3), (dt, None)):
-            state, outcome = stepper.step(state, params, grid, cfg, blocks, cap, override)
-            direct, expected = stepper.step(direct, params, grid, cfg, case.forcing, cap, override)
+        for proposal, cap in ((dt, None), (dt, None), (dt / 2, None), (None, dt / 3), (dt, None)):
+            state, outcome = one_step(state, params, grid, cfg, blocks, cap, proposal)
+            direct, expected = one_step(direct, params, grid, cfg, case.forcing, cap, proposal)
             assert outcome == expected
             assert (state.u.tobytes(), state.v.tobytes(), state.t) == (
                 direct.u.tobytes(), direct.v.tobytes(), direct.t
