@@ -218,6 +218,8 @@ def _cmd_sweep(args, extras: list[str]) -> int:
         if args.workers < 1:
             raise ConfigError(f"workers >= 1 required, got {args.workers}", key="--workers")
         overrides = _collect_overrides(extras)
+        if "run.t_end" in overrides:
+            raise ConfigError("sweep takes its run length from --t-end", key="--run.t_end")
         unread = [f"--{key}" for key in overrides]
         unread += [flag for flag, value in (("--config", args.config), ("--t-end", args.t_end))
                    if value is not None]
@@ -241,7 +243,13 @@ def _cmd_sweep(args, extras: list[str]) -> int:
             # every point shares the base config; reject it before any point runs
             overrides["run.t_end"] = repr(2.0 if args.t_end is None else args.t_end)
             source = {"path": args.config} if args.config is not None else {"text": ""}
-            base = parse_config(**source, overrides=overrides)
+            try:
+                base = parse_config(**source, overrides=overrides)
+            except ConfigError as exc:
+                if exc.key != "run.t_end":
+                    raise
+                # --t-end's value replaced any run.t_end of the base file
+                raise ConfigError(exc.message, key="--t-end") from None
             _require_envelope(base)
             # every point starts from the base state; an IC that overflows fails here
             build_initial_state(base)

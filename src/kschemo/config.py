@@ -40,6 +40,7 @@ class ConfigError(ValueError):
         if key is not None:
             ctx += f"{key}: "
         super().__init__(ctx + message)
+        self.message = message
         self.key = key
         self.line = line
 

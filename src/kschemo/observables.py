@@ -70,7 +70,7 @@ class ObservableSeries:
             raise ValueError("row width does not match columns")
         if self.rows and row[0] <= self.rows[-1][0]:
             raise ValueError("sample times must be strictly increasing")
-        self.rows.append(tuple(float(x) for x in row))
+        self.rows.append(tuple(map(float, row)))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -132,18 +132,21 @@ def record(
         v = _require_field(state.v, grid, "v")
     except ValueError as exc:
         raise ObservableError(str(exc)) from exc
-    # the same reductions as integrate and lp_norm_pow, over one |u|
+    # the same reductions as integrate and lp_norm_pow, over one |u|, by
+    # the ufuncs that ndarray.sum and ndarray.max call
     volume = grid.cell_volume
     abs_u = np.abs(u)
-    mass = volume * float(u.sum())
+    total, most = np.add.reduce, np.maximum.reduce
+    mass = volume * float(total(u, axis=None))
     int_beta, *int_k = [
-        volume * float((abs_u if k == 1 else abs_u**k).sum()) for k in (params.beta, *k_list)
+        volume * float(total(abs_u if k == 1 else abs_u**k, axis=None))
+        for k in (params.beta, *k_list)
     ]
-    sup_u, sup_v = float(abs_u.max()), float(np.abs(v).max())
+    sup_u, sup_v = float(most(abs_u, axis=None)), float(most(np.abs(v), axis=None))
 
     row = (state.t, mass, int_beta, *int_k, sup_u, sup_v, state.dt_last,
            float(cumulative_retries))
-    if not all(math.isfinite(x) for x in row):
+    if not all(map(math.isfinite, row)):
         raise ObservableError(f"non-finite observable at t = {state.t}")
 
     integrals = [(1.0, abs(mass)), (params.beta, int_beta), *zip(k_list, int_k)]

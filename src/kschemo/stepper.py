@@ -35,9 +35,9 @@ norm escape), and is a report about the discrete trajectory, never a claim
 about the PDE.  A dt collapse or the retry cap stays BlowupDetected although
 it is a fact about the scheme at that state, not a sup norm that escaped;
 such a run ends before t_end, so no verdict of observables.summarize can
-read true on it.  Steps and runs share one vocabulary: a step is accepted
-(its StepOutcome's termination is None) or names the Termination that ends
-its member's run, with the cause the run reports.
+read true on it.  Steps and runs share one vocabulary: a step accepts a
+member's row (the row is not in its _Step's ``ends``) or names the
+Termination that ends the member's run, with the cause the run reports.
 
 There is one march, run_batch().  It advances B members, the parameter
 points of a sweep, as fields stacked ``(B, *grid.shape)``.  Each member has
@@ -52,39 +52,48 @@ stacked ``(B, *grid.shape)``, which the march reads and never writes.
 
 A march keeps one step plan (_Plan): its helper thread, the per-axis
 eigenvalues of its grid and the values its steps share.  Per active set,
-the rows' ModelParams, it holds the chi column and the exponent lists; per
-dt column, the rows' dts, the dt, 1+dt and sigma columns of both halves,
-each row's ||A|| bound for the gate and, from the second solve at the same
-column on, the denominators 1 - sigma*lambda.  It builds each afresh only
-when its key changes (a new proposal, a retry halving, the t_end cap, a
-member leaving).  A dt held at dt_max repeats the column (7097 of the 7408
-solves of the 256-cell Criterion 2 run); a column that moves every step
-(none of the 16 of a 512^2 bump repeats) never builds the denominators,
-and each solve divides by a temporary of its own.  The plan holds the
-values each solve would compute, so no bit moves.
+the rows' ModelParams, it holds chi, the coefficient lists and the
+exponents of the source, and each row's (chi, alpha - 1, a, b) that the dt
+proposal reads; per dt column, the rows' dts, the dt, 1+dt and sigma of
+both halves, the shape of their stacked rhs, each row's ||A|| bound for
+the gate and, from the second solve at the same column on, the
+denominators 1 - sigma*lambda.  A value every row shares is held as a 0-d
+array, which numpy broadcasts at half the cost of a (B, 1, ...) column
+(_per_row, _exponents).  It builds each afresh only when its key changes
+(a new proposal, a retry halving, the t_end cap, a member leaving).  A dt
+held at dt_max repeats the column (7097 of the 7408 solves of the 256-cell
+Criterion 2 run); a column that moves every step (none of the 16 of a
+512^2 bump repeats) never builds the denominators, and each solve divides
+by a temporary of its own.  The plan holds the values each solve would
+compute, so no bit moves.
 
 A step is a pure function of its member's fields, coefficients and dt,
 whatever the batch or the thread split.  So when an accepted step of an
 unforced member took no retry, ran at its proposed dt (not the t_end cap)
 and returned u and v bit for bit, every later step that the cap would not
-shorten is that same step: same dt, fields, extrema and residuals.
-run_batch replays such steps through the member's own bookkeeping (t
-advances by the same addition, samples are recorded from the same fields,
-the diagnostics move as a solved step moves them) instead of solving them,
-and solves only the capped last step.  The series, final state and
-diagnostics are bitwise those of solving every step; RunDiagnostics counts
-the replayed steps apart.  Forced runs solve every step.
+shorten is that same step: same dt, fields, extrema and residuals.  The
+member replays such steps instead of solving them (_Member.replay): each
+costs its time addition and a test of the next sample time.  t advances by
+the same additions; the diagnostics move by what each step adds, its count
+(its retries, mass identity violation and minima repeat the step's own);
+record runs once, at the first due sample of the tail, and each later due
+sample takes that row with its own time, as dt and the retry count do not
+change either.  The march solves only the capped last step.  The series,
+final state and diagnostics are bitwise those of solving every step;
+RunDiagnostics counts the replayed steps apart.  Forced runs solve every
+step.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import fftpack
@@ -93,10 +102,13 @@ from .grid import _POSITIVITY_TOL, Grid, State, _require_field, integrate
 from .observables import ObservableError, ObservableSeries, Termination, record
 from .operators import (
     FACE_SCHEMES,
+    _ZERO,
     _chemo_divergence,
     _column,
+    _exponents,
     _laplacian,
     _nonlocal_source,
+    _per_row,
 )
 from .params import ModelParams, require
 
@@ -120,6 +132,9 @@ _MAX_RETRIES = 20
 # breaks even between 128^2 and 182^2; batches of many small rows were not
 # timed, so the threshold stays at 2^16, from where both stages win.
 _THREAD_CELLS = 1 << 16
+
+# the row gradients _propose_dt reads when no row has chi > 0
+_NO_GRADIENTS = itertools.repeat(())
 
 # the audit decides what overflow and NaN mean, so numpy need not warn
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
@@ -148,26 +163,6 @@ class StepperConfig:
         require(scheme in FACE_SCHEMES, "face_scheme", f"in {FACE_SCHEMES}", scheme)
 
 
-@dataclass
-class StepOutcome:
-    """What one step attempt did.  ``termination`` is None when the step was
-    accepted (at a reduced dt when ``retries`` > 0); otherwise it names how
-    the step ended the run and ``cause`` says why, as RunResult does."""
-
-    termination: Optional[Termination] = None
-    dt: float = 0.0
-    retries: int = 0
-    residual_u: float = 0.0
-    residual_v: float = 0.0
-    nonlocal_integral: float = 0.0
-    source_integral: float = 0.0
-    mass_new: float = 0.0
-    max_u: float = 0.0
-    min_u: float = 0.0
-    min_v: float = 0.0
-    cause: str = ""
-
-
 def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
     """Eigenvalues of the flux-form Neumann Laplacian in the DCT-II basis."""
     k = np.arange(n)
@@ -192,19 +187,22 @@ def _axis_eigenvalues(grid: Grid) -> list[np.ndarray]:
     return eigenvalues
 
 
-def _cosine_transform(x: np.ndarray, grid: Grid, inverse: bool = False) -> np.ndarray:
-    """Orthonormal DCT-II (or its inverse) over the field axes of a batch.
-
-    The inverse transforms in place and consumes ``x``.  scipy.fftpack runs
-    the same pocketfft kernel with the same bits as scipy.fft, without its
-    backend dispatch, which costs about 8 us a call (two 32^2 rows: 35
-    against 44 us).  1D calls the one-axis dct, cheaper than a one-axis dctn.
-    """
-    if len(grid.cells) == 1:
-        transform = fftpack.idct if inverse else fftpack.dct
-        return transform(x, type=2, norm="ortho", axis=-1, overwrite_x=inverse)
-    transform = fftpack.idctn if inverse else fftpack.dctn
-    return transform(x, type=2, norm="ortho", axes=grid.field_axes, overwrite_x=inverse)
+# per grid dimension, the orthonormal DCT-II over the field axes of a batch
+# and its inverse, which transforms in place and consumes its input.
+# scipy.fftpack runs the same pocketfft kernel with the same bits as
+# scipy.fft, without its backend dispatch, which costs about 8 us a call
+# (two 32^2 rows: 35 against 44 us); 1D calls the one-axis dct, cheaper than
+# a one-axis dctn
+_TRANSFORMS = {
+    1: (
+        functools.partial(fftpack.dct, type=2, norm="ortho", axis=-1),
+        functools.partial(fftpack.idct, type=2, norm="ortho", axis=-1, overwrite_x=True),
+    ),
+    2: (
+        functools.partial(fftpack.dctn, type=2, norm="ortho", axes=(-2, -1)),
+        functools.partial(fftpack.idctn, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True),
+    ),
+}
 
 
 def _denominator(sigma, eigenvalues: list[np.ndarray]) -> np.ndarray:
@@ -259,21 +257,22 @@ def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> np.ndarr
     stacked with: the stepper passes the u rows of all members followed by
     their v rows.
     """
-    spectral = _cosine_transform(rhs, grid)
+    forward, inverse = _TRANSFORMS[len(grid.cells)]
+    spectral = forward(rhs)
     if held.denominator is None:
         spectral /= _denominator(sigma, held.eigenvalues)
     else:
         spectral /= held.denominator
-    w = _cosine_transform(spectral, grid, inverse=True)
+    w = inverse(spectral)
     # (I - sigma*L_h)^-1 is entrywise nonnegative, so a negative entry in a
     # member whose rhs is nonnegative is transform rounding; clipping it
     # moves w toward the exact solution
     if np.minimum.reduce(rhs, axis=None) >= 0.0:
-        np.maximum(w, 0.0, out=w)
+        np.maximum(w, _ZERO, out=w)
     else:
         nonnegative = rhs.min(axis=grid.field_axes) >= 0.0
         for i in np.flatnonzero(nonnegative):
-            np.maximum(w[i], 0.0, out=w[i])
+            np.maximum(w[i], _ZERO, out=w[i])
     return w
 
 
@@ -287,16 +286,16 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.square(flat), axis=1))
 
 
-def _helmholtz_checked(
-    rhs: np.ndarray, grid: Grid, sigma, held: _Held
-) -> tuple[np.ndarray, list[float]]:
-    """Solve each row as _helmholtz_core does; return (w, backward error of each row).
+def _helmholtz_checked(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> tuple:
+    """Solve each row as _helmholtz_core does; return (w, and as lists by
+    row the backward error, maximum and minimum of w).
 
-    One call carries the u and the v rows of a step and the caller splits w
-    and the errors at the member count, or, on large grids, _solve_halves
-    makes one call per half on two threads.  Each row's error has the bits
-    it gets alone, so both ways agree.  A non-finite row gets a meaningless
-    error; callers test finiteness first.
+    One call carries the u and the v rows of a step and the caller splits
+    w and the lists at the member count, or, on large grids, _solve_halves
+    makes one call per half on two threads.  Each row's numbers have the
+    bits it gets alone, so both ways agree.  A non-finite row gets a
+    meaningless error; callers test finiteness first, on the extrema,
+    which propagate NaN and reach inf.
     """
     w = _helmholtz_core(rhs, grid, sigma, held)
     # w - sigma*L_h w - rhs, built in the Laplacian's array
@@ -308,24 +307,26 @@ def _helmholtz_checked(
     # ||A|| bound: the rounding in sigma*L_h w grows like eps * ||A|| * ||w||,
     # so dividing by ||rhs|| alone fails fine grids whose solves are exact to
     # working precision
-    rows = len(w)
     # _row_norms of the rows of w, then rhs, then the residual: below _THREAD_CELLS
     # cells, where dispatch outweighs the arithmetic, one reduction of the three
     # squares stacked (a row is summed alone); larger calls hold one square at a time
     if w.size >= _THREAD_CELLS:
-        norms = [norm for x in (w, rhs, residual) for norm in _row_norms(x).tolist()]
+        w_norms, rhs_norms, residual_norms = (_row_norms(x).tolist() for x in (w, rhs, residual))
     else:
         squares = np.concatenate((w, rhs, residual))
         np.square(squares, out=squares)
-        norms = np.sqrt(np.add.reduce(squares.reshape(3 * rows, -1), axis=1)).tolist()
+        norms = np.sqrt(np.add.reduce(squares.reshape(3, len(w), -1), axis=2))
+        w_norms, rhs_norms, residual_norms = norms.tolist()
+    axes = grid.field_axes
     # the same roundings as numpy's on the rows, in Python floats; max keeps
     # a NaN scale as its first argument, as np.maximum propagates it
-    return w, [
+    errors = [
         residual_norm / max(a * w_norm + rhs_norm, 1e-300)
         for a, w_norm, rhs_norm, residual_norm in zip(
-            held.a_norm, norms, norms[rows : 2 * rows], norms[2 * rows :]
+            held.a_norm, w_norms, rhs_norms, residual_norms
         )
     ]
+    return w, errors, np.maximum.reduce(w, axes).tolist(), np.minimum.reduce(w, axes).tolist()
 
 
 def _usable_cpus() -> int:
@@ -369,16 +370,24 @@ def _threaded(rows: int, grid: Grid) -> bool:
     return rows * math.prod(grid.cells) >= _THREAD_CELLS and _usable_cpus() > 1
 
 
+def _rates(params: Sequence[ModelParams]) -> list[tuple]:
+    """What the dt proposal reads of each row's ModelParams: (chi, alpha - 1
+    or None at alpha = 1, a, b)."""
+    return [(p.chi, None if p.alpha == 1.0 else p.alpha - 1.0, p.a, p.b) for p in params]
+
+
 class _Plan:
     """A march's helper thread (or None) and the constants of its steps.
 
     Two keys decide what a step can take from the step before:
       * the active set, the rows' ModelParams: the chi column (None when
-        every chi is 0) and the exponent lists;
+        every chi is 0), the coefficient and exponent lists of the source
+        and the _rates of the dt proposal;
       * the dt column, the rows' dts: ``sigma``, dt for the u rows stacked
-        on dt/(1+dt) for the v rows, with ``dt`` its u half, ``shift`` =
-        1+dt and ``held`` (each row's ||A|| bound and, from the second
-        solve at the same column on, its 1 - sigma*lambda).
+        on dt/(1+dt) for the v rows, ``dt`` and ``shift`` = 1+dt (both
+        _per_row), ``rhs_shape`` (the stacked u and v rows) and ``held``
+        (each row's ||A|| bound and, from the second solve at the same
+        column on, its 1 - sigma*lambda).
     Each holds values, built from its key when the key changes; no array
     of them is written into after.
     """
@@ -390,24 +399,32 @@ class _Plan:
         # start of a march made its steps fault about 1800 more pages each
         # (33k against 4k minor faults over a 16-step run, 18% of its time)
         self.eigenvalues = _axis_eigenvalues(grid)
+        self.params: Optional[Sequence[ModelParams]] = None
         self._members: Optional[tuple] = None
         self.chi: Optional[np.ndarray] = None
-        self.alphas: list[float] = []
-        self.betas: list[float] = []
+        self.a = self.b = self.alphas = self.betas = None
+        self.rates: list[tuple] = []
         self._dts: Optional[tuple] = None
-        self.sigma = self.dt = self.shift = None
+        self.sigma = self.dt = self.shift = self.rhs_shape = None
         self.held: Optional[_Held] = None
 
     def members(self, params: Sequence[ModelParams]) -> None:
-        """Set the active set to ``params``, one per row."""
+        """Set the active set to ``params``, one per row.  A march passes
+        the same list, unedited, until a member leaves, and _advance skips
+        this call while the list is the one it last passed."""
+        self.params = params
         key = tuple(params)
         if key == self._members:
             return
         self._members = key
         chis = [p.chi for p in params]
-        self.chi = _column(chis, self.grid.dim) if any(c != 0.0 for c in chis) else None
-        self.alphas = [p.alpha for p in params]
-        self.betas = [p.beta for p in params]
+        self.chi = _per_row(chis, self.grid.dim) if any(c != 0.0 for c in chis) else None
+        self.a = [p.a for p in params]
+        self.b = [p.b for p in params]
+        alphas, betas = [p.alpha for p in params], [p.beta for p in params]
+        self.alphas = _exponents(alphas)
+        self.betas = self.alphas if betas == alphas else _exponents(betas)
+        self.rates = _rates(params)
 
     def column(self, dts: Sequence[float]) -> None:
         """Set the dt column to ``dts``, one per row about to be solved."""
@@ -420,9 +437,10 @@ class _Plan:
         # Python floats round as numpy does on a column, so no bit moves
         shifts = [1.0 + dt for dt in key]
         sigmas = [*key, *(dt / shift for dt, shift in zip(key, shifts))]
+        self.rhs_shape = (len(sigmas), *self.grid.shape)
         self.sigma = _column(sigmas, self.grid.dim)
-        self.dt = self.sigma[: len(key)]
-        self.shift = _column(shifts, self.grid.dim)
+        self.dt = _per_row(key, self.grid.dim)
+        self.shift = _per_row(shifts, self.grid.dim)
         self.held = _Held(self.eigenvalues, _a_norm(sigmas, self.grid))
 
 
@@ -449,61 +467,35 @@ def _beside(helper: ThreadPoolExecutor, helper_call, own_call) -> tuple:
     return theirs.result(), mine
 
 
-def _transport_into(out, u, v, chi, grid: Grid, scheme: str, own=slice(None)) -> list:
-    """out -= chi * (rows ``own`` of the transport field); return its maxima."""
-    div, grad_max = _chemo_divergence(u, v, grid, scheme)
-    kept = div[:, own]
-    kept *= chi
-    np.subtract(out, kept, out=out)
-    return grad_max
+def _transport_slabs(explicit, u, v, chi, grid: Grid, scheme: str, helper) -> list:
+    """explicit -= chi * div(u grad v) in place on two threads; return
+    _chemo_divergence's maxima.
 
-
-def _subtract_transport(explicit, u, v, chi, grid: Grid, scheme: str, helper) -> list:
-    """explicit -= chi * div(u grad v) in place; return _chemo_divergence's maxima.
-
-    With a helper and _threaded rows, it takes the first cells[0] // 2 rows
-    of the first field axis and this thread the rest, each slab with a
-    one-row halo on its inner side, so its rows get the whole-field bits.
-    Max is exact and propagates NaN, so the slabs' maxima combine exactly."""
-    if helper is None or not _threaded(len(u), grid):
-        return _transport_into(explicit, u, v, chi, grid, scheme)
+    The helper takes the first cells[0] // 2 rows of the first field axis
+    and this thread the rest, each slab with a one-row halo on its inner
+    side, so its rows get the whole-field bits.  Max is exact and
+    propagates NaN, so the slabs' maxima combine exactly."""
     m = grid.cells[0] // 2
-    slab = functools.partial(_transport_into, chi=chi, grid=grid, scheme=scheme)
+
+    def slab(out, u, v, own):
+        transport, grad_max = _chemo_divergence(u, v, grid, scheme)
+        kept = transport[:, own]
+        kept *= chi
+        out -= kept
+        return grad_max
+
     top, bottom = _beside(
         helper,
-        lambda: slab(explicit[:, :m], u[:, : m + 1], v[:, : m + 1], own=slice(None, m)),
-        lambda: slab(explicit[:, m:], u[:, m - 1 :], v[:, m - 1 :], own=slice(1, None)),
+        lambda: slab(explicit[:, :m], u[:, : m + 1], v[:, : m + 1], slice(None, m)),
+        lambda: slab(explicit[:, m:], u[:, m - 1 :], v[:, m - 1 :], slice(1, None)),
     )
     return [np.maximum(a, b) for a, b in zip(top, bottom)]
-
-
-def _solved(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> tuple:
-    """(w, backward errors, maxima, minima) of a checked solve, all but w as lists by row."""
-    w, rel = _helmholtz_checked(rhs, grid, sigma, held)
-    axes = grid.field_axes
-    return w, rel, np.maximum.reduce(w, axes).tolist(), np.minimum.reduce(w, axes).tolist()
-
-
-def _u_rhs(rhs: np.ndarray, u, explicit, dt) -> np.ndarray:
-    """u + dt*E_u into ``rhs``: the u half's rhs."""
-    np.multiply(dt, explicit, out=rhs)
-    rhs += u
-    return rhs
-
-
-def _v_rhs(rhs: np.ndarray, u, v, forcing_v, dt, shift) -> np.ndarray:
-    """(v + dt*u [+ dt*f_v]) / shift into ``rhs``, shift = 1+dt: the v half's rhs."""
-    np.multiply(dt, u, out=rhs)
-    rhs += v
-    if forcing_v is not None:
-        rhs += dt * forcing_v
-    rhs /= shift
-    return rhs
 
 
 def _solve_halves(u, v, explicit, forcing_v, plan: _Plan, grid: Grid) -> tuple:
     """Checked solve of the u rows and the v rows of a step at the plan's dt column.
 
+    The u rows' rhs is u + dt*E_u, the v rows' (v + dt*u [+ dt*f_v]) / (1+dt).
     Returns (w_u, w_v, errors, maxima, minima), the last three lists over
     the u rows and then the v rows.  Rows are solved, gated and reduced
     independently, so a half gets the same bits alone or stacked.  With a
@@ -512,22 +504,37 @@ def _solve_halves(u, v, explicit, forcing_v, plan: _Plan, grid: Grid) -> tuple:
     stacked call solves both.
     """
     n = len(u)
-    rhs = np.empty((2 * n,) + u.shape[1:])
-    dt, shift, sigma, held = plan.dt, plan.shift, plan.sigma, plan.held
-    if plan.helper is not None and _threaded(n, grid):
-        (w_u, rel_u, hi_u, lo_u), (w_v, rel_v, hi_v, lo_v) = _beside(
-            plan.helper,
-            lambda: _solved(_u_rhs(rhs[:n], u, explicit, dt), grid, dt, held.rows(slice(None, n))),
-            lambda: _solved(
-                _v_rhs(rhs[n:], u, v, forcing_v, dt, shift), grid, sigma[n:],
-                held.rows(slice(n, None)),
-            ),
-        )
-        return w_u, w_v, rel_u + rel_v, hi_u + hi_v, lo_u + lo_v
-    _u_rhs(rhs[:n], u, explicit, dt)
-    _v_rhs(rhs[n:], u, v, forcing_v, dt, shift)
-    w, rel, hi, lo = _solved(rhs, grid, sigma, held)
-    return w[:n], w[n:], rel, hi, lo
+    rhs = np.empty(plan.rhs_shape)
+    u_rhs, v_rhs = rhs[:n], rhs[n:]
+    dt = plan.dt
+    if plan.helper is None or not _threaded(n, grid):
+        np.multiply(dt, explicit, out=u_rhs)
+        np.add(u_rhs, u, out=u_rhs)
+        np.multiply(dt, u, out=v_rhs)
+        np.add(v_rhs, v, out=v_rhs)
+        if forcing_v is not None:
+            np.add(v_rhs, dt * forcing_v, out=v_rhs)
+        np.divide(v_rhs, plan.shift, out=v_rhs)
+        w, rel, hi, lo = _helmholtz_checked(rhs, grid, plan.sigma, plan.held)
+        return w[:n], w[n:], rel, hi, lo
+
+    # each half built as above and solved on its own thread: the u half on
+    # the helper, the v half on this one
+    def u_half():
+        np.multiply(dt, explicit, out=u_rhs)
+        np.add(u_rhs, u, out=u_rhs)
+        return _helmholtz_checked(u_rhs, grid, dt, plan.held.rows(slice(None, n)))
+
+    def v_half():
+        np.multiply(dt, u, out=v_rhs)
+        np.add(v_rhs, v, out=v_rhs)
+        if forcing_v is not None:
+            np.add(v_rhs, dt * forcing_v, out=v_rhs)
+        np.divide(v_rhs, plan.shift, out=v_rhs)
+        return _helmholtz_checked(v_rhs, grid, plan.sigma[n:], plan.held.rows(slice(n, None)))
+
+    (w_u, rel_u, hi_u, lo_u), (w_v, rel_v, hi_v, lo_v) = _beside(plan.helper, u_half, v_half)
+    return w_u, w_v, rel_u + rel_v, hi_u + hi_v, lo_u + lo_v
 
 
 def _gate_message(rel: float) -> str:
@@ -535,29 +542,30 @@ def _gate_message(rel: float) -> str:
 
 
 def _propose_dt(
-    umax: Sequence[float], grid: Grid, params: Sequence[ModelParams], cfg: StepperConfig,
-    integrals: Sequence[float], grad_max: Sequence[np.ndarray],
+    umax: Sequence[float], rates: Sequence[tuple], grid: Grid, cfg: StepperConfig,
+    integrals: Sequence[float], grad_max: Sequence[np.ndarray], caps: Sequence[float],
 ) -> list[float]:
-    """adapt_dt for each member row of a batch, whose u rows have maxima ``umax``.
-    ``grad_max`` is the per-axis max|grad_h v| that _chemo_divergence returns,
-    empty when no chi > 0."""
-    grads = list(map(np.ndarray.tolist, grad_max))
+    """adapt_dt for each member row of a batch, at most the row's cap
+    (math.inf: none).  The rows' u have maxima ``umax`` and their
+    ModelParams give ``rates`` (_rates); ``grad_max`` is the per-axis
+    max|grad_h v| that _chemo_divergence returns, empty when no chi > 0."""
+    grads = zip(*map(np.ndarray.tolist, grad_max)) if grad_max else _NO_GRADIENTS
     dts = []
-    for i, p in enumerate(params):
+    for (chi, power, a, b), top, integral, row_grads, cap in zip(
+        rates, umax, integrals, grads, caps
+    ):
         bound = math.inf
-        if p.chi > 0:
-            for h, g in zip(grid.h, grads):
-                bound = min(bound, h / (p.chi * g[i] + _EPS_RATE))
-        if p.alpha == 1.0:
-            umax_pow = 1.0
-        else:
+        if chi > 0:
+            for h, g in zip(grid.h, row_grads):
+                bound = min(bound, h / (chi * g + _EPS_RATE))
+        rate = a + b * integral
+        if power is not None:
             try:
-                umax_pow = max(umax[i], 0.0) ** (p.alpha - 1.0)
+                rate *= max(top, 0.0) ** power
             except OverflowError:
-                umax_pow = math.inf
-        rate = (p.a + p.b * integrals[i]) * umax_pow
+                rate *= math.inf
         bound = min(bound, 1.0 / (rate + _EPS_RATE))
-        dts.append(min(max(cfg.cfl_safety * bound, cfg.dt_min), cfg.dt_max))
+        dts.append(min(min(max(cfg.cfl_safety * bound, cfg.dt_min), cfg.dt_max), cap))
     return dts
 
 
@@ -582,7 +590,8 @@ def adapt_dt(
     grad_max = ()
     if params.chi > 0:
         grad_max = _chemo_divergence(u_rows, v_rows, grid, cfg.face_scheme)[1]
-    return _propose_dt([float(u_rows.max())], grid, [params], cfg, [nonlocal_integral], grad_max)[0]
+    umax, rates = [float(u_rows.max())], _rates([params])
+    return _propose_dt(umax, rates, grid, cfg, [nonlocal_integral], grad_max, [math.inf])[0]
 
 
 def _stack(fields) -> np.ndarray:
@@ -592,58 +601,87 @@ def _stack(fields) -> np.ndarray:
     return np.stack([np.asarray(f, dtype=float) for f in fields])
 
 
+class _Step(NamedTuple):
+    """What one step attempt did for a batch, as lists by member row.
+
+    A row in ``ends`` ended its member's run, with the (Termination, cause)
+    there; every other row was accepted, at ``dt`` after ``retries``
+    halvings, with new fields whose u has maximum ``max_u``, minimum
+    ``min_u`` and integral ``mass`` and whose v has minimum ``min_v``.
+    ``source`` is the integral of each row's source at the start of the
+    step, and ``rel`` the backward errors of each row's last solve, of the
+    u rows and then the v rows.
+    """
+
+    dt: list
+    retries: list
+    ends: dict
+    rel: list
+    max_u: list
+    min_u: list
+    min_v: list
+    mass: list
+    source: list
+
+
 def _audit(
     rows: Sequence[int],
     rel: list[float],
     hi: list[float],
     lo: list[float],
     dts: list[float],
-    outcomes: list[StepOutcome],
+    retries: list[int],
+    ends: dict,
     cfg: StepperConfig,
 ) -> list[int]:
     """Decide each member solved in ``rows``; return those to retry at half dt.
 
-    An accepted member's termination stays None; an ending one gets its
-    Termination and cause.  ``rel``, ``hi`` and ``lo`` are _solve_halves'
-    backward errors, maxima and minima: u row j at j, v row j at
-    len(rows) + j; the audit reads them and makes no array pass.  The
-    checks run in order: finiteness, the backward-error gate, the sup norm
-    threshold, positivity.  The extrema propagate NaN and reach inf, so
-    they double as the finiteness check.
+    ``rel``, ``hi`` and ``lo`` are _solve_halves' backward errors, maxima
+    and minima of those rows: u row j at j, v row j at len(rows) + j; the
+    audit reads them and makes no array pass.  A retried member i has
+    dts[i] halved and retries[i] counted; an ending one gets ends[i] =
+    (Termination, cause).  The checks run in order: finiteness, the
+    backward-error gate, the sup norm threshold, positivity.  The extrema
+    propagate NaN and reach inf, so they double as the finiteness check.
     """
+    # every row passes every check, in one test: the sums propagate NaN and
+    # inf (finite terms that overflow only send the rows through the checks
+    # below), and the backward errors, each >= 0, are at most their sum
+    threshold = cfg.blowup_linf_threshold
+    if (
+        math.isfinite(sum(hi) + sum(lo))
+        and sum(rel) <= _LINEAR_TOL
+        and max(hi) <= threshold
+        and -threshold <= min(lo) >= -_POSITIVITY_TOL
+    ):
+        return []
     n = len(rows)
     retry = []
-    for j, i in enumerate(rows):
-        out = outcomes[i]
-        out.dt = dts[i]
-        u_hi, u_lo, v_hi, v_lo = hi[j], lo[j], hi[n + j], lo[n + j]
+    for i, u_hi, u_lo, v_hi, v_lo, rel_u, rel_v in zip(
+        rows, hi, lo, hi[n:], lo[n:], rel, rel[n:]
+    ):
         if all(map(math.isfinite, (u_hi, u_lo, v_hi, v_lo))):
-            rel_u, rel_v = rel[j], rel[n + j]
-            out.residual_u, out.residual_v = rel_u, rel_v
-            linf = max(u_hi, -u_lo)
             if not (rel_u <= _LINEAR_TOL and rel_v <= _LINEAR_TOL):
-                out.termination = Termination.SOLVER_FAILURE
-                out.cause = _gate_message(max(rel_u, rel_v))
+                ends[i] = Termination.SOLVER_FAILURE, _gate_message(max(rel_u, rel_v))
                 continue
-            if linf > cfg.blowup_linf_threshold:
-                out.termination = Termination.BLOWUP_DETECTED
-                out.cause = f"sup norm {linf:.3e} above threshold"
+            linf = max(u_hi, -u_lo)
+            if linf > threshold:
+                ends[i] = Termination.BLOWUP_DETECTED, f"sup norm {linf:.3e} above threshold"
                 continue
             if u_lo >= -_POSITIVITY_TOL and v_lo >= -_POSITIVITY_TOL:
-                out.max_u, out.min_u, out.min_v = u_hi, u_lo, v_lo
                 continue
         # non-finite or negative: halve this member's dt and retry from the
         # same explicit stage
-        out.retries += 1
-        if out.retries > _MAX_RETRIES:
-            out.cause = f"retry cap of {_MAX_RETRIES} reached"
+        retries[i] += 1
+        if retries[i] > _MAX_RETRIES:
+            cause = f"retry cap of {_MAX_RETRIES} reached"
         elif dts[i] / 2.0 < cfg.dt_min:
-            out.cause = "dt collapsed below dt_min during retries"
+            cause = "dt collapsed below dt_min during retries"
         else:
             dts[i] /= 2.0
             retry.append(i)
             continue
-        out.termination = Termination.BLOWUP_DETECTED
+        ends[i] = Termination.BLOWUP_DETECTED, cause
     return retry
 
 
@@ -651,53 +689,63 @@ def _advance(
     plan: _Plan, u: np.ndarray, v: np.ndarray, ts: Sequence[float],
     params: Sequence[ModelParams], grid: Grid, cfg: StepperConfig, forcing,
     dt_cap: Sequence[float], umax: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray, list[StepOutcome]]:
+) -> tuple[np.ndarray, np.ndarray, _Step]:
     """Attempt one step for every member of a batch of trusted states.
 
-    Returns the new fields and one StepOutcome per member; a member's row
-    holds its new state only when its outcome is accepted.  Retries
-    re-solve only the members that failed their audit.  ``plan`` is the
-    march's _Plan; its helper thread takes half of the per-cell work only
-    while the rows are _threaded, which they stop being as members leave.
-    ``dt_cap`` bounds each member's dt (math.inf: no bound); ``umax`` is
-    the max of each row of ``u`` (a march carries each member's from the
-    outcome that made its row).
+    Returns the new fields and the _Step; a member's row holds its new
+    state only when the step accepted it.  Retries re-solve only the
+    members that failed their audit.  ``plan`` is the march's _Plan; its
+    helper thread takes half of the per-cell work only while the rows are
+    _threaded, which they stop being as members leave.  ``dt_cap`` bounds
+    each member's dt (math.inf: no bound); ``umax`` is the max of each row
+    of ``u`` (a march carries each member's from the step that made its row).
     """
-    axes = grid.field_axes
-    count = len(params)
-    plan.members(params)
-    source, integrals = _nonlocal_source(u, grid, params, plan.alphas, plan.betas)
+    if params is not plan.params:
+        plan.members(params)
+    explicit, integrals = _nonlocal_source(u, grid, plan.a, plan.b, plan.alphas, plan.betas)
     # the source's integral is taken now, as the explicit stage overwrites it
-    source_sum = np.add.reduce(source, axis=axes).tolist()
-    explicit, grad_max = source, ()
+    source = np.add.reduce(explicit, axis=grid.field_axes).tolist()
+    grad_max = ()
     if plan.chi is not None:
-        grad_max = _subtract_transport(explicit, u, v, plan.chi, grid, cfg.face_scheme, plan.helper)
+        if plan.helper is None or not _threaded(len(u), grid):
+            transport, grad_max = _chemo_divergence(u, v, grid, cfg.face_scheme)
+            transport *= plan.chi
+            explicit -= transport
+        else:
+            grad_max = _transport_slabs(
+                explicit, u, v, plan.chi, grid, cfg.face_scheme, plan.helper
+            )
     forcing_v = None
     if forcing is not None:
         # one call per field for all members, each row at its member's time
         explicit += forcing.u(ts, grid)
         forcing_v = forcing.v(ts, grid)
 
-    dts = list(map(min, _propose_dt(umax, grid, params, cfg, integrals, grad_max), dt_cap))
-
-    outcomes = [StepOutcome(nonlocal_integral=i) for i in integrals]
+    dts = _propose_dt(umax, plan.rates, grid, cfg, integrals, grad_max, dt_cap)
     plan.column(dts)
     u_new, v_new, rel, hi, lo = _solve_halves(u, v, explicit, forcing_v, plan, grid)
-    rows = _audit(range(count), rel, hi, lo, dts, outcomes, cfg)
+    count = len(dts)
+    retries, ends = [0] * count, {}
+    rows = _audit(range(count), rel, hi, lo, dts, retries, ends, cfg)
     while rows:
         plan.column([dts[i] for i in rows])
         f_r = None if forcing_v is None else forcing_v[rows]
-        w_u, w_v, rel, hi, lo = _solve_halves(u[rows], v[rows], explicit[rows], f_r, plan, grid)
+        w_u, w_v, rel_r, hi_r, lo_r = _solve_halves(
+            u[rows], v[rows], explicit[rows], f_r, plan, grid
+        )
         u_new[rows], v_new[rows] = w_u, w_v
-        rows = _audit(rows, rel, hi, lo, dts, outcomes, cfg)
+        for j, i in enumerate(rows):
+            for full, solved in ((rel, rel_r), (hi, hi_r), (lo, lo_r)):
+                full[i], full[count + i] = solved[j], solved[len(rows) + j]
+        rows = _audit(rows, rel_r, hi_r, lo_r, dts, retries, ends, cfg)
 
-    cell_volume = grid.cell_volume
-    mass = np.add.reduce(u_new, axis=axes).tolist()
-    for out, row_mass, row_source in zip(outcomes, mass, source_sum):
-        if out.termination is None:
-            out.mass_new = cell_volume * row_mass
-            out.source_integral = cell_volume * row_source
-    return u_new, v_new, outcomes
+    volume, mass = grid.cell_volume, []
+    for i, row_sum in enumerate(np.add.reduce(u_new, axis=grid.field_axes).tolist()):
+        mass.append(volume * row_sum)
+        source[i] *= volume
+    return u_new, v_new, _Step(
+        dts, retries, ends, rel, hi[:count], lo[:count], lo[count:], mass, source
+    )
 
 
 @dataclass(frozen=True)
@@ -746,12 +794,12 @@ _REACHED_T_END = "t_end reached"
 
 
 class _Member:
-    """One batch member's state, sample clock, series and diagnostics."""
+    """One batch member's fields, clock, series and diagnostics."""
 
     def __init__(
         self, initial: State, params: ModelParams, grid: Grid, recorder: Recorder, t_end: float
     ):
-        self.state = initial
+        self.u, self.v, self.t, self.dt = initial.u, initial.v, initial.t, initial.dt_last
         self.params = params
         self.grid = grid
         self.recorder = recorder
@@ -761,30 +809,40 @@ class _Member:
         self.series = ObservableSeries.for_run(recorder.k_list)
         self.diag = RunDiagnostics()
         self.next_sample = initial.t + recorder.sample_interval
+        # a step ending at or past it samples or reaches t_end (see arrive)
+        self.due = min(self.next_sample - self.time_tol, self.end)
         self.termination: Optional[Termination] = None
         self.cause = ""
-        self.mass = self.top = 0.0  # the mass and max u of self.state
+        self.mass = self.top = 0.0  # the mass and max u of the member's fields
+
+    @property
+    def state(self) -> State:
+        return State(self.u, self.v, self.t, self.dt)
 
     def start(self) -> bool:
         """Record the initial row; False when the member is already done."""
         if not self.sample():
             return False
-        u, v = self.state.u, self.state.v
+        u, v = self.u, self.v
         self.mass = integrate(u, self.grid)
         self.top = float(np.max(u))
         self.diag.min_u = float(np.min(u))
         self.diag.min_v = float(np.min(v))
-        if self.state.t >= self.end:
+        if self.t >= self.end:
             self.finish(Termination.REACHED_T_END, _REACHED_T_END)
             return False
         return True
 
-    def sample(self) -> bool:
-        """Append a series row; an inconsistent row ends the member."""
+    def sample(self, row: Optional[tuple] = None) -> bool:
+        """Append a series row at the member's time: ``row``, a row of the
+        same fields taken earlier, with its time replaced, else a row
+        recorded now; an inconsistent row ends the member."""
+        if row is not None:
+            self.series.append((self.t, *row[1:]))
+            return True
         try:
             row = record(
-                self.state, self.grid, self.params, self.recorder.k_list,
-                self.diag.total_retries,
+                self.state, self.grid, self.params, self.recorder.k_list, self.diag.total_retries
             )
         except ObservableError as exc:
             self.finish(Termination.SOLVER_FAILURE, str(exc))
@@ -792,39 +850,72 @@ class _Member:
         self.series.append(row)
         return True
 
-    def accept(self, outcome: StepOutcome, u: np.ndarray, v: np.ndarray) -> bool:
-        """Take an accepted step to fields (u, v), sample when due and
-        finish at t_end; False when the member is done."""
-        dt, mass = outcome.dt, outcome.mass_new
-        t = self.state.t + dt
-        self.state = State(u, v, t, dt)
-        diag = self.diag
-        diag.steps += 1
-        diag.total_retries += outcome.retries
-        violation = abs(mass - self.mass - dt * outcome.source_integral) / max(mass, 1e-300)
-        diag.max_mass_identity_violation = max(diag.max_mass_identity_violation, violation)
-        diag.min_u = min(diag.min_u, outcome.min_u)
-        diag.min_v = min(diag.min_v, outcome.min_v)
-        self.mass, self.top = mass, outcome.max_u
-        time_tol = self.time_tol
-        if t >= self.next_sample - time_tol or t >= self.end:
-            if not self.sample():
-                return False
-            while self.next_sample <= t + time_tol:
-                self.next_sample += self.recorder.sample_interval
+    def arrive(self, row: Optional[tuple] = None) -> bool:
+        """The sample and t_end rules, for a step that ended at or past
+        ``due``: sample (``row`` as sample takes it), move the sample clock
+        past t and finish at t_end; False when the member is done."""
+        t, tol = self.t, self.time_tol
+        if not self.sample(row):
+            return False
+        while self.next_sample <= t + tol:
+            self.next_sample += self.recorder.sample_interval
+        self.due = min(self.next_sample - tol, self.end)
         if t < self.end:
             return True
         self.finish(Termination.REACHED_T_END, _REACHED_T_END)
         return False
 
-    def replay(self, outcome: StepOutcome) -> None:
-        """Accept ``outcome`` again, from the fields it left unchanged, for
-        every later step the t_end cap would not shorten (see _fixed_point)."""
-        u, v = self.state.u, self.state.v
-        while self.t_end - self.state.t >= outcome.dt:
-            self.diag.replayed_steps += 1
-            if not self.accept(outcome, u, v):
-                return
+    def accept(self, step: _Step, i: int, u: np.ndarray, v: np.ndarray, unforced: bool) -> bool:
+        """Take row i of an accepted ``step`` to fields (u, v), sample when
+        due and finish at t_end; in an ``unforced`` march, replay the step
+        while it is a fixed point (see _fixed_point).  False when the member
+        is done."""
+        dt, mass = step.dt[i], step.mass[i]
+        fixed = unforced and _fixed_point(
+            step, i, self.t_end - self.t, self.mass, self.top, self.u, self.v, u, v
+        )
+        self.u, self.v, self.dt = u, v, dt
+        self.t = t = self.t + dt
+        diag = self.diag
+        diag.steps += 1
+        diag.total_retries += step.retries[i]
+        # each "if" takes the other value exactly when max or min would
+        violation = abs(mass - self.mass - dt * step.source[i]) / max(mass, 1e-300)
+        if violation > diag.max_mass_identity_violation:
+            diag.max_mass_identity_violation = violation
+        if step.min_u[i] < diag.min_u:
+            diag.min_u = step.min_u[i]
+        if step.min_v[i] < diag.min_v:
+            diag.min_v = step.min_v[i]
+        self.mass, self.top = mass, step.max_u[i]
+        if t >= self.due and not self.arrive():
+            return False
+        return not fixed or self.replay()
+
+    def replay(self) -> bool:
+        """Take the accepted step that left the fields unchanged again, for
+        every later step the t_end cap would not shorten; False when the
+        member is done.
+
+        Each replayed step adds its dt to t and counts as a step; it moves
+        no other diagnostic, as its retries (0), mass identity violation and
+        minima are the ones the step itself counted.  The first due sample
+        records a row and later ones take it with their own time, the
+        fields, dt and retries being the same."""
+        dt, t_end, t, due = self.dt, self.t_end, self.t, self.due
+        row, replayed = None, 0
+        while t_end - t >= dt:
+            t += dt
+            replayed += 1
+            if t >= due:
+                self.t = t
+                if not self.arrive(row):
+                    break
+                row, due = self.series.rows[-1], self.due
+        self.t = t
+        self.diag.steps += replayed
+        self.diag.replayed_steps += replayed
+        return self.termination is None
 
     def finish(self, termination: Termination, cause: str) -> None:
         self.termination = termination
@@ -832,7 +923,7 @@ class _Member:
 
     def detach(self) -> None:
         """Copy the final fields out of the batch arrays they view."""
-        self.state = self.state.copy()
+        self.u, self.v = self.u.copy(), self.v.copy()
 
     def result(self) -> RunResult:
         return RunResult(self.state, self.series, self.termination, self.diag, self.cause)
@@ -844,20 +935,20 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _fixed_point(
-    outcome: StepOutcome, cap: float, mass: float, top: float, u, v, u_new, v_new
+    step: _Step, i: int, cap: float, mass: float, top: float, u, v, u_new, v_new
 ) -> bool:
-    """Whether an accepted step of an unforced member is a fixed point of the
-    step map: it took no retry, its dt was the proposal and not the t_end
-    ``cap``, and its new rows are its old rows ``u``, ``v`` bit for bit.
-    ``mass`` and ``top`` are the member's mass and max u before the step;
-    comparing them first keeps the array passes off every step whose mass
-    or max moved (the max moves on 3108 of the 3235 steps of the 256-cell
-    Criterion 2 run whose mass holds)."""
+    """Whether row i of an accepted step is a fixed point of the step map:
+    it took no retry, its dt was the proposal and not the t_end ``cap``,
+    and its new rows ``u_new``, ``v_new`` are its old rows ``u``, ``v`` bit
+    for bit.  ``mass`` and ``top`` are the member's mass and max u before
+    the step; comparing them first keeps the array passes off every step
+    whose mass or max moved (the max moves on 3108 of the 3235 steps of the
+    256-cell Criterion 2 run whose mass holds)."""
     return (
-        outcome.retries == 0
-        and outcome.dt < cap
-        and outcome.mass_new == mass
-        and outcome.max_u == top
+        step.retries[i] == 0
+        and step.dt[i] < cap
+        and step.mass[i] == mass
+        and step.max_u[i] == top
         and _same_bits(u_new, u)
         and _same_bits(v_new, v)
     )
@@ -894,36 +985,31 @@ def run_batch(
     members = [_Member(st, p, grid, recorder, t_end) for st, p in zip(initials, params)]
     with _march(len(members), grid) as plan:
         active = [m for m in members if m.start()]
-        u = _stack([m.state.u for m in active]) if active else None
-        v = _stack([m.state.v for m in active]) if active else None
+        u = _stack([m.u for m in active]) if active else None
+        v = _stack([m.v for m in active]) if active else None
         points = [m.params for m in active]
         while active:
-            ts = [m.state.t for m in active]
+            ts = [m.t for m in active]
             caps = [t_end - t for t in ts]
-            u_new, v_new, outcomes = _advance(plan, u, v, ts, points, grid, cfg, forcing, caps,
-                                              [m.top for m in active])
-            keep = []
-            for i, (m, outcome) in enumerate(zip(active, outcomes)):
-                if outcome.termination is not None:
-                    m.finish(outcome.termination, outcome.cause)
-                    continue
-                fixed = forcing is None and _fixed_point(
-                    outcome, caps[i], m.mass, m.top, u[i], v[i], u_new[i], v_new[i]
-                )
-                if m.accept(outcome, u_new[i], v_new[i]) and fixed:
-                    m.replay(outcome)
-                if m.termination is None:
-                    keep.append(i)
-            if len(keep) < len(active):
+            u_new, v_new, step = _advance(plan, u, v, ts, points, grid, cfg, forcing, caps,
+                                          [m.top for m in active])
+            left = False
+            for i, m in enumerate(active):
+                if i in step.ends:
+                    m.finish(*step.ends[i])
+                    left = True
+                elif not m.accept(step, i, u_new[i], v_new[i], forcing is None):
+                    left = True
+            u, v = u_new, v_new
+            if left:
+                keep = [i for i, m in enumerate(active) if m.termination is None]
                 if len(active) > 1:
                     for m in active:
                         if m.termination is not None:
                             m.detach()
                 active = [active[i] for i in keep]
                 points = [m.params for m in active]
-                u, v = u_new[keep], v_new[keep]
-            else:
-                u, v = u_new, v_new
+                u, v = u[keep], v[keep]
     return [m.result() for m in members]
 
 

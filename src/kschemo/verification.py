@@ -28,7 +28,7 @@ import numpy as np
 
 from .grid import Grid, State, lp_norm_pow
 from .observables import ObservableSeries, Termination
-from .operators import _chemo_divergence, _column, _laplacian, _nonlocal_source
+from .operators import _chemo_divergence, _column, _exponents, _laplacian, _nonlocal_source
 from .params import ModelParams
 from .stepper import Recorder, RunResult, StepperConfig, _job_results, run
 
@@ -386,7 +386,8 @@ def semidiscrete_residual(case: ManufacturedCase, grid: Grid, t: float = 0.0) ->
     v = case.v_exact(t, grid)
     eps = 1e-6
     dudt = (case.u_exact(t + eps, grid) - case.u_exact(t - eps, grid)) / (2 * eps)
-    source, _ = _nonlocal_source(u[None], grid, [p], [p.alpha], [p.beta])
+    exponents = _exponents([p.alpha]), _exponents([p.beta])
+    source, _ = _nonlocal_source(u[None], grid, [p.a], [p.b], *exponents)
     rhs = _laplacian(u, grid) + source[0] + case.forcing.u([t], grid)[0]
     if p.chi != 0.0:
         rhs = rhs - p.chi * _chemo_divergence(u, v, grid, "central")[0]

@@ -1,6 +1,37 @@
+import dataclasses
 import math
 
 import pytest
+
+
+@dataclasses.dataclass
+class Outcome:
+    """One member's row of the stepper's _Step record, field by field."""
+
+    termination: object
+    cause: str
+    dt: float
+    retries: int
+    residual_u: float
+    residual_v: float
+    mass_new: float
+    source_integral: float
+    max_u: float
+    min_u: float
+    min_v: float
+
+
+def outcomes(step) -> list[Outcome]:
+    """The rows of a _Step that stepper._advance returns, one Outcome each."""
+    n = len(step.dt)
+    return [
+        Outcome(
+            *step.ends.get(i, (None, "")), step.dt[i], step.retries[i], step.rel[i],
+            step.rel[n + i], step.mass[i], step.source[i], step.max_u[i], step.min_u[i],
+            step.min_v[i],
+        )
+        for i in range(n)
+    ]
 
 
 class InlineFuture:
@@ -68,7 +99,7 @@ def inline_pools(monkeypatch):
 def one_step(monkeypatch):
     """Call it as one_step(state, params, grid, cfg, forcing=None, dt_cap=None,
     dt=None) for one step of one member as a march takes it: (the new State,
-    or None when the step ends the run, and the StepOutcome).  ``dt``, when
+    or None when the step ends the run, and its Outcome).  ``dt``, when
     given, stands in for the stability proposal, an oversized one included."""
     from kschemo import State, stepper
 
@@ -76,12 +107,13 @@ def one_step(monkeypatch):
         cap = math.inf if dt_cap is None else dt_cap
         with monkeypatch.context() as patch:
             if dt is not None:
-                patch.setattr(stepper, "_propose_dt", lambda umax, *args: [dt])
+                patch.setattr(stepper, "_propose_dt", lambda *args: [min(dt, args[-1][0])])
             with stepper._march(1, grid) as plan:
-                u, v, (outcome,) = stepper._advance(
+                u, v, taken = stepper._advance(
                     plan, state.u[None], state.v[None], [state.t], [params], grid, cfg,
                     forcing, [cap], [float(state.u.max())],
                 )
+        (outcome,) = outcomes(taken)
         if outcome.termination is not None:
             return None, outcome
         return State(u[0], v[0], state.t + outcome.dt, outcome.dt), outcome

@@ -96,6 +96,29 @@ run.t_end = {t_end}
 # start (0.1995 -> 3.6597 at t = 8.7, then 2.1915 at t_end = 20)
 GATHER_FACTOR = 10.0
 
+# Criterion 14 in 2D, where gathering can outrun the damping: a bump of mass
+# y1 = 1 and width 0.3 at (0.3, 0.3) with v0 = 0, at points the paper covers
+# (item 16 of ROADMAP.md; the uncovered (1, 1) collapses on the grid)
+CRITERION_14_2D = """
+model.chi = 20.0
+model.a = 1.0
+model.b = 1.0
+model.alpha = {alpha}
+model.beta = {beta}
+grid.dim = 2
+grid.cells_x = 32
+ic.u = bump
+ic.u_mass = 1.0
+ic.u_width = 0.3
+ic.u_center_x = 0.3
+ic.u_center_y = 0.3
+run.t_end = 5.0
+"""
+
+# a property of the 2D cases: their sup norms peak at 5.19x and 8.94x their
+# start (2.5564 -> 13.265 at (2, 2) and -> 22.844 at (1.5, 2), both at t = 0.40)
+GATHER_FACTOR_2D = 4.0
+
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -468,6 +491,25 @@ class TestCriterion14Aggregation:
             14, "aggregation-bounded", ok,
             f"linf {linf[0]:.4g} -> {linf[peak]:.6g} at t={t[peak]:.4g}, "
             f"mass_max={summary.mass_max:.7g} wall={wall:.1f}s",
+        )
+        assert finished
+        assert all_true, _verdicts(summary)
+        assert gathers
+
+    @pytest.mark.parametrize("alpha, beta", [(2.0, 2.0), (1.5, 2.0)])
+    def test_covered_2d_gathering_stays_bounded(self, alpha, beta):
+        cfg, result, wall = timed_run(CRITERION_14_2D.format(alpha=alpha, beta=beta))
+        _, summary = run_record(cfg, cfg.model, result)
+        linf, t = result.series.column("linf_u"), result.series.column("t")
+        peak = int(np.argmax(linf))
+        finished = result.termination is Termination.REACHED_T_END
+        all_true = set(_verdicts(summary).values()) == {"true"}
+        gathers = linf[peak] >= GATHER_FACTOR_2D * linf[0] and t[peak] > 0
+        ok = finished and all_true and gathers
+        report(
+            14, f"aggregation-bounded-2d-({alpha:g},{beta:g})", ok,
+            f"linf {linf[0]:.5g} -> {linf[peak]:.5g} at t={t[peak]:.3g}, "
+            f"{result.diagnostics.steps} steps, wall={wall:.1f}s",
         )
         assert finished
         assert all_true, _verdicts(summary)

@@ -737,6 +737,35 @@ class TestSimulatedSweep:
         for name in ("sweep.csv", "sweep_done.txt", "resolved_config.txt"):
             assert (resumed / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
+    @pytest.mark.parametrize("simulate", [True, False], ids=["simulate", "classify"])
+    def test_run_t_end_override_refused(self, tmp_path, capsys, simulate):
+        # the run length is --t-end's; a --run.t_end beside it was dropped without a word
+        out_dir = tmp_path / "sweep"
+        code, out, err = invoke(
+            capsys, "sweep", *(["--simulate"] if simulate else []), "--alpha-min", "1",
+            "--alpha-max", "1", "--beta-min", "3", "--beta-max", "3", "--n", "1",
+            "--grid.cells_x", "32", "--run.t_end", "0.3", "--t-end", "0.5",
+            "--output", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: config: --run.t_end: sweep takes its run length from --t-end\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "value, rule",
+        [("nan", "finite number required, got 'nan'"), ("-1", "t_end > 0 required, got -1.0")],
+    )
+    def test_bad_t_end_names_its_flag(self, tmp_path, capsys, value, rule):
+        out_dir = tmp_path / "sweep"
+        code, out, err = invoke(
+            capsys, "sweep", "--simulate", "--alpha-min", "1", "--alpha-max", "1",
+            "--beta-min", "3", "--beta-max", "3", "--n", "1", "--grid.cells_x", "32",
+            "--t-end", value, "--output", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: config: --t-end: {rule}\n"
+        assert not out_dir.exists()
+
     def test_nonfinite_y1_row_has_empty_envelope_cells(self, tmp_path, capsys):
         base = tmp_path / "base.cfg"
         base.write_text(TINY_DOMAIN)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from kschemo import Grid, ModelParams, integrate
-from kschemo.operators import _chemo_divergence, _laplacian, _nonlocal_source
+from kschemo import Grid, ModelParams, integrate, operators
+from kschemo.operators import _chemo_divergence, _exponents, _laplacian, _nonlocal_source
 
 
 @pytest.fixture
@@ -22,7 +22,8 @@ def transport(u, v, grid, scheme="upwind"):
 
 def source(u, grid, p):
     """(source field, nonlocal integral I) of one field."""
-    fields, (integral,) = _nonlocal_source(u[None], grid, [p], [p.alpha], [p.beta])
+    exponents = _exponents([p.alpha]), _exponents([p.beta])
+    fields, (integral,) = _nonlocal_source(u[None], grid, [p.a], [p.b], *exponents)
     return fields[0], integral
 
 
@@ -165,3 +166,31 @@ class TestNonlocalSource:
         assert np.all(np.isfinite(s))
         assert s[3] == 0.0
 
+
+
+class TestRowOperands:
+    """Per-row scalars a step shares as 0-d arrays give the column's bits."""
+
+    def test_per_row_shares_only_identical_bits(self):
+        assert operators._per_row([2.5, 2.5, 2.5], 1).shape == ()
+        assert operators._per_row([2.5, 3.0], 1).shape == (2, 1)
+        # 0.0 and -0.0 compare equal but scale a row to different zeros
+        assert operators._per_row([0.0, -0.0], 2).shape == (2, 1, 1)
+        assert operators._per_row([-0.0, -0.0], 2).shape == ()
+
+    @pytest.mark.parametrize("values", [[1.7, 1.7], [0.0, 0.0], [-0.0, -0.0], [1e-3, 2.0]])
+    def test_per_row_products_match_the_column(self, values):
+        rows = np.random.default_rng(3).standard_normal((2, 16, 16))
+        rows[0, 0, 0] = -0.0
+        shared = rows * operators._per_row(values, 2)
+        column = rows * operators._column(values, 2)
+        assert shared.tobytes() == column.tobytes()
+
+    @pytest.mark.parametrize(
+        "values", [[1.0, 1.0], [2.0, 2.0], [1.5], [3.0, 3.0, 3.0], [1.5, 2.0], [1.0, 2.0]]
+    )
+    def test_pow_rows_match_the_scalar_power(self, values):
+        base = np.abs(np.random.default_rng(4).standard_normal((len(values), 64))) * 3.0
+        powered = operators._pow_rows(base, operators._exponents(values))
+        for row, exponent, got in zip(base, values, powered):
+            assert got.tobytes() == (row**exponent).tobytes()

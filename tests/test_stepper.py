@@ -29,9 +29,12 @@ from kschemo import (
 )
 from kschemo import operators, stepper, verification
 from kschemo.grid import _POSITIVITY_TOL
+from kschemo.observables import ObservableError
 from kschemo.operators import FACE_SCHEMES
-from kschemo.stepper import StepOutcome, _neumann_eigenvalues
+from kschemo.stepper import _neumann_eigenvalues
 from kschemo.verification import build_mms_case, equilibrium_case
+
+from conftest import outcomes
 
 
 @pytest.fixture
@@ -67,11 +70,15 @@ def _helper_threads():
 
 def _advance(u, v, ts, params, grid, cfg, forcing=None, dt_cap=None):
     """One step of a batch as a march runs it: inside _march, with its plan,
-    each u row's max and no dt cap unless ``dt_cap`` gives one per member."""
+    each u row's max and no dt cap unless ``dt_cap`` gives one per member.
+    Returns the new fields and the step's Outcome of each member."""
     caps = [math.inf] * len(params) if dt_cap is None else dt_cap
     umax = np.maximum.reduce(u, grid.field_axes).tolist()
     with stepper._march(len(params), grid) as plan:
-        return stepper._advance(plan, u, v, ts, params, grid, cfg, forcing, caps, umax)
+        u_new, v_new, step = stepper._advance(
+            plan, u, v, ts, params, grid, cfg, forcing, caps, umax
+        )
+    return u_new, v_new, outcomes(step)
 
 
 def _held(rhs, grid, sigma):
@@ -83,7 +90,7 @@ def _held(rhs, grid, sigma):
 
 def _checked(rhs, grid, sigma):
     """_helmholtz_checked of the rows of ``rhs``: (w, backward error of each row)."""
-    return stepper._helmholtz_checked(rhs, grid, sigma, _held(rhs, grid, sigma))
+    return stepper._helmholtz_checked(rhs, grid, sigma, _held(rhs, grid, sigma))[:2]
 
 
 def _solve(rhs, grid, sigma):
@@ -248,20 +255,20 @@ class TestHelmholtz:
                 np.testing.assert_array_equal(w[i], alone[0])
                 if i != 1:
                     # the clip matters: without it the row dips below zero
-                    spectral = stepper._cosine_transform(rhs[i], grid)
+                    forward, inverse = stepper._TRANSFORMS[grid.dim]
+                    spectral = forward(rhs[i])
                     spectral /= 1.0 - sigma[i] * _grid_eigenvalues(grid)
-                    assert stepper._cosine_transform(spectral, grid, inverse=True).min() < 0.0
+                    assert inverse(spectral).min() < 0.0
 
     @pytest.mark.parametrize("rows,n", [(1, 16), (2, 256), (5, 37), (32, 1000)])
     def test_1d_transform_has_scipy_fft_bits(self, rows, n):
         grid = Grid(extent=(1.0,), cells=(n,))
         x = np.random.default_rng(n).standard_normal((rows, n))
-        spectral = stepper._cosine_transform(x, grid)
+        forward, inverse = stepper._TRANSFORMS[grid.dim]
+        spectral = forward(x)
         np.testing.assert_array_equal(spectral, scipy.fft.dct(x, type=2, norm="ortho", axis=-1))
         expected = scipy.fft.idct(spectral, type=2, norm="ortho", axis=-1)
-        np.testing.assert_array_equal(
-            stepper._cosine_transform(spectral.copy(), grid, inverse=True), expected
-        )
+        np.testing.assert_array_equal(inverse(spectral.copy()), expected)
 
     def test_mean_preserved(self, grid2d):
         odd = Grid(extent=(2.5,), cells=(37,))
@@ -362,7 +369,10 @@ class TestTransportBound:
         with np.errstate(**stepper._QUIET):
             _, grad_max = operators._chemo_divergence(u, v, grid, cfg.face_scheme)
             umax = u.max(axis=grid.field_axes).tolist()
-            dts = stepper._propose_dt(umax, grid, params, cfg, integrals, grad_max)
+            caps = [math.inf] * len(params)
+            dts = stepper._propose_dt(
+                umax, stepper._rates(params), grid, cfg, integrals, grad_max, caps
+            )
             assert dts == _np_diff_dts(u, v, grid, params, cfg, integrals)
             for axis, h, g in zip(grid.field_axes, grid.h, grad_max):
                 expected = np.abs(np.diff(v, axis=axis)).max(axis=grid.field_axes) / h
@@ -381,10 +391,16 @@ class TestTransportSlabs:
 
     @staticmethod
     def stage(explicit, u, v, chi, grid, scheme):
-        """The explicit stage as _advance runs it: on the march's helper when _threaded."""
+        """The explicit stage as _advance runs it: in slabs on the march's
+        helper when _threaded, else in one call."""
         explicit = explicit.copy()
         with stepper._march(len(u), grid) as plan:
-            grad_max = stepper._subtract_transport(explicit, u, v, chi, grid, scheme, plan.helper)
+            if plan.helper is not None and stepper._threaded(len(u), grid):
+                grad_max = stepper._transport_slabs(explicit, u, v, chi, grid, scheme, plan.helper)
+            else:
+                transport, grad_max = operators._chemo_divergence(u, v, grid, scheme)
+                transport *= chi
+                explicit -= transport
         return explicit, grad_max
 
     @pytest.mark.parametrize("scheme", FACE_SCHEMES)
@@ -437,10 +453,11 @@ class TestTransportSlabs:
         grid = Grid(extent=(1.0, 1.0), cells=(182, 182))
         threads = _record_threads(monkeypatch, "_chemo_divergence")
         u, v = _bump(grid, 8.0, width=0.1)[None], grid.sample(lambda x, y: x)[None]
-        chi = operators._column([5.0], grid.dim)
+        p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+        umax = np.maximum.reduce(u, grid.field_axes).tolist()
         with stepper._march(2, grid) as plan:
             assert plan.helper is not None and not stepper._threaded(1, grid)
-            stepper._subtract_transport(grid.zeros()[None], u, v, chi, grid, "upwind", plan.helper)
+            stepper._advance(plan, u, v, [0.0], [p], grid, StepperConfig(), None, [math.inf], umax)
         assert threads == {threading.current_thread().name}
 
     def test_calling_slab_error_propagates_after_joining_helper(self, monkeypatch):
@@ -577,8 +594,10 @@ class TestStep:
 
 def _two_solve_reference(u, v, ts, params, grid, cfg, dts, forcing=None):
     """A tau=1 step as two _helmholtz_checked calls, u rows then v rows."""
-    alphas, betas = [p.alpha for p in params], [p.beta for p in params]
-    source, _ = operators._nonlocal_source(u, grid, params, alphas, betas)
+    alphas = operators._exponents([p.alpha for p in params])
+    betas = operators._exponents([p.beta for p in params])
+    a, b = [p.a for p in params], [p.b for p in params]
+    source, _ = operators._nonlocal_source(u, grid, a, b, alphas, betas)
     explicit = source
     if any(p.chi != 0.0 for p in params):
         chi = operators._column([p.chi for p in params], grid.dim)
@@ -1030,6 +1049,16 @@ def _fixed_point_state(one_step, grid, cfg, chi=1.0):
     return State(u=moved.u, v=moved.v), p
 
 
+def _one_row_step(dt, retries=0):
+    """A _Step whose one row was accepted at ``dt`` with new mass 1 and max u 1."""
+    return stepper._Step([dt], [retries], {}, [0.0, 0.0], [1.0], [0.0], [0.0], [1.0], [0.0])
+
+
+def _fixed(step, cap, mass, top, u, v, u_new, v_new):
+    """_fixed_point of row 0 of ``step``, from fields (u, v) to (u_new, v_new)."""
+    return stepper._fixed_point(step, 0, cap, mass, top, u, v, u_new, v_new)
+
+
 def _solving_every_step(monkeypatch):
     monkeypatch.setattr(stepper, "_fixed_point", lambda *args: False)
 
@@ -1084,19 +1113,65 @@ class TestFixedPointReplay:
         _solving_every_step(monkeypatch)
         _assert_same_run(replayed, run(state, p, grid, self.CFG, 60.0, self.REC))
 
+    def test_replayed_tail_records_once(self, monkeypatch):
+        # the equilibrium is frozen from t = 0.2, between the samples at 0
+        # and 0.5; its replayed tail crosses the samples near 0.5, 1, 1.5
+        # and 2, and the solved last step lands on t_end, off the samples
+        grid = Grid(extent=(1.0,), cells=(32,))
+        state, p = _equilibrium(grid)
+        record, times = stepper.record, []
+
+        def spy(state, *args):
+            times.append(state.t)
+            return record(state, *args)
+
+        monkeypatch.setattr(stepper, "record", spy)
+        t_end = 2.05
+        replayed = run(state, p, grid, self.CFG, t_end, self.REC)
+        diag = replayed.diagnostics
+        assert (diag.steps, diag.replayed_steps) == (21, 18)
+        # the tail runs from the second step's time to the last solve's start
+        tail = [row[0] for row in replayed.series.rows if 0.2 < row[0] < t_end]
+        assert len(tail) == 4
+        assert [t for t in times if 0.2 < t < t_end] == tail[:1]
+        _solving_every_step(monkeypatch)
+        _assert_same_run(replayed, run(state, p, grid, self.CFG, t_end, self.REC))
+
+    def test_failed_sample_in_the_tail_ends_the_run_at_its_step(self, monkeypatch):
+        # the record check refuses every row after the fixed point, which
+        # arrives at t = 0.2: the replayed tail ends at the step of its first
+        # due sample, as a run solving every step does
+        grid = Grid(extent=(1.0,), cells=(32,))
+        state, p = _equilibrium(grid)
+        record = stepper.record
+
+        def refusing(state, *args):
+            if state.t > 0.25:
+                raise ObservableError(f"refused at t = {state.t}")
+            return record(state, *args)
+
+        monkeypatch.setattr(stepper, "record", refusing)
+        replayed = run(state, p, grid, self.CFG, 2.05, self.REC)
+        assert replayed.termination is Termination.SOLVER_FAILURE
+        assert replayed.cause == f"refused at t = {replayed.state.t}"
+        assert replayed.state.t == pytest.approx(0.5)
+        assert (replayed.diagnostics.steps, replayed.diagnostics.replayed_steps) == (5, 3)
+        _solving_every_step(monkeypatch)
+        _assert_same_run(replayed, run(state, p, grid, self.CFG, 2.05, self.REC))
+
     def test_one_ulp_in_v_is_not_a_fixed_point(self):
         grid = Grid(extent=(1.0,), cells=(32,))
         u, v = grid.full(1.0), grid.full(1.0)
-        outcome = StepOutcome(dt=0.1, mass_new=1.0, max_u=1.0)
-        assert stepper._fixed_point(outcome, 1.0, 1.0, 1.0, u, v, u.copy(), v.copy())
+        step = _one_row_step(dt=0.1)
+        assert _fixed(step, 1.0, 1.0, 1.0, u, v, u.copy(), v.copy())
         # a max u that moved rules the step out before any array pass
-        assert not stepper._fixed_point(outcome, 1.0, 1.0, 2.0, u, v, u.copy(), v.copy())
+        assert not _fixed(step, 1.0, 1.0, 2.0, u, v, u.copy(), v.copy())
         nudged = v.copy()
         nudged[7] = np.nextafter(nudged[7], np.inf)
-        assert not stepper._fixed_point(outcome, 1.0, 1.0, 1.0, u, v, u.copy(), nudged)
+        assert not _fixed(step, 1.0, 1.0, 1.0, u, v, u.copy(), nudged)
         # 0.0 and -0.0 compare equal but are not the same bits
         zero = grid.zeros()
-        assert not stepper._fixed_point(outcome, 1.0, 1.0, 1.0, u, zero, u.copy(), -zero)
+        assert not _fixed(step, 1.0, 1.0, 1.0, u, zero, u.copy(), -zero)
 
     def test_run_whose_v_moves_by_one_ulp_replays_nothing(self, monkeypatch, one_step):
         # without chemotaxis u stays at its equilibrium whatever v does; each
@@ -1106,10 +1181,10 @@ class TestFixedPointReplay:
         original = stepper._advance
 
         def nudged(helper, u, v, *args, **kwargs):
-            u_new, v_new, outcomes = original(helper, u, v, *args, **kwargs)
+            u_new, v_new, step = original(helper, u, v, *args, **kwargs)
             v_new[:] = v
             v_new[:, 7] = np.nextafter(v[:, 7], np.inf)
-            return u_new, v_new, outcomes
+            return u_new, v_new, step
 
         monkeypatch.setattr(stepper, "_advance", nudged)
         result = run(state, p, grid, self.CFG, 2.05, self.REC)
@@ -1138,18 +1213,16 @@ class TestFixedPointReplay:
         original = stepper._advance
 
         def retried(*args, **kwargs):
-            u_new, v_new, outcomes = original(*args, **kwargs)
-            for outcome in outcomes:
-                outcome.retries = 1
-            return u_new, v_new, outcomes
+            u_new, v_new, step = original(*args, **kwargs)
+            step.retries[:] = [1] * len(step.retries)
+            return u_new, v_new, step
 
         monkeypatch.setattr(stepper, "_advance", retried)
         result = run(state, p, grid, self.CFG, 2.05, self.REC)
         assert result.diagnostics.replayed_steps == 0
         assert result.diagnostics.total_retries == result.diagnostics.steps == 21
-        assert not stepper._fixed_point(
-            StepOutcome(dt=0.1, mass_new=1.0, max_u=1.0, retries=1), 1.0, 1.0, 1.0,
-            state.u, state.v, state.u, state.v,
+        assert not _fixed(
+            _one_row_step(dt=0.1, retries=1), 1.0, 1.0, 1.0, state.u, state.v, state.u, state.v
         )
 
     def test_capped_last_step_is_solved(self, monkeypatch):
@@ -1158,9 +1231,9 @@ class TestFixedPointReplay:
         original, solved_dts = stepper._advance, []
 
         def spy(*args, **kwargs):
-            u_new, v_new, outcomes = original(*args, **kwargs)
-            solved_dts.extend(outcome.dt for outcome in outcomes)
-            return u_new, v_new, outcomes
+            u_new, v_new, step = original(*args, **kwargs)
+            solved_dts.extend(step.dt)
+            return u_new, v_new, step
 
         monkeypatch.setattr(stepper, "_advance", spy)
         replayed = run(state, p, grid, self.CFG, 2.05, self.REC)
@@ -1169,9 +1242,8 @@ class TestFixedPointReplay:
         assert diag.replayed_steps > 0
         # the last solve is the step that lands on t_end, shorter than dt_max
         assert solved_dts[-1] == replayed.state.dt_last < self.CFG.dt_max
-        assert not stepper._fixed_point(
-            StepOutcome(dt=0.05, mass_new=1.0, max_u=1.0), 0.05, 1.0, 1.0,
-            state.u, state.v, state.u, state.v,
+        assert not _fixed(
+            _one_row_step(dt=0.05), 0.05, 1.0, 1.0, state.u, state.v, state.u, state.v
         )
         _solving_every_step(monkeypatch)
         solved = run(state, p, grid, self.CFG, 2.05, self.REC)
@@ -1187,6 +1259,7 @@ def _rebuilding_every_step(monkeypatch):
     def fresh_members(plan, params):
         plan._members = None
         members(plan, params)
+        plan.params = None  # so that the next step sets its active set again
 
     def fresh_column(plan, dts):
         plan._dts = None
@@ -1328,9 +1401,10 @@ class TestStepPlan:
                 with stepper._march(1, grid) as plan:
                     for _ in range(3):
                         umax = np.maximum.reduce(u, grid.field_axes).tolist()
-                        u, v, (outcome,) = stepper._advance(
+                        u, v, step = stepper._advance(
                             plan, u, v, [t], [p], grid, cfg, None, [math.inf], umax
                         )
+                        (outcome,) = outcomes(step)
                         assert outcome.termination is None
                         t += outcome.dt
                         dts.append(outcome.dt)
