@@ -11,14 +11,7 @@ from .grid import (
     write_snapshot,
 )
 from .observables import ObservableSeries, SeriesSummary, Termination, record, summarize
-from .params import (
-    ModelParams,
-    OdeComparisonResult,
-    Regime,
-    classify_regime,
-    mass_envelope,
-    ode_comparison_oracle,
-)
+from .params import ModelParams, Regime, classify_regime, mass_envelope
 from .stepper import (
     Recorder,
     RunResult,
@@ -35,10 +28,8 @@ __all__ = [
     "State",
     "ModelParams",
     "Regime",
-    "OdeComparisonResult",
     "classify_regime",
     "mass_envelope",
-    "ode_comparison_oracle",
     "integrate",
     "lp_norm_pow",
     "write_snapshot",

@@ -20,7 +20,7 @@ from .config import (
     run_record, write_resolved,
 )
 from .grid import Grid, read_snapshot
-from .observables import ObservableSeries, Termination, summarize
+from .observables import ObservableSeries, Termination
 from .params import FieldError, ModelParams, classify_regime, mass_envelope
 from .stepper import _job_results, run_batch
 from .verification import build_mms_case, convergence_study, level_dts
@@ -56,6 +56,8 @@ def _collect_overrides(extras: list[str]) -> dict[str, str]:
             value = next(tokens, None)
             if value is None:
                 raise ConfigError(f"missing value for override {token!r}")
+        if key in overrides:
+            raise ConfigError(f"duplicate key {key!r}", key=key)
         overrides[key] = value
     return overrides
 
@@ -145,7 +147,10 @@ def _classification_row(alpha: float, beta: float, n: int) -> str:
 
 
 def _simulation_row(n: int, cfg, params: ModelParams, result) -> str:
-    envelope, summary = run_record(cfg, params, result)
+    envelope, summary = run_record(
+        cfg, params, result.series, result.termination, result.state.u,
+        result.diagnostics.max_gain_above_y1,
+    )
     printed = summary.printed()
     return ",".join(
         [_row_prefix(params, n, envelope), str(result.termination)]
@@ -251,6 +256,8 @@ def _cmd_sweep(args, extras: list[str]) -> int:
                 # --t-end's value replaced any run.t_end of the base file
                 raise ConfigError(exc.message, key="--t-end") from None
             _require_envelope(base)
+            if base.grid.dim != args.n:
+                raise ConfigError(f"differs from the base's grid.dim = {base.grid.dim}", key="--n")
             # every point starts from the base state; an IC that overflows fails here
             build_initial_state(base)
             max_batch = max(1, _BATCH_CELLS // math.prod(base.grid.shape))
@@ -356,23 +363,32 @@ def _cmd_bound_check(args) -> int:
         cfg = parse_config(path=path("resolved_config.txt"))
         _require_envelope(cfg)
         series = ObservableSeries.from_csv(path("series.csv"))
-        with open(path("summary.txt")) as fh:
-            text = dict(line.rstrip("\n").partition("=")[::2] for line in fh).get("termination")
+        summary_path = path("summary.txt")
+        with open(summary_path) as fh:
+            lines = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
+        # a summary without a termination line reads as a run that stopped
+        # early, and one without a max_gain_above_y1 line as an unchecked run
+        text, gain = lines.get("termination"), lines.get("max_gain_above_y1")
         try:
-            # a summary without a termination line reads as a run that stopped early
             termination = None if text is None else Termination(text)
         except ValueError:
-            raise ValueError(f"{path('summary.txt')}: unknown termination {text!r}") from None
+            raise ValueError(f"{summary_path}: unknown termination {text!r}") from None
+        try:
+            gain = None if gain is None else float(gain)
+        except ValueError:
+            message = f"{summary_path}: max_gain_above_y1 {gain!r} is not a number"
+            raise ValueError(message) from None
         # a run that ended at t = 0 without a sample left its initial u on disk
         u0 = None if len(series) else read_snapshot(path("u_initial.snap"))[0]
-        y1, m0 = mass_envelope(cfg.model, initial_mass(series, u0, cfg.grid), cfg.grid.measure)
+        envelope, summary = run_record(cfg, cfg.model, series, termination, u0, gain)
+        if envelope is None:  # mass_envelope's own message says why
+            mass_envelope(cfg.model, initial_mass(series, u0, cfg.grid), cfg.grid.measure)
     except (ConfigError, OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
-    summary = summarize(series, termination, mass_cap=m0)
     printed = summary.printed()
-    print(f"y1={y1:.17g}")
-    print(f"m0={m0:.17g}")
+    print(f"y1={envelope[0]:.17g}")
+    print(f"m0={envelope[1]:.17g}")
     for key in ("mass_max", "mass_envelope_ok"):
         print(f"{key}={printed[key]}")
     return EXIT_OK if summary.mass_envelope_ok else EXIT_VERDICT_FALSE

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .grid import Grid, State, field_to_csv, integrate, write_snapshot
-from .observables import ObservableSeries, SeriesSummary, summarize
+from .observables import ObservableSeries, SeriesSummary, Termination, summarize
 from .params import FieldError, ModelParams, mass_envelope, require
 from .stepper import Recorder, RunResult, StepperConfig, run
 
@@ -348,34 +348,40 @@ def initial_mass(series: ObservableSeries, u0, grid: Grid) -> float:
 
 
 def run_record(
-    cfg: RunConfig, params: ModelParams, result: RunResult
+    cfg: RunConfig, params: ModelParams, series: ObservableSeries,
+    termination: Termination | None, u0, mass_gain: float | None,
 ) -> tuple[tuple | None, SeriesSummary]:
-    """The envelope (y1, m0) of a run of ``params`` on ``cfg``'s grid and its
-    verdict record, m0 by the initial_mass rule; the envelope is None when
-    mass_envelope has none (b = 0, or a non-finite initial mass or y1)."""
-    series = result.series
-    mass0 = initial_mass(series, result.state.u, cfg.grid)
+    """The envelope (y1, m0) of a run of ``params`` on ``cfg``'s grid and the
+    verdict record of its ``series``, ``termination`` and ``mass_gain``
+    (RunDiagnostics.max_gain_above_y1, None when not known), m0 by the
+    initial_mass rule from ``u0``; the envelope is None when mass_envelope
+    has none (b = 0, or a non-finite initial mass or y1)."""
     try:
-        envelope = mass_envelope(params, mass0, cfg.grid.measure)
+        envelope = mass_envelope(params, initial_mass(series, u0, cfg.grid), cfg.grid.measure)
     except ValueError:
         envelope = None
     cap = envelope[1] if envelope else None
-    return envelope, summarize(series, result.termination, cap, cfg.stepper.blowup_linf_threshold)
+    threshold = cfg.stepper.blowup_linf_threshold
+    return envelope, summarize(series, termination, cap, threshold, mass_gain)
 
 
 def summary_lines(cfg: RunConfig, result: RunResult) -> list[str]:
     """Machine-parsable summary of a finished run (one key=value per line)."""
+    diag = result.diagnostics
     lines = [
         f"termination={result.termination}",
         f"termination_cause={result.cause}",
-        f"steps={result.diagnostics.steps}",
-        f"replayed_steps={result.diagnostics.replayed_steps}",
-        f"total_retries={result.diagnostics.total_retries}",
-        f"max_mass_identity_violation={result.diagnostics.max_mass_identity_violation:.17g}",
-        f"min_u={result.diagnostics.min_u:.17g}",
-        f"min_v={result.diagnostics.min_v:.17g}",
+        f"steps={diag.steps}",
+        f"replayed_steps={diag.replayed_steps}",
+        f"total_retries={diag.total_retries}",
+        f"max_mass_identity_violation={diag.max_mass_identity_violation:.17g}",
+        f"max_gain_above_y1={diag.max_gain_above_y1:.17g}",
+        f"min_u={diag.min_u:.17g}",
+        f"min_v={diag.min_v:.17g}",
     ]
-    envelope, summary = run_record(cfg, cfg.model, result)
+    envelope, summary = run_record(
+        cfg, cfg.model, result.series, result.termination, result.state.u, diag.max_gain_above_y1
+    )
     if envelope is not None:
         lines += [f"y1={envelope[0]:.17g}", f"m0={envelope[1]:.17g}"]
     # without b there is no envelope to check, so no mass_envelope_ok line

@@ -220,17 +220,22 @@ def summarize(
     termination: Termination | None,
     mass_cap: float | None = None,
     linf_threshold: float | None = None,
+    mass_gain: float | None = -math.inf,
 ) -> SeriesSummary:
     """The verdict record of a run that ended with ``termination``; None
-    reads as a run that stopped early.  The one rule for every verdict:
+    reads as a run that stopped early.  ``mass_gain`` is the run's per-step
+    RunDiagnostics.max_gain_above_y1 (-inf: no step checked; None: not
+    known).  The one rule for every verdict:
 
-    - False when the samples show a violation: a mass above
-      mass_cap * (1 + 1e-6), a sup norm at or above linf_threshold, a
-      non-finite sample, or a plateau that fails over at least 4 rows.
+    - False when the run shows a violation: a mass above
+      mass_cap * (1 + 1e-6), a positive mass_gain, a sup norm at or above
+      linf_threshold, a non-finite sample, or a plateau that fails over at
+      least 4 rows.
     - True only when nothing is violated, the run reached t_end and, for a
       plateau, the series has at least 4 rows.
-    - None (inconclusive) otherwise, an empty series or an absent bound
-      included.  plateaus_ok is False if any plateau is, True if all are.
+    - None (inconclusive) otherwise, an empty series, an absent bound or a
+      None mass_gain included.  plateaus_ok is False if any plateau is, True
+      if all are.
     """
     reached = termination is Termination.REACHED_T_END
     mass_max = linf_u_max = mass_holds = linf_holds = None
@@ -241,6 +246,8 @@ def summarize(
             mass_holds = bool(mass_max <= mass_cap * (1.0 + 1e-6))
         if linf_threshold is not None:
             linf_holds = bool(linf_u_max < linf_threshold)
+    per_step = None if mass_gain is None else bool(mass_gain <= 0.0)
+    mass_holds = False if False in (mass_holds, per_step) else mass_holds and per_step
     columns = [c for c in series.columns if c.startswith("int_u_k")] + ["linf_u"]
     plateau = {c: _verdict(_plateau(series.column(c)), reached) for c in columns}
     flags = list(plateau.values())

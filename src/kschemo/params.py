@@ -14,17 +14,21 @@ produce globally bounded solutions:
 All inequalities apart from the alpha range edges are strict; boundary
 equalities classify as ``UNCOVERED`` (no extrapolation beyond the known
 region).  Total mass obeys int(u(t)) <= m0 = max(int(u0), y1) with
-y1 = (a / (b * |Omega|^(1-beta)))^(1/beta), the equilibrium cap of the
-comparison ODE y' = gamma(t) * (a - b*|Omega|^(1-beta) * y^beta).
+y1 = (a / (b * |Omega|^(1-beta)))^(1/beta).  Integrating the u equation
+kills diffusion and transport, and Jensen's inequality
+int(u^beta) >= |Omega|^(1-beta) * y^beta turns what is left into the
+comparison ODE y' <= gamma(t) * (a - b*|Omega|^(1-beta) * y^beta), with
+gamma = int(u^alpha) >= 0, whose right side is <= 0 once y >= y1.  The
+same inequality holds for the cell averages of the discrete scheme, so
+the stepper checks this argument on every solved step of a run (see
+stepper._Member.accept).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 
 class FieldError(ValueError):
@@ -130,83 +134,3 @@ def mass_envelope(
         args = f"a={params.a}, b={params.b}, beta={params.beta}, domain_measure={domain_measure}"
         raise ValueError(f"mass envelope y1 is not finite for {args}")
     return y1, max(initial_mass, y1)
-
-
-@dataclass(frozen=True)
-class OdeComparisonResult:
-    """Outcome of the comparison-ODE integration.
-
-    y_max is the maximum of the integrated trajectory (including y(0)).
-    hypothesis_ok is False when sampling found phi(t, y) > 0 at some
-    y > y1, in which case violation holds one offending (t, y, phi).
-    """
-
-    y_max: float
-    hypothesis_ok: bool
-    violation: Optional[tuple[float, float, float]] = None
-
-
-def ode_comparison_oracle(
-    phi: Callable[[float, float], float],
-    y0: float,
-    y1: float,
-    t_end: float,
-    dt: float,
-    hypothesis_samples: tuple[int, int] = (64, 64),
-) -> OdeComparisonResult:
-    """Integrate y' = phi(t, y) with classical RK4 and report the trajectory max.
-
-    The comparison argument guarantees y <= max(y1, y(0)) whenever
-    phi(t, y) <= 0 for all y > y1.  That sign hypothesis is checked by
-    dense sampling of t in [0, t_end] and y in (y1, 2*max(y0, y1) + 1].
-    A violation is reported (warning + result flag), never guessed around.
-
-    This integrator is deliberately independent of the PDE stepper: fixed
-    step, one-step explicit method, no adaptivity.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt > 0 required, got {dt}")
-    if y0 < 0:
-        raise ValueError(f"y0 >= 0 required, got {y0}")
-    if y1 <= 0:
-        raise ValueError(f"y1 > 0 required, got {y1}")
-
-    t_lo, t_hi, y_lo, y_hi = 0.0, t_end, y1 * (1.0 + 1e-9), 2.0 * max(y0, y1) + 1.0
-    hypothesis_ok = True
-    violation = None
-    nt, ny = hypothesis_samples
-    for i in range(nt):
-        ts = t_lo + (t_hi - t_lo) * i / max(nt - 1, 1)
-        for j in range(ny):
-            ys = y_lo + (y_hi - y_lo) * j / max(ny - 1, 1)
-            if ys <= y1:
-                continue
-            val = phi(ts, ys)
-            if val > 0:
-                hypothesis_ok = False
-                violation = (ts, ys, val)
-                break
-        if not hypothesis_ok:
-            break
-    if not hypothesis_ok:
-        warnings.warn(
-            "comparison hypothesis violated: phi(%g, %g) = %g > 0 above y1 = %g"
-            % (*violation, y1),
-            stacklevel=2,
-        )
-
-    y = float(y0)
-    y_max = y
-    t = 0.0
-    while t < t_end - 1e-15 * max(1.0, t_end):
-        h = min(dt, t_end - t)
-        k1 = phi(t, y)
-        k2 = phi(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = phi(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = phi(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        if y > y_max:
-            y_max = y
-
-    return OdeComparisonResult(y_max=y_max, hypothesis_ok=hypothesis_ok, violation=violation)

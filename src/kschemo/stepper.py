@@ -99,7 +99,7 @@ import numpy as np
 from scipy import fftpack
 
 from .grid import _POSITIVITY_TOL, Grid, State, _require_field, integrate
-from .observables import ObservableError, ObservableSeries, Termination, record
+from .observables import ObservableError, ObservableSeries, Termination, _k_column, record
 from .operators import (
     FACE_SCHEMES,
     _ZERO,
@@ -110,7 +110,7 @@ from .operators import (
     _nonlocal_source,
     _per_row,
 )
-from .params import ModelParams, require
+from .params import ModelParams, mass_envelope, require
 
 _EPS_RATE = 1e-30
 
@@ -757,6 +757,8 @@ class Recorder:
 
     def __post_init__(self) -> None:
         require(all(k > 1 for k in self.k_list), "k_list", "entries > 1", self.k_list)
+        names = {_k_column(k) for k in self.k_list}  # series columns
+        require(len(names) == len(self.k_list), "k_list", "with distinct columns", self.k_list)
         require(self.sample_interval > 0, "sample_interval", "> 0", self.sample_interval)
 
 
@@ -764,7 +766,10 @@ class Recorder:
 class RunDiagnostics:
     """Counts and extrema of a run's accepted steps.  ``steps`` counts every
     accepted step; ``replayed_steps`` counts those of them taken as a replay
-    of a fixed point rather than solved (see _fixed_point)."""
+    of a fixed point rather than solved (see _fixed_point).
+    ``max_gain_above_y1`` is the largest dt * int(source) of a solved step
+    that started at or above its member's _barrier, -inf when none did;
+    the comparison lemma makes it <= 0 (see _Member.accept)."""
 
     steps: int = 0
     replayed_steps: int = 0
@@ -772,6 +777,7 @@ class RunDiagnostics:
     max_mass_identity_violation: float = 0.0
     min_u: float = math.inf
     min_v: float = math.inf
+    max_gain_above_y1: float = -math.inf
 
 
 @dataclass
@@ -792,15 +798,51 @@ class RunResult:
 
 _REACHED_T_END = "t_end reached"
 
+def _barrier(params: ModelParams, grid: Grid) -> float:
+    """y1 * (1 + delta): the computed mass from which no step of an unforced
+    march computes a positive source; inf when b = 0 or y1 is not finite
+    (or underflows at a > 0), 0 at a = 0, where the source -b*I_n is <= 0.
+
+    Exactly, a u_n >= 0 of mass m_n >= y1 has, by Jensen's inequality over
+    the N cells of volume V, I_n = sum V u_n^beta >= (N*V)^(1-beta) m_n^beta
+    >= a/b, as a/b = |Omega|^(1-beta) y1^beta.  Rounding is monotone, so the
+    computed a - b*I_n is then <= 0, and the source integral, a sum of
+    u^alpha times that one coefficient, has its sign.  delta covers the
+    relative rounding errors of the numbers the chain passes through, in
+    units u = 2^-53, with s = ceil(log2(N / 128)) + 26 the additions a term
+    passes through in a pairwise sum of N cells (grid's module docstring):
+    m_n, s + 1; I_n, whose powers are within one ulp, s + 3; y1, from a
+    quotient, a product and two powers, the outer one at the rounded
+    exponent 1/beta, which moves it by u*|ln y1|, 6 + ceil(|ln y1|); N*V
+    against |Omega|, 4; the barrier's own product, 2.  Each enters as a
+    product of (1 + e)^(+-1), |e| <= u, so with K their sum the ratio of the
+    two sides is at most 1 + gamma_2K, gamma_k = k*u / (1 - k*u) (Higham,
+    ch. 3), which delta is: about 1.5e-14 at 256 cells and y1 = 1.
+    """
+    if params.b == 0:
+        return math.inf
+    try:
+        y1 = mass_envelope(params, 0.0, grid.measure)[0]
+    except ValueError:  # y1 is not finite
+        return math.inf
+    if y1 == 0.0:
+        return 0.0 if params.a == 0 else math.inf
+    s = math.ceil(math.log2(max(math.prod(grid.cells) / 128, 1.0))) + 26
+    k = 2 * (2 * s + 16 + math.ceil(abs(math.log(y1))))
+    return y1 * (1.0 + k / (2.0**53 - k))
+
 
 class _Member:
     """One batch member's fields, clock, series and diagnostics."""
 
     def __init__(
-        self, initial: State, params: ModelParams, grid: Grid, recorder: Recorder, t_end: float
+        self, initial: State, params: ModelParams, grid: Grid, recorder: Recorder, t_end: float,
+        forced: bool,
     ):
         self.u, self.v, self.t, self.dt = initial.u, initial.v, initial.t, initial.dt_last
         self.params = params
+        # a forcing adds mass the lemma does not see (see accept)
+        self.barrier = math.inf if forced else _barrier(params, grid)
         self.grid = grid
         self.recorder = recorder
         self.t_end = t_end
@@ -869,7 +911,10 @@ class _Member:
         """Take row i of an accepted ``step`` to fields (u, v), sample when
         due and finish at t_end; in an ``unforced`` march, replay the step
         while it is a fixed point (see _fixed_point).  False when the member
-        is done."""
+        is done.  A step that started at a mass at or above the _barrier
+        checks the comparison lemma, dt * int(source) <= 0, into
+        RunDiagnostics.max_gain_above_y1; a replayed step repeats its own
+        step's numbers, so it needs no check."""
         dt, mass = step.dt[i], step.mass[i]
         fixed = unforced and _fixed_point(
             step, i, self.t_end - self.t, self.mass, self.top, self.u, self.v, u, v
@@ -877,6 +922,10 @@ class _Member:
         self.u, self.v, self.dt = u, v, dt
         self.t = t = self.t + dt
         diag = self.diag
+        if self.mass >= self.barrier:
+            gain = dt * step.source[i]
+            if gain > diag.max_gain_above_y1:
+                diag.max_gain_above_y1 = gain
         diag.steps += 1
         diag.total_retries += step.retries[i]
         # each "if" takes the other value exactly when max or min would
@@ -982,7 +1031,8 @@ def run_batch(
             raise ValueError("t_end must exceed the initial time")
         initial.validate(grid)
 
-    members = [_Member(st, p, grid, recorder, t_end) for st, p in zip(initials, params)]
+    forced = forcing is not None
+    members = [_Member(st, p, grid, recorder, t_end, forced) for st, p in zip(initials, params)]
     with _march(len(members), grid) as plan:
         active = [m for m in members if m.start()]
         u = _stack([m.u for m in active]) if active else None

@@ -21,7 +21,7 @@ from kschemo import (
     classify_regime,
     integrate,
     mass_envelope,
-    ode_comparison_oracle,
+    stepper,
 )
 from kschemo.config import parse_config, run_from_config, run_record
 from kschemo.observables import summarize
@@ -147,6 +147,32 @@ def run2():
 @pytest.fixture(scope="session")
 def run3():
     return timed_run(CRITERION_3)
+
+
+@pytest.fixture(scope="session")
+def run14():
+    return timed_run(CRITERION_14.format(b=1.0, t_end=20.0))
+
+
+@pytest.fixture(scope="session")
+def run14_2d():
+    """Call it with (alpha, beta) for Criterion 14's 2D run at that point."""
+    runs = {}
+
+    def get(alpha, beta):
+        if (alpha, beta) not in runs:
+            runs[alpha, beta] = timed_run(CRITERION_14_2D.format(alpha=alpha, beta=beta))
+        return runs[alpha, beta]
+
+    return get
+
+
+def record(cfg, result):
+    """The envelope and verdict record of a finished run, as summary.txt has them."""
+    return run_record(
+        cfg, cfg.model, result.series, result.termination, result.state.u,
+        result.diagnostics.max_gain_above_y1,
+    )
 
 
 class TestCriterion1MassEnvelope:
@@ -378,57 +404,85 @@ class TestCriterion8ClassifierTable:
         assert ok, failures
 
 
-def _random_rate_case(rng):
-    """Rate functions satisfying the sign hypothesis above their y1."""
-    if rng.integers(0, 2) == 0:
-        a = rng.uniform(0.5, 3.0)
-        b = rng.uniform(0.5, 3.0)
-        beta = rng.uniform(1.0, 4.0)
-        c = rng.uniform(0.0, 2.0)
-        om = rng.uniform(0.5, 3.0)
-        ph = rng.uniform(0.0, 2.0 * math.pi)
-        y1 = (a / b) ** (1.0 / beta)
-        y0 = rng.uniform(0.0, 2.5 * y1)
-
-        def phi(t, y, a=a, b=b, beta=beta, c=c, om=om, ph=ph):
-            return (1.0 + c * math.sin(om * t + ph) ** 2) * (a - b * max(y, 0.0) ** beta)
-
-    else:
-        r0 = rng.uniform(0.5, 2.0)
-        s = rng.uniform(0.5, 2.0)
-        y1 = rng.uniform(0.5, 2.0)
-        y0 = rng.uniform(0.0, 1.5 * y1)
-
-        def phi(t, y, r0=r0, s=s, y1=y1):
-            return r0 * (1.0 + math.sin(t) ** 2) if y <= y1 else -s * (y - y1)
-
-    return phi, y0, y1
+# The constant state u = v = y1 = 1 of Criterion 2's exponents: its source
+# a - b*I is 0, and its mass moves off 1 only by rounding (up to 1 + 2.2e-16)
+CONSTANT_STATE = """
+model.alpha = 1.5
+model.beta = 3.0
+grid.cells_x = 64
+ic.u = constant
+ic.v_value = 1.0
+run.t_end = 0.5
+"""
 
 
-class TestCriterion9OdeComparisonOracle:
-    def test_randomized_rates_respect_cap(self):
-        rng = np.random.default_rng(2024)
-        cases = [_random_rate_case(rng) for _ in range(100)]
-        c_bound = 3.0
-        overshoots = {}
-        for dt in (2e-3, 1e-3):
-            over = []
-            for phi, y0, y1 in cases:
-                res = ode_comparison_oracle(
-                    phi, y0, y1, t_end=6.0, dt=dt, hypothesis_samples=(16, 16)
-                )
-                assert res.hypothesis_ok
-                assert res.y_max <= max(y0, y1) + c_bound * dt
-                over.append(max(0.0, res.y_max - max(y0, y1)))
-            overshoots[dt] = np.array(over)
-        mean_coarse = overshoots[2e-3].mean()
-        mean_fine = overshoots[1e-3].mean()
-        halves = mean_fine <= 0.6 * mean_coarse
-        report(
-            9, "ode-comparison-oracle", halves,
-            f"mean_overshoot {mean_coarse:.2e} -> {mean_fine:.2e}",
-        )
-        assert halves
+def _broken_source(monkeypatch, a_factor=1.0, b_factor=1.0):
+    """Make every step build its source from a*a_factor and b*b_factor,
+    while the run's ModelParams, and so its y1, stay the same."""
+    source = stepper._nonlocal_source
+
+    def broken(u, grid, a, b, alphas, betas):
+        a = [x * a_factor for x in a]
+        b = [x * b_factor for x in b]
+        return source(u, grid, a, b, alphas, betas)
+
+    monkeypatch.setattr(stepper, "_nonlocal_source", broken)
+
+
+class TestCriterion9ComparisonLemma:
+    """The comparison argument behind int(u) <= max(int(u0), y1), on each
+    solved step: a step that starts at or above y1 cannot gain mass."""
+
+    def test_every_step_at_or_above_y1_loses_mass(self, run1, run2, run3, run14, run14_2d):
+        runs = {
+            "1": run1, "2": run2, "3": run3, "14": run14,
+            "14-2d-(2,2)": run14_2d(2.0, 2.0), "14-2d-(1.5,2)": run14_2d(1.5, 2.0),
+        }
+        gains, verdicts = {}, {}
+        for name, (cfg, result, _) in runs.items():
+            gains[name] = result.diagnostics.max_gain_above_y1
+            verdicts[name] = record(cfg, result)[1].mass_envelope_ok
+        # Criteria 1-3 start above y1, so they check steps; Criterion 14's runs
+        # stay below y1 or start at it, within the barrier's rounding margin
+        checked = all(gains[name] > -math.inf for name in ("1", "2", "3"))
+        ok = checked and all(g <= 0.0 for g in gains.values())
+        ok = ok and all(v is True for v in verdicts.values())
+        detail = ", ".join(f"{name}: {gain:.2g}" for name, gain in gains.items())
+        report(9, "comparison-lemma", ok, f"largest gain above y1 {detail}")
+        assert checked, gains
+        assert all(g <= 0.0 for g in gains.values()), gains
+        assert all(v is True for v in verdicts.values()), verdicts
+
+    def test_constant_state_at_y1_holds(self):
+        cfg, result, _ = timed_run(CONSTANT_STATE)
+        _, summary = record(cfg, result)
+        assert result.termination is Termination.REACHED_T_END
+        assert result.diagnostics.max_gain_above_y1 <= 0.0
+        assert summary.mass_envelope_ok is True
+
+    def test_tilted_growth_gains_above_y1(self, monkeypatch):
+        # a 1e-6 tilt of a gains about 1e-8 a step: 1 + 2.6e-7 by t_end,
+        # inside the sampled check's 1e-6 but a gain on every step above y1
+        _broken_source(monkeypatch, a_factor=1.0 + 1e-6)
+        cfg, result, _ = timed_run(CONSTANT_STATE)
+        _, summary = record(cfg, result)
+        sampled = summarize(result.series, result.termination, mass_cap=1.0)
+        gain = result.diagnostics.max_gain_above_y1
+        ok = sampled.mass_envelope_ok is True and summary.mass_envelope_ok is False
+        report(9, "comparison-lemma-tilted-growth", ok, f"gain {gain:.2g}")
+        assert sampled.mass_envelope_ok is True
+        assert gain > 0.0
+        assert summary.mass_envelope_ok is False
+
+    def test_flipped_damping_gains_above_y1(self, monkeypatch):
+        _broken_source(monkeypatch, b_factor=-1.0)
+        cfg, result, _ = timed_run(CONSTANT_STATE)
+        _, summary = record(cfg, result)
+        gain = result.diagnostics.max_gain_above_y1
+        report(9, "comparison-lemma-flipped-damping", summary.mass_envelope_ok is False,
+               f"gain {gain:.2g}")
+        assert gain > 0.0
+        assert summary.mass_envelope_ok is False
 
 
 class TestCriterion10Positivity:
@@ -478,9 +532,9 @@ def _verdicts(summary) -> dict[str, str]:
 
 
 class TestCriterion14Aggregation:
-    def test_gathering_stays_bounded(self):
-        cfg, result, wall = timed_run(CRITERION_14.format(b=1.0, t_end=20.0))
-        _, summary = run_record(cfg, cfg.model, result)
+    def test_gathering_stays_bounded(self, run14):
+        cfg, result, wall = run14
+        _, summary = record(cfg, result)
         linf, t = result.series.column("linf_u"), result.series.column("t")
         peak = int(np.argmax(linf))
         finished = result.termination is Termination.REACHED_T_END
@@ -497,9 +551,9 @@ class TestCriterion14Aggregation:
         assert gathers
 
     @pytest.mark.parametrize("alpha, beta", [(2.0, 2.0), (1.5, 2.0)])
-    def test_covered_2d_gathering_stays_bounded(self, alpha, beta):
-        cfg, result, wall = timed_run(CRITERION_14_2D.format(alpha=alpha, beta=beta))
-        _, summary = run_record(cfg, cfg.model, result)
+    def test_covered_2d_gathering_stays_bounded(self, run14_2d, alpha, beta):
+        cfg, result, wall = run14_2d(alpha, beta)
+        _, summary = record(cfg, result)
         linf, t = result.series.column("linf_u"), result.series.column("t")
         peak = int(np.argmax(linf))
         finished = result.termination is Termination.REACHED_T_END
@@ -518,7 +572,7 @@ class TestCriterion14Aggregation:
     def test_undamped_twin_is_not_bounded(self):
         # b = 0: u' = u^1.5 grows undamped; t_end = 20 would take ~870k steps
         cfg, result, wall = timed_run(CRITERION_14.format(b=0.0, t_end=5.0))
-        _, summary = run_record(cfg, cfg.model, result)
+        _, summary = record(cfg, result)
         ok = summary.plateaus_ok is not True
         report(
             14, "aggregation-undamped-twin", ok,

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 
@@ -282,6 +283,20 @@ class TestRun:
         cfg.write_text(RUN_CONFIG)
         code, _, err = invoke(capsys, "run", "--config", str(cfg), "--model.gamma", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("second", [["--model.chi", "3"], ["--model.chi=3"]])
+    def test_repeated_override_exit_2(self, tmp_path, capsys, second):
+        # a config file refuses a repeated key, and so do the flags
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG)
+        out_dir = tmp_path / "out"
+        code, out, err = invoke(
+            capsys, "run", "--config", str(cfg), "--output", str(out_dir),
+            "--model.chi", "1", *second,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: config: model.chi: duplicate key 'model.chi'\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("key", ["--output"])
     def test_output_under_a_file_exit_2_before_any_step(self, tmp_path, capsys, monkeypatch, key):
@@ -766,6 +781,19 @@ class TestSimulatedSweep:
         assert err == f"error: config: --t-end: {rule}\n"
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("dim, n", [(1, 2), (2, 1)])
+    def test_n_other_than_the_base_dim_refused(self, tmp_path, capsys, dim, n):
+        # each row would carry the regime of n for a run in dim dimensions
+        out_dir = tmp_path / "sweep"
+        code, out, err = invoke(
+            capsys, "sweep", "--simulate", "--alpha-min", "1", "--alpha-max", "1",
+            "--beta-min", "3", "--beta-max", "3", "--n", str(n), "--grid.dim", str(dim),
+            "--grid.cells_x", "16", "--t-end", "0.1", "--output", str(out_dir),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: config: --n: differs from the base's grid.dim = {dim}\n"
+        assert not out_dir.exists()
+
     def test_nonfinite_y1_row_has_empty_envelope_cells(self, tmp_path, capsys):
         base = tmp_path / "base.cfg"
         base.write_text(TINY_DOMAIN)
@@ -1018,6 +1046,30 @@ class TestBoundCheck:
         code, out, _ = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
         assert code == 1
         assert "mass_envelope_ok=inconclusive" in out
+
+    @pytest.mark.parametrize(
+        "line, code, verdict",
+        [("", 1, "inconclusive"), ("max_gain_above_y1=1e-300\n", 1, "false"),
+         ("max_gain_above_y1=0\n", 0, "true")],
+        ids=["missing", "gain", "no-gain"],
+    )
+    def test_per_step_line(self, tmp_path, capsys, line, code, verdict):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG)
+        out_dir = tmp_path / "out"
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(out_dir))[0] == 0
+        path = out_dir / "summary.txt"
+        summary = path.read_text()
+        # the bump's mass of 2 lies above y1 = 1, so the run checked its steps
+        assert float(dict(r.split("=", 1) for r in summary.splitlines())["max_gain_above_y1"]) < 0
+        path.write_text(re.sub(r"max_gain_above_y1=.*\n", line, summary))
+        assert invoke(capsys, "bound-check", "--run-dir", str(out_dir))[:2] == (
+            code, f"y1=1\nm0=2\nmass_max=2\nmass_envelope_ok={verdict}\n"
+        )
+        path.write_text(re.sub(r"max_gain_above_y1=.*\n", "max_gain_above_y1=x\n", summary))
+        code, out, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err == f"error: config: {path}: max_gain_above_y1 'x' is not a number\n"
 
     @pytest.mark.parametrize("line", ["", "termination=\n", "termination=Reached\n"])
     def test_termination_line(self, tmp_path, capsys, line):

@@ -167,6 +167,14 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"^line 22: unknown key 'model.tau'$"):
             parse_config(text=text)
 
+    @pytest.mark.parametrize("value", ["2.5, 2.50000001", "2, 2"])
+    def test_k_values_sharing_a_column_name_rejected(self, value):
+        # both would be the column int_u_k2.5 (int_u_k2) of series.csv
+        with pytest.raises(ConfigError) as info:
+            parse_config(text=f"run.k_list = {value}\n")
+        assert (info.value.key, info.value.line) == ("run.k_list", 1)
+        assert "distinct columns" in str(info.value)
+
     def test_cross_field_dt_ordering(self):
         with pytest.raises(ConfigError, match="dt_min"):
             parse_config(text="stepper.dt_min = 1.0\nstepper.dt_max = 1e-2\n")

@@ -244,9 +244,9 @@ def test_public_surface_is_the_run_api():
     import kschemo
 
     assert kschemo.__all__ == [
-        "Grid", "State", "ModelParams", "Regime", "OdeComparisonResult", "classify_regime",
-        "mass_envelope", "ode_comparison_oracle", "integrate", "lp_norm_pow", "write_snapshot",
-        "read_snapshot", "field_to_csv", "StepperConfig", "Termination", "Recorder",
+        "Grid", "State", "ModelParams", "Regime", "classify_regime", "mass_envelope",
+        "integrate", "lp_norm_pow", "write_snapshot", "read_snapshot", "field_to_csv",
+        "StepperConfig", "Termination", "Recorder",
         "RunResult", "adapt_dt", "run", "run_batch", "ObservableSeries", "SeriesSummary",
         "record", "summarize", "__version__",
     ]
@@ -255,7 +255,8 @@ def test_public_surface_is_the_run_api():
     # run and run_batch are the one way to step; the per-step wrappers are gone
     removed = (
         "step", "StepOutcome", "helmholtz_solve", "LinearSolverError", "linf_norm",
-        "laplacian", "chemo_divergence", "nonlocal_source",
+        "laplacian", "chemo_divergence", "nonlocal_source", "ode_comparison_oracle",
+        "OdeComparisonResult",
     )
     for name in removed:
         assert not hasattr(kschemo, name)

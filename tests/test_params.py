@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from kschemo import (
-    ModelParams,
-    Regime,
-    classify_regime,
-    mass_envelope,
-    ode_comparison_oracle,
-)
+from kschemo import ModelParams, Regime, classify_regime, mass_envelope
 from kschemo.params import FieldError
 
 
@@ -169,41 +163,3 @@ class TestMassEnvelope:
         assert y1_up_b <= y1
         assert m0_up >= m0
 
-
-class TestOdeComparisonOracle:
-    def test_rate_with_oscillating_prefactor_respects_cap(self):
-        phi = lambda t, y: (1.0 + math.sin(t) ** 2) * (1.0 - y**2)
-        res = ode_comparison_oracle(phi, y0=0.2, y1=1.0, t_end=10.0, dt=1e-3)
-        assert res.hypothesis_ok
-        assert res.y_max <= 1.0 + 1e-2 * 1e-3 + 1e-12
-
-    def test_monotone_decay_from_above(self):
-        res = ode_comparison_oracle(lambda t, y: -y, y0=3.0, y1=1.0, t_end=5.0, dt=1e-3)
-        assert res.hypothesis_ok
-        assert res.y_max == 3.0
-
-    def test_constant_solution(self):
-        res = ode_comparison_oracle(lambda t, y: 0.0, y0=0.5, y1=1.0, t_end=5.0, dt=1e-3)
-        assert res.y_max == 0.5
-
-    def test_hypothesis_violation_reported(self):
-        with pytest.warns(UserWarning, match="hypothesis violated"):
-            res = ode_comparison_oracle(lambda t, y: 1.0, y0=0.0, y1=1.0, t_end=1.0, dt=1e-2)
-        assert not res.hypothesis_ok
-        assert res.violation is not None
-
-    def test_overshoot_shrinks_with_dt(self):
-        # piecewise rate crosses the barrier at slope 2, overshoot O(dt)
-        def phi(t, y):
-            return 2.0 if y <= 1.0 else -4.0 * (y - 1.0)
-
-        coarse = ode_comparison_oracle(phi, 0.0, 1.0, 4.0, 2e-2).y_max - 1.0
-        fine = ode_comparison_oracle(phi, 0.0, 1.0, 4.0, 1e-2).y_max - 1.0
-        assert 0 < coarse <= 2.0 * 2e-2
-        assert fine <= 0.75 * coarse
-
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            ode_comparison_oracle(lambda t, y: 0.0, 0.5, 1.0, 1.0, dt=0.0)
-        with pytest.raises(ValueError):
-            ode_comparison_oracle(lambda t, y: 0.0, -0.5, 1.0, 1.0, dt=0.1)
