@@ -12,6 +12,7 @@ bitwise identical.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -149,21 +150,39 @@ def record(
     if not all(map(math.isfinite, row)):
         raise ObservableError(f"non-finite observable at t = {state.t}")
 
-    integrals = [(1.0, abs(mass)), (params.beta, int_beta), *zip(k_list, int_k)]
-    _check_power_means(state.t, integrals, sup_u, grid.measure)
+    integrals = [abs(mass), int_beta, *int_k]
+    order = _power_means(params.beta, tuple(k_list))
+    _check_power_means(state.t, integrals, order, sup_u, grid.measure)
     return row
 
 
-def _check_power_means(t: float, integrals: list, sup_u: float, measure: float) -> None:
+@functools.lru_cache(maxsize=64)
+def _power_means(beta: float, k_list: tuple[float, ...]) -> tuple:
+    """The order in which _check_power_means takes the integrals of u^1,
+    u^beta and u^k for each k of ``k_list``, held in that order: by
+    increasing k, each as (k, 1/k, _NORMAL_MIN ** (1/k), its position).
+    Where k ties, the integrals keep their order, which is increasing:
+    |int(u)| <= int(|u|) at beta = 1 (one summation order, monotone
+    rounding), and at beta in k_list the two are one expression.  They
+    depend on (beta, k_list) alone, so a run computes them once."""
+    ks = sorted(enumerate((1.0, beta, *k_list)), key=lambda pair: (pair[1], pair[0]))
+    return tuple((k, 1.0 / k, _NORMAL_MIN ** (1.0 / k), i) for i, k in ks)
+
+
+def _check_power_means(
+    t: float, integrals: list, order: tuple, sup_u: float, measure: float
+) -> None:
     """Raise ObservableError unless the L^k means (integral / measure)^(1/k)
-    of the (k, integral) pairs never fall as k grows and none exceeds ``sup_u``;
-    a k whose largest term sup_u^k or integral is subnormal is skipped, as
-    underflow took the digits of its mean."""
+    of the ``integrals``, taken in the _power_means ``order``, never fall as
+    k grows and none exceeds ``sup_u``; a k whose largest term sup_u^k or
+    integral is subnormal is skipped, as underflow took the digits of its
+    mean."""
     prev_mean = 0.0
-    for k, value in sorted(integrals):
-        if sup_u < _NORMAL_MIN ** (1.0 / k) or value < _NORMAL_MIN:
+    for k, inverse, floor, i in order:
+        value = integrals[i]
+        if sup_u < floor or value < _NORMAL_MIN:
             continue
-        mean_k = (value / measure) ** (1.0 / k)
+        mean_k = (value / measure) ** inverse
         if mean_k < prev_mean * (1.0 - _CONSISTENCY_RTOL):
             raise ObservableError(f"power-mean monotonicity violated at t = {t} (k = {k:g})")
         if mean_k > sup_u * (1.0 + _CONSISTENCY_RTOL) + 1e-300:

@@ -1,11 +1,18 @@
 """Discrete spatial operators: diffusion, chemotactic transport, nonlocal source.
 
 _laplacian() and _chemo_divergence() are flux differences on cell faces,
-assembled by one kernel, _flux_divergence(), from the fluxes on the n-1
-interior faces of each axis.  The boundary faces carry zero flux by
-construction, so the discrete integrals of both operators telescope to zero
-regardless of the input fields.  That telescoping is what makes the
-per-step mass identity of the stepper exact up to solver/rounding noise.
+built from the fluxes on the n-1 interior faces of each axis: a face's flux
+leaves the cell left of it and enters the one right of it.  The boundary
+faces carry zero flux by construction, so the discrete integrals of both
+operators telescope to zero regardless of the input fields.  That
+telescoping is what makes the per-step mass identity of the stepper exact
+up to solver/rounding noise.
+
+_chemo_divergence() writes chi * div(u grad v) straight into the array it
+is given, the stepper's explicit stage, with chi/h^2 folded into each face
+flux, so no transport field is built.  A _Transport says which faces it
+takes and which cells it writes: all of them, or the rows of one slab of
+the first field axis, so that two threads can fill one explicit stage.
 
 Every kernel acts on the trailing ``grid.dim`` axes, so a batch of fields
 ``(B, *grid.shape)`` is one call.  The kernels trust their input: they
@@ -15,7 +22,7 @@ serve the stepper, whose audit already vouches for each accepted state.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +30,7 @@ from .grid import Grid, _constant
 
 FACE_SCHEMES = ("upwind", "central")
 
-_ZERO, _HALF = _constant(0.0), _constant(0.5)
+_ZERO = _constant(0.0)
 
 
 def _column(values: Sequence[float], dim: int) -> np.ndarray:
@@ -70,65 +77,110 @@ def _exponents(values: list[float]):
     return None if first == 1.0 else np.array(first)
 
 
-def _flux_divergence(face_flux: np.ndarray, left, right, h: float, out: np.ndarray) -> None:
-    """Add (F_{i+1/2} - F_{i-1/2}) / h into ``out`` along the axis whose
-    cells ``left`` and ``right`` of its interior faces Grid.faces gives.
-
-    ``face_flux`` holds the n-1 interior faces: face j is the right face of
-    cell j and the left face of cell j+1.  The two boundary faces are
-    zero-flux and contribute nothing.  ``face_flux`` is divided in place,
-    so callers pass an array they own.
-    """
-    face_flux /= h
-    left_cells, right_cells = out[left], out[right]
-    left_cells += face_flux
-    right_cells -= face_flux
-
-
 def _laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Second-order Neumann Laplacian (3-point/5-point stencil) in flux form."""
     out = np.zeros(f.shape)
     for h, left, right in grid.faces:
-        gradient = f[right] - f[left]
-        gradient /= h
-        _flux_divergence(gradient, left, right, h, out)
+        flux = f[right] - f[left]
+        flux /= h
+        flux /= h
+        left_cells, right_cells = out[left], out[right]
+        left_cells += flux
+        right_cells -= flux
         # freed before the next axis allocates its own
-        del gradient
+        del flux
     return out
 
 
-def _chemo_divergence(u: np.ndarray, v: np.ndarray, grid: Grid, scheme: str) -> tuple:
-    """The transport field div(u grad v) of a batch and, per axis,
-    max|grad_h v| of each row.
+class _Transport(NamedTuple):
+    """What _chemo_divergence reads besides its three arrays.
 
-    With ``scheme`` "upwind" the face value of u comes from the side that
-    sign(v_R - v_L) picks, which keeps the explicit transport update
-    nonnegative under the stepper's dt bound at first order; "central"
-    takes the face mean (second order, not positivity-safe).  Callers
-    multiply by chi, which ModelParams keeps nonnegative.  The stepper's
-    transport bound reads the maxima of the face gradients (max|dv / h| is
-    max|dv| / h exactly: rounding is monotone).  Only
-    grid.faces and grid.field_axes are read, so a slab of rows along the first
-    field axis with a one-cell halo on each inner side gives its inner
-    cells the exact bits of the whole-field call, and its maxima cover its
-    own faces."""
-    out = np.zeros(u.shape)
+    ``faces`` holds, per axis, (chi/h^2, h, left, right, lower, lower_faces,
+    upper, upper_faces): chi/h^2 of the rows (_per_row; chi/(2h^2) for
+    central faces, whose face value is the sum of the two cells), the
+    axis' h, the cells left and right of the faces the call takes, as
+    indices into u and v, and the cells of the output left of those faces
+    (``lower``) and right of them (``upper``) that the call writes, with
+    the faces that reach them (None: all it takes).
+    """
+
+    upwind: bool
+    axes: tuple
+    faces: tuple
+
+
+def _transport(grid: Grid, scheme: str, chis: Sequence[float],
+               rows: Optional[tuple[int, int]] = None) -> _Transport:
+    """The _Transport of chi * div(u grad v) on ``grid`` for rows with
+    ``chis``, under the face ``scheme``.  ``rows`` = (start, stop) confines
+    the writes to those rows of the first field axis, a slab: the call
+    takes every face with a cell in it and writes only the cells in it."""
+    n = grid.cells[0]
+    start, stop = (0, n) if rows is None else rows
+    inner = (slice(None),) * (grid.dim - 1)
+    # the first axis' faces from first to last - 1: face j is the right
+    # face of cell j; the cells each side of them that the slab owns
+    first, last = max(start - 1, 0), min(stop, n - 1)
+    low, high = max(first, start), min(last + 1, stop)
+
+    def along(begin, end):
+        return (Ellipsis, slice(begin, end)) + inner
+
+    def taken(begin, end):  # faces first + begin to first + end, None: all
+        return None if (begin, end) == (0, last - first) else along(begin, end)
+
+    faces = [(
+        along(first, last), along(first + 1, last + 1),
+        along(low, last), taken(low - first, last - first),
+        along(first + 1, high), taken(0, high - first - 1),
+    )]
+    if grid.dim == 2:
+        own = slice(None) if rows is None else slice(start, stop)
+        left, right = (Ellipsis, own, slice(None, -1)), (Ellipsis, own, slice(1, None))
+        faces.append((left, right, left, None, right, None))
+    # a central face's mean halves the sum of its cells, which is exact, so
+    # the half folds into chi/h^2 with the bits of halving the sum
+    fold = 1.0 if scheme == "upwind" else 2.0
+    return _Transport(scheme == "upwind", grid.field_axes, tuple(
+        (_per_row([chi / (fold * h * h) for chi in chis], grid.dim), h_axis, *indices)
+        for h, (h_axis, _, _), indices in zip(grid.h, grid.faces, faces)
+    ))
+
+
+def _chemo_divergence(out: np.ndarray, u: np.ndarray, v: np.ndarray,
+                      transport: _Transport) -> list:
+    """Subtract chi * div(u grad v) of a batch from ``out`` in place, where
+    ``transport`` says; return, per axis, max|grad_h v| of each row over
+    the faces it takes.
+
+    Each face's flux chi/h^2 * u_face * (v_R - v_L) leaves the cell left of
+    it and enters the one right of it, the first axis before the second, so
+    no face gradient is formed as an array.  With upwind faces the face
+    value of u comes from the side that sign(v_R - v_L) picks, which keeps
+    the explicit transport update nonnegative under the stepper's dt bound
+    at first order; central faces take the face mean (second order, not
+    positivity-safe).  ModelParams keeps chi nonnegative.  The stepper's
+    transport bound reads the maxima of the face gradients, taken as
+    max|dv| / h, which is max|dv / h| exactly (rounding is monotone).  A
+    cell's update is the same sequence of roundings whichever call writes
+    it, so two slabs (_transport's ``rows``) that share no row give their
+    cells the bits of the whole-field call, and the maxima of the two cover
+    every face."""
     grad_max = []
-    axes = grid.field_axes
-    for h, left, right in grid.faces:
+    upwind, axes = transport.upwind, transport.axes
+    for chi_h2, h, left, right, lower, lower_faces, upper, upper_faces in transport.faces:
         dv = v[right] - v[left]
-        dv /= h
-        grad_max.append(np.maximum.reduce(np.abs(dv), axis=axes))
-        if scheme == "upwind":
-            u_face = np.where(dv > _ZERO, u[left], u[right])
-        else:
-            u_face = u[left] + u[right]
-            u_face *= _HALF
-        u_face *= dv
-        _flux_divergence(u_face, left, right, h, out)
+        grad_max.append(np.maximum.reduce(np.abs(dv), axis=axes) / h)
+        flux = np.where(dv > _ZERO, u[left], u[right]) if upwind else u[left] + u[right]
+        flux *= dv
+        flux *= chi_h2
+        cells = out[lower]
+        cells -= flux if lower_faces is None else flux[lower_faces]
+        cells = out[upper]
+        cells += flux if upper_faces is None else flux[upper_faces]
         # freed before the next axis allocates its own
-        del dv, u_face
-    return out, grad_max
+        del dv, flux
+    return grad_max
 
 
 def _nonlocal_source(

@@ -2,12 +2,14 @@
 
 One step of size dt from (u_n, v_n):
 
-  (i)   explicit terms at t_n: E_u = -chi * div(u grad v) + nonlocal source
-        on a large grid (see (iii)) one of two row slabs of the transport
-        runs on the march's helper thread; the source stays whole.  dt is
-        the stability proposal of _propose_dt; the max u of each row that
-        its reaction bound reads is carried from the extrema (iv) took off
-        the solve that made u, or from a member's initial u
+  (i)   explicit terms at t_n: E_u = nonlocal source - chi * div(u grad v)
+        the transport kernel subtracts its face fluxes from the source array
+        itself, so no transport field is built; on a large grid (see (iii))
+        the march's helper thread writes one of two row slabs of it, and the
+        source stays whole.  dt is the stability proposal of _propose_dt;
+        the max u of each row that its reaction bound reads is carried from
+        the extrema (iv) took off the solve that made u, or from a member's
+        initial u
   (ii)  u_{n+1} solves (I - dt*L_h) u = u_n + dt*E_u          (implicit diffusion)
   (iii) v_{n+1} solves ((1+dt) I - dt*L_h) v = v_n + dt*u_n
         this rhs does not need u_{n+1}, so (ii) and (iii) are one rhs array
@@ -21,7 +23,9 @@ One step of size dt from (u_n, v_n):
         stepper keeps no process-wide state (see the step plan below)
   (iv)  audit: a non-finite or negative result halves dt and retries from
         the explicit stage of (i); a solve that fails its backward-error gate
-        is a solver failure; a sup norm above the threshold is a blow-up
+        (_helmholtz_checked: the residual built from w - rhs face by face,
+        with no Laplacian array) is a solver failure; a sup norm above the
+        threshold is a blow-up
 
 Diffusion and transport are exactly mass-neutral (flux form + mean-preserving
 Helmholtz solves), so per accepted step
@@ -106,9 +110,9 @@ from .operators import (
     _chemo_divergence,
     _column,
     _exponents,
-    _laplacian,
     _nonlocal_source,
     _per_row,
+    _transport,
 )
 from .params import ModelParams, mass_envelope, require
 
@@ -123,15 +127,24 @@ _MAX_RETRIES = 20
 # Cells (member rows * cells per row) from which a step runs its per-cell
 # work on two threads: the transport in two row slabs, and the u and v
 # halves of the solve, handed to the march's live helper thread.  Below it
-# call dispatch outweighs the arithmetic, so the gate also stacks its three
-# squared arrays into one reduction there (_helmholtz_checked).  Medians of
-# five alternating runs on 2 vCPUs, serial -> helper, one bump member: the
+# call dispatch outweighs the arithmetic.  Medians of five alternating runs
+# (measured before the transport wrote the explicit stage itself) on 2
+# vCPUs, serial -> helper, one bump member: the
 # transport stage 128^2 0.36 -> 0.88 ms, 182^2 0.70 -> 1.03 ms, 256^2 1.77
 # -> 1.37 ms; the checked solve of one u row and one v row 128^2 1.97 ->
 # 1.96 ms, 182^2 5.5 -> 3.7 ms, 256^2 10.6 -> 5.6 ms.  A single member
 # breaks even between 128^2 and 182^2; batches of many small rows were not
 # timed, so the threshold stays at 2^16, from where both stages win.
 _THREAD_CELLS = 1 << 16
+
+# Cells per row up to which the gate takes a row's squared norm as one
+# np.vecdot, a BLAS dot product, with no squared temporary.  OpenBLAS, which
+# numpy's wheels ship, runs a dot product of 10000 elements or more on
+# threads of its own, which then spin beside the march's helper thread: with
+# np.vecdot on every row a 512^2 bump run (16 steps, 2 vCPUs) took
+# 0.49-0.61 s against 0.32 s.  A longer row sums its squares, one array at
+# a time.  Either way a row's bits depend on its own length and values only.
+_DOT_CELLS = 1 << 13
 
 # the row gradients _propose_dt reads when no row has chi > 0
 _NO_GRADIENTS = itertools.repeat(())
@@ -231,18 +244,41 @@ def _a_norm(sigmas: Sequence[float], grid: Grid) -> list[float]:
 @dataclass
 class _Held:
     """What a march's _Plan holds for the rows of one checked solve: the
-    per-axis eigenvalues, each row's ||A|| bound and, once the rows' dt
-    column repeats, their 1 - sigma*lambda (else None: the solve builds its
-    own, a temporary)."""
+    per-axis eigenvalues, each row's ||A|| bound, the gate's ``stencil``
+    (per axis, the rows' sigma/h^2 as _per_row gives them and the cells
+    left and right of the interior faces, as Grid.faces gives them) and,
+    once the rows' dt column repeats, their 1 - sigma*lambda (else None:
+    the solve builds its own, a temporary).  ``halves`` holds the stencils
+    of the rows before and after a split, for half()."""
 
     eigenvalues: list[np.ndarray]
     a_norm: list[float]
+    stencil: tuple
     denominator: Optional[np.ndarray] = None
+    halves: tuple = ()
 
-    def rows(self, part: slice) -> "_Held":
-        """What is held for the rows ``part`` of the solve."""
+    def half(self, k: int, n: int) -> "_Held":
+        """What is held for the rows before row ``n`` (k = 0) or from it on (k = 1)."""
+        part = slice(None, n) if k == 0 else slice(n, None)
         denominator = None if self.denominator is None else self.denominator[part]
-        return _Held(self.eigenvalues, self.a_norm[part], denominator)
+        return _Held(self.eigenvalues, self.a_norm[part], self.halves[k], denominator)
+
+
+def _hold(sigmas: Sequence[float], grid: Grid, eigenvalues, split: Optional[int] = None) -> _Held:
+    """The _Held of rows at ``sigmas``, before their column repeats; with
+    ``split``, the stencils of the rows before it and from it on as well."""
+    scales = [[sigma / (h * h) for sigma in sigmas] for h in grid.h]
+
+    def stencil(part: slice) -> tuple:
+        return tuple(
+            (_per_row(values[part], grid.dim), left, right)
+            for values, (_, left, right) in zip(scales, grid.faces)
+        )
+
+    halves = ()
+    if split is not None:
+        halves = stencil(slice(None, split)), stencil(slice(split, None))
+    return _Held(eigenvalues, _a_norm(sigmas, grid), stencil(slice(None)), halves=halves)
 
 
 def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> np.ndarray:
@@ -276,19 +312,19 @@ def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> np.ndarr
     return w
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, with the bits the row gets alone.
-
-    A pairwise sum along each contiguous row depends on the row length only;
-    einsum's chunking depends on the shape of the whole call.
-    """
-    flat = x.reshape(x.shape[0], -1)
-    return np.sqrt(np.add.reduce(np.square(flat), axis=1))
-
-
 def _helmholtz_checked(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> tuple:
     """Solve each row as _helmholtz_core does; return (w, and as lists by
     row the backward error, maximum and minimum of w).
+
+    The backward error is ||r|| / (||A|| ||w|| + ||rhs||) with r = w -
+    sigma*L_h w - rhs and the held ||A|| bound: the rounding in sigma*L_h w
+    grows like eps * ||A|| * ||w||, so dividing by ||rhs|| alone fails fine
+    grids whose solves are exact to working precision.  r is built from w -
+    rhs with no Laplacian array: each interior face moves sigma/h^2 times
+    the difference of w across it (the held stencil) out of the cell left
+    of it and into the one right of it.  The squared norms are one np.vecdot
+    per array, a dot product per row, on rows of up to _DOT_CELLS cells, and
+    a sum of squares per row on longer ones.
 
     One call carries the u and the v rows of a step and the caller splits
     w and the lists at the member count, or, on large grids, _solve_halves
@@ -298,35 +334,42 @@ def _helmholtz_checked(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> tuple
     which propagate NaN and reach inf.
     """
     w = _helmholtz_core(rhs, grid, sigma, held)
-    # w - sigma*L_h w - rhs, built in the Laplacian's array
-    residual = _laplacian(w, grid)
-    residual *= sigma
-    np.subtract(w, residual, out=residual)
-    residual -= rhs
-    # normwise backward error ||r|| / (||A|| ||w|| + ||rhs||), with the held
-    # ||A|| bound: the rounding in sigma*L_h w grows like eps * ||A|| * ||w||,
-    # so dividing by ||rhs|| alone fails fine grids whose solves are exact to
-    # working precision
-    # _row_norms of the rows of w, then rhs, then the residual: below _THREAD_CELLS
-    # cells, where dispatch outweighs the arithmetic, one reduction of the three
-    # squares stacked (a row is summed alone); larger calls hold one square at a time
-    if w.size >= _THREAD_CELLS:
-        w_norms, rhs_norms, residual_norms = (_row_norms(x).tolist() for x in (w, rhs, residual))
+    residual = w - rhs
+    for scale, left, right in held.stencil:
+        flux = w[right] - w[left]
+        flux *= scale
+        cells = residual[left]
+        cells -= flux
+        cells = residual[right]
+        cells += flux
+        del flux
+    # by row: the squared norms of w, rhs and the residual, the max and the
+    # min of w, brought back in one list
+    rows = len(w)
+    stats = np.empty((5, rows))
+    flat = (w, rhs, residual) if w.ndim == 2 else [x.reshape(rows, -1) for x in (w, rhs, residual)]
+    w_rows, rhs_rows, residual_rows = flat
+    if w_rows.shape[1] <= _DOT_CELLS:
+        vecdot = np.vecdot
+        vecdot(w_rows, w_rows, out=stats[0])
+        vecdot(rhs_rows, rhs_rows, out=stats[1])
+        vecdot(residual_rows, residual_rows, out=stats[2])
     else:
-        squares = np.concatenate((w, rhs, residual))
-        np.square(squares, out=squares)
-        norms = np.sqrt(np.add.reduce(squares.reshape(3, len(w), -1), axis=2))
-        w_norms, rhs_norms, residual_norms = norms.tolist()
+        for x, out in zip(flat, stats):
+            np.add.reduce(np.square(x), axis=1, out=out)
     axes = grid.field_axes
-    # the same roundings as numpy's on the rows, in Python floats; max keeps
-    # a NaN scale as its first argument, as np.maximum propagates it
+    np.maximum.reduce(w, axes, out=stats[3])
+    np.minimum.reduce(w, axes, out=stats[4])
+    w_squares, rhs_squares, residual_squares, hi, lo = stats.tolist()
+    # max keeps a NaN scale as its first argument, as np.maximum propagates it
+    sqrt = math.sqrt
     errors = [
-        residual_norm / max(a * w_norm + rhs_norm, 1e-300)
-        for a, w_norm, rhs_norm, residual_norm in zip(
-            held.a_norm, w_norms, rhs_norms, residual_norms
+        sqrt(residual_square) / max(a * sqrt(w_square) + sqrt(rhs_square), 1e-300)
+        for a, w_square, rhs_square, residual_square in zip(
+            held.a_norm, w_squares, rhs_squares, residual_squares
         )
     ]
-    return w, errors, np.maximum.reduce(w, axes).tolist(), np.minimum.reduce(w, axes).tolist()
+    return w, errors, hi, lo
 
 
 def _usable_cpus() -> int:
@@ -380,14 +423,17 @@ class _Plan:
     """A march's helper thread (or None) and the constants of its steps.
 
     Two keys decide what a step can take from the step before:
-      * the active set, the rows' ModelParams: the chi column (None when
-        every chi is 0), the coefficient and exponent lists of the source
-        and the _rates of the dt proposal;
+      * the active set, the rows' ModelParams and the face scheme: the
+        _Transport of the rows, which holds their chi/h^2 per axis (None when
+        every chi is 0), and with a helper the two row slabs' ones, the
+        coefficient and exponent lists of the source and the _rates of the
+        dt proposal;
       * the dt column, the rows' dts: ``sigma``, dt for the u rows stacked
         on dt/(1+dt) for the v rows, ``dt`` and ``shift`` = 1+dt (both
         _per_row), ``rhs_shape`` (the stacked u and v rows) and ``held``
-        (each row's ||A|| bound and, from the second solve at the same
-        column on, its 1 - sigma*lambda).
+        (each row's ||A|| bound, its sigma/h^2 per axis, stacked and, with a
+        helper, per half and, from the second solve at the same column on,
+        its 1 - sigma*lambda).
     Each holds values, built from its key when the key changes; no array
     of them is written into after.
     """
@@ -401,24 +447,33 @@ class _Plan:
         self.eigenvalues = _axis_eigenvalues(grid)
         self.params: Optional[Sequence[ModelParams]] = None
         self._members: Optional[tuple] = None
-        self.chi: Optional[np.ndarray] = None
+        self.transport = None
+        self.slabs: tuple = ()
         self.a = self.b = self.alphas = self.betas = None
         self.rates: list[tuple] = []
         self._dts: Optional[tuple] = None
         self.sigma = self.dt = self.shift = self.rhs_shape = None
         self.held: Optional[_Held] = None
 
-    def members(self, params: Sequence[ModelParams]) -> None:
-        """Set the active set to ``params``, one per row.  A march passes
-        the same list, unedited, until a member leaves, and _advance skips
-        this call while the list is the one it last passed."""
+    def members(self, params: Sequence[ModelParams], scheme: str) -> None:
+        """Set the active set to ``params``, one per row, under the face
+        ``scheme``.  A march passes the same list, unedited, until a member
+        leaves, and _advance skips this call while the list is the one it
+        last passed."""
         self.params = params
-        key = tuple(params)
+        key = (tuple(params), scheme)
         if key == self._members:
             return
         self._members = key
-        chis = [p.chi for p in params]
-        self.chi = _per_row(chis, self.grid.dim) if any(c != 0.0 for c in chis) else None
+        chis, grid = [p.chi for p in params], self.grid
+        self.transport, self.slabs = None, ()
+        if any(c != 0.0 for c in chis):
+            self.transport = _transport(grid, scheme, chis)
+            if self.helper is not None:
+                n = grid.cells[0]
+                self.slabs = tuple(
+                    _transport(grid, scheme, chis, rows) for rows in ((0, n // 2), (n // 2, n))
+                )
         self.a = [p.a for p in params]
         self.b = [p.b for p in params]
         alphas, betas = [p.alpha for p in params], [p.beta for p in params]
@@ -441,7 +496,8 @@ class _Plan:
         self.sigma = _column(sigmas, self.grid.dim)
         self.dt = _per_row(key, self.grid.dim)
         self.shift = _per_row(shifts, self.grid.dim)
-        self.held = _Held(self.eigenvalues, _a_norm(sigmas, self.grid))
+        split = None if self.helper is None else len(key)
+        self.held = _hold(sigmas, self.grid, self.eigenvalues, split)
 
 
 @contextlib.contextmanager
@@ -467,35 +523,38 @@ def _beside(helper: ThreadPoolExecutor, helper_call, own_call) -> tuple:
     return theirs.result(), mine
 
 
-def _transport_slabs(explicit, u, v, chi, grid: Grid, scheme: str, helper) -> list:
+def _transport_slabs(explicit, u, v, slabs: tuple, helper) -> list:
     """explicit -= chi * div(u grad v) in place on two threads; return
     _chemo_divergence's maxima.
 
-    The helper takes the first cells[0] // 2 rows of the first field axis
-    and this thread the rest, each slab with a one-row halo on its inner
-    side, so its rows get the whole-field bits.  Max is exact and
-    propagates NaN, so the slabs' maxima combine exactly."""
-    m = grid.cells[0] // 2
-
-    def slab(out, u, v, own):
-        transport, grad_max = _chemo_divergence(u, v, grid, scheme)
-        kept = transport[:, own]
-        kept *= chi
-        out -= kept
-        return grad_max
-
+    ``slabs`` are the _Plan's two row slabs of the first field axis: the
+    helper writes the first cells[0] // 2 rows and this thread the rest,
+    each reading the faces of its rows, so every cell gets the whole-field
+    bits.  Max is exact and propagates NaN, so the slabs' maxima combine
+    exactly."""
     top, bottom = _beside(
         helper,
-        lambda: slab(explicit[:, :m], u[:, : m + 1], v[:, : m + 1], slice(None, m)),
-        lambda: slab(explicit[:, m:], u[:, m - 1 :], v[:, m - 1 :], slice(1, None)),
+        lambda: _chemo_divergence(explicit, u, v, slabs[0]),
+        lambda: _chemo_divergence(explicit, u, v, slabs[1]),
     )
     return [np.maximum(a, b) for a, b in zip(top, bottom)]
+
+
+def _v_rhs(out, u, v, forcing_v, plan: _Plan) -> None:
+    """The v rows' rhs (v + dt*(u [+ f_v])) / (1+dt), into ``out``."""
+    if forcing_v is None:
+        np.multiply(plan.dt, u, out=out)
+    else:
+        np.add(u, forcing_v, out=out)
+        np.multiply(plan.dt, out, out=out)
+    np.add(out, v, out=out)
+    np.divide(out, plan.shift, out=out)
 
 
 def _solve_halves(u, v, explicit, forcing_v, plan: _Plan, grid: Grid) -> tuple:
     """Checked solve of the u rows and the v rows of a step at the plan's dt column.
 
-    The u rows' rhs is u + dt*E_u, the v rows' (v + dt*u [+ dt*f_v]) / (1+dt).
+    The u rows' rhs is u + dt*E_u, the v rows' _v_rhs.
     Returns (w_u, w_v, errors, maxima, minima), the last three lists over
     the u rows and then the v rows.  Rows are solved, gated and reduced
     independently, so a half gets the same bits alone or stacked.  With a
@@ -510,11 +569,7 @@ def _solve_halves(u, v, explicit, forcing_v, plan: _Plan, grid: Grid) -> tuple:
     if plan.helper is None or not _threaded(n, grid):
         np.multiply(dt, explicit, out=u_rhs)
         np.add(u_rhs, u, out=u_rhs)
-        np.multiply(dt, u, out=v_rhs)
-        np.add(v_rhs, v, out=v_rhs)
-        if forcing_v is not None:
-            np.add(v_rhs, dt * forcing_v, out=v_rhs)
-        np.divide(v_rhs, plan.shift, out=v_rhs)
+        _v_rhs(v_rhs, u, v, forcing_v, plan)
         w, rel, hi, lo = _helmholtz_checked(rhs, grid, plan.sigma, plan.held)
         return w[:n], w[n:], rel, hi, lo
 
@@ -523,15 +578,11 @@ def _solve_halves(u, v, explicit, forcing_v, plan: _Plan, grid: Grid) -> tuple:
     def u_half():
         np.multiply(dt, explicit, out=u_rhs)
         np.add(u_rhs, u, out=u_rhs)
-        return _helmholtz_checked(u_rhs, grid, dt, plan.held.rows(slice(None, n)))
+        return _helmholtz_checked(u_rhs, grid, dt, plan.held.half(0, n))
 
     def v_half():
-        np.multiply(dt, u, out=v_rhs)
-        np.add(v_rhs, v, out=v_rhs)
-        if forcing_v is not None:
-            np.add(v_rhs, dt * forcing_v, out=v_rhs)
-        np.divide(v_rhs, plan.shift, out=v_rhs)
-        return _helmholtz_checked(v_rhs, grid, plan.sigma[n:], plan.held.rows(slice(n, None)))
+        _v_rhs(v_rhs, u, v, forcing_v, plan)
+        return _helmholtz_checked(v_rhs, grid, plan.sigma[n:], plan.held.half(1, n))
 
     (w_u, rel_u, hi_u, lo_u), (w_v, rel_v, hi_v, lo_v) = _beside(plan.helper, u_half, v_half)
     return w_u, w_v, rel_u + rel_v, hi_u + hi_v, lo_u + lo_v
@@ -589,7 +640,8 @@ def adapt_dt(
     v_rows = _require_field(v, grid, "v")[None]
     grad_max = ()
     if params.chi > 0:
-        grad_max = _chemo_divergence(u_rows, v_rows, grid, cfg.face_scheme)[1]
+        transport = _transport(grid, cfg.face_scheme, [params.chi])
+        grad_max = _chemo_divergence(np.zeros(u_rows.shape), u_rows, v_rows, transport)
     umax, rates = [float(u_rows.max())], _rates([params])
     return _propose_dt(umax, rates, grid, cfg, [nonlocal_integral], grad_max, [math.inf])[0]
 
@@ -701,20 +753,16 @@ def _advance(
     of ``u`` (a march carries each member's from the step that made its row).
     """
     if params is not plan.params:
-        plan.members(params)
+        plan.members(params, cfg.face_scheme)
     explicit, integrals = _nonlocal_source(u, grid, plan.a, plan.b, plan.alphas, plan.betas)
     # the source's integral is taken now, as the explicit stage overwrites it
     source = np.add.reduce(explicit, axis=grid.field_axes).tolist()
     grad_max = ()
-    if plan.chi is not None:
+    if plan.transport is not None:
         if plan.helper is None or not _threaded(len(u), grid):
-            transport, grad_max = _chemo_divergence(u, v, grid, cfg.face_scheme)
-            transport *= plan.chi
-            explicit -= transport
+            grad_max = _chemo_divergence(explicit, u, v, plan.transport)
         else:
-            grad_max = _transport_slabs(
-                explicit, u, v, plan.chi, grid, cfg.face_scheme, plan.helper
-            )
+            grad_max = _transport_slabs(explicit, u, v, plan.slabs, plan.helper)
     forcing_v = None
     if forcing is not None:
         # one call per field for all members, each row at its member's time

@@ -28,7 +28,9 @@ import numpy as np
 
 from .grid import Grid, State, lp_norm_pow
 from .observables import ObservableSeries, Termination
-from .operators import _chemo_divergence, _column, _exponents, _laplacian, _nonlocal_source
+from .operators import (
+    _chemo_divergence, _column, _exponents, _laplacian, _nonlocal_source, _transport,
+)
 from .params import ModelParams
 from .stepper import Recorder, RunResult, StepperConfig, _job_results, run
 
@@ -390,7 +392,7 @@ def semidiscrete_residual(case: ManufacturedCase, grid: Grid, t: float = 0.0) ->
     source, _ = _nonlocal_source(u[None], grid, [p.a], [p.b], *exponents)
     rhs = _laplacian(u, grid) + source[0] + case.forcing.u([t], grid)[0]
     if p.chi != 0.0:
-        rhs = rhs - p.chi * _chemo_divergence(u, v, grid, "central")[0]
+        _chemo_divergence(rhs, u, v, _transport(grid, "central", [p.chi]))
     return float(np.max(np.abs(dudt - rhs)))
 
 

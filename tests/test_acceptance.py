@@ -97,8 +97,10 @@ run.t_end = {t_end}
 GATHER_FACTOR = 10.0
 
 # Criterion 14 in 2D, where gathering can outrun the damping: a bump of mass
-# y1 = 1 and width 0.3 at (0.3, 0.3) with v0 = 0, at points the paper covers
-# (item 16 of ROADMAP.md; the uncovered (1, 1) collapses on the grid)
+# 1.01 * y1 (y1 = 1) and width 0.3 at (0.3, 0.3) with v0 = 0, at points the
+# paper covers (item 16 of ROADMAP.md; the uncovered (1, 1) collapses on the
+# grid).  Starting above y1, past the barrier's rounding margin, its steps
+# check the comparison lemma while its mass falls toward y1.
 CRITERION_14_2D = """
 model.chi = 20.0
 model.a = 1.0
@@ -108,15 +110,15 @@ model.beta = {beta}
 grid.dim = 2
 grid.cells_x = 32
 ic.u = bump
-ic.u_mass = 1.0
+ic.u_mass = 1.01
 ic.u_width = 0.3
 ic.u_center_x = 0.3
 ic.u_center_y = 0.3
 run.t_end = 5.0
 """
 
-# a property of the 2D cases: their sup norms peak at 5.19x and 8.94x their
-# start (2.5564 -> 13.265 at (2, 2) and -> 22.844 at (1.5, 2), both at t = 0.40)
+# a property of the 2D cases: their sup norms peak at 5.14x and 8.74x their
+# start (2.582 -> 13.269 at (2, 2) and -> 22.577 at (1.5, 2), both at t = 0.40)
 GATHER_FACTOR_2D = 4.0
 
 
@@ -311,6 +313,17 @@ class TestFixedPointReplayEngaged:
             diag = result.diagnostics
             assert 0 < diag.replayed_steps < diag.steps
 
+    def test_criterion_2_replays_most_of_its_steps(self, run2):
+        # Criterion 2 reaches its bitwise fixed point early and replays the
+        # rest (6840 of 10057 steps when this was written): a rounding change
+        # that loses the fixed point, and with it the replayed tail that
+        # keeps long runs cheap, fails here
+        diag = run2[1].diagnostics
+        share = diag.replayed_steps / diag.steps
+        report(2, "fixed-point-replay", share >= 0.5,
+               f"{diag.replayed_steps} of {diag.steps} steps replayed")
+        assert share >= 0.5, (diag.replayed_steps, diag.steps)
+
 
 class TestCriterion7MmsConvergence:
     def test_spatial_orders(self):
@@ -442,9 +455,9 @@ class TestCriterion9ComparisonLemma:
         for name, (cfg, result, _) in runs.items():
             gains[name] = result.diagnostics.max_gain_above_y1
             verdicts[name] = record(cfg, result)[1].mass_envelope_ok
-        # Criteria 1-3 start above y1, so they check steps; Criterion 14's runs
-        # stay below y1 or start at it, within the barrier's rounding margin
-        checked = all(gains[name] > -math.inf for name in ("1", "2", "3"))
+        # Criteria 1-3 and Criterion 14's 2D pair start above y1, so they check
+        # steps; Criterion 14's 1D run stays below y1
+        checked = all(gains[name] > -math.inf for name in gains if name != "14")
         ok = checked and all(g <= 0.0 for g in gains.values())
         ok = ok and all(v is True for v in verdicts.values())
         detail = ", ".join(f"{name}: {gain:.2g}" for name, gain in gains.items())
@@ -559,15 +572,19 @@ class TestCriterion14Aggregation:
         finished = result.termination is Termination.REACHED_T_END
         all_true = set(_verdicts(summary).values()) == {"true"}
         gathers = linf[peak] >= GATHER_FACTOR_2D * linf[0] and t[peak] > 0
-        ok = finished and all_true and gathers
+        # the start above y1 puts the run's first steps under the lemma
+        gain = result.diagnostics.max_gain_above_y1
+        lemma = -math.inf < gain <= 0.0
+        ok = finished and all_true and gathers and lemma
         report(
             14, f"aggregation-bounded-2d-({alpha:g},{beta:g})", ok,
             f"linf {linf[0]:.5g} -> {linf[peak]:.5g} at t={t[peak]:.3g}, "
-            f"{result.diagnostics.steps} steps, wall={wall:.1f}s",
+            f"{result.diagnostics.steps} steps, gain above y1 {gain:.2g}, wall={wall:.1f}s",
         )
         assert finished
         assert all_true, _verdicts(summary)
         assert gathers
+        assert lemma, gain
 
     def test_undamped_twin_is_not_bounded(self):
         # b = 0: u' = u^1.5 grows undamped; t_end = 20 would take ~870k steps

@@ -3,7 +3,7 @@ import pytest
 
 from kschemo import Grid, ModelParams, ObservableSeries, State, Termination, record, summarize
 from kschemo.grid import integrate, lp_norm_pow
-from kschemo.observables import ObservableError, _check_power_means, _plateau
+from kschemo.observables import ObservableError, _check_power_means, _plateau, _power_means
 
 
 @pytest.fixture
@@ -78,6 +78,29 @@ class TestRecord:
         state = State(u=grid.full(u_value), v=grid.zeros())
         record(state, grid, params, k_list=(2.0, 4.0, 8.0))  # must not raise
 
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+    def test_power_means_walk_the_sorted_pairs(self, beta):
+        # the held order is the one sorted() gives the (k, integral) pairs:
+        # by k, and where k ties by value, which the positions give, as the
+        # tied integrals are |int(u)| <= int(|u|) or one expression
+        k_list = (2.0, 4.0)
+        order = _power_means(beta, k_list)
+        assert [(k, i) for k, _, _, i in order] == sorted(
+            (k, i) for i, k in enumerate((1.0, beta, *k_list))
+        )
+        for k, inverse, floor, _ in order:
+            assert inverse == 1.0 / k and floor == np.finfo(float).tiny ** (1.0 / k)
+        assert _power_means(beta, k_list) is order
+
+    def test_tied_mass_and_beta_integrals_pass(self, grid):
+        # at beta = 1 the mass and int(u^beta) share k = 1; u dips to the
+        # positivity floor, so |int(u)| < int(|u|)
+        params = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.0, beta=1.0)
+        u = grid.full(1e-3)
+        u[::3] = -1e-12
+        row = record(State(u=u, v=grid.zeros()), grid, params, k_list=(2.0,))
+        assert abs(row[1]) < row[2]
+
     @pytest.mark.parametrize(
         "factor, message",
         [(0.5, r"power-mean monotonicity violated at t = 0.0 \(k = 4\)"),
@@ -86,10 +109,11 @@ class TestRecord:
     def test_scaled_normal_range_integral_raises(self, grid, params, factor, message):
         row = record(State(u=grid.full(2.0), v=grid.zeros()), grid, params, k_list=(2.0, 4.0))
         _, mass, int_beta, int_k2, int_k4, sup_u = row[:6]
-        integrals = [(1.0, mass), (params.beta, int_beta), (2.0, int_k2), (4.0, int_k4 * factor)]
-        _check_power_means(0.0, integrals[:3] + [(4.0, int_k4)], sup_u, grid.measure)
+        integrals = [mass, int_beta, int_k2, int_k4 * factor]
+        order = _power_means(params.beta, (2.0, 4.0))
+        _check_power_means(0.0, integrals[:3] + [int_k4], order, sup_u, grid.measure)
         with pytest.raises(ObservableError, match=message):
-            _check_power_means(0.0, integrals, sup_u, grid.measure)
+            _check_power_means(0.0, integrals, order, sup_u, grid.measure)
 
     @pytest.mark.parametrize(
         "u,v,message",

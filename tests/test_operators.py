@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from kschemo import Grid, ModelParams, integrate, operators
-from kschemo.operators import _chemo_divergence, _exponents, _laplacian, _nonlocal_source
+from kschemo.operators import (
+    _chemo_divergence, _exponents, _laplacian, _nonlocal_source, _transport,
+)
 
 
 @pytest.fixture
@@ -16,8 +18,11 @@ def grid2d():
 
 
 def transport(u, v, grid, scheme="upwind"):
-    """The transport field div(u grad v) of one field pair."""
-    return _chemo_divergence(u, v, grid, scheme)[0]
+    """The transport field div(u grad v) of one field pair: the kernel at
+    chi = 1 subtracts it from zeros."""
+    out = np.zeros(u.shape)
+    _chemo_divergence(out, u, v, _transport(grid, scheme, [1.0]))
+    return -out
 
 
 def source(u, grid, p):
@@ -119,6 +124,27 @@ class TestChemoDivergence:
                     np.flip(u, axis=axis), np.flip(v, axis=axis), grid2d, scheme=scheme
                 )
                 np.testing.assert_allclose(mirrored, np.flip(base, axis=axis), atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["upwind", "central"])
+    @pytest.mark.parametrize("cells", [(4,), (9,), (7, 5), (8, 6)])
+    def test_row_slabs_write_the_whole_field_bits(self, cells, scheme):
+        # any split of the first field axis into two slabs, each written by
+        # its own call, gives every cell the bits of one whole-field call
+        grid = Grid(extent=(1.0,) * len(cells), cells=cells)
+        rng = np.random.default_rng(sum(cells))
+        u, v, start = (rng.uniform(0.0, 2.0, (3,) + grid.shape) for _ in range(3))
+        chis, n = [5.0, 0.0, 2.0], cells[0]
+        whole = start.copy()
+        whole_max = _chemo_divergence(whole, u, v, _transport(grid, scheme, chis))
+        for m in range(1, n):
+            split = start.copy()
+            maxima = [
+                _chemo_divergence(split, u, v, _transport(grid, scheme, chis, rows))
+                for rows in ((0, m), (m, n))
+            ]
+            np.testing.assert_array_equal(split, whole)
+            for top, bottom, expected in zip(*maxima, whole_max):
+                np.testing.assert_array_equal(np.maximum(top, bottom), expected)
 
 
 class TestNonlocalSource:

@@ -85,7 +85,25 @@ def _held(rhs, grid, sigma):
     """What a march's plan holds for solving the rows of ``rhs`` at ``sigma``
     (a scalar or a column with one entry per row) before its dt column repeats."""
     sigmas = np.broadcast_to(np.ravel(sigma), len(rhs)).tolist()
-    return stepper._Held(stepper._axis_eigenvalues(grid), stepper._a_norm(sigmas, grid))
+    return stepper._hold(sigmas, grid, stepper._axis_eigenvalues(grid))
+
+
+def _assert_perturbed_solution_fails_gate(monkeypatch, grids, relative):
+    """A solve whose w has one entry off by ``relative`` * ||w|| fails the
+    gate on ``grids`` and a 16384-cell grid, at small to large sigma."""
+    exact_core = stepper._helmholtz_core
+
+    def perturbed_core(rhs, grid, sigma, held):
+        w = exact_core(rhs, grid, sigma, held)
+        w.flat[5] += relative * np.linalg.norm(w)
+        return w
+
+    monkeypatch.setattr(stepper, "_helmholtz_core", perturbed_core)
+    for grid in (*grids, Grid(extent=(1.0,), cells=(16384,))):
+        rhs = np.random.default_rng(8).random(grid.shape)
+        for sigma in (1e-4, 1e-2, 1.0):
+            _, (rel,) = _checked(rhs[None], grid, sigma)
+            assert rel > stepper._LINEAR_TOL
 
 
 def _checked(rhs, grid, sigma):
@@ -182,27 +200,34 @@ class TestHelmholtz:
         assert integrate(w, grid) == pytest.approx(integrate(rhs, grid), rel=1e-12)
 
     def test_perturbed_solution_fails_gate(self, grid1d, grid2d, monkeypatch):
+        _assert_perturbed_solution_fails_gate(monkeypatch, (grid1d, grid2d), 1e-6)
+
+    def test_solution_perturbed_by_1e_9_fails_gate(self, grid1d, grid2d, monkeypatch):
+        # one entry off by 1e-9 * ||w|| leaves a residual of about 0.56 (2D)
+        # to 0.61 (1D) * ||A|| times that, and ||rhs|| <= ||A|| ||w||
+        _assert_perturbed_solution_fails_gate(monkeypatch, (grid1d, grid2d), 1e-9)
+
+    def test_solution_at_a_detuned_sigma_fails_gate(self, grid1d, grid2d, monkeypatch):
+        # w solves the system at sigma * 1.001, so its residual is 1e-3 * sigma * L_h w
         exact_core = stepper._helmholtz_core
 
-        def perturbed_core(rhs, grid, sigma, held):
-            w = exact_core(rhs, grid, sigma, held)
-            w.flat[5] += 1e-6 * np.linalg.norm(w)
-            return w
+        def detuned_core(rhs, grid, sigma, held):
+            return exact_core(rhs, grid, sigma * 1.001, held)
 
-        monkeypatch.setattr(stepper, "_helmholtz_core", perturbed_core)
-        fine = Grid(extent=(1.0,), cells=(16384,))
-        for grid in (grid1d, grid2d, fine):
-            rhs = np.random.default_rng(8).random(grid.shape)
+        monkeypatch.setattr(stepper, "_helmholtz_core", detuned_core)
+        odd = Grid(extent=(2.5,), cells=(37,))
+        for grid in (grid1d, grid2d, odd):
+            rhs = np.random.default_rng(9).random((2,) + grid.shape)
             for sigma in (1e-4, 1e-2, 1.0):
-                _, (rel,) = _checked(rhs[None], grid, sigma)
-                assert rel > stepper._LINEAR_TOL
+                _, rel = _checked(rhs, grid, sigma)
+                assert min(rel) > stepper._LINEAR_TOL
 
     def test_gate_residual_matches_expression(self, grid1d, grid2d):
-        # the gate builds w - sigma*L_h w - rhs in the Laplacian's array and
-        # takes the backward error in Python floats; it must carry the bits
-        # of the plain numpy expression, NaN and the 1e-300 floor included.
-        # Rows 3 to 5 hold a NaN, an inf (which the transform turns into
-        # inf - inf, so NaN) and zeros only
+        # the gate builds w - sigma*L_h w - rhs from w - rhs, face by face,
+        # and takes the backward error in Python floats; it must carry the
+        # bits of the same arithmetic in plain numpy, NaN and the 1e-300
+        # floor included.  Rows 3 to 5 hold a NaN, an inf (which the
+        # transform turns into inf - inf, so NaN) and zeros only
         odd = Grid(extent=(2.5,), cells=(37,))
         for grid, seed in ((grid1d, 10), (grid2d, 11), (odd, 12)):
             rng = np.random.default_rng(seed)
@@ -213,17 +238,81 @@ class TestHelmholtz:
             column = operators._column([1e-4, 2.3e-3, 1.0, 1e-2, 0.5, 3.0], grid.dim)
             for sigma in (2.3e-3, 1.0, column):
                 kept = rhs.copy()
+                sigmas = np.broadcast_to(np.ravel(sigma), len(rhs)).tolist()
                 with np.errstate(all="ignore"):
                     w, rel = _checked(rhs, grid, sigma)
-                    residual = w - sigma * operators._laplacian(w, grid) - rhs
-                    a_norm = 1.0 + 4.0 * np.ravel(sigma) * sum(1.0 / h**2 for h in grid.h)
-                    scale = a_norm * stepper._row_norms(w) + stepper._row_norms(rhs)
-                    expected = stepper._row_norms(residual) / np.maximum(scale, 1e-300)
+                    residual = w - rhs
+                    for h, (_, left, right) in zip(grid.h, grid.faces):
+                        scale = operators._column([s / (h * h) for s in sigmas], grid.dim)
+                        flux = (w[right] - w[left]) * scale
+                        residual[left] -= flux
+                        residual[right] += flux
+                    a_norm = 1.0 + 4.0 * np.array(sigmas) * sum(1.0 / h**2 for h in grid.h)
+                    w_norm, rhs_norm, residual_norm = (
+                        np.sqrt(np.vecdot(x, x)) for x in (
+                            x.reshape(len(x), -1) for x in (w, rhs, residual)
+                        )
+                    )
+                    scale = a_norm * w_norm + rhs_norm
+                    expected = residual_norm / np.maximum(scale, 1e-300)
                 np.testing.assert_array_equal(rhs, kept)
                 assert np.array(rel).tobytes() == expected.tobytes()
                 assert math.isnan(rel[3]) and math.isnan(rel[4])
                 # 0 / 0 without the floor
                 assert rel[5] == 0.0
+
+    @pytest.mark.parametrize("relative", [0.0, 1e-8])
+    def test_gate_error_agrees_with_the_laplacian_residual(
+        self, grid1d, grid2d, monkeypatch, relative
+    ):
+        # The gate's residual and w - sigma*_laplacian(w) - rhs round
+        # differently.  Each entry of either passes through at most
+        # m = 6 + 2*dim roundings (the old one: face difference, two
+        # divisions by h, the sums into the cell, the product with sigma, two
+        # subtractions; the new one: w - rhs, the face difference, sigma/h^2
+        # and its product, the sums into the cell), each of a term whose
+        # absolute values sum, over a row, to at most ||A|| ||w|| + ||rhs||
+        # in the 2-norm (||A|| the gate's bound 1 + 4 sigma sum(1/h^2)).  So
+        # the two errors differ by at most 2 gamma_m, plus the relative
+        # rounding of the norms and the quotient, gamma_(N+4) of the error
+        # with N the cells of a row (recursive-summation bound).  Exact
+        # solves have errors at that rounding level; solutions perturbed by
+        # ``relative`` * ||w|| in every cell have errors far above it.
+        exact_core = stepper._helmholtz_core
+
+        def perturbed_core(rhs, grid, sigma, held):
+            w = exact_core(rhs, grid, sigma, held)
+            for row in w:
+                wave = np.cos(7.3 * np.arange(row.size)).reshape(row.shape)
+                row += relative * np.linalg.norm(row) * wave
+            return w
+
+        monkeypatch.setattr(stepper, "_helmholtz_core", perturbed_core)
+        odd = Grid(extent=(2.5,), cells=(37,))
+        unit = 2.0**-53
+
+        def gamma(k):
+            return k * unit / (1.0 - k * unit)
+
+        for grid, seed in ((grid1d, 20), (grid2d, 21), (odd, 22)):
+            rng = np.random.default_rng(seed)
+            peak = grid.sample(lambda *xs: 1e6 * np.exp(-sum((x - 0.5) ** 2 for x in xs) / 2e-3))
+            rhs = np.stack([rng.standard_normal(grid.shape), rng.random(grid.shape), peak])
+            sigmas = [1e-4, 1e-2, 1.0]
+            column = operators._column(sigmas, grid.dim)
+            w, rel = _checked(rhs, grid, column)
+            bound = 2.0 * gamma(6 + 2 * grid.dim)
+            rounding = gamma(math.prod(grid.cells) + 4)
+            for i, sigma in enumerate(sigmas):
+                row = w[i]
+                old = row - sigma * operators._laplacian(row, grid) - rhs[i]
+                a_norm = 1.0 + 4.0 * sigma * sum(1.0 / h**2 for h in grid.h)
+                scale = a_norm * np.linalg.norm(row) + np.linalg.norm(rhs[i])
+                expected = np.linalg.norm(old) / scale
+                _, alone = _checked(rhs[i : i + 1], grid, sigma)
+                assert alone == [rel[i]]
+                assert abs(rel[i] - expected) <= bound + rounding * max(rel[i], expected)
+                assert (expected > 1e3 * bound) == (relative > 0.0)
 
     def test_row_error_independent_of_batch(self):
         # a row's backward error is the one it gets alone, at row lengths
@@ -367,7 +456,8 @@ class TestTransportBound:
         cfg = StepperConfig(dt_min=1e-300, dt_max=1e300)
         integrals = [integral] * len(params)
         with np.errstate(**stepper._QUIET):
-            _, grad_max = operators._chemo_divergence(u, v, grid, cfg.face_scheme)
+            transport = operators._transport(grid, cfg.face_scheme, [p.chi for p in params])
+            grad_max = operators._chemo_divergence(np.zeros(u.shape), u, v, transport)
             umax = u.max(axis=grid.field_axes).tolist()
             caps = [math.inf] * len(params)
             dts = stepper._propose_dt(
@@ -390,17 +480,18 @@ class TestTransportSlabs:
     """The explicit stage in two row slabs on two threads has the serial bits."""
 
     @staticmethod
-    def stage(explicit, u, v, chi, grid, scheme):
-        """The explicit stage as _advance runs it: in slabs on the march's
-        helper when _threaded, else in one call."""
+    def stage(explicit, u, v, chis, grid, scheme):
+        """The explicit stage as _advance runs it, from the plan of a march
+        of these rows: in slabs on the march's helper when _threaded, else
+        in one call."""
         explicit = explicit.copy()
+        params = [ModelParams(chi=chi, a=1.0, b=1.0, alpha=2.0, beta=2.0) for chi in chis]
         with stepper._march(len(u), grid) as plan:
+            plan.members(params, scheme)
             if plan.helper is not None and stepper._threaded(len(u), grid):
-                grad_max = stepper._transport_slabs(explicit, u, v, chi, grid, scheme, plan.helper)
+                grad_max = stepper._transport_slabs(explicit, u, v, plan.slabs, plan.helper)
             else:
-                transport, grad_max = operators._chemo_divergence(u, v, grid, scheme)
-                transport *= chi
-                explicit -= transport
+                grad_max = operators._chemo_divergence(explicit, u, v, plan.transport)
         return explicit, grad_max
 
     @pytest.mark.parametrize("scheme", FACE_SCHEMES)
@@ -422,7 +513,6 @@ class TestTransportSlabs:
         u = rng.uniform(0.0, 2.0, (count,) + grid.shape)
         base = rng.uniform(0.0, 1.0, (count,) + grid.shape)
         explicit = rng.uniform(-1.0, 1.0, (count,) + grid.shape)
-        chi = operators._column(chis, grid.dim)
         # non-finite entries at the last row of the helper's slab, at the
         # first of the calling thread's and at the halo edges
         cases = [base]
@@ -433,12 +523,13 @@ class TestTransportSlabs:
         threads = _record_threads(monkeypatch, "_chemo_divergence")
         for v in cases:
             threads.clear()
-            split, split_max = self.stage(explicit, u, v, chi, grid, scheme)
+            split, split_max = self.stage(explicit, u, v, chis, grid, scheme)
             assert len(threads) == 2 and any(t.startswith("kschemo-step") for t in threads)
             with monkeypatch.context() as patch:
                 patch.setattr(stepper, "_THREAD_CELLS", math.inf)
-                serial, serial_max = self.stage(explicit, u, v, chi, grid, scheme)
-                whole = operators._chemo_divergence(u, v, grid, scheme)[1]
+                serial, serial_max = self.stage(explicit, u, v, chis, grid, scheme)
+            transport = operators._transport(grid, scheme, chis)
+            whole = operators._chemo_divergence(explicit.copy(), u, v, transport)
             np.testing.assert_array_equal(split, serial)
             assert len(split_max) == len(serial_max) == grid.dim
             for a, b, c in zip(split_max, serial_max, whole):
@@ -447,6 +538,26 @@ class TestTransportSlabs:
             if v is not base:
                 assert not np.isfinite(split[-1]).all()
             assert _helper_threads() == []
+
+    @pytest.mark.parametrize("scheme", FACE_SCHEMES)
+    def test_threaded_step_matches_serial(self, scheme, monkeypatch):
+        # a whole step of either face scheme: the slabs write the explicit
+        # stage that the threaded halves then solve
+        grid = _threaded_grid()
+        cfg = StepperConfig(face_scheme=scheme)
+        p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+        u = _bump(grid, 8.0, width=0.1)[None]
+        v = grid.sample(lambda x, y: 1.0 + np.cos(np.pi * x) * np.cos(2 * np.pi * y))[None]
+        transport = _record_threads(monkeypatch, "_chemo_divergence")
+        threaded = _advance(u, v, [0.0], [p], grid, cfg)
+        assert len(transport) == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(stepper, "_THREAD_CELLS", math.inf)
+            serial = _advance(u, v, [0.0], [p], grid, cfg)
+        np.testing.assert_array_equal(threaded[0], serial[0])
+        np.testing.assert_array_equal(threaded[1], serial[1])
+        assert threaded[2] == serial[2]
+        assert threaded[2][0].termination is None
 
     def test_rows_below_threshold_leave_helper_idle(self, monkeypatch):
         # a march opened for two members keeps its helper when one leaves
@@ -599,14 +710,15 @@ def _two_solve_reference(u, v, ts, params, grid, cfg, dts, forcing=None):
     a, b = [p.a for p in params], [p.b for p in params]
     source, _ = operators._nonlocal_source(u, grid, a, b, alphas, betas)
     explicit = source
-    if any(p.chi != 0.0 for p in params):
-        chi = operators._column([p.chi for p in params], grid.dim)
-        explicit = explicit - chi * operators._chemo_divergence(u, v, grid, cfg.face_scheme)[0]
+    chis = [p.chi for p in params]
+    if any(chi != 0.0 for chi in chis):
+        transport = operators._transport(grid, cfg.face_scheme, chis)
+        operators._chemo_divergence(explicit, u, v, transport)
     dt = operators._column(dts, grid.dim)
     rhs_v = v + dt * u
     if forcing is not None:
         explicit = explicit + forcing.u(ts, grid)
-        rhs_v = rhs_v + dt * forcing.v(ts, grid)
+        rhs_v = v + dt * (u + forcing.v(ts, grid))
     w_u, rel_u = _checked(u + dt * explicit, grid, dt)
     w_v, rel_v = _checked(rhs_v / (1.0 + dt), grid, dt / (1.0 + dt))
     return w_u, w_v, rel_u, rel_v
@@ -1256,9 +1368,9 @@ def _rebuilding_every_step(monkeypatch):
     step rebuilds its constants and never holds 1 - sigma*lambda."""
     members, column = stepper._Plan.members, stepper._Plan.column
 
-    def fresh_members(plan, params):
+    def fresh_members(plan, params, scheme):
         plan._members = None
-        members(plan, params)
+        members(plan, params, scheme)
         plan.params = None  # so that the next step sets its active set again
 
     def fresh_column(plan, dts):
