@@ -1,18 +1,19 @@
 """Discrete spatial operators: diffusion, chemotactic transport, nonlocal source.
 
-_laplacian() and _chemo_divergence() are flux differences on cell faces,
-built from the fluxes on the n-1 interior faces of each axis: a face's flux
-leaves the cell left of it and enters the one right of it.  The boundary
-faces carry zero flux by construction, so the discrete integrals of both
-operators telescope to zero regardless of the input fields.  That
-telescoping is what makes the per-step mass identity of the stepper exact
-up to solver/rounding noise.
+Diffusion and transport are flux differences on cell faces, built from the
+fluxes on the n-1 interior faces of each axis: a face's flux leaves the
+cell left of it and enters the one right of it.  The boundary faces carry
+zero flux by construction, so the discrete integrals of both operators
+telescope to zero regardless of the input fields.  That telescoping is
+what makes the per-step mass identity of the stepper exact up to
+solver/rounding noise.
 
-_chemo_divergence() writes chi * div(u grad v) straight into the array it
-is given, the stepper's explicit stage, with chi/h^2 folded into each face
-flux, so no transport field is built.  A _Transport says which faces it
-takes and which cells it writes: all of them, or the rows of one slab of
-the first field axis, so that two threads can fill one explicit stage.
+Each has one kernel.  _diffuse() serves the stepper's residual gate at
+sigma/h^2 and _laplacian() at -1/h^2.  _chemo_divergence() writes chi *
+div(u grad v) straight into the stepper's explicit stage, with chi/h^2
+folded into each face flux; its face value, gradient maxima and row slabs
+(a _Transport: every cell, or the rows of one slab of the first field
+axis, so that two threads fill one stage) keep it apart from _diffuse.
 
 Every kernel acts on the trailing ``grid.dim`` axes, so a batch of fields
 ``(B, *grid.shape)`` is one call.  The kernels trust their input: they
@@ -77,18 +78,28 @@ def _exponents(values: list[float]):
     return None if first == 1.0 else np.array(first)
 
 
-def _laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order Neumann Laplacian (3-point/5-point stencil) in flux form."""
-    out = np.zeros(f.shape)
-    for h, left, right in grid.faces:
+def _diffuse(out: np.ndarray, f: np.ndarray, stencil) -> None:
+    """out -= sum over axes of scale * h^2 * (the axis' part of L_h f), in
+    place, for a batch.  ``stencil`` holds, per axis, (scale, left, right):
+    a scalar or _per_row operand and the cells left and right of the
+    interior faces (Grid.faces).  Each face moves scale * (f[right] -
+    f[left]) out of the cell left of it and into the one right of it."""
+    for scale, left, right in stencil:
         flux = f[right] - f[left]
-        flux /= h
-        flux /= h
-        left_cells, right_cells = out[left], out[right]
-        left_cells += flux
-        right_cells -= flux
+        flux *= scale
+        cells = out[left]
+        cells -= flux
+        cells = out[right]
+        cells += flux
         # freed before the next axis allocates its own
         del flux
+
+
+def _laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Second-order Neumann Laplacian (3-point/5-point stencil) in flux form:
+    _diffuse at scale -1/h^2 on zeros."""
+    out = np.zeros(f.shape)
+    _diffuse(out, f, tuple((-1.0 / (h * h), left, right) for h, left, right in grid.faces))
     return out
 
 

@@ -4,8 +4,8 @@ One step of size dt from (u_n, v_n):
 
   (i)   explicit terms at t_n: E_u = nonlocal source - chi * div(u grad v)
         the transport kernel subtracts its face fluxes from the source array
-        itself, so no transport field is built; on a large grid (see (iii))
-        the march's helper thread writes one of two row slabs of it, and the
+        itself, so no transport field is built; in a split step (iii) the
+        march's helper thread writes one of two row slabs of it, and the
         source stays whole.  dt is the stability proposal of _propose_dt;
         the max u of each row that its reaction bound reads is carried from
         the extrema (iv) took off the solve that made u, or from a member's
@@ -14,18 +14,17 @@ One step of size dt from (u_n, v_n):
   (iii) v_{n+1} solves ((1+dt) I - dt*L_h) v = v_n + dt*u_n
         this rhs does not need u_{n+1}, so (ii) and (iii) are one rhs array
         over the u rows and then the v rows of all members, sigma = dt for u
-        and dt/(1+dt) for v.  Small grids solve it as one stacked call (one
-        transform pair, one gate); when a half holds at least _THREAD_CELLS
-        cells and more than one CPU is usable, the march's helper thread
-        builds, solves and gates the u half and takes its extrema while the
-        calling thread does the same for the v half.  A march (run_batch)
+        and dt/(1+dt) for v, solved in one stacked call (one transform pair,
+        one gate).  A split step, decided once per active set (the march has
+        a helper thread, a half holds at least _THREAD_CELLS cells and more
+        than one CPU is usable), builds, solves and gates the u half on the
+        helper and the v half on the calling thread.  A march (run_batch)
         starts at most one helper and joins it before it returns, so the
-        stepper keeps no process-wide state (see the step plan below)
-  (iv)  audit: a non-finite or negative result halves dt and retries from
-        the explicit stage of (i); a solve that fails its backward-error gate
-        (_helmholtz_checked: the residual built from w - rhs face by face,
-        with no Laplacian array) is a solver failure; a sup norm above the
-        threshold is a blow-up
+        stepper keeps no process-wide state
+  (iv)  audit: a non-finite or negative result halves the member's dt and
+        the batch is solved again from the explicit stage of (i); a solve
+        that fails its backward-error gate (_helmholtz_checked) is a solver
+        failure; a sup norm above the threshold is a blow-up
 
 Diffusion and transport are exactly mass-neutral (flux form + mean-preserving
 Helmholtz solves), so per accepted step
@@ -56,15 +55,16 @@ stacked ``(B, *grid.shape)``, which the march reads and never writes.
 
 A march keeps one step plan (_Plan): its helper thread, the per-axis
 eigenvalues of its grid and the values its steps share.  Per active set,
-the rows' ModelParams, it holds chi, the coefficient lists and the
-exponents of the source, and each row's (chi, alpha - 1, a, b) that the dt
-proposal reads; per dt column, the rows' dts, the dt, 1+dt and sigma of
-both halves, the shape of their stacked rhs, each row's ||A|| bound for
-the gate and, from the second solve at the same column on, the
-denominators 1 - sigma*lambda.  A value every row shares is held as a 0-d
-array, which numpy broadcasts at half the cost of a (B, 1, ...) column
-(_per_row, _exponents).  It builds each afresh only when its key changes
-(a new proposal, a retry halving, the t_end cap, a member leaving).  A dt
+the rows' ModelParams, it decides the split and holds the transport for
+it, the coefficient lists and the exponents of the source, and each row's
+(chi, alpha - 1, a, b) that the dt proposal reads; per dt column, the
+rows' dts, the dt and 1+dt, the shape of the stacked rhs and, per checked
+solve of a step, its sigma, each row's ||A|| bound and sigma/h^2 for the
+gate and, from the second solve at the same column on, the denominators
+1 - sigma*lambda.  A value every row shares is held as a 0-d array, which
+numpy broadcasts at half the cost of a (B, 1, ...) column (_per_row,
+_exponents).  It builds each afresh only when its key changes (a new
+proposal, a retry halving, the t_end cap, a member leaving).  A dt
 held at dt_max repeats the column (7097 of the 7408 solves of the 256-cell
 Criterion 2 run); a column that moves every step (none of the 16 of a
 512^2 bump repeats) never builds the denominators, and each solve divides
@@ -108,7 +108,7 @@ from .operators import (
     FACE_SCHEMES,
     _ZERO,
     _chemo_divergence,
-    _column,
+    _diffuse,
     _exponents,
     _nonlocal_source,
     _per_row,
@@ -133,8 +133,11 @@ _MAX_RETRIES = 20
 # transport stage 128^2 0.36 -> 0.88 ms, 182^2 0.70 -> 1.03 ms, 256^2 1.77
 # -> 1.37 ms; the checked solve of one u row and one v row 128^2 1.97 ->
 # 1.96 ms, 182^2 5.5 -> 3.7 ms, 256^2 10.6 -> 5.6 ms.  A single member
-# breaks even between 128^2 and 182^2; batches of many small rows were not
-# timed, so the threshold stays at 2^16, from where both stages win.
+# breaks even between 128^2 and 182^2.  Many small rows win from 2^16 on
+# as well: 16 bump members at 64^2 (chi = 5, alpha x beta in {1.5..3} x
+# {2..5}) to t_end 0.05 took 0.069 s split against 0.085 s serial on the
+# same 2 vCPUs (medians of 6 alternating runs), so the threshold stays at
+# 2^16.
 _THREAD_CELLS = 1 << 16
 
 # Cells per row up to which the gate takes a row's squared norm as one
@@ -245,40 +248,23 @@ def _a_norm(sigmas: Sequence[float], grid: Grid) -> list[float]:
 class _Held:
     """What a march's _Plan holds for the rows of one checked solve: the
     per-axis eigenvalues, each row's ||A|| bound, the gate's ``stencil``
-    (per axis, the rows' sigma/h^2 as _per_row gives them and the cells
-    left and right of the interior faces, as Grid.faces gives them) and,
-    once the rows' dt column repeats, their 1 - sigma*lambda (else None:
-    the solve builds its own, a temporary).  ``halves`` holds the stencils
-    of the rows before and after a split, for half()."""
+    (the _diffuse stencil of the rows' sigma/h^2 per axis, as _per_row
+    gives them) and, once the rows' dt column repeats, their 1 -
+    sigma*lambda (else None: the solve builds its own, a temporary)."""
 
     eigenvalues: list[np.ndarray]
     a_norm: list[float]
     stencil: tuple
     denominator: Optional[np.ndarray] = None
-    halves: tuple = ()
-
-    def half(self, k: int, n: int) -> "_Held":
-        """What is held for the rows before row ``n`` (k = 0) or from it on (k = 1)."""
-        part = slice(None, n) if k == 0 else slice(n, None)
-        denominator = None if self.denominator is None else self.denominator[part]
-        return _Held(self.eigenvalues, self.a_norm[part], self.halves[k], denominator)
 
 
-def _hold(sigmas: Sequence[float], grid: Grid, eigenvalues, split: Optional[int] = None) -> _Held:
-    """The _Held of rows at ``sigmas``, before their column repeats; with
-    ``split``, the stencils of the rows before it and from it on as well."""
-    scales = [[sigma / (h * h) for sigma in sigmas] for h in grid.h]
-
-    def stencil(part: slice) -> tuple:
-        return tuple(
-            (_per_row(values[part], grid.dim), left, right)
-            for values, (_, left, right) in zip(scales, grid.faces)
-        )
-
-    halves = ()
-    if split is not None:
-        halves = stencil(slice(None, split)), stencil(slice(split, None))
-    return _Held(eigenvalues, _a_norm(sigmas, grid), stencil(slice(None)), halves=halves)
+def _hold(sigmas: Sequence[float], grid: Grid, eigenvalues) -> _Held:
+    """The _Held of rows at ``sigmas``, before their column repeats."""
+    stencil = tuple(
+        (_per_row([sigma / (h * h) for sigma in sigmas], grid.dim), left, right)
+        for h, left, right in grid.faces
+    )
+    return _Held(eigenvalues, _a_norm(sigmas, grid), stencil)
 
 
 def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> np.ndarray:
@@ -320,29 +306,21 @@ def _helmholtz_checked(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> tuple
     sigma*L_h w - rhs and the held ||A|| bound: the rounding in sigma*L_h w
     grows like eps * ||A|| * ||w||, so dividing by ||rhs|| alone fails fine
     grids whose solves are exact to working precision.  r is built from w -
-    rhs with no Laplacian array: each interior face moves sigma/h^2 times
-    the difference of w across it (the held stencil) out of the cell left
-    of it and into the one right of it.  The squared norms are one np.vecdot
+    rhs with no Laplacian array: _diffuse runs the held sigma/h^2 stencil
+    on it, the one diffusion kernel.  The squared norms are one np.vecdot
     per array, a dot product per row, on rows of up to _DOT_CELLS cells, and
     a sum of squares per row on longer ones.
 
     One call carries the u and the v rows of a step and the caller splits
-    w and the lists at the member count, or, on large grids, _solve_halves
-    makes one call per half on two threads.  Each row's numbers have the
-    bits it gets alone, so both ways agree.  A non-finite row gets a
-    meaningless error; callers test finiteness first, on the extrema,
-    which propagate NaN and reach inf.
+    w and the lists at the member count, or, when the plan splits the
+    step, _solve_halves makes one call per half on two threads.  Each
+    row's numbers have the bits it gets alone, so both ways agree.  A
+    non-finite row gets a meaningless error; callers test finiteness
+    first, on the extrema, which propagate NaN and reach inf.
     """
     w = _helmholtz_core(rhs, grid, sigma, held)
     residual = w - rhs
-    for scale, left, right in held.stencil:
-        flux = w[right] - w[left]
-        flux *= scale
-        cells = residual[left]
-        cells -= flux
-        cells = residual[right]
-        cells += flux
-        del flux
+    _diffuse(residual, w, held.stencil)
     # by row: the squared norms of w, rhs and the residual, the max and the
     # min of w, brought back in one list
     rows = len(w)
@@ -423,17 +401,17 @@ class _Plan:
     """A march's helper thread (or None) and the constants of its steps.
 
     Two keys decide what a step can take from the step before:
-      * the active set, the rows' ModelParams and the face scheme: the
-        _Transport of the rows, which holds their chi/h^2 per axis (None when
-        every chi is 0), and with a helper the two row slabs' ones, the
-        coefficient and exponent lists of the source and the _rates of the
-        dt proposal;
-      * the dt column, the rows' dts: ``sigma``, dt for the u rows stacked
-        on dt/(1+dt) for the v rows, ``dt`` and ``shift`` = 1+dt (both
-        _per_row), ``rhs_shape`` (the stacked u and v rows) and ``held``
-        (each row's ||A|| bound, its sigma/h^2 per axis, stacked and, with a
-        helper, per half and, from the second solve at the same column on,
-        its 1 - sigma*lambda).
+      * the active set, the rows' ModelParams: ``split``, whether the
+        helper takes half of each step's per-cell work (the march has one
+        and the rows are _threaded), the rows' whole-field ``transport``
+        unsplit or the two row slabs' (``slabs``) split (neither when every
+        chi is 0), the coefficient and exponent lists of the source and the
+        _rates of the dt proposal;
+      * the dt column, the rows' dts: ``dt`` and ``shift`` = 1+dt (both
+        _per_row), ``rhs_shape`` (the u rows stacked on the v rows) and
+        ``solves``, one (sigma, _Held) per _helmholtz_checked call of a
+        step, each sigma as _per_row gives it: the stacked rows (dt for u,
+        dt/(1+dt) for v) unsplit, the u rows and the v rows split.
     Each holds values, built from its key when the key changes; no array
     of them is written into after.
     """
@@ -446,34 +424,33 @@ class _Plan:
         # (33k against 4k minor faults over a 16-step run, 18% of its time)
         self.eigenvalues = _axis_eigenvalues(grid)
         self.params: Optional[Sequence[ModelParams]] = None
-        self._members: Optional[tuple] = None
+        self.split = False
         self.transport = None
         self.slabs: tuple = ()
         self.a = self.b = self.alphas = self.betas = None
         self.rates: list[tuple] = []
         self._dts: Optional[tuple] = None
-        self.sigma = self.dt = self.shift = self.rhs_shape = None
-        self.held: Optional[_Held] = None
+        self.dt = self.shift = self.rhs_shape = None
+        self.solves: tuple = ()
 
     def members(self, params: Sequence[ModelParams], scheme: str) -> None:
         """Set the active set to ``params``, one per row, under the face
-        ``scheme``.  A march passes the same list, unedited, until a member
-        leaves, and _advance skips this call while the list is the one it
-        last passed."""
+        ``scheme``, and decide its thread split.  A march passes the same
+        list, unedited, until a member leaves, and _advance calls this only
+        when the list is not the one it last passed."""
         self.params = params
-        key = (tuple(params), scheme)
-        if key == self._members:
-            return
-        self._members = key
-        chis, grid = [p.chi for p in params], self.grid
+        grid = self.grid
+        self.split = self.helper is not None and _threaded(len(params), grid)
+        chis = [p.chi for p in params]
         self.transport, self.slabs = None, ()
         if any(c != 0.0 for c in chis):
-            self.transport = _transport(grid, scheme, chis)
-            if self.helper is not None:
+            if self.split:
                 n = grid.cells[0]
                 self.slabs = tuple(
                     _transport(grid, scheme, chis, rows) for rows in ((0, n // 2), (n // 2, n))
                 )
+            else:
+                self.transport = _transport(grid, scheme, chis)
         self.a = [p.a for p in params]
         self.b = [p.b for p in params]
         alphas, betas = [p.alpha for p in params], [p.beta for p in params]
@@ -482,22 +459,25 @@ class _Plan:
         self.rates = _rates(params)
 
     def column(self, dts: Sequence[float]) -> None:
-        """Set the dt column to ``dts``, one per row about to be solved."""
+        """Set the dt column to ``dts``, one per member row."""
         key = tuple(dts)
         if key == self._dts:
-            if self.held.denominator is None:
-                self.held.denominator = _denominator(self.sigma, self.eigenvalues)
+            for sigma, held in self.solves:
+                if held.denominator is None:
+                    held.denominator = _denominator(sigma, self.eigenvalues)
             return
         self._dts = key
+        grid = self.grid
         # Python floats round as numpy does on a column, so no bit moves
         shifts = [1.0 + dt for dt in key]
         sigmas = [*key, *(dt / shift for dt, shift in zip(key, shifts))]
-        self.rhs_shape = (len(sigmas), *self.grid.shape)
-        self.sigma = _column(sigmas, self.grid.dim)
-        self.dt = _per_row(key, self.grid.dim)
-        self.shift = _per_row(shifts, self.grid.dim)
-        split = None if self.helper is None else len(key)
-        self.held = _hold(sigmas, self.grid, self.eigenvalues, split)
+        self.rhs_shape = (len(sigmas), *grid.shape)
+        self.dt = _per_row(key, grid.dim)
+        self.shift = _per_row(shifts, grid.dim)
+        calls = (sigmas[: len(key)], sigmas[len(key) :]) if self.split else (sigmas,)
+        self.solves = tuple(
+            (_per_row(part, grid.dim), _hold(part, grid, self.eigenvalues)) for part in calls
+        )
 
 
 @contextlib.contextmanager
@@ -557,32 +537,35 @@ def _solve_halves(u, v, explicit, forcing_v, plan: _Plan, grid: Grid) -> tuple:
     The u rows' rhs is u + dt*E_u, the v rows' _v_rhs.
     Returns (w_u, w_v, errors, maxima, minima), the last three lists over
     the u rows and then the v rows.  Rows are solved, gated and reduced
-    independently, so a half gets the same bits alone or stacked.  With a
-    helper thread and _threaded rows, the helper builds, solves, gates and
-    reduces the u half while this thread does the v half; otherwise one
-    stacked call solves both.
+    independently, so a half gets the same bits alone or stacked.  One
+    call per record of ``plan.solves``: unsplit, one stacked call solves
+    both halves; split, the helper builds, solves, gates and reduces the u
+    half while this thread does the v half.
     """
     n = len(u)
     rhs = np.empty(plan.rhs_shape)
     u_rhs, v_rhs = rhs[:n], rhs[n:]
     dt = plan.dt
-    if plan.helper is None or not _threaded(n, grid):
+    if not plan.split:
         np.multiply(dt, explicit, out=u_rhs)
         np.add(u_rhs, u, out=u_rhs)
         _v_rhs(v_rhs, u, v, forcing_v, plan)
-        w, rel, hi, lo = _helmholtz_checked(rhs, grid, plan.sigma, plan.held)
+        ((sigma, held),) = plan.solves
+        w, rel, hi, lo = _helmholtz_checked(rhs, grid, sigma, held)
         return w[:n], w[n:], rel, hi, lo
 
     # each half built as above and solved on its own thread: the u half on
     # the helper, the v half on this one
+    (u_sigma, u_held), (v_sigma, v_held) = plan.solves
+
     def u_half():
         np.multiply(dt, explicit, out=u_rhs)
         np.add(u_rhs, u, out=u_rhs)
-        return _helmholtz_checked(u_rhs, grid, dt, plan.held.half(0, n))
+        return _helmholtz_checked(u_rhs, grid, u_sigma, u_held)
 
     def v_half():
         _v_rhs(v_rhs, u, v, forcing_v, plan)
-        return _helmholtz_checked(v_rhs, grid, plan.sigma[n:], plan.held.half(1, n))
+        return _helmholtz_checked(v_rhs, grid, v_sigma, v_held)
 
     (w_u, rel_u, hi_u, lo_u), (w_v, rel_v, hi_v, lo_v) = _beside(plan.helper, u_half, v_half)
     return w_u, w_v, rel_u + rel_v, hi_u + hi_v, lo_u + lo_v
@@ -686,15 +669,16 @@ def _audit(
     ends: dict,
     cfg: StepperConfig,
 ) -> list[int]:
-    """Decide each member solved in ``rows``; return those to retry at half dt.
+    """Decide each member i in ``rows``; return those to retry at half dt.
 
     ``rel``, ``hi`` and ``lo`` are _solve_halves' backward errors, maxima
-    and minima of those rows: u row j at j, v row j at len(rows) + j; the
-    audit reads them and makes no array pass.  A retried member i has
-    dts[i] halved and retries[i] counted; an ending one gets ends[i] =
-    (Termination, cause).  The checks run in order: finiteness, the
-    backward-error gate, the sup norm threshold, positivity.  The extrema
-    propagate NaN and reach inf, so they double as the finiteness check.
+    and minima of every row of the batch: member i's u row at i, its v row
+    at count + i, count = len(dts); the audit reads them and makes no array
+    pass.  A retried member i has dts[i] halved and retries[i] counted; an
+    ending one gets ends[i] = (Termination, cause).  The checks run in
+    order: finiteness, the backward-error gate, the sup norm threshold,
+    positivity.  The extrema propagate NaN and reach inf, so they double
+    as the finiteness check.
     """
     # every row passes every check, in one test: the sums propagate NaN and
     # inf (finite terms that overflow only send the rows through the checks
@@ -707,11 +691,11 @@ def _audit(
         and -threshold <= min(lo) >= -_POSITIVITY_TOL
     ):
         return []
-    n = len(rows)
+    count = len(dts)
     retry = []
-    for i, u_hi, u_lo, v_hi, v_lo, rel_u, rel_v in zip(
-        rows, hi, lo, hi[n:], lo[n:], rel, rel[n:]
-    ):
+    for i in rows:
+        u_hi, u_lo, v_hi, v_lo = hi[i], lo[i], hi[count + i], lo[count + i]
+        rel_u, rel_v = rel[i], rel[count + i]
         if all(map(math.isfinite, (u_hi, u_lo, v_hi, v_lo))):
             if not (rel_u <= _LINEAR_TOL and rel_v <= _LINEAR_TOL):
                 ends[i] = Termination.SOLVER_FAILURE, _gate_message(max(rel_u, rel_v))
@@ -745,12 +729,14 @@ def _advance(
     """Attempt one step for every member of a batch of trusted states.
 
     Returns the new fields and the _Step; a member's row holds its new
-    state only when the step accepted it.  Retries re-solve only the
-    members that failed their audit.  ``plan`` is the march's _Plan; its
-    helper thread takes half of the per-cell work only while the rows are
-    _threaded, which they stop being as members leave.  ``dt_cap`` bounds
+    state only when the step accepted it.  A retry halves the dt of the
+    members that failed their audit and solves the whole batch again from
+    the same explicit stage: a row's solve has the bits it gets alone, so
+    every other member comes back bit for bit.  ``plan`` is the march's
+    _Plan, whose active set decides the thread split.  ``dt_cap`` bounds
     each member's dt (math.inf: no bound); ``umax`` is the max of each row
-    of ``u`` (a march carries each member's from the step that made its row).
+    of ``u`` (a march carries each member's from the step that made its
+    row).
     """
     if params is not plan.params:
         plan.members(params, cfg.face_scheme)
@@ -758,11 +744,10 @@ def _advance(
     # the source's integral is taken now, as the explicit stage overwrites it
     source = np.add.reduce(explicit, axis=grid.field_axes).tolist()
     grad_max = ()
-    if plan.transport is not None:
-        if plan.helper is None or not _threaded(len(u), grid):
-            grad_max = _chemo_divergence(explicit, u, v, plan.transport)
-        else:
-            grad_max = _transport_slabs(explicit, u, v, plan.slabs, plan.helper)
+    if plan.slabs:
+        grad_max = _transport_slabs(explicit, u, v, plan.slabs, plan.helper)
+    elif plan.transport is not None:
+        grad_max = _chemo_divergence(explicit, u, v, plan.transport)
     forcing_v = None
     if forcing is not None:
         # one call per field for all members, each row at its member's time
@@ -770,22 +755,13 @@ def _advance(
         forcing_v = forcing.v(ts, grid)
 
     dts = _propose_dt(umax, plan.rates, grid, cfg, integrals, grad_max, dt_cap)
-    plan.column(dts)
-    u_new, v_new, rel, hi, lo = _solve_halves(u, v, explicit, forcing_v, plan, grid)
     count = len(dts)
     retries, ends = [0] * count, {}
-    rows = _audit(range(count), rel, hi, lo, dts, retries, ends, cfg)
+    rows = range(count)
     while rows:
-        plan.column([dts[i] for i in rows])
-        f_r = None if forcing_v is None else forcing_v[rows]
-        w_u, w_v, rel_r, hi_r, lo_r = _solve_halves(
-            u[rows], v[rows], explicit[rows], f_r, plan, grid
-        )
-        u_new[rows], v_new[rows] = w_u, w_v
-        for j, i in enumerate(rows):
-            for full, solved in ((rel, rel_r), (hi, hi_r), (lo, lo_r)):
-                full[i], full[count + i] = solved[j], solved[len(rows) + j]
-        rows = _audit(rows, rel_r, hi_r, lo_r, dts, retries, ends, cfg)
+        plan.column(dts)
+        u_new, v_new, rel, hi, lo = _solve_halves(u, v, explicit, forcing_v, plan, grid)
+        rows = _audit(rows, rel, hi, lo, dts, retries, ends, cfg)
 
     volume, mass = grid.cell_volume, []
     for i, row_sum in enumerate(np.add.reduce(u_new, axis=grid.field_axes).tolist()):

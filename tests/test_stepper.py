@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import multiprocessing
-import sys
 import threading
 import time
 import tracemalloc
@@ -86,6 +85,18 @@ def _held(rhs, grid, sigma):
     (a scalar or a column with one entry per row) before its dt column repeats."""
     sigmas = np.broadcast_to(np.ravel(sigma), len(rhs)).tolist()
     return stepper._hold(sigmas, grid, stepper._axis_eigenvalues(grid))
+
+
+def _diff_laplacian(f, grid):
+    """L_h f of one field from np.diff, independent of the operators' kernel:
+    per axis, the face differences over h^2, each added to the cell left of
+    its face and taken from the one right of it."""
+    out = np.zeros(f.shape)
+    for axis, h in enumerate(grid.h):
+        flux = np.diff(f, axis=axis) / h**2
+        edge = np.zeros_like(np.take(flux, [0], axis=axis))
+        out += np.concatenate([flux, edge], axis=axis) - np.concatenate([edge, flux], axis=axis)
+    return out
 
 
 def _assert_perturbed_solution_fails_gate(monkeypatch, grids, relative):
@@ -265,12 +276,14 @@ class TestHelmholtz:
     def test_gate_error_agrees_with_the_laplacian_residual(
         self, grid1d, grid2d, monkeypatch, relative
     ):
-        # The gate's residual and w - sigma*_laplacian(w) - rhs round
-        # differently.  Each entry of either passes through at most
-        # m = 6 + 2*dim roundings (the old one: face difference, two
-        # divisions by h, the sums into the cell, the product with sigma, two
-        # subtractions; the new one: w - rhs, the face difference, sigma/h^2
-        # and its product, the sums into the cell), each of a term whose
+        # The gate's residual and w - sigma*L_h w - rhs with L_h from np.diff
+        # (_diff_laplacian, which shares no code with the gate's kernel)
+        # round differently.  Each entry of either passes through at most
+        # m = 6 + 2*dim roundings (the np.diff one: face difference, h^2 and
+        # the division by it, two sums per axis into the cell, the product
+        # with sigma, two subtractions; the gate's: w - rhs, the face
+        # difference, sigma/h^2 and its product, the sums into the cell),
+        # each of a term whose
         # absolute values sum, over a row, to at most ||A|| ||w|| + ||rhs||
         # in the 2-norm (||A|| the gate's bound 1 + 4 sigma sum(1/h^2)).  So
         # the two errors differ by at most 2 gamma_m, plus the relative
@@ -305,7 +318,7 @@ class TestHelmholtz:
             rounding = gamma(math.prod(grid.cells) + 4)
             for i, sigma in enumerate(sigmas):
                 row = w[i]
-                old = row - sigma * operators._laplacian(row, grid) - rhs[i]
+                old = row - sigma * _diff_laplacian(row, grid) - rhs[i]
                 a_norm = 1.0 + 4.0 * sigma * sum(1.0 / h**2 for h in grid.h)
                 scale = a_norm * np.linalg.norm(row) + np.linalg.norm(rhs[i])
                 expected = np.linalg.norm(old) / scale
@@ -488,7 +501,7 @@ class TestTransportSlabs:
         params = [ModelParams(chi=chi, a=1.0, b=1.0, alpha=2.0, beta=2.0) for chi in chis]
         with stepper._march(len(u), grid) as plan:
             plan.members(params, scheme)
-            if plan.helper is not None and stepper._threaded(len(u), grid):
+            if plan.split:
                 grad_max = stepper._transport_slabs(explicit, u, v, plan.slabs, plan.helper)
             else:
                 grad_max = operators._chemo_divergence(explicit, u, v, plan.transport)
@@ -817,35 +830,36 @@ class TestStackedSolve:
                 np.testing.assert_array_equal(u_new[i], clean_u[i])
                 np.testing.assert_array_equal(v_new[i], clean_v[i])
 
-    def test_retry_resolves_only_the_failing_row_pair(self, grid1d, grid2d, monkeypatch):
+    def test_retry_keeps_the_other_members_bits(self, grid1d, grid2d, monkeypatch):
+        # a retry solves the whole batch again: the members it does not
+        # retry come back as in a batch with no retry, and the retried one
+        # as in its solo run, unsplit and split
         p = ModelParams(chi=0.0, a=0.0, b=0.0, alpha=1.0, beta=1.0)
         cfg = StepperConfig(dt_max=1e-2)
-        checked = stepper._helmholtz_checked
-        calls = []
-
-        def spy(rhs, grid, sigma, held):
-            calls.append((rhs.shape[0], np.ravel(sigma).tolist()))
-            return checked(rhs, grid, sigma, held)
-
-        monkeypatch.setattr(stepper, "_helmholtz_checked", spy)
-        for grid in (grid1d, grid2d):
+        forcing = _LateNegativeForcing()
+        threads = _record_threads(monkeypatch)
+        large = _threaded_grid()
+        for grid in (grid1d, grid2d, large):
             u0 = grid.sample(lambda *xs: 1.0 + 0.1 * np.cos(np.pi * xs[0]))
             u, v = np.stack([u0] * 3), np.stack([grid.zeros()] * 3)
+            threads.clear()
             # only member 1 sits at t >= 1, where the forcing drives u + dt*E_u
             # below zero at dt = 1e-2 but not at 5e-3
-            ts, forcing = [0.0, 1.0, 0.0], _LateNegativeForcing()
-            calls.clear()
-            u_new, v_new, outcomes = _advance(u, v, ts, [p] * 3, grid, cfg, forcing)
-            assert calls == [
-                (6, [1e-2] * 3 + [1e-2 / 1.01] * 3),
-                (2, [5e-3, 5e-3 / 1.005]),
-            ]
+            u_new, v_new, outcomes = _advance(u, v, [0.0, 1.0, 0.0], [p] * 3, grid, cfg, forcing)
+            assert len(threads) == (2 if grid is large else 1)
             assert [o.termination for o in outcomes] == [None] * 3
             assert [o.retries for o in outcomes] == [0, 1, 0]
             assert [o.dt for o in outcomes] == [1e-2, 5e-3, 1e-2]
-            solo_u, solo_v, _ = _advance(u[1:2], v[1:2], [1.0], [p], grid, cfg, forcing)
-            np.testing.assert_array_equal(u_new[1], solo_u[0])
-            np.testing.assert_array_equal(v_new[1], solo_v[0])
+            clean_u, clean_v, clean = _advance(u, v, [0.0] * 3, [p] * 3, grid, cfg, forcing)
+            assert [o.retries for o in clean] == [0] * 3
+            for i in (0, 2):
+                assert outcomes[i] == clean[i]
+                assert u_new[i].tobytes() == clean_u[i].tobytes()
+                assert v_new[i].tobytes() == clean_v[i].tobytes()
+            solo_u, solo_v, solo = _advance(u[1:2], v[1:2], [1.0], [p], grid, cfg, forcing)
+            assert solo == outcomes[1:2]
+            assert u_new[1].tobytes() == solo_u[0].tobytes()
+            assert v_new[1].tobytes() == solo_v[0].tobytes()
 
 
 class _NegativeForcing:
@@ -1369,7 +1383,6 @@ def _rebuilding_every_step(monkeypatch):
     members, column = stepper._Plan.members, stepper._Plan.column
 
     def fresh_members(plan, params, scheme):
-        plan._members = None
         members(plan, params, scheme)
         plan.params = None  # so that the next step sets its active set again
 
@@ -1382,16 +1395,23 @@ def _rebuilding_every_step(monkeypatch):
 
 
 def _count_holds(monkeypatch):
-    """Count the solves at which a plan builds 1 - sigma*lambda for a repeated
-    column, by the rows of each build; a solve's own temporary is not counted."""
-    build, column, holds = stepper._denominator, stepper._Plan.column.__code__, []
+    """Count the columns at which a plan builds 1 - sigma*lambda for a
+    repeated column: one entry per such column, the rows of each checked
+    solve's record whose denominator it built; a solve's own temporary is
+    not counted."""
+    column, holds = stepper._Plan.column, []
 
-    def counted(sigma, eigenvalues):
-        if sys._getframe(1).f_code is column:
-            holds.append(len(sigma))
-        return build(sigma, eigenvalues)
+    def counted(plan, dts):
+        before = {id(held): held.denominator for _, held in plan.solves}
+        column(plan, dts)
+        built = tuple(
+            len(held.a_norm) for _, held in plan.solves
+            if held.denominator is not None and before.get(id(held)) is None
+        )
+        if built:
+            holds.append(built)
 
-    monkeypatch.setattr(stepper, "_denominator", counted)
+    monkeypatch.setattr(stepper._Plan, "column", counted)
     return holds
 
 
@@ -1467,7 +1487,7 @@ class TestStepPlan:
         ]
         assert planned[1].diagnostics.steps >= 2
         # columns of three rows (u and v rows: 6) repeat before the member leaves, of two after
-        assert {6, 4} <= set(holds)
+        assert {(6,), (4,)} <= set(holds)
         _rebuilding_every_step(monkeypatch)
         rebuilt = run_batch(initials, points, grid1d, cfg, 0.2, rec)
         for got, want in zip(planned, rebuilt):
@@ -1483,9 +1503,45 @@ class TestStepPlan:
         holds = _count_holds(monkeypatch)
         planned = run(initial, p, grid, cfg, 2e-3, rec)
         assert len(threads) == 2
-        assert holds == [2]
+        # split: the u row's solve and the v row's, held at the one repeated column
+        assert holds == [(1, 1)]
         _rebuilding_every_step(monkeypatch)
         _assert_same_result(planned, run(initial, p, grid, cfg, 2e-3, rec))
+
+    def test_split_batch_that_shrinks(self, monkeypatch):
+        # four 128^2 members reach _THREAD_CELLS together; each leaves at
+        # t_end after its own number of steps, and the three left fall below
+        # it.  The split is decided once per active set, and no bit moves
+        grid = Grid(extent=(1.0, 1.0), cells=(128, 128))
+        threads = _record_threads(monkeypatch)
+        assert stepper._threaded(4, grid) and not stepper._threaded(3, grid)
+        u0 = grid.sample(lambda x, y: np.exp(-((x - 0.3) ** 2 + (y - 0.3) ** 2) / 0.02))
+        initial = State(u=u0 * (4.0 / integrate(u0, grid)), v=grid.zeros())
+        points = [
+            ModelParams(chi=20.0, a=1.0, b=1.0, alpha=alpha, beta=beta)
+            for alpha in (1.5, 2.0) for beta in (2.0, 3.0)
+        ]
+        rec = Recorder(k_list=(2.0, 4.0), sample_interval=0.01)
+        decide, decided = stepper._threaded, []
+
+        def counted(rows, grid):
+            decided.append(rows)
+            return decide(rows, grid)
+
+        monkeypatch.setattr(stepper, "_threaded", counted)
+        split = run_batch([initial] * 4, points, grid, StepperConfig(), 0.03, rec)
+        steps = sorted(r.diagnostics.steps for r in split)
+        assert len(set(steps)) == 4 and steps[0] > 1
+        assert all(r.termination is Termination.REACHED_T_END for r in split)
+        assert len(threads) == 2
+        # the march's decision, then one per active set: 4, 3, 2 and 1 members
+        assert decided == [4, 4, 3, 2, 1]
+        monkeypatch.setattr(stepper, "_THREAD_CELLS", math.inf)
+        threads.clear()
+        serial = run_batch([initial] * 4, points, grid, StepperConfig(), 0.03, rec)
+        assert threads == {threading.current_thread().name}
+        for got, want in zip(split, serial):
+            _assert_same_result(got, want)
 
     def test_forced_level(self, monkeypatch):
         grid = Grid(extent=(1.0,), cells=(32,))
@@ -1494,7 +1550,7 @@ class TestStepPlan:
         holds = _count_holds(monkeypatch)
         planned = verification._run_level(case, grid, dt, 0.02, "central")
         # the fixed dt repeats from the second step on
-        assert holds == [2]
+        assert holds == [(2,)]
         assert planned.diagnostics.steps >= 80
         _rebuilding_every_step(monkeypatch)
         _assert_same_result(planned, verification._run_level(case, grid, dt, 0.02, "central"))
@@ -1520,7 +1576,8 @@ class TestStepPlan:
                         assert outcome.termination is None
                         t += outcome.dt
                         dts.append(outcome.dt)
-                        assert plan.held.denominator is None and plan.sigma.shape == (2, 1, 1)
+                        ((sigma, held),) = plan.solves
+                        assert held.denominator is None and sigma.shape == (2, 1, 1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
