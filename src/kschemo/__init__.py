@@ -12,14 +12,7 @@ from .grid import (
 )
 from .observables import ObservableSeries, SeriesSummary, Termination, record, summarize
 from .params import ModelParams, Regime, classify_regime, mass_envelope
-from .stepper import (
-    Recorder,
-    RunResult,
-    StepperConfig,
-    adapt_dt,
-    run,
-    run_batch,
-)
+from .stepper import Recorder, RunResult, StepperConfig, run, run_batch
 
 __version__ = "0.1.0"
 
@@ -39,7 +32,6 @@ __all__ = [
     "Termination",
     "Recorder",
     "RunResult",
-    "adapt_dt",
     "run",
     "run_batch",
     "ObservableSeries",

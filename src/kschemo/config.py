@@ -20,6 +20,7 @@ identical RunConfig, which keeps experiment definitions diffable.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -66,14 +67,15 @@ class InitialCondition:
 
     def __post_init__(self) -> None:
         require(self.u_kind in _U_KINDS, "u_kind", f"in {_U_KINDS}", self.u_kind)
-        require(self.u_value >= 0, "u_value", ">= 0", self.u_value)
-        require(self.u_mass >= 0, "u_mass", ">= 0", self.u_mass)
-        require(self.u_width > 0, "u_width", "> 0", self.u_width)
-        require(self.u_base >= 0, "u_base", ">= 0", self.u_base)
+        require(math.isfinite(self.u_value) and self.u_value >= 0, "u_value", ">= 0", self.u_value)
+        require(math.isfinite(self.u_mass) and self.u_mass >= 0, "u_mass", ">= 0", self.u_mass)
+        require(math.isfinite(self.u_width) and self.u_width > 0, "u_width", "> 0", self.u_width)
+        require(math.isfinite(self.u_base) and self.u_base >= 0, "u_base", ">= 0", self.u_base)
         require(0 <= self.u_amplitude <= 1, "u_amplitude", "in [0, 1]", self.u_amplitude)
+        require(isinstance(self.seed, numbers.Integral), "seed", "integer", self.seed)
         require(self.seed >= 0, "seed", ">= 0", self.seed)
         require(self.v_kind in _V_KINDS, "v_kind", f"in {_V_KINDS}", self.v_kind)
-        require(self.v_value >= 0, "v_value", ">= 0", self.v_value)
+        require(math.isfinite(self.v_value) and self.v_value >= 0, "v_value", ">= 0", self.v_value)
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ class RunConfig:
     t_end: float = 10.0
 
     def __post_init__(self) -> None:
-        require(self.t_end > 0, "t_end", "> 0", self.t_end)
+        require(math.isfinite(self.t_end) and self.t_end > 0, "t_end", "> 0", self.t_end)
         # no key writes the scheme, so a config holding another would not
         # read back from its resolved_config.txt
         scheme = self.stepper.face_scheme

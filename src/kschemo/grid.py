@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import os
 import struct
 from dataclasses import dataclass
 
@@ -65,7 +67,8 @@ class Grid:
         for axis, L in enumerate(self.extent):
             require(math.isfinite(L) and L > 0, "extent", "> 0", L, axis)
         for axis, n in enumerate(self.cells):
-            require(int(n) == n and n >= _MIN_CELLS, "cells", f"integer >= {_MIN_CELLS}", n, axis)
+            whole = isinstance(n, numbers.Integral)
+            require(whole and n >= _MIN_CELLS, "cells", f"integer >= {_MIN_CELLS}", n, axis)
 
     @property
     def dim(self) -> int:
@@ -176,9 +179,6 @@ class State:
         for name, f in (("u", self.u), ("v", self.v)):
             _require_field(f, grid, name, nonnegative=True)
 
-    def copy(self) -> "State":
-        return State(self.u.copy(), self.v.copy(), self.t, self.dt_last)
-
 
 def write_snapshot(path, values: np.ndarray, grid: Grid, t: float) -> None:
     """Write one field: 32-byte header then the flat little-endian f64 array."""
@@ -212,13 +212,14 @@ def read_snapshot(path) -> tuple[np.ndarray, float]:
         shape = (nx,) if dim == 1 else (nx, ny)
         if min(shape) < _MIN_CELLS:
             raise ValueError(f"{path}: snapshot shape {shape} has an axis below {_MIN_CELLS} cells")
-        count = math.prod(shape)
-        raw = fh.read(8 * count)
-        if len(raw) != 8 * count:
+        # the payload the header declares is weighed against the bytes left
+        # before any is read, so a huge header allocates nothing
+        size, left = 8 * math.prod(shape), os.fstat(fh.fileno()).st_size - len(header)
+        if size > left:
             raise ValueError(f"{path}: truncated snapshot payload")
-        if fh.read(1):
+        if size < left:
             raise ValueError(f"{path}: bytes after the snapshot payload")
-        values = np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+        values = np.frombuffer(fh.read(size), dtype="<f8").astype(float).reshape(shape)
     return values, t
 
 

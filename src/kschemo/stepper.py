@@ -6,7 +6,7 @@ One step of size dt from (u_n, v_n):
         the transport kernel subtracts its face fluxes from the source array
         itself, so no transport field is built; in a split step (iii) the
         march's helper thread writes one of two row slabs of it, and the
-        source stays whole.  dt is the stability proposal of _propose_dt;
+        source stays whole.  dt is the stability proposal of adapt_dt;
         the max u of each row that its reaction bound reads is carried from
         the extrema (iv) took off the solve that made u, or from a member's
         initial u
@@ -102,7 +102,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy import fftpack
 
-from .grid import _POSITIVITY_TOL, Grid, State, _require_field, integrate
+from .grid import _POSITIVITY_TOL, Grid, State, integrate
 from .observables import ObservableError, ObservableSeries, Termination, _k_column, record
 from .operators import (
     FACE_SCHEMES,
@@ -149,7 +149,7 @@ _THREAD_CELLS = 1 << 16
 # a time.  Either way a row's bits depend on its own length and values only.
 _DOT_CELLS = 1 << 13
 
-# the row gradients _propose_dt reads when no row has chi > 0
+# the row gradients adapt_dt reads when no row has chi > 0
 _NO_GRADIENTS = itertools.repeat(())
 
 # the audit decides what overflow and NaN mean, so numpy need not warn
@@ -168,13 +168,13 @@ class StepperConfig:
     face_scheme: str = "upwind"
 
     def __post_init__(self) -> None:
-        require(self.dt_max > 0, "dt_max", "> 0", self.dt_max)
+        require(math.isfinite(self.dt_max) and self.dt_max > 0, "dt_max", "> 0", self.dt_max)
         require(
             0 < self.dt_min <= self.dt_max, "dt_min", f"in (0, dt_max={self.dt_max}]", self.dt_min
         )
         require(0 < self.cfl_safety <= 1, "cfl_safety", "in (0, 1]", self.cfl_safety)
-        threshold = self.blowup_linf_threshold
-        require(threshold > 0, "blowup_linf_threshold", "> 0", threshold)
+        limit = self.blowup_linf_threshold
+        require(math.isfinite(limit) and limit > 0, "blowup_linf_threshold", "> 0", limit)
         scheme = self.face_scheme
         require(scheme in FACE_SCHEMES, "face_scheme", f"in {FACE_SCHEMES}", scheme)
 
@@ -575,14 +575,21 @@ def _gate_message(rel: float) -> str:
     return f"helmholtz backward error {rel:.3e} exceeds tolerance {_LINEAR_TOL:.3e}"
 
 
-def _propose_dt(
+def adapt_dt(
     umax: Sequence[float], rates: Sequence[tuple], grid: Grid, cfg: StepperConfig,
     integrals: Sequence[float], grad_max: Sequence[np.ndarray], caps: Sequence[float],
 ) -> list[float]:
-    """adapt_dt for each member row of a batch, at most the row's cap
-    (math.inf: none).  The rows' u have maxima ``umax`` and their
-    ModelParams give ``rates`` (_rates); ``grad_max`` is the per-axis
-    max|grad_h v| that _chemo_divergence returns, empty when no chi > 0."""
+    """Propose each member row's dt from its transport and reaction
+    stability bounds, clamped to [dt_min, dt_max] and then to the row's
+    cap (math.inf: none):
+
+      transport bound (per axis): h / (chi * max|grad_h v| + eps)
+      reaction  bound: 1 / ((a + b*I) * max(u)^(alpha-1) + eps)
+
+    The rows' u have maxima ``umax``, their ModelParams give ``rates``
+    (_rates) and their nonlocal integrals I are ``integrals``;
+    ``grad_max`` is the per-axis max|grad_h v| that _chemo_divergence
+    returns, empty when no chi > 0."""
     grads = zip(*map(np.ndarray.tolist, grad_max)) if grad_max else _NO_GRADIENTS
     dts = []
     for (chi, power, a, b), top, integral, row_grads, cap in zip(
@@ -601,32 +608,6 @@ def _propose_dt(
         bound = min(bound, 1.0 / (rate + _EPS_RATE))
         dts.append(min(min(max(cfg.cfl_safety * bound, cfg.dt_min), cfg.dt_max), cap))
     return dts
-
-
-def adapt_dt(
-    u: np.ndarray,
-    v: np.ndarray,
-    grid: Grid,
-    params: ModelParams,
-    cfg: StepperConfig,
-    nonlocal_integral: float,
-) -> float:
-    """Propose dt from transport and reaction stability bounds, clamped.
-
-    transport bound (per axis): h / (chi * max|grad_h v| + eps)
-    reaction  bound: 1 / ((a + b*I) * max(u)^(alpha-1) + eps)
-    grad_h v is read off the face gradients of the transport kernel, as in a step.
-    A u that is not a nonnegative field on ``grid``, or a v that is not a
-    finite one, raises ValueError.
-    """
-    u_rows = _require_field(u, grid, "u", nonnegative=True)[None]
-    v_rows = _require_field(v, grid, "v")[None]
-    grad_max = ()
-    if params.chi > 0:
-        transport = _transport(grid, cfg.face_scheme, [params.chi])
-        grad_max = _chemo_divergence(np.zeros(u_rows.shape), u_rows, v_rows, transport)
-    umax, rates = [float(u_rows.max())], _rates([params])
-    return _propose_dt(umax, rates, grid, cfg, [nonlocal_integral], grad_max, [math.inf])[0]
 
 
 def _stack(fields) -> np.ndarray:
@@ -754,7 +735,7 @@ def _advance(
         explicit += forcing.u(ts, grid)
         forcing_v = forcing.v(ts, grid)
 
-    dts = _propose_dt(umax, plan.rates, grid, cfg, integrals, grad_max, dt_cap)
+    dts = adapt_dt(umax, plan.rates, grid, cfg, integrals, grad_max, dt_cap)
     count = len(dts)
     retries, ends = [0] * count, {}
     rows = range(count)
@@ -780,10 +761,12 @@ class Recorder:
     sample_interval: float = 0.1
 
     def __post_init__(self) -> None:
-        require(all(k > 1 for k in self.k_list), "k_list", "entries > 1", self.k_list)
+        finite = all(map(math.isfinite, self.k_list))
+        require(finite and all(k > 1 for k in self.k_list), "k_list", "entries > 1", self.k_list)
         names = {_k_column(k) for k in self.k_list}  # series columns
         require(len(names) == len(self.k_list), "k_list", "with distinct columns", self.k_list)
-        require(self.sample_interval > 0, "sample_interval", "> 0", self.sample_interval)
+        interval = self.sample_interval
+        require(math.isfinite(interval) and interval > 0, "sample_interval", "> 0", interval)
 
 
 @dataclass

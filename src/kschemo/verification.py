@@ -1,4 +1,4 @@
-"""Manufactured-solution harness and independent reference oracles.
+"""Manufactured-solution harness: forced cases and their convergence studies.
 
 A manufactured case starts from closed-form targets (u*, v*) and appends
 forcing fields to both equations so the pair solves the forced system
@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid import Grid, State, lp_norm_pow
-from .observables import ObservableSeries, Termination
+from .observables import Termination
 from .operators import (
     _chemo_divergence, _column, _exponents, _laplacian, _nonlocal_source, _transport,
 )
@@ -394,47 +394,3 @@ def semidiscrete_residual(case: ManufacturedCase, grid: Grid, t: float = 0.0) ->
     if p.chi != 0.0:
         _chemo_divergence(rhs, u, v, _transport(grid, "central", [p.chi]))
     return float(np.max(np.abs(dudt - rhs)))
-
-
-def fine_grid_oracle(config, factor: int = 4) -> RunResult:
-    """Re-run a configuration refined by ``factor`` in h and dt.
-
-    The refined series serves as the reference in oracle-equivalence tests:
-    production columns must track it within a small relative band at common
-    sample times.
-    """
-    from .config import refine_config, run_from_config
-
-    if factor < 2:
-        raise ValueError("refinement factor must be at least 2")
-    return run_from_config(refine_config(config, factor), output_dir=None)
-
-
-def compare_series(
-    production: ObservableSeries,
-    reference: ObservableSeries,
-    columns: Sequence[str],
-    t_min: float | None = None,
-) -> dict[str, float]:
-    """Max relative deviation per column, reference-interpolated in time.
-
-    Deviations are relative to max(|reference|, 1e-12).
-    ``t_min`` restricts the comparison window; stiff initial transients are
-    shape-sensitive across resolutions and are usually excluded when judging
-    refinement agreement of the settled dynamics.
-    """
-    t_p = production.t
-    t_r = reference.t
-    lo, hi = max(t_p[0], t_r[0]), min(t_p[-1], t_r[-1])
-    if t_min is not None:
-        lo = max(lo, t_min)
-    mask = (t_p >= lo) & (t_p <= hi)
-    if not mask.any():
-        raise ValueError("series do not overlap in time")
-    out = {}
-    for name in columns:
-        prod = production.column(name)[mask]
-        ref = np.interp(t_p[mask], t_r, reference.column(name))
-        scale = np.maximum(np.abs(ref), 1e-12)
-        out[name] = float(np.max(np.abs(prod - ref) / scale))
-    return out

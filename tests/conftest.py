@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 
@@ -32,6 +33,23 @@ def outcomes(step) -> list[Outcome]:
         )
         for i in range(n)
     ]
+
+
+def proposed_dt(u, v, grid, params, cfg, integral):
+    """stepper.adapt_dt on the one-row batch of ``u`` and ``v``: the dt a
+    march proposes for one member with these fields and nonlocal integral,
+    its v gradients read off the transport kernel as a step reads them."""
+    from kschemo import operators, stepper
+
+    u, v = u[None], v[None]
+    grad_max = ()
+    if params.chi > 0:
+        transport = operators._transport(grid, cfg.face_scheme, [params.chi])
+        grad_max = operators._chemo_divergence(np.zeros(u.shape), u, v, transport)
+    rates = stepper._rates([params])
+    umax = [float(u.max())]
+    (dt,) = stepper.adapt_dt(umax, rates, grid, cfg, [integral], grad_max, [math.inf])
+    return dt
 
 
 class InlineFuture:
@@ -107,7 +125,7 @@ def one_step(monkeypatch):
         cap = math.inf if dt_cap is None else dt_cap
         with monkeypatch.context() as patch:
             if dt is not None:
-                patch.setattr(stepper, "_propose_dt", lambda *args: [min(dt, args[-1][0])])
+                patch.setattr(stepper, "adapt_dt", lambda *args: [min(dt, args[-1][0])])
             with stepper._march(1, grid) as plan:
                 u, v, taken = stepper._advance(
                     plan, state.u[None], state.v[None], [state.t], [params], grid, cfg,

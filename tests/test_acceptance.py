@@ -17,7 +17,6 @@ from kschemo import (
     State,
     StepperConfig,
     Termination,
-    adapt_dt,
     classify_regime,
     integrate,
     mass_envelope,
@@ -26,6 +25,8 @@ from kschemo import (
 from kschemo.config import parse_config, run_from_config, run_record
 from kschemo.observables import summarize
 from kschemo.verification import build_mms_case, convergence_study, equilibrium_case
+
+from conftest import proposed_dt
 
 CRITERION_1 = """
 model.chi = 5.0
@@ -514,7 +515,7 @@ class TestCriterion10Positivity:
         u0 *= 4.0 / integrate(u0, grid)
         v0 = grid.sample(lambda x: 1.0 + np.cos(np.pi * x))
         cfg = StepperConfig()
-        safe = adapt_dt(u0, v0, grid, params, cfg, 0.0)
+        safe = proposed_dt(u0, v0, grid, params, cfg, 0.0)
         state, outcome = one_step(State(u=u0, v=v0), params, grid, cfg, dt=200.0 * safe)
         ok = (
             outcome.termination is None

@@ -1,6 +1,7 @@
 import csv
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -920,6 +921,11 @@ def test_cli_import_leaves_sympy_out():
     assert done.stdout.strip() == "[]"
 
 
+def _snapshot_header(nx: int, ny: int) -> bytes:
+    """The 32-byte header of a 2D snapshot at t = 0 with nx x ny cells."""
+    return struct.pack("<8sIII4xd", b"KSCHSNP1", 2, nx, ny, 0.0)
+
+
 class TestBoundCheck:
     def test_audit_on_finished_run(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -1115,8 +1121,11 @@ class TestBoundCheck:
             (lambda data: data[:16] + (7).to_bytes(4, "little") + data[20:],
              "1D snapshot with ny = 7, not 0"),
             (lambda data: data + b"\0", "bytes after the snapshot payload"),
+            # 2D headers whose payload would overflow an index or exhaust memory
+            (lambda data: _snapshot_header(2**31, 2**31) + data[32:], "truncated snapshot payload"),
+            (lambda data: _snapshot_header(2**28, 2**20) + data[32:], "truncated snapshot payload"),
         ],
-        ids=["ny-in-1d", "trailing-bytes"],
+        ids=["ny-in-1d", "trailing-bytes", "2d-2^62-cells", "2d-2^48-cells"],
     )
     def test_empty_series_beside_a_malformed_snapshot_exit_2(
         self, tmp_path, capsys, corrupt, message

@@ -1,9 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from kschemo import StepperConfig, integrate
+from kschemo import Grid, Recorder, StepperConfig, integrate
 from kschemo.config import (
     ConfigError,
     InitialCondition,
@@ -174,6 +175,39 @@ class TestParse:
             parse_config(text=f"run.k_list = {value}\n")
         assert (info.value.key, info.value.line) == ("run.k_list", 1)
         assert "distinct columns" in str(info.value)
+
+    # values that no config file holds (the parser refuses a non-finite or
+    # non-integer number before any type sees it), each given to its type
+    UNHELD = (
+        (StepperConfig, {"dt_max": math.inf}),
+        (StepperConfig, {"blowup_linf_threshold": math.inf}),
+        (Recorder, {"sample_interval": math.inf}),
+        (Recorder, {"k_list": (math.inf,)}),
+        (InitialCondition, {"u_value": math.inf}),
+        (InitialCondition, {"u_mass": math.inf}),
+        (InitialCondition, {"u_width": math.inf}),
+        (InitialCondition, {"u_base": math.inf}),
+        (InitialCondition, {"v_value": math.nan}),
+        (InitialCondition, {"seed": 1.5}),
+        (Grid, {"extent": (1.0,), "cells": (8.0,)}),
+        (Grid, {"extent": (1.0, 1.0), "cells": (8, math.inf)}),
+    )
+
+    @pytest.mark.parametrize("cls,kwargs", UNHELD, ids=lambda v: getattr(v, "__name__", None))
+    def test_types_reject_what_no_config_file_holds(self, cls, kwargs):
+        field = list(kwargs)[-1]
+        with pytest.raises(FieldError, match=f"^{field}") as info:
+            cls(**kwargs)
+        assert info.value.field == field
+
+    def test_run_config_rejects_an_endless_run(self):
+        cfg = parse_config(text="")
+        with pytest.raises(FieldError, match=r"^t_end > 0 required, got inf$"):
+            dataclasses.replace(cfg, t_end=math.inf)
+
+    def test_numpy_integers_still_count_as_cells_and_seeds(self):
+        assert Grid(extent=(1.0,), cells=(np.int64(8),)).zeros().shape == (8,)
+        assert InitialCondition(seed=np.int64(3)).seed == 3
 
     def test_cross_field_dt_ordering(self):
         with pytest.raises(ConfigError, match="dt_min"):

@@ -225,6 +225,16 @@ class TestSnapshots:
             read_snapshot(path)
         assert str(raised.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("nx, ny", [(2**31, 2**31), (2**28, 2**20)], ids=["2^62", "2^48"])
+    def test_header_larger_than_the_file_rejected(self, tmp_path, nx, ny):
+        # the declared payload is weighed against the file before any read:
+        # neither an index overflow nor a huge allocation comes first
+        path = tmp_path / "u.snap"
+        header = struct.pack("<8sIII4xd", b"KSCHSNP1", 2, nx, ny, 0.0)
+        path.write_bytes(header + bytes(8 * 64))
+        with pytest.raises(ValueError, match=f"^{path}: truncated snapshot payload$"):
+            read_snapshot(path)
+
     def test_field_csv(self, tmp_path, grid2d):
         path = tmp_path / "u.csv"
         field_to_csv(path, grid2d.full(1.0), grid2d)

@@ -271,7 +271,7 @@ def test_public_surface_is_the_run_api():
         "Grid", "State", "ModelParams", "Regime", "classify_regime", "mass_envelope",
         "integrate", "lp_norm_pow", "write_snapshot", "read_snapshot", "field_to_csv",
         "StepperConfig", "Termination", "Recorder",
-        "RunResult", "adapt_dt", "run", "run_batch", "ObservableSeries", "SeriesSummary",
+        "RunResult", "run", "run_batch", "ObservableSeries", "SeriesSummary",
         "record", "summarize", "__version__",
     ]
     for name in kschemo.__all__:
@@ -280,7 +280,7 @@ def test_public_surface_is_the_run_api():
     removed = (
         "step", "StepOutcome", "helmholtz_solve", "LinearSolverError", "linf_norm",
         "laplacian", "chemo_divergence", "nonlocal_source", "ode_comparison_oracle",
-        "OdeComparisonResult",
+        "OdeComparisonResult", "adapt_dt",
     )
     for name in removed:
         assert not hasattr(kschemo, name)
