@@ -15,9 +15,10 @@ import os
 import sys
 from dataclasses import replace
 
+from . import config  # a wrapper set on config.build_initial_state sees the sweep's calls
 from .config import (
-    ConfigError, build_initial_state, initial_mass, parse_config, resolved_text, run_from_config,
-    run_record, write_resolved,
+    ConfigError, initial_mass, parse_config, resolved_text, run_from_config, run_record,
+    write_resolved,
 )
 from .grid import Grid, read_snapshot
 from .observables import ObservableSeries, Termination
@@ -169,7 +170,7 @@ def _sweep_batch(points: list, n: int, base) -> list[str]:
     """
     if base is None:
         return [_classification_row(alpha, beta, n) for alpha, beta in points]
-    initial = build_initial_state(base)
+    initial = config.build_initial_state(base)
     params = [replace(base.model, alpha=a, beta=b) for a, b in points]
     results = run_batch([initial] * len(points), params, base.grid, base.stepper, base.t_end,
                         base.recorder)
@@ -259,7 +260,7 @@ def _cmd_sweep(args, extras: list[str]) -> int:
             if base.grid.dim != args.n:
                 raise ConfigError(f"differs from the base's grid.dim = {base.grid.dim}", key="--n")
             # every point starts from the base state; an IC that overflows fails here
-            build_initial_state(base)
+            config.build_initial_state(base)
             max_batch = max(1, _BATCH_CELLS // math.prod(base.grid.shape))
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))

@@ -48,8 +48,7 @@ def _k_column(k: float) -> str:
 class ObservableSeries:
     """Append-only record of one run, one row per sample time."""
 
-    k_list: tuple[float, ...]
-    columns: tuple[str, ...] = ()
+    columns: tuple[str, ...]
     rows: list[tuple[float, ...]] = field(default_factory=list)
 
     @classmethod
@@ -64,7 +63,7 @@ class ObservableSeries:
             "dt",
             "retries",
         )
-        return cls(k_list=tuple(float(k) for k in k_list), columns=columns)
+        return cls(columns=columns)
 
     def append(self, row: tuple[float, ...]) -> None:
         if len(row) != len(self.columns):

@@ -8,12 +8,12 @@ telescope to zero regardless of the input fields.  That telescoping is
 what makes the per-step mass identity of the stepper exact up to
 solver/rounding noise.
 
-Each has one kernel.  _diffuse() serves the stepper's residual gate at
-sigma/h^2 and _laplacian() at -1/h^2.  _chemo_divergence() writes chi *
-div(u grad v) straight into the stepper's explicit stage, with chi/h^2
-folded into each face flux; its face value, gradient maxima and row slabs
-(a _Transport: every cell, or the rows of one slab of the first field
-axis, so that two threads fill one stage) keep it apart from _diffuse.
+Each has one kernel, and the module holds only what a march runs.
+_diffuse() serves the stepper's residual gate at sigma/h^2.
+_chemo_divergence() writes chi * div(u grad v) straight into the explicit
+stage, with chi/h^2 folded into each face flux; its face value, gradient
+maxima and row slabs (a _Transport: every cell, or the rows of one slab of
+the first axis, so that two threads fill one stage) keep it from _diffuse.
 
 Every kernel acts on the trailing ``grid.dim`` axes, so a batch of fields
 ``(B, *grid.shape)`` is one call.  The kernels trust their input: they
@@ -93,14 +93,6 @@ def _diffuse(out: np.ndarray, f: np.ndarray, stencil) -> None:
         cells += flux
         # freed before the next axis allocates its own
         del flux
-
-
-def _laplacian(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """Second-order Neumann Laplacian (3-point/5-point stencil) in flux form:
-    _diffuse at scale -1/h^2 on zeros."""
-    out = np.zeros(f.shape)
-    _diffuse(out, f, tuple((-1.0 / (h * h), left, right) for h, left, right in grid.faces))
-    return out
 
 
 class _Transport(NamedTuple):

@@ -1034,8 +1034,9 @@ def run_batch(
     if not params or len(initials) != len(params):
         raise ValueError("need one ModelParams per initial state")
     for initial in initials:
-        if t_end <= initial.t:
-            raise ValueError("t_end must exceed the initial time")
+        # an infinite t_end never ends a march, and a NaN one ends it at its first sample
+        if not initial.t < t_end < math.inf:
+            raise ValueError(f"t_end must be finite and exceed the initial time, got {t_end!r}")
         initial.validate(grid)
 
     forced = forcing is not None

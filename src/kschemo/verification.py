@@ -28,10 +28,8 @@ import numpy as np
 
 from .grid import Grid, State, lp_norm_pow
 from .observables import Termination
-from .operators import (
-    _chemo_divergence, _column, _exponents, _laplacian, _nonlocal_source, _transport,
-)
-from .params import ModelParams
+from .operators import _column
+from .params import ModelParams, require
 from .stepper import Recorder, RunResult, StepperConfig, _job_results, run
 
 GL_PANELS = 8
@@ -134,7 +132,6 @@ class _StepTimes:
 @dataclass
 class ManufacturedCase:
     params: ModelParams
-    extent: tuple[float, ...]
     u_exact: Field
     v_exact: Field
     forcing: Forcing
@@ -215,7 +212,6 @@ def build_mms_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
     fields = _TrigDecay(params, grid.extent)
     return ManufacturedCase(
         params=params,
-        extent=grid.extent,
         u_exact=fields.u_exact,
         v_exact=fields.v_exact,
         forcing=Forcing(u_fn=fields.forcing_u, v_fn=fields.forcing_v),
@@ -241,7 +237,6 @@ def equilibrium_case(params: ModelParams, grid: Grid) -> ManufacturedCase:
     fields = _Equilibrium((params.a / (params.b * grid.measure)) ** (1.0 / params.beta))
     return ManufacturedCase(
         params=params,
-        extent=grid.extent,
         u_exact=fields.constant,
         v_exact=fields.constant,
         forcing=Forcing(u_fn=fields.zero, v_fn=fields.zero),
@@ -284,9 +279,11 @@ def level_dts(grids: Sequence[Grid], dts: Sequence[float], t_end: float) -> list
     """The dt each level of a study runs at: the requested one snapped to an
     exact divisor of ``t_end``, so no step gets capped.
 
-    ValueError names the first level that repeats the previous level's h and
-    snapped dt, whose observed order would be 0/0.
+    ValueError names a t_end or dt that is not finite and > 0, and the first
+    level that repeats the previous level's h and snapped dt: its order is 0/0.
     """
+    for name, value in (("t_end", t_end), *((f"dts[{k}]", dt) for k, dt in enumerate(dts))):
+        require(0 < value < math.inf, name, "finite > 0", value)
     snapped = [t_end / max(1, round(t_end / dt)) for dt in dts]
     for level in range(1, len(grids)):
         h, prev_h = max(grids[level].h), max(grids[level - 1].h)
@@ -374,23 +371,3 @@ def convergence_study(
                 row.order_v = float(np.log(prev.error_v / row.error_v) / ratio)
             rows.append(row)
     return ConvergenceTable(rows)
-
-
-def semidiscrete_residual(case: ManufacturedCase, grid: Grid, t: float = 0.0) -> float:
-    """Sup norm of d/dt u* - RHS_h(u*, v*) - f_u on exact samples.
-
-    Refining the grid must shrink this at the stencil's order; it is the
-    spot check that the hand-written forcings are consistent with the
-    discrete operators they drive.
-    """
-    p = case.params
-    u = case.u_exact(t, grid)
-    v = case.v_exact(t, grid)
-    eps = 1e-6
-    dudt = (case.u_exact(t + eps, grid) - case.u_exact(t - eps, grid)) / (2 * eps)
-    exponents = _exponents([p.alpha]), _exponents([p.beta])
-    source, _ = _nonlocal_source(u[None], grid, [p.a], [p.b], *exponents)
-    rhs = _laplacian(u, grid) + source[0] + case.forcing.u([t], grid)[0]
-    if p.chi != 0.0:
-        _chemo_divergence(rhs, u, v, _transport(grid, "central", [p.chi]))
-    return float(np.max(np.abs(dudt - rhs)))

@@ -35,6 +35,15 @@ def outcomes(step) -> list[Outcome]:
     ]
 
 
+def laplacian(f, grid):
+    """L_h f, the second-order Neumann Laplacian: the diffusion kernel at -1/h^2 on zeros."""
+    from kschemo import operators
+
+    out = np.zeros(f.shape)
+    operators._diffuse(out, f, [(-1.0 / (h * h), left, right) for h, left, right in grid.faces])
+    return out
+
+
 def proposed_dt(u, v, grid, params, cfg, integral):
     """stepper.adapt_dt on the one-row batch of ``u`` and ``v``: the dt a
     march proposes for one member with these fields and nonlocal integral,

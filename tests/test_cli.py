@@ -664,7 +664,9 @@ class TestSimulatedSweep:
             calls.append(cfg)
             return build_initial_state(cfg)
 
-        monkeypatch.setattr(cli, "build_initial_state", spy)
+        # on the config module, where a profiler's wrapper sits: the sweep
+        # must call it through that module, not a name of its own
+        monkeypatch.setattr("kschemo.config.build_initial_state", spy)
         base = tmp_path / "base.cfg"
         base.write_text(SWEEP_BASE)
         code, out, _ = _simulated_sweep(capsys, base, tmp_path / "sweep", "2", "--workers", "1")

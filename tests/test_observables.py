@@ -147,7 +147,6 @@ class TestSeries:
         series.to_csv(path)
         again = ObservableSeries.from_csv(path)
         assert again.columns == series.columns
-        assert again.k_list == series.k_list
         assert again.rows == series.rows
 
     def test_unknown_column(self):

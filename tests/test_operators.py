@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from kschemo import Grid, ModelParams, integrate, operators
-from kschemo.operators import (
-    _chemo_divergence, _exponents, _laplacian, _nonlocal_source, _transport,
-)
+from kschemo.operators import _chemo_divergence, _exponents, _nonlocal_source, _transport
+
+from conftest import laplacian
 
 
 @pytest.fixture
@@ -41,13 +41,13 @@ def random_field(grid, seed, positive=False):
 class TestLaplacian:
     def test_constant_maps_to_zero(self, grid1d, grid2d):
         for grid in (grid1d, grid2d):
-            np.testing.assert_array_equal(_laplacian(grid.full(4.2), grid), grid.zeros())
+            np.testing.assert_array_equal(laplacian(grid.full(4.2), grid), grid.zeros())
 
     def test_neumann_eigenfunction_1d(self, grid1d):
         # cos(pi x / L) samples are an exact eigenvector of the stencil
         L = grid1d.extent[0]
         f = grid1d.sample(lambda x: np.cos(np.pi * x / L))
-        lap = _laplacian(f, grid1d)
+        lap = laplacian(f, grid1d)
         n = grid1d.cells[0]
         lam = -4.0 * np.sin(np.pi / (2 * n)) ** 2 / grid1d.h[0] ** 2
         np.testing.assert_allclose(lap, lam * f, atol=1e-11)
@@ -61,14 +61,14 @@ class TestLaplacian:
         for n in (64, 128):
             grid = Grid(extent=(1.0,), cells=(n,))
             f = grid.sample(lambda x: np.cos(np.pi * x))
-            err = np.max(np.abs(_laplacian(f, grid) + np.pi**2 * f))
+            err = np.max(np.abs(laplacian(f, grid) + np.pi**2 * f))
             errs.append(err)
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
     def test_conservative(self, grid1d, grid2d):
         for grid, seed in ((grid1d, 0), (grid2d, 1)):
             f = random_field(grid, seed)
-            total = integrate(_laplacian(f, grid), grid)
+            total = integrate(laplacian(f, grid), grid)
             scale = np.abs(f).max() / min(grid.h) ** 2
             assert abs(total) <= 1e-13 * scale
 
@@ -81,13 +81,13 @@ class TestLaplacian:
             -4.0 * np.sin(np.pi / (2 * nx)) ** 2 / hx**2
             - 4.0 * np.sin(2 * np.pi / (2 * ny)) ** 2 / hy**2
         )
-        np.testing.assert_allclose(_laplacian(f, grid2d), lam * f, atol=1e-10)
+        np.testing.assert_allclose(laplacian(f, grid2d), lam * f, atol=1e-10)
 
     def test_mirror_symmetry(self, grid2d):
         f = random_field(grid2d, 5)
         for axis in (0, 1):
-            mirrored = _laplacian(np.flip(f, axis=axis), grid2d)
-            np.testing.assert_allclose(mirrored, np.flip(_laplacian(f, grid2d), axis=axis), atol=1e-12)
+            mirrored = laplacian(np.flip(f, axis=axis), grid2d)
+            np.testing.assert_allclose(mirrored, np.flip(laplacian(f, grid2d), axis=axis), atol=1e-12)
 
 
 class TestChemoDivergence:
@@ -104,7 +104,7 @@ class TestChemoDivergence:
             c = 2.5
             for scheme in ("upwind", "central"):
                 out = transport(grid.full(c), v, grid, scheme=scheme)
-                np.testing.assert_allclose(out, c * _laplacian(v, grid), rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(out, c * laplacian(v, grid), rtol=1e-12, atol=1e-12)
 
     def test_conservative(self, grid2d):
         u = random_field(grid2d, 6, positive=True)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import signal
 import threading
 import time
 import tracemalloc
@@ -32,7 +33,7 @@ from kschemo.operators import FACE_SCHEMES
 from kschemo.stepper import _neumann_eigenvalues
 from kschemo.verification import build_mms_case, equilibrium_case
 
-from conftest import outcomes, proposed_dt
+from conftest import laplacian, outcomes, proposed_dt
 
 
 @pytest.fixture
@@ -188,7 +189,7 @@ class TestHelmholtz:
             rhs = np.random.default_rng(seed).standard_normal(grid.shape)
             sigma = 2.3e-3
             w = _solve(rhs, grid, sigma)
-            res = np.linalg.norm(w - sigma * operators._laplacian(w, grid) - rhs)
+            res = np.linalg.norm(w - sigma * laplacian(w, grid) - rhs)
             assert res / np.linalg.norm(rhs) <= 1e-10
 
     def test_nonnegative_map(self, grid1d, grid2d):
@@ -1161,6 +1162,29 @@ class TestRunBatch:
         state, _ = equilibrium_state(p, grid1d)
         with pytest.raises(ValueError):
             run_batch([state], [p, p], grid1d, StepperConfig(), 0.1, self.REC)
+
+    # a NaN t_end ended the march at its first sample as "t_end reached", and
+    # an infinite one never ended it: the alarm turns a hang into a failure,
+    # and the long interval keeps such a march from filling memory with rows
+    @pytest.mark.parametrize("t_end, interval", [(math.nan, 0.1), (math.inf, 1e6)])
+    def test_rejects_a_non_finite_t_end(self, t_end, interval):
+        grid = Grid(extent=(1.0,), cells=(8,))
+        p = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
+        state, _ = equilibrium_state(p, grid)
+        rec = Recorder(k_list=(2.0,), sample_interval=interval)
+
+        def hung(signum, frame):
+            raise AssertionError("the march did not return")
+
+        message = f"^t_end must be finite and exceed the initial time, got {t_end}$"
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match=message):
+                run_batch([state], [p], grid, StepperConfig(), t_end, rec)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 # a = b = 1 on a unit domain: the equilibrium is u = v = 1
