@@ -289,15 +289,9 @@ def _cmd_sweep(args, extras: list[str]) -> int:
 
 
 def _mms_study(args) -> tuple[ModelParams, list[Grid], list[float]]:
-    """The study's params, grids and dts; ConfigError names a bad flag."""
-    for flag, value, holds, rule in (
-        ("levels", args.levels, args.levels >= 2, ">= 2"),
-        ("t-end", args.t_end, math.isfinite(args.t_end) and args.t_end > 0, "finite > 0"),
-        ("dt0", args.dt0, args.dt0 is None or (math.isfinite(args.dt0) and args.dt0 > 0),
-         "finite > 0"),
-    ):
-        if not holds:
-            raise ConfigError(f"{flag} {rule} required, got {value!r}", key=f"--{flag}")
+    """The study's params, grids and dts; ConfigError names a bad flag.
+    verification.level_dts checks the levels, t_end and dts: its FieldError
+    maps by field to the flag that set it."""
     try:
         params = ModelParams(chi=args.chi, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         if args.mode == "spatial":
@@ -316,7 +310,10 @@ def _mms_study(args) -> tuple[ModelParams, list[Grid], list[float]]:
         raise ConfigError(str(exc), key="--chi" if exc.field == "chi" else cells_flag) from None
     try:
         level_dts(grids, dts, args.t_end)
-    except ValueError as exc:
+    except FieldError as exc:
+        flag = {"levels": "--levels", "t_end": "--t-end", "dts": "--dt0"}[exc.field]
+        raise ConfigError(str(exc), key=flag) from None
+    except ValueError as exc:  # a level repeats the one before
         raise ConfigError(str(exc), key="--dt0/--t-end") from None
     _require_writable(args.output)
     return params, grids, dts

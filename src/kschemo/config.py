@@ -89,11 +89,6 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         require(math.isfinite(self.t_end) and self.t_end > 0, "t_end", "> 0", self.t_end)
-        # no key writes the scheme, so a config holding another would not
-        # read back from its resolved_config.txt
-        scheme = self.stepper.face_scheme
-        default = StepperConfig.face_scheme
-        require(scheme == default, "face_scheme", f"== {default!r}", scheme)
         for axis, (c, L) in enumerate(zip(self.ic.u_center, self.grid.extent)):
             if not (0 <= c <= L):
                 raise FieldError("u_center", f"bump center {c} outside domain [0, {L}]", axis)

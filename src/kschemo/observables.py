@@ -138,10 +138,11 @@ def record(
     abs_u = np.abs(u)
     total, most = np.add.reduce, np.maximum.reduce
     mass = volume * float(total(u, axis=None))
-    int_beta, *int_k = [
-        volume * float(total(abs_u if k == 1 else abs_u**k, axis=None))
-        for k in (params.beta, *k_list)
-    ]
+    # each distinct power once: beta may also be a k (beta = 2 and the default k_list)
+    powers = (params.beta, *k_list)
+    integral = {k: volume * float(total(abs_u if k == 1 else abs_u**k, axis=None))
+                for k in dict.fromkeys(powers)}
+    int_beta, *int_k = map(integral.get, powers)
     sup_u, sup_v = float(most(abs_u, axis=None)), float(most(np.abs(v), axis=None))
 
     row = (state.t, mass, int_beta, *int_k, sup_u, sup_v, state.dt_last,

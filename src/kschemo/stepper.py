@@ -45,16 +45,19 @@ Termination that ends the member's run, with the cause the run reports.
 There is one march, run_batch().  It advances B members, the parameter
 points of a sweep, as fields stacked ``(B, *grid.shape)``.  Each member has
 its own coefficients, t, dt, retries, sample times, diagnostics and
-termination; the grid, StepperConfig, t_end, Recorder and forcing are
-shared.  A member's numbers come from the same elementwise operations and
-the same row reductions whatever the batch, so its series is bitwise the
-one it gets alone.  run() is the B = 1 case.  A forcing is
-asked once per field and step for all members: ``forcing.u(ts, grid)``
-and ``forcing.v(ts, grid)`` take the members' times and return their rows
-stacked ``(B, *grid.shape)``, which the march reads and never writes.
+termination; the grid, StepperConfig, face scheme, t_end, Recorder and
+forcing are shared.  The face scheme is an argument of the march that no
+config key sets: every config run is upwind, and the manufactured-solution
+study asks for central faces.  A member's numbers come from the same
+elementwise operations and the same row reductions whatever the batch, so
+its series is bitwise the one it gets alone.  run() is the B = 1 case.  A
+forcing is asked once per field and step for all members:
+``forcing.u(ts, grid)`` and ``forcing.v(ts, grid)`` take the members' times
+and return their rows stacked ``(B, *grid.shape)``, which the march reads
+and never writes.
 
-A march keeps one step plan (_Plan): its helper thread, the per-axis
-eigenvalues of its grid and the values its steps share.  Per active set,
+A march keeps one step plan (_Plan): its helper thread, face scheme,
+per-axis eigenvalues of its grid and the values its steps share.  Per active set,
 the rows' ModelParams, it decides the split and holds the transport for
 it, the coefficient lists and the exponents of the source, and each row's
 (chi, alpha - 1, a, b) that the dt proposal reads; per dt column, the
@@ -158,14 +161,15 @@ _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """dt clamp, CFL factor, sup norm threshold and face scheme.  The gate,
-    positivity floor and retry cap are fixed numerics, not settings."""
+    """dt clamp, CFL factor and sup norm threshold: the four ``stepper.*``
+    keys of a config file.  The gate, positivity floor and retry cap are
+    fixed numerics, not settings; the face scheme is an argument of the
+    march (run_batch), which no config file sets."""
 
     dt_min: float = 1e-12
     dt_max: float = 1e-2
     cfl_safety: float = 0.4
     blowup_linf_threshold: float = 1e8
-    face_scheme: str = "upwind"
 
     def __post_init__(self) -> None:
         require(math.isfinite(self.dt_max) and self.dt_max > 0, "dt_max", "> 0", self.dt_max)
@@ -175,8 +179,6 @@ class StepperConfig:
         require(0 < self.cfl_safety <= 1, "cfl_safety", "in (0, 1]", self.cfl_safety)
         limit = self.blowup_linf_threshold
         require(math.isfinite(limit) and limit > 0, "blowup_linf_threshold", "> 0", limit)
-        scheme = self.face_scheme
-        require(scheme in FACE_SCHEMES, "face_scheme", f"in {FACE_SCHEMES}", scheme)
 
 
 def _neumann_eigenvalues(n: int, h: float) -> np.ndarray:
@@ -398,7 +400,8 @@ def _rates(params: Sequence[ModelParams]) -> list[tuple]:
 
 
 class _Plan:
-    """A march's helper thread (or None) and the constants of its steps.
+    """A march's helper thread (or None), its face scheme and the constants
+    of its steps.
 
     Two keys decide what a step can take from the step before:
       * the active set, the rows' ModelParams: ``split``, whether the
@@ -416,9 +419,10 @@ class _Plan:
     of them is written into after.
     """
 
-    def __init__(self, grid: Grid, helper: Optional[ThreadPoolExecutor]):
+    def __init__(self, grid: Grid, helper: Optional[ThreadPoolExecutor], scheme: str):
         self.grid = grid
         self.helper = helper
+        self.scheme = scheme
         # per axis, not grid-sized: a 512^2 eigenvalue array held from the
         # start of a march made its steps fault about 1800 more pages each
         # (33k against 4k minor faults over a 16-step run, 18% of its time)
@@ -433,13 +437,13 @@ class _Plan:
         self.dt = self.shift = self.rhs_shape = None
         self.solves: tuple = ()
 
-    def members(self, params: Sequence[ModelParams], scheme: str) -> None:
-        """Set the active set to ``params``, one per row, under the face
-        ``scheme``, and decide its thread split.  A march passes the same
-        list, unedited, until a member leaves, and _advance calls this only
-        when the list is not the one it last passed."""
+    def members(self, params: Sequence[ModelParams]) -> None:
+        """Set the active set to ``params``, one per row, and decide its
+        thread split.  A march passes the same list, unedited, until a
+        member leaves, and _advance calls this only when the list is not the
+        one it last passed."""
         self.params = params
-        grid = self.grid
+        grid, scheme = self.grid, self.scheme
         self.split = self.helper is not None and _threaded(len(params), grid)
         chis = [p.chi for p in params]
         self.transport, self.slabs = None, ()
@@ -481,18 +485,19 @@ class _Plan:
 
 
 @contextlib.contextmanager
-def _march(rows: int, grid: Grid):
+def _march(rows: int, grid: Grid, scheme: str):
     """numpy's quiet error state and the _Plan of a march of ``rows`` member
-    rows, whose helper thread is live when _threaded, else None.  numpy's
-    error state belongs to the thread, so the helper sets its own once, for
-    every task it runs; leaving the block joins it, also when the march raises."""
+    rows under the face ``scheme``, whose helper thread is live when
+    _threaded, else None.  numpy's error state belongs to the thread, so the
+    helper sets its own once, for every task it runs; leaving the block
+    joins it, also when the march raises."""
     with np.errstate(**_QUIET):
         if not _threaded(rows, grid):
-            yield _Plan(grid, None)
+            yield _Plan(grid, None, scheme)
             return
         quiet = functools.partial(np.seterr, **_QUIET)
         with ThreadPoolExecutor(1, "kschemo-step", initializer=quiet) as helper:
-            yield _Plan(grid, helper)
+            yield _Plan(grid, helper, scheme)
 
 
 def _beside(helper: ThreadPoolExecutor, helper_call, own_call) -> tuple:
@@ -720,7 +725,7 @@ def _advance(
     row).
     """
     if params is not plan.params:
-        plan.members(params, cfg.face_scheme)
+        plan.members(params)
     explicit, integrals = _nonlocal_source(u, grid, plan.a, plan.b, plan.alphas, plan.betas)
     # the source's integral is taken now, as the explicit stage overwrites it
     source = np.add.reduce(explicit, axis=grid.field_axes).tolist()
@@ -1018,6 +1023,7 @@ def run_batch(
     t_end: float,
     recorder: Recorder,
     forcing=None,
+    face_scheme: str = "upwind",
 ) -> list[RunResult]:
     """March each member from its initial state until t_end, blow-up or solver failure.
 
@@ -1025,7 +1031,9 @@ def run_batch(
     shared by construction.  ``forcing``, when given, is called once per
     field and step for all active members, ``forcing.u(ts, grid)`` with
     their times ``ts``, and returns their rows stacked ``(B, *grid.shape)``
-    (see verification.Forcing).  A member that finishes leaves the batch
+    (see verification.Forcing).  ``face_scheme``, one of
+    operators.FACE_SCHEMES, sets the transport's face value of u; FieldError
+    names any other.  A member that finishes leaves the batch
     and the others go on.  For a fixed input each member's series is bitwise
     reproducible and independent of the batch it runs in.  A batch touches
     no process-wide state (a threaded march's one helper thread ends with
@@ -1033,6 +1041,7 @@ def run_batch(
     """
     if not params or len(initials) != len(params):
         raise ValueError("need one ModelParams per initial state")
+    require(face_scheme in FACE_SCHEMES, "face_scheme", f"in {FACE_SCHEMES}", face_scheme)
     for initial in initials:
         # an infinite t_end never ends a march, and a NaN one ends it at its first sample
         if not initial.t < t_end < math.inf:
@@ -1041,7 +1050,7 @@ def run_batch(
 
     forced = forcing is not None
     members = [_Member(st, p, grid, recorder, t_end, forced) for st, p in zip(initials, params)]
-    with _march(len(members), grid) as plan:
+    with _march(len(members), grid, face_scheme) as plan:
         active = [m for m in members if m.start()]
         u = _stack([m.u for m in active]) if active else None
         v = _stack([m.v for m in active]) if active else None
@@ -1079,6 +1088,7 @@ def run(
     t_end: float,
     recorder: Recorder,
     forcing=None,
+    face_scheme: str = "upwind",
 ) -> RunResult:
     """March from ``initial`` until t >= t_end, blow-up, or solver failure.
 
@@ -1087,5 +1097,5 @@ def run(
     execute in parallel workers.  For a
     fixed config the observable series is bitwise reproducible.
     """
-    (result,) = run_batch([initial], [params], grid, cfg, t_end, recorder, forcing)
+    (result,) = run_batch([initial], [params], grid, cfg, t_end, recorder, forcing, face_scheme)
     return result

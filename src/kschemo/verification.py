@@ -279,11 +279,22 @@ def level_dts(grids: Sequence[Grid], dts: Sequence[float], t_end: float) -> list
     """The dt each level of a study runs at: the requested one snapped to an
     exact divisor of ``t_end``, so no step gets capped.
 
-    ValueError names a t_end or dt that is not finite and > 0, and the first
+    This is the study's one input check.  FieldError names the field of the
+    first rule broken, in this order:
+      * ``levels``: at least two, as an order needs a previous level;
+      * ``t_end``: finite and > 0;
+      * ``dts`` (``dts[k]`` in the message): each finite and > 0, and with a
+        finite step count t_end / dt, which the snapping rounds to an integer.
+    ValueError names a dt list whose length is not the grids', and the first
     level that repeats the previous level's h and snapped dt: its order is 0/0.
     """
-    for name, value in (("t_end", t_end), *((f"dts[{k}]", dt) for k, dt in enumerate(dts))):
-        require(0 < value < math.inf, name, "finite > 0", value)
+    if len(grids) != len(dts):
+        raise ValueError("need one dt per grid")
+    require(len(grids) >= 2, "levels", ">= 2", len(grids))
+    require(0 < t_end < math.inf, "t_end", "finite > 0", t_end)
+    for k, dt in enumerate(dts):
+        require(0 < dt < math.inf, "dts", "finite > 0", dt, k)
+        require(t_end / dt < math.inf, "dts", "with a finite step count t_end / dt", dt, k)
     snapped = [t_end / max(1, round(t_end / dt)) for dt in dts]
     for level in range(1, len(grids)):
         h, prev_h = max(grids[level].h), max(grids[level - 1].h)
@@ -299,16 +310,12 @@ def _run_level(case: ManufacturedCase, grid: Grid, dt: float, t_end: float,
                face_scheme: str) -> RunResult:
     """One level of a study: the forced run at fixed ``dt``, its forcing
     answered from blocks of step times; module-level, so a pool can run it."""
-    cfg = StepperConfig(
-        dt_min=dt * 1e-8,
-        dt_max=dt,
-        cfl_safety=1.0,
-        face_scheme=face_scheme,
-    )
+    cfg = StepperConfig(dt_min=dt * 1e-8, dt_max=dt, cfl_safety=1.0)
     recorder = Recorder(k_list=(2.0,), sample_interval=t_end)
     u_rows, v_rows = case.forcing.u_fn, case.forcing.v_fn
     forcing = Forcing(_StepTimes(u_rows, dt, t_end), _StepTimes(v_rows, dt, t_end))
-    return run(case.initial_state(grid), case.params, grid, cfg, t_end, recorder, forcing)
+    return run(case.initial_state(grid), case.params, grid, cfg, t_end, recorder, forcing,
+               face_scheme=face_scheme)
 
 
 def convergence_study(
@@ -320,8 +327,8 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Forced runs over refinement levels; L2 errors at t_end and observed orders.
 
-    Each level runs at the fixed dt supplied for it, snapped by
-    ``level_dts`` (the study insists, by the step count, the retries and
+    Each level runs at the fixed dt supplied for it, checked and snapped
+    by ``level_dts`` (the study insists, by the step count, the retries and
     the sampled dt, that the adaptive bound never engages, so the step
     sequence is exactly the one requested).  Orders are computed against
     the previous level from the spacing ratio for the spatial direction, or
@@ -335,10 +342,6 @@ def convergence_study(
     check cancels the levels not yet started, so the table, and the error
     raised for the lowest failing level, are the same bits either way.
     """
-    if len(grids) != len(dts):
-        raise ValueError("need one dt per grid")
-    if len(grids) < 2:
-        raise ValueError("need at least two refinement levels")
     snapped = level_dts(grids, dts, t_end)
     levels = [(case, grid, dt, t_end, face_scheme) for grid, dt in zip(grids, snapped)]
     costs = [round(t_end / dt) * math.prod(grid.cells) for grid, dt in zip(grids, snapped)]

@@ -44,16 +44,17 @@ def laplacian(f, grid):
     return out
 
 
-def proposed_dt(u, v, grid, params, cfg, integral):
+def proposed_dt(u, v, grid, params, cfg, integral, scheme="upwind"):
     """stepper.adapt_dt on the one-row batch of ``u`` and ``v``: the dt a
-    march proposes for one member with these fields and nonlocal integral,
-    its v gradients read off the transport kernel as a step reads them."""
+    march under the face ``scheme`` proposes for one member with these
+    fields and nonlocal integral, its v gradients read off the transport
+    kernel as a step reads them."""
     from kschemo import operators, stepper
 
     u, v = u[None], v[None]
     grad_max = ()
     if params.chi > 0:
-        transport = operators._transport(grid, cfg.face_scheme, [params.chi])
+        transport = operators._transport(grid, scheme, [params.chi])
         grad_max = operators._chemo_divergence(np.zeros(u.shape), u, v, transport)
     rates = stepper._rates([params])
     umax = [float(u.max())]
@@ -125,17 +126,18 @@ def inline_pools(monkeypatch):
 @pytest.fixture
 def one_step(monkeypatch):
     """Call it as one_step(state, params, grid, cfg, forcing=None, dt_cap=None,
-    dt=None) for one step of one member as a march takes it: (the new State,
-    or None when the step ends the run, and its Outcome).  ``dt``, when
-    given, stands in for the stability proposal, an oversized one included."""
+    dt=None, scheme="upwind") for one step of one member as a march under
+    the face ``scheme`` takes it: (the new State, or None when the step ends
+    the run, and its Outcome).  ``dt``, when given, stands in for the
+    stability proposal, an oversized one included."""
     from kschemo import State, stepper
 
-    def step(state, params, grid, cfg, forcing=None, dt_cap=None, dt=None):
+    def step(state, params, grid, cfg, forcing=None, dt_cap=None, dt=None, scheme="upwind"):
         cap = math.inf if dt_cap is None else dt_cap
         with monkeypatch.context() as patch:
             if dt is not None:
                 patch.setattr(stepper, "adapt_dt", lambda *args: [min(dt, args[-1][0])])
-            with stepper._march(1, grid) as plan:
+            with stepper._march(1, grid, scheme) as plan:
                 u, v, taken = stepper._advance(
                     plan, state.u[None], state.v[None], [state.t], [params], grid, cfg,
                     forcing, [cap], [float(state.u.max())],

@@ -856,6 +856,9 @@ class TestMms:
             # every dt snaps to t_end, so each level would repeat the one before
             (["--mode", "temporal", "--levels", "3", "--cells", "8", "--dt0", "0.004",
               "--t-end", "0.001"], "--dt0/--t-end"),
+            (["--t-end", "nan"], "--t-end"),
+            # finite and positive, but t_end / dt0 overflows: no step count
+            (["--t-end", "1e10", "--dt0", "1e-308"], "--dt0"),
         ],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, flag):

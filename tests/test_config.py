@@ -246,12 +246,19 @@ class TestRoundTrip:
         kept = [key for key, value in config_items(cfg).items() if value == defaults[key]]
         assert kept == ["grid.dim"]
 
-    def test_non_default_face_scheme_rejected(self):
-        # no key writes the scheme, so such a config would read back as upwind
-        cfg = parse_config(text=MINIMAL)
-        with pytest.raises(FieldError, match="face_scheme") as info:
-            dataclasses.replace(cfg, stepper=StepperConfig(face_scheme="central"))
-        assert info.value.field == "face_scheme"
+    def test_every_section_field_has_a_key(self):
+        # a field that no config file sets would hold a value that
+        # resolved_config.txt drops, so the run could not be read back
+        from kschemo.config import _KEYS, _SECTIONS
+
+        # ModelParams.tau accepts only 1 and stays until the benchmark's MMS
+        # params stop pinning tau=1 (ROADMAP item 11)
+        pinned = {("model", "tau")}
+        reached = {(key.section, key.field) for key in _KEYS.values()}
+        fields = {
+            (section, f.name) for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls)
+        }
+        assert fields - reached == pinned
 
     def test_items_cover_every_key(self):
         from kschemo.config import _KEYS

@@ -29,6 +29,7 @@ from kschemo import (
 from kschemo import operators, stepper, verification
 from kschemo.grid import _POSITIVITY_TOL
 from kschemo.observables import ObservableError
+from kschemo.params import FieldError
 from kschemo.operators import FACE_SCHEMES
 from kschemo.stepper import _neumann_eigenvalues
 from kschemo.verification import build_mms_case, equilibrium_case
@@ -67,13 +68,14 @@ def _helper_threads():
     return [t for t in threading.enumerate() if t.name.startswith("kschemo-")]
 
 
-def _advance(u, v, ts, params, grid, cfg, forcing=None, dt_cap=None):
-    """One step of a batch as a march runs it: inside _march, with its plan,
-    each u row's max and no dt cap unless ``dt_cap`` gives one per member.
-    Returns the new fields and the step's Outcome of each member."""
+def _advance(u, v, ts, params, grid, cfg, forcing=None, dt_cap=None, scheme="upwind"):
+    """One step of a batch as a march under the face ``scheme`` runs it:
+    inside _march, with its plan, each u row's max and no dt cap unless
+    ``dt_cap`` gives one per member.  Returns the new fields and the step's
+    Outcome of each member."""
     caps = [math.inf] * len(params) if dt_cap is None else dt_cap
     umax = np.maximum.reduce(u, grid.field_axes).tolist()
-    with stepper._march(len(params), grid) as plan:
+    with stepper._march(len(params), grid, scheme) as plan:
         u_new, v_new, step = stepper._advance(
             plan, u, v, ts, params, grid, cfg, forcing, caps, umax
         )
@@ -153,8 +155,6 @@ class TestStepperConfig:
             StepperConfig(dt_min=1e-2, dt_max=1e-3)
         with pytest.raises(ValueError):
             StepperConfig(cfl_safety=1.5)
-        with pytest.raises(ValueError):
-            StepperConfig(face_scheme="upstream")
 
 
 class TestHelmholtz:
@@ -482,7 +482,7 @@ class TestTransportBound:
         cfg = StepperConfig(dt_min=1e-300, dt_max=1e300)
         integrals = [integral] * len(params)
         with np.errstate(**stepper._QUIET):
-            transport = operators._transport(grid, cfg.face_scheme, [p.chi for p in params])
+            transport = operators._transport(grid, "upwind", [p.chi for p in params])
             grad_max = operators._chemo_divergence(np.zeros(u.shape), u, v, transport)
             umax = u.max(axis=grid.field_axes).tolist()
             caps = [math.inf] * len(params)
@@ -509,8 +509,8 @@ class TestTransportSlabs:
         in one call."""
         explicit = explicit.copy()
         params = [ModelParams(chi=chi, a=1.0, b=1.0, alpha=2.0, beta=2.0) for chi in chis]
-        with stepper._march(len(u), grid) as plan:
-            plan.members(params, scheme)
+        with stepper._march(len(u), grid, scheme) as plan:
+            plan.members(params)
             if plan.split:
                 grad_max = stepper._transport_slabs(explicit, u, v, plan.slabs, plan.helper)
             else:
@@ -567,16 +567,16 @@ class TestTransportSlabs:
         # a whole step of either face scheme: the slabs write the explicit
         # stage that the threaded halves then solve
         grid = _threaded_grid()
-        cfg = StepperConfig(face_scheme=scheme)
+        cfg = StepperConfig()
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         u = _bump(grid, 8.0, width=0.1)[None]
         v = grid.sample(lambda x, y: 1.0 + np.cos(np.pi * x) * np.cos(2 * np.pi * y))[None]
         transport = _record_threads(monkeypatch, "_chemo_divergence")
-        threaded = _advance(u, v, [0.0], [p], grid, cfg)
+        threaded = _advance(u, v, [0.0], [p], grid, cfg, scheme=scheme)
         assert len(transport) == 2
         with monkeypatch.context() as patch:
             patch.setattr(stepper, "_THREAD_CELLS", math.inf)
-            serial = _advance(u, v, [0.0], [p], grid, cfg)
+            serial = _advance(u, v, [0.0], [p], grid, cfg, scheme=scheme)
         np.testing.assert_array_equal(threaded[0], serial[0])
         np.testing.assert_array_equal(threaded[1], serial[1])
         assert threaded[2] == serial[2]
@@ -589,7 +589,7 @@ class TestTransportSlabs:
         u, v = _bump(grid, 8.0, width=0.1)[None], grid.sample(lambda x, y: x)[None]
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         umax = np.maximum.reduce(u, grid.field_axes).tolist()
-        with stepper._march(2, grid) as plan:
+        with stepper._march(2, grid, "upwind") as plan:
             assert plan.helper is not None and not stepper._threaded(1, grid)
             stepper._advance(plan, u, v, [0.0], [p], grid, StepperConfig(), None, [math.inf], umax)
         assert threads == {threading.current_thread().name}
@@ -726,8 +726,9 @@ class TestStep:
         assert outcome.retries == 21
 
 
-def _two_solve_reference(u, v, ts, params, grid, cfg, dts, forcing=None):
-    """A tau=1 step as two _helmholtz_checked calls, u rows then v rows."""
+def _two_solve_reference(u, v, ts, params, grid, cfg, dts, forcing=None, scheme="upwind"):
+    """A tau=1 step under the face ``scheme`` as two _helmholtz_checked
+    calls, u rows then v rows."""
     alphas = operators._exponents([p.alpha for p in params])
     betas = operators._exponents([p.beta for p in params])
     a, b = [p.a for p in params], [p.b for p in params]
@@ -735,7 +736,7 @@ def _two_solve_reference(u, v, ts, params, grid, cfg, dts, forcing=None):
     explicit = source
     chis = [p.chi for p in params]
     if any(chi != 0.0 for chi in chis):
-        transport = operators._transport(grid, cfg.face_scheme, chis)
+        transport = operators._transport(grid, scheme, chis)
         operators._chemo_divergence(explicit, u, v, transport)
     dt = operators._column(dts, grid.dim)
     rhs_v = v + dt * u
@@ -1186,6 +1187,17 @@ class TestRunBatch:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    @pytest.mark.parametrize("march", ["run", "run_batch"])
+    def test_rejects_an_unknown_face_scheme(self, march):
+        grid = Grid(extent=(1.0,), cells=(8,))
+        p = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
+        state, _ = equilibrium_state(p, grid)
+        args = ([state], [p]) if march == "run_batch" else (state, p)
+        with pytest.raises(FieldError, match=r"^face_scheme in \('upwind', 'central'\)") as info:
+            getattr(stepper, march)(*args, grid, StepperConfig(), 0.1, self.REC,
+                                    face_scheme="upstream")
+        assert info.value.field == "face_scheme"
+
 
 # a = b = 1 on a unit domain: the equilibrium is u = v = 1
 _REPLAY_PARAMS = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
@@ -1415,8 +1427,8 @@ def _rebuilding_every_step(monkeypatch):
     step rebuilds its constants and never holds 1 - sigma*lambda."""
     members, column = stepper._Plan.members, stepper._Plan.column
 
-    def fresh_members(plan, params, scheme):
-        members(plan, params, scheme)
+    def fresh_members(plan, params):
+        members(plan, params)
         plan.params = None  # so that the next step sets its active set again
 
     def fresh_column(plan, dts):
@@ -1599,7 +1611,7 @@ class TestStepPlan:
             dts = []
             tracemalloc.start()
             try:
-                with stepper._march(1, grid) as plan:
+                with stepper._march(1, grid, "upwind") as plan:
                     for _ in range(3):
                         umax = np.maximum.reduce(u, grid.field_axes).tolist()
                         u, v, step = stepper._advance(

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import pickle
@@ -10,6 +11,7 @@ import pytest
 from kschemo import Grid, ModelParams, Recorder, StepperConfig, Termination, run, stepper
 from kschemo import verification
 from kschemo.config import parse_config, refine_config, run_from_config
+from kschemo.params import FieldError
 from kschemo.verification import (
     Forcing,
     build_mms_case,
@@ -256,6 +258,29 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match=message):
             convergence_study(build_mms_case(params, grids[0]), grids, dts, t_end)
 
+    @pytest.mark.parametrize("levels, t_end, dts, field, message", [
+        (1, 0.02, [1e-3], "levels", "levels >= 2 required, got 1"),
+        (0, 0.02, [], "levels", "levels >= 2 required, got 0"),
+        # finite and positive, but t_end / dt overflows: no step count
+        (2, 1e10, [1e-308, 5e-309], "dts",
+         "dts[0] with a finite step count t_end / dt required, got 1e-308"),
+        (2, 1.0, [1e-3, 5e-324], "dts",
+         "dts[1] with a finite step count t_end / dt required, got 5e-324"),
+    ])
+    def test_study_rules_named_by_field(self, params, monkeypatch, levels, t_end, dts, field,
+                                        message):
+        grids = [Grid(extent=(1.0,), cells=(8 * 2**k,)) for k in range(levels)]
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a level ran")
+
+        monkeypatch.setattr(verification, "run", no_run)
+        case = build_mms_case(params, Grid(extent=(1.0,), cells=(8,)))
+        for study in (level_dts, functools.partial(convergence_study, case)):
+            with pytest.raises(FieldError, match=f"^{re.escape(message)}$") as info:
+                study(grids, dts, t_end)
+            assert info.value.field == field
+
     def test_zero_forcing_equilibrium_machine_precision(self, params):
         grid = Grid(extent=(1.0,), cells=(32,))
         case = equilibrium_case(params, grid)
@@ -479,7 +504,7 @@ class TestForcingBlocks:
     def test_level_makes_one_evaluation_per_block(self, params):
         # 1311 steps at 128 cells, in blocks of K rows
         grid = Grid(extent=(1.0,), cells=(128,))
-        (dt,) = level_dts([grid], [(1.0 / 128) ** 2 / 4.0], 0.02)
+        dt = level_dts([grid] * 2, [(1.0 / 128) ** 2 / k for k in (4.0, 8.0)], 0.02)[0]
         case = counted(build_mms_case(params, grid))
         result = verification._run_level(case, grid, dt, 0.02, "central")
         steps, block = result.diagnostics.steps, verification._BLOCK_BYTES // (8 * 128)
