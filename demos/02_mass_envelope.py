@@ -54,10 +54,10 @@ print()
 print(f"max mass over the run: {mass.max():.12g}  (envelope {m0:g})")
 assert np.all(mass <= m0 * (1 + 1e-6)), "envelope violated"
 gain = result.diagnostics.max_gain_above_y1
-_, summary = run_record(cfg, cfg.model, series, result.termination, result.state.u, gain)
+record = run_record(cfg, cfg.model, result)
 print(f"largest one-step mass gain from at or above y1: {gain:.3g}  "
-      f"(mass_envelope_ok={summary.printed()['mass_envelope_ok']})")
-assert summary.mass_envelope_ok, "a step gained mass above y1"
+      f"(mass_envelope_ok={record.text('mass_envelope_ok')})")
+assert record.mass_envelope_ok, "a step gained mass above y1"
 print(f"final mass {mass[-1]:.6g} settled below the barrier {y1:g}")
 print()
 print("the same audit runs on any finished run directory via:")

@@ -75,9 +75,9 @@ for label, text, n in RUNS:
     print(f"final |u|_inf: {linf[-1]:.4g}")
     top = int(linf.argmax())
     peaks.append((label, linf[0], linf[top], result.series.column("t")[top]))
-    for key, verdict in summary.printed().items():
-        if key.startswith("plateau_"):
-            print(f"{key} = {verdict}")
+    for name in vars(summary):
+        if name.startswith("plateau_"):
+            print(f"{name} = {summary.text(name)}")
     print()
 
 print(f"{'run':<16}{'initial |u|_inf':>16}{'peak |u|_inf':>14}{'at t':>8}")

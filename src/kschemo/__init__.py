@@ -10,7 +10,7 @@ from .grid import (
     read_snapshot,
     write_snapshot,
 )
-from .observables import ObservableSeries, SeriesSummary, Termination, record, summarize
+from .observables import ObservableSeries, RunRecord, Termination, record, summarize
 from .params import ModelParams, Regime, classify_regime, mass_envelope
 from .stepper import Recorder, RunResult, StepperConfig, run, run_batch
 
@@ -35,7 +35,7 @@ __all__ = [
     "run",
     "run_batch",
     "ObservableSeries",
-    "SeriesSummary",
+    "RunRecord",
     "record",
     "summarize",
     "__version__",

@@ -17,11 +17,11 @@ from dataclasses import replace
 
 from . import config  # a wrapper set on config.build_initial_state sees the sweep's calls
 from .config import (
-    ConfigError, initial_mass, parse_config, resolved_text, run_from_config, run_record,
-    write_resolved,
+    ConfigError, audit_record, initial_mass, parse_config, resolved_text, run_from_config,
+    run_record, write_resolved,
 )
 from .grid import Grid, read_snapshot
-from .observables import ObservableSeries, Termination
+from .observables import ObservableSeries, RunRecord, Termination
 from .params import FieldError, ModelParams, classify_regime, mass_envelope
 from .stepper import _job_results, run_batch
 from .verification import build_mms_case, convergence_study, level_dts
@@ -38,6 +38,9 @@ _BATCH_CELLS = 512 * 512
 
 # points per sweep axis: a tiny --*-step must not build an enormous grid
 _MAX_RANGE_POINTS = 1000
+
+# the record fields of a --simulate sweep row, after its alpha,beta,n,regime cells
+_SWEEP_FIELDS = ("y1", "m0", "termination", "mass_max", "linf_u_max", "plateaus_ok")
 
 
 def _fail(code: int, kind: str, message: str) -> int:
@@ -67,13 +70,16 @@ def _point_id(alpha: float, beta: float) -> str:
     return f"{alpha:.12g},{beta:.12g}"
 
 
-def _row_prefix(params: ModelParams, n: int, envelope: tuple | None) -> str:
-    """The alpha,beta,n,regime,y1,m0 cells of a classify line or sweep row:
-    alpha and beta with 12 significant digits, y1 and m0 with 17, and empty
-    y1 and m0 cells without an envelope."""
-    regime = classify_regime(params, n)
-    y1, m0 = (f"{x:.17g}" for x in envelope) if envelope else ("", "")
-    return f"{_point_id(params.alpha, params.beta)},{n},{regime},{y1},{m0}"
+def _point_cells(params: ModelParams, n: int) -> str:
+    """The alpha,beta,n,regime cells of a classify line or sweep row, alpha
+    and beta with 12 significant digits."""
+    return f"{_point_id(params.alpha, params.beta)},{n},{classify_regime(params, n)}"
+
+
+def _classification_line(params: ModelParams, n: int, envelope: tuple) -> str:
+    """A classify line or plain sweep row: the point's cells, then the
+    envelope's y1 and m0 with 17 significant digits."""
+    return "{},{:.17g},{:.17g}".format(_point_cells(params, n), *envelope)
 
 
 def _cmd_classify(args) -> int:
@@ -81,7 +87,7 @@ def _cmd_classify(args) -> int:
         # neither the regime nor the envelope depends on chi
         params = ModelParams(chi=1.0, a=args.a, b=args.b, alpha=args.alpha, beta=args.beta)
         envelope = mass_envelope(params, args.initial_mass, args.domain_measure)
-        print(_row_prefix(params, args.n, envelope))
+        print(_classification_line(params, args.n, envelope))
     except ValueError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
     return EXIT_OK
@@ -140,25 +146,6 @@ def _require_envelope(cfg) -> None:
         raise ConfigError("mass envelope requires b > 0", key="model.b")
 
 
-def _classification_row(alpha: float, beta: float, n: int) -> str:
-    # envelope quoted for unit coefficients on the unit box with zero
-    # initial mass, i.e. the bare barrier value
-    params = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=alpha, beta=beta)
-    return _row_prefix(params, n, mass_envelope(params, 0.0, 1.0))
-
-
-def _simulation_row(n: int, cfg, params: ModelParams, result) -> str:
-    envelope, summary = run_record(
-        cfg, params, result.series, result.termination, result.state.u,
-        result.diagnostics.max_gain_above_y1,
-    )
-    printed = summary.printed()
-    return ",".join(
-        [_row_prefix(params, n, envelope), str(result.termination)]
-        + [printed[key] for key in ("mass_max", "linf_u_max", "plateaus_ok")]
-    )
-
-
 def _sweep_batch(points: list, n: int, base) -> list[str]:
     """The rows of one batch of sweep points, in order.
 
@@ -169,12 +156,16 @@ def _sweep_batch(points: list, n: int, base) -> list[str]:
     CPUs) processes, or in this one at 1.
     """
     if base is None:
-        return [_classification_row(alpha, beta, n) for alpha, beta in points]
+        # the envelope for unit coefficients on the unit box with zero
+        # initial mass, i.e. the bare barrier value
+        units = [ModelParams(chi=1.0, a=1.0, b=1.0, alpha=a, beta=b) for a, b in points]
+        return [_classification_line(p, n, mass_envelope(p, 0.0, 1.0)) for p in units]
     initial = config.build_initial_state(base)
     params = [replace(base.model, alpha=a, beta=b) for a, b in points]
     results = run_batch([initial] * len(points), params, base.grid, base.stepper, base.t_end,
                         base.recorder)
-    return [_simulation_row(n, base, p, result) for p, result in zip(params, results)]
+    return [",".join([_point_cells(p, n), *map(run_record(base, p, r).text, _SWEEP_FIELDS)])
+            for p, r in zip(params, results)]
 
 
 def _batches(points: list, workers: int, max_size: int) -> list[list]:
@@ -268,9 +259,7 @@ def _cmd_sweep(args, extras: list[str]) -> int:
     _make_output_dir(args.output)
     csv_path = os.path.join(args.output, "sweep.csv")
     ledger_path = os.path.join(args.output, "sweep_done.txt")
-    header = "alpha,beta,n,regime,y1,m0"
-    if args.simulate:
-        header += ",termination,mass_max,linf_u_max,plateaus_ok"
+    header = "alpha,beta,n,regime," + (",".join(_SWEEP_FIELDS) if args.simulate else "y1,m0")
     done = _resume_sweep(csv_path, ledger_path, header, args.n, base)
 
     points = [(a, b) for a in alphas for b in betas if _point_id(a, b) not in done]
@@ -292,21 +281,19 @@ def _mms_study(args) -> tuple[ModelParams, list[Grid], list[float]]:
     """The study's params, grids and dts; ConfigError names a bad flag.
     verification.level_dts checks the levels, t_end and dts: its FieldError
     maps by field to the flag that set it."""
+    spatial = args.mode == "spatial"
     try:
         params = ModelParams(chi=args.chi, a=1.0, b=1.0, alpha=2.0, beta=2.0)
-        if args.mode == "spatial":
-            cells = [args.cells0 * 2**i for i in range(args.levels)]
-            grids = [Grid(extent=(1.0,) * args.dim, cells=(n,) * args.dim) for n in cells]
-            h0 = 1.0 / args.cells0
-            dt0 = args.dt0 if args.dt0 is not None else h0**2 / 4.0
-            dts = [dt0 * (1.0 / n / h0) ** 2 for n in cells]
-        else:
-            grid = Grid(extent=(1.0,) * args.dim, cells=(args.cells,) * args.dim)
-            grids = [grid] * args.levels
-            dt0 = args.dt0 if args.dt0 is not None else 2e-3
-            dts = [dt0 / 2**i for i in range(args.levels)]
+        # a spatial level halves h and so quarters dt; a temporal level halves dt
+        cells = [args.cells0 * 2**i if spatial else args.cells for i in range(args.levels)]
+        grids = [Grid(extent=(1.0,) * args.dim, cells=(n,) * args.dim) for n in cells]
+        dt0 = (1.0 / args.cells0) ** 2 / 4.0 if spatial else 2e-3
+        dt0 = dt0 if args.dt0 is None else args.dt0
+        # ldexp scales by 2^-k without the float overflow of 2^k, so
+        # level_dts sees, and refuses, any number of levels
+        dts = [math.ldexp(dt0, -(2 if spatial else 1) * i) for i in range(args.levels)]
     except FieldError as exc:
-        cells_flag = "--cells0" if args.mode == "spatial" else "--cells"
+        cells_flag = "--cells0" if spatial else "--cells"
         raise ConfigError(str(exc), key="--chi" if exc.field == "chi" else cells_flag) from None
     try:
         level_dts(grids, dts, args.t_end)
@@ -361,35 +348,21 @@ def _cmd_bound_check(args) -> int:
         cfg = parse_config(path=path("resolved_config.txt"))
         _require_envelope(cfg)
         series = ObservableSeries.from_csv(path("series.csv"))
-        summary_path = path("summary.txt")
-        with open(summary_path) as fh:
-            lines = dict(line.rstrip("\n").partition("=")[::2] for line in fh)
-        # a summary without a termination line reads as a run that stopped
-        # early, and one without a max_gain_above_y1 line as an unchecked run
-        text, gain = lines.get("termination"), lines.get("max_gain_above_y1")
-        try:
-            termination = None if text is None else Termination(text)
-        except ValueError:
-            raise ValueError(f"{summary_path}: unknown termination {text!r}") from None
-        try:
-            gain = None if gain is None else float(gain)
-        except ValueError:
-            message = f"{summary_path}: max_gain_above_y1 {gain!r} is not a number"
-            raise ValueError(message) from None
+        # the march's fields as written; a summary without a termination line
+        # reads as a run that stopped early, and one without a
+        # max_gain_above_y1 line as an unchecked run
+        written = RunRecord.read(path("summary.txt"))
         # a run that ended at t = 0 without a sample left its initial u on disk
         u0 = None if len(series) else read_snapshot(path("u_initial.snap"))[0]
-        envelope, summary = run_record(cfg, cfg.model, series, termination, u0, gain)
-        if envelope is None:  # mass_envelope's own message says why
-            mass_envelope(cfg.model, initial_mass(series, u0, cfg.grid), cfg.grid.measure)
+        # a run without an envelope exits 2 with mass_envelope's own message
+        mass_envelope(cfg.model, initial_mass(series, u0, cfg.grid), cfg.grid.measure)
+        audit = audit_record(cfg, cfg.model, series, u0, written)
     except (ConfigError, OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
 
-    printed = summary.printed()
-    print(f"y1={envelope[0]:.17g}")
-    print(f"m0={envelope[1]:.17g}")
-    for key in ("mass_max", "mass_envelope_ok"):
-        print(f"{key}={printed[key]}")
-    return EXIT_OK if summary.mass_envelope_ok else EXIT_VERDICT_FALSE
+    print("\n".join(RunRecord(y1=audit.y1, m0=audit.m0, mass_max=audit.mass_max,
+                              mass_envelope_ok=audit.mass_envelope_ok).lines()))
+    return EXIT_OK if audit.mass_envelope_ok else EXIT_VERDICT_FALSE
 
 
 class _Parser(argparse.ArgumentParser):

@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .grid import Grid, State, field_to_csv, integrate, write_snapshot
-from .observables import ObservableSeries, SeriesSummary, Termination, summarize
+from .observables import ObservableSeries, RunRecord, summarize
 from .params import FieldError, ModelParams, mass_envelope, require
 from .stepper import Recorder, RunResult, StepperConfig, run
 
@@ -339,52 +339,45 @@ def initial_mass(series: ObservableSeries, u0, grid: Grid) -> float:
     """The mass m0 starts from: the first sample, or without one the mass of
     ``u0``, the initial u the run never left; inf when that sum overflows."""
     if len(series):
-        return series.column("mass")[0]
+        return float(series.column("mass")[0])
     with np.errstate(over="ignore"):
         return integrate(u0, grid)
 
 
-def run_record(
-    cfg: RunConfig, params: ModelParams, series: ObservableSeries,
-    termination: Termination | None, u0, mass_gain: float | None,
-) -> tuple[tuple | None, SeriesSummary]:
-    """The envelope (y1, m0) of a run of ``params`` on ``cfg``'s grid and the
-    verdict record of its ``series``, ``termination`` and ``mass_gain``
-    (RunDiagnostics.max_gain_above_y1, None when not known), m0 by the
-    initial_mass rule from ``u0``; the envelope is None when mass_envelope
-    has none (b = 0, or a non-finite initial mass or y1)."""
+def audit_record(cfg: RunConfig, params: ModelParams, series: ObservableSeries, u0,
+                 march: RunRecord) -> RunRecord:
+    """The envelope and the summarize fields of the record of a run of
+    ``params`` on ``cfg``'s grid, from its ``series`` and the termination
+    and max_gain_above_y1 of ``march``, a finished run's record or the one
+    its summary.txt holds (a field it lacks reads None: a run that stopped
+    early, and one whose steps were not checked), m0 by the initial_mass
+    rule from ``u0``.  It holds no y1 and m0 when mass_envelope has none
+    (b = 0, or a non-finite initial mass or y1), and no mass_envelope_ok at
+    b = 0, where there is no envelope to check."""
     try:
-        envelope = mass_envelope(params, initial_mass(series, u0, cfg.grid), cfg.grid.measure)
+        y1, m0 = mass_envelope(params, initial_mass(series, u0, cfg.grid), cfg.grid.measure)
+        envelope = RunRecord(y1=y1, m0=m0)
     except ValueError:
-        envelope = None
-    cap = envelope[1] if envelope else None
-    threshold = cfg.stepper.blowup_linf_threshold
-    return envelope, summarize(series, termination, cap, threshold, mass_gain)
+        envelope = RunRecord()
+    threshold, gain = cfg.stepper.blowup_linf_threshold, march.max_gain_above_y1
+    summary = summarize(series, march.termination, envelope.m0, threshold, gain)
+    if params.b <= 0:
+        del summary.mass_envelope_ok
+    return RunRecord(**vars(envelope), **vars(summary))
+
+
+def run_record(cfg: RunConfig, params: ModelParams, result: RunResult) -> RunRecord:
+    """The record of a finished run of ``params`` on ``cfg``'s grid: how it
+    ended, its RunDiagnostics and its audit_record."""
+    march = RunRecord(termination=result.termination, termination_cause=result.cause,
+                      **asdict(result.diagnostics))
+    audit = audit_record(cfg, params, result.series, result.state.u, march)
+    return RunRecord(**vars(march), **vars(audit))
 
 
 def summary_lines(cfg: RunConfig, result: RunResult) -> list[str]:
-    """Machine-parsable summary of a finished run (one key=value per line)."""
-    diag = result.diagnostics
-    lines = [
-        f"termination={result.termination}",
-        f"termination_cause={result.cause}",
-        f"steps={diag.steps}",
-        f"replayed_steps={diag.replayed_steps}",
-        f"total_retries={diag.total_retries}",
-        f"max_mass_identity_violation={diag.max_mass_identity_violation:.17g}",
-        f"max_gain_above_y1={diag.max_gain_above_y1:.17g}",
-        f"min_u={diag.min_u:.17g}",
-        f"min_v={diag.min_v:.17g}",
-    ]
-    envelope, summary = run_record(
-        cfg, cfg.model, result.series, result.termination, result.state.u, diag.max_gain_above_y1
-    )
-    if envelope is not None:
-        lines += [f"y1={envelope[0]:.17g}", f"m0={envelope[1]:.17g}"]
-    # without b there is no envelope to check, so no mass_envelope_ok line
-    skip = () if cfg.model.b > 0 else ("mass_envelope_ok",)
-    lines += [f"{k}={v}" for k, v in summary.printed().items() if k not in skip]
-    return lines
+    """summary.txt of a finished run: the lines of its record."""
+    return run_record(cfg, cfg.model, result).lines()
 
 
 def run_from_config(

@@ -11,10 +11,13 @@ bitwise identical.
 
 from __future__ import annotations
 
+import collections
 import enum
+import fnmatch
 import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -190,32 +193,92 @@ def _check_power_means(
         prev_mean = max(prev_mean, mean_k)
 
 
+# How a record field of one kind is written and read back: ``format`` gives
+# its text, ``parse`` its value again (KeyError or ValueError on a text it
+# cannot read), and ``refusal`` says why, from {path}, {name} and {text}.
+_Kind = collections.namedtuple("_Kind", "format parse refusal")
 _VERDICT_TEXT = {True: "true", False: "false", None: "inconclusive"}
+_TEXT = _Kind(str, str, "")
+_COUNT = _Kind(str, int, "{path}: {name} {text!r} is not a count")
+# 17 digits re-read bitwise; None, a maximum without a sample, is empty
+_NUMBER = _Kind(lambda x: "" if x is None else f"{x:.17g}", lambda t: float(t) if t else None,
+                "{path}: {name} {text!r} is not a number")
+_VERDICT = _Kind(_VERDICT_TEXT.__getitem__, {v: k for k, v in _VERDICT_TEXT.items()}.__getitem__,
+                 "{path}: {name} {text!r} is not true, false or inconclusive")
+_TERMINATION = _Kind(str, Termination, "{path}: unknown {name} {text!r}")
+
+# The fields of a run record in the order of its summary.txt lines: the one
+# place a field is declared.  plateau_* stands for one plateau_<column> field
+# per plateau column, in name order.
+RECORD_FIELDS: dict[str, _Kind] = {
+    "termination": _TERMINATION,
+    "termination_cause": _TEXT,
+    "steps": _COUNT,
+    "replayed_steps": _COUNT,
+    "total_retries": _COUNT,
+    "max_mass_identity_violation": _NUMBER,
+    "max_gain_above_y1": _NUMBER,
+    "min_u": _NUMBER,
+    "min_v": _NUMBER,
+    "y1": _NUMBER,
+    "m0": _NUMBER,
+    "mass_max": _NUMBER,
+    "linf_u_max": _NUMBER,
+    "mass_envelope_ok": _VERDICT,
+    "linf_bounded": _VERDICT,
+    "plateau_*": _VERDICT,
+    "plateaus_ok": _VERDICT,
+}
 
 
-@dataclass(frozen=True)
-class SeriesSummary:
-    """The one verdict record of a run, by the rule in summarize: maxima,
-    None without a row, and verdicts, None when inconclusive."""
+def _field(name: str) -> tuple[int, _Kind]:
+    """The position and kind of field ``name`` in RECORD_FIELDS;
+    AttributeError, as a record raises for it, when no field has it."""
+    for position, (key, kind) in enumerate(RECORD_FIELDS.items()):
+        if fnmatch.fnmatchcase(name, key):
+            return position, kind
+    raise AttributeError(f"no record field {name!r}")
 
-    mass_max: float | None
-    linf_u_max: float | None
-    mass_envelope_ok: bool | None
-    linf_bounded: bool | None
-    plateau: dict
-    plateaus_ok: bool | None
 
-    def printed(self) -> dict[str, str]:
-        """Each field as summary.txt prints it, in its order: a maximum with 17
-        digits (empty without a row), a verdict as true, false or inconclusive."""
-        maxima = {"mass_max": self.mass_max, "linf_u_max": self.linf_u_max}
-        verdicts = {"mass_envelope_ok": self.mass_envelope_ok, "linf_bounded": self.linf_bounded}
-        verdicts.update((f"plateau_{c}", self.plateau[c]) for c in sorted(self.plateau))
-        verdicts["plateaus_ok"] = self.plateaus_ok
-        return {
-            **{k: "" if v is None else f"{v:.17g}" for k, v in maxima.items()},
-            **{k: _VERDICT_TEXT[v] for k, v in verdicts.items()},
-        }
+class RunRecord(SimpleNamespace):
+    """The record of a run: one attribute per field it holds, in the order
+    of RECORD_FIELDS.  A field it does not hold reads None: y1 and m0 of a
+    run without an envelope, mass_envelope_ok at b = 0, and in a record read
+    back, each field whose line the file lacks."""
+
+    def __init__(self, **fields):
+        super().__init__(**dict(sorted(fields.items(), key=lambda f: (_field(f[0])[0], f[0]))))
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the record does not hold: a table
+        # field reads None, and _field raises AttributeError for any other name
+        _field(name)
+        return None
+
+    def text(self, name: str) -> str:
+        """Field ``name`` as its summary.txt line prints it."""
+        return _field(name)[1].format(getattr(self, name))
+
+    def lines(self) -> list[str]:
+        """The lines of summary.txt: ``name=text``, one per field held."""
+        return [f"{name}={self.text(name)}" for name in vars(self)]
+
+    @classmethod
+    def read(cls, path) -> "RunRecord":
+        """The record whose lines() ``path`` holds; ValueError names the
+        file and the first line that no field of RECORD_FIELDS reads."""
+        fields = {}
+        with open(path) as fh:
+            for line in fh:
+                name, _, text = line.rstrip("\n").partition("=")
+                try:
+                    kind = _field(name)[1]
+                    fields[name] = kind.parse(text)
+                except AttributeError as exc:
+                    raise ValueError(f"{path}: {exc}") from None
+                except (KeyError, ValueError):
+                    raise ValueError(kind.refusal.format(path=path, name=name, text=text)) from None
+        return cls(**fields)
 
 
 def _plateau(values: np.ndarray) -> bool | None:
@@ -240,11 +303,11 @@ def summarize(
     mass_cap: float | None = None,
     linf_threshold: float | None = None,
     mass_gain: float | None = -math.inf,
-) -> SeriesSummary:
-    """The verdict record of a run that ended with ``termination``; None
-    reads as a run that stopped early.  ``mass_gain`` is the run's per-step
-    RunDiagnostics.max_gain_above_y1 (-inf: no step checked; None: not
-    known).  The one rule for every verdict:
+) -> RunRecord:
+    """The maxima and verdicts of the record of a run that ended with
+    ``termination``; None reads as a run that stopped early.  ``mass_gain``
+    is the run's per-step RunDiagnostics.max_gain_above_y1 (-inf: no step
+    checked; None: not known).  The one rule for every verdict:
 
     - False when the run shows a violation: a mass above
       mass_cap * (1 + 1e-6), a positive mass_gain, a sup norm at or above
@@ -268,9 +331,10 @@ def summarize(
     per_step = None if mass_gain is None else bool(mass_gain <= 0.0)
     mass_holds = False if False in (mass_holds, per_step) else mass_holds and per_step
     columns = [c for c in series.columns if c.startswith("int_u_k")] + ["linf_u"]
-    plateau = {c: _verdict(_plateau(series.column(c)), reached) for c in columns}
+    plateau = {f"plateau_{c}": _verdict(_plateau(series.column(c)), reached) for c in columns}
     flags = list(plateau.values())
-    return SeriesSummary(
-        mass_max, linf_u_max, _verdict(mass_holds, reached), _verdict(linf_holds, reached),
-        plateau, False if False in flags else (True if all(flags) else None),
+    return RunRecord(
+        mass_max=mass_max, linf_u_max=linf_u_max, mass_envelope_ok=_verdict(mass_holds, reached),
+        linf_bounded=_verdict(linf_holds, reached), **plateau,
+        plateaus_ok=False if False in flags else (True if all(flags) else None),
     )

@@ -281,7 +281,10 @@ def level_dts(grids: Sequence[Grid], dts: Sequence[float], t_end: float) -> list
 
     This is the study's one input check.  FieldError names the field of the
     first rule broken, in this order:
-      * ``levels``: at least two, as an order needs a previous level;
+      * ``levels``: at least two, as an order needs a previous level, and
+        at most 64: a study halves h or dt per level, so its 64th would
+        make 2^63 times the steps of its first, and a halving from a
+        normal h or dt stays in the float range that far;
       * ``t_end``: finite and > 0;
       * ``dts`` (``dts[k]`` in the message): each finite and > 0, and with a
         finite step count t_end / dt, which the snapping rounds to an integer.
@@ -291,6 +294,7 @@ def level_dts(grids: Sequence[Grid], dts: Sequence[float], t_end: float) -> list
     if len(grids) != len(dts):
         raise ValueError("need one dt per grid")
     require(len(grids) >= 2, "levels", ">= 2", len(grids))
+    require(len(grids) <= 64, "levels", "<= 64", len(grids))
     require(0 < t_end < math.inf, "t_end", "finite > 0", t_end)
     for k, dt in enumerate(dts):
         require(0 < dt < math.inf, "dts", "finite > 0", dt, k)

@@ -23,7 +23,7 @@ from kschemo import (
     stepper,
 )
 from kschemo.config import parse_config, run_from_config, run_record
-from kschemo.observables import summarize
+from kschemo.observables import _VERDICT, _field, summarize
 from kschemo.verification import build_mms_case, convergence_study, equilibrium_case
 
 from conftest import proposed_dt
@@ -171,11 +171,8 @@ def run14_2d():
 
 
 def record(cfg, result):
-    """The envelope and verdict record of a finished run, as summary.txt has them."""
-    return run_record(
-        cfg, cfg.model, result.series, result.termination, result.state.u,
-        result.diagnostics.max_gain_above_y1,
-    )
+    """The record of a finished run, as summary.txt has it."""
+    return run_record(cfg, cfg.model, result)
 
 
 class TestCriterion1MassEnvelope:
@@ -205,9 +202,8 @@ class TestCriterion2SubquadraticBoundedness:
         assert classify_regime(cfg.model, 1) is Regime.SUBQUADRATIC_BOUNDED
         summary = summarize(result.series, result.termination)
         finished = result.termination is Termination.REACHED_T_END
-        plateaus = summary.plateau
-        all_k_ok = all(v for c, v in plateaus.items() if c.startswith("int_u_k"))
-        linf_ok = plateaus["linf_u"]
+        all_k_ok = all(v for c, v in vars(summary).items() if c.startswith("plateau_int_u_k"))
+        linf_ok = summary.plateau_linf_u
         in_time = wall <= 300.0
         ok = finished and all_k_ok and linf_ok and in_time
         report(
@@ -455,7 +451,7 @@ class TestCriterion9ComparisonLemma:
         gains, verdicts = {}, {}
         for name, (cfg, result, _) in runs.items():
             gains[name] = result.diagnostics.max_gain_above_y1
-            verdicts[name] = record(cfg, result)[1].mass_envelope_ok
+            verdicts[name] = record(cfg, result).mass_envelope_ok
         # Criteria 1-3 and Criterion 14's 2D pair start above y1, so they check
         # steps; Criterion 14's 1D run stays below y1
         checked = all(gains[name] > -math.inf for name in gains if name != "14")
@@ -469,7 +465,7 @@ class TestCriterion9ComparisonLemma:
 
     def test_constant_state_at_y1_holds(self):
         cfg, result, _ = timed_run(CONSTANT_STATE)
-        _, summary = record(cfg, result)
+        summary = record(cfg, result)
         assert result.termination is Termination.REACHED_T_END
         assert result.diagnostics.max_gain_above_y1 <= 0.0
         assert summary.mass_envelope_ok is True
@@ -479,7 +475,7 @@ class TestCriterion9ComparisonLemma:
         # inside the sampled check's 1e-6 but a gain on every step above y1
         _broken_source(monkeypatch, a_factor=1.0 + 1e-6)
         cfg, result, _ = timed_run(CONSTANT_STATE)
-        _, summary = record(cfg, result)
+        summary = record(cfg, result)
         sampled = summarize(result.series, result.termination, mass_cap=1.0)
         gain = result.diagnostics.max_gain_above_y1
         ok = sampled.mass_envelope_ok is True and summary.mass_envelope_ok is False
@@ -491,7 +487,7 @@ class TestCriterion9ComparisonLemma:
     def test_flipped_damping_gains_above_y1(self, monkeypatch):
         _broken_source(monkeypatch, b_factor=-1.0)
         cfg, result, _ = timed_run(CONSTANT_STATE)
-        _, summary = record(cfg, result)
+        summary = record(cfg, result)
         gain = result.diagnostics.max_gain_above_y1
         report(9, "comparison-lemma-flipped-damping", summary.mass_envelope_ok is False,
                f"gain {gain:.2g}")
@@ -542,13 +538,13 @@ class TestCriterion11Determinism:
 
 def _verdicts(summary) -> dict[str, str]:
     """The verdicts of a run's record, as summary.txt prints them."""
-    return {k: v for k, v in summary.printed().items() if not k.endswith("_max")}
+    return {k: summary.text(k) for k in vars(summary) if _field(k)[1] is _VERDICT}
 
 
 class TestCriterion14Aggregation:
     def test_gathering_stays_bounded(self, run14):
         cfg, result, wall = run14
-        _, summary = record(cfg, result)
+        summary = record(cfg, result)
         linf, t = result.series.column("linf_u"), result.series.column("t")
         peak = int(np.argmax(linf))
         finished = result.termination is Termination.REACHED_T_END
@@ -567,7 +563,7 @@ class TestCriterion14Aggregation:
     @pytest.mark.parametrize("alpha, beta", [(2.0, 2.0), (1.5, 2.0)])
     def test_covered_2d_gathering_stays_bounded(self, run14_2d, alpha, beta):
         cfg, result, wall = run14_2d(alpha, beta)
-        _, summary = record(cfg, result)
+        summary = record(cfg, result)
         linf, t = result.series.column("linf_u"), result.series.column("t")
         peak = int(np.argmax(linf))
         finished = result.termination is Termination.REACHED_T_END
@@ -590,11 +586,11 @@ class TestCriterion14Aggregation:
     def test_undamped_twin_is_not_bounded(self):
         # b = 0: u' = u^1.5 grows undamped; t_end = 20 would take ~870k steps
         cfg, result, wall = timed_run(CRITERION_14.format(b=0.0, t_end=5.0))
-        _, summary = record(cfg, result)
+        summary = record(cfg, result)
         ok = summary.plateaus_ok is not True
         report(
             14, "aggregation-undamped-twin", ok,
-            f"{result.termination} plateaus_ok={summary.printed()['plateaus_ok']} "
+            f"{result.termination} plateaus_ok={summary.text('plateaus_ok')} "
             f"wall={wall:.1f}s",
         )
         assert ok, _verdicts(summary)

@@ -10,8 +10,9 @@ import pytest
 
 from kschemo import cli, stepper
 from kschemo.cli import main
-from kschemo.config import build_initial_state, parse_config, resolved_text, run_from_config
-from kschemo.observables import summarize
+from kschemo.config import (
+    build_initial_state, parse_config, resolved_text, run_from_config, run_record,
+)
 from kschemo.params import classify_regime
 
 RUN_CONFIG = """
@@ -634,7 +635,9 @@ class TestSimulatedSweep:
         code, _, _ = _simulated_sweep(capsys, base, tmp_path / "sweep")
         assert code == 0
         with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["alpha", "beta", "n", "regime", *cli._SWEEP_FIELDS]
         assert len(rows) == 9
         cfgs = [
             parse_config(
@@ -648,14 +651,13 @@ class TestSimulatedSweep:
         batch = stepper.run_batch(initials, [cfg.model for cfg in cfgs], *shared)
         for row, cfg, batched in zip(rows, cfgs, batch):
             alone = run_from_config(cfg, output_dir=None)
-            summary = summarize(alone.series, alone.termination)
+            record = run_record(cfg, cfg.model, alone)
             assert batched.diagnostics.steps == alone.diagnostics.steps
             assert row["regime"] == str(classify_regime(cfg.model, 1))
-            assert row["termination"] == str(alone.termination)
-            assert row["plateaus_ok"] == summary.printed()["plateaus_ok"]
-            for column in ("mass_max", "linf_u_max"):
-                expected = getattr(summary, column)
-                assert float(row[column]) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            # every record column is that field of the point's own run, bit for bit
+            assert {name: row[name] for name in cli._SWEEP_FIELDS} == {
+                name: record.text(name) for name in cli._SWEEP_FIELDS
+            }
 
     def test_one_initial_state_per_batch(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -859,6 +861,9 @@ class TestMms:
             (["--t-end", "nan"], "--t-end"),
             # finite and positive, but t_end / dt0 overflows: no step count
             (["--t-end", "1e10", "--dt0", "1e-308"], "--dt0"),
+            # the finest h and dt would leave the float range
+            (["--levels", "1200"], "--levels"),
+            (["--mode", "temporal", "--levels", "1200"], "--levels"),
         ],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, flag):

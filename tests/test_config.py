@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from kschemo.config import (
     refine_config,
     resolved_text,
     run_from_config,
+    run_record,
     write_resolved,
 )
 from kschemo.grid import read_snapshot
-from kschemo.observables import ObservableSeries
+from kschemo.observables import ObservableSeries, RunRecord
 from kschemo.params import FieldError
 
 MINIMAL = """
@@ -388,6 +390,45 @@ class TestRunFromConfig:
         assert float(entries["y1"]) == pytest.approx(1.0)
         assert float(entries["m0"]) == pytest.approx(2.0)
         assert "plateau_linf_u" in entries
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            RUN_CONFIG,
+            RUN_CONFIG + "model.b = 0\n",
+            # u^8 overflows the first sample, so the run ends at t = 0 without a row
+            "grid.cells_x = 32\nic.u = constant\nic.u_value = 1e40\nrun.t_end = 0.1\n",
+        ],
+        ids=["b>0", "b=0", "no-sample"],
+    )
+    def test_summary_reads_back_to_its_record(self, tmp_path, text):
+        cfg = parse_config(text=text)
+        out = tmp_path / "out"
+        result = run_from_config(cfg, output_dir=str(out))
+        record = run_record(cfg, cfg.model, result)
+        path = out / "summary.txt"
+        assert path.read_text().splitlines() == record.lines()
+        again = RunRecord.read(path)
+        assert list(vars(again)) == list(vars(record))
+        for name, value in vars(record).items():
+            read = getattr(again, name)
+            assert type(read) is type(value), name
+            if isinstance(value, float):  # bit for bit, -inf included
+                assert struct.pack("<d", read) == struct.pack("<d", value), name
+            else:
+                assert read == value, name
+        plateaus = [name for name in vars(record) if name.startswith("plateau_")]
+        assert plateaus == sorted(plateaus) and len(plateaus) == 4
+        names = set(vars(again))
+        if cfg.model.b == 0:
+            assert not names & {"y1", "m0", "mass_envelope_ok"}
+            assert again.y1 is again.m0 is again.mass_envelope_ok is None
+            # without a barrier no step is checked: the -inf read back above
+            assert again.max_gain_above_y1 == -math.inf
+        else:
+            assert {"y1", "m0", "mass_envelope_ok"} <= names
+        if not len(result.series):
+            assert "mass_max=" in record.lines() and again.mass_max is None
 
     def test_no_artifacts_in_memory_mode(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

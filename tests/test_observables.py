@@ -158,6 +158,11 @@ class TestSeries:
 REACHED = Termination.REACHED_T_END
 
 
+def _plateaus(summary) -> dict:
+    """The plateau verdicts of a record, by field name."""
+    return {k: v for k, v in vars(summary).items() if k.startswith("plateau_")}
+
+
 class TestSummarize:
     def test_flat_series_all_verdicts_true(self):
         t = np.linspace(0, 10, 40)
@@ -166,14 +171,14 @@ class TestSummarize:
         assert summary.mass_envelope_ok is True
         assert summary.linf_bounded is True
         assert summary.plateaus_ok is True
-        assert all(flag is True for flag in summary.plateau.values())
+        assert all(flag is True for flag in _plateaus(summary).values())
 
     def test_doubling_linf_fails_plateau(self):
         t = np.linspace(0, 10, 40)
         growing = 2.0 ** np.arange(40).astype(float)
         series = series_from_columns((2.0,), t, linf_u=growing)
         summary = summarize(series, REACHED)
-        assert summary.plateau["linf_u"] is False
+        assert summary.plateau_linf_u is False
         assert summary.plateaus_ok is False
 
     def test_mass_cap_verdict(self):
@@ -195,9 +200,8 @@ class TestSummarize:
             ObservableSeries.for_run((2.0,)), REACHED, mass_cap=1.0, linf_threshold=100.0
         )
         assert summary.mass_max is None and summary.linf_u_max is None
-        printed = summary.printed()
-        assert printed["mass_max"] == printed["linf_u_max"] == ""
-        verdicts = [v for k, v in printed.items() if not k.endswith("_max")]
+        assert summary.text("mass_max") == summary.text("linf_u_max") == ""
+        verdicts = [summary.text(k) for k in vars(summary) if not k.endswith("_max")]
         assert verdicts == ["inconclusive"] * 5
 
     def test_column_max_reported(self):
@@ -214,7 +218,7 @@ class TestSummarize:
         assert summary.mass_envelope_ok is True
         assert summary.linf_bounded is True
         assert summary.plateaus_ok is None
-        assert summary.printed()["plateau_linf_u"] == "inconclusive"
+        assert summary.text("plateau_linf_u") == "inconclusive"
 
     @pytest.mark.parametrize(
         "termination", [Termination.BLOWUP_DETECTED, Termination.SOLVER_FAILURE, None]
@@ -223,8 +227,7 @@ class TestSummarize:
         t = np.linspace(0, 10, 40)
         series = series_from_columns((2.0, 4.0), t)
         summary = summarize(series, termination, mass_cap=1.0, linf_threshold=100.0)
-        printed = summary.printed()
-        verdicts = [v for k, v in printed.items() if not k.endswith("_max")]
+        verdicts = [summary.text(k) for k in vars(summary) if not k.endswith("_max")]
         assert verdicts == ["inconclusive"] * len(verdicts)
 
     def test_violation_before_an_early_end_is_false(self):
@@ -236,7 +239,7 @@ class TestSummarize:
         summary = summarize(series, Termination.BLOWUP_DETECTED, mass_cap=1.0, linf_threshold=1e6)
         assert summary.mass_envelope_ok is False
         assert summary.linf_bounded is False
-        assert summary.plateau == {"int_u_k2": None, "linf_u": False}
+        assert _plateaus(summary) == {"plateau_int_u_k2": None, "plateau_linf_u": False}
         assert summary.plateaus_ok is False
 
     def test_non_finite_sample_is_a_violation(self):
@@ -247,7 +250,7 @@ class TestSummarize:
         summary = summarize(series, REACHED, mass_cap=1.0, linf_threshold=100.0)
         assert summary.mass_envelope_ok is False
         assert summary.linf_bounded is False
-        assert summary.plateau["linf_u"] is False
+        assert summary.plateau_linf_u is False
 
 
 def test_one_termination_for_steps_runs_and_summaries():
@@ -270,7 +273,7 @@ def test_public_surface_is_the_run_api():
         "Grid", "State", "ModelParams", "Regime", "classify_regime", "mass_envelope",
         "integrate", "lp_norm_pow", "write_snapshot", "read_snapshot", "field_to_csv",
         "StepperConfig", "Termination", "Recorder",
-        "RunResult", "run", "run_batch", "ObservableSeries", "SeriesSummary",
+        "RunResult", "run", "run_batch", "ObservableSeries", "RunRecord",
         "record", "summarize", "__version__",
     ]
     for name in kschemo.__all__:
@@ -279,7 +282,7 @@ def test_public_surface_is_the_run_api():
     removed = (
         "step", "StepOutcome", "helmholtz_solve", "LinearSolverError", "linf_norm",
         "laplacian", "chemo_divergence", "nonlocal_source", "ode_comparison_oracle",
-        "OdeComparisonResult", "adapt_dt",
+        "OdeComparisonResult", "adapt_dt", "SeriesSummary",
     )
     for name in removed:
         assert not hasattr(kschemo, name)

@@ -266,6 +266,7 @@ class TestConvergenceStudy:
          "dts[0] with a finite step count t_end / dt required, got 1e-308"),
         (2, 1.0, [1e-3, 5e-324], "dts",
          "dts[1] with a finite step count t_end / dt required, got 5e-324"),
+        (65, 0.02, [1e-3 / 2**k for k in range(65)], "levels", "levels <= 64 required, got 65"),
     ])
     def test_study_rules_named_by_field(self, params, monkeypatch, levels, t_end, dts, field,
                                         message):
