@@ -24,7 +24,7 @@ from .grid import Grid, read_snapshot
 from .observables import ObservableSeries, RunRecord, Termination
 from .params import FieldError, ModelParams, classify_regime, mass_envelope
 from .stepper import _job_results, run_batch
-from .verification import build_mms_case, convergence_study, level_dts
+from .verification import build_mms_case, check_levels, convergence_study, level_dts
 
 EXIT_OK = 0
 EXIT_VERDICT_FALSE = 1
@@ -279,26 +279,23 @@ def _cmd_sweep(args, extras: list[str]) -> int:
 
 def _mms_study(args) -> tuple[ModelParams, list[Grid], list[float]]:
     """The study's params, grids and dts; ConfigError names a bad flag.
-    verification.level_dts checks the levels, t_end and dts: its FieldError
-    maps by field to the flag that set it."""
+    verification checks the levels (check_levels, before any level is
+    built), t_end and dts (level_dts); a FieldError maps by field to the
+    flag that set it, the grids' to the cells flag."""
     spatial = args.mode == "spatial"
+    flags = {"chi": "--chi", "levels": "--levels", "t_end": "--t-end", "dts": "--dt0"}
     try:
         params = ModelParams(chi=args.chi, a=1.0, b=1.0, alpha=2.0, beta=2.0)
+        check_levels(args.levels)
         # a spatial level halves h and so quarters dt; a temporal level halves dt
         cells = [args.cells0 * 2**i if spatial else args.cells for i in range(args.levels)]
         grids = [Grid(extent=(1.0,) * args.dim, cells=(n,) * args.dim) for n in cells]
         dt0 = (1.0 / args.cells0) ** 2 / 4.0 if spatial else 2e-3
         dt0 = dt0 if args.dt0 is None else args.dt0
-        # ldexp scales by 2^-k without the float overflow of 2^k, so
-        # level_dts sees, and refuses, any number of levels
         dts = [math.ldexp(dt0, -(2 if spatial else 1) * i) for i in range(args.levels)]
-    except FieldError as exc:
-        cells_flag = "--cells0" if spatial else "--cells"
-        raise ConfigError(str(exc), key="--chi" if exc.field == "chi" else cells_flag) from None
-    try:
         level_dts(grids, dts, args.t_end)
     except FieldError as exc:
-        flag = {"levels": "--levels", "t_end": "--t-end", "dts": "--dt0"}[exc.field]
+        flag = flags.get(exc.field, "--cells0" if spatial else "--cells")
         raise ConfigError(str(exc), key=flag) from None
     except ValueError as exc:  # a level repeats the one before
         raise ConfigError(str(exc), key="--dt0/--t-end") from None

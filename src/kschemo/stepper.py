@@ -63,16 +63,14 @@ it, the coefficient lists and the exponents of the source, and each row's
 (chi, alpha - 1, a, b) that the dt proposal reads; per dt column, the
 rows' dts, the dt and 1+dt, the shape of the stacked rhs and, per checked
 solve of a step, its sigma, each row's ||A|| bound and sigma/h^2 for the
-gate and, from the second solve at the same column on, the denominators
-1 - sigma*lambda.  A value every row shares is held as a 0-d array, which
-numpy broadcasts at half the cost of a (B, 1, ...) column (_per_row,
-_exponents).  It builds each afresh only when its key changes (a new
-proposal, a retry halving, the t_end cap, a member leaving).  A dt
-held at dt_max repeats the column (7097 of the 7408 solves of the 256-cell
-Criterion 2 run); a column that moves every step (none of the 16 of a
-512^2 bump repeats) never builds the denominators, and each solve divides
-by a temporary of its own.  The plan holds the values each solve would
-compute, so no bit moves.
+gate.  A value every row shares is held as a 0-d array, which numpy
+broadcasts at half the cost of a (B, 1, ...) column (_per_row,
+_exponents).  The one rule: the plan builds a key's values once, when the
+key changes (a new proposal, a retry halving, the t_end cap, a member
+leaving), and writes none of them again.  A dt held at dt_max repeats the
+column (7097 of the 7408 solves of the 256-cell Criterion 2 run).  Each
+solve divides by its own 1 - sigma*lambda, a temporary.  The plan holds
+the values each solve would compute, so no bit moves.
 
 A step is a pure function of its member's fields, coefficients and dt,
 whatever the batch or the thread split.  So when an accepted step of an
@@ -246,22 +244,19 @@ def _a_norm(sigmas: Sequence[float], grid: Grid) -> list[float]:
     return [4.0 * sigma * inverse_h2 + 1.0 for sigma in sigmas]
 
 
-@dataclass
-class _Held:
-    """What a march's _Plan holds for the rows of one checked solve: the
-    per-axis eigenvalues, each row's ||A|| bound, the gate's ``stencil``
-    (the _diffuse stencil of the rows' sigma/h^2 per axis, as _per_row
-    gives them) and, once the rows' dt column repeats, their 1 -
-    sigma*lambda (else None: the solve builds its own, a temporary)."""
+class _Held(NamedTuple):
+    """What a march's _Plan holds for the rows of one checked solve, built
+    once per dt column: the per-axis eigenvalues, each row's ||A|| bound
+    and the gate's ``stencil`` (the _diffuse stencil of the rows'
+    sigma/h^2 per axis, as _per_row gives them)."""
 
     eigenvalues: list[np.ndarray]
     a_norm: list[float]
     stencil: tuple
-    denominator: Optional[np.ndarray] = None
 
 
 def _hold(sigmas: Sequence[float], grid: Grid, eigenvalues) -> _Held:
-    """The _Held of rows at ``sigmas``, before their column repeats."""
+    """The _Held of rows at ``sigmas``."""
     stencil = tuple(
         (_per_row([sigma / (h * h) for sigma in sigmas], grid.dim), left, right)
         for h, left, right in grid.faces
@@ -283,10 +278,7 @@ def _helmholtz_core(rhs: np.ndarray, grid: Grid, sigma, held: _Held) -> np.ndarr
     """
     forward, inverse = _TRANSFORMS[len(grid.cells)]
     spectral = forward(rhs)
-    if held.denominator is None:
-        spectral /= _denominator(sigma, held.eigenvalues)
-    else:
-        spectral /= held.denominator
+    spectral /= _denominator(sigma, held.eigenvalues)
     w = inverse(spectral)
     # (I - sigma*L_h)^-1 is entrywise nonnegative, so a negative entry in a
     # member whose rhs is nonnegative is transform rounding; clipping it
@@ -415,8 +407,8 @@ class _Plan:
         ``solves``, one (sigma, _Held) per _helmholtz_checked call of a
         step, each sigma as _per_row gives it: the stacked rows (dt for u,
         dt/(1+dt) for v) unsplit, the u rows and the v rows split.
-    Each holds values, built from its key when the key changes; no array
-    of them is written into after.
+    Each key's values are built once, when the key changes, and none of
+    them is written again.
     """
 
     def __init__(self, grid: Grid, helper: Optional[ThreadPoolExecutor], scheme: str):
@@ -466,9 +458,6 @@ class _Plan:
         """Set the dt column to ``dts``, one per member row."""
         key = tuple(dts)
         if key == self._dts:
-            for sigma, held in self.solves:
-                if held.denominator is None:
-                    held.denominator = _denominator(sigma, self.eigenvalues)
             return
         self._dts = key
         grid = self.grid
@@ -853,6 +842,7 @@ class _Member:
     ):
         self.u, self.v, self.t, self.dt = initial.u, initial.v, initial.t, initial.dt_last
         self.params = params
+        self.forced = forced
         # a forcing adds mass the lemma does not see (see accept)
         self.barrier = math.inf if forced else _barrier(params, grid)
         self.grid = grid
@@ -919,16 +909,16 @@ class _Member:
         self.finish(Termination.REACHED_T_END, _REACHED_T_END)
         return False
 
-    def accept(self, step: _Step, i: int, u: np.ndarray, v: np.ndarray, unforced: bool) -> bool:
+    def accept(self, step: _Step, i: int, u: np.ndarray, v: np.ndarray) -> bool:
         """Take row i of an accepted ``step`` to fields (u, v), sample when
-        due and finish at t_end; in an ``unforced`` march, replay the step
-        while it is a fixed point (see _fixed_point).  False when the member
-        is done.  A step that started at a mass at or above the _barrier
-        checks the comparison lemma, dt * int(source) <= 0, into
+        due and finish at t_end; unless the member is forced, replay the
+        step while it is a fixed point (see _fixed_point).  False when the
+        member is done.  A step that started at a mass at or above the
+        _barrier checks the comparison lemma, dt * int(source) <= 0, into
         RunDiagnostics.max_gain_above_y1; a replayed step repeats its own
         step's numbers, so it needs no check."""
         dt, mass = step.dt[i], step.mass[i]
-        fixed = unforced and _fixed_point(
+        fixed = not self.forced and _fixed_point(
             step, i, self.t_end - self.t, self.mass, self.top, self.u, self.v, u, v
         )
         self.u, self.v, self.dt = u, v, dt
@@ -1065,7 +1055,7 @@ def run_batch(
                 if i in step.ends:
                     m.finish(*step.ends[i])
                     left = True
-                elif not m.accept(step, i, u_new[i], v_new[i], forcing is None):
+                elif not m.accept(step, i, u_new[i], v_new[i]):
                     left = True
             u, v = u_new, v_new
             if left:

@@ -275,16 +275,24 @@ def _l2_error(numeric: np.ndarray, exact: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(lp_norm_pow(numeric - exact, grid, 2)))
 
 
+def check_levels(count: int) -> None:
+    """FieldError ``levels`` unless a study of ``count`` levels can run: at
+    least two, as an order needs a previous level, and at most 64: a study
+    halves h or dt per level, so its 64th would make 2^63 times the steps
+    of its first, and a halving from a normal h or dt stays in the float
+    range that far.  A caller that builds the levels checks their count
+    first, as level k's cell count is a k-bit integer."""
+    require(count >= 2, "levels", ">= 2", count)
+    require(count <= 64, "levels", "<= 64", count)
+
+
 def level_dts(grids: Sequence[Grid], dts: Sequence[float], t_end: float) -> list[float]:
     """The dt each level of a study runs at: the requested one snapped to an
     exact divisor of ``t_end``, so no step gets capped.
 
     This is the study's one input check.  FieldError names the field of the
     first rule broken, in this order:
-      * ``levels``: at least two, as an order needs a previous level, and
-        at most 64: a study halves h or dt per level, so its 64th would
-        make 2^63 times the steps of its first, and a halving from a
-        normal h or dt stays in the float range that far;
+      * ``levels``: the count check_levels allows;
       * ``t_end``: finite and > 0;
       * ``dts`` (``dts[k]`` in the message): each finite and > 0, and with a
         finite step count t_end / dt, which the snapping rounds to an integer.
@@ -293,8 +301,7 @@ def level_dts(grids: Sequence[Grid], dts: Sequence[float], t_end: float) -> list
     """
     if len(grids) != len(dts):
         raise ValueError("need one dt per grid")
-    require(len(grids) >= 2, "levels", ">= 2", len(grids))
-    require(len(grids) <= 64, "levels", "<= 64", len(grids))
+    check_levels(len(grids))
     require(0 < t_end < math.inf, "t_end", "finite > 0", t_end)
     for k, dt in enumerate(dts):
         require(0 < dt < math.inf, "dts", "finite > 0", dt, k)

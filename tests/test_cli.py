@@ -876,6 +876,28 @@ class TestMms:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_level_count_refused_before_any_grid(self, tmp_path, capsys, monkeypatch):
+        grid_type, built = cli.Grid, []
+
+        def counted(*args, **kwargs):
+            built.append(kwargs["cells"])
+            return grid_type(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "Grid", counted)
+        out = tmp_path / "mms.csv"
+        code, _, err = invoke(capsys, "mms", "--levels", "1000000000", "--output", str(out))
+        assert code == 2
+        assert err == "error: config: --levels: levels <= 64 required, got 1000000000\n"
+        assert built == []
+        assert not out.exists()
+        # the spy sees the grids of a study refused after they are built
+        code, _, err = invoke(
+            capsys, "mms", "--levels", "2", "--cells0", "16", "--t-end", "nan",
+            "--output", str(out),
+        )
+        assert code == 2 and err.startswith("error: config: --t-end: ")
+        assert built == [(16,), (32,)]
+
     # "" is passed as it is: joined onto tmp_path it would name tmp_path
     @pytest.mark.parametrize("where", ["missing/mms.csv", ".", ""])
     def test_unwritable_output_exit_2_before_study(self, tmp_path, capsys, monkeypatch, where):

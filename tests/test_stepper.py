@@ -84,7 +84,7 @@ def _advance(u, v, ts, params, grid, cfg, forcing=None, dt_cap=None, scheme="upw
 
 def _held(rhs, grid, sigma):
     """What a march's plan holds for solving the rows of ``rhs`` at ``sigma``
-    (a scalar or a column with one entry per row) before its dt column repeats."""
+    (a scalar or a column with one entry per row)."""
     sigmas = np.broadcast_to(np.ravel(sigma), len(rhs)).tolist()
     return stepper._hold(sigmas, grid, stepper._axis_eigenvalues(grid))
 
@@ -1424,7 +1424,7 @@ class TestFixedPointReplay:
 
 def _rebuilding_every_step(monkeypatch):
     """Defeat the step plan: it forgets both keys before each use, so every
-    step rebuilds its constants and never holds 1 - sigma*lambda."""
+    step rebuilds its constants and never reuses a dt column."""
     members, column = stepper._Plan.members, stepper._Plan.column
 
     def fresh_members(plan, params):
@@ -1439,25 +1439,21 @@ def _rebuilding_every_step(monkeypatch):
     monkeypatch.setattr(stepper._Plan, "column", fresh_column)
 
 
-def _count_holds(monkeypatch):
-    """Count the columns at which a plan builds 1 - sigma*lambda for a
-    repeated column: one entry per such column, the rows of each checked
-    solve's record whose denominator it built; a solve's own temporary is
-    not counted."""
-    column, holds = stepper._Plan.column, []
+def _count_reuses(monkeypatch):
+    """Count the dt columns a plan reuses: one entry per built column that a
+    later call finds under its key (a key hit), at its first hit, the rows
+    of each checked solve's record it keeps."""
+    column, reuses, reused = stepper._Plan.column, [], []
 
     def counted(plan, dts):
-        before = {id(held): held.denominator for _, held in plan.solves}
+        before = plan.solves
         column(plan, dts)
-        built = tuple(
-            len(held.a_norm) for _, held in plan.solves
-            if held.denominator is not None and before.get(id(held)) is None
-        )
-        if built:
-            holds.append(built)
+        if before and plan.solves is before and not (reused and reused[-1] is before):
+            reused.append(before)
+            reuses.append(tuple(len(held.a_norm) for _, held in before))
 
     monkeypatch.setattr(stepper._Plan, "column", counted)
-    return holds
+    return reuses
 
 
 def _assert_same_result(got, want):
@@ -1494,19 +1490,19 @@ class TestStepPlan:
             return [200.0 * d for d in dts] if len(calls) in (10, 20, 30, 40, 50) else dts
 
         monkeypatch.setattr(stepper, "adapt_dt", oversized)
-        holds = _count_holds(monkeypatch)
+        reuses = _count_reuses(monkeypatch)
         planned = run(initial, p, grid1d, cfg, 0.0205, rec)
         assert planned.termination is Termination.REACHED_T_END
         assert planned.diagnostics.total_retries >= 5
         # the last step lands on t_end, shorter than dt_max
         assert planned.state.dt_last < cfg.dt_max
-        # each oversized step ends a run of repeated columns; the next holds again
-        assert len(holds) >= 5
+        # each oversized step ends a run of repeated columns; the next is reused again
+        assert len(reuses) >= 5
         calls.clear()
-        holds.clear()
+        reuses.clear()
         _rebuilding_every_step(monkeypatch)
         rebuilt = run(initial, p, grid1d, cfg, 0.0205, rec)
-        assert holds == []
+        assert reuses == []
         _assert_same_result(planned, rebuilt)
 
     def test_batch_member_leaves(self, grid1d, monkeypatch):
@@ -1525,14 +1521,14 @@ class TestStepPlan:
             ModelParams(chi=3.0, a=4.0, b=1.0, alpha=2.0, beta=2.0),
             ModelParams(chi=2.0, a=1.0, b=1.0, alpha=2.0, beta=2.0),
         ]
-        holds = _count_holds(monkeypatch)
+        reuses = _count_reuses(monkeypatch)
         planned = run_batch(initials, points, grid1d, cfg, 0.2, rec)
         assert [r.termination for r in planned] == [
             Termination.REACHED_T_END, Termination.BLOWUP_DETECTED, Termination.REACHED_T_END,
         ]
         assert planned[1].diagnostics.steps >= 2
         # columns of three rows (u and v rows: 6) repeat before the member leaves, of two after
-        assert {(6,), (4,)} <= set(holds)
+        assert {(6,), (4,)} <= set(reuses)
         _rebuilding_every_step(monkeypatch)
         rebuilt = run_batch(initials, points, grid1d, cfg, 0.2, rec)
         for got, want in zip(planned, rebuilt):
@@ -1545,11 +1541,11 @@ class TestStepPlan:
         cfg = StepperConfig(dt_max=5e-4)
         rec = Recorder(k_list=(2.0, 4.0), sample_interval=1e-3)
         threads = _record_threads(monkeypatch)
-        holds = _count_holds(monkeypatch)
+        reuses = _count_reuses(monkeypatch)
         planned = run(initial, p, grid, cfg, 2e-3, rec)
         assert len(threads) == 2
-        # split: the u row's solve and the v row's, held at the one repeated column
-        assert holds == [(1, 1)]
+        # split: the u row's solve and the v row's, reused at the one repeated column
+        assert reuses == [(1, 1)]
         _rebuilding_every_step(monkeypatch)
         _assert_same_result(planned, run(initial, p, grid, cfg, 2e-3, rec))
 
@@ -1592,10 +1588,10 @@ class TestStepPlan:
         grid = Grid(extent=(1.0,), cells=(32,))
         case = build_mms_case(ModelParams(chi=0.25, a=1.0, b=1.0, alpha=2.0, beta=2.0), grid)
         dt = (1.0 / 32) ** 2 / 4.0
-        holds = _count_holds(monkeypatch)
+        reuses = _count_reuses(monkeypatch)
         planned = verification._run_level(case, grid, dt, 0.02, "central")
         # the fixed dt repeats from the second step on
-        assert holds == [(2,)]
+        assert reuses == [(2,)]
         assert planned.diagnostics.steps >= 80
         _rebuilding_every_step(monkeypatch)
         _assert_same_result(planned, verification._run_level(case, grid, dt, 0.02, "central"))
@@ -1621,17 +1617,17 @@ class TestStepPlan:
                         assert outcome.termination is None
                         t += outcome.dt
                         dts.append(outcome.dt)
-                        ((sigma, held),) = plan.solves
-                        assert held.denominator is None and sigma.shape == (2, 1, 1)
+                        ((sigma, _),) = plan.solves
+                        assert sigma.shape == (2, 1, 1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             return peak, dts
 
-        holds = _count_holds(monkeypatch)
+        reuses = _count_reuses(monkeypatch)
         peak, dts = march()
         assert len(set(dts)) == 3
-        assert holds == []
+        assert reuses == []
         _rebuilding_every_step(monkeypatch)
         defeated, defeated_dts = march()
         assert defeated_dts == dts
