@@ -4,12 +4,15 @@ Exit codes: 0 ok, 2 config error, 3 blow-up detected, 4 solver failure
 (bound-check additionally exits 1 when its verdict is not true: false, or
 inconclusive on a run that did not reach t_end).  Any failure prints a
 single machine-parsable ``error: ...`` line on stderr; a bad flag, config
-or output path exits 2 before any step runs or any sweep output is made.
+or output path exits 2 before any step runs or any sweep output is made,
+and names the flag or config key that set the refused value
+(_config_errors).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -48,6 +51,25 @@ def _fail(code: int, kind: str, message: str) -> int:
     return code
 
 
+@contextlib.contextmanager
+def _config_errors(fields: dict[str, str], default: str | None = None):
+    """Re-raise a refusal in the block as a ConfigError naming the command's
+    flag or key.  ``fields`` maps a FieldError's field, or a ConfigError's
+    key, to it; a FieldError of an unmapped field and any other ValueError
+    or OSError name ``default`` (None: no key), and a ConfigError with an
+    unmapped key passes unchanged."""
+    try:
+        yield
+    except ConfigError as exc:
+        if exc.key not in fields:
+            raise
+        raise ConfigError(exc.message, key=fields[exc.key], line=exc.line) from None
+    except FieldError as exc:
+        raise ConfigError(str(exc), key=fields.get(exc.field, default)) from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc), key=default) from None
+
+
 def _collect_overrides(extras: list[str]) -> dict[str, str]:
     """Turn leftover ``--section.key value`` pairs into config overrides."""
     overrides: dict[str, str] = {}
@@ -83,22 +105,21 @@ def _classification_line(params: ModelParams, n: int, envelope: tuple) -> str:
 
 
 def _cmd_classify(args) -> int:
-    try:
+    fields = {"alpha": "--alpha", "beta": "--beta", "n": "--n", "a": "--a", "b": "--b",
+              "initial_mass": "--initial-mass", "domain_measure": "--domain-measure"}
+    # a y1 that is not finite is set by no one flag, so its refusal names none
+    with _config_errors(fields):
         # neither the regime nor the envelope depends on chi
         params = ModelParams(chi=1.0, a=args.a, b=args.b, alpha=args.alpha, beta=args.beta)
         envelope = mass_envelope(params, args.initial_mass, args.domain_measure)
-        print(_classification_line(params, args.n, envelope))
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
+        line = _classification_line(params, args.n, envelope)
+    print(line)
     return EXIT_OK
 
 
 def _cmd_run(args, extras: list[str]) -> int:
-    try:
-        overrides = _collect_overrides(extras)
-        cfg = parse_config(path=args.config, overrides=overrides)
-    except (ConfigError, OSError) as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
+    with _config_errors({}, "--config"):
+        cfg = parse_config(path=args.config, overrides=_collect_overrides(extras))
     _make_output_dir(args.output)
     result = run_from_config(
         cfg, output_dir=args.output, export_fields_csv=args.export_fields_csv
@@ -138,12 +159,6 @@ def _make_output_dir(path: str) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror}", key="--output") from None
-
-
-def _require_envelope(cfg) -> None:
-    """Raise ConfigError when b = 0, the one rule by which no run of ``cfg`` has an envelope."""
-    if cfg.model.b <= 0:
-        raise ConfigError("mass envelope requires b > 0", key="model.b")
 
 
 def _sweep_batch(points: list, n: int, base) -> list[str]:
@@ -211,50 +226,41 @@ def _resume_sweep(csv_path: str, ledger_path: str, header: str, n: int, base) ->
 
 
 def _cmd_sweep(args, extras: list[str]) -> int:
-    try:
-        if args.workers < 1:
-            raise ConfigError(f"workers >= 1 required, got {args.workers}", key="--workers")
-        overrides = _collect_overrides(extras)
-        if "run.t_end" in overrides:
-            raise ConfigError("sweep takes its run length from --t-end", key="--run.t_end")
-        unread = [f"--{key}" for key in overrides]
-        unread += [flag for flag, value in (("--config", args.config), ("--t-end", args.t_end))
-                   if value is not None]
-        if unread and not args.simulate:
-            raise ConfigError("only --simulate reads this flag", key=unread[0])
-        alphas = _frange("alpha", args.alpha_min, args.alpha_max, args.alpha_step)
-        betas = _frange("beta", args.beta_min, args.beta_max, args.beta_step)
-        if not alphas or not betas:
-            raise ConfigError("empty sweep range")
-        try:
-            # the ranges ascend, so the first point holds the smallest alpha and beta
-            first = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=alphas[0], beta=betas[0])
-            classify_regime(first, args.n)
-        except FieldError as exc:
-            raise ConfigError(str(exc)) from None
-        except ValueError as exc:  # classify_regime's rule for n
-            raise ConfigError(str(exc), key="--n") from None
+    if args.workers < 1:
+        raise ConfigError(f"workers >= 1 required, got {args.workers}", key="--workers")
+    overrides = _collect_overrides(extras)
+    if "run.t_end" in overrides:
+        raise ConfigError("sweep takes its run length from --t-end", key="--run.t_end")
+    unread = [f"--{key}" for key in overrides]
+    unread += [flag for flag, value in (("--config", args.config), ("--t-end", args.t_end))
+               if value is not None]
+    if unread and not args.simulate:
+        raise ConfigError("only --simulate reads this flag", key=unread[0])
+    alphas = _frange("alpha", args.alpha_min, args.alpha_max, args.alpha_step)
+    betas = _frange("beta", args.beta_min, args.beta_max, args.beta_step)
+    if not alphas or not betas:
+        raise ConfigError("empty sweep range")
+    # --t-end's value replaces any run.t_end of the base file; an OSError or
+    # another ValueError can only come from reading --config
+    fields = {"alpha": "--alpha-min", "beta": "--beta-min", "n": "--n", "b": "model.b",
+              "run.t_end": "--t-end"}
+    with _config_errors(fields, "--config"):
+        # the ranges ascend, so the first point holds the smallest alpha and beta
+        first = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=alphas[0], beta=betas[0])
+        classify_regime(first, args.n)
         base = None
         max_batch = len(alphas) * len(betas)
         if args.simulate:
             # every point shares the base config; reject it before any point runs
             overrides["run.t_end"] = repr(2.0 if args.t_end is None else args.t_end)
             source = {"path": args.config} if args.config is not None else {"text": ""}
-            try:
-                base = parse_config(**source, overrides=overrides)
-            except ConfigError as exc:
-                if exc.key != "run.t_end":
-                    raise
-                # --t-end's value replaced any run.t_end of the base file
-                raise ConfigError(exc.message, key="--t-end") from None
-            _require_envelope(base)
+            base = parse_config(**source, overrides=overrides)
+            base.model.require_envelope()
             if base.grid.dim != args.n:
                 raise ConfigError(f"differs from the base's grid.dim = {base.grid.dim}", key="--n")
             # every point starts from the base state; an IC that overflows fails here
             config.build_initial_state(base)
             max_batch = max(1, _BATCH_CELLS // math.prod(base.grid.shape))
-    except (ConfigError, OSError) as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
 
     _make_output_dir(args.output)
     csv_path = os.path.join(args.output, "sweep.csv")
@@ -280,11 +286,12 @@ def _cmd_sweep(args, extras: list[str]) -> int:
 def _mms_study(args) -> tuple[ModelParams, list[Grid], list[float]]:
     """The study's params, grids and dts; ConfigError names a bad flag.
     verification checks the levels (check_levels, before any level is
-    built), t_end and dts (level_dts); a FieldError maps by field to the
-    flag that set it, the grids' to the cells flag."""
+    built), t_end and dts (level_dts)."""
     spatial = args.mode == "spatial"
-    flags = {"chi": "--chi", "levels": "--levels", "t_end": "--t-end", "dts": "--dt0"}
-    try:
+    fields = {"chi": "--chi", "levels": "--levels", "t_end": "--t-end", "dts": "--dt0",
+              "cells": "--cells0" if spatial else "--cells"}
+    # the one plain ValueError is a level that repeats the one before
+    with _config_errors(fields, "--dt0/--t-end"):
         params = ModelParams(chi=args.chi, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         check_levels(args.levels)
         # a spatial level halves h and so quarters dt; a temporal level halves dt
@@ -294,11 +301,6 @@ def _mms_study(args) -> tuple[ModelParams, list[Grid], list[float]]:
         dt0 = dt0 if args.dt0 is None else args.dt0
         dts = [math.ldexp(dt0, -(2 if spatial else 1) * i) for i in range(args.levels)]
         level_dts(grids, dts, args.t_end)
-    except FieldError as exc:
-        flag = flags.get(exc.field, "--cells0" if spatial else "--cells")
-        raise ConfigError(str(exc), key=flag) from None
-    except ValueError as exc:  # a level repeats the one before
-        raise ConfigError(str(exc), key="--dt0/--t-end") from None
     _require_writable(args.output)
     return params, grids, dts
 
@@ -341,9 +343,10 @@ def _cmd_bound_check(args) -> int:
     def path(name: str) -> str:
         return os.path.join(args.run_dir, name)
 
-    try:
+    # the initial mass comes from the run's series or snapshot; a y1 that is
+    # not finite is set by no one key, so its refusal names none
+    with _config_errors({"b": "model.b", "initial_mass": "--run-dir"}):
         cfg = parse_config(path=path("resolved_config.txt"))
-        _require_envelope(cfg)
         series = ObservableSeries.from_csv(path("series.csv"))
         # the march's fields as written; a summary without a termination line
         # reads as a run that stopped early, and one without a
@@ -351,11 +354,9 @@ def _cmd_bound_check(args) -> int:
         written = RunRecord.read(path("summary.txt"))
         # a run that ended at t = 0 without a sample left its initial u on disk
         u0 = None if len(series) else read_snapshot(path("u_initial.snap"))[0]
-        # a run without an envelope exits 2 with mass_envelope's own message
+        # a run without an envelope exits 2
         mass_envelope(cfg.model, initial_mass(series, u0, cfg.grid), cfg.grid.measure)
         audit = audit_record(cfg, cfg.model, series, u0, written)
-    except (ConfigError, OSError, ValueError) as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
 
     print("\n".join(RunRecord(y1=audit.y1, m0=audit.m0, mass_max=audit.mass_max,
                               mass_envelope_ok=audit.mass_envelope_ok).lines()))

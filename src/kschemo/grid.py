@@ -157,9 +157,9 @@ def integrate(values: np.ndarray, grid: Grid) -> float:
 
 
 def lp_norm_pow(values: np.ndarray, grid: Grid, k: float) -> float:
-    """Integral of |field|^k over the domain (the L^k norm raised to k)."""
-    if k < 1:
-        raise ValueError(f"k >= 1 required, got {k}")
+    """Integral of |field|^k over the domain (the L^k norm raised to k);
+    FieldError ``k`` unless k is finite and >= 1."""
+    require(1 <= k < math.inf, "k", "finite >= 1", k)
     powed = np.abs(_require_field(values, grid))
     if k != 1:
         powed **= k

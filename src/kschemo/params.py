@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -68,7 +69,7 @@ class ModelParams:
 
     chi   : chemotactic sensitivity, >= 0
     a     : growth coefficient, >= 0
-    b     : nonlocal dampening coefficient, >= 0
+    b     : nonlocal dampening coefficient, >= 0 (> 0 for a mass envelope)
     alpha : growth exponent, >= 1
     beta  : dampening exponent, >= 1
     tau   : signal time-scale flag; only 1, the fully parabolic system
@@ -91,16 +92,20 @@ class ModelParams:
             require(math.isfinite(value) and value >= lo, name, f">= {lo}", value)
         require(self.tau == 1, "tau", "== 1", self.tau)
 
+    def require_envelope(self) -> None:
+        """FieldError ``b`` unless these coefficients have a mass envelope: b > 0."""
+        require(self.b > 0, "b", "> 0", self.b)
+
 
 def classify_regime(params: ModelParams, n: int) -> Regime:
     """Classify (alpha, beta, n) against the two boundedness regions.
 
     Depends only on alpha, beta and the spatial dimension n; chi, a, b do
     not enter the predicates.  Boundary equalities return UNCOVERED since
-    the region inequalities are strict.
+    the region inequalities are strict.  FieldError ``n`` unless n is an
+    integer >= 1 within the float range, as the predicates divide by it.
     """
-    if n < 1 or int(n) != n:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    require(1 <= n <= sys.float_info.max and int(n) == n, "n", "finite integer >= 1", n)
     alpha, beta = params.alpha, params.beta
     if 1 <= alpha < 2 and beta > (n + 4) / 2 - alpha:
         return Regime.SUBQUADRATIC_BOUNDED
@@ -115,15 +120,15 @@ def mass_envelope(
     """Return (y1, m0): the ODE equilibrium cap and the total-mass envelope.
 
     y1 = (a / (b * |Omega|^(1-beta)))^(1/beta),  m0 = max(initial_mass, y1).
-    Requires b > 0 and finite inputs; a = 0 gives y1 = 0 (pure dampening).
-    A y1 that does not fit a finite float raises ValueError.
+    FieldError names the first rule broken: ``b`` unless b > 0
+    (ModelParams.require_envelope), ``initial_mass`` unless it is finite and
+    >= 0, ``domain_measure`` unless finite and > 0.  a = 0 gives y1 = 0
+    (pure dampening).  A y1 that does not fit a finite float raises
+    ValueError.
     """
-    if not (math.isfinite(initial_mass) and initial_mass >= 0):
-        raise ValueError(f"finite initial_mass >= 0 required, got {initial_mass}")
-    if not (math.isfinite(domain_measure) and domain_measure > 0):
-        raise ValueError(f"finite domain_measure > 0 required, got {domain_measure}")
-    if params.b <= 0:
-        raise ValueError("mass envelope requires b > 0")
+    params.require_envelope()
+    require(0 <= initial_mass < math.inf, "initial_mass", "finite >= 0", initial_mass)
+    require(0 < domain_measure < math.inf, "domain_measure", "finite > 0", domain_measure)
     try:
         y1 = 0.0 if params.a == 0 else (
             params.a / (params.b * domain_measure ** (1.0 - params.beta))

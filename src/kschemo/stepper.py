@@ -820,11 +820,9 @@ def _barrier(params: ModelParams, grid: Grid) -> float:
     two sides is at most 1 + gamma_2K, gamma_k = k*u / (1 - k*u) (Higham,
     ch. 3), which delta is: about 1.5e-14 at 256 cells and y1 = 1.
     """
-    if params.b == 0:
-        return math.inf
     try:
         y1 = mass_envelope(params, 0.0, grid.measure)[0]
-    except ValueError:  # y1 is not finite
+    except ValueError:  # b = 0, or y1 is not finite
         return math.inf
     if y1 == 0.0:
         return 0.0 if params.a == 0 else math.inf
@@ -1023,7 +1021,8 @@ def run_batch(
     their times ``ts``, and returns their rows stacked ``(B, *grid.shape)``
     (see verification.Forcing).  ``face_scheme``, one of
     operators.FACE_SCHEMES, sets the transport's face value of u; FieldError
-    names any other.  A member that finishes leaves the batch
+    names any other, and ``t_end`` unless it is finite and exceeds every
+    initial time.  A member that finishes leaves the batch
     and the others go on.  For a fixed input each member's series is bitwise
     reproducible and independent of the batch it runs in.  A batch touches
     no process-wide state (a threaded march's one helper thread ends with
@@ -1034,8 +1033,7 @@ def run_batch(
     require(face_scheme in FACE_SCHEMES, "face_scheme", f"in {FACE_SCHEMES}", face_scheme)
     for initial in initials:
         # an infinite t_end never ends a march, and a NaN one ends it at its first sample
-        if not initial.t < t_end < math.inf:
-            raise ValueError(f"t_end must be finite and exceed the initial time, got {t_end!r}")
+        require(initial.t < t_end < math.inf, "t_end", f"finite > {initial.t!r}", t_end)
         initial.validate(grid)
 
     forced = forcing is not None

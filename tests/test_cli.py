@@ -70,28 +70,46 @@ class TestClassify:
         assert "SuperquadraticBounded" in out
 
     def test_invalid_point_exits_2(self, capsys):
-        code, _, err = invoke(capsys, "classify", "--alpha", "0.5", "--beta", "3", "--n", "1")
-        assert code == 2
-        assert err.startswith("error: config:")
+        code, out, err = invoke(capsys, "classify", "--alpha", "0.5", "--beta", "3", "--n", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: config: --alpha: alpha >= 1 required, got 0.5\n"
 
     @pytest.mark.parametrize(
-        "flag,value",
+        "flag,value,line",
         [
-            ("--domain-measure", "inf"),
-            ("--domain-measure", "1e300"),
-            ("--domain-measure", "1e-300"),
-            ("--domain-measure", "nan"),
-            ("--initial-mass", "nan"),
-            ("--initial-mass", "inf"),
+            pytest.param(
+                "--domain-measure", "inf", "--domain-measure: domain_measure finite > 0 "
+                "required, got inf", id="--domain-measure-inf"
+            ),
+            # |Omega|^(1-beta) underflows or overflows: no one flag sets y1, so none is named
+            pytest.param(
+                "--domain-measure", "1e300", "mass envelope y1 is not finite for a=1.0, b=1.0, "
+                "beta=3.0, domain_measure=1e+300", id="--domain-measure-1e300"
+            ),
+            pytest.param(
+                "--domain-measure", "1e-300", "mass envelope y1 is not finite for a=1.0, "
+                "b=1.0, beta=3.0, domain_measure=1e-300", id="--domain-measure-1e-300"
+            ),
+            pytest.param(
+                "--domain-measure", "nan", "--domain-measure: domain_measure finite > 0 "
+                "required, got nan", id="--domain-measure-nan"
+            ),
+            pytest.param(
+                "--initial-mass", "nan", "--initial-mass: initial_mass finite >= 0 required, "
+                "got nan", id="--initial-mass-nan"
+            ),
+            pytest.param(
+                "--initial-mass", "inf", "--initial-mass: initial_mass finite >= 0 required, "
+                "got inf", id="--initial-mass-inf"
+            ),
         ],
     )
-    def test_nonfinite_envelope_input_exits_2(self, capsys, flag, value):
+    def test_nonfinite_envelope_input_exits_2(self, capsys, flag, value, line):
         code, out, err = invoke(
             capsys, "classify", "--alpha", "1", "--beta", "3", "--n", "3", flag, value
         )
         assert (code, out) == (2, "")
-        assert err.startswith("error: config:")
-        assert len(err.splitlines()) == 1
+        assert err == f"error: config: {line}\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -438,12 +456,12 @@ class TestSweep:
         assert sorted(p.name for p in out_dir.iterdir()) == ["sweep.csv", "sweep_done.txt"]
 
     def test_alpha_below_one_exit_2(self, tmp_path, capsys):
-        code, _, err = invoke(
+        code, out, err = invoke(
             capsys, "sweep", "--alpha-min", "0.5", "--alpha-max", "1.5",
             "--beta-min", "2", "--beta-max", "2", "--n", "1", "--output", str(tmp_path / "s"),
         )
-        assert code == 2
-        assert err.startswith("error: config: alpha >= 1")
+        assert (code, out) == (2, "")
+        assert err == "error: config: --alpha-min: alpha >= 1 required, got 0.5\n"
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize(
@@ -498,7 +516,7 @@ class TestSweep:
             "--beta-max", "3", f"--n={n}", "--output", str(out_dir), *simulate,
         )
         assert (code, out) == (2, "")
-        assert err == f"error: config: --n: n must be a positive integer, got {n}\n"
+        assert err == f"error: config: --n: n finite integer >= 1 required, got {n}\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -571,8 +589,7 @@ class TestSweep:
             "--simulate", "--t-end", "0.01", "--model.b", "0", "--grid.cells_x", "16",
         )
         assert code == 2
-        assert err.startswith("error: config: model.b:")
-        assert len(err.splitlines()) == 1
+        assert err == "error: config: model.b: b > 0 required, got 0.0\n"
         assert not (out_dir / "sweep.csv").exists()
 
     def test_simulate_mode(self, tmp_path, capsys):
@@ -939,6 +956,57 @@ def test_commands_without_overrides_reject_extras(capsys, argv):
     assert err == "error: config: unrecognized arguments ['--model.chi', '2']\n"
 
 
+CLASSIFY_POINT = ["classify", "--alpha", "1", "--beta", "3", "--n", "1"]
+SWEEP_POINT = ["sweep", "--alpha-min", "1", "--alpha-max", "1.5", "--beta-min", "3",
+               "--beta-max", "3.5", "--n", "1"]
+# an n whose (n + 4) / 2 does not fit a float
+HUGE_N = "1" + "0" * 400
+
+
+# a repeated flag overrides the earlier one, so each case breaks one rule of a valid point
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (CLASSIFY_POINT + ["--alpha", "0.5"], "--alpha"),
+        (CLASSIFY_POINT + ["--beta", "0.5"], "--beta"),
+        (CLASSIFY_POINT + ["--n", "0"], "--n"),
+        (CLASSIFY_POINT + ["--n", HUGE_N], "--n"),
+        (CLASSIFY_POINT + ["--a", "-1"], "--a"),
+        (CLASSIFY_POINT + ["--b", "0"], "--b"),
+        (CLASSIFY_POINT + ["--initial-mass", "-1"], "--initial-mass"),
+        (CLASSIFY_POINT + ["--domain-measure", "0"], "--domain-measure"),
+        (SWEEP_POINT + ["--alpha-min", "0.5"], "--alpha-min"),
+        (SWEEP_POINT + ["--beta-min", "0.5"], "--beta-min"),
+        (SWEEP_POINT + ["--n", HUGE_N], "--n"),
+        (SWEEP_POINT + ["--simulate", "--config", "{binary}"], "--config"),
+        (["run", "--config", "{binary}"], "--config"),
+        (["bound-check", "--run-dir", "{no_envelope_run}"], "model.b"),
+    ],
+    ids=[
+        "classify-alpha", "classify-beta", "classify-n", "classify-huge-n", "classify-a",
+        "classify-b", "classify-initial-mass", "classify-domain-measure", "sweep-alpha-min",
+        "sweep-beta-min", "sweep-huge-n", "sweep-undecodable-config", "run-undecodable-config",
+        "bound-check-b",
+    ],
+)
+def test_refusal_names_its_flag(tmp_path, capsys, argv, flag):
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe\x00")
+    run_dir = tmp_path / "run"
+    if "{no_envelope_run}" in argv:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_RUN + "model.b = 0\n")
+        assert invoke(capsys, "run", "--config", str(cfg), "--output", str(run_dir))[0] == 0
+    out_dir = tmp_path / "out"
+    argv = [a.format(binary=binary, no_envelope_run=run_dir) for a in argv]
+    output = ["--output", str(out_dir)] if argv[0] in ("sweep", "run") else []
+    code, out, err = invoke(capsys, *argv, *output)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: config: {flag}: ")
+    assert not out_dir.exists()
+
+
 def test_cli_import_leaves_sympy_out():
     import kschemo
 
@@ -989,10 +1057,9 @@ class TestBoundCheck:
         cfg.write_text(RUN_CONFIG + "model.b = 0\n")
         out_dir = tmp_path / "out"
         assert invoke(capsys, "run", "--config", str(cfg), "--output", str(out_dir))[0] == 0
-        code, _, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
-        assert code == 2
-        assert err.startswith("error: config: model.b:")
-        assert len(err.splitlines()) == 1
+        code, out, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
+        assert (code, out) == (2, "")
+        assert err == "error: config: model.b: b > 0 required, got 0.0\n"
 
     def test_nonfinite_y1_exit_2_names_the_envelope(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -1053,7 +1120,7 @@ class TestBoundCheck:
         (out_dir / "series.csv").write_text("\n".join(series) + "\n")
         code, _, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
         assert code == 2
-        assert err == "error: config: finite initial_mass >= 0 required, got nan\n"
+        assert err == "error: config: --run-dir: initial_mass finite >= 0 required, got nan\n"
 
     def test_missing_dir_exit_2(self, capsys):
         code, _, err = invoke(capsys, "bound-check", "--run-dir", "nowhere")
@@ -1272,4 +1339,4 @@ class TestNoVerdictWithoutATrajectory:
         # bound-check agrees: the initial snapshot's mass is not finite either
         code, out, err = invoke(capsys, "bound-check", "--run-dir", str(out_dir))
         assert (code, out) == (2, "")
-        assert err == "error: config: finite initial_mass >= 0 required, got inf\n"
+        assert err == "error: config: --run-dir: initial_mass finite >= 0 required, got inf\n"

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from kschemo import ModelParams, Regime, classify_regime, mass_envelope
+from kschemo.grid import Grid, State, lp_norm_pow
 from kschemo.params import FieldError
+from kschemo.stepper import Recorder, StepperConfig, run_batch
 
 
 def make_params(alpha=1.0, beta=1.0, chi=1.0, a=1.0, b=1.0, tau=1):
@@ -41,6 +43,47 @@ class TestModelParams:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             make_params(a=math.inf)
+
+
+def _run_batch_to(t_end):
+    grid = Grid(extent=(1.0,), cells=(8,))
+    state = State(u=grid.full(1.0), v=grid.full(1.0))
+    run_batch([state], [make_params()], grid, StepperConfig(), t_end, Recorder())
+
+
+# each input rule of a function is a require on it, so its refusal names the field
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: classify_regime(make_params(), 0), "n"),
+        (lambda: classify_regime(make_params(), 1.5), "n"),
+        (lambda: classify_regime(make_params(), math.inf), "n"),
+        (lambda: classify_regime(make_params(), math.nan), "n"),
+        # an integer whose (n + 4) / 2 does not fit a float
+        (lambda: classify_regime(make_params(), 10**400), "n"),
+        (lambda: mass_envelope(make_params(b=0.0), 1.0, 1.0), "b"),
+        (lambda: mass_envelope(make_params(), math.nan, 1.0), "initial_mass"),
+        (lambda: mass_envelope(make_params(), -1.0, 1.0), "initial_mass"),
+        (lambda: mass_envelope(make_params(), 1.0, 0.0), "domain_measure"),
+        (lambda: mass_envelope(make_params(), 1.0, math.inf), "domain_measure"),
+        (lambda: make_params(b=0.0).require_envelope(), "b"),
+        # NaN fails every comparison, so a bare k < 1 test lets it through
+        (lambda: lp_norm_pow(np.full(8, 2.0), Grid((1.0,), (8,)), math.nan), "k"),
+        (lambda: lp_norm_pow(np.full(8, 2.0), Grid((1.0,), (8,)), math.inf), "k"),
+        (lambda: lp_norm_pow(np.full(8, 2.0), Grid((1.0,), (8,)), 0.5), "k"),
+        (lambda: _run_batch_to(0.0), "t_end"),
+        (lambda: _run_batch_to(math.nan), "t_end"),
+    ],
+    ids=[
+        "n-zero", "n-fraction", "n-inf", "n-nan", "n-huge", "envelope-b", "initial-mass-nan",
+        "initial-mass-negative", "domain-measure-zero", "domain-measure-inf", "require-envelope",
+        "lp-k-nan", "lp-k-inf", "lp-k-small", "t-end-initial", "t-end-nan",
+    ],
+)
+def test_rule_refusal_names_its_field(call, field):
+    with pytest.raises(FieldError) as info:
+        call()
+    assert info.value.field == field
 
 
 class TestClassifyRegime:

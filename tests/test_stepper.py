@@ -1177,11 +1177,11 @@ class TestRunBatch:
         def hung(signum, frame):
             raise AssertionError("the march did not return")
 
-        message = f"^t_end must be finite and exceed the initial time, got {t_end}$"
+        message = f"^t_end finite > 0.0 required, got {t_end}$"
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(5)
         try:
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(FieldError, match=message):
                 run_batch([state], [p], grid, StepperConfig(), t_end, rec)
         finally:
             signal.alarm(0)
