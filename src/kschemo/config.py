@@ -30,7 +30,7 @@ import numpy as np
 from .grid import Grid, State, field_to_csv, integrate, write_snapshot
 from .observables import ObservableSeries, RunRecord, summarize
 from .params import FieldError, ModelParams, mass_envelope, require
-from .stepper import Recorder, RunResult, StepperConfig, run
+from .stepper import Recorder, RunResult, StepperConfig, require_horizon, require_memory, run
 
 
 class ConfigError(ValueError):
@@ -88,7 +88,8 @@ class RunConfig:
     t_end: float = 10.0
 
     def __post_init__(self) -> None:
-        require(math.isfinite(self.t_end) and self.t_end > 0, "t_end", "> 0", self.t_end)
+        require_horizon(0.0, self.t_end)
+        require_memory(self.grid)
         for axis, (c, L) in enumerate(zip(self.ic.u_center, self.grid.extent)):
             if not (0 <= c <= L):
                 raise FieldError("u_center", f"bump center {c} outside domain [0, {L}]", axis)

@@ -56,21 +56,25 @@ forcing is asked once per field and step for all members:
 and return their rows stacked ``(B, *grid.shape)``, which the march reads
 and never writes.
 
-A march keeps one step plan (_Plan): its helper thread, face scheme,
-per-axis eigenvalues of its grid and the values its steps share.  Per active set,
-the rows' ModelParams, it decides the split and holds the transport for
-it, the coefficient lists and the exponents of the source, and each row's
-(chi, alpha - 1, a, b) that the dt proposal reads; per dt column, the
-rows' dts, the dt and 1+dt, the shape of the stacked rhs and, per checked
-solve of a step, its sigma, each row's ||A|| bound and sigma/h^2 for the
-gate.  A value every row shares is held as a 0-d array, which numpy
-broadcasts at half the cost of a (B, 1, ...) column (_per_row,
-_exponents).  The one rule: the plan builds a key's values once, when the
-key changes (a new proposal, a retry halving, the t_end cap, a member
-leaving), and writes none of them again.  A dt held at dt_max repeats the
-column (7097 of the 7408 solves of the 256-cell Criterion 2 run).  Each
-solve divides by its own 1 - sigma*lambda, a temporary.  The plan holds
-the values each solve would compute, so no bit moves.
+A march keeps one step plan (_Plan), which _march builds from what the march
+shares: its grid, StepperConfig, forcing, face scheme and helper thread, and
+the per-axis eigenvalues of the grid.  A step (_advance) takes only what is
+its own: the members' fields, times, dt caps and max u.  Per active set, the
+rows' ModelParams, which run_batch sets when the march starts and when a
+member leaves, the plan decides the split and holds the transports of
+stage (i) (_transport_stage: none, the whole field, or the two row slabs of
+a split step), the coefficient lists and the exponents of the source, and
+each row's (chi, alpha - 1, a, b) that the dt proposal reads; per dt column,
+the rows' dts, the dt and 1+dt, the shape of the stacked rhs and, per
+checked solve of a step, its sigma, each row's ||A|| bound and sigma/h^2 for
+the gate.  A value every row shares is held as a 0-d array, which numpy
+broadcasts at half the cost of a (B, 1, ...) column (_per_row, _exponents).
+The one rule: the plan builds a key's values once, when the key changes (a
+new proposal, a retry halving, the t_end cap, a member leaving), and writes
+none of them again.  A dt held at dt_max repeats the column (7097 of the
+7408 solves of the 256-cell Criterion 2 run).  Each solve divides by its own
+1 - sigma*lambda, a temporary.  The plan holds the values each solve would
+compute, so no bit moves.
 
 A step is a pure function of its member's fields, coefficients and dt,
 whatever the batch or the thread split.  So when an accepted step of an
@@ -351,6 +355,36 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Peak bytes a march allocates per cell of one member's grid, its initial
+# state, records and artifacts included: tracemalloc peaks over the cells.
+# A config run (chi = 5 bump, 4 to 20 steps, each recorded, artifacts
+# written) 1D 65536 cells 113, 2^20 112; 2D 256^2 108, 512^2 105 (4096
+# cells: 133, its fixed costs spread over few cells).  An MMS level (4
+# forced steps) 1D 65536 and 2^20 144; 2D 128^2 145, 256^2 140, 512^2 137
+_PEAK_BYTES_PER_CELL = 145
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, os.sysconf's page size x pages; inf where
+    the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
+def require_memory(grid: Grid) -> None:
+    """FieldError ``cells`` (at the axis with the most) unless a march of one
+    member on ``grid``, at _PEAK_BYTES_PER_CELL, fits in physical memory.
+    Callers check it before any field is allocated: a grid that does not
+    fit would be killed while it allocates."""
+    cells = math.prod(grid.cells)
+    memory = _physical_memory()
+    axis = grid.cells.index(max(grid.cells))
+    rule = f"with {cells} cells x {_PEAK_BYTES_PER_CELL} B <= {memory} B of physical memory"
+    require(cells * _PEAK_BYTES_PER_CELL <= memory, "cells", rule, grid.cells[axis], axis)
+
+
 # Job cost (steps x cells) below which a pool's start and shutdown outweigh
 # its gain.  A 16/32/64-cell MMS study on 2 vCPUs, pooled against in-process
 # (medians of 5 alternating rounds): 109 vs 93 ms to t_end 0.02 (cost 24k),
@@ -392,16 +426,17 @@ def _rates(params: Sequence[ModelParams]) -> list[tuple]:
 
 
 class _Plan:
-    """A march's helper thread (or None), its face scheme and the constants
-    of its steps.
+    """What a march's steps share: its grid, StepperConfig, forcing, face
+    scheme and helper thread (or None), and the constants of its steps.
 
     Two keys decide what a step can take from the step before:
-      * the active set, the rows' ModelParams: ``split``, whether the
-        helper takes half of each step's per-cell work (the march has one
-        and the rows are _threaded), the rows' whole-field ``transport``
-        unsplit or the two row slabs' (``slabs``) split (neither when every
-        chi is 0), the coefficient and exponent lists of the source and the
-        _rates of the dt proposal;
+      * the active set, the rows' ModelParams, which run_batch sets
+        (``members``) when the march starts and when a member leaves:
+        ``split``, whether the helper takes half of each step's per-cell
+        work (the march has one and the rows are _threaded), the rows'
+        ``transports`` (none when every chi is 0, else the whole field's
+        unsplit and the two row slabs' split), the coefficient and exponent
+        lists of the source and the _rates of the dt proposal;
       * the dt column, the rows' dts: ``dt`` and ``shift`` = 1+dt (both
         _per_row), ``rhs_shape`` (the u rows stacked on the v rows) and
         ``solves``, one (sigma, _Held) per _helmholtz_checked call of a
@@ -411,18 +446,19 @@ class _Plan:
     them is written again.
     """
 
-    def __init__(self, grid: Grid, helper: Optional[ThreadPoolExecutor], scheme: str):
+    def __init__(self, grid: Grid, cfg: StepperConfig, forcing, scheme: str,
+                 helper: Optional[ThreadPoolExecutor]):
         self.grid = grid
-        self.helper = helper
+        self.cfg = cfg
+        self.forcing = forcing
         self.scheme = scheme
+        self.helper = helper
         # per axis, not grid-sized: a 512^2 eigenvalue array held from the
         # start of a march made its steps fault about 1800 more pages each
         # (33k against 4k minor faults over a 16-step run, 18% of its time)
         self.eigenvalues = _axis_eigenvalues(grid)
-        self.params: Optional[Sequence[ModelParams]] = None
         self.split = False
-        self.transport = None
-        self.slabs: tuple = ()
+        self.transports: tuple = ()
         self.a = self.b = self.alphas = self.betas = None
         self.rates: list[tuple] = []
         self._dts: Optional[tuple] = None
@@ -431,22 +467,15 @@ class _Plan:
 
     def members(self, params: Sequence[ModelParams]) -> None:
         """Set the active set to ``params``, one per row, and decide its
-        thread split.  A march passes the same list, unedited, until a
-        member leaves, and _advance calls this only when the list is not the
-        one it last passed."""
-        self.params = params
-        grid, scheme = self.grid, self.scheme
+        thread split."""
+        grid = self.grid
         self.split = self.helper is not None and _threaded(len(params), grid)
         chis = [p.chi for p in params]
-        self.transport, self.slabs = None, ()
+        self.transports = ()
         if any(c != 0.0 for c in chis):
-            if self.split:
-                n = grid.cells[0]
-                self.slabs = tuple(
-                    _transport(grid, scheme, chis, rows) for rows in ((0, n // 2), (n // 2, n))
-                )
-            else:
-                self.transport = _transport(grid, scheme, chis)
+            n = grid.cells[0]
+            slabs = ((0, n // 2), (n // 2, n)) if self.split else (None,)
+            self.transports = tuple(_transport(grid, self.scheme, chis, rows) for rows in slabs)
         self.a = [p.a for p in params]
         self.b = [p.b for p in params]
         alphas, betas = [p.alpha for p in params], [p.beta for p in params]
@@ -474,19 +503,20 @@ class _Plan:
 
 
 @contextlib.contextmanager
-def _march(rows: int, grid: Grid, scheme: str):
+def _march(rows: int, grid: Grid, cfg: StepperConfig, forcing, scheme: str):
     """numpy's quiet error state and the _Plan of a march of ``rows`` member
-    rows under the face ``scheme``, whose helper thread is live when
-    _threaded, else None.  numpy's error state belongs to the thread, so the
-    helper sets its own once, for every task it runs; leaving the block
-    joins it, also when the march raises."""
+    rows on ``grid`` under ``cfg``, ``forcing`` (or None) and the face
+    ``scheme``, whose helper thread is live when _threaded, else None.
+    numpy's error state belongs to the thread, so the helper sets its own
+    once, for every task it runs; leaving the block joins it, also when the
+    march raises."""
     with np.errstate(**_QUIET):
         if not _threaded(rows, grid):
-            yield _Plan(grid, None, scheme)
+            yield _Plan(grid, cfg, forcing, scheme, None)
             return
         quiet = functools.partial(np.seterr, **_QUIET)
         with ThreadPoolExecutor(1, "kschemo-step", initializer=quiet) as helper:
-            yield _Plan(grid, helper, scheme)
+            yield _Plan(grid, cfg, forcing, scheme, helper)
 
 
 def _beside(helper: ThreadPoolExecutor, helper_call, own_call) -> tuple:
@@ -497,21 +527,29 @@ def _beside(helper: ThreadPoolExecutor, helper_call, own_call) -> tuple:
     return theirs.result(), mine
 
 
-def _transport_slabs(explicit, u, v, slabs: tuple, helper) -> list:
-    """explicit -= chi * div(u grad v) in place on two threads; return
-    _chemo_divergence's maxima.
+def _transport_stage(plan: _Plan, explicit, u, v):
+    """explicit -= chi * div(u grad v) in place for the plan's active set;
+    return _chemo_divergence's maxima, () when every chi is 0.
 
-    ``slabs`` are the _Plan's two row slabs of the first field axis: the
-    helper writes the first cells[0] // 2 rows and this thread the rest,
-    each reading the faces of its rows, so every cell gets the whole-field
-    bits.  Max is exact and propagates NaN, so the slabs' maxima combine
-    exactly."""
-    top, bottom = _beside(
-        helper,
-        lambda: _chemo_divergence(explicit, u, v, slabs[0]),
-        lambda: _chemo_divergence(explicit, u, v, slabs[1]),
-    )
+    Split, the plan's two transports are row slabs of the first field axis:
+    the helper writes the first cells[0] // 2 rows and this thread the
+    rest, each reading the faces of its rows, so every cell gets the
+    whole-field bits.  Max is exact and propagates NaN, so the slabs'
+    maxima combine exactly."""
+    transports = plan.transports
+    if len(transports) == 1:
+        return _chemo_divergence(explicit, u, v, transports[0])
+    if not transports:
+        return ()
+    slabs = (functools.partial(_chemo_divergence, explicit, u, v, t) for t in transports)
+    top, bottom = _beside(plan.helper, *slabs)
     return [np.maximum(a, b) for a, b in zip(top, bottom)]
+
+
+def _u_rhs(out, u, explicit, plan: _Plan) -> None:
+    """The u rows' rhs u + dt*E_u, into ``out``."""
+    np.multiply(plan.dt, explicit, out=out)
+    np.add(out, u, out=out)
 
 
 def _v_rhs(out, u, v, forcing_v, plan: _Plan) -> None:
@@ -525,10 +563,10 @@ def _v_rhs(out, u, v, forcing_v, plan: _Plan) -> None:
     np.divide(out, plan.shift, out=out)
 
 
-def _solve_halves(u, v, explicit, forcing_v, plan: _Plan, grid: Grid) -> tuple:
-    """Checked solve of the u rows and the v rows of a step at the plan's dt column.
+def _solve_halves(plan: _Plan, u, v, explicit, forcing_v) -> tuple:
+    """Checked solve of the u rows (_u_rhs) and the v rows (_v_rhs) of a
+    step at the plan's dt column.
 
-    The u rows' rhs is u + dt*E_u, the v rows' _v_rhs.
     Returns (w_u, w_v, errors, maxima, minima), the last three lists over
     the u rows and then the v rows.  Rows are solved, gated and reduced
     independently, so a half gets the same bits alone or stacked.  One
@@ -536,30 +574,24 @@ def _solve_halves(u, v, explicit, forcing_v, plan: _Plan, grid: Grid) -> tuple:
     both halves; split, the helper builds, solves, gates and reduces the u
     half while this thread does the v half.
     """
-    n = len(u)
+    n, grid = len(u), plan.grid
     rhs = np.empty(plan.rhs_shape)
     u_rhs, v_rhs = rhs[:n], rhs[n:]
-    dt = plan.dt
     if not plan.split:
-        np.multiply(dt, explicit, out=u_rhs)
-        np.add(u_rhs, u, out=u_rhs)
+        _u_rhs(u_rhs, u, explicit, plan)
         _v_rhs(v_rhs, u, v, forcing_v, plan)
-        ((sigma, held),) = plan.solves
-        w, rel, hi, lo = _helmholtz_checked(rhs, grid, sigma, held)
+        w, rel, hi, lo = _helmholtz_checked(rhs, grid, *plan.solves[0])
         return w[:n], w[n:], rel, hi, lo
 
-    # each half built as above and solved on its own thread: the u half on
-    # the helper, the v half on this one
-    (u_sigma, u_held), (v_sigma, v_held) = plan.solves
+    u_solve, v_solve = plan.solves
 
     def u_half():
-        np.multiply(dt, explicit, out=u_rhs)
-        np.add(u_rhs, u, out=u_rhs)
-        return _helmholtz_checked(u_rhs, grid, u_sigma, u_held)
+        _u_rhs(u_rhs, u, explicit, plan)
+        return _helmholtz_checked(u_rhs, grid, *u_solve)
 
     def v_half():
         _v_rhs(v_rhs, u, v, forcing_v, plan)
-        return _helmholtz_checked(v_rhs, grid, v_sigma, v_held)
+        return _helmholtz_checked(v_rhs, grid, *v_solve)
 
     (w_u, rel_u, hi_u, lo_u), (w_v, rel_v, hi_v, lo_v) = _beside(plan.helper, u_half, v_half)
     return w_u, w_v, rel_u + rel_v, hi_u + hi_v, lo_u + lo_v
@@ -635,6 +667,7 @@ class _Step(NamedTuple):
 
 
 def _audit(
+    plan: _Plan,
     rows: Sequence[int],
     rel: list[float],
     hi: list[float],
@@ -642,7 +675,6 @@ def _audit(
     dts: list[float],
     retries: list[int],
     ends: dict,
-    cfg: StepperConfig,
 ) -> list[int]:
     """Decide each member i in ``rows``; return those to retry at half dt.
 
@@ -658,7 +690,7 @@ def _audit(
     # every row passes every check, in one test: the sums propagate NaN and
     # inf (finite terms that overflow only send the rows through the checks
     # below), and the backward errors, each >= 0, are at most their sum
-    threshold = cfg.blowup_linf_threshold
+    threshold = plan.cfg.blowup_linf_threshold
     if (
         math.isfinite(sum(hi) + sum(lo))
         and sum(rel) <= _LINEAR_TOL
@@ -686,7 +718,7 @@ def _audit(
         retries[i] += 1
         if retries[i] > _MAX_RETRIES:
             cause = f"retry cap of {_MAX_RETRIES} reached"
-        elif dts[i] / 2.0 < cfg.dt_min:
+        elif dts[i] / 2.0 < plan.cfg.dt_min:
             cause = "dt collapsed below dt_min during retries"
         else:
             dts[i] /= 2.0
@@ -697,46 +729,40 @@ def _audit(
 
 
 def _advance(
-    plan: _Plan, u: np.ndarray, v: np.ndarray, ts: Sequence[float],
-    params: Sequence[ModelParams], grid: Grid, cfg: StepperConfig, forcing,
-    dt_cap: Sequence[float], umax: Sequence[float],
+    plan: _Plan, u: np.ndarray, v: np.ndarray, ts: Sequence[float], caps: Sequence[float],
+    umax: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray, _Step]:
-    """Attempt one step for every member of a batch of trusted states.
+    """Take one step, (i)-(iv) above, for every member of the plan's active
+    set, from trusted states.
 
     Returns the new fields and the _Step; a member's row holds its new
     state only when the step accepted it.  A retry halves the dt of the
     members that failed their audit and solves the whole batch again from
     the same explicit stage: a row's solve has the bits it gets alone, so
-    every other member comes back bit for bit.  ``plan`` is the march's
-    _Plan, whose active set decides the thread split.  ``dt_cap`` bounds
-    each member's dt (math.inf: no bound); ``umax`` is the max of each row
-    of ``u`` (a march carries each member's from the step that made its
-    row).
+    every other member comes back bit for bit.  ``ts`` are the members'
+    times, at which the forcing is asked; ``caps`` bound each member's dt
+    (math.inf: no bound); ``umax`` is the max of each row of ``u`` (a march
+    carries each member's from the step that made its row).
     """
-    if params is not plan.params:
-        plan.members(params)
+    grid, forcing = plan.grid, plan.forcing
     explicit, integrals = _nonlocal_source(u, grid, plan.a, plan.b, plan.alphas, plan.betas)
     # the source's integral is taken now, as the explicit stage overwrites it
     source = np.add.reduce(explicit, axis=grid.field_axes).tolist()
-    grad_max = ()
-    if plan.slabs:
-        grad_max = _transport_slabs(explicit, u, v, plan.slabs, plan.helper)
-    elif plan.transport is not None:
-        grad_max = _chemo_divergence(explicit, u, v, plan.transport)
+    grad_max = _transport_stage(plan, explicit, u, v)
     forcing_v = None
     if forcing is not None:
         # one call per field for all members, each row at its member's time
         explicit += forcing.u(ts, grid)
         forcing_v = forcing.v(ts, grid)
 
-    dts = adapt_dt(umax, plan.rates, grid, cfg, integrals, grad_max, dt_cap)
+    dts = adapt_dt(umax, plan.rates, grid, plan.cfg, integrals, grad_max, caps)
     count = len(dts)
     retries, ends = [0] * count, {}
     rows = range(count)
     while rows:
         plan.column(dts)
-        u_new, v_new, rel, hi, lo = _solve_halves(u, v, explicit, forcing_v, plan, grid)
-        rows = _audit(rows, rel, hi, lo, dts, retries, ends, cfg)
+        u_new, v_new, rel, hi, lo = _solve_halves(plan, u, v, explicit, forcing_v)
+        rows = _audit(plan, rows, rel, hi, lo, dts, retries, ends)
 
     volume, mass = grid.cell_volume, []
     for i, row_sum in enumerate(np.add.reduce(u_new, axis=grid.field_axes).tolist()):
@@ -831,6 +857,23 @@ def _barrier(params: ModelParams, grid: Grid) -> float:
     return y1 * (1.0 + k / (2.0**53 - k))
 
 
+def _end_tolerance(t_end: float) -> float:
+    """How far short of ``t_end`` a member's time counts as t_end: 1e-12
+    relative, and 1e-12 absolute below |t_end| = 1."""
+    return 1e-12 * max(1.0, abs(t_end))
+
+
+def require_horizon(t0: float, t_end: float) -> None:
+    """FieldError ``t_end`` unless a march from ``t0`` to it takes a step:
+    t_end finite and more than its _end_tolerance past t0.  An infinite
+    t_end never ends a march, a NaN one ends it at its first sample, and
+    one within the tolerance of t0 ends it at t0."""
+    require(
+        math.isfinite(t_end) and t_end - t0 > _end_tolerance(t_end),
+        "t_end", f"finite > {t0!r} + 1e-12*max(1, |t_end|)", t_end,
+    )
+
+
 class _Member:
     """One batch member's fields, clock, series and diagnostics."""
 
@@ -846,7 +889,7 @@ class _Member:
         self.grid = grid
         self.recorder = recorder
         self.t_end = t_end
-        self.time_tol = 1e-12 * max(1.0, abs(t_end))
+        self.time_tol = _end_tolerance(t_end)
         self.end = t_end - self.time_tol  # a step ending at or past it reaches t_end
         self.series = ObservableSeries.for_run(recorder.k_list)
         self.diag = RunDiagnostics()
@@ -1032,22 +1075,20 @@ def run_batch(
         raise ValueError("need one ModelParams per initial state")
     require(face_scheme in FACE_SCHEMES, "face_scheme", f"in {FACE_SCHEMES}", face_scheme)
     for initial in initials:
-        # an infinite t_end never ends a march, and a NaN one ends it at its first sample
-        require(initial.t < t_end < math.inf, "t_end", f"finite > {initial.t!r}", t_end)
+        require_horizon(initial.t, t_end)
         initial.validate(grid)
 
     forced = forcing is not None
     members = [_Member(st, p, grid, recorder, t_end, forced) for st, p in zip(initials, params)]
-    with _march(len(members), grid, face_scheme) as plan:
+    with _march(len(members), grid, cfg, forcing, face_scheme) as plan:
         active = [m for m in members if m.start()]
-        u = _stack([m.u for m in active]) if active else None
-        v = _stack([m.v for m in active]) if active else None
-        points = [m.params for m in active]
+        if active:
+            u, v = _stack([m.u for m in active]), _stack([m.v for m in active])
+            plan.members([m.params for m in active])
         while active:
             ts = [m.t for m in active]
             caps = [t_end - t for t in ts]
-            u_new, v_new, step = _advance(plan, u, v, ts, points, grid, cfg, forcing, caps,
-                                          [m.top for m in active])
+            u_new, v_new, step = _advance(plan, u, v, ts, caps, [m.top for m in active])
             left = False
             for i, m in enumerate(active):
                 if i in step.ends:
@@ -1063,8 +1104,9 @@ def run_batch(
                         if m.termination is not None:
                             m.detach()
                 active = [active[i] for i in keep]
-                points = [m.params for m in active]
                 u, v = u[keep], v[keep]
+                if active:
+                    plan.members([m.params for m in active])
     return [m.result() for m in members]
 
 

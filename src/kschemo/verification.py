@@ -30,7 +30,9 @@ from .grid import Grid, State, lp_norm_pow
 from .observables import Termination
 from .operators import _column
 from .params import ModelParams, require
-from .stepper import Recorder, RunResult, StepperConfig, _job_results, run
+from .stepper import (
+    Recorder, RunResult, StepperConfig, _job_results, require_horizon, require_memory, run,
+)
 
 GL_PANELS = 8
 GL_ORDER = 8
@@ -293,7 +295,9 @@ def level_dts(grids: Sequence[Grid], dts: Sequence[float], t_end: float) -> list
     This is the study's one input check.  FieldError names the field of the
     first rule broken, in this order:
       * ``levels``: the count check_levels allows;
-      * ``t_end``: finite and > 0;
+      * ``cells``: each level's march fits in memory (stepper.require_memory);
+      * ``t_end``: finite and more than the march's end tolerance past 0
+        (stepper.require_horizon);
       * ``dts`` (``dts[k]`` in the message): each finite and > 0, and with a
         finite step count t_end / dt, which the snapping rounds to an integer.
     ValueError names a dt list whose length is not the grids', and the first
@@ -302,7 +306,9 @@ def level_dts(grids: Sequence[Grid], dts: Sequence[float], t_end: float) -> list
     if len(grids) != len(dts):
         raise ValueError("need one dt per grid")
     check_levels(len(grids))
-    require(0 < t_end < math.inf, "t_end", "finite > 0", t_end)
+    for grid in grids:
+        require_memory(grid)
+    require_horizon(0.0, t_end)
     for k, dt in enumerate(dts):
         require(0 < dt < math.inf, "dts", "finite > 0", dt, k)
         require(t_end / dt < math.inf, "dts", "with a finite step count t_end / dt", dt, k)
@@ -366,10 +372,13 @@ def convergence_study(
             retries = result.diagnostics.total_retries
             dts_used = result.series.column("dt")[1:]
             if steps != expected or retries or not np.allclose(dts_used, dt, rtol=1e-9):
+                sampled = "no sampled step"
+                if dts_used.size:
+                    sampled = f"sampled dt down to {dts_used.min():g}"
                 raise RuntimeError(
                     f"level {level}: adaptive dt engaged ({steps} steps for {expected} "
-                    f"of dt = {dt:g}, {retries} retries, sampled dt down to "
-                    f"{dts_used.min():g}); weaken chi or reduce dt for a clean study"
+                    f"of dt = {dt:g}, {retries} retries, {sampled}); weaken chi or reduce dt "
+                    "for a clean study"
                 )
             err_u = _l2_error(result.state.u, case.u_exact(result.state.t, grid), grid)
             err_v = _l2_error(result.state.v, case.v_exact(result.state.t, grid), grid)

@@ -137,10 +137,10 @@ def one_step(monkeypatch):
         with monkeypatch.context() as patch:
             if dt is not None:
                 patch.setattr(stepper, "adapt_dt", lambda *args: [min(dt, args[-1][0])])
-            with stepper._march(1, grid, scheme) as plan:
+            with stepper._march(1, grid, cfg, forcing, scheme) as plan:
+                plan.members([params])
                 u, v, taken = stepper._advance(
-                    plan, state.u[None], state.v[None], [state.t], [params], grid, cfg,
-                    forcing, [cap], [float(state.u.max())],
+                    plan, state.u[None], state.v[None], [state.t], [cap], [float(state.u.max())]
                 )
         (outcome,) = outcomes(taken)
         if outcome.termination is not None:

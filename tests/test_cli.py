@@ -790,7 +790,18 @@ class TestSimulatedSweep:
 
     @pytest.mark.parametrize(
         "value, rule",
-        [("nan", "finite number required, got 'nan'"), ("-1", "t_end > 0 required, got -1.0")],
+        [
+            ("nan", "finite number required, got 'nan'"),
+            pytest.param(
+                "-1", "t_end finite > 0.0 + 1e-12*max(1, |t_end|) required, got -1.0",
+                id="-1-t_end > 0 required, got -1.0",
+            ),
+            # within the end tolerance of t = 0, each point ended there with no step
+            pytest.param(
+                "1e-13", "t_end finite > 0.0 + 1e-12*max(1, |t_end|) required, got 1e-13",
+                id="1e-13-within the end tolerance",
+            ),
+        ],
     )
     def test_bad_t_end_names_its_flag(self, tmp_path, capsys, value, rule):
         out_dir = tmp_path / "sweep"
@@ -881,6 +892,8 @@ class TestMms:
             # the finest h and dt would leave the float range
             (["--levels", "1200"], "--levels"),
             (["--mode", "temporal", "--levels", "1200"], "--levels"),
+            # within the end tolerance of t = 0: each level ended there with no step
+            (["--t-end", "1e-13", "--cells0", "8"], "--t-end"),
         ],
     )
     def test_bad_input_exit_2(self, tmp_path, capsys, argv, flag):
@@ -981,12 +994,14 @@ HUGE_N = "1" + "0" * 400
         (SWEEP_POINT + ["--simulate", "--config", "{binary}"], "--config"),
         (["run", "--config", "{binary}"], "--config"),
         (["bound-check", "--run-dir", "{no_envelope_run}"], "model.b"),
+        # within the end tolerance of t = 0: the run ended there with no step
+        (["run", "--config", os.devnull, "--run.t_end", "1e-13"], "run.t_end"),
     ],
     ids=[
         "classify-alpha", "classify-beta", "classify-n", "classify-huge-n", "classify-a",
         "classify-b", "classify-initial-mass", "classify-domain-measure", "sweep-alpha-min",
         "sweep-beta-min", "sweep-huge-n", "sweep-undecodable-config", "run-undecodable-config",
-        "bound-check-b",
+        "bound-check-b", "run-t-end-within-tolerance",
     ],
 )
 def test_refusal_names_its_flag(tmp_path, capsys, argv, flag):
@@ -1005,6 +1020,34 @@ def test_refusal_names_its_flag(tmp_path, capsys, argv, flag):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: config: {flag}: ")
     assert not out_dir.exists()
+
+
+# physical memory read as 32 cells' worth: a 64-cell grid is refused before
+# any field is allocated, naming the key or flag that sized it
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--config", os.devnull, "--grid.cells_x", "64"], "grid.cells_x"),
+        (["run", "--config", os.devnull, "--grid.dim", "2", "--grid.cells_x", "4",
+          "--grid.cells_y", "64"], "grid.cells_y"),
+        (["sweep", "--simulate", "--alpha-min", "1", "--alpha-max", "1", "--beta-min", "3",
+          "--beta-max", "3", "--n", "1", "--grid.cells_x", "64"], "grid.cells_x"),
+        (["mms", "--levels", "2", "--cells0", "64"], "--cells0"),
+        (["mms", "--levels", "2", "--cells0", "20"], "--cells0"),
+        (["mms", "--mode", "temporal", "--levels", "2", "--cells", "64"], "--cells"),
+    ],
+    ids=["run", "run-2d-y", "sweep-simulate", "mms-cells0", "mms-finer-level", "mms-cells"],
+)
+def test_grid_beyond_physical_memory_refused(tmp_path, capsys, monkeypatch, argv, flag):
+    per_cell = stepper._PEAK_BYTES_PER_CELL
+    monkeypatch.setattr(stepper, "_physical_memory", lambda: 32 * per_cell)
+    out_path = tmp_path / ("mms.csv" if argv[0] == "mms" else "out")
+    code, out, err = invoke(capsys, *argv, "--output", str(out_path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: config: {flag}: cells[")
+    assert f"x {per_cell} B <= {32 * per_cell} B of physical memory required" in err
+    assert not out_path.exists()
 
 
 def test_cli_import_leaves_sympy_out():

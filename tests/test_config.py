@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -204,7 +205,8 @@ class TestParse:
 
     def test_run_config_rejects_an_endless_run(self):
         cfg = parse_config(text="")
-        with pytest.raises(FieldError, match=r"^t_end > 0 required, got inf$"):
+        rule = re.escape("t_end finite > 0.0 + 1e-12*max(1, |t_end|) required")
+        with pytest.raises(FieldError, match=rf"^{rule}, got inf$"):
             dataclasses.replace(cfg, t_end=math.inf)
 
     def test_numpy_integers_still_count_as_cells_and_seeds(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import re
 import signal
 import threading
 import time
@@ -75,10 +76,9 @@ def _advance(u, v, ts, params, grid, cfg, forcing=None, dt_cap=None, scheme="upw
     Outcome of each member."""
     caps = [math.inf] * len(params) if dt_cap is None else dt_cap
     umax = np.maximum.reduce(u, grid.field_axes).tolist()
-    with stepper._march(len(params), grid, scheme) as plan:
-        u_new, v_new, step = stepper._advance(
-            plan, u, v, ts, params, grid, cfg, forcing, caps, umax
-        )
+    with stepper._march(len(params), grid, cfg, forcing, scheme) as plan:
+        plan.members(params)
+        u_new, v_new, step = stepper._advance(plan, u, v, ts, caps, umax)
     return u_new, v_new, outcomes(step)
 
 
@@ -509,12 +509,9 @@ class TestTransportSlabs:
         in one call."""
         explicit = explicit.copy()
         params = [ModelParams(chi=chi, a=1.0, b=1.0, alpha=2.0, beta=2.0) for chi in chis]
-        with stepper._march(len(u), grid, scheme) as plan:
+        with stepper._march(len(u), grid, StepperConfig(), None, scheme) as plan:
             plan.members(params)
-            if plan.split:
-                grad_max = stepper._transport_slabs(explicit, u, v, plan.slabs, plan.helper)
-            else:
-                grad_max = operators._chemo_divergence(explicit, u, v, plan.transport)
+            grad_max = stepper._transport_stage(plan, explicit, u, v)
         return explicit, grad_max
 
     @pytest.mark.parametrize("scheme", FACE_SCHEMES)
@@ -589,9 +586,10 @@ class TestTransportSlabs:
         u, v = _bump(grid, 8.0, width=0.1)[None], grid.sample(lambda x, y: x)[None]
         p = ModelParams(chi=5.0, a=1.0, b=1.0, alpha=2.0, beta=2.0)
         umax = np.maximum.reduce(u, grid.field_axes).tolist()
-        with stepper._march(2, grid, "upwind") as plan:
+        with stepper._march(2, grid, StepperConfig(), None, "upwind") as plan:
             assert plan.helper is not None and not stepper._threaded(1, grid)
-            stepper._advance(plan, u, v, [0.0], [p], grid, StepperConfig(), None, [math.inf], umax)
+            plan.members([p])
+            stepper._advance(plan, u, v, [0.0], [math.inf], umax)
         assert threads == {threading.current_thread().name}
 
     def test_calling_slab_error_propagates_after_joining_helper(self, monkeypatch):
@@ -600,14 +598,14 @@ class TestTransportSlabs:
         kernel, caller = stepper._chemo_divergence, threading.get_ident()
         raised, helper_done = threading.Event(), []
 
-        def calling_slab_fails(u, v, grid, scheme):
+        def calling_slab_fails(out, u, v, transport):
             if threading.get_ident() == caller:
                 raised.set()
                 raise RuntimeError("calling slab failed")
             # the helper's slab finishes only after the calling slab has raised
             assert raised.wait(timeout=60)
             time.sleep(0.05)
-            result = kernel(u, v, grid, scheme)
+            result = kernel(out, u, v, transport)
             helper_done.append(threading.current_thread().name)
             return result
 
@@ -1177,7 +1175,8 @@ class TestRunBatch:
         def hung(signum, frame):
             raise AssertionError("the march did not return")
 
-        message = f"^t_end finite > 0.0 required, got {t_end}$"
+        rule = "t_end finite > 0.0 + 1e-12*max(1, |t_end|) required"
+        message = f"^{re.escape(rule)}, got {t_end}$"
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(5)
         try:
@@ -1186,6 +1185,41 @@ class TestRunBatch:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+
+    # a t_end within 1e-12*max(1, |t_end|) of the initial time ended the
+    # march at that time as "t_end reached", with no step; one twice as far
+    # takes its one step
+    @pytest.mark.parametrize(
+        "t0, t_end", [(0.0, 1e-13), (0.0, 1e-12), (5.0, 5.0 + 4e-12), (-0.5, -0.5 + 1e-12)]
+    )
+    def test_rejects_a_horizon_within_the_end_tolerance(self, t0, t_end):
+        grid = Grid(extent=(1.0,), cells=(8,))
+        p = ModelParams(chi=1.0, a=1.0, b=1.0, alpha=1.5, beta=3.0)
+        state = dataclasses.replace(equilibrium_state(p, grid)[0], t=t0)
+        rule = f"t_end finite > {t0!r} + 1e-12*max(1, |t_end|) required"
+        with pytest.raises(FieldError, match=f"^{re.escape(rule)}, got {t_end!r}$") as info:
+            run_batch([state], [p], grid, StepperConfig(), t_end, self.REC)
+        assert info.value.field == "t_end"
+        t_end = t0 + 2e-12 * max(1.0, abs(t_end))
+        (result,) = run_batch([state], [p], grid, StepperConfig(), t_end, self.REC)
+        assert result.termination is Termination.REACHED_T_END
+        assert result.diagnostics.steps == 1 and result.state.t == t_end
+
+    def test_memory_rule_counts_every_cell(self, monkeypatch):
+        # no grid is allocated: the rule reads the cell counts alone
+        huge = Grid(extent=(1.0,), cells=(10**15,))
+        if stepper._physical_memory() < math.inf:
+            with pytest.raises(FieldError, match=r"^cells\[0\] with 1000000000000000 cells"):
+                stepper.require_memory(huge)
+        monkeypatch.setattr(stepper, "_physical_memory", lambda: 32 * stepper._PEAK_BYTES_PER_CELL)
+        stepper.require_memory(Grid(extent=(1.0,), cells=(32,)))
+        stepper.require_memory(Grid(extent=(1.0, 1.0), cells=(4, 8)))
+        for cells, axis in (((33,), 0), ((4, 9), 1), ((9, 4), 0)):
+            grid = Grid(extent=(1.0,) * len(cells), cells=cells)
+            with pytest.raises(FieldError) as info:
+                stepper.require_memory(grid)
+            assert (info.value.field, info.value.axis) == ("cells", axis)
+            assert str(info.value).endswith(f"required, got {max(cells)}")
 
     @pytest.mark.parametrize("march", ["run", "run_batch"])
     def test_rejects_an_unknown_face_scheme(self, march):
@@ -1423,20 +1457,27 @@ class TestFixedPointReplay:
 
 
 def _rebuilding_every_step(monkeypatch):
-    """Defeat the step plan: it forgets both keys before each use, so every
-    step rebuilds its constants and never reuses a dt column."""
-    members, column = stepper._Plan.members, stepper._Plan.column
+    """Defeat the step plan: it sets its active set again before each step
+    and forgets its dt column before each use, so every step rebuilds its
+    constants and never reuses a dt column."""
+    members, column, advance = stepper._Plan.members, stepper._Plan.column, stepper._advance
+    active = {}
 
-    def fresh_members(plan, params):
+    def remembered(plan, params):
+        active[plan] = params
         members(plan, params)
-        plan.params = None  # so that the next step sets its active set again
 
     def fresh_column(plan, dts):
         plan._dts = None
         column(plan, dts)
 
-    monkeypatch.setattr(stepper._Plan, "members", fresh_members)
+    def fresh_advance(plan, *args):
+        members(plan, active[plan])
+        return advance(plan, *args)
+
+    monkeypatch.setattr(stepper._Plan, "members", remembered)
     monkeypatch.setattr(stepper._Plan, "column", fresh_column)
+    monkeypatch.setattr(stepper, "_advance", fresh_advance)
 
 
 def _count_reuses(monkeypatch):
@@ -1607,12 +1648,11 @@ class TestStepPlan:
             dts = []
             tracemalloc.start()
             try:
-                with stepper._march(1, grid, "upwind") as plan:
+                with stepper._march(1, grid, cfg, None, "upwind") as plan:
+                    plan.members([p])
                     for _ in range(3):
                         umax = np.maximum.reduce(u, grid.field_axes).tolist()
-                        u, v, step = stepper._advance(
-                            plan, u, v, [t], [p], grid, cfg, None, [math.inf], umax
-                        )
+                        u, v, step = stepper._advance(plan, u, v, [t], [math.inf], umax)
                         (outcome,) = outcomes(step)
                         assert outcome.termination is None
                         t += outcome.dt
@@ -1639,10 +1679,10 @@ def _carried_maxima(monkeypatch):
     field; returns how many solves got their maxima carried."""
     advance, carried = stepper._advance, []
 
-    def spy(plan, u, v, ts, params, grid, cfg, forcing, dt_cap, umax, *rest):
-        assert umax == np.maximum.reduce(u, grid.field_axes).tolist()
+    def spy(plan, u, v, ts, caps, umax):
+        assert umax == np.maximum.reduce(u, plan.grid.field_axes).tolist()
         carried.append(len(umax))
-        return advance(plan, u, v, ts, params, grid, cfg, forcing, dt_cap, umax, *rest)
+        return advance(plan, u, v, ts, caps, umax)
 
     monkeypatch.setattr(stepper, "_advance", spy)
     return carried
@@ -1653,9 +1693,9 @@ def _recomputing_maxima(monkeypatch):
     dt proposal reads max u off the rows it steps."""
     advance = stepper._advance
 
-    def recomputed(plan, u, v, ts, params, grid, cfg, forcing, dt_cap, umax, *rest):
-        umax = np.maximum.reduce(u, grid.field_axes).tolist()
-        return advance(plan, u, v, ts, params, grid, cfg, forcing, dt_cap, umax, *rest)
+    def recomputed(plan, u, v, ts, caps, umax):
+        umax = np.maximum.reduce(u, plan.grid.field_axes).tolist()
+        return advance(plan, u, v, ts, caps, umax)
 
     monkeypatch.setattr(stepper, "_advance", recomputed)
 

@@ -8,9 +8,12 @@ import re
 import numpy as np
 import pytest
 
-from kschemo import Grid, ModelParams, Recorder, StepperConfig, Termination, run, stepper
+from kschemo import (
+    Grid, ModelParams, Recorder, RunResult, StepperConfig, Termination, run, stepper,
+)
 from kschemo import verification
 from kschemo.config import parse_config, refine_config, run_from_config
+from kschemo.observables import ObservableSeries, record
 from kschemo.params import FieldError
 from kschemo.verification import (
     Forcing,
@@ -223,6 +226,26 @@ class TestConvergenceStudy:
         with pytest.raises(RuntimeError, match=r"^level 0: .* of dt = 0.01,"):
             convergence_study(case, grids[:0:-1], dts[:0:-1], t_end=0.02, face_scheme="central")
 
+    def test_level_with_no_sampled_step_is_reported(self, params, monkeypatch):
+        # a level that reaches t_end with no step samples no dt; no horizon
+        # that a study accepts makes one, so the level's run is stubbed
+        grids = [Grid(extent=(1.0,), cells=(n,)) for n in (8, 16)]
+        case = build_mms_case(params, grids[0])
+
+        def no_step(case, grid, dt, t_end, face_scheme):
+            state = case.initial_state(grid)
+            series = ObservableSeries.for_run((2.0,))
+            series.append(record(state, grid, case.params, (2.0,), 0))
+            return RunResult(state, series, Termination.REACHED_T_END)
+
+        monkeypatch.setattr(verification, "_run_level", no_step)
+        message = re.escape(
+            "level 0: adaptive dt engaged (0 steps for 20 of dt = 0.001, 0 retries, "
+            "no sampled step); weaken chi or reduce dt for a clean study"
+        )
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            convergence_study(case, grids, [1e-3, 5e-4], t_end=0.02)
+
     def test_repeated_level_rejected_before_running(self, params, monkeypatch):
         # every dt snaps to t_end: levels 1 and 2 would repeat level 0 and read 0/0
         grid = Grid(extent=(1.0,), cells=(8,))
@@ -244,6 +267,8 @@ class TestConvergenceStudy:
         (0.02, [-1e-3, 5e-4], "dts[0]"),
         (0.02, [1e-3, math.nan], "dts[1]"),
         (0.02, [math.inf, 5e-4], "dts[0]"),
+        # a t_end within the march's end tolerance of 0 ended each level at t = 0
+        (1e-13, [1e-14, 5e-15], "t_end"),
     ])
     def test_non_finite_or_non_positive_input_named(self, params, monkeypatch, t_end, dts, name):
         grids = [Grid(extent=(1.0,), cells=(n,)) for n in (8, 16)]
@@ -252,7 +277,8 @@ class TestConvergenceStudy:
             raise AssertionError("a level ran")
 
         monkeypatch.setattr(verification, "run", no_run)
-        message = rf"^{re.escape(name)} finite > 0 required, got "
+        rule = "finite > 0.0 + 1e-12*max(1, |t_end|)" if name == "t_end" else "finite > 0"
+        message = rf"^{re.escape(name)} {re.escape(rule)} required, got "
         with pytest.raises(ValueError, match=message):
             level_dts(grids, dts, t_end)
         with pytest.raises(ValueError, match=message):
